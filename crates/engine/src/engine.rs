@@ -42,7 +42,7 @@ use pm_core::{
     DataLayout, MergeConfig, MergeReport, MergeSim, PmError, PrefetchChoice, PrefetchStrategy,
     RunLayout, SyncMode, TraceDepletion,
 };
-use pm_disk::{Cylinder, DiskId, DiskRequest, QueueDiscipline};
+use pm_disk::{Cylinder, DiskId, DiskRequest};
 use pm_core::LoserTree;
 use pm_extsort::Record;
 use pm_metrics::{MetricsSink, NullMetrics};
@@ -61,8 +61,10 @@ pub struct ExecConfig {
     pub merge: MergeConfig,
     /// Records per on-device block.
     pub records_per_block: u32,
-    /// Per-disk I/O queue depth: how many requests may be outstanding
-    /// on one disk before submission blocks (ring depth on io_uring).
+    /// Per-disk I/O queue depth: how many requests of one disk may wait
+    /// for service before submission blocks (ring depth on io_uring).
+    /// The bound holds per disk at any [`ExecConfig::jobs`]; a request
+    /// holds its slot until its service starts.
     /// `0` negotiates the scenario's prefetch depth — the deepest
     /// backlog the merge's issue discipline creates per disk.
     pub queue_depth: usize,
@@ -749,7 +751,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             debug_assert_eq!(self.plan.merge.sync, SyncMode::Unsynchronized);
             self.gate = Some(Gate::Block { run: j });
         }
-        self.wait_gate(j)?;
+        self.wait_gate()?;
         Ok(Some(self.take_block(j)?))
     }
 
@@ -979,7 +981,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
 
     /// Waits out the gate the last issue set (if any), then returns once
     /// the arrivals the simulator would wait for have been processed.
-    fn wait_gate(&mut self, j: RunId) -> Result<(), PmError> {
+    fn wait_gate(&mut self) -> Result<(), PmError> {
         match self.gate.take() {
             None => {}
             Some(Gate::SyncOp { remaining }) => {
@@ -991,7 +993,6 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
                 while self.await_arrival()? != run {}
             }
         }
-        let _ = j;
         Ok(())
     }
 
@@ -1108,8 +1109,3 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
     }
 }
 
-// The latency model must see FIFO service order for sim parity; the
-// engine guarantees it structurally, so any discipline is *executable*,
-// but only FIFO predictions are meaningful.
-#[allow(dead_code)]
-fn _discipline_note(_: QueueDiscipline) {}

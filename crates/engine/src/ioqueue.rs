@@ -3,8 +3,10 @@
 //! Where [`crate::BlockDevice`] is the *storage* SPI (one block in, one
 //! block out, synchronously), `IoQueue` is the *I/O path* the engine
 //! drives: requests are submitted in batches, completions are reaped in
-//! batches, and up to [`IoQueue::depth`] requests per disk may be in
-//! flight at once. Four implementations exist:
+//! batches, and up to [`IoQueue::depth`] requests per disk may wait for
+//! service at once. The bound is per disk whatever the number of worker
+//! threads, and a request holds its slot until its service starts (on
+//! io_uring, until the ring completes it). Four implementations exist:
 //!
 //! * [`crate::ThreadedQueue`] — per-disk worker threads over any
 //!   [`crate::BlockDevice`] (memory, file, file+`O_DIRECT`, latency).
@@ -94,8 +96,10 @@ pub struct IoCompletion {
 /// Engine-independent knobs an [`IoQueue`] is built with.
 #[derive(Debug, Clone, Copy)]
 pub struct QueueOptions {
-    /// Per-disk bound on in-flight requests (submission backpressure;
-    /// ring depth on io_uring). `0` behaves as `1`.
+    /// Per-disk bound on requests waiting for service (submission
+    /// backpressure; ring depth on io_uring). It holds for each disk at
+    /// any [`QueueOptions::jobs`], and a request holds its slot until its
+    /// service starts. `0` behaves as `1`.
     pub depth: usize,
     /// Worker threads for threaded backends (`0` = one per disk).
     pub jobs: usize,

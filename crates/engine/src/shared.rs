@@ -142,7 +142,7 @@ impl SharedDeviceSet {
         SharedPort {
             inner: Arc::clone(&self.inner),
             device,
-            done: Arc::new(Channel::new(usize::MAX)),
+            done: Arc::new(Channel::new()),
             tenant: u32::from(tenant),
             weight: weight.max(1),
         }
@@ -255,25 +255,9 @@ impl IoQueue for SharedPort {
     }
 
     fn complete(&mut self, out: &mut Vec<IoCompletion>, min_wait: usize) -> io::Result<usize> {
-        let mut n = 0;
-        while n < min_wait {
-            match self.done.pop() {
-                Some(c) => {
-                    out.push(c);
-                    n += 1;
-                }
-                None => {
-                    return Err(io::Error::other(
-                        "shared device set shut down with requests outstanding",
-                    ))
-                }
-            }
-        }
-        while let Some(c) = self.done.try_pop() {
-            out.push(c);
-            n += 1;
-        }
-        Ok(n)
+        self.done.recv_into(out, min_wait).ok_or_else(|| {
+            io::Error::other("shared device set shut down with requests outstanding")
+        })
     }
 
     fn shutdown(&mut self) -> io::Result<()> {

@@ -1,19 +1,38 @@
 //! [`ThreadedQueue`]: the worker-thread [`IoQueue`] over any
 //! [`BlockDevice`].
 //!
-//! Each worker owns one bounded FIFO request queue and services one or
-//! more disks (`disk → disk mod workers`); with the default of one
-//! worker per disk every disk has a dedicated thread, exactly one
-//! request in service at a time, and per-disk FIFO order. Submission
-//! blocks when the worker's queue is full (bounded-queue backpressure
-//! on the merge thread, sized by [`QueueOptions::depth`]); completions
-//! flow back over one unbounded queue the merge thread reaps in
-//! batches.
+//! `min(jobs, disks)` workers (one per disk when `jobs == 0`) each serve
+//! the disks `disk mod workers` from one FIFO request queue, so every
+//! disk has exactly one request in service at a time and is serviced in
+//! submission order. Completions flow back over one unbounded channel
+//! the merge thread reaps in batches.
+//!
+//! ## Hand-off
+//!
+//! The merge thread and the workers pass whole batches and wake each
+//! other only when the other side sleeps:
+//!
+//! * `submit` pushes each worker's share of a batch under one lock and
+//!   wakes the worker only if it sleeps for want of work.
+//! * A worker takes everything queued under one lock and services it in
+//!   order. It publishes each completion as soon as the request is
+//!   serviced (the latency backend's timing depends on it), waking the
+//!   reaper only if the reaper waits.
+//! * `complete` takes every available completion under one lock.
+//!
+//! Backpressure is per disk, at any worker count: at most
+//! [`QueueOptions::depth`] requests of one disk wait for service. A
+//! request holds its slot until its service starts; a submission that
+//! finds its disk full sleeps until the worker starts one of them.
+//!
+//! A worker that dies by panic closes its request queue and the
+//! completion channel as it unwinds, so `submit` and `complete` return
+//! `Err` instead of hanging.
 
-use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use pm_core::PmError;
@@ -23,86 +42,196 @@ use crate::device::{BlockDevice, FileDevice, LatencyDevice, MemoryDevice};
 use crate::ioqueue::{IoCompletion, IoQueue, IoRequest, QueueOptions};
 
 struct ChannelInner<T> {
-    items: VecDeque<T>,
+    items: Vec<T>,
     closed: bool,
+    /// The consumer sleeps in [`Channel::recv_into`].
+    waiting: bool,
 }
 
-/// A minimal Mutex+Condvar MPSC channel with an optional capacity bound.
+/// A minimal unbounded Mutex+Condvar channel with one consumer, which
+/// producers wake only while it sleeps.
 pub(crate) struct Channel<T> {
     inner: Mutex<ChannelInner<T>>,
-    capacity: usize,
-    not_empty: Condvar,
-    not_full: Condvar,
+    ready: Condvar,
 }
 
 impl<T> Channel<T> {
-    pub(crate) fn new(capacity: usize) -> Self {
+    pub(crate) fn new() -> Self {
         Channel {
             inner: Mutex::new(ChannelInner {
-                items: VecDeque::new(),
+                items: Vec::new(),
                 closed: false,
+                waiting: false,
             }),
-            capacity,
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+            ready: Condvar::new(),
         }
     }
 
-    /// Blocks while the channel is full. Pushes are lost after `close`.
+    /// Pushes are lost after `close`.
     pub(crate) fn push(&self, item: T) {
         let mut inner = self.inner.lock().expect("channel poisoned");
-        while inner.items.len() >= self.capacity && !inner.closed {
-            inner = self.not_full.wait(inner).expect("channel poisoned");
-        }
         if inner.closed {
             return;
         }
-        inner.items.push_back(item);
-        self.not_empty.notify_one();
+        inner.items.push(item);
+        let wake = std::mem::take(&mut inner.waiting);
+        drop(inner);
+        if wake {
+            self.ready.notify_one();
+        }
     }
 
-    /// Blocks until an item is available; `None` once closed and drained.
-    pub(crate) fn pop(&self) -> Option<T> {
+    /// Blocks until at least `min` items are available, then appends
+    /// every available item to `out` in push order and returns how many.
+    /// `None` once the channel closed with fewer than `min` left.
+    pub(crate) fn recv_into(&self, out: &mut Vec<T>, min: usize) -> Option<usize> {
         let mut inner = self.inner.lock().expect("channel poisoned");
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
+        while inner.items.len() < min {
             if inner.closed {
                 return None;
             }
-            inner = self.not_empty.wait(inner).expect("channel poisoned");
+            inner.waiting = true;
+            inner = self.ready.wait(inner).expect("channel poisoned");
         }
+        inner.waiting = false;
+        let n = inner.items.len();
+        out.append(&mut inner.items);
+        Some(n)
     }
 
-    /// Takes an item only if one is already available.
-    pub(crate) fn try_pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().expect("channel poisoned");
-        let item = inner.items.pop_front();
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item
-    }
-
+    /// Never panics: it runs in a dying worker's unwind guard, and
+    /// setting the flag is valid whatever a panicking holder left.
     pub(crate) fn close(&self) {
-        let mut inner = self.inner.lock().expect("channel poisoned");
-        inner.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.ready.notify_all();
+    }
+}
+
+struct RequestState {
+    items: Vec<IoRequest>,
+    closed: bool,
+    /// The worker sleeps for want of work.
+    worker_asleep: bool,
+}
+
+/// One worker's FIFO of requests, bounded per disk.
+struct RequestQueue {
+    state: Mutex<RequestState>,
+    /// Wakes the worker: requests queued, or the queue closed.
+    work: Condvar,
+    /// Wakes the submitter: a slot freed, or the queue closed.
+    space: Condvar,
+    /// Per served disk (`disk / workers`): requests submitted whose
+    /// service has not started, queued or taken by the worker.
+    waiting: Vec<AtomicUsize>,
+    /// The submitter sleeps on `space`. Paired with `waiting`: the
+    /// submitter sets this flag before re-reading a full slot count, the
+    /// worker frees a slot before reading the flag, so (both `SeqCst`)
+    /// at least one of them sees the other's write and no wake-up is
+    /// lost.
+    submitter_asleep: AtomicBool,
+    workers: usize,
+    depth: usize,
+}
+
+impl RequestQueue {
+    fn new(disks: usize, workers: usize, depth: usize) -> Self {
+        RequestQueue {
+            state: Mutex::new(RequestState {
+                items: Vec::new(),
+                closed: false,
+                worker_asleep: false,
+            }),
+            work: Condvar::new(),
+            space: Condvar::new(),
+            waiting: (0..disks.div_ceil(workers)).map(|_| AtomicUsize::new(0)).collect(),
+            submitter_asleep: AtomicBool::new(false),
+            workers,
+            depth,
+        }
+    }
+
+    fn slots(&self, io: &IoRequest) -> &AtomicUsize {
+        &self.waiting[io.req.disk.0 as usize / self.workers]
+    }
+
+    /// Queues `reqs` in order under one lock, sleeping whenever a disk's
+    /// `depth` slots are all taken. `Err` once the queue is closed.
+    fn push(&self, reqs: &[IoRequest]) -> io::Result<()> {
+        let mut state = self.state.lock().expect("request queue poisoned");
+        for io in reqs {
+            let slots = self.slots(io);
+            loop {
+                if state.closed {
+                    return Err(io::Error::other("I/O worker exited"));
+                }
+                if slots.load(SeqCst) < self.depth {
+                    break;
+                }
+                // The disk's queued requests may be ours, not yet
+                // handed over: the worker must run to free a slot.
+                if std::mem::take(&mut state.worker_asleep) {
+                    self.work.notify_one();
+                }
+                self.submitter_asleep.store(true, SeqCst);
+                if slots.load(SeqCst) >= self.depth {
+                    state = self.space.wait(state).expect("request queue poisoned");
+                }
+            }
+            slots.fetch_add(1, SeqCst);
+            state.items.push(*io);
+        }
+        let wake = std::mem::take(&mut state.worker_asleep);
+        drop(state);
+        if wake {
+            self.work.notify_one();
+        }
+        Ok(())
+    }
+
+    /// Moves everything queued into the empty `batch`, sleeping while
+    /// nothing is; `false` once the queue is closed and drained.
+    fn take_all(&self, batch: &mut Vec<IoRequest>) -> bool {
+        let mut state = self.state.lock().expect("request queue poisoned");
+        while state.items.is_empty() {
+            if state.closed {
+                return false;
+            }
+            state.worker_asleep = true;
+            state = self.work.wait(state).expect("request queue poisoned");
+        }
+        state.worker_asleep = false;
+        std::mem::swap(&mut state.items, batch);
+        true
+    }
+
+    /// `io`'s service starts: frees its slot.
+    fn started(&self, io: &IoRequest) {
+        self.slots(io).fetch_sub(1, SeqCst);
+        if self.submitter_asleep.swap(false, SeqCst) {
+            // Taking the lock waits until the submitter sleeps on `space`.
+            drop(self.state.lock().expect("request queue poisoned"));
+            self.space.notify_one();
+        }
+    }
+
+    /// Never panics, like [`Channel::close`].
+    fn close(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.work.notify_all();
+        self.space.notify_all();
     }
 }
 
 struct Running {
-    queues: Vec<Arc<Channel<IoRequest>>>,
+    queues: Vec<Arc<RequestQueue>>,
     completions: Arc<Channel<IoCompletion>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// The threaded [`IoQueue`]: `min(jobs, disks)` worker threads (or one
-/// per disk when `jobs == 0`) over any [`BlockDevice`], each worker with
-/// its own request queue bounded to [`QueueOptions::depth`] entries.
+/// per disk when `jobs == 0`) over any [`BlockDevice`], with at most
+/// [`QueueOptions::depth`] requests per disk waiting for service.
 pub struct ThreadedQueue {
     device: Arc<dyn BlockDevice>,
     label: &'static str,
@@ -225,14 +354,13 @@ impl IoQueue for ThreadedQueue {
         let disks = self.device.disks();
         let jobs = self.opts.jobs;
         let workers = if jobs == 0 { disks } else { jobs.min(disks) }.max(1);
-        let capacity = self.opts.depth.max(1);
+        let depth = self.opts.depth.max(1);
         let time_scale = self.opts.time_scale;
-        let completions = Arc::new(Channel::new(usize::MAX));
-        let mut queues = Vec::with_capacity(workers);
+        let completions = Arc::new(Channel::new());
+        let queues: Vec<Arc<RequestQueue>> = (0..workers)
+            .map(|_| Arc::new(RequestQueue::new(disks, workers, depth)))
+            .collect();
         let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            queues.push(Arc::new(Channel::new(capacity)));
-        }
         for queue in &queues {
             let queue = Arc::clone(queue);
             let completions = Arc::clone(&completions);
@@ -254,9 +382,19 @@ impl IoQueue for ThreadedQueue {
             .running
             .as_ref()
             .ok_or_else(|| io::Error::other("queue not opened"))?;
-        for &req in reqs {
-            let worker = req.req.disk.0 as usize % running.queues.len();
-            running.queues[worker].push(req);
+        let disks = self.device.disks();
+        if let Some(io) = reqs.iter().find(|io| usize::from(io.req.disk.0) >= disks) {
+            return Err(io::Error::other(format!("no such disk {}", io.req.disk.0)));
+        }
+        let workers = running.queues.len();
+        let worker_of = |io: &IoRequest| io.req.disk.0 as usize % workers;
+        // Each stretch of one worker's requests goes in under one lock.
+        let mut rest = reqs;
+        while let Some(first) = rest.first() {
+            let w = worker_of(first);
+            let n = rest.iter().take_while(|io| worker_of(io) == w).count();
+            running.queues[w].push(&rest[..n])?;
+            rest = &rest[n..];
         }
         Ok(())
     }
@@ -266,25 +404,10 @@ impl IoQueue for ThreadedQueue {
             .running
             .as_ref()
             .ok_or_else(|| io::Error::other("queue not opened"))?;
-        let mut n = 0;
-        while n < min_wait {
-            match running.completions.pop() {
-                Some(c) => {
-                    out.push(c);
-                    n += 1;
-                }
-                None => {
-                    return Err(io::Error::other(
-                        "I/O workers exited with requests outstanding",
-                    ))
-                }
-            }
-        }
-        while let Some(c) = running.completions.try_pop() {
-            out.push(c);
-            n += 1;
-        }
-        Ok(n)
+        running
+            .completions
+            .recv_into(out, min_wait)
+            .ok_or_else(|| io::Error::other("I/O workers exited with requests outstanding"))
     }
 
     fn shutdown(&mut self) -> io::Result<()> {
@@ -309,20 +432,41 @@ impl Drop for ThreadedQueue {
 
 fn worker_loop(
     device: &dyn BlockDevice,
-    queue: &Channel<IoRequest>,
+    queue: &RequestQueue,
     completions: &Channel<IoCompletion>,
     disks: usize,
     time_scale: f64,
     epoch: Instant,
 ) {
+    let _guard = CloseOnUnwind { queue, completions };
     // Per-disk service deadlines for injected latency: each sleep is
     // anchored to the previous deadline, not to "now", so scheduling
     // jitter does not accumulate across a run.
     let mut free_at = vec![epoch; disks];
-    while let Some(io) = queue.pop() {
-        let d = io.req.disk.0 as usize;
-        let completion = service_one(device, &mut free_at[d], io, time_scale, epoch);
-        completions.push(completion);
+    let mut batch = Vec::new();
+    while queue.take_all(&mut batch) {
+        for io in batch.drain(..) {
+            queue.started(&io);
+            let d = io.req.disk.0 as usize;
+            completions.push(service_one(device, &mut free_at[d], io, time_scale, epoch));
+        }
+    }
+}
+
+/// Closes a worker's queues when the worker unwinds (a panicking
+/// device), so the merge thread's `submit` / `complete` fail instead of
+/// waiting forever for a dead worker.
+struct CloseOnUnwind<'a> {
+    queue: &'a RequestQueue,
+    completions: &'a Channel<IoCompletion>,
+}
+
+impl Drop for CloseOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.queue.close();
+            self.completions.close();
+        }
     }
 }
 

@@ -6,19 +6,23 @@
 //! size — must yield byte-identical output and simulator request-
 //! sequence parity. A property-based adversarial queue exercises that;
 //! the deprecated depth-1 [`BlockingQueue`] shim anchors the
-//! regression comparison against the pre-queue calling convention; and
-//! the O_DIRECT alignment precondition must fail loudly, not corrupt.
+//! regression comparison against the pre-queue calling convention; the
+//! threaded queue's depth bound holds per disk, not per worker; a
+//! panicking device fails the queue instead of hanging it; and the
+//! O_DIRECT alignment precondition must fail loudly, not corrupt.
 
 mod common;
 
 use std::io;
-use std::time::Instant;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::thread;
+use std::time::{Duration, Instant};
 
-use pm_core::ScenarioBuilder;
-use pm_disk::{BlockAddr, DiskId};
+use pm_core::{PmError, ScenarioBuilder};
+use pm_disk::{BlockAddr, DiskId, DiskRequest};
 use pm_engine::{
     BlockDevice, ExecOutcome, IoCompletion, IoQueue, IoRequest, MemoryDevice, MergeEngine,
-    ThreadedQueue, DIRECT_ALIGN,
+    QueueOptions, ThreadedQueue, DIRECT_ALIGN,
 };
 use pm_extsort::Record;
 use proptest::prelude::*;
@@ -217,6 +221,224 @@ fn blocking_shim_matches_the_threaded_queue_at_depth_1() {
         blocking.report.full_prefetch_ops,
         threaded.report.full_prefetch_ops
     );
+}
+
+/// How long a call that must return may take before the test calls it
+/// hung.
+const HANG: Duration = Duration::from_secs(5);
+
+/// A one-shot latch the test opens to release a [`GatedDevice`]'s reads.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn wait(&self) {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+/// A [`MemoryDevice`] whose reads block until the test opens the gate.
+struct GatedDevice {
+    inner: MemoryDevice,
+    gate: Arc<Gate>,
+}
+
+impl BlockDevice for GatedDevice {
+    fn block_bytes(&self) -> usize {
+        self.inner.block_bytes()
+    }
+
+    fn disks(&self) -> usize {
+        self.inner.disks()
+    }
+
+    fn read_block(&self, disk: DiskId, start: BlockAddr, buf: &mut [u8]) -> io::Result<()> {
+        self.gate.wait();
+        self.inner.read_block(disk, start, buf)
+    }
+
+    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
+        self.inner.write_block(disk, start, data)
+    }
+}
+
+/// A [`MemoryDevice`] whose reads panic.
+struct PanickingDevice(MemoryDevice);
+
+impl BlockDevice for PanickingDevice {
+    fn block_bytes(&self) -> usize {
+        self.0.block_bytes()
+    }
+
+    fn disks(&self) -> usize {
+        self.0.disks()
+    }
+
+    fn read_block(&self, disk: DiskId, start: BlockAddr, _buf: &mut [u8]) -> io::Result<()> {
+        panic!("injected device fault reading disk {} block {}", disk.0, start.0);
+    }
+
+    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
+        self.0.write_block(disk, start, data)
+    }
+}
+
+fn read_request(disk: usize, block: usize) -> IoRequest {
+    IoRequest {
+        req: DiskRequest {
+            disk: DiskId(disk as u16),
+            start: BlockAddr(block as u64),
+            len: 1,
+            sequential_hint: false,
+            tag: (disk * 1000 + block) as u64,
+        },
+        span: block as u64,
+        submitted: Instant::now(),
+    }
+}
+
+#[test]
+fn depth_bounds_each_disk_even_with_fewer_workers_than_disks() {
+    // One worker serves eight disks at depth 4: a whole batch of four
+    // requests per disk must fit, and a fifth request to one disk must
+    // wait until the worker starts servicing one of that disk's four.
+    const DISKS: usize = 8;
+    const DEPTH: usize = 4;
+    const BB: usize = 16;
+    let gate = Arc::new(Gate::default());
+    let device = GatedDevice {
+        inner: MemoryDevice::new(DISKS, BB),
+        gate: Arc::clone(&gate),
+    };
+    let opts = QueueOptions {
+        depth: DEPTH,
+        jobs: 1,
+        time_scale: 1.0,
+    };
+    let mut queue = ThreadedQueue::over(Arc::new(device), "gated", opts);
+    for d in 0..DISKS {
+        for b in 0..=DEPTH {
+            queue
+                .write_block(DiskId(d as u16), BlockAddr(b as u64), &[d as u8; BB])
+                .unwrap();
+        }
+    }
+    queue.open(Instant::now()).unwrap();
+    let batch: Vec<IoRequest> = (0..DISKS)
+        .flat_map(|d| (0..DEPTH).map(move |b| read_request(d, b)))
+        .collect();
+    let extra = read_request(DISKS - 1, DEPTH);
+    let total = batch.len() + 1;
+
+    let (tx, rx) = mpsc::channel();
+    let driver = thread::spawn(move || {
+        queue.submit(&batch).unwrap();
+        tx.send("batch").unwrap();
+        queue.submit(&[extra]).unwrap();
+        tx.send("extra").unwrap();
+        let mut out = Vec::new();
+        while out.len() < total {
+            queue.complete(&mut out, 1).unwrap();
+        }
+        queue.shutdown().unwrap();
+        out
+    });
+    assert_eq!(
+        rx.recv_timeout(HANG),
+        Ok("batch"),
+        "{DEPTH} requests on each of {DISKS} disks must fit one worker's queue at depth {DEPTH}"
+    );
+    assert!(
+        rx.recv_timeout(Duration::from_millis(300)).is_err(),
+        "a fifth request to a disk with {DEPTH} waiting must block"
+    );
+    gate.open();
+    assert_eq!(
+        rx.recv_timeout(HANG),
+        Ok("extra"),
+        "the blocked submission must resume once service starts"
+    );
+    let out = driver.join().unwrap();
+    assert_eq!(out.len(), total);
+    for c in &out {
+        assert_eq!(c.data.as_ref().unwrap(), &vec![c.disk as u8; BB]);
+    }
+}
+
+#[test]
+fn submit_rejects_an_unknown_disk() {
+    let mut queue = ThreadedQueue::memory(2, 16, QueueOptions::default());
+    queue.open(Instant::now()).unwrap();
+    let err = queue.submit(&[read_request(2, 0)]).unwrap_err();
+    assert!(err.to_string().contains("no such disk 2"), "{err}");
+    queue.shutdown().unwrap();
+}
+
+#[test]
+fn a_panicking_device_fails_the_queue_instead_of_hanging() {
+    let opts = QueueOptions {
+        depth: 2,
+        jobs: 1,
+        time_scale: 1.0,
+    };
+    let device = PanickingDevice(MemoryDevice::new(2, 16));
+    let mut queue = ThreadedQueue::over(Arc::new(device), "panicking", opts);
+    let (tx, rx) = mpsc::channel();
+    let driver = thread::spawn(move || {
+        queue.open(Instant::now()).unwrap();
+        queue.submit(&[read_request(0, 0)]).unwrap();
+        let mut out = Vec::new();
+        let completed = queue.complete(&mut out, 1).map(|_| ());
+        let submitted = queue.submit(&[read_request(1, 0)]);
+        tx.send((completed, submitted)).unwrap();
+    });
+    let (completed, submitted) = rx
+        .recv_timeout(HANG)
+        .expect("complete() must not wait forever on a dead worker");
+    assert!(completed.is_err(), "complete() must report the dead worker");
+    assert!(submitted.is_err(), "submit() must report the dead worker");
+    driver.join().unwrap();
+}
+
+#[test]
+fn a_panicking_device_fails_the_merge_with_a_device_error() {
+    let runs = form_runs(1200, 200, 19);
+    let cfg = ScenarioBuilder::new(runs.len() as u32, 3)
+        .inter(3)
+        .seed(59)
+        .build()
+        .unwrap();
+    let disks = cfg.disks as usize;
+    let engine = engine_custom(cfg, &runs, 1, 0, RPB);
+    let device = PanickingDevice(MemoryDevice::new(disks, engine.block_bytes()));
+    let mut queue = ThreadedQueue::over(Arc::new(device), "panicking", engine.queue_options());
+    engine.load(&mut queue, &runs).expect("load");
+    let (tx, rx) = mpsc::channel();
+    let driver = thread::spawn(move || {
+        tx.send(engine.execute(Box::new(queue)).map(|_| ())).unwrap();
+    });
+    let result = rx
+        .recv_timeout(HANG)
+        .expect("execute() must not wait forever on a dead worker");
+    match result {
+        Err(err @ PmError::Device { backend, .. }) => {
+            assert_eq!(backend, "panicking");
+            assert_eq!(err.exit_code(), 2);
+        }
+        other => panic!("expected PmError::Device, got {other:?}"),
+    }
+    driver.join().unwrap();
 }
 
 #[test]
