@@ -1,11 +1,12 @@
 //! Criterion microbenchmarks of the substrate crates: the event list, the
-//! random generator, single-disk service, and the loser tree.
+//! random generator, single-disk service, and the loser tree (over `u64`s
+//! and over `Record` runs at the benchmark sorts' fan-ins).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pm_analysis::markov::{average_parallelism, Policy};
 use pm_disk::{BlockAddr, Disk, DiskId, DiskRequest, DiskSpec, QueueDiscipline};
 use pm_core::LoserTree;
-use pm_extsort::{external_sort, generate, ExtSortConfig, RunFormation};
+use pm_extsort::{external_sort, generate, ExtSortConfig, Record, RunFormation};
 use pm_sim::{EventQueue, SimRng, SimTime};
 use std::hint::black_box;
 
@@ -98,6 +99,52 @@ fn loser_tree(c: &mut Criterion) {
     });
 }
 
+/// `k` sorted runs of `len` records each. Keys are 20-bit, so at 256 Ki
+/// records about one in five shares its key with another and the tree's
+/// tie path runs too.
+fn record_runs(k: u64, len: u64) -> Vec<Vec<Record>> {
+    let mut rng = SimRng::seed_from_u64(k);
+    (0..k)
+        .map(|s| {
+            let mut run: Vec<Record> = (0..len)
+                .map(|i| Record::new(rng.next_u64() >> 44, s * len + i))
+                .collect();
+            run.sort_unstable();
+            run
+        })
+        .collect()
+}
+
+/// The merge kernel alone at the fan-ins of the benchmark's sorts: 64 runs
+/// (one 64-way pass) and 8 runs (each pass of a fan-in-8 tree), 256 Ki
+/// records either way, so the two read as time per record at each depth.
+fn loser_tree_records(c: &mut Criterion) {
+    for (name, k) in [
+        ("extsort/loser_tree_merge_64x_records", 64u64),
+        ("extsort/loser_tree_merge_8x_records", 8),
+    ] {
+        let runs = record_runs(k, (1 << 18) / k);
+        c.bench_function(name, |b| {
+            b.iter_batched(
+                || runs.clone(),
+                |runs| {
+                    let mut iters: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
+                    let heads: Vec<Option<Record>> = iters.iter_mut().map(Iterator::next).collect();
+                    let mut tree = LoserTree::new(heads);
+                    let mut out = 0u64;
+                    while let Some((src, _)) = tree.winner() {
+                        let next = iters[src].next();
+                        let (_, r) = tree.pop_and_replace(next).expect("non-empty");
+                        out = out.wrapping_add(r.rid);
+                    }
+                    black_box(out)
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
+}
+
 fn extsort_pipeline(c: &mut Criterion) {
     c.bench_function("extsort/full_pipeline_100k_records", |b| {
         let input = generate::uniform(100_000, 5);
@@ -119,6 +166,7 @@ fn markov(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = event_queue, rng, disk_service, loser_tree, extsort_pipeline, markov
+    targets = event_queue, rng, disk_service, loser_tree, loser_tree_records, extsort_pipeline,
+        markov
 }
 criterion_main!(benches);

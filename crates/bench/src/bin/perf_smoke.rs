@@ -1,14 +1,15 @@
 //! Wall-clock performance smoke harness for the merge simulator.
 //!
 //! Runs a fixed matrix of paper configurations (strategy × D) plus the
-//! `contend_d8_t4` multi-tenant service mix, measures throughput in
-//! merged blocks (resp. replayed requests) per wall-clock second
+//! `contend_d8_t4` multi-tenant service mix and the `merge_k64_records`
+//! merge kernel, measures throughput in merged blocks (resp. replayed
+//! requests, merged records) per wall-clock second
 //! (reported from the fastest repeat — the workload is deterministic, so
 //! noise only ever slows a run down), probes the steady-state allocation
-//! behaviour of the hot path, the tenant-scheduling layer, and the full
-//! observability pipeline with a counting global allocator, and emits
-//! everything as `BENCH_core.json` so every PR leaves a measurable perf
-//! trajectory behind.
+//! behaviour of the hot path, the tenant-scheduling layer, the merge
+//! kernel, and the full observability pipeline with a counting global
+//! allocator, and emits everything as `BENCH_core.json` so every PR
+//! leaves a measurable perf trajectory behind.
 //!
 //! Flags:
 //!
@@ -24,9 +25,9 @@
 //! * `--check-alloc` — exit non-zero unless the steady-state demand path
 //!   performs zero heap allocations per merged block — bare, under the
 //!   full observability pipeline (progress sink + manifest rendering),
-//!   per replayed request in the tenant-scheduling layer, and with live
-//!   `StackMetrics` recording enabled on both the simulator core and the
-//!   scheduling layer.
+//!   per replayed request in the tenant-scheduling layer, per record merged
+//!   through `LoserTree`, and with live `StackMetrics` recording enabled on
+//!   both the simulator core and the scheduling layer.
 //! * `--check-trace` — exit non-zero unless a run recorded with a
 //!   `RecordingSink` reports bit-identically to the default (`NullSink`)
 //!   build of the same configuration — tracing must be observation-only.
@@ -43,9 +44,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pm_core::{
-    run_trial_range_metered, MergeConfig, MergeSim, RecordingSink, ScenarioBuilder, SyncMode,
-    UniformDepletion,
+    run_trial_range_metered, LoserTree, MergeConfig, MergeSim, RecordingSink, ScenarioBuilder,
+    SyncMode, UniformDepletion,
 };
+use pm_extsort::{generate, run_formation, Record};
 use pm_metrics::StackMetrics;
 use pm_obs::{
     render_manifest, run_suite, PointSpec, ProgressSink, RecordKind, SuiteOptions, TrialsMode,
@@ -273,6 +275,75 @@ fn measure_contend(repeats: u32) -> Measured {
     }
 }
 
+/// Fan-in of the `merge_k64_records` scenario: the benchmark's
+/// single-pass sort merges 64 runs.
+const MERGE_RUNS: usize = 64;
+
+/// `MERGE_RUNS` sorted runs of `run_len` uniform records each, as
+/// load-sort run formation leaves them.
+fn merge_runs(run_len: usize) -> Vec<Vec<Record>> {
+    run_formation::load_sort(&generate::uniform(MERGE_RUNS * run_len, 1992), run_len)
+}
+
+/// Merges `runs` through a [`LoserTree`] and returns the records merged.
+/// The runs are borrowed, so the only allocations are the tree's and the
+/// cursor vector's, both made before the first record moves.
+fn merge_records(runs: &[Vec<Record>]) -> u64 {
+    let mut cursors: Vec<_> = runs.iter().map(|r| r.iter().copied()).collect();
+    let heads: Vec<Option<Record>> = cursors.iter_mut().map(Iterator::next).collect();
+    let mut tree = LoserTree::new(heads);
+    let (mut merged, mut acc) = (0u64, 0u64);
+    while let Some((src, _)) = tree.winner() {
+        let next = cursors[src].next();
+        let (_, rec) = tree.pop_and_replace(next).expect("winner exists");
+        acc ^= rec.rid;
+        merged += 1;
+    }
+    std::hint::black_box(acc);
+    merged
+}
+
+/// Timed merges per repeat of `merge_k64_records`. One merge of the
+/// 64 × 1024-record input takes 1–2 ms, short enough that a single
+/// scheduler hiccup or a cold cache swamps it, so each repeat times
+/// several and the scenario reports the fastest.
+const MERGE_PASSES: u32 = 8;
+
+/// Times the `merge_k64_records` kernel: 64 runs of 1024 records (built
+/// before the timed window) merged through the loser tree, throughput in
+/// merged records per second from the fastest merge.
+fn measure_merge(repeats: u32) -> Measured {
+    let runs = merge_runs(1024);
+    for _ in 0..MERGE_PASSES {
+        merge_records(&runs);
+    }
+    let (a0, b0) = alloc_snapshot();
+    let total_started = Instant::now();
+    let mut records = 0u64;
+    let mut best_ns = u128::MAX;
+    let mut per_merge = 0u64;
+    for _ in 0..repeats * MERGE_PASSES {
+        let started = Instant::now();
+        per_merge = merge_records(&runs);
+        best_ns = best_ns.min(started.elapsed().as_nanos().max(1));
+        records += per_merge;
+    }
+    let elapsed_ns = total_started.elapsed().as_nanos().max(1);
+    let (a1, b1) = alloc_snapshot();
+    Measured {
+        name: "merge_k64_records".to_string(),
+        strategy: "loser-tree",
+        d: 0,
+        repeats,
+        blocks: records,
+        elapsed_ns,
+        ops_per_sec: per_merge as f64 / (best_ns as f64 / 1e9),
+        ns_per_block: best_ns as f64 / per_merge as f64,
+        allocs: a1 - a0,
+        alloc_bytes: b1 - b0,
+    }
+}
+
 /// Steady-state allocation probe: simulate the same configuration at two
 /// run lengths and count heap allocations inside `run()` only
 /// (construction excluded). If the per-operation hot path is
@@ -419,6 +490,31 @@ fn contend_metered_alloc_probe() -> AllocProbe {
     }
 }
 
+/// Merge-kernel allocation probe: the `merge_k64_records` merge at two run
+/// lengths, counting allocations inside the merge only. `LoserTree`
+/// allocates in `new` and nowhere else, so the counts must match and the
+/// per-record difference must be zero.
+fn merge_alloc_probe() -> AllocProbe {
+    let run_counted = |run_len: usize| -> (u64, u64) {
+        let runs = merge_runs(run_len);
+        let (a0, _) = alloc_snapshot();
+        let merged = merge_records(&runs);
+        let (a1, _) = alloc_snapshot();
+        (merged, a1 - a0)
+    };
+    let _ = run_counted(256);
+    let (base_blocks, base_allocs) = run_counted(1024);
+    let (scaled_blocks, scaled_allocs) = run_counted(4096);
+    let extra_blocks = scaled_blocks - base_blocks;
+    AllocProbe {
+        base_blocks,
+        base_allocs,
+        scaled_blocks,
+        scaled_allocs,
+        per_block_allocs: (scaled_allocs as f64 - base_allocs as f64) / extra_blocks as f64,
+    }
+}
+
 /// A progress sink that formats a status string on every event, standing
 /// in for a live renderer. Its cost is per *trial*, never per block, so
 /// it must cancel out of the per-block allocation difference.
@@ -509,6 +605,7 @@ fn render_json(
     obs_probe: &AllocProbe,
     metered_probe: &AllocProbe,
     contend_metered_probe: &AllocProbe,
+    merge_probe: &AllocProbe,
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"pm-bench/perf-smoke/v1\",\n  \"scenarios\": [\n");
@@ -571,15 +668,25 @@ fn render_json(
         metered_probe.scaled_allocs,
         metered_probe.per_block_allocs
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
         "  \"contend_metered_alloc_probe\": {{\"base_blocks\": {}, \"base_allocs\": {}, \
-         \"scaled_blocks\": {}, \"scaled_allocs\": {}, \"per_block_allocs\": {:.4}}}\n}}\n",
+         \"scaled_blocks\": {}, \"scaled_allocs\": {}, \"per_block_allocs\": {:.4}}},",
         contend_metered_probe.base_blocks,
         contend_metered_probe.base_allocs,
         contend_metered_probe.scaled_blocks,
         contend_metered_probe.scaled_allocs,
         contend_metered_probe.per_block_allocs
+    );
+    let _ = write!(
+        out,
+        "  \"merge_alloc_probe\": {{\"base_records\": {}, \"base_allocs\": {}, \
+         \"scaled_records\": {}, \"scaled_allocs\": {}, \"per_record_allocs\": {:.4}}}\n}}\n",
+        merge_probe.base_blocks,
+        merge_probe.base_allocs,
+        merge_probe.scaled_blocks,
+        merge_probe.scaled_allocs,
+        merge_probe.per_block_allocs
     );
     out
 }
@@ -666,6 +773,14 @@ fn main() -> ExitCode {
         );
         results.push(m);
     }
+    {
+        let m = measure_merge(repeats);
+        println!(
+            "{:<20} k={:<2} {:>12.0} records/s {:>8.1} ns/record {:>9} allocs",
+            m.name, MERGE_RUNS, m.ops_per_sec, m.ns_per_block, m.allocs
+        );
+        results.push(m);
+    }
     let probe = alloc_probe();
     println!(
         "alloc probe: {} blocks -> {} allocs, {} blocks -> {} allocs ({:.4} allocs/block)",
@@ -716,6 +831,16 @@ fn main() -> ExitCode {
         contend_metered_probe.scaled_allocs,
         contend_metered_probe.per_block_allocs
     );
+    let merge_probe = merge_alloc_probe();
+    println!(
+        "merge alloc probe (loser tree, k={MERGE_RUNS}): {} records -> {} allocs, \
+         {} records -> {} allocs ({:.4} allocs/record)",
+        merge_probe.base_blocks,
+        merge_probe.base_allocs,
+        merge_probe.scaled_blocks,
+        merge_probe.scaled_allocs,
+        merge_probe.per_block_allocs
+    );
 
     let json = render_json(
         &results,
@@ -724,6 +849,7 @@ fn main() -> ExitCode {
         &obs_probe,
         &metered_probe,
         &contend_metered_probe,
+        &merge_probe,
     );
     fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("wrote {out_path}");
@@ -767,6 +893,14 @@ fn main() -> ExitCode {
             "FAIL: metrics-enabled scheduling layer allocates in steady state \
              ({:.4} allocs per replayed request)",
             contend_metered_probe.per_block_allocs
+        );
+        failed = true;
+    }
+    if check_alloc && merge_probe.per_block_allocs > 0.0 {
+        eprintln!(
+            "FAIL: loser-tree merge allocates in steady state \
+             ({:.4} allocs per merged record)",
+            merge_probe.per_block_allocs
         );
         failed = true;
     }

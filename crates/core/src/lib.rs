@@ -58,7 +58,7 @@ pub use config::{ConfigError, DataLayout, MergeConfig};
 pub use error::PmError;
 pub use depletion::{DepletionModel, SkewedDepletion, TraceDepletion, UniformDepletion};
 pub use layout::{RunLayout, RunPlacement};
-pub use loser_tree::LoserTree;
+pub use loser_tree::{LoserTree, MergeKey};
 pub use metrics::MergeReport;
 pub use prefetch::PrefetchChoice;
 pub use runner::{

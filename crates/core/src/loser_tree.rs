@@ -1,4 +1,78 @@
 //! Tournament (loser) tree for `k`-way merging.
+//!
+//! # Layout
+//!
+//! The tree is an index tree over a flat array of `u64` keys:
+//!
+//! * `losers: Vec<u32>` — for each internal node `1..p` (`p` = source
+//!   count rounded up to a power of two, heap layout), the index of the
+//!   source that lost the match there;
+//! * `keys: Vec<u64>` — each source's head key ([`MergeKey::merge_key`]),
+//!   `u64::MAX` once the source is exhausted;
+//! * `items: Vec<Option<T>>` — each source's head item.
+//!
+//! Replacing the winner replays one leaf-to-root path carrying only the
+//! candidate's `(source index, key)`. Each level loads one loser index and
+//! that loser's key, and decides the match on two integers with plain
+//! selects, which compile to conditional moves: on random keys every match
+//! is a coin flip, and a mispredicted branch per level is what bounds a
+//! comparison-based merge. Whole items never move through the tree.
+//!
+//! # Ties
+//!
+//! Equal keys — equal items, a key that does not capture the whole order
+//! (two `pm_extsort::Record`s with one key and different record ids), or a real head
+//! whose key happens to be `u64::MAX` meeting an exhausted source — take a
+//! separate `#[cold]` path. It decides the match exactly as a plain `Ord`
+//! tree would: an exhausted source loses, otherwise the smaller item wins
+//! by `Ord`, and fully equal items go to the lower source index. Merge
+//! order, stability and exhaustion semantics are therefore those of a
+//! tree comparing whole items; the keys only decide matches faster.
+//!
+//! # The `MergeKey` contract
+//!
+//! The key must be a monotone map of the order: `a <= b` implies
+//! `a.merge_key() <= b.merge_key()` (so `a < b` never has a larger key, and
+//! equal items have equal keys). A key may lose information — ties are
+//! settled by `Ord` — but it must never invert the order. Counter-example:
+//! keying `i32` by `*self as u64` sign-extends `-1` to `u64::MAX`, above
+//! every non-negative value, so a source holding `-1` would lose to one
+//! holding `0` and the merge would emit `0` before `-1`. The `i32` impl
+//! flips the sign bit instead, which maps `i32::MIN..=i32::MAX` onto
+//! `0..=u32::MAX` in order.
+
+/// An item the [`LoserTree`] can merge: an `Ord` value with an
+/// order-preserving `u64` key that decides most matches on its own.
+///
+/// Contract: `a <= b` implies `a.merge_key() <= b.merge_key()`. See the
+/// [module docs](self) for a key that breaks it.
+pub trait MergeKey: Ord + Copy {
+    /// The order-preserving key of this item.
+    fn merge_key(&self) -> u64;
+}
+
+impl MergeKey for u64 {
+    #[inline]
+    fn merge_key(&self) -> u64 {
+        *self
+    }
+}
+
+impl MergeKey for u32 {
+    #[inline]
+    fn merge_key(&self) -> u64 {
+        u64::from(*self)
+    }
+}
+
+impl MergeKey for i32 {
+    /// Flips the sign bit, so `i32::MIN` keys to 0 and `i32::MAX` to
+    /// `u32::MAX`.
+    #[inline]
+    fn merge_key(&self) -> u64 {
+        u64::from(self.cast_unsigned() ^ 0x8000_0000)
+    }
+}
 
 /// A loser tree over `k` sources.
 ///
@@ -24,67 +98,76 @@
 /// assert_eq!(tree.winner(), Some((2, &2)));
 /// ```
 #[derive(Debug, Clone)]
-pub struct LoserTree<T: Ord> {
-    /// Padded source count (power of two).
-    p: usize,
+pub struct LoserTree<T: MergeKey> {
     /// Real source count.
     k: usize,
     /// `losers[node]` for internal nodes `1..p`: the source index that lost
-    /// the match at `node`.
-    losers: Vec<usize>,
+    /// the match at `node` (`p` = `keys.len()`, a power of two).
+    losers: Vec<u32>,
+    /// Head key of each (padded) source; `u64::MAX` when exhausted.
+    keys: Vec<u64>,
     /// Current head item of each (padded) source; `None` = exhausted.
     items: Vec<Option<T>>,
     /// Source index of the overall winner.
     winner: usize,
 }
 
-impl<T: Ord> LoserTree<T> {
+impl<T: MergeKey> LoserTree<T> {
     /// Builds the tournament from each source's initial head item.
     ///
     /// # Panics
     ///
-    /// Panics if `heads` is empty.
+    /// Panics if `heads` is empty or holds more than `u32::MAX` sources.
     #[must_use]
     pub fn new(heads: Vec<Option<T>>) -> Self {
         let k = heads.len();
         assert!(k > 0, "loser tree needs at least one source");
+        assert!(u32::try_from(k).is_ok(), "loser tree supports at most u32::MAX sources");
         let p = k.next_power_of_two();
         let mut items = heads;
         items.resize_with(p, || None);
-        let mut losers = vec![0; p.max(2)];
-        // Bottom-up build: winners[] is scratch, losers[] is kept.
-        let mut winners: Vec<usize> = vec![0; 2 * p];
-        for (i, w) in winners.iter_mut().enumerate().skip(p) {
-            *w = i - p;
-        }
-        for node in (1..p).rev() {
-            let l = winners[2 * node];
-            let r = winners[2 * node + 1];
-            let (win, lose) = if Self::beats(&items, l, r) { (l, r) } else { (r, l) };
-            winners[node] = win;
-            losers[node] = lose;
-        }
-        let winner = winners[1.min(2 * p - 1)];
-        LoserTree {
-            p,
+        let keys: Vec<u64> = items.iter().map(|h| h.map_or(u64::MAX, |t| t.merge_key())).collect();
+        let mut tree = LoserTree {
             k,
-            losers,
+            losers: vec![0; p],
+            keys,
             items,
-            winner,
-        }
+            winner: 0,
+        };
+        tree.winner = tree.play(1) as usize;
+        tree
     }
 
-    /// `true` if source `a`'s head beats source `b`'s (smaller item wins;
-    /// `None` loses; ties go to the lower index).
-    fn beats(items: &[Option<T>], a: usize, b: usize) -> bool {
-        match (&items[a], &items[b]) {
+    /// Plays every match below `node` (heap layout: source `s` is leaf
+    /// `p + s`), records each match's loser, and returns the winner.
+    /// Recursion depth is `log2 p`.
+    fn play(&mut self, node: usize) -> u32 {
+        let p = self.keys.len();
+        if node >= p {
+            return (node - p) as u32;
+        }
+        let (l, r) = (self.play(2 * node), self.play(2 * node + 1));
+        let (win, lose) = if self.beats(l, r) { (l, r) } else { (r, l) };
+        self.losers[node] = lose;
+        win
+    }
+
+    /// `true` if source `a`'s head beats source `b`'s.
+    fn beats(&self, a: u32, b: u32) -> bool {
+        let (ka, kb) = (self.keys[a as usize], self.keys[b as usize]);
+        ka < kb || (ka == kb && self.tie_beats(a, b))
+    }
+
+    /// Decides a match between two equal keys by the full order: an
+    /// exhausted source loses, the smaller item wins, and equal items go
+    /// to the lower source index.
+    #[cold]
+    #[inline(never)]
+    fn tie_beats(&self, a: u32, b: u32) -> bool {
+        match (&self.items[a as usize], &self.items[b as usize]) {
             (None, _) => false,
             (Some(_), None) => true,
-            (Some(x), Some(y)) => match x.cmp(y) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => a < b,
-            },
+            (Some(x), Some(y)) => x.cmp(y).then(a.cmp(&b)).is_lt(),
         }
     }
 
@@ -109,31 +192,39 @@ impl<T: Ord> LoserTree<T> {
     /// already empty (in which case `replacement` must be `None`).
     pub fn pop_and_replace(&mut self, replacement: Option<T>) -> Option<(usize, T)> {
         let source = self.winner;
-        let item = match self.items[source].take() {
-            Some(item) => item,
-            None => {
-                assert!(
-                    replacement.is_none(),
-                    "cannot feed an exhausted tournament"
-                );
-                return None;
-            }
+        let Some(item) = self.items[source].take() else {
+            assert!(
+                replacement.is_none(),
+                "cannot feed an exhausted tournament"
+            );
+            return None;
         };
+        let mut key = replacement.map_or(u64::MAX, |t| t.merge_key());
+        self.keys[source] = key;
         self.items[source] = replacement;
-        // Replay matches from the winner's leaf up to the root.
-        let mut candidate = source;
-        if self.p > 1 {
-            let mut node = (self.p + source) / 2;
-            while node >= 1 {
-                let other = self.losers[node];
-                if Self::beats(&self.items, other, candidate) {
+        // Replay matches from the winner's leaf up to the root. Off the tie
+        // path every node is written, loser or not, so the update is a
+        // select, not a branch.
+        let mut candidate = source as u32;
+        let mut node = (self.keys.len() + source) / 2;
+        while node >= 1 {
+            let other = self.losers[node];
+            let other_key = self.keys[other as usize];
+            if other_key == key {
+                // The winner's key is `key` either way.
+                if self.tie_beats(other, candidate) {
                     self.losers[node] = candidate;
                     candidate = other;
                 }
-                node /= 2;
+            } else {
+                let other_wins = other_key < key;
+                self.losers[node] = if other_wins { candidate } else { other };
+                candidate = if other_wins { other } else { candidate };
+                key = if other_wins { other_key } else { key };
             }
+            node /= 2;
         }
-        self.winner = candidate;
+        self.winner = candidate as usize;
         Some((source, item))
     }
 }
@@ -144,9 +235,14 @@ mod tests {
 
     /// Merges fully-materialized sorted sources through the tree.
     fn merge_all(sources: Vec<Vec<u32>>) -> Vec<(usize, u32)> {
-        let mut iters: Vec<std::vec::IntoIter<u32>> =
+        merge_all_of(sources)
+    }
+
+    /// [`merge_all`] for any item type.
+    fn merge_all_of<T: MergeKey>(sources: Vec<Vec<T>>) -> Vec<(usize, T)> {
+        let mut iters: Vec<std::vec::IntoIter<T>> =
             sources.into_iter().map(Vec::into_iter).collect();
-        let heads: Vec<Option<u32>> = iters.iter_mut().map(Iterator::next).collect();
+        let heads: Vec<Option<T>> = iters.iter_mut().map(Iterator::next).collect();
         let mut tree = LoserTree::new(heads);
         let mut out = Vec::new();
         while let Some((src, _)) = tree.winner() {
@@ -209,6 +305,31 @@ mod tests {
             out,
             vec![(0, 1), (1, 2), (0, 3), (1, 4), (0, 5), (1, 6)]
         );
+    }
+
+    #[test]
+    fn sentinel_valued_items_outrank_exhausted_sources() {
+        // A real head keyed `u64::MAX` ties with every exhausted source's
+        // key; it must still come out, after everything smaller, in
+        // source order among its equals.
+        let out = merge_all_of(vec![
+            vec![u64::MAX],
+            vec![],
+            vec![3, u64::MAX, u64::MAX],
+            vec![u64::MAX - 1, u64::MAX],
+            vec![],
+        ]);
+        let max = u64::MAX;
+        assert_eq!(
+            out,
+            vec![(2, 3), (3, max - 1), (0, max), (2, max), (2, max), (3, max)]
+        );
+    }
+
+    #[test]
+    fn i32_keys_preserve_sign_order() {
+        let keys = [i32::MIN, -1, 0, 1, i32::MAX].map(|v| v.merge_key());
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
     }
 
     #[test]

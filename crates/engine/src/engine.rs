@@ -6,7 +6,7 @@
 //! prefetch operations, admission decisions, and AIMD depth adaptation
 //! as [`pm_core::MergeSim`], but where the simulator advances a virtual
 //! clock, the engine submits requests to per-disk I/O worker threads and
-//! merges real records through the pm-extsort loser tree.
+//! merges real records through [`pm_core::LoserTree`].
 //!
 //! ## Decision parity with the simulator
 //!

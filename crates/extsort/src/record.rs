@@ -34,6 +34,16 @@ impl PartialOrd for Record {
     }
 }
 
+/// The key alone: records order by key first, so it is order-preserving,
+/// and records sharing a key are told apart by `rid` on the tree's tie
+/// path.
+impl pm_core::MergeKey for Record {
+    #[inline]
+    fn merge_key(&self) -> u64 {
+        self.key
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

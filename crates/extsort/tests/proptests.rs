@@ -111,6 +111,108 @@ proptest! {
     }
 }
 
+/// Defines, per item type, a function that merges sorted sources through
+/// a `LoserTree` and returns its `(item, source)` output next to the
+/// reference: every `(item, source)` pair sorted, so equal items come out
+/// in source order. Only the public API is used, and no trait bound is
+/// named, so the same tests hold for any tree with that API.
+macro_rules! merge_vs_reference {
+    ($($name:ident: $t:ty),* $(,)?) => {$(
+        fn $name(mut sources: Vec<Vec<$t>>) -> (Vec<($t, usize)>, Vec<($t, usize)>) {
+            for s in &mut sources {
+                s.sort_unstable();
+            }
+            let mut expected: Vec<($t, usize)> = sources
+                .iter()
+                .enumerate()
+                .flat_map(|(src, v)| v.iter().map(move |&t| (t, src)))
+                .collect();
+            expected.sort_unstable();
+            let mut iters: Vec<_> = sources.into_iter().map(Vec::into_iter).collect();
+            let heads: Vec<Option<$t>> = iters.iter_mut().map(Iterator::next).collect();
+            let mut tree = LoserTree::new(heads);
+            let mut merged = Vec::with_capacity(expected.len());
+            while let Some((src, _)) = tree.winner() {
+                let next = iters[src].next();
+                let (s, v) = tree.pop_and_replace(next).expect("winner exists");
+                merged.push((v, s));
+            }
+            assert_eq!(tree.pop_and_replace(None), None, "drained tree must stay empty");
+            (merged, expected)
+        }
+    )*};
+}
+
+merge_vs_reference!(merge_u64: u64, merge_u32: u32, merge_i32: i32, merge_records: Record);
+
+/// Sources of up to `max_len` items each, as many as one of the fan-ins
+/// the edge-case tests cover (trivial, padded, the benchmark's 64 and one
+/// past it): many run dry early, some start empty, and all may be empty.
+fn sources_of<S: Strategy>(item: S, max_len: usize) -> impl Strategy<Value = Vec<Vec<S::Value>>> {
+    let fan_in = prop_oneof![Just(1usize), Just(2), Just(3), Just(5), Just(64), Just(65)];
+    let sources = prop::collection::vec(prop::collection::vec(item, 0..max_len + 1), 65);
+    (fan_in, sources).prop_map(|(k, mut sources)| {
+        sources.truncate(k);
+        sources
+    })
+}
+
+proptest! {
+    /// Items keyed `u64::MAX` — the value an exhausted source's slot holds
+    /// — merge like any other item, among exhausted sources.
+    #[test]
+    fn loser_tree_u64_sentinel_items(
+        sources in sources_of(
+            prop_oneof![Just(u64::MAX), Just(u64::MAX - 1), 0u64..3, any::<u64>()],
+            8,
+        ),
+    ) {
+        let (merged, expected) = merge_u64(sources);
+        prop_assert_eq!(merged, expected);
+    }
+
+    /// Many records share a key: order among them is by `rid`, then by
+    /// source.
+    #[test]
+    fn loser_tree_record_key_ties(
+        sources in sources_of(
+            (prop_oneof![0u64..3, Just(u64::MAX)], 0u64..40).prop_map(|(k, r)| Record::new(k, r)),
+            10,
+        ),
+    ) {
+        let (merged, expected) = merge_records(sources);
+        prop_assert_eq!(merged, expected);
+    }
+
+    /// Negative values, zero and both extremes of `i32` merge in numeric
+    /// order.
+    #[test]
+    fn loser_tree_i32_extremes(
+        sources in sources_of(
+            prop_oneof![Just(i32::MIN), Just(i32::MAX), -3i32..3, any::<i32>()],
+            8,
+        ),
+    ) {
+        let (merged, expected) = merge_i32(sources);
+        prop_assert_eq!(merged, expected);
+    }
+
+    /// Ragged sources at every covered fan-in, with ties across sources.
+    #[test]
+    fn loser_tree_ragged_fan_ins(sources in sources_of(0u32..20, 16)) {
+        let (merged, expected) = merge_u32(sources);
+        prop_assert_eq!(merged, expected);
+    }
+}
+
+#[test]
+fn loser_tree_all_sources_empty() {
+    for k in [1, 2, 3, 5, 64, 65] {
+        let (merged, expected) = merge_records(vec![Vec::new(); k]);
+        assert!(merged.is_empty() && expected.is_empty(), "k = {k}");
+    }
+}
+
 fn run_lengths() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(1u32..500, 1..40)
 }
