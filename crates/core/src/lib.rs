@@ -30,6 +30,10 @@
 //! request interleaves — reproducing both the amortization and the
 //! queueing interference the paper analyzes.
 //!
+//! The decision procedure itself lives in [`DecisionCore`], which has no
+//! clock: [`MergeSim`] drives it from its event loop, and the real-I/O
+//! engine in `pm-engine` drives the same type from its I/O queue.
+//!
 //! Entry point: build a [`MergeConfig`], then [`MergeSim::run`] (or
 //! [`run_trials`] for averaged repetitions, [`run_trials_parallel`] to
 //! fan the trials over a worker pool with bit-identical results).
@@ -40,6 +44,7 @@
 
 mod builder;
 mod config;
+mod decide;
 mod depletion;
 mod error;
 mod layout;
@@ -55,6 +60,7 @@ mod write;
 
 pub use builder::ScenarioBuilder;
 pub use config::{ConfigError, DataLayout, MergeConfig};
+pub use decide::{DecisionCore, DecisionCounts, Wait};
 pub use error::PmError;
 pub use depletion::{DepletionModel, SkewedDepletion, TraceDepletion, UniformDepletion};
 pub use layout::{RunLayout, RunPlacement};

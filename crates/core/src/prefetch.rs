@@ -17,7 +17,6 @@
 //!   heuristic the paper alludes to).
 
 use pm_cache::RunId;
-use pm_sim::SimRng;
 
 /// How the inter-run strategy picks the run to prefetch on a non-demand
 /// disk.
@@ -45,37 +44,11 @@ impl PrefetchChoice {
         }
     }
 
-    /// Picks one of `candidates` (non-empty). `score` must return the
-    /// policy's key for a candidate: held count for [`Self::LeastHeld`],
-    /// cylinder distance for [`Self::HeadProximity`]; it is ignored for
-    /// [`Self::Random`].
-    ///
-    /// Public so the execution engine (pm-engine) can make the exact
-    /// decision the simulator would, consuming the identical RNG stream.
-    ///
-    /// # Panics
-    ///
-    /// May panic (or pick arbitrarily) if `candidates` is empty.
-    pub fn pick(
-        self,
-        rng: &mut SimRng,
-        candidates: &[RunId],
-        score: impl FnMut(RunId) -> u64,
-    ) -> RunId {
-        debug_assert!(!candidates.is_empty());
-        match self {
-            PrefetchChoice::Random => *rng.choose(candidates),
-            PrefetchChoice::LeastHeld | PrefetchChoice::HeadProximity => {
-                Self::pick_min(candidates, score)
-            }
-        }
-    }
-
-    /// The informed-policy selection rule by itself: the candidate with the
-    /// minimum `score`, ties broken by lower run id. Exposed so a caller
-    /// that has already branched on the policy (the simulator's inter-run
-    /// hot path matches once per candidate group, not once per candidate)
-    /// makes the identical choice [`PrefetchChoice::pick`] would.
+    /// The selection rule of the informed policies: the candidate with
+    /// the minimum `score` (held count for [`Self::LeastHeld`], cylinder
+    /// distance for [`Self::HeadProximity`]), ties broken by lower run
+    /// id. [`Self::Random`] draws from the decision RNG instead (see
+    /// [`crate::DecisionCore`]).
     ///
     /// # Panics
     ///
@@ -103,31 +76,25 @@ mod tests {
     }
 
     #[test]
-    fn random_picks_a_candidate() {
-        let mut rng = SimRng::seed_from_u64(1);
-        let candidates = runs(&[3, 7, 9]);
-        for _ in 0..50 {
-            let pick = PrefetchChoice::Random.pick(&mut rng, &candidates, |_| 0);
-            assert!(candidates.contains(&pick));
-        }
-    }
-
-    #[test]
-    fn informed_policies_minimize_score() {
-        let mut rng = SimRng::seed_from_u64(2);
+    fn pick_min_minimizes_score() {
         let candidates = runs(&[1, 2, 3]);
-        let pick = PrefetchChoice::LeastHeld.pick(&mut rng, &candidates, |r| {
+        let pick = PrefetchChoice::pick_min(&candidates, |r| {
             u64::from(10 - r.0) // run 3 has the lowest score
         });
         assert_eq!(pick, RunId(3));
     }
 
     #[test]
-    fn ties_break_to_lower_run_id() {
-        let mut rng = SimRng::seed_from_u64(3);
+    fn pick_min_breaks_ties_to_lower_run_id() {
         let candidates = runs(&[5, 2, 8]);
-        let pick = PrefetchChoice::HeadProximity.pick(&mut rng, &candidates, |_| 4);
+        let pick = PrefetchChoice::pick_min(&candidates, |_| 4);
         assert_eq!(pick, RunId(2));
+    }
+
+    #[test]
+    fn pick_min_of_one_candidate_is_that_candidate() {
+        let candidates = runs(&[7]);
+        assert_eq!(PrefetchChoice::pick_min(&candidates, |_| 9), RunId(7));
     }
 
     #[test]

@@ -1,52 +1,47 @@
-//! The merge engine: the simulator's decision procedure driving real
-//! block I/O.
+//! The merge engine: the paper's decision procedure driving real block
+//! I/O.
 //!
-//! [`MergeEngine`] executes the paper's merge phase against a
-//! [`BlockDevice`]: the same initial load, demand fetches, inter-run
-//! prefetch operations, admission decisions, and AIMD depth adaptation
-//! as [`pm_core::MergeSim`], but where the simulator advances a virtual
-//! clock, the engine submits requests to per-disk I/O worker threads and
-//! merges real records through [`pm_core::LoserTree`].
+//! [`MergeEngine`] executes the paper's merge phase against an
+//! [`IoQueue`]. Every decision — the initial load, demand fetches,
+//! inter-run prefetch targets, admission, AIMD depth adaptation — is made
+//! by a [`pm_core::DecisionCore`], the same type [`pm_core::MergeSim`]
+//! drives. Where the simulator advances a virtual clock, the engine
+//! submits the reads the core decides on to the queue, blocks on their
+//! completions, and merges real records through [`pm_core::LoserTree`].
 //!
 //! ## Decision parity with the simulator
 //!
-//! Every decision the simulator makes at a depletion — whether to issue
-//! a demand fetch, which runs to prefetch (including the RNG draws of
-//! [`pm_core::PrefetchChoice::Random`] and the greedy shuffle), how much
-//! the admission policy accepts, the AIMD depth update — is a pure
-//! function of the depletion sequence: its inputs (per-run held counts,
-//! free frames, fetch pointers, fetchable lists) change only at issue
-//! and depletion time, never at completion time. The engine makes those
-//! decisions with the identical code against the identical state,
-//! consuming an identically-seeded RNG stream (the simulator's
-//! `disk_seed`/`writer_seed` draws are mirrored before the first
-//! decision). The block-request sequence per disk is therefore
-//! *deterministic*: independent of the backend, the number of I/O
-//! workers, and host timing. [`MergeEngine::predict`] replays the
-//! engine's recorded depletion sequence through the simulator proper,
-//! which must re-derive that exact request sequence — the foundation of
-//! the sim-vs-engine cross-validation.
+//! The core's decisions are a pure function of the depletion sequence:
+//! their inputs (per-run held counts, free frames, fetch pointers,
+//! fetchable lists, depth, the decision RNG) change only at issue and
+//! depletion time, never at completion time. The block-request sequence
+//! per disk is therefore *deterministic*: independent of the backend,
+//! the number of I/O workers, and host timing. [`MergeEngine::predict`]
+//! replays the engine's recorded depletion sequence through the
+//! simulator, which re-derives the same request sequence (the
+//! `sim_parity` tests and `pmerge exec` check this, and perfbench times
+//! it).
 //!
-//! Two caveats, both enforced by construction here: parity holds for
-//! FIFO queueing (the engine services each disk one request at a time
-//! in submission order) and for prefetch choices whose score the engine
-//! can evaluate exactly ([`pm_core::PrefetchChoice::HeadProximity`]
-//! scores against the cylinder of the *last submitted* block per disk,
-//! which can diverge from the simulator's serviced-head position).
+//! Two caveats: parity holds for FIFO queueing (the engine services each
+//! disk one request at a time in submission order), and for
+//! [`pm_core::PrefetchChoice::HeadProximity`] only as far as the head
+//! positions agree. The core scores candidates against a head position
+//! its driver supplies; the engine passes the cylinder of the *last
+//! submitted* block per disk, the simulator the *serviced* head, and the
+//! two can differ.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use pm_cache::{AdmissionPolicy, BlockCache, PrefetchGroup, RunId};
+use pm_cache::RunId;
 use pm_core::{
-    DataLayout, MergeConfig, MergeReport, MergeSim, PmError, PrefetchChoice, PrefetchStrategy,
-    RunLayout, SyncMode, TraceDepletion,
+    DecisionCore, LoserTree, MergeConfig, MergeReport, MergeSim, PmError, SyncMode,
+    TraceDepletion, Wait,
 };
-use pm_disk::{Cylinder, DiskId, DiskRequest};
-use pm_core::LoserTree;
+use pm_disk::{Cylinder, DiskRequest};
 use pm_extsort::Record;
 use pm_metrics::{MetricsSink, NullMetrics};
-use pm_sim::{SimDuration, SimRng, SimTime};
+use pm_sim::{SimDuration, SimTime};
 use pm_trace::{pack_tenant_tag, unpack_tag, unpack_tenant_tag, EventKind, RecordingSink, TraceEvent, TraceSink};
 
 use crate::block::{block_bytes, decode_records, encode_records};
@@ -157,7 +152,7 @@ pub struct EnginePrediction {
 /// streams bit-identical to the simulator's.
 #[must_use]
 pub fn disk_seed_for(cfg: &MergeConfig) -> u64 {
-    SimRng::seed_from_u64(cfg.seed).next_u64()
+    DecisionCore::disk_seed_for(cfg.seed)
 }
 
 /// A planned engine execution: scenario, data shape, and layout.
@@ -168,8 +163,9 @@ pub fn disk_seed_for(cfg: &MergeConfig) -> u64 {
 #[derive(Debug, Clone)]
 pub struct MergeEngine {
     cfg: ExecConfig,
-    merge: MergeConfig,
-    layout: RunLayout,
+    /// The decision state before the first decision; each execution runs
+    /// a fresh copy.
+    core: DecisionCore,
     run_blocks: Vec<u32>,
     run_records: Vec<usize>,
 }
@@ -177,7 +173,8 @@ pub struct MergeEngine {
 impl MergeEngine {
     /// Plans an execution of `cfg.merge` over runs of the given record
     /// counts. `cfg.merge.runs` / `run_blocks` are replaced by the data's
-    /// actual shape (mirroring [`MergeSim::with_run_lengths`]).
+    /// actual shape and validated by [`DecisionCore::new`], as
+    /// [`MergeSim::with_run_lengths`] is.
     ///
     /// # Errors
     ///
@@ -197,40 +194,15 @@ impl MergeEngine {
         if cfg.time_scale <= 0.0 || cfg.time_scale.is_nan() {
             return Err(PmError::Usage("time-scale must be positive".into()));
         }
-        if run_records.is_empty() || run_records.contains(&0) {
-            return Err(PmError::Config(pm_core::ConfigError::ZeroParameter(
-                "run lengths",
-            )));
-        }
         let rpb = cfg.records_per_block;
         let run_blocks: Vec<u32> = run_records
             .iter()
             .map(|&len| (len as u64).div_ceil(u64::from(rpb)) as u32)
             .collect();
-        let mut merge = cfg.merge;
-        merge.runs = run_blocks.len() as u32;
-        merge.run_blocks = *run_blocks.iter().max().expect("non-empty");
-        merge.validate()?;
-        let depth = merge.strategy.depth();
-        let need: u64 = run_blocks.iter().map(|&l| u64::from(depth.min(l))).sum();
-        if u64::from(merge.cache_blocks) < need {
-            return Err(PmError::Config(pm_core::ConfigError::CacheTooSmall {
-                have: merge.cache_blocks,
-                need: need as u32,
-            }));
-        }
-        let layout = match merge.layout {
-            DataLayout::Concatenated => {
-                RunLayout::contiguous_lengths(&run_blocks, merge.disks, &merge.disk_spec.geometry)
-            }
-            DataLayout::Striped => {
-                RunLayout::striped(&run_blocks, merge.disks, &merge.disk_spec.geometry)
-            }
-        };
+        let core = DecisionCore::new(cfg.merge, &run_blocks)?;
         Ok(MergeEngine {
             cfg,
-            merge,
-            layout,
+            core,
             run_blocks,
             run_records,
         })
@@ -239,7 +211,7 @@ impl MergeEngine {
     /// The adjusted scenario this engine executes.
     #[must_use]
     pub fn merge_config(&self) -> &MergeConfig {
-        &self.merge
+        self.core.config()
     }
 
     /// The execution configuration this engine was planned with.
@@ -267,7 +239,7 @@ impl MergeEngine {
     pub fn queue_options(&self) -> QueueOptions {
         QueueOptions {
             depth: if self.cfg.queue_depth == 0 {
-                self.merge.strategy.depth().max(1) as usize
+                self.merge_config().strategy.depth().max(1) as usize
             } else {
                 self.cfg.queue_depth
             },
@@ -299,11 +271,11 @@ impl MergeEngine {
                 "run data does not match the planned run lengths".into(),
             ));
         }
-        if queue.disks() < self.merge.disks as usize {
+        let disks = self.merge_config().disks;
+        if queue.disks() < disks as usize {
             return Err(PmError::Usage(format!(
-                "device has {} disks, scenario needs {}",
+                "device has {} disks, scenario needs {disks}",
                 queue.disks(),
-                self.merge.disks
             )));
         }
         if queue.block_bytes() != self.block_bytes() {
@@ -318,7 +290,7 @@ impl MergeEngine {
         for (r, run) in runs.iter().enumerate() {
             let run_id = RunId(r as u32);
             for (index, chunk) in run.chunks(rpb).enumerate() {
-                let (disk, start) = self.layout.location(run_id, index as u32);
+                let (disk, start) = self.core.layout().location(run_id, index as u32);
                 encode_records(chunk, &mut buf);
                 queue.write_block(disk, start, &buf).map_err(|e| {
                     PmError::device(
@@ -370,11 +342,11 @@ impl MergeEngine {
         mut queue: Box<dyn IoQueue>,
         metrics: &M,
     ) -> Result<ExecOutcome, PmError> {
-        if queue.disks() < self.merge.disks as usize {
+        let disks = self.merge_config().disks;
+        if queue.disks() < disks as usize {
             return Err(PmError::Usage(format!(
-                "queue has {} disks, scenario needs {}",
+                "queue has {} disks, scenario needs {disks}",
                 queue.disks(),
-                self.merge.disks
             )));
         }
         let epoch = Instant::now();
@@ -423,11 +395,11 @@ impl MergeEngine {
         port: SharedPort,
         metrics: &M,
     ) -> Result<ExecOutcome, PmError> {
-        if self.merge.runs > pm_trace::TENANT_TAG_MAX_RUN {
+        let runs = self.merge_config().runs;
+        if runs > pm_trace::TENANT_TAG_MAX_RUN {
             return Err(PmError::Usage(format!(
-                "shared execution tags cap runs at {} (scenario has {})",
+                "shared execution tags cap runs at {} (scenario has {runs})",
                 pm_trace::TENANT_TAG_MAX_RUN,
-                self.merge.runs
             )));
         }
         let tenant = port.tenant();
@@ -453,12 +425,12 @@ impl MergeEngine {
     /// Panics if `depletion` is not a consistent depletion sequence for
     /// this engine's runs.
     pub fn predict(&self, depletion: &[RunId]) -> Result<EnginePrediction, PmError> {
-        let sim = MergeSim::with_run_lengths(self.merge, &self.run_blocks)
+        let sim = MergeSim::with_run_lengths(*self.merge_config(), &self.run_blocks)
             .map_err(PmError::Config)?
             .replace_sink(RecordingSink::unbounded());
         let mut model = TraceDepletion::new(depletion.to_vec());
         let (report, sink) = sim.run_with_sink(&mut model);
-        let mut requests = vec![Vec::new(); self.merge.disks as usize];
+        let mut requests = vec![Vec::new(); self.merge_config().disks as usize];
         for ev in sink.into_events() {
             if let EventKind::DiskIssue {
                 disk,
@@ -474,22 +446,12 @@ impl MergeEngine {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct RunState {
-    total: u32,
-    next_fetch: u32,
-    depleted: u32,
-}
-
-enum Gate {
-    SyncOp { remaining: u32 },
-    Block { run: RunId },
-}
-
-const DEAD: usize = usize::MAX;
-
 struct ExecState<'a, M: MetricsSink> {
     plan: &'a MergeEngine,
+    core: DecisionCore,
+    /// Reads the core decided on, staged for the queue right after each
+    /// decision.
+    reads: Vec<DiskRequest>,
     port: Box<dyn IoQueue>,
     /// The queue's backend label, for error context.
     backend: &'static str,
@@ -507,18 +469,11 @@ struct ExecState<'a, M: MetricsSink> {
     tenant: u16,
     metrics: &'a M,
     epoch: Instant,
-    cache: BlockCache,
-    rng: SimRng,
-    runs: Vec<RunState>,
-    fetchable: Vec<Vec<RunId>>,
-    fetchable_pos: Vec<usize>,
-    current_depth: u32,
-    gate: Option<Gate>,
     /// Arrived, not-yet-consumed block payloads per run, keyed by block
     /// index (striped layouts deliver out of index order).
     store: Vec<BTreeMap<u32, Vec<Record>>>,
-    /// Shadow head position per disk: the cylinder of the last
-    /// *submitted* block (head-proximity scoring).
+    /// Head position per disk that head-proximity choice scores against:
+    /// the cylinder of the last *submitted* block.
     head_cyl: Vec<Cylinder>,
     spans: Vec<u64>,
     sink: RecordingSink,
@@ -528,10 +483,6 @@ struct ExecState<'a, M: MetricsSink> {
     per_disk_modeled_busy: Vec<SimDuration>,
     request_log: Vec<Vec<(u32, u32)>>,
     depletion: Vec<RunId>,
-    blocks_merged: u64,
-    demand_ops: u64,
-    fallback_ops: u64,
-    full_prefetch_ops: u64,
 }
 
 impl<'a, M: MetricsSink> ExecState<'a, M> {
@@ -543,30 +494,12 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         metrics: &'a M,
     ) -> Self {
         let backend = port.backend();
-        let merge = &plan.merge;
-        let d = merge.disks as usize;
-        let k = merge.runs as usize;
-        // Mirror the simulator's seed derivation: the master stream
-        // hands out the disk seed, then the writer seed, before any
-        // decision draw.
-        let mut rng = SimRng::seed_from_u64(merge.seed);
-        let _disk_seed = rng.next_u64();
-        let _writer_seed = rng.next_u64();
-        let fetchable: Vec<Vec<RunId>> = if plan.layout.is_striped() {
-            vec![Vec::new(); d]
-        } else {
-            (0..d)
-                .map(|disk| plan.layout.runs_on_disk(DiskId(disk as u16)).to_vec())
-                .collect()
-        };
-        let mut fetchable_pos = vec![DEAD; k];
-        for list in &fetchable {
-            for (i, r) in list.iter().enumerate() {
-                fetchable_pos[r.0 as usize] = i;
-            }
-        }
+        let core = plan.core.clone();
+        let d = core.config().disks as usize;
+        let k = core.config().runs as usize;
         ExecState {
             plan,
+            reads: Vec::with_capacity(core.max_reads()),
             port,
             backend,
             stage: Vec::new(),
@@ -576,21 +509,6 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             tenant,
             metrics,
             epoch,
-            cache: BlockCache::new(merge.cache_blocks, merge.runs),
-            rng,
-            runs: plan
-                .run_blocks
-                .iter()
-                .map(|&total| RunState {
-                    total,
-                    next_fetch: 0,
-                    depleted: 0,
-                })
-                .collect(),
-            fetchable,
-            fetchable_pos,
-            current_depth: merge.strategy.depth(),
-            gate: None,
             store: vec![BTreeMap::new(); k],
             head_cyl: vec![Cylinder(0); d],
             spans: vec![0; d],
@@ -600,11 +518,8 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             per_disk_sequential: vec![0; d],
             per_disk_modeled_busy: vec![SimDuration::ZERO; d],
             request_log: vec![Vec::new(); d],
-            depletion: Vec::with_capacity(plan.layout.total_blocks() as usize),
-            blocks_merged: 0,
-            demand_ops: 0,
-            fallback_ops: 0,
-            full_prefetch_ops: 0,
+            depletion: Vec::with_capacity(core.layout().total_blocks() as usize),
+            core,
         }
     }
 
@@ -613,8 +528,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
     }
 
     fn run(&mut self) -> Result<ExecOutcome, PmError> {
-        let merge = &self.plan.merge;
-        let k = merge.runs as usize;
+        let k = self.core.config().runs as usize;
         self.initial_load()?;
 
         // Build the loser tree from every run's leading block.
@@ -643,13 +557,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         }
         let wall = self.epoch.elapsed();
 
-        assert_eq!(
-            self.blocks_merged,
-            self.plan.layout.total_blocks(),
-            "merge ended early"
-        );
-        assert_eq!(self.cache.total_reserved(), 0, "blocks left in flight");
-        assert_eq!(self.cache.total_resident(), 0, "blocks left undepleted");
+        let counts = self.core.finish();
         assert_eq!(output.len(), total_records);
 
         self.port
@@ -660,16 +568,12 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         let report = ExecReport {
             wall,
             stall: self.stall,
-            blocks_merged: self.blocks_merged,
+            blocks_merged: counts.blocks_merged,
             records_merged: output.len() as u64,
-            demand_ops: self.demand_ops,
-            fallback_ops: self.fallback_ops,
-            full_prefetch_ops: self.full_prefetch_ops,
-            success_ratio: if self.demand_ops == 0 {
-                None
-            } else {
-                Some(self.full_prefetch_ops as f64 / self.demand_ops as f64)
-            },
+            demand_ops: counts.demand_ops,
+            fallback_ops: counts.fallback_ops,
+            full_prefetch_ops: counts.full_prefetch_ops,
+            success_ratio: counts.success_ratio(),
             per_disk_requests: std::mem::take(&mut self.per_disk_requests),
             per_disk_sequential: std::mem::take(&mut self.per_disk_sequential),
             per_disk_modeled_busy: std::mem::take(&mut self.per_disk_modeled_busy),
@@ -688,28 +592,19 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
     /// (unsynchronized: every run has a resident block; synchronized:
     /// every initial block arrived).
     fn initial_load(&mut self) -> Result<(), PmError> {
-        let merge = &self.plan.merge;
-        let depth = merge.strategy.depth();
-        let mut issued: u64 = 0;
-        for r in 0..merge.runs {
-            let run = RunId(r);
-            let batch = depth.min(self.runs[r as usize].total);
-            self.cache.reserve(run, batch);
-            self.submit_blocks(run, 0, batch);
-            issued += u64::from(batch);
-        }
-        self.flush_submissions()?;
-        match merge.sync {
+        let issued = self.core.initial_load(&mut self.reads);
+        self.submit_reads()?;
+        match self.core.config().sync {
             SyncMode::Synchronized => {
                 for _ in 0..issued {
                     self.await_arrival()?;
                 }
             }
             SyncMode::Unsynchronized => {
-                let mut first_missing = merge.runs;
+                let mut first_missing = self.core.config().runs;
                 while first_missing > 0 {
                     let run = self.await_arrival()?;
-                    if self.cache.resident(run) == 1 {
+                    if self.core.resident(run) == 1 {
                         first_missing -= 1;
                     }
                 }
@@ -718,85 +613,69 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         Ok(())
     }
 
-    /// The leading block of `j` was fully consumed: deplete it, issue
-    /// I/O per the paper's pseudocode, wait out the gate, and hand back
-    /// the run's next block (`None` once the run is exhausted).
+    /// The leading block of `j` was fully consumed: deplete it, submit
+    /// the I/O the core decides on, wait for what it says to, and hand
+    /// back the run's next block (`None` once the run is exhausted).
     fn advance_run(&mut self, j: RunId) -> Result<Option<Vec<Record>>, PmError> {
         let now = self.now();
-        self.sink.emit(TraceEvent {
-            at: now,
-            kind: EventKind::CpuConsume {
-                run: j.0,
-                block: self.runs[j.0 as usize].depleted,
-            },
-        });
-        self.cache.deplete_traced(j, now, &mut self.sink);
         self.depletion.push(j);
-        let progress = &mut self.runs[j.0 as usize];
-        progress.depleted += 1;
-        self.blocks_merged += 1;
-        let depleted = progress.depleted;
-        let total = progress.total;
-        if depleted == total {
-            self.sink.emit(TraceEvent {
-                at: now,
-                kind: EventKind::RunExhausted { run: j.0 },
-            });
-            return Ok(None);
+        self.core.consume(j, now, &mut self.sink);
+        let head_cyl = &self.head_cyl;
+        let wait = self.core.decide(
+            j,
+            now,
+            |d| head_cyl[d.0 as usize],
+            &mut self.reads,
+            &mut self.sink,
+        );
+        self.submit_reads()?;
+        match wait {
+            Wait::Exhausted => return Ok(None),
+            Wait::Ready => {}
+            Wait::Blocks(remaining) => {
+                for _ in 0..remaining {
+                    self.await_arrival()?;
+                }
+            }
+            Wait::NextBlock => while self.await_arrival()? != j {},
         }
-        if self.cache.held(j) == 0 {
-            debug_assert!(self.runs[j.0 as usize].next_fetch < total);
-            self.issue_demand(j)?;
-        } else if self.cache.resident(j) == 0 {
-            debug_assert_eq!(self.plan.merge.sync, SyncMode::Unsynchronized);
-            self.gate = Some(Gate::Block { run: j });
-        }
-        self.wait_gate()?;
         Ok(Some(self.take_block(j)?))
     }
 
-    /// Mirrors the simulator's demand-fetch issue, including the gate.
-    fn issue_demand(&mut self, j: RunId) -> Result<(), PmError> {
-        self.demand_ops += 1;
-        let depth = self.current_depth;
-        let progress = self.runs[j.0 as usize];
-        let demand_blocks = depth.min(progress.total - progress.next_fetch);
-        debug_assert!(demand_blocks >= 1);
-        let demand_index = progress.next_fetch;
-        debug_assert_eq!(demand_index, progress.depleted);
-        self.sink.emit(TraceEvent {
-            at: self.now(),
-            kind: EventKind::DemandMiss {
-                run: j.0,
-                block: demand_index,
-                free: self.cache.free(),
-            },
-        });
-        let issued_total = if self.plan.merge.strategy.is_inter_run() {
-            self.issue_inter_run(j, demand_blocks)
-        } else {
-            self.cache.reserve(j, demand_blocks);
-            self.submit_blocks(j, demand_index, demand_blocks);
-            demand_blocks
-        };
-        self.gate = Some(match self.plan.merge.sync {
-            SyncMode::Synchronized => Gate::SyncOp {
-                remaining: issued_total,
-            },
-            SyncMode::Unsynchronized => Gate::Block { run: j },
-        });
-        self.flush_submissions()
-    }
-
-    /// Hands everything staged since the last flush to the queue as one
-    /// batch (one decision point = one submission batch), recording
-    /// per-disk batch sizes and in-flight depth when metered.
-    fn flush_submissions(&mut self) -> Result<(), PmError> {
-        if self.stage.is_empty() {
+    /// Tags and logs the reads the core decided on and hands them to the
+    /// queue as one batch (one decision point = one submission batch),
+    /// recording per-disk batch sizes and in-flight depth when metered.
+    fn submit_reads(&mut self) -> Result<(), PmError> {
+        if self.reads.is_empty() {
             return Ok(());
         }
-        for r in &self.stage {
-            self.inflight[r.req.disk.0 as usize] += 1;
+        let now = self.now();
+        let submitted = Instant::now();
+        let geometry = &self.core.config().disk_spec.geometry;
+        for mut req in self.reads.drain(..) {
+            let d = req.disk.0 as usize;
+            let (run, index) = unpack_tag(req.tag);
+            req.tag = pack_tenant_tag(self.tenant, run, index);
+            let span = self.spans[d];
+            self.spans[d] += 1;
+            self.sink.emit(TraceEvent {
+                at: now,
+                kind: EventKind::DiskIssue {
+                    disk: req.disk.0,
+                    output: false,
+                    tag: req.tag,
+                    span,
+                },
+            });
+            self.per_disk_requests[d] += 1;
+            self.request_log[d].push((run, index));
+            self.head_cyl[d] = geometry.cylinder_of(req.start);
+            self.inflight[d] += 1;
+            self.stage.push(IoRequest {
+                req,
+                span,
+                submitted,
+            });
         }
         if M::ENABLED {
             let mut counts = vec![0u64; self.inflight.len()];
@@ -818,189 +697,11 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         Ok(())
     }
 
-    /// Mirrors the simulator's combined inter-run operation: the demand
-    /// group plus one chosen run per other disk, admitted against the
-    /// cache, with the AIMD depth update and single-block fallback.
-    fn issue_inter_run(&mut self, j: RunId, demand_blocks: u32) -> u32 {
-        let merge = self.plan.merge;
-        let depth = self.current_depth;
-        let demand_disk = self.plan.layout.placement(j).disk;
-        let mut groups: Vec<PrefetchGroup> = Vec::with_capacity(merge.disks as usize + 1);
-        let mut candidate_buf: Vec<RunId> = Vec::new();
-        groups.push(PrefetchGroup {
-            run: j,
-            blocks: demand_blocks,
-        });
-        for d in 0..merge.disks as u16 {
-            let disk = DiskId(d);
-            if disk == demand_disk {
-                continue;
-            }
-            let candidates: &[RunId] = match merge.per_run_cap {
-                None => &self.fetchable[d as usize],
-                Some(cap) => {
-                    candidate_buf.clear();
-                    candidate_buf.extend(
-                        self.fetchable[d as usize]
-                            .iter()
-                            .copied()
-                            .filter(|&r| self.cache.held(r) < cap),
-                    );
-                    &candidate_buf
-                }
-            };
-            if candidates.is_empty() {
-                continue;
-            }
-            let cache = &self.cache;
-            let layout = &self.plan.layout;
-            let runs = &self.runs;
-            let head = self.head_cyl[d as usize];
-            let run = merge
-                .prefetch_choice
-                .pick(&mut self.rng, candidates, |r| match merge.prefetch_choice {
-                    PrefetchChoice::Random => 0,
-                    PrefetchChoice::LeastHeld => u64::from(cache.held(r)),
-                    PrefetchChoice::HeadProximity => {
-                        let next = runs[r.0 as usize].next_fetch;
-                        let cyl = merge
-                            .disk_spec
-                            .geometry
-                            .cylinder_of(layout.block_addr(r, next));
-                        u64::from(cyl.distance(head))
-                    }
-                });
-            let p = self.runs[run.0 as usize];
-            let blocks = depth.min(p.total - p.next_fetch);
-            debug_assert!(blocks >= 1);
-            groups.push(PrefetchGroup { run, blocks });
-        }
-        self.sink.emit(TraceEvent {
-            at: self.now(),
-            kind: EventKind::PrefetchBatch {
-                groups: groups.len() as u32,
-                blocks: groups.iter().map(|g| g.blocks).sum(),
-                depth,
-            },
-        });
-        if merge.admission == AdmissionPolicy::Greedy && groups.len() > 2 {
-            self.rng.shuffle(&mut groups[1..]);
-        }
-        let mut admitted: Vec<PrefetchGroup> = Vec::with_capacity(groups.len());
-        let now = self.now();
-        let full = merge.admission.admit_into_traced(
-            &mut self.cache,
-            &groups,
-            &mut admitted,
-            now,
-            &mut self.sink,
-        );
-        if full {
-            self.full_prefetch_ops += 1;
-        }
-        if let PrefetchStrategy::InterRunAdaptive { n_min, n_max } = merge.strategy {
-            self.current_depth = if full {
-                (self.current_depth + 1).min(n_max)
-            } else {
-                (self.current_depth / 2).max(n_min)
-            };
-        }
-        if admitted.is_empty() {
-            self.fallback_ops += 1;
-            self.cache.reserve(j, 1);
-            let start = self.runs[j.0 as usize].next_fetch;
-            self.submit_blocks(j, start, 1);
-            1
-        } else {
-            let mut issued = 0;
-            for g in &admitted {
-                let start = self.runs[g.run.0 as usize].next_fetch;
-                self.submit_blocks(g.run, start, g.blocks);
-                issued += g.blocks;
-            }
-            issued
-        }
-    }
-
-    /// Stages `count` single-block requests for the next flush and
-    /// advances the fetch pointer (frames must already be reserved).
-    fn submit_blocks(&mut self, run: RunId, start_index: u32, count: u32) {
-        debug_assert!(count >= 1);
-        let stride = self.plan.layout.same_disk_stride();
-        for i in 0..count {
-            let index = start_index + i;
-            let (disk, start) = self.plan.layout.location(run, index);
-            let d = disk.0 as usize;
-            let tag = pack_tenant_tag(self.tenant, run.0, index);
-            let span = self.spans[d];
-            self.spans[d] += 1;
-            self.sink.emit(TraceEvent {
-                at: self.now(),
-                kind: EventKind::DiskIssue {
-                    disk: disk.0,
-                    output: false,
-                    tag,
-                    span,
-                },
-            });
-            self.per_disk_requests[d] += 1;
-            self.request_log[d].push((run.0, index));
-            self.head_cyl[d] = self.plan.merge.disk_spec.geometry.cylinder_of(start);
-            self.stage.push(IoRequest {
-                req: DiskRequest {
-                    disk,
-                    start,
-                    len: 1,
-                    sequential_hint: i >= stride,
-                    tag,
-                },
-                span,
-                submitted: Instant::now(),
-            });
-        }
-        let progress = &mut self.runs[run.0 as usize];
-        progress.next_fetch += count;
-        debug_assert!(progress.next_fetch <= progress.total);
-        if progress.next_fetch == progress.total {
-            if let Some(home) = self.plan.layout.home_disk(run) {
-                self.remove_fetchable(run, home);
-            }
-        }
-    }
-
-    fn remove_fetchable(&mut self, run: RunId, disk: DiskId) {
-        let list = &mut self.fetchable[disk.0 as usize];
-        let pos = self.fetchable_pos[run.0 as usize];
-        debug_assert_ne!(pos, DEAD);
-        list.swap_remove(pos);
-        if let Some(&moved) = list.get(pos) {
-            self.fetchable_pos[moved.0 as usize] = pos;
-        }
-        self.fetchable_pos[run.0 as usize] = DEAD;
-    }
-
-    /// Waits out the gate the last issue set (if any), then returns once
-    /// the arrivals the simulator would wait for have been processed.
-    fn wait_gate(&mut self) -> Result<(), PmError> {
-        match self.gate.take() {
-            None => {}
-            Some(Gate::SyncOp { remaining }) => {
-                for _ in 0..remaining {
-                    self.await_arrival()?;
-                }
-            }
-            Some(Gate::Block { run }) => {
-                while self.await_arrival()? != run {}
-            }
-        }
-        Ok(())
-    }
-
     /// Hands back run `j`'s next block, waiting for its arrival if
     /// needed (striped layouts deliver a run's blocks out of index
     /// order, so this can wait past the gate).
     fn take_block(&mut self, j: RunId) -> Result<Vec<Record>, PmError> {
-        let index = self.runs[j.0 as usize].depleted;
+        let index = self.core.depleted(j);
         loop {
             if let Some(block) = self.store[j.0 as usize].remove(&index) {
                 return Ok(block);
@@ -1095,7 +796,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         });
         let count = self.records_in_block(run, index);
         let records = decode_records(&data, count);
-        self.cache.block_arrived(RunId(run));
+        self.core.block_arrived(RunId(run));
         self.store[run as usize].insert(index, records);
         Ok(RunId(run))
     }
