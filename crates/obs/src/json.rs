@@ -10,8 +10,16 @@
 //!   worker-thread count.
 //! * **Precision** — 64-bit seeds exceed `f64`'s integer range, so they
 //!   are carried as JSON *strings*; [`Value::as_u64`] accepts both forms.
+//!
+//! The parser recurses once per array or object level and rejects input
+//! nested deeper than [`MAX_DEPTH`], so hostile input returns an error
+//! instead of overflowing the stack.
 
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Value::parse`] accepts. Manifests
+/// and scenario files nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed or to-be-emitted JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,11 +147,12 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// or of the first bracket nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -185,8 +194,13 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`; `depth` counts the arrays and objects that
+/// enclose it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Value::Null),
@@ -202,7 +216,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -230,7 +244,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                     return Err(format!("expected ':' at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -383,6 +397,20 @@ mod tests {
         for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "tru", "1 2", "{\"a\":}", ""] {
             assert!(Value::parse(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let hostile = open.repeat(100_000);
+            let err = Value::parse(&hostile).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+            assert!(err.contains(&format!("byte {}", MAX_DEPTH * open.len())), "{err}");
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Value::parse(&over).is_err());
     }
 
     #[test]

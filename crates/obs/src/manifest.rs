@@ -691,6 +691,21 @@ mod tests {
     }
 
     #[test]
+    fn every_truncated_line_is_an_error() {
+        for kind in [RecordKind::T1Case, RecordKind::T2Concurrency, RecordKind::SweepPoint] {
+            let line = sample(kind).to_json_line();
+            for (cut, _) in line.char_indices() {
+                let prefix = &line[..cut];
+                assert!(
+                    ManifestRecord::from_json_line(prefix).is_err(),
+                    "truncation at byte {cut} parsed"
+                );
+                assert!(parse_manifest(prefix).is_err() || prefix.trim().is_empty());
+            }
+        }
+    }
+
+    #[test]
     fn optional_fields_round_trip_as_null() {
         let mut r = sample(RecordKind::T1Case);
         r.auto = None;
