@@ -25,10 +25,18 @@
 //! sequence it would submit running alone, and
 //! [`crate::MergeEngine::predict`] parity holds per job no matter how
 //! the shared disks interleave them.
+//!
+//! ## Failure
+//!
+//! A disk worker that panics (a faulting [`BlockDevice`]) closes its
+//! disk queue and the completion channel of every job with a request in
+//! service or queued there as it unwinds. Those jobs' `complete` calls
+//! then fail instead of waiting forever, and any later submission to the
+//! disk is rejected.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use pm_disk::{BlockAddr, DiskId};
@@ -158,7 +166,7 @@ impl SharedDeviceSet {
     /// queued are still serviced first.
     pub fn shutdown(&mut self) {
         for (queue, cond) in &self.inner.queues {
-            queue.lock().expect("shared queue poisoned").closed = true;
+            queue.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
             cond.notify_all();
         }
         for handle in self.handles.drain(..) {
@@ -189,7 +197,7 @@ impl SharedPort {
         self.tenant as u16
     }
 
-    fn submit_one(&mut self, req: IoRequest) {
+    fn submit_one(&mut self, req: IoRequest) -> io::Result<()> {
         let d = req.req.disk.0 as usize;
         let io = PendingIo {
             tenant: self.tenant,
@@ -200,7 +208,9 @@ impl SharedPort {
         let (queue, cond) = &self.inner.queues[d];
         let mut q = queue.lock().expect("shared queue poisoned");
         if q.closed {
-            return;
+            return Err(io::Error::other(format!(
+                "shared disk {d} is closed (set shut down or its worker died)"
+            )));
         }
         q.entries.push(Entry {
             req,
@@ -214,6 +224,7 @@ impl SharedPort {
             .expect("shared sched poisoned")
             .enqueued(d, &io);
         cond.notify_one();
+        Ok(())
     }
 }
 
@@ -249,7 +260,7 @@ impl IoQueue for SharedPort {
 
     fn submit(&mut self, reqs: &[IoRequest]) -> io::Result<()> {
         for &req in reqs {
-            self.submit_one(req);
+            self.submit_one(req)?;
         }
         Ok(())
     }
@@ -271,6 +282,10 @@ impl IoQueue for SharedPort {
 fn disk_worker(inner: &SharedInner, d: usize, time_scale: f64, epoch: Instant) {
     let mut free_at = epoch;
     let (queue, cond) = &inner.queues[d];
+    let mut guard = CloseOnUnwind {
+        queue,
+        in_service: None,
+    };
     loop {
         let entry = {
             let mut q = queue.lock().expect("shared queue poisoned");
@@ -299,7 +314,32 @@ fn disk_worker(inner: &SharedInner, d: usize, time_scale: f64, epoch: Instant) {
             }
             q.entries.swap_remove(idx)
         };
+        let entry = guard.in_service.insert(entry);
         let completion = service_one(&*entry.device, &mut free_at, entry.req, time_scale, epoch);
         entry.done.push(completion);
+        guard.in_service = None;
+    }
+}
+
+/// Closes a disk when its worker unwinds (see the module docs): the
+/// queue, so later submissions fail, and the completion channel of the
+/// entry in service and of every queued entry, so their jobs stop
+/// waiting.
+struct CloseOnUnwind<'a> {
+    queue: &'a Mutex<DiskQueue>,
+    in_service: Option<Entry>,
+}
+
+impl Drop for CloseOnUnwind<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        q.closed = true;
+        q.ios.clear();
+        for entry in q.entries.drain(..).chain(self.in_service.take()) {
+            entry.done.close();
+        }
     }
 }

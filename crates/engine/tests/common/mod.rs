@@ -3,10 +3,12 @@
 // Each test binary compiles this module separately and uses a subset.
 #![allow(dead_code)]
 
+use std::io;
 use std::path::PathBuf;
 
 use pm_core::MergeConfig;
-use pm_engine::{ExecConfig, ExecOutcome, MergeEngine, ThreadedQueue};
+use pm_disk::{BlockAddr, DiskId};
+use pm_engine::{BlockDevice, ExecConfig, ExecOutcome, MemoryDevice, MergeEngine, ThreadedQueue};
 use pm_extsort::{generate, run_formation, Record};
 
 /// Records per on-device block the tests use throughout.
@@ -107,4 +109,25 @@ pub fn assert_sorted_output(outcome: &ExecOutcome, runs: &[Vec<Record>]) {
     let mut got = outcome.output.clone();
     got.sort_by_key(|r| (r.key, r.rid));
     assert_eq!(got, reference(runs), "merged output is not the input multiset");
+}
+
+/// A [`MemoryDevice`] whose reads panic (writes load it normally).
+pub struct PanickingDevice(pub MemoryDevice);
+
+impl BlockDevice for PanickingDevice {
+    fn block_bytes(&self) -> usize {
+        self.0.block_bytes()
+    }
+
+    fn disks(&self) -> usize {
+        self.0.disks()
+    }
+
+    fn read_block(&self, disk: DiskId, start: BlockAddr, _buf: &mut [u8]) -> io::Result<()> {
+        panic!("injected device fault reading disk {} block {}", disk.0, start.0);
+    }
+
+    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
+        self.0.write_block(disk, start, data)
+    }
 }

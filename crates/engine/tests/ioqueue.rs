@@ -29,7 +29,7 @@ use proptest::prelude::*;
 
 #[cfg(feature = "uring")]
 use common::RPB_ALIGNED;
-use common::{engine_custom, form_runs, run_memory, unique_dir, RPB};
+use common::{engine_custom, form_runs, run_memory, unique_dir, PanickingDevice, RPB};
 
 /// An adversarial [`IoQueue`] over a [`MemoryDevice`]: every submitted
 /// request is serviced instantly, but completions are handed back in a
@@ -270,27 +270,6 @@ impl BlockDevice for GatedDevice {
 
     fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
         self.inner.write_block(disk, start, data)
-    }
-}
-
-/// A [`MemoryDevice`] whose reads panic.
-struct PanickingDevice(MemoryDevice);
-
-impl BlockDevice for PanickingDevice {
-    fn block_bytes(&self) -> usize {
-        self.0.block_bytes()
-    }
-
-    fn disks(&self) -> usize {
-        self.0.disks()
-    }
-
-    fn read_block(&self, disk: DiskId, start: BlockAddr, _buf: &mut [u8]) -> io::Result<()> {
-        panic!("injected device fault reading disk {} block {}", disk.0, start.0);
-    }
-
-    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
-        self.0.write_block(disk, start, data)
     }
 }
 

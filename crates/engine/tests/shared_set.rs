@@ -10,12 +10,15 @@
 
 mod common;
 
-use pm_core::ScenarioBuilder;
-use pm_engine::{ExecOutcome, MergeEngine, SharedDeviceSet, ThreadedQueue};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+use pm_core::{PmError, ScenarioBuilder};
+use pm_engine::{ExecOutcome, MemoryDevice, MergeEngine, SharedDeviceSet, ThreadedQueue};
 use pm_extsort::Record;
 use pm_service::sched_by_name;
 
-use common::{assert_sorted_output, engine_for, form_runs, run_memory};
+use common::{assert_sorted_output, engine_for, form_runs, run_memory, PanickingDevice};
 
 /// Two heterogeneous jobs over 3 shared disks.
 fn jobs() -> Vec<(MergeEngine, Vec<Vec<Record>>)> {
@@ -93,4 +96,48 @@ fn shared_trace_tags_carry_the_tenant_id() {
         }
         assert!(saw_issue, "job {job} traced no disk issues");
     }
+}
+
+#[test]
+fn a_panicking_disk_worker_fails_its_jobs_instead_of_hanging() {
+    // Job 0 reads through a device whose reads panic, killing the disk
+    // workers that service it; job 1's data is healthy but shares those
+    // disks. Each must finish — job 0 with a device error — within the
+    // timeout rather than wait forever on a dead worker.
+    let jobs = jobs();
+    let mut set = SharedDeviceSet::start(3, jobs.len(), sched_by_name("fifo").unwrap(), 1.0);
+    let (tx, rx) = mpsc::channel();
+    let mut threads = Vec::new();
+    for (i, (engine, runs)) in jobs.into_iter().enumerate() {
+        let device: Arc<dyn pm_engine::BlockDevice> = if i == 0 {
+            Arc::new(PanickingDevice(MemoryDevice::new(3, engine.block_bytes())))
+        } else {
+            Arc::new(MemoryDevice::new(3, engine.block_bytes()))
+        };
+        let mut queue = ThreadedQueue::over(device, "loader", engine.queue_options());
+        engine.load(&mut queue, &runs).expect("load");
+        let port = set.port(queue.into_device(), 1);
+        let tx = tx.clone();
+        threads.push(std::thread::spawn(move || {
+            tx.send((i, engine.execute_shared(port).map(|_| ()))).unwrap();
+        }));
+    }
+    for _ in 0..threads.len() {
+        let (job, result) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("execute_shared() must not wait forever on a dead disk worker");
+        if job == 0 {
+            match result {
+                Err(err @ PmError::Device { backend, .. }) => {
+                    assert_eq!(backend, "shared");
+                    assert_eq!(err.exit_code(), 2);
+                }
+                other => panic!("job 0: expected PmError::Device, got {other:?}"),
+            }
+        }
+    }
+    for t in threads {
+        t.join().expect("job thread");
+    }
+    set.shutdown();
 }
