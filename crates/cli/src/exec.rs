@@ -50,8 +50,8 @@ const EXEC_KEYS: &[&str] = &[
     "records", "memory", "formation", "rpb",
     // Scenario (run count comes from formation, not --runs).
     "disks", "strategy", "n", "cache", "sync", "admission", "choice", "cap", "layout", "seed",
-    // Execution ("queue" is the deprecated alias of "queue-depth").
-    "backend", "dir", "jobs", "queue-depth", "queue", "time-scale",
+    // Execution.
+    "backend", "dir", "jobs", "queue-depth", "time-scale",
     // Multi-pass planning (presence of either selects the multi-pass path).
     "fan-in", "passes", "plan-policy",
     // Outputs and checks.
@@ -142,16 +142,6 @@ fn resolve_uring(backend: Backend) -> Backend {
     Backend::File
 }
 
-/// `--queue-depth` (with its deprecated `--queue` alias): per-disk I/O
-/// queue depth, `0` = negotiate the scenario's prefetch depth.
-fn queue_depth_arg(args: &Args) -> Result<usize, PmError> {
-    if args.get("queue-depth").is_some() {
-        args.get_parsed("queue-depth", 0usize)
-    } else {
-        args.get_parsed("queue", 0usize)
-    }
-}
-
 /// `pmerge exec`
 pub fn exec(args: &Args) -> Result<(), PmError> {
     args.check_known(EXEC_KEYS)?;
@@ -192,7 +182,7 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
         .map_err(|e| fan_in_hint(args, e, runs.len() as u32))?;
     let mut exec_cfg = ExecConfig::new(cfg);
     exec_cfg.records_per_block = rpb;
-    exec_cfg.queue_depth = queue_depth_arg(args)?;
+    exec_cfg.queue_depth = args.get_parsed("queue-depth", 0usize)?;
     exec_cfg.jobs = args.get_parsed("jobs", 0usize)?;
     exec_cfg.time_scale = args.get_parsed("time-scale", 1.0f64)?;
     let engine = MergeEngine::new(exec_cfg, runs.iter().map(Vec::len).collect())?;
@@ -440,7 +430,7 @@ fn exec_multipass(
         .map_err(|e| fan_in_hint(args, e, fan_in_cap.min(k)))?;
     let opts = MultiPassOptions {
         records_per_block: rpb,
-        queue_depth: queue_depth_arg(args)?,
+        queue_depth: args.get_parsed("queue-depth", 0usize)?,
         jobs: args.get_parsed("jobs", 0usize)?,
         time_scale: args.get_parsed("time-scale", 1.0f64)?,
     };

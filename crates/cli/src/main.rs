@@ -126,7 +126,7 @@ formation, so --runs/--blocks/--trials do not apply):
                         O_DIRECT backends, whose blocks must align to 512]
     --jobs <j>          I/O worker threads (0 = one per disk) [default: 0]
     --queue-depth <q>   per-disk I/O queue depth (0 = the scenario's
-                        prefetch depth; alias --queue)   [default: 0]
+                        prefetch depth)                  [default: 0]
     --time-scale <f>    latency backend: wall-clock seconds per modeled
                         second (small values replay fast) [default: 1.0]
     --out <path>        write the merged records (16-byte LE pairs)
@@ -177,7 +177,7 @@ SERVE OPTIONS:
     --cache-policy <c>  static | proportional | free     [default: static]
     --rpb <r>           records per on-device block      [default: 20]
     --queue-depth <q>   per-disk I/O queue depth (0 = each tenant's
-                        prefetch depth; alias --queue)   [default: 0]
+                        prefetch depth)                  [default: 0]
     --seed <s>          master seed                      [default: 1992]
     --manifest-out <p>  write JSONL manifest: one per-tenant \"exec\"
                         record tagged with its service terms

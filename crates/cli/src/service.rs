@@ -75,7 +75,7 @@ const CONTEND_KEYS: &[&str] = &[
 ];
 
 const SERVE_KEYS: &[&str] = &[
-    "scenario-file", "sched", "cache-policy", "rpb", "queue-depth", "queue", "seed",
+    "scenario-file", "sched", "cache-policy", "rpb", "queue-depth", "seed",
     "manifest-out",
     "metrics-out", "metrics-interval",
 ];
@@ -454,13 +454,8 @@ pub fn serve(args: &Args) -> Result<(), PmError> {
     let spec = load_spec_for_serve(args)?;
     let seed: u64 = args.get_parsed("seed", 1992)?;
     let rpb: u32 = args.get_parsed("rpb", 20u32)?;
-    // Per-disk I/O queue depth (0 = each tenant's prefetch depth);
-    // "queue" is the deprecated alias.
-    let queue: usize = if args.get("queue-depth").is_some() {
-        args.get_parsed("queue-depth", 0usize)?
-    } else {
-        args.get_parsed("queue", 0usize)?
-    };
+    // Per-disk I/O queue depth (0 = each tenant's prefetch depth).
+    let queue: usize = args.get_parsed("queue-depth", 0usize)?;
     let sched_name = args.get("sched").unwrap_or("wfq");
     let cp_name = args.get("cache-policy").unwrap_or("static");
     let sched = sched_by_name(sched_name)

@@ -157,3 +157,16 @@ fn batch_command_end_to_end() {
     assert!(stdout.contains("fast"));
     let _ = std::fs::remove_file(path);
 }
+
+#[test]
+fn removed_queue_alias_is_an_unknown_option() {
+    for command in ["exec", "serve"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pmerge"))
+            .args([command, "--queue", "4"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert!(stderr.contains("unknown option --queue"), "{command}: {stderr}");
+    }
+}
