@@ -121,8 +121,6 @@ pub struct DecisionCore {
     /// model (lent through [`DecisionCore::rng_mut`]) and the decisions
     /// share it.
     rng: SimRng,
-    disk_seed: u64,
-    writer_seed: u64,
     runs: Vec<RunProgress>,
     /// Runs with unfetched blocks, per disk (prefetch candidates).
     fetchable: Vec<Vec<RunId>>,
@@ -143,11 +141,11 @@ pub struct DecisionCore {
 
 /// Seeds the master stream from `seed` and draws the disk-array and
 /// writer seeds from it, in that order, before any decision draw.
-fn master_stream(seed: u64) -> (SimRng, u64, u64) {
+fn master_stream(seed: u64) -> (SimRng, (u64, u64)) {
     let mut rng = SimRng::seed_from_u64(seed);
     let disk_seed = rng.next_u64();
     let writer_seed = rng.next_u64();
-    (rng, disk_seed, writer_seed)
+    (rng, (disk_seed, writer_seed))
 }
 
 impl DecisionCore {
@@ -199,7 +197,7 @@ impl DecisionCore {
                 fetchable_pos[r.0 as usize] = i;
             }
         }
-        let (rng, disk_seed, writer_seed) = master_stream(cfg.seed);
+        let (rng, _) = master_stream(cfg.seed);
         let group_capacity = cfg.disks as usize + 1;
         Ok(DecisionCore {
             hot: HotDispatch {
@@ -211,8 +209,6 @@ impl DecisionCore {
             cache: BlockCache::new(cfg.cache_blocks, cfg.runs),
             layout,
             rng,
-            disk_seed,
-            writer_seed,
             runs: lengths
                 .iter()
                 .map(|&total| RunProgress {
@@ -232,10 +228,11 @@ impl DecisionCore {
         })
     }
 
-    /// The disk-array seed a merge seeded with `seed` derives: the first
-    /// draw of its master stream.
+    /// The `(disk array, write disks)` seeds a merge seeded with `seed`
+    /// derives: the first two draws of its master stream, taken before
+    /// any decision draw.
     #[must_use]
-    pub fn disk_seed_for(seed: u64) -> u64 {
+    pub fn device_seeds(seed: u64) -> (u64, u64) {
         master_stream(seed).1
     }
 
@@ -250,20 +247,6 @@ impl DecisionCore {
     #[must_use]
     pub fn layout(&self) -> &RunLayout {
         &self.layout
-    }
-
-    /// The seed for the simulated disk array (see
-    /// [`DecisionCore::disk_seed_for`]).
-    #[must_use]
-    pub fn disk_seed(&self) -> u64 {
-        self.disk_seed
-    }
-
-    /// The seed for the simulated write disks: the master stream's
-    /// second draw.
-    #[must_use]
-    pub fn writer_seed(&self) -> u64 {
-        self.writer_seed
     }
 
     /// The decision RNG, lent to a depletion model so that its draws and
@@ -285,22 +268,17 @@ impl DecisionCore {
         self.runs[run.0 as usize].depleted
     }
 
-    /// Counters so far.
-    #[must_use]
-    pub fn counts(&self) -> DecisionCounts {
-        self.counts
-    }
-
     /// The most reads one call can append: the initial load (at most
-    /// `k·N`) or one inter-run operation (at most `D·N_max`). Drivers size
-    /// their read buffer with it so the steady state never grows it.
+    /// `k·N`) or one operation (one group per disk, each from a different
+    /// run, of at most `N_max` blocks). Drivers size their read buffer
+    /// with it so the steady state never grows it.
     #[must_use]
     pub fn max_reads(&self) -> usize {
         let max_depth = self
             .hot
             .adaptive_bounds
             .map_or(self.cfg.strategy.depth(), |(_, n_max)| n_max);
-        let operation = self.cfg.disks * max_depth;
+        let operation = self.cfg.disks.min(self.cfg.runs) * max_depth;
         self.cfg.min_cache_blocks().max(operation) as usize
     }
 
@@ -547,10 +525,13 @@ impl DecisionCore {
             // random, so shuffle the non-demand groups.
             self.rng.shuffle(&mut groups[1..]);
         }
-        let full =
-            self.cfg
-                .admission
-                .admit_into_traced(&mut self.cache, &groups, &mut admitted, now, sink);
+        let full = self.cfg.admission.admit_into_traced(
+            &mut self.cache,
+            &groups,
+            &mut admitted,
+            now,
+            sink,
+        );
         if full {
             self.counts.full_prefetch_ops += 1;
         }
@@ -683,7 +664,9 @@ mod tests {
         let want: Vec<(u32, u32)> = (0..6).flat_map(|r| (0..3).map(move |b| (r, b))).collect();
         assert_eq!(got, want);
         // Only continuations of an operation stream.
-        assert!(reads.iter().all(|r| r.sequential_hint == (pm_trace::unpack_tag(r.tag).1 > 0)));
+        assert!(reads
+            .iter()
+            .all(|r| r.sequential_hint == (pm_trace::unpack_tag(r.tag).1 > 0)));
     }
 
     #[test]
@@ -703,7 +686,44 @@ mod tests {
                 assert!(core.layout().runs_on_disk(r.disk).contains(&run));
                 assert_ne!(r.disk, demand_disk);
             }
-            assert_eq!(core.counts().full_prefetch_ops, 1);
+            assert_eq!(core.counts.full_prefetch_ops, 1);
+        }
+    }
+
+    #[test]
+    fn no_call_appends_more_than_max_reads() {
+        for (runs, disks) in [(3u32, 5u32), (9, 4)] {
+            let cfg = ScenarioBuilder::new(runs, disks)
+                .run_blocks(30)
+                .adaptive(1, 6)
+                .cache_blocks(runs * 24)
+                .seed(11)
+                .build()
+                .unwrap();
+            let mut core = DecisionCore::new(cfg, &vec![30; runs as usize]).unwrap();
+            let max = core.max_reads();
+            let mut reads = Vec::new();
+            core.initial_load(&mut reads);
+            let mut live: Vec<RunId> = (0..runs).map(RunId).collect();
+            let now = SimTime::ZERO;
+            while !live.is_empty() {
+                assert!(
+                    reads.len() <= max,
+                    "{} reads > max_reads {max}",
+                    reads.len()
+                );
+                // Every read arrives at once, so the merge never waits.
+                for r in reads.drain(..) {
+                    core.block_arrived(RunId(pm_trace::unpack_tag(r.tag).0));
+                }
+                let j = *core.rng_mut().choose(&live);
+                core.consume(j, now, &mut NullSink);
+                let wait = core.decide(j, now, |_| Cylinder(0), &mut reads, &mut NullSink);
+                if wait == Wait::Exhausted {
+                    live.retain(|&r| r != j);
+                }
+            }
+            assert_eq!(core.finish().blocks_merged, u64::from(runs) * 30);
         }
     }
 
@@ -761,16 +781,23 @@ mod tests {
     }
 
     #[test]
-    fn disk_seed_is_the_first_draw_of_the_master_stream() {
-        let core = core(PrefetchChoice::Random);
-        assert_eq!(core.disk_seed(), DecisionCore::disk_seed_for(5));
-        assert_eq!(core.disk_seed(), SimRng::seed_from_u64(5).next_u64());
-        assert_ne!(core.disk_seed(), core.writer_seed());
+    fn device_seeds_are_the_first_draws_of_the_master_stream() {
+        let mut master = SimRng::seed_from_u64(5);
+        let (disk, writer) = DecisionCore::device_seeds(5);
+        assert_eq!(disk, master.next_u64());
+        assert_eq!(writer, master.next_u64());
+        // Decisions draw from the stream after the two seeds.
+        let mut core = core(PrefetchChoice::Random);
+        assert_eq!(core.rng_mut().next_u64(), master.next_u64());
     }
 
     #[test]
     fn validation_rejects_empty_and_zero_lengths_and_small_caches() {
-        let cfg = ScenarioBuilder::new(3, 2).intra(10).cache_blocks(30).build().unwrap();
+        let cfg = ScenarioBuilder::new(3, 2)
+            .intra(10)
+            .cache_blocks(30)
+            .build()
+            .unwrap();
         assert!(DecisionCore::new(cfg, &[]).is_err());
         assert!(DecisionCore::new(cfg, &[5, 0, 3]).is_err());
         assert!(DecisionCore::new(cfg, &[40, 40, 5]).is_ok());

@@ -134,15 +134,11 @@ impl MergeSim {
     pub fn with_run_lengths(cfg: MergeConfig, lengths: &[u32]) -> Result<Self, ConfigError> {
         let core = DecisionCore::new(cfg, lengths)?;
         let cfg = *core.config();
-        let disks = DiskArray::new(
-            cfg.disks as usize,
-            cfg.disk_spec,
-            cfg.discipline,
-            core.disk_seed(),
-        );
+        let (disk_seed, writer_seed) = DecisionCore::device_seeds(cfg.seed);
+        let disks = DiskArray::new(cfg.disks as usize, cfg.disk_spec, cfg.discipline, disk_seed);
         let writer = cfg
             .write
-            .map(|spec| Writer::new(spec, cfg.disk_spec, core.writer_seed()));
+            .map(|spec| Writer::new(spec, cfg.disk_spec, writer_seed));
         // The event list is O(D): one in-flight completion per read disk,
         // one per write disk, plus the CPU step. Size it once so the
         // steady state never grows the heap.

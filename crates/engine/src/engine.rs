@@ -152,7 +152,7 @@ pub struct EnginePrediction {
 /// streams bit-identical to the simulator's.
 #[must_use]
 pub fn disk_seed_for(cfg: &MergeConfig) -> u64 {
-    DecisionCore::disk_seed_for(cfg.seed)
+    DecisionCore::device_seeds(cfg.seed).0
 }
 
 /// A planned engine execution: scenario, data shape, and layout.
@@ -314,8 +314,7 @@ impl MergeEngine {
     ///
     /// # Panics
     ///
-    /// Panics if an internal invariant breaks (mirroring the
-    /// simulator's own invariant assertions).
+    /// Panics if an internal invariant of the decision core breaks.
     pub fn execute(&self, queue: Box<dyn IoQueue>) -> Result<ExecOutcome, PmError> {
         self.execute_metered(queue, &NullMetrics)
     }
@@ -335,8 +334,7 @@ impl MergeEngine {
     ///
     /// # Panics
     ///
-    /// Panics if an internal invariant breaks (mirroring the
-    /// simulator's own invariant assertions).
+    /// Panics if an internal invariant of the decision core breaks.
     pub fn execute_metered<M: MetricsSink>(
         &self,
         mut queue: Box<dyn IoQueue>,
@@ -371,8 +369,7 @@ impl MergeEngine {
     ///
     /// # Panics
     ///
-    /// Panics if an internal invariant breaks (mirroring the
-    /// simulator's own invariant assertions).
+    /// Panics if an internal invariant of the decision core breaks.
     pub fn execute_shared(&self, port: SharedPort) -> Result<ExecOutcome, PmError> {
         self.execute_shared_metered(port, &NullMetrics)
     }
@@ -388,8 +385,7 @@ impl MergeEngine {
     ///
     /// # Panics
     ///
-    /// Panics if an internal invariant breaks (mirroring the
-    /// simulator's own invariant assertions).
+    /// Panics if an internal invariant of the decision core breaks.
     pub fn execute_shared_metered<M: MetricsSink>(
         &self,
         port: SharedPort,
@@ -478,7 +474,6 @@ struct ExecState<'a, M: MetricsSink> {
     spans: Vec<u64>,
     sink: RecordingSink,
     stall: Duration,
-    per_disk_requests: Vec<u64>,
     per_disk_sequential: Vec<u64>,
     per_disk_modeled_busy: Vec<SimDuration>,
     request_log: Vec<Vec<(u32, u32)>>,
@@ -514,7 +509,6 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             spans: vec![0; d],
             sink: RecordingSink::unbounded(),
             stall: Duration::ZERO,
-            per_disk_requests: vec![0; d],
             per_disk_sequential: vec![0; d],
             per_disk_modeled_busy: vec![SimDuration::ZERO; d],
             request_log: vec![Vec::new(); d],
@@ -574,7 +568,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             fallback_ops: counts.fallback_ops,
             full_prefetch_ops: counts.full_prefetch_ops,
             success_ratio: counts.success_ratio(),
-            per_disk_requests: std::mem::take(&mut self.per_disk_requests),
+            per_disk_requests: self.request_log.iter().map(|r| r.len() as u64).collect(),
             per_disk_sequential: std::mem::take(&mut self.per_disk_sequential),
             per_disk_modeled_busy: std::mem::take(&mut self.per_disk_modeled_busy),
             time_scale: self.plan.cfg.time_scale,
@@ -667,7 +661,6 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
                     span,
                 },
             });
-            self.per_disk_requests[d] += 1;
             self.request_log[d].push((run, index));
             self.head_cyl[d] = geometry.cylinder_of(req.start);
             self.inflight[d] += 1;

@@ -1,11 +1,11 @@
 //! pm-engine — real-I/O execution of the paper's merge phase.
 //!
 //! Where [`pm_core::MergeSim`] advances a virtual clock over a modeled
-//! disk array, this crate executes the *same decision procedure* —
+//! disk array, this crate drives the *same* [`pm_core::DecisionCore`] —
 //! initial load, demand fetches, inter-run prefetch operations,
 //! admission, AIMD depth adaptation — against an [`IoQueue`] with
-//! batched submission and completion, merging real records through the
-//! pm-extsort loser tree.
+//! batched submission and completion, merging real records through
+//! [`pm_core::LoserTree`].
 //!
 //! The engine talks to storage through the [`IoQueue`] trait (batched
 //! submit/complete, explicit open and depth negotiation). Queues:
