@@ -1,12 +1,13 @@
 //! Criterion microbenchmarks of the substrate crates: the event list, the
-//! random generator, single-disk service, and the loser tree (over `u64`s
-//! and over `Record` runs at the benchmark sorts' fan-ins).
+//! random generator, single-disk service, the loser tree (over `u64`s and
+//! over `Record` runs at the benchmark sorts' fan-ins), and `load_sort` run
+//! formation by input shape.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pm_analysis::markov::{average_parallelism, Policy};
 use pm_disk::{BlockAddr, Disk, DiskId, DiskRequest, DiskSpec, QueueDiscipline};
 use pm_core::LoserTree;
-use pm_extsort::{external_sort, generate, ExtSortConfig, Record, RunFormation};
+use pm_extsort::{external_sort, generate, run_formation, ExtSortConfig, Record, RunFormation};
 use pm_sim::{EventQueue, SimRng, SimTime};
 use std::hint::black_box;
 
@@ -145,6 +146,27 @@ fn loser_tree_records(c: &mut Criterion) {
     }
 }
 
+/// `load_sort` at the benchmark sort's run length (62 500 records) over
+/// sixteen runs of each input shape `generate` makes, plus an adversarial
+/// one: a single key with descending rids.
+fn load_sort_shapes(c: &mut Criterion) {
+    const RUN: usize = 62_500;
+    const N: usize = 16 * RUN;
+    let shapes = [
+        ("extsort/load_sort_uniform", generate::uniform(N, 7)),
+        ("extsort/load_sort_nearly_sorted", generate::nearly_sorted(N, N / 100, 7)),
+        ("extsort/load_sort_reverse_sorted", generate::reverse_sorted(N)),
+        ("extsort/load_sort_few_distinct", generate::few_distinct(N, 16, 7)),
+        (
+            "extsort/load_sort_equal_keys_desc_rids",
+            (0..N as u64).map(|i| Record::new(7, N as u64 - i)).collect(),
+        ),
+    ];
+    for (name, input) in &shapes {
+        c.bench_function(name, |b| b.iter(|| run_formation::load_sort(input, RUN)));
+    }
+}
+
 fn extsort_pipeline(c: &mut Criterion) {
     c.bench_function("extsort/full_pipeline_100k_records", |b| {
         let input = generate::uniform(100_000, 5);
@@ -166,7 +188,7 @@ fn markov(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = event_queue, rng, disk_service, loser_tree, loser_tree_records, extsort_pipeline,
-        markov
+    targets = event_queue, rng, disk_service, loser_tree, loser_tree_records, load_sort_shapes,
+        extsort_pipeline, markov
 }
 criterion_main!(benches);

@@ -1,9 +1,10 @@
 //! Wall-clock performance smoke harness for the merge simulator.
 //!
 //! Runs a fixed matrix of paper configurations (strategy × D) plus the
-//! `contend_d8_t4` multi-tenant service mix and the `merge_k64_records`
-//! merge kernel, measures throughput in merged blocks (resp. replayed
-//! requests, merged records) per wall-clock second
+//! `contend_d8_t4` multi-tenant service mix, the `merge_k64_records`
+//! merge kernel and the `extsort_formation` run-formation kernel, measures
+//! throughput in merged blocks (resp. replayed requests, merged records,
+//! sorted records) per wall-clock second
 //! (reported from the fastest repeat — the workload is deterministic, so
 //! noise only ever slows a run down), probes the steady-state allocation
 //! behaviour of the hot path, the tenant-scheduling layer, the merge
@@ -339,6 +340,43 @@ fn measure_merge(repeats: u32) -> Measured {
         elapsed_ns,
         ops_per_sec: per_merge as f64 / (best_ns as f64 / 1e9),
         ns_per_block: best_ns as f64 / per_merge as f64,
+        allocs: a1 - a0,
+        alloc_bytes: b1 - b0,
+    }
+}
+
+/// Run length of the `extsort_formation` scenario: the benchmark's
+/// single-pass sort forms `MERGE_RUNS` runs of 62 500 records.
+const FORMATION_RUN_LEN: usize = 62_500;
+
+/// Times the `extsort_formation` kernel: `load_sort` over
+/// `MERGE_RUNS` × `FORMATION_RUN_LEN` uniform records (generated before
+/// the timed window), throughput in sorted records per second from the
+/// fastest repeat. Dropping the runs is left out of the timing.
+fn measure_formation(repeats: u32) -> Measured {
+    let input = generate::uniform(MERGE_RUNS * FORMATION_RUN_LEN, 1992);
+    drop(run_formation::load_sort(&input, FORMATION_RUN_LEN));
+    let (a0, b0) = alloc_snapshot();
+    let total_started = Instant::now();
+    let mut best_ns = u128::MAX;
+    for _ in 0..repeats {
+        let started = Instant::now();
+        let runs = run_formation::load_sort(&input, FORMATION_RUN_LEN);
+        best_ns = best_ns.min(started.elapsed().as_nanos().max(1));
+        std::hint::black_box(runs);
+    }
+    let elapsed_ns = total_started.elapsed().as_nanos().max(1);
+    let (a1, b1) = alloc_snapshot();
+    let records = input.len() as u64;
+    Measured {
+        name: "extsort_formation".to_string(),
+        strategy: "load-sort",
+        d: 0,
+        repeats,
+        blocks: records * u64::from(repeats),
+        elapsed_ns,
+        ops_per_sec: records as f64 / (best_ns as f64 / 1e9),
+        ns_per_block: best_ns as f64 / records as f64,
         allocs: a1 - a0,
         alloc_bytes: b1 - b0,
     }
@@ -775,6 +813,14 @@ fn main() -> ExitCode {
     }
     {
         let m = measure_merge(repeats);
+        println!(
+            "{:<20} k={:<2} {:>12.0} records/s {:>8.1} ns/record {:>9} allocs",
+            m.name, MERGE_RUNS, m.ops_per_sec, m.ns_per_block, m.allocs
+        );
+        results.push(m);
+    }
+    {
+        let m = measure_formation(repeats);
         println!(
             "{:<20} k={:<2} {:>12.0} records/s {:>8.1} ns/record {:>9} allocs",
             m.name, MERGE_RUNS, m.ops_per_sec, m.ns_per_block, m.allocs

@@ -34,7 +34,8 @@
 //! Tenant fields and defaults: `runs` 8, `run_blocks` 60, `disks`
 //! (shared set size), `strategy` "inter" with depth `n` 4, `cache` 0
 //! (strategy default), `arrival_ms` 0, `priority` 1, plus the
-//! serve-only workload knobs `records` 20000 and `memory` 2000.
+//! serve-only workload knobs `records` 20000 and `memory` 2000 (both
+//! must be positive).
 
 use std::sync::Arc;
 
@@ -148,6 +149,15 @@ fn get_u32(v: &Value, key: &str, default: u32) -> Result<u32, PmError> {
     Ok(get_f64(v, key, f64::from(default))? as u32)
 }
 
+/// Reads a tenant's `records` or `memory` field, which must be positive:
+/// `serve` generates `records` records and sorts them `memory` at a time.
+fn positive(t: &Value, tenant: &str, key: &str, default: u32) -> Result<usize, PmError> {
+    match get_u32(t, key, default)? {
+        0 => Err(PmError::Usage(format!("tenant '{tenant}': '{key}' must be positive"))),
+        n => Ok(n as usize),
+    }
+}
+
 fn parse_spec(text: &str) -> Result<ServiceSpec, PmError> {
     let v = Value::parse(text).map_err(|e| PmError::Usage(format!("scenario file: {e}")))?;
     let disks = get_u32(&v, "disks", 4)?;
@@ -178,8 +188,8 @@ fn parse_spec(text: &str) -> Result<ServiceSpec, PmError> {
             cache: get_u32(t, "cache", 0)?,
             arrival_ms: get_f64(t, "arrival_ms", 0.0)?,
             priority: get_u32(t, "priority", 1)?.max(1),
-            records: get_u32(t, "records", 20_000)? as usize,
-            memory: get_u32(t, "memory", 2_000)? as usize,
+            records: positive(t, &name, "records", 20_000)?,
+            memory: positive(t, &name, "memory", 2_000)?,
             name,
         });
     }

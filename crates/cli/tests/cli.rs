@@ -170,3 +170,34 @@ fn removed_queue_alias_is_an_unknown_option() {
         assert!(stderr.contains("unknown option --queue"), "{command}: {stderr}");
     }
 }
+
+/// Runs `pmerge serve` on a one-tenant scenario file that sets `field` to
+/// zero, and returns the exit code and standard error.
+fn serve_with_zero(field: &str) -> (Option<i32>, String) {
+    let path = std::env::temp_dir().join(format!("pmerge-e2e-serve-zero-{field}.json"));
+    std::fs::write(
+        &path,
+        format!(r#"{{"disks": 2, "tenants": [{{"name": "solo", "{field}": 0}}]}}"#),
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_pmerge"))
+        .args(["serve", "--scenario-file", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_file(path);
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn serve_rejects_tenant_with_zero_memory() {
+    let (code, stderr) = serve_with_zero("memory");
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("tenant 'solo': 'memory' must be positive"), "{stderr}");
+}
+
+#[test]
+fn serve_rejects_tenant_with_zero_records() {
+    let (code, stderr) = serve_with_zero("records");
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("tenant 'solo': 'records' must be positive"), "{stderr}");
+}
