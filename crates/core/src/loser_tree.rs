@@ -70,7 +70,7 @@ impl MergeKey for i32 {
     /// `u32::MAX`.
     #[inline]
     fn merge_key(&self) -> u64 {
-        u64::from(self.cast_unsigned() ^ 0x8000_0000)
+        u64::from(*self as u32 ^ 0x8000_0000)
     }
 }
 

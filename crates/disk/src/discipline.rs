@@ -90,7 +90,7 @@ impl QueueDiscipline {
                         };
                         if in_sweep {
                             let d = t.distance(head);
-                            if best.is_none_or(|(_, bd)| d < bd) {
+                            if best.map_or(true, |(_, bd)| d < bd) {
                                 best = Some((i, d));
                             }
                         }

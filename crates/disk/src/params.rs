@@ -90,7 +90,7 @@ impl DiskSpec {
         let cylinder_bytes =
             paper_geom.blocks_per_cylinder() as u32 * paper_geom.block_bytes;
         assert!(
-            cylinder_bytes.is_multiple_of(block_bytes),
+            cylinder_bytes % block_bytes == 0,
             "block size {block_bytes} must divide the cylinder capacity {cylinder_bytes}"
         );
         let geometry = DiskGeometry {

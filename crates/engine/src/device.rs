@@ -196,7 +196,7 @@ impl FileDevice {
     /// creating or reopening the files.
     #[cfg(target_os = "linux")]
     pub fn create_direct(dir: &Path, disks: usize, block_bytes: usize) -> Result<Self, PmError> {
-        if block_bytes == 0 || !block_bytes.is_multiple_of(DIRECT_ALIGN) {
+        if block_bytes == 0 || block_bytes % DIRECT_ALIGN != 0 {
             return Err(ConfigError::BlockAlignment {
                 block_bytes,
                 required: DIRECT_ALIGN,

@@ -134,7 +134,7 @@ pub fn external_sort(input: &[Record], cfg: &ExtSortConfig) -> SortOutcome {
         output.push(record);
         consumed[src] += 1;
         // A block of `src` is depleted when its last record is consumed.
-        if consumed[src].is_multiple_of(cfg.records_per_block) || consumed[src] == run_lengths[src] {
+        if consumed[src] % cfg.records_per_block == 0 || consumed[src] == run_lengths[src] {
             trace.push(RunId(src as u32));
         }
     }

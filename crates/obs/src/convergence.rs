@@ -114,7 +114,7 @@ pub fn run_trials_converged(
                 let rel = ci.relative_half_width();
                 // A zero mean has zero spread in this domain (total time);
                 // treat it as converged rather than looping to the cap.
-                let converged = rel.is_none_or(|r| r <= policy.rel_ci);
+                let converged = rel.map_or(true, |r| r <= policy.rel_ci);
                 if converged || n >= policy.max_trials {
                     break ConvergenceDecision {
                         trials: n,

@@ -454,7 +454,7 @@ impl TenantSim {
         metrics: &M,
     ) {
         let n = jobs.len();
-        let active = |t: usize| only.is_none_or(|o| o == t);
+        let active = |t: usize| only.map_or(true, |o| o == t);
         for t in 0..n {
             self.finish[t] = 0;
             self.wait_sum[t] = 0;

@@ -39,7 +39,7 @@ fn main() {
             let cfg = ScenarioBuilder::new(k, d).inter(n).cache_blocks(cache).build().unwrap();
             let summary = run_trials(&cfg, 3).expect("valid configuration");
             let secs = summary.mean_total_secs;
-            if best.is_none_or(|(b, _)| secs < b) {
+            if best.map_or(true, |(b, _)| secs < b) {
                 best = Some((secs, n));
             }
             row.push(format!("{secs:.1}"));
