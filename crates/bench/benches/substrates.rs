@@ -1,12 +1,14 @@
 //! Criterion microbenchmarks of the substrate crates: the event list, the
 //! random generator, single-disk service, the loser tree (over `u64`s and
-//! over `Record` runs at the benchmark sorts' fan-ins), and `load_sort` run
-//! formation by input shape.
+//! over `Record` runs at the benchmark sorts' fan-ins), `load_sort` run
+//! formation by input shape, and the engine's work around the merge:
+//! staging 64 runs on memory and file disks, and `predict`'s replay.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pm_analysis::markov::{average_parallelism, Policy};
+use pm_core::{LoserTree, ScenarioBuilder};
 use pm_disk::{BlockAddr, Disk, DiskId, DiskRequest, DiskSpec, QueueDiscipline};
-use pm_core::LoserTree;
+use pm_engine::{ExecConfig, MergeEngine, ThreadedQueue};
 use pm_extsort::{external_sort, generate, run_formation, ExtSortConfig, Record, RunFormation};
 use pm_sim::{EventQueue, SimRng, SimTime};
 use std::hint::black_box;
@@ -179,6 +181,56 @@ fn extsort_pipeline(c: &mut Criterion) {
     });
 }
 
+/// The single-pass benchmark sort's merge: 64 runs of 62 500 records on
+/// 8 disks, inter-run N=4, 40 records per block, one I/O worker.
+fn engine_k64() -> (MergeEngine, Vec<Vec<Record>>) {
+    let runs = run_formation::load_sort(&generate::uniform(64 * 62_500, 11), 62_500);
+    let cfg = ScenarioBuilder::new(64, 8)
+        .inter(4)
+        .seed(11)
+        .build()
+        .expect("scenario");
+    let mut exec = ExecConfig::new(cfg);
+    exec.records_per_block = 40;
+    exec.jobs = 1;
+    let engine = MergeEngine::new(exec, runs.iter().map(Vec::len).collect()).expect("plan");
+    (engine, runs)
+}
+
+/// `MergeEngine::load` of the 64 runs onto fresh memory and file disks
+/// (the file disks under the system temp directory), and `predict`
+/// replaying the merge's depletion sequence through the simulator.
+fn engine_staging(c: &mut Criterion) {
+    let (engine, runs) = engine_k64();
+    let disks = engine.merge_config().disks as usize;
+    let opts = engine.queue_options();
+    c.bench_function("engine/load_memory_k64", |b| {
+        b.iter(|| {
+            let mut queue = ThreadedQueue::memory(disks, engine.block_bytes(), opts);
+            engine.load(&mut queue, &runs).expect("load");
+            queue
+        });
+    });
+    let dir = std::env::temp_dir().join(format!("pm-bench-load-{}", std::process::id()));
+    c.bench_function("engine/load_file_k64", |b| {
+        b.iter_batched(
+            || ThreadedQueue::file(&dir, disks, engine.block_bytes(), opts).expect("files"),
+            |mut queue| {
+                engine.load(&mut queue, &runs).expect("load");
+                queue
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut queue = ThreadedQueue::memory(disks, engine.block_bytes(), opts);
+    engine.load(&mut queue, &runs).expect("load");
+    let depletion = engine.execute(Box::new(queue)).expect("execute").depletion;
+    c.bench_function("engine/predict_k64", |b| {
+        b.iter(|| engine.predict(&depletion).expect("predict"));
+    });
+}
+
 fn markov(c: &mut Criterion) {
     c.bench_function("analysis/markov_d4_c16", |b| {
         b.iter(|| black_box(average_parallelism(4, 16, Policy::AllOrNothing)));
@@ -189,6 +241,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = event_queue, rng, disk_service, loser_tree, loser_tree_records, load_sort_shapes,
-        extsort_pipeline, markov
+        extsort_pipeline, engine_staging, markov
 }
 criterion_main!(benches);

@@ -259,6 +259,8 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
             Backend::Uring => unreachable!("resolve_uring downgraded the backend"),
         };
         engine.load(&mut *queue, &runs)?;
+        // The queue holds the runs now.
+        drop(runs);
         execute_with(&engine, queue, metrics.as_deref())?
     };
     if let Some(dir) = &dir {

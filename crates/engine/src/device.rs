@@ -2,7 +2,8 @@
 //!
 //! A block device is an array of `D` independent disks addressed by
 //! `(disk, block)`; the engine reads one block per request, exactly as
-//! the simulator models. Three backends implement it:
+//! the simulator models, and loads each run extent with one write of
+//! consecutive blocks. Three backends implement it:
 //!
 //! * [`MemoryDevice`] — blocks live in per-disk `Vec<u8>`s. The golden
 //!   reference: zero latency, no OS involvement.
@@ -62,11 +63,13 @@ pub trait BlockDevice: Send + Sync {
     /// Any I/O failure, including reading a block that was never written.
     fn read_block(&self, disk: DiskId, start: BlockAddr, buf: &mut [u8]) -> io::Result<()>;
 
-    /// Writes one block at `start` on `disk` (setup only).
+    /// Writes `data` — one or more whole blocks — at consecutive
+    /// addresses from `start` on `disk` (setup only).
     ///
     /// # Errors
     ///
-    /// Any I/O failure.
+    /// [`io::ErrorKind::InvalidInput`] when `data` is empty or not a
+    /// whole number of blocks (nothing is written); any I/O failure.
     fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()>;
 
     /// The mechanical service this request would cost, if this backend
@@ -75,6 +78,21 @@ pub trait BlockDevice: Send + Sync {
     fn service_timing(&self, _req: &DiskRequest) -> Option<InjectedService> {
         None
     }
+}
+
+/// Checks a [`BlockDevice::write_block`] / [`crate::IoQueue::write_block`]
+/// buffer: one or more whole blocks of `block_bytes`.
+pub(crate) fn check_write_len(data: &[u8], block_bytes: usize) -> io::Result<()> {
+    if data.is_empty() || block_bytes == 0 || data.len() % block_bytes != 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "write of {} bytes is not a whole number of {block_bytes}-byte blocks",
+                data.len()
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// In-memory backend: per-disk byte vectors, grown on write.
@@ -122,16 +140,20 @@ impl BlockDevice for MemoryDevice {
     }
 
     fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
+        check_write_len(data, self.block_bytes)?;
         let offset = start.0 as usize * self.block_bytes;
         let storage = self
             .disks
             .get_mut(disk.0 as usize)
             .ok_or_else(|| io::Error::other(format!("no such disk {}", disk.0)))?;
-        let end = offset + self.block_bytes;
-        if storage.len() < end {
-            storage.resize(end, 0);
+        if storage.len() < offset {
+            storage.resize(offset, 0);
         }
-        storage[offset..end].copy_from_slice(data);
+        // Append what lies past the end rather than zero-filling it
+        // first: an extent is written once, not twice.
+        let overlap = (storage.len() - offset).min(data.len());
+        storage[offset..offset + overlap].copy_from_slice(&data[..overlap]);
+        storage.extend_from_slice(&data[overlap..]);
         Ok(())
     }
 }
@@ -291,6 +313,7 @@ impl BlockDevice for FileDevice {
 
     fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
         use std::os::unix::fs::FileExt;
+        check_write_len(data, self.block_bytes)?;
         let file = self
             .files
             .get(disk.0 as usize)
@@ -398,5 +421,60 @@ mod tests {
         assert_eq!(buf, [7u8; 8]);
         assert!(dev.read_block(DiskId(0), BlockAddr(0), &mut buf).is_err());
         assert!(dev.read_block(DiskId(1), BlockAddr(4), &mut buf).is_err());
+    }
+
+    /// Every `write_block` length a device must reject: empty, short,
+    /// ragged and one byte past a whole number of blocks.
+    const BAD_LENGTHS: [usize; 4] = [0, 7, 12, 17];
+
+    #[test]
+    fn memory_device_writes_extents_and_rejects_partial_blocks() {
+        let mut dev = MemoryDevice::new(1, 8);
+        let extent: Vec<u8> = (0..24).collect();
+        dev.write_block(DiskId(0), BlockAddr(2), &extent).unwrap();
+        let mut buf = [0u8; 8];
+        for b in 0..3 {
+            dev.read_block(DiskId(0), BlockAddr(2 + b), &mut buf)
+                .unwrap();
+            assert_eq!(&buf[..], &extent[b as usize * 8..][..8]);
+        }
+        // An extent that overwrites the last block and runs past it.
+        dev.write_block(DiskId(0), BlockAddr(4), &[9; 16]).unwrap();
+        for b in [4, 5] {
+            dev.read_block(DiskId(0), BlockAddr(b), &mut buf).unwrap();
+            assert_eq!(buf, [9; 8]);
+        }
+        dev.read_block(DiskId(0), BlockAddr(3), &mut buf).unwrap();
+        assert_eq!(&buf[..], &extent[8..16]);
+        for len in BAD_LENGTHS {
+            let err = dev
+                .write_block(DiskId(0), BlockAddr(9), &vec![1; len])
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "length {len}");
+        }
+        // A rejected write leaves the device untouched.
+        assert!(dev.read_block(DiskId(0), BlockAddr(9), &mut buf).is_err());
+    }
+
+    #[test]
+    fn file_device_writes_extents_and_rejects_partial_blocks() {
+        let dir = std::env::temp_dir().join(format!("pm-engine-device-{}", std::process::id()));
+        let mut dev = FileDevice::create(&dir, 1, 8).unwrap();
+        let extent: Vec<u8> = (0..24).collect();
+        dev.write_block(DiskId(0), BlockAddr(2), &extent).unwrap();
+        let mut buf = [0u8; 8];
+        for b in 0..3 {
+            dev.read_block(DiskId(0), BlockAddr(2 + b), &mut buf)
+                .unwrap();
+            assert_eq!(&buf[..], &extent[b as usize * 8..][..8]);
+        }
+        for len in BAD_LENGTHS {
+            let err = dev
+                .write_block(DiskId(0), BlockAddr(9), &vec![1; len])
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "length {len}");
+        }
+        assert_eq!(std::fs::metadata(dev.path(DiskId(0))).unwrap().len(), 40);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

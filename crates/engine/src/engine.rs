@@ -131,8 +131,14 @@ pub struct ExecOutcome {
     /// Per disk, the `(run, block)` requests in submission (= FIFO
     /// service) order.
     pub requests: Vec<Vec<(u32, u32)>>,
-    /// The trace-event stream, sorted by timestamp (wall-clock
-    /// nanoseconds since the engine epoch on the simulated-time axis).
+    /// The trace-event stream, non-decreasing in `at` (wall-clock
+    /// nanoseconds since the engine epoch on the simulated-time axis):
+    /// the merge thread's own events (decisions, depletions and one
+    /// `DiskIssue` per request), stamped when they happen, merged with
+    /// the completion-stamped `DiskSeekDone` / `DiskTransferDone`
+    /// events. Each stream keeps its emission order among equal
+    /// timestamps, and at equal `at` the merge thread's events come
+    /// first.
     pub events: Vec<TraceEvent>,
 }
 
@@ -145,6 +151,11 @@ pub struct EnginePrediction {
     /// submission order.
     pub requests: Vec<Vec<(u32, u32)>>,
 }
+
+/// Bytes [`MergeEngine::load`] encodes into one device write, rounded
+/// down to whole blocks (at least one): each run's blocks on one disk
+/// lie at consecutive addresses and go to the queue in chunks this size.
+const LOAD_CHUNK_BYTES: usize = 256 * 1024;
 
 /// The disk-array seed a simulation of `cfg` derives from its master
 /// seed (the first draw of the master stream). Seed a
@@ -252,6 +263,11 @@ impl MergeEngine {
     /// (the same placement the simulator assumes). Load before
     /// executing: queues treat writes as setup-only.
     ///
+    /// Each run is written one disk lane at a time — the whole run for a
+    /// concatenated layout, every `D`-th block for a striped one — whose
+    /// blocks lie at consecutive addresses, so a lane goes to the queue
+    /// in [`IoQueue::write_block`] calls of up to 256 KiB each.
+    ///
     /// # Errors
     ///
     /// [`PmError::Usage`] on a shape mismatch, [`PmError::Device`] on a
@@ -286,19 +302,37 @@ impl MergeEngine {
             )));
         }
         let rpb = self.cfg.records_per_block as usize;
-        let mut buf = vec![0u8; self.block_bytes()];
+        let bb = self.block_bytes();
+        let chunk_blocks = (LOAD_CHUNK_BYTES / bb).max(1);
+        let layout = self.core.layout();
+        let stride = layout.same_disk_stride() as usize;
+        let mut buf = vec![0u8; chunk_blocks * bb];
         for (r, run) in runs.iter().enumerate() {
             let run_id = RunId(r as u32);
-            for (index, chunk) in run.chunks(rpb).enumerate() {
-                let (disk, start) = self.core.layout().location(run_id, index as u32);
-                encode_records(chunk, &mut buf);
-                queue.write_block(disk, start, &buf).map_err(|e| {
-                    PmError::device(
-                        queue.backend(),
-                        format!("write run {r} block {index} to disk {}", disk.0),
-                        e,
-                    )
-                })?;
+            let blocks = self.run_blocks[r] as usize;
+            for lane in 0..stride.min(blocks) {
+                let lane_blocks = (blocks - lane).div_ceil(stride);
+                let mut done = 0;
+                while done < lane_blocks {
+                    let n = chunk_blocks.min(lane_blocks - done);
+                    let first = lane + done * stride;
+                    for (slot, out) in buf.chunks_exact_mut(bb).take(n).enumerate() {
+                        let index = first + slot * stride;
+                        let end = ((index + 1) * rpb).min(run.len());
+                        encode_records(&run[index * rpb..end], out);
+                    }
+                    let (disk, start) = layout.location(run_id, first as u32);
+                    queue
+                        .write_block(disk, start, &buf[..n * bb])
+                        .map_err(|e| {
+                            PmError::device(
+                                queue.backend(),
+                                format!("write run {r} blocks from {first} to disk {}", disk.0),
+                                e,
+                            )
+                        })?;
+                    done += n;
+                }
             }
         }
         Ok(())
@@ -421,25 +455,62 @@ impl MergeEngine {
     /// Panics if `depletion` is not a consistent depletion sequence for
     /// this engine's runs.
     pub fn predict(&self, depletion: &[RunId]) -> Result<EnginePrediction, PmError> {
+        let disks = self.merge_config().disks as usize;
         let sim = MergeSim::with_run_lengths(*self.merge_config(), &self.run_blocks)
             .map_err(PmError::Config)?
-            .replace_sink(RecordingSink::unbounded());
+            .replace_sink(IssueLog(vec![Vec::new(); disks]));
         let mut model = TraceDepletion::new(depletion.to_vec());
-        let (report, sink) = sim.run_with_sink(&mut model);
-        let mut requests = vec![Vec::new(); self.merge_config().disks as usize];
-        for ev in sink.into_events() {
-            if let EventKind::DiskIssue {
-                disk,
-                output: false,
-                tag,
-                ..
-            } = ev.kind
-            {
-                requests[disk as usize].push(unpack_tag(tag));
-            }
-        }
+        let (report, IssueLog(requests)) = sim.run_with_sink(&mut model);
         Ok(EnginePrediction { report, requests })
     }
+}
+
+/// The one thing [`MergeEngine::predict`] keeps of the simulator's
+/// trace: per disk, the `(run, block)` of every input read it issues.
+struct IssueLog(Vec<Vec<(u32, u32)>>);
+
+impl TraceSink for IssueLog {
+    fn emit(&mut self, event: TraceEvent) {
+        if let EventKind::DiskIssue {
+            disk,
+            output: false,
+            tag,
+            ..
+        } = event.kind
+        {
+            self.0[disk as usize].push(unpack_tag(tag));
+        }
+    }
+}
+
+/// Merges the merge thread's events (already non-decreasing in `at`)
+/// with the completion-stamped ones into one stream ordered by `at`,
+/// the merge thread's first at equal `at`.
+fn merge_trace(mut events: Vec<TraceEvent>, mut completions: Vec<TraceEvent>) -> Vec<TraceEvent> {
+    debug_assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
+    // Stable, and linear when completions are already in order (one
+    // worker publishes its completions as it services them).
+    completions.sort_by_key(|e| e.at);
+    let Some(&fill) = completions.first() else {
+        return events;
+    };
+    // Merge in place from the back: the later tail goes last, and a
+    // completion goes after a merge-thread event with the same `at`.
+    let mut own = events.len();
+    events.resize(own + completions.len(), fill);
+    for k in (0..events.len()).rev() {
+        let Some(&done) = completions.last() else {
+            break;
+        };
+        if own > 0 && events[own - 1].at > done.at {
+            own -= 1;
+            events[k] = events[own];
+        } else {
+            events[k] = done;
+            completions.pop();
+        }
+    }
+    events
 }
 
 struct ExecState<'a, M: MetricsSink> {
@@ -472,7 +543,12 @@ struct ExecState<'a, M: MetricsSink> {
     /// the cylinder of the last *submitted* block.
     head_cyl: Vec<Cylinder>,
     spans: Vec<u64>,
+    /// Events stamped with the merge thread's clock: the decision core's
+    /// and each request's `DiskIssue`, non-decreasing in `at`.
     sink: RecordingSink,
+    /// Events stamped with a completion's service times, in arrival
+    /// order (not sorted by `at`).
+    completions: Vec<TraceEvent>,
     stall: Duration,
     per_disk_sequential: Vec<u64>,
     per_disk_modeled_busy: Vec<SimDuration>,
@@ -508,6 +584,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             head_cyl: vec![Cylinder(0); d],
             spans: vec![0; d],
             sink: RecordingSink::unbounded(),
+            completions: Vec::with_capacity(core.layout().total_blocks() as usize),
             stall: Duration::ZERO,
             per_disk_sequential: vec![0; d],
             per_disk_modeled_busy: vec![SimDuration::ZERO; d],
@@ -557,8 +634,10 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         self.port
             .shutdown()
             .map_err(|e| PmError::device(self.backend, "shutting down the queue", e))?;
-        let mut events = std::mem::replace(&mut self.sink, RecordingSink::unbounded()).into_events();
-        events.sort_by_key(|e| e.at);
+        let events = merge_trace(
+            std::mem::replace(&mut self.sink, RecordingSink::unbounded()).into_events(),
+            std::mem::take(&mut self.completions),
+        );
         let report = ExecReport {
             wall,
             stall: self.stall,
@@ -758,7 +837,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
                     let scaled = SimDuration::from_nanos(
                         (positioning.as_nanos() as f64 * self.plan.cfg.time_scale).round() as u64,
                     );
-                    self.sink.emit(TraceEvent {
+                    self.completions.push(TraceEvent {
                         at: started + scaled,
                         kind: EventKind::DiskSeekDone {
                             disk: completion.disk,
@@ -776,7 +855,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         if sequential {
             self.per_disk_sequential[d] += 1;
         }
-        self.sink.emit(TraceEvent {
+        self.completions.push(TraceEvent {
             at: finished,
             kind: EventKind::DiskTransferDone {
                 disk: completion.disk,
@@ -803,3 +882,213 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
     }
 }
 
+#[cfg(test)]
+mod tests {
+    use std::io;
+
+    use pm_core::{DataLayout, ScenarioBuilder};
+    use pm_disk::{BlockAddr, DiskId};
+    use pm_extsort::{generate, run_formation};
+
+    use super::*;
+    use crate::ThreadedQueue;
+
+    /// Forwards to `inner`, logging every `write_block` call as
+    /// `(disk, start, bytes)`.
+    struct CountingQueue<Q> {
+        inner: Q,
+        writes: Vec<(DiskId, BlockAddr, usize)>,
+    }
+
+    impl<Q: IoQueue> IoQueue for CountingQueue<Q> {
+        fn backend(&self) -> &'static str {
+            self.inner.backend()
+        }
+
+        fn block_bytes(&self) -> usize {
+            self.inner.block_bytes()
+        }
+
+        fn disks(&self) -> usize {
+            self.inner.disks()
+        }
+
+        fn depth(&self) -> usize {
+            self.inner.depth()
+        }
+
+        fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
+            self.writes.push((disk, start, data.len()));
+            self.inner.write_block(disk, start, data)
+        }
+
+        fn open(&mut self, epoch: Instant) -> io::Result<()> {
+            self.inner.open(epoch)
+        }
+
+        fn submit(&mut self, reqs: &[IoRequest]) -> io::Result<()> {
+            self.inner.submit(reqs)
+        }
+
+        fn complete(&mut self, out: &mut Vec<IoCompletion>, min_wait: usize) -> io::Result<usize> {
+            self.inner.complete(out, min_wait)
+        }
+
+        fn shutdown(&mut self) -> io::Result<()> {
+            self.inner.shutdown()
+        }
+    }
+
+    /// Three runs longer than one load chunk plus a one-record run, each
+    /// ending in a partly filled block, merged on three disks.
+    fn shape(layout: DataLayout) -> (MergeEngine, Vec<Vec<Record>>) {
+        let runs = run_formation::load_sort(&generate::uniform(3 * 50_010 + 1, 5), 50_010);
+        let cfg = ScenarioBuilder::new(runs.len() as u32, 3)
+            .intra(4)
+            .layout(layout)
+            .seed(61)
+            .build()
+            .unwrap();
+        let mut exec = ExecConfig::new(cfg);
+        exec.records_per_block = 20;
+        let engine = MergeEngine::new(exec, runs.iter().map(Vec::len).collect()).unwrap();
+        assert!(engine.run_blocks()[0] as usize > LOAD_CHUNK_BYTES / engine.block_bytes());
+        (engine, runs)
+    }
+
+    /// Loads `runs` through a [`CountingQueue`], checks each (run, disk
+    /// lane) took ⌈lane blocks / chunk blocks⌉ writes covering exactly
+    /// its extent, then reads every block back against its own
+    /// encoding.
+    fn check_extent_load<Q: IoQueue>(engine: &MergeEngine, runs: &[Vec<Record>], inner: Q) {
+        let mut queue = CountingQueue {
+            inner,
+            writes: Vec::new(),
+        };
+        engine.load(&mut queue, runs).unwrap();
+
+        let bb = engine.block_bytes();
+        let chunk_blocks = LOAD_CHUNK_BYTES / bb;
+        let layout = engine.core.layout();
+        let stride = layout.same_disk_stride() as usize;
+        let mut lanes = Vec::new();
+        for (r, &blocks) in engine.run_blocks().iter().enumerate() {
+            for lane in 0..stride.min(blocks as usize) {
+                let (disk, base) = layout.location(RunId(r as u32), lane as u32);
+                let lane_blocks = (blocks as usize - lane).div_ceil(stride);
+                lanes.push((disk, base.0, lane_blocks, 0usize, 0usize));
+            }
+        }
+        for &(disk, start, bytes) in &queue.writes {
+            assert!(bytes > 0 && bytes % bb == 0, "write of {bytes} bytes");
+            let lane = lanes
+                .iter_mut()
+                .find(|l| l.0 == disk && (l.1..l.1 + l.2 as u64).contains(&start.0))
+                .expect("write outside every run extent");
+            assert!(start.0 + (bytes / bb) as u64 <= lane.1 + lane.2 as u64);
+            lane.3 += 1;
+            lane.4 += bytes / bb;
+        }
+        for &(disk, base, lane_blocks, writes, written) in &lanes {
+            assert_eq!(
+                writes,
+                lane_blocks.div_ceil(chunk_blocks),
+                "lane at {disk:?}/{base}"
+            );
+            assert_eq!(written, lane_blocks, "lane at {disk:?}/{base}");
+        }
+
+        let mut queue = queue.inner;
+        queue.open(Instant::now()).unwrap();
+        let rpb = engine.exec_config().records_per_block as usize;
+        let mut expected = vec![0u8; bb];
+        let mut got = Vec::new();
+        for (r, run) in runs.iter().enumerate() {
+            let reads: Vec<IoRequest> = (0..engine.run_blocks()[r])
+                .map(|index| {
+                    let (disk, start) = layout.location(RunId(r as u32), index);
+                    IoRequest {
+                        req: DiskRequest {
+                            disk,
+                            start,
+                            len: 1,
+                            sequential_hint: false,
+                            tag: u64::from(index),
+                        },
+                        span: 0,
+                        submitted: Instant::now(),
+                    }
+                })
+                .collect();
+            queue.submit(&reads).unwrap();
+            got.clear();
+            while got.len() < reads.len() {
+                queue.complete(&mut got, 1).unwrap();
+            }
+            for c in &got {
+                let index = c.tag as usize;
+                let records = &run[index * rpb..((index + 1) * rpb).min(run.len())];
+                encode_records(records, &mut expected);
+                assert_eq!(c.data.as_ref().unwrap(), &expected, "run {r} block {index}");
+            }
+        }
+        queue.shutdown().unwrap();
+    }
+
+    /// `(at, run)` of each event of `merge_trace(own, completions)`,
+    /// events built as `RunExhausted { run }` at `at` nanoseconds.
+    fn merged(own: &[(u64, u32)], completions: &[(u64, u32)]) -> Vec<(u64, u32)> {
+        let events = |list: &[(u64, u32)]| -> Vec<TraceEvent> {
+            list.iter()
+                .map(|&(at, run)| TraceEvent {
+                    at: SimTime::from_nanos(at),
+                    kind: EventKind::RunExhausted { run },
+                })
+                .collect()
+        };
+        merge_trace(events(own), events(completions))
+            .iter()
+            .map(|ev| match ev.kind {
+                EventKind::RunExhausted { run } => (ev.at.as_nanos(), run),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_trace_orders_by_time_with_own_events_first_on_ties() {
+        // Completions arrive out of order, one before every own event,
+        // one after, and two tie with own events at 4.
+        assert_eq!(
+            merged(
+                &[(2, 0), (4, 1), (4, 2), (9, 3)],
+                &[(4, 10), (1, 11), (12, 12), (4, 13), (3, 14)],
+            ),
+            [(1, 11), (2, 0), (3, 14), (4, 1), (4, 2), (4, 10), (4, 13), (9, 3), (12, 12)]
+        );
+        assert_eq!(merged(&[], &[(5, 1), (3, 2)]), [(3, 2), (5, 1)]);
+        assert_eq!(merged(&[(1, 0), (1, 1)], &[]), [(1, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn load_writes_each_lane_in_chunks_on_memory() {
+        for layout in [DataLayout::Concatenated, DataLayout::Striped] {
+            let (engine, runs) = shape(layout);
+            let queue = ThreadedQueue::memory(3, engine.block_bytes(), engine.queue_options());
+            check_extent_load(&engine, &runs, queue);
+        }
+    }
+
+    #[test]
+    fn load_writes_each_lane_in_chunks_on_files() {
+        for layout in [DataLayout::Concatenated, DataLayout::Striped] {
+            let (engine, runs) = shape(layout);
+            let dir = std::env::temp_dir()
+                .join(format!("pm-engine-load-{}-{layout:?}", std::process::id()));
+            let queue =
+                ThreadedQueue::file(&dir, 3, engine.block_bytes(), engine.queue_options()).unwrap();
+            check_extent_load(&engine, &runs, queue);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}

@@ -6,7 +6,7 @@
 //! batches, and up to [`IoQueue::depth`] requests per disk may wait for
 //! service at once. The bound is per disk whatever the number of worker
 //! threads, and a request holds its slot until its service starts (on
-//! io_uring, until the ring completes it). Four implementations exist:
+//! io_uring, until the ring completes it). Three implementations exist:
 //!
 //! * [`crate::ThreadedQueue`] — per-disk worker threads over any
 //!   [`crate::BlockDevice`] (memory, file, file+`O_DIRECT`, latency).
@@ -14,14 +14,13 @@
 //!   [`crate::SharedDeviceSet`], contended with other jobs.
 //! * `UringQueue` (feature `uring`) — one io_uring per disk file with
 //!   `O_DIRECT` and registered buffers.
-//! * [`BlockingQueue`] — the deprecated depth-1 compat shim over a bare
-//!   [`crate::BlockDevice`].
 //!
 //! ## Trait contract
 //!
 //! **Lifecycle.** A queue is created closed: [`IoQueue::write_block`]
-//! loads data (setup is single-threaded, writes after
-//! [`IoQueue::open`] are an error on most backends), `open` spawns
+//! loads data, one or more whole blocks at consecutive addresses per
+//! call (setup is single-threaded, writes after [`IoQueue::open`] are
+//! an error on most backends), `open` spawns
 //! workers / initialises rings and anchors completion timestamps to the
 //! caller's epoch, then [`IoQueue::submit`] / [`IoQueue::complete`]
 //! drive the merge, and [`IoQueue::shutdown`] releases everything.
@@ -46,14 +45,12 @@
 //! [`pm_core::PmError::Device`] with the backend's
 //! [`IoQueue::backend`] label and exit code 2.
 
-use std::collections::VecDeque;
 use std::io;
 use std::time::Instant;
 
 use pm_disk::{BlockAddr, DiskId, DiskRequest};
 
-use crate::device::{BlockDevice, InjectedService};
-use crate::workers::service_one;
+use crate::device::InjectedService;
 
 /// One read request submitted to an [`IoQueue`].
 #[derive(Debug, Clone, Copy)]
@@ -134,13 +131,15 @@ pub trait IoQueue: Send {
     /// e.g. a shared set's scheduler queue).
     fn depth(&self) -> usize;
 
-    /// Writes one block at `start` on `disk` (setup only: most
-    /// backends reject writes after [`IoQueue::open`]).
+    /// Writes `data` — one or more whole blocks — at consecutive
+    /// addresses from `start` on `disk` (setup only: most backends
+    /// reject writes after [`IoQueue::open`]).
     ///
     /// # Errors
     ///
-    /// Any I/O failure, or writing after `open` on a backend that
-    /// forbids it.
+    /// [`io::ErrorKind::InvalidInput`] when `data` is empty or not a
+    /// whole number of blocks; any I/O failure, or writing after `open`
+    /// on a backend that forbids it.
     fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()>;
 
     /// Transitions the queue from setup to I/O: spawns workers or
@@ -177,157 +176,4 @@ pub trait IoQueue: Send {
     ///
     /// Any failure tearing the transport down.
     fn shutdown(&mut self) -> io::Result<()>;
-}
-
-/// Depth-1 compat shim: any [`BlockDevice`] as an [`IoQueue`] that
-/// services every request synchronously at submission.
-///
-/// This is the old `read_block` calling convention behind the new API —
-/// kept for one release so downstream device implementations keep
-/// working, and as the regression reference the depth-1 equivalence
-/// tests compare against.
-#[deprecated(
-    since = "0.11.0",
-    note = "depth-1 shim over BlockDevice; build a ThreadedQueue (or UringQueue) instead"
-)]
-pub struct BlockingQueue<D> {
-    device: D,
-    time_scale: f64,
-    epoch: Instant,
-    free_at: Vec<Instant>,
-    pending: VecDeque<IoCompletion>,
-}
-
-#[allow(deprecated)]
-impl<D: BlockDevice> BlockingQueue<D> {
-    /// Wraps `device`, servicing at real speed (`time_scale` 1.0).
-    #[must_use]
-    pub fn new(device: D) -> Self {
-        Self::with_time_scale(device, 1.0)
-    }
-
-    /// Wraps `device` with a wall-clock scale for injected latency.
-    #[must_use]
-    pub fn with_time_scale(device: D, time_scale: f64) -> Self {
-        let epoch = Instant::now();
-        let disks = device.disks();
-        BlockingQueue {
-            device,
-            time_scale,
-            epoch,
-            free_at: vec![epoch; disks],
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// Unwraps the device.
-    pub fn into_inner(self) -> D {
-        self.device
-    }
-}
-
-#[allow(deprecated)]
-impl<D: BlockDevice> IoQueue for BlockingQueue<D> {
-    fn backend(&self) -> &'static str {
-        "blocking"
-    }
-
-    fn block_bytes(&self) -> usize {
-        self.device.block_bytes()
-    }
-
-    fn disks(&self) -> usize {
-        self.device.disks()
-    }
-
-    fn depth(&self) -> usize {
-        1
-    }
-
-    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
-        self.device.write_block(disk, start, data)
-    }
-
-    fn open(&mut self, epoch: Instant) -> io::Result<()> {
-        self.epoch = epoch;
-        self.free_at = vec![epoch; self.device.disks()];
-        Ok(())
-    }
-
-    fn submit(&mut self, reqs: &[IoRequest]) -> io::Result<()> {
-        for &req in reqs {
-            let d = req.req.disk.0 as usize;
-            let free_at = self
-                .free_at
-                .get_mut(d)
-                .ok_or_else(|| io::Error::other(format!("no such disk {d}")))?;
-            let completion = service_one(&self.device, free_at, req, self.time_scale, self.epoch);
-            self.pending.push_back(completion);
-        }
-        Ok(())
-    }
-
-    fn complete(&mut self, out: &mut Vec<IoCompletion>, min_wait: usize) -> io::Result<usize> {
-        if self.pending.len() < min_wait {
-            return Err(io::Error::other(format!(
-                "waiting for {min_wait} completions with only {} in flight",
-                self.pending.len()
-            )));
-        }
-        let n = self.pending.len();
-        out.extend(self.pending.drain(..));
-        Ok(n)
-    }
-
-    fn shutdown(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #![allow(deprecated)]
-
-    use super::*;
-    use crate::device::MemoryDevice;
-
-    #[test]
-    fn blocking_queue_round_trips_a_batch() {
-        let bb = 16;
-        let mut dev = MemoryDevice::new(2, bb);
-        for d in 0..2u16 {
-            dev.write_block(DiskId(d), BlockAddr(0), &[d as u8 + 1; 16]).unwrap();
-        }
-        let mut q = BlockingQueue::new(dev);
-        q.open(Instant::now()).unwrap();
-        let reqs: Vec<IoRequest> = (0..2u16)
-            .map(|d| IoRequest {
-                req: DiskRequest {
-                    disk: DiskId(d),
-                    start: BlockAddr(0),
-                    len: 1,
-                    sequential_hint: false,
-                    tag: u64::from(d),
-                },
-                span: 0,
-                submitted: Instant::now(),
-            })
-            .collect();
-        q.submit(&reqs).unwrap();
-        let mut out = Vec::new();
-        assert_eq!(q.complete(&mut out, 2).unwrap(), 2);
-        for c in &out {
-            let data = c.data.as_ref().unwrap();
-            assert_eq!(data[0], c.disk as u8 + 1);
-        }
-        q.shutdown().unwrap();
-    }
-
-    #[test]
-    fn blocking_queue_rejects_waiting_on_nothing() {
-        let mut q = BlockingQueue::new(MemoryDevice::new(1, 16));
-        let mut out = Vec::new();
-        assert!(q.complete(&mut out, 1).is_err());
-        assert_eq!(q.complete(&mut out, 0).unwrap(), 0);
-    }
 }

@@ -21,8 +21,6 @@
 //!   queue depth > 1.
 //! * [`SharedPort`] — one job's lane into a [`SharedDeviceSet`],
 //!   scheduled against other jobs by a [`pm_service::IoSched`] policy.
-//! * [`BlockingQueue`] — deprecated depth-1 shim over a bare
-//!   [`BlockDevice`], the pre-queue calling convention.
 //!
 //! ```
 //! use pm_core::ScenarioBuilder;
@@ -67,8 +65,6 @@ pub use device::{
 pub use engine::{
     disk_seed_for, EnginePrediction, ExecConfig, ExecOutcome, ExecReport, MergeEngine,
 };
-#[allow(deprecated)]
-pub use ioqueue::BlockingQueue;
 pub use ioqueue::{IoCompletion, IoQueue, IoRequest, QueueOptions};
 pub use multipass::{
     clean_stale_passes, MultiPassExecutor, MultiPassOptions, MultiPassOutcome,

@@ -466,6 +466,8 @@ impl<'p> MultiPassExecutor<'p> {
                     }
                 };
                 engine.load(&mut *queue, &inputs)?;
+                // The queue holds the group's runs now.
+                drop(inputs);
                 let outcome = engine.execute_metered(queue, metrics)?;
                 let prediction = engine.predict(&outcome.depletion)?;
                 if outcome.requests != prediction.requests {

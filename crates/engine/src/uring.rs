@@ -498,7 +498,7 @@ impl UringQueue {
         block_bytes: usize,
         depth: usize,
     ) -> Result<Self, PmError> {
-        if block_bytes == 0 || !block_bytes.is_multiple_of(DIRECT_ALIGN) {
+        if block_bytes == 0 || block_bytes % DIRECT_ALIGN != 0 {
             return Err(ConfigError::BlockAlignment {
                 block_bytes,
                 required: DIRECT_ALIGN,
@@ -561,6 +561,7 @@ impl IoQueue for UringQueue {
                 "writes are setup-only: load the queue before open()",
             ));
         }
+        crate::device::check_write_len(data, self.block_bytes)?;
         let file = self
             .write_files
             .get(disk.0 as usize)

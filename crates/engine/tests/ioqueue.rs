@@ -5,11 +5,12 @@
 //! a queue produces — across disks, within a disk, in any reap batch
 //! size — must yield byte-identical output and simulator request-
 //! sequence parity. A property-based adversarial queue exercises that;
-//! the deprecated depth-1 [`BlockingQueue`] shim anchors the
-//! regression comparison against the pre-queue calling convention; the
-//! threaded queue's depth bound holds per disk, not per worker; a
-//! panicking device fails the queue instead of hanging it; and the
-//! O_DIRECT alignment precondition must fail loudly, not corrupt.
+//! a depth-1 threaded queue must match one at the negotiated depth; the
+//! merged trace is ordered by time with one issue and one transfer per
+//! request; the threaded queue's depth bound holds per disk, not per
+//! worker; a panicking device fails the queue instead of hanging it;
+//! and the O_DIRECT alignment precondition must fail loudly, not
+//! corrupt.
 
 mod common;
 
@@ -29,7 +30,7 @@ use proptest::prelude::*;
 
 #[cfg(feature = "uring")]
 use common::RPB_ALIGNED;
-use common::{engine_custom, form_runs, run_memory, unique_dir, PanickingDevice, RPB};
+use common::{engine_custom, form_runs, run_file, run_memory, unique_dir, PanickingDevice, RPB};
 
 /// An adversarial [`IoQueue`] over a [`MemoryDevice`]: every submitted
 /// request is serviced instantly, but completions are handed back in a
@@ -187,13 +188,10 @@ proptest! {
 }
 
 #[test]
-#[allow(deprecated)]
-fn blocking_shim_matches_the_threaded_queue_at_depth_1() {
-    // Depth-1 regression against the pre-queue calling convention: the
-    // deprecated synchronous shim and the threaded queue must agree on
-    // everything the engine reports.
-    use pm_engine::BlockingQueue;
-
+fn threaded_queue_at_depth_1_matches_the_default_depth() {
+    // Depth-1 regression: a queue that lets one request per disk wait
+    // and one at the negotiated prefetch depth must agree on everything
+    // the engine reports.
     let runs = form_runs(2500, 300, 31);
     let cfg = ScenarioBuilder::new(runs.len() as u32, 2)
         .inter(3)
@@ -201,26 +199,93 @@ fn blocking_shim_matches_the_threaded_queue_at_depth_1() {
         .build()
         .unwrap();
     let disks = cfg.disks as usize;
-    let engine = engine_custom(cfg, &runs, 1, 1, RPB);
-    let threaded = run_memory(&engine, &runs, disks);
+    let shallow = engine_custom(cfg, &runs, 1, 1, RPB);
+    assert_eq!(shallow.queue_options().depth, 1);
+    let negotiated = engine_custom(cfg, &runs, 1, 0, RPB);
+    assert_eq!(negotiated.queue_options().depth, 3);
+    let at_default = run_memory(&negotiated, &runs, disks);
+    let at_depth_1 = run_memory(&shallow, &runs, disks);
 
-    let mut shim = BlockingQueue::new(MemoryDevice::new(disks, engine.block_bytes()));
-    engine.load(&mut shim, &runs).expect("load");
-    let blocking = engine.execute(Box::new(shim)).expect("execute");
+    assert_eq!(at_depth_1.output, at_default.output);
+    assert_eq!(at_depth_1.requests, at_default.requests);
+    assert_eq!(at_depth_1.depletion, at_default.depletion);
+    assert_eq!(
+        at_depth_1.report.per_disk_requests,
+        at_default.report.per_disk_requests
+    );
+    assert_eq!(at_depth_1.report.demand_ops, at_default.report.demand_ops);
+    assert_eq!(
+        at_depth_1.report.fallback_ops,
+        at_default.report.fallback_ops
+    );
+    assert_eq!(
+        at_depth_1.report.full_prefetch_ops,
+        at_default.report.full_prefetch_ops
+    );
+}
 
-    assert_eq!(blocking.output, threaded.output);
-    assert_eq!(blocking.requests, threaded.requests);
-    assert_eq!(blocking.depletion, threaded.depletion);
-    assert_eq!(
-        blocking.report.per_disk_requests,
-        threaded.report.per_disk_requests
+/// Asserts `outcome.events` is non-decreasing in `at` and holds exactly
+/// one `DiskIssue` and one later `DiskTransferDone` per request.
+fn assert_trace_in_time_order(outcome: &ExecOutcome, what: &str) {
+    use pm_core::EventKind;
+
+    assert!(
+        outcome.events.windows(2).all(|w| w[0].at <= w[1].at),
+        "{what}: events out of time order"
     );
-    assert_eq!(blocking.report.demand_ops, threaded.report.demand_ops);
-    assert_eq!(blocking.report.fallback_ops, threaded.report.fallback_ops);
+    let mut issued = Vec::new();
+    let mut transferred = Vec::new();
+    for (i, ev) in outcome.events.iter().enumerate() {
+        match ev.kind {
+            EventKind::DiskIssue { disk, span, .. } => issued.push((disk, span, i)),
+            EventKind::DiskTransferDone { disk, span, .. } => transferred.push((disk, span, i)),
+            _ => {}
+        }
+    }
+    let total: u64 = outcome.report.per_disk_requests.iter().sum();
+    assert_eq!(issued.len() as u64, total, "{what}: one issue per request");
     assert_eq!(
-        blocking.report.full_prefetch_ops,
-        threaded.report.full_prefetch_ops
+        transferred.len() as u64,
+        total,
+        "{what}: one transfer per request"
     );
+    issued.sort_unstable();
+    transferred.sort_unstable();
+    for (issue, done) in issued.iter().zip(&transferred) {
+        assert_eq!(
+            (issue.0, issue.1),
+            (done.0, done.1),
+            "{what}: requests differ"
+        );
+        assert!(
+            issue.2 < done.2,
+            "{what}: transfer of {issue:?} before its issue"
+        );
+    }
+}
+
+#[test]
+fn engine_trace_is_in_time_order_on_every_queue() {
+    let runs = form_runs(4000, 250, 71);
+    let cfg = ScenarioBuilder::new(runs.len() as u32, 4)
+        .inter(4)
+        .seed(73)
+        .build()
+        .unwrap();
+    let disks = cfg.disks as usize;
+    for jobs in [1, 4] {
+        let engine = engine_custom(cfg, &runs, jobs, 0, RPB);
+        assert_trace_in_time_order(
+            &run_memory(&engine, &runs, disks),
+            &format!("memory, jobs {jobs}"),
+        );
+    }
+    let engine = engine_custom(cfg, &runs, 0, 0, RPB);
+    assert_trace_in_time_order(&run_file(&engine, &runs, disks), "file");
+    for seed in [1, 2, 3] {
+        let outcome = run_permuted(&engine, &runs, disks, seed, 8);
+        assert_trace_in_time_order(&outcome, &format!("permuted, seed {seed}"));
+    }
 }
 
 /// How long a call that must return may take before the test calls it
@@ -472,4 +537,27 @@ fn uring_backend_matches_the_memory_reference() {
             "depth={depth}: simulator replay"
         );
     }
+}
+
+#[cfg(feature = "uring")]
+#[test]
+fn uring_rejects_writes_that_are_not_whole_blocks() {
+    use pm_engine::{uring_available, UringQueue};
+
+    if !uring_available() {
+        eprintln!("SKIP: io_uring unavailable on this kernel; uring write test not run");
+        return;
+    }
+    let dir = unique_dir();
+    let mut queue = UringQueue::create(&dir, 1, DIRECT_ALIGN, 1).expect("create uring queue");
+    for len in [0, 7, DIRECT_ALIGN + 1] {
+        let err = queue
+            .write_block(DiskId(0), BlockAddr(0), &vec![1; len])
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "length {len}");
+    }
+    queue
+        .write_block(DiskId(0), BlockAddr(0), &vec![1; 2 * DIRECT_ALIGN])
+        .expect("two whole blocks");
+    let _ = std::fs::remove_dir_all(&dir);
 }
