@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks of the substrate crates: the event list, the
 //! random generator, single-disk service, the loser tree (over `u64`s and
 //! over `Record` runs at the benchmark sorts' fan-ins), `load_sort` run
-//! formation by input shape, and the engine's work around the merge:
-//! staging 64 runs on memory and file disks, and `predict`'s replay.
+//! formation by input shape, the engine's work around the merge
+//! (staging 64 runs on memory and file disks, and `predict`'s replay),
+//! and one 8-way merge on file disks.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pm_analysis::markov::{average_parallelism, Policy};
@@ -231,6 +232,40 @@ fn engine_staging(c: &mut Criterion) {
     });
 }
 
+/// One `execute` of a first-pass group of the two-pass benchmark sort:
+/// 8 runs of 62 500 records on 8 file disks (under the system temp
+/// directory), 40 records per block, one I/O worker. Loading the runs is
+/// untimed.
+fn engine_execute(c: &mut Criterion) {
+    let runs = run_formation::load_sort(&generate::uniform(8 * 62_500, 13), 62_500);
+    let base = ScenarioBuilder::new(8, 8)
+        .inter(4)
+        .seed(13)
+        .build()
+        .expect("scenario");
+    let cfg = ScenarioBuilder::pass_scenario(&base, 8, 0, 0).expect("pass scenario");
+    let mut exec = ExecConfig::new(cfg);
+    exec.records_per_block = 40;
+    exec.jobs = 1;
+    let engine = MergeEngine::new(exec, runs.iter().map(Vec::len).collect()).expect("plan");
+    let disks = engine.merge_config().disks as usize;
+    let dir = std::env::temp_dir().join(format!("pm-bench-execute-{}", std::process::id()));
+    c.bench_function("engine/execute_file_k8", |b| {
+        b.iter_batched(
+            || {
+                let mut queue =
+                    ThreadedQueue::file(&dir, disks, engine.block_bytes(), engine.queue_options())
+                        .expect("files");
+                engine.load(&mut queue, &runs).expect("load");
+                queue
+            },
+            |queue| engine.execute(Box::new(queue)).expect("execute"),
+            BatchSize::PerIteration,
+        );
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn markov(c: &mut Criterion) {
     c.bench_function("analysis/markov_d4_c16", |b| {
         b.iter(|| black_box(average_parallelism(4, 16, Policy::AllOrNothing)));
@@ -241,6 +276,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = event_queue, rng, disk_service, loser_tree, loser_tree_records, load_sort_shapes,
-        extsort_pipeline, engine_staging, markov
+        extsort_pipeline, engine_staging, engine_execute, markov
 }
 criterion_main!(benches);

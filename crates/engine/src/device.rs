@@ -1,9 +1,11 @@
 //! The [`BlockDevice`] abstraction and its three backends.
 //!
 //! A block device is an array of `D` independent disks addressed by
-//! `(disk, block)`; the engine reads one block per request, exactly as
-//! the simulator models, and loads each run extent with one write of
-//! consecutive blocks. Three backends implement it:
+//! `(disk, block)`. The engine requests one block at a time, exactly as
+//! the simulator models, but moves data by extent: it loads each run
+//! extent with one write of consecutive blocks, and a worker reads each
+//! run of queued requests for consecutive blocks of one disk with one
+//! read. Three backends implement it:
 //!
 //! * [`MemoryDevice`] — blocks live in per-disk `Vec<u8>`s. The golden
 //!   reference: zero latency, no OS involvement.
@@ -55,12 +57,14 @@ pub trait BlockDevice: Send + Sync {
     /// Number of disks.
     fn disks(&self) -> usize;
 
-    /// Reads the block at `start` on `disk` into `buf`
-    /// (`buf.len() == block_bytes()`).
+    /// Reads `buf` — one or more whole blocks — from consecutive
+    /// addresses from `start` on `disk`.
     ///
     /// # Errors
     ///
-    /// Any I/O failure, including reading a block that was never written.
+    /// [`io::ErrorKind::InvalidInput`] when `buf` is empty or not a whole
+    /// number of blocks (nothing is read); any I/O failure, including
+    /// reading a block that was never written.
     fn read_block(&self, disk: DiskId, start: BlockAddr, buf: &mut [u8]) -> io::Result<()>;
 
     /// Writes `data` — one or more whole blocks — at consecutive
@@ -80,16 +84,14 @@ pub trait BlockDevice: Send + Sync {
     }
 }
 
-/// Checks a [`BlockDevice::write_block`] / [`crate::IoQueue::write_block`]
-/// buffer: one or more whole blocks of `block_bytes`.
-pub(crate) fn check_write_len(data: &[u8], block_bytes: usize) -> io::Result<()> {
-    if data.is_empty() || block_bytes == 0 || data.len() % block_bytes != 0 {
+/// Checks a [`BlockDevice::read_block`] / [`BlockDevice::write_block`] /
+/// [`crate::IoQueue::write_block`] buffer of `len` bytes: one or more
+/// whole blocks of `block_bytes`. `op` names the call in the error.
+pub(crate) fn check_extent_len(op: &str, len: usize, block_bytes: usize) -> io::Result<()> {
+    if len == 0 || block_bytes == 0 || len % block_bytes != 0 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!(
-                "write of {} bytes is not a whole number of {block_bytes}-byte blocks",
-                data.len()
-            ),
+            format!("{op} of {len} bytes is not a whole number of {block_bytes}-byte blocks"),
         ));
     }
     Ok(())
@@ -123,12 +125,13 @@ impl BlockDevice for MemoryDevice {
     }
 
     fn read_block(&self, disk: DiskId, start: BlockAddr, buf: &mut [u8]) -> io::Result<()> {
+        check_extent_len("read", buf.len(), self.block_bytes)?;
         let offset = start.0 as usize * self.block_bytes;
         let storage = self
             .disks
             .get(disk.0 as usize)
             .ok_or_else(|| io::Error::other(format!("no such disk {}", disk.0)))?;
-        let end = offset + self.block_bytes;
+        let end = offset + buf.len();
         if end > storage.len() {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -140,7 +143,7 @@ impl BlockDevice for MemoryDevice {
     }
 
     fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
-        check_write_len(data, self.block_bytes)?;
+        check_extent_len("write", data.len(), self.block_bytes)?;
         let offset = start.0 as usize * self.block_bytes;
         let storage = self
             .disks
@@ -285,6 +288,7 @@ impl BlockDevice for FileDevice {
 
     fn read_block(&self, disk: DiskId, start: BlockAddr, buf: &mut [u8]) -> io::Result<()> {
         use std::os::unix::fs::FileExt;
+        check_extent_len("read", buf.len(), self.block_bytes)?;
         let offset = start.0 * self.block_bytes as u64;
         if let Some(direct) = &self.direct {
             if self.dirty.swap(false, Ordering::AcqRel) {
@@ -295,11 +299,11 @@ impl BlockDevice for FileDevice {
             let file = direct
                 .get(disk.0 as usize)
                 .ok_or_else(|| io::Error::other(format!("no such disk {}", disk.0)))?;
-            // O_DIRECT needs an aligned buffer; bounce through an
-            // over-allocated scratch vector sliced at the alignment.
-            let mut scratch = vec![0u8; self.block_bytes + DIRECT_ALIGN];
+            // O_DIRECT needs an aligned buffer; bounce the extent through
+            // an over-allocated scratch vector sliced at the alignment.
+            let mut scratch = vec![0u8; buf.len() + DIRECT_ALIGN];
             let align = (DIRECT_ALIGN - (scratch.as_ptr() as usize % DIRECT_ALIGN)) % DIRECT_ALIGN;
-            let aligned = &mut scratch[align..align + self.block_bytes];
+            let aligned = &mut scratch[align..align + buf.len()];
             file.read_exact_at(aligned, offset)?;
             buf.copy_from_slice(aligned);
             return Ok(());
@@ -313,7 +317,7 @@ impl BlockDevice for FileDevice {
 
     fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
         use std::os::unix::fs::FileExt;
-        check_write_len(data, self.block_bytes)?;
+        check_extent_len("write", data.len(), self.block_bytes)?;
         let file = self
             .files
             .get(disk.0 as usize)
@@ -454,6 +458,69 @@ mod tests {
         }
         // A rejected write leaves the device untouched.
         assert!(dev.read_block(DiskId(0), BlockAddr(9), &mut buf).is_err());
+    }
+
+    /// Reads `dev`'s three-block extent `extent` (written at block 2)
+    /// back whole and in part, then checks every bad read length fails
+    /// with `InvalidInput` before `buf` is touched.
+    fn check_extent_reads(dev: &dyn BlockDevice, extent: &[u8]) {
+        let bb = dev.block_bytes();
+        let mut buf = vec![0u8; 3 * bb];
+        dev.read_block(DiskId(0), BlockAddr(2), &mut buf).unwrap();
+        assert_eq!(buf, extent);
+        let mut buf = vec![0u8; 2 * bb];
+        dev.read_block(DiskId(0), BlockAddr(3), &mut buf).unwrap();
+        assert_eq!(buf, &extent[bb..]);
+        // Running past the written blocks is an error, not a short read.
+        let mut buf = vec![0u8; 2 * bb];
+        assert!(dev.read_block(DiskId(0), BlockAddr(4), &mut buf).is_err());
+        for len in [0, 7, bb + 4, 2 * bb + 1] {
+            let mut buf = vec![0xA5; len];
+            let err = dev
+                .read_block(DiskId(0), BlockAddr(2), &mut buf)
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "length {len}");
+            assert!(
+                buf.iter().all(|&b| b == 0xA5),
+                "length {len}: buffer written"
+            );
+        }
+    }
+
+    #[test]
+    fn memory_device_reads_extents_and_rejects_partial_buffers() {
+        let mut dev = MemoryDevice::new(1, 8);
+        let extent: Vec<u8> = (0..24).collect();
+        dev.write_block(DiskId(0), BlockAddr(2), &extent).unwrap();
+        check_extent_reads(&dev, &extent);
+    }
+
+    #[test]
+    fn file_device_reads_extents_and_rejects_partial_buffers() {
+        let dir = std::env::temp_dir().join(format!("pm-engine-read-{}", std::process::id()));
+        let mut dev = FileDevice::create(&dir, 1, 8).unwrap();
+        let extent: Vec<u8> = (0..24).collect();
+        dev.write_block(DiskId(0), BlockAddr(2), &extent).unwrap();
+        check_extent_reads(&dev, &extent);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn direct_file_device_reads_extents_and_rejects_partial_buffers() {
+        let dir =
+            std::env::temp_dir().join(format!("pm-engine-read-direct-{}", std::process::id()));
+        let mut dev = match FileDevice::create_direct(&dir, 1, DIRECT_ALIGN) {
+            Ok(dev) => dev,
+            Err(e) => {
+                eprintln!("SKIP: O_DIRECT unavailable under {}: {e}", dir.display());
+                let _ = std::fs::remove_dir_all(&dir);
+                return;
+            }
+        };
+        let extent: Vec<u8> = (0..3 * DIRECT_ALIGN).map(|i| (i % 251) as u8).collect();
+        dev.write_block(DiskId(0), BlockAddr(2), &extent).unwrap();
+        check_extent_reads(&dev, &extent);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

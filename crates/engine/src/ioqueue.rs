@@ -1,15 +1,19 @@
 //! The [`IoQueue`] abstraction: batched submission / completion I/O.
 //!
-//! Where [`crate::BlockDevice`] is the *storage* SPI (one block in, one
-//! block out, synchronously), `IoQueue` is the *I/O path* the engine
-//! drives: requests are submitted in batches, completions are reaped in
-//! batches, and up to [`IoQueue::depth`] requests per disk may wait for
-//! service at once. The bound is per disk whatever the number of worker
-//! threads, and a request holds its slot until its service starts (on
-//! io_uring, until the ring completes it). Three implementations exist:
+//! Where [`crate::BlockDevice`] is the *storage* SPI (whole blocks at
+//! consecutive addresses in and out, synchronously), `IoQueue` is the
+//! *I/O path* the engine drives: requests are submitted in batches,
+//! completions are reaped in batches, and up to [`IoQueue::depth`]
+//! requests per disk may wait for service at once. The bound is per disk
+//! whatever the number of worker threads, and a request holds its slot
+//! until its service starts (on io_uring, until the ring completes it).
+//! Three implementations exist:
 //!
 //! * [`crate::ThreadedQueue`] — per-disk worker threads over any
-//!   [`crate::BlockDevice`] (memory, file, file+`O_DIRECT`, latency).
+//!   [`crate::BlockDevice`] (memory, file, file+`O_DIRECT`, latency). A
+//!   worker reads each run of queued requests for consecutive blocks of
+//!   one disk with one device call, unless the device models service
+//!   time.
 //! * [`crate::SharedPort`] — one job's lane into a
 //!   [`crate::SharedDeviceSet`], contended with other jobs.
 //! * `UringQueue` (feature `uring`) — one io_uring per disk file with
@@ -33,6 +37,14 @@
 //! **no ordering guarantee at all**: any interleaving across disks and
 //! even within one disk (io_uring) is legal, and the engine's decisions
 //! are invariant to it by construction.
+//!
+//! **Requests and device calls.** A request reads one block and gets one
+//! completion, whatever number of device calls the backend makes: a
+//! backend may serve a disk's consecutive queued requests with one read
+//! (an extent) as long as each disk's service order and per-request
+//! completions stay as above. The requests of an extent share its
+//! service interval evenly, so one disk's `[started_ns, finished_ns]`
+//! intervals never overlap.
 //!
 //! **Buffer ownership.** The queue owns all data buffers; a completion
 //! hands the payload back as an owned `Vec<u8>` in

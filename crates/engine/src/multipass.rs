@@ -37,7 +37,7 @@ use pm_metrics::{MetricsSink, NullMetrics};
 use pm_sim::{SimDuration, SimTime};
 use pm_trace::{EventKind, TraceEvent};
 
-use crate::engine::{disk_seed_for, ExecConfig, MergeEngine};
+use crate::engine::{disk_seed_for, EnginePrediction, ExecConfig, ExecOutcome, MergeEngine};
 use crate::ioqueue::IoQueue;
 use crate::workers::ThreadedQueue;
 
@@ -143,10 +143,6 @@ pub struct PassOutcome {
     /// The derived scenario of the pass's first merged group, if any —
     /// representative for reporting.
     pub scenario: Option<MergeConfig>,
-    /// The pass's own event stream: a [`EventKind::PassBoundary`] marker
-    /// followed by each group's events, shifted onto one pass-local
-    /// time axis.
-    pub events: Vec<TraceEvent>,
 }
 
 /// Everything a multi-pass execution produced.
@@ -156,9 +152,42 @@ pub struct MultiPassOutcome {
     pub output: Vec<Record>,
     /// Per-pass measurements, in execution order.
     pub passes: Vec<PassOutcome>,
-    /// All pass streams concatenated onto one time axis (pass `p + 1`
-    /// starts where pass `p`'s wall clock ended).
+    /// The whole tree's event stream on one time axis: each pass opens
+    /// with an [`EventKind::PassBoundary`] marker, its groups' events
+    /// follow one after another, and pass `p + 1` starts where pass
+    /// `p`'s summed group walls end.
     pub events: Vec<TraceEvent>,
+}
+
+/// The tree's event stream, written once: each pass's boundary marker
+/// and each group's events go straight in at their final offset.
+#[derive(Debug, Default)]
+struct TreeTrace {
+    events: Vec<TraceEvent>,
+    /// Where the current pass starts on the tree's axis.
+    pass_start: SimDuration,
+    /// The summed walls of the current pass's groups so far.
+    pass_elapsed: SimDuration,
+}
+
+impl TreeTrace {
+    fn begin_pass(&mut self, pass: u32, groups: u32) {
+        self.pass_start += std::mem::take(&mut self.pass_elapsed);
+        self.events.push(TraceEvent {
+            at: SimTime::ZERO + self.pass_start,
+            kind: EventKind::PassBoundary { pass, groups },
+        });
+    }
+
+    /// Appends one merged group's events behind the pass's earlier groups.
+    fn group(&mut self, events: &[TraceEvent], wall: Duration) {
+        let offset = self.pass_start + self.pass_elapsed;
+        self.events.extend(events.iter().map(|ev| TraceEvent {
+            at: ev.at + offset,
+            kind: ev.kind,
+        }));
+        self.pass_elapsed += wall_as_sim(wall);
+    }
 }
 
 /// Process-global counter distinguishing concurrent executions within
@@ -359,9 +388,9 @@ impl<'p> MultiPassExecutor<'p> {
     ) -> Result<MultiPassOutcome, PmError> {
         let mut level = runs;
         let mut passes: Vec<PassOutcome> = Vec::with_capacity(self.plan.passes.len());
-        let mut events: Vec<TraceEvent> = Vec::new();
-        let mut tree_offset = SimDuration::ZERO;
+        let mut trace = TreeTrace::default();
         for (p, pass) in self.plan.passes.iter().enumerate() {
+            trace.begin_pass(p as u32, pass.groups.len() as u32);
             let mut out = PassOutcome {
                 pass: p as u32,
                 fan_in: pass.fan_in,
@@ -381,18 +410,10 @@ impl<'p> MultiPassExecutor<'p> {
                 sim_concurrency: 0.0,
                 sim_busy_disks: 0.0,
                 scenario: None,
-                events: vec![TraceEvent {
-                    at: SimTime::ZERO,
-                    kind: EventKind::PassBoundary {
-                        pass: p as u32,
-                        groups: pass.groups.len() as u32,
-                    },
-                }],
             };
             let mut conc_weight = 0.0_f64;
             let mut next: Vec<Vec<Record>> = Vec::with_capacity(pass.groups.len());
             let mut inputs_iter = level.into_iter();
-            let mut pass_elapsed = SimDuration::ZERO;
             for (g, group) in pass.groups.iter().enumerate() {
                 let inputs: Vec<Vec<Record>> =
                     inputs_iter.by_ref().take(group.len).collect();
@@ -401,81 +422,7 @@ impl<'p> MultiPassExecutor<'p> {
                     next.push(inputs.into_iter().next().expect("one input"));
                     continue;
                 }
-                let cfg = ScenarioBuilder::pass_scenario(
-                    &self.base,
-                    group.len as u32,
-                    p as u32,
-                    g as u32,
-                )?;
-                let mut exec = ExecConfig::new(cfg);
-                exec.records_per_block = self.opts.records_per_block;
-                exec.queue_depth = self.opts.queue_depth;
-                exec.jobs = self.opts.jobs;
-                exec.time_scale = self.opts.time_scale;
-                let engine =
-                    MergeEngine::new(exec, inputs.iter().map(Vec::len).collect())?;
-                let cfg = *engine.merge_config();
-                let disks = cfg.disks as usize;
-                let opts = engine.queue_options();
-                let mut queue: Box<dyn IoQueue> = match &self.backend {
-                    PassBackend::Memory => {
-                        Box::new(ThreadedQueue::memory(disks, engine.block_bytes(), opts))
-                    }
-                    PassBackend::File { .. } => {
-                        let dir = group_dir(staging, "file", p, g)?;
-                        Box::new(
-                            ThreadedQueue::file(&dir, disks, engine.block_bytes(), opts)
-                                .map_err(|e| {
-                                    PmError::io(format!("creating {}", dir.display()), e)
-                                })?,
-                        )
-                    }
-                    PassBackend::FileDirect { .. } => {
-                        let dir = group_dir(staging, "file-direct", p, g)?;
-                        Box::new(ThreadedQueue::file_direct(
-                            &dir,
-                            disks,
-                            engine.block_bytes(),
-                            opts,
-                        )?)
-                    }
-                    PassBackend::Latency => Box::new(ThreadedQueue::latency(
-                        disks,
-                        engine.block_bytes(),
-                        cfg.disk_spec,
-                        cfg.discipline,
-                        disk_seed_for(&cfg),
-                        opts,
-                    )),
-                    #[cfg(feature = "uring")]
-                    PassBackend::Uring { .. } => {
-                        let dir = group_dir(staging, "uring", p, g)?;
-                        Box::new(crate::uring::UringQueue::create(
-                            &dir,
-                            disks,
-                            engine.block_bytes(),
-                            opts.depth,
-                        )?)
-                    }
-                    #[cfg(not(feature = "uring"))]
-                    PassBackend::Uring { .. } => {
-                        return Err(PmError::Usage(
-                            "the uring backend requires building with --features uring"
-                                .into(),
-                        ))
-                    }
-                };
-                engine.load(&mut *queue, &inputs)?;
-                // The queue holds the group's runs now.
-                drop(inputs);
-                let outcome = engine.execute_metered(queue, metrics)?;
-                let prediction = engine.predict(&outcome.depletion)?;
-                if outcome.requests != prediction.requests {
-                    return Err(PmError::Tolerance(format!(
-                        "pass {p} group {g}: engine per-disk request sequences \
-                         diverged from the simulator's replay"
-                    )));
-                }
+                let (cfg, outcome, prediction) = self.run_group(p, g, inputs, staging, metrics)?;
                 out.merged_groups += 1;
                 out.blocks_read += outcome.report.blocks_merged;
                 out.records_merged += outcome.report.records_merged;
@@ -504,11 +451,7 @@ impl<'p> MultiPassExecutor<'p> {
                 if out.scenario.is_none() {
                     out.scenario = Some(cfg);
                 }
-                out.events.extend(outcome.events.iter().map(|ev| TraceEvent {
-                    at: ev.at + pass_elapsed,
-                    kind: ev.kind,
-                }));
-                pass_elapsed += wall_as_sim(outcome.report.wall);
+                trace.group(&outcome.events, outcome.report.wall);
                 next.push(outcome.output);
             }
             if conc_weight > 0.0 {
@@ -527,11 +470,6 @@ impl<'p> MultiPassExecutor<'p> {
                     })?;
                 }
             }
-            events.extend(out.events.iter().map(|ev| TraceEvent {
-                at: ev.at + tree_offset,
-                kind: ev.kind,
-            }));
-            tree_offset += wall_as_sim(out.wall);
             if M::ENABLED {
                 metrics.pass_done(out.pass, out.blocks_read, out.records_merged);
             }
@@ -545,7 +483,93 @@ impl<'p> MultiPassExecutor<'p> {
             }
         }
         let output = level.into_iter().next().unwrap_or_default();
-        Ok(MultiPassOutcome { output, passes, events })
+        Ok(MultiPassOutcome {
+            output,
+            passes,
+            events: trace.events,
+        })
+    }
+
+    /// Merges group `g` of pass `p` on a fresh device of the backend
+    /// family and checks the engine's requests against the simulator's
+    /// replay. Returns the group's derived scenario, its execution and
+    /// the prediction.
+    fn run_group<M: MetricsSink>(
+        &self,
+        p: usize,
+        g: usize,
+        inputs: Vec<Vec<Record>>,
+        staging: &Option<PathBuf>,
+        metrics: &M,
+    ) -> Result<(MergeConfig, ExecOutcome, EnginePrediction), PmError> {
+        let cfg =
+            ScenarioBuilder::pass_scenario(&self.base, inputs.len() as u32, p as u32, g as u32)?;
+        let mut exec = ExecConfig::new(cfg);
+        exec.records_per_block = self.opts.records_per_block;
+        exec.queue_depth = self.opts.queue_depth;
+        exec.jobs = self.opts.jobs;
+        exec.time_scale = self.opts.time_scale;
+        let engine = MergeEngine::new(exec, inputs.iter().map(Vec::len).collect())?;
+        let cfg = *engine.merge_config();
+        let disks = cfg.disks as usize;
+        let opts = engine.queue_options();
+        let mut queue: Box<dyn IoQueue> = match &self.backend {
+            PassBackend::Memory => {
+                Box::new(ThreadedQueue::memory(disks, engine.block_bytes(), opts))
+            }
+            PassBackend::File { .. } => {
+                let dir = group_dir(staging, "file", p, g)?;
+                Box::new(
+                    ThreadedQueue::file(&dir, disks, engine.block_bytes(), opts)
+                        .map_err(|e| PmError::io(format!("creating {}", dir.display()), e))?,
+                )
+            }
+            PassBackend::FileDirect { .. } => {
+                let dir = group_dir(staging, "file-direct", p, g)?;
+                Box::new(ThreadedQueue::file_direct(
+                    &dir,
+                    disks,
+                    engine.block_bytes(),
+                    opts,
+                )?)
+            }
+            PassBackend::Latency => Box::new(ThreadedQueue::latency(
+                disks,
+                engine.block_bytes(),
+                cfg.disk_spec,
+                cfg.discipline,
+                disk_seed_for(&cfg),
+                opts,
+            )),
+            #[cfg(feature = "uring")]
+            PassBackend::Uring { .. } => {
+                let dir = group_dir(staging, "uring", p, g)?;
+                Box::new(crate::uring::UringQueue::create(
+                    &dir,
+                    disks,
+                    engine.block_bytes(),
+                    opts.depth,
+                )?)
+            }
+            #[cfg(not(feature = "uring"))]
+            PassBackend::Uring { .. } => {
+                return Err(PmError::Usage(
+                    "the uring backend requires building with --features uring".into(),
+                ))
+            }
+        };
+        engine.load(&mut *queue, &inputs)?;
+        // The queue holds the group's runs now.
+        drop(inputs);
+        let outcome = engine.execute_metered(queue, metrics)?;
+        let prediction = engine.predict(&outcome.depletion)?;
+        if outcome.requests != prediction.requests {
+            return Err(PmError::Tolerance(format!(
+                "pass {p} group {g}: engine per-disk request sequences \
+                 diverged from the simulator's replay"
+            )));
+        }
+        Ok((cfg, outcome, prediction))
     }
 }
 
@@ -616,6 +640,97 @@ mod tests {
             })
             .collect();
         assert_eq!(boundaries, vec![0, 1]);
+    }
+
+    /// The tree stream is written once, at each event's final offset. It
+    /// must equal the stream rebuilt the old way from the same groups:
+    /// each pass's boundary marker and group events shifted onto a
+    /// pass-local axis, then each pass shifted onto the tree's axis.
+    #[test]
+    fn tree_trace_matches_the_per_pass_then_per_tree_rebuild() {
+        let rpb = 20;
+        let runs = uniform_runs(8, 100);
+        let lens: Vec<u32> = runs
+            .iter()
+            .map(|r| (r.len() as u32).div_ceil(rpb))
+            .collect();
+        let plan = plan_merge_tree(&lens, 3, PlanPolicy::GreedyMax).unwrap();
+        assert_eq!(plan.num_passes(), 2);
+        let base = ScenarioBuilder::new(3, 2)
+            .inter(2)
+            .seed(11)
+            .build()
+            .unwrap();
+        let opts = MultiPassOptions {
+            records_per_block: rpb,
+            ..Default::default()
+        };
+        let exec = MultiPassExecutor::new(&plan, base, opts, PassBackend::Memory);
+
+        // One run of the tree, keeping every merged group's events and wall.
+        let mut level = runs.clone();
+        let mut groups_run: Vec<Vec<(Vec<TraceEvent>, Duration)>> = Vec::new();
+        for (p, pass) in plan.passes.iter().enumerate() {
+            let mut inputs = level.into_iter();
+            let mut next = Vec::new();
+            let mut groups = Vec::new();
+            for (g, group) in pass.groups.iter().enumerate() {
+                let group_inputs: Vec<Vec<Record>> = inputs.by_ref().take(group.len).collect();
+                if group.len == 1 {
+                    next.extend(group_inputs);
+                    continue;
+                }
+                let (_, outcome, _) = exec
+                    .run_group(p, g, group_inputs, &None, &NullMetrics)
+                    .unwrap();
+                groups.push((outcome.events, outcome.report.wall));
+                next.push(outcome.output);
+            }
+            groups_run.push(groups);
+            level = next;
+        }
+
+        let mut old = Vec::new();
+        let mut tree_offset = SimDuration::ZERO;
+        for (p, groups) in groups_run.iter().enumerate() {
+            let mut pass_events = vec![TraceEvent {
+                at: SimTime::ZERO,
+                kind: EventKind::PassBoundary {
+                    pass: p as u32,
+                    groups: plan.passes[p].groups.len() as u32,
+                },
+            }];
+            let mut pass_elapsed = SimDuration::ZERO;
+            let mut pass_wall = Duration::ZERO;
+            for (events, wall) in groups {
+                pass_events.extend(events.iter().map(|ev| TraceEvent {
+                    at: ev.at + pass_elapsed,
+                    kind: ev.kind,
+                }));
+                pass_elapsed += wall_as_sim(*wall);
+                pass_wall += *wall;
+            }
+            old.extend(pass_events.iter().map(|ev| TraceEvent {
+                at: ev.at + tree_offset,
+                kind: ev.kind,
+            }));
+            tree_offset += wall_as_sim(pass_wall);
+        }
+
+        let mut trace = TreeTrace::default();
+        for (p, groups) in groups_run.iter().enumerate() {
+            trace.begin_pass(p as u32, plan.passes[p].groups.len() as u32);
+            for (events, wall) in groups {
+                trace.group(events, *wall);
+            }
+        }
+        assert!(
+            groups_run[0].iter().any(|(_, wall)| *wall > Duration::ZERO),
+            "the second pass must start past zero"
+        );
+        assert_eq!(trace.events, old);
+        // The executor's own run writes a stream of the same shape.
+        assert_eq!(exec.run(runs).unwrap().events.len(), old.len());
     }
 
     #[test]

@@ -281,6 +281,7 @@ impl IoQueue for SharedPort {
 
 fn disk_worker(inner: &SharedInner, d: usize, time_scale: f64, epoch: Instant) {
     let mut free_at = epoch;
+    let mut scratch = Vec::new();
     let (queue, cond) = &inner.queues[d];
     let mut guard = CloseOnUnwind {
         queue,
@@ -315,8 +316,15 @@ fn disk_worker(inner: &SharedInner, d: usize, time_scale: f64, epoch: Instant) {
             q.entries.swap_remove(idx)
         };
         let entry = guard.in_service.insert(entry);
-        let completion = service_one(&*entry.device, &mut free_at, entry.req, time_scale, epoch);
-        entry.done.push(completion);
+        let completion = service_one(
+            &*entry.device,
+            &mut free_at,
+            entry.req,
+            &mut scratch,
+            time_scale,
+            epoch,
+        );
+        entry.done.push([completion]);
         guard.in_service = None;
     }
 }

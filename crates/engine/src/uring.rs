@@ -8,7 +8,10 @@
 //! asks for more than is ready. Unlike the threaded backends, a disk's
 //! completions may arrive out of submission order at depth > 1 — the
 //! engine's merge decisions are invariant to that (see the
-//! [`crate::ioqueue`] contract).
+//! [`crate::ioqueue`] contract). Every request is its own SQE: a
+//! registered slot holds one block, so the ring does not join a disk's
+//! consecutive requests into one read the way [`crate::ThreadedQueue`]
+//! does.
 //!
 //! The raw ABI (setup/enter/register syscalls, ring memory maps, SQE и
 //! CQE layouts) is used directly so no external crate is needed; the
@@ -561,7 +564,7 @@ impl IoQueue for UringQueue {
                 "writes are setup-only: load the queue before open()",
             ));
         }
-        crate::device::check_write_len(data, self.block_bytes)?;
+        crate::device::check_extent_len("write", data.len(), self.block_bytes)?;
         let file = self
             .write_files
             .get(disk.0 as usize)

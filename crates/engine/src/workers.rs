@@ -3,9 +3,9 @@
 //!
 //! `min(jobs, disks)` workers (one per disk when `jobs == 0`) each serve
 //! the disks `disk mod workers` from one FIFO request queue, so every
-//! disk has exactly one request in service at a time and is serviced in
-//! submission order. Completions flow back over one unbounded channel
-//! the merge thread reaps in batches.
+//! disk has exactly one extent (below) in service at a time and is
+//! serviced in submission order. Completions flow back over one
+//! unbounded channel the merge thread reaps in batches.
 //!
 //! ## Hand-off
 //!
@@ -15,9 +15,10 @@
 //! * `submit` pushes each worker's share of a batch under one lock and
 //!   wakes the worker only if it sleeps for want of work.
 //! * A worker takes everything queued under one lock and services it in
-//!   order. It publishes each completion as soon as the request is
-//!   serviced (the latency backend's timing depends on it), waking the
-//!   reaper only if the reaper waits.
+//!   order, one extent at a time. It publishes an extent's completions
+//!   under one lock as soon as the extent is serviced (the latency
+//!   backend's timing depends on it), waking the reaper only if the
+//!   reaper waits.
 //! * `complete` takes every available completion under one lock.
 //!
 //! Backpressure is per disk, at any worker count: at most
@@ -28,6 +29,20 @@
 //! A worker that dies by panic closes its request queue and the
 //! completion channel as it unwinds, so `submit` and `complete` return
 //! `Err` instead of hanging.
+//!
+//! ## Extents
+//!
+//! Within a taken batch, a request joins the one before it when it reads
+//! the next block of the same disk. The worker serves each maximal run
+//! of such requests as one extent: one [`BlockDevice::read_block`] into
+//! a reused buffer, split back into one completion per request, in batch
+//! order. Every request of an extent starts service, and frees its depth
+//! slot, when the extent does. Each gets an even share of the extent's
+//! measured service interval, so a disk's intervals stay disjoint and
+//! sum to the measured time. A request whose service the device models
+//! ([`BlockDevice::service_timing`] returns `Some`) is served alone:
+//! that call advances the disk model, so it is made exactly once per
+//! request, and its result is that request's.
 
 use std::io;
 use std::path::Path;
@@ -36,9 +51,9 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use pm_core::PmError;
-use pm_disk::{BlockAddr, DiskId, DiskRequest, DiskSpec, QueueDiscipline};
+use pm_disk::{BlockAddr, DiskId, DiskSpec, QueueDiscipline};
 
-use crate::device::{BlockDevice, FileDevice, LatencyDevice, MemoryDevice};
+use crate::device::{BlockDevice, FileDevice, InjectedService, LatencyDevice, MemoryDevice};
 use crate::ioqueue::{IoCompletion, IoQueue, IoRequest, QueueOptions};
 
 struct ChannelInner<T> {
@@ -67,13 +82,14 @@ impl<T> Channel<T> {
         }
     }
 
-    /// Pushes are lost after `close`.
-    pub(crate) fn push(&self, item: T) {
+    /// Pushes `items` in order under one lock. Pushes are lost after
+    /// `close`.
+    pub(crate) fn push(&self, items: impl IntoIterator<Item = T>) {
         let mut inner = self.inner.lock().expect("channel poisoned");
         if inner.closed {
             return;
         }
-        inner.items.push(item);
+        inner.items.extend(items);
         let wake = std::mem::take(&mut inner.waiting);
         drop(inner);
         if wake {
@@ -231,7 +247,10 @@ struct Running {
 
 /// The threaded [`IoQueue`]: `min(jobs, disks)` worker threads (or one
 /// per disk when `jobs == 0`) over any [`BlockDevice`], with at most
-/// [`QueueOptions::depth`] requests per disk waiting for service.
+/// [`QueueOptions::depth`] requests per disk waiting for service. A
+/// worker reads each run of queued requests for consecutive blocks of
+/// one disk with one [`BlockDevice::read_block`], unless the device
+/// models the requests' service ([`BlockDevice::service_timing`]).
 pub struct ThreadedQueue {
     device: Arc<dyn BlockDevice>,
     label: &'static str,
@@ -444,13 +463,52 @@ fn worker_loop(
     // jitter does not accumulate across a run.
     let mut free_at = vec![epoch; disks];
     let mut batch = Vec::new();
+    // A batch holds at most `depth` requests of each served disk, and an
+    // extent at most `depth` requests.
+    let mut timings = Vec::with_capacity(queue.depth * queue.waiting.len());
+    let mut done = Vec::with_capacity(queue.depth);
+    let mut extent = Vec::with_capacity(queue.depth * device.block_bytes());
     while queue.take_all(&mut batch) {
-        for io in batch.drain(..) {
-            queue.started(&io);
-            let d = io.req.disk.0 as usize;
-            completions.push(service_one(device, &mut free_at[d], io, time_scale, epoch));
+        // Asked once per request; a request with a modeled service is
+        // served alone.
+        timings.clear();
+        timings.extend(batch.iter().map(|io| device.service_timing(&io.req)));
+        // Request `j` joins the one before it.
+        let joins = |j: usize| {
+            timings[j - 1].is_none()
+                && timings[j].is_none()
+                && reads_next_block(&batch[j - 1], &batch[j])
+        };
+        let mut i = 0;
+        while i < batch.len() {
+            let mut end = i + 1;
+            while end < batch.len() && joins(end) {
+                end += 1;
+            }
+            let ios = &batch[i..end];
+            for io in ios {
+                queue.started(io);
+            }
+            let d = ios[0].req.disk.0 as usize;
+            done.extend(service_extent(
+                device,
+                &mut free_at[d],
+                ios,
+                timings[i],
+                &mut extent,
+                time_scale,
+                epoch,
+            ));
+            completions.push(done.drain(..));
+            i = end;
         }
+        batch.clear();
     }
+}
+
+/// Whether `next` reads the block after `prev`'s on the same disk.
+fn reads_next_block(prev: &IoRequest, next: &IoRequest) -> bool {
+    next.req.disk == prev.req.disk && prev.req.start.0.checked_add(1) == Some(next.req.start.0)
 }
 
 /// Closes a worker's queues when the worker unwinds (a panicking
@@ -470,21 +528,45 @@ impl Drop for CloseOnUnwind<'_> {
     }
 }
 
-/// Services one request synchronously: real read plus (when the backend
-/// injects latency) the modeled service time slept out against the
-/// disk's anchored deadline. Shared by the threaded queue, the depth-1
-/// compat shim, and the multi-job shared device set, so every face
-/// times requests identically.
+/// Services one request: the one-request case of [`service_extent`],
+/// asking the device for its modeled service first. The multi-job
+/// shared device set serves every request this way.
 pub(crate) fn service_one(
     device: &dyn BlockDevice,
     free_at: &mut Instant,
     io: IoRequest,
+    scratch: &mut Vec<u8>,
     time_scale: f64,
     epoch: Instant,
 ) -> IoCompletion {
-    let IoRequest { req, span, submitted } = io;
-    let injected = device.service_timing(&req);
-    let mut buf = vec![0u8; device.block_bytes()];
+    let injected = device.service_timing(&io.req);
+    service_extent(device, free_at, &[io], injected, scratch, time_scale, epoch)
+        .next()
+        .expect("one completion per request")
+}
+
+/// Services `ios` — consecutive blocks of one disk — synchronously with
+/// one read into `scratch`, and yields one completion per request, in
+/// order. `injected` is the service the device modeled for a lone
+/// request: the read is then timed against the disk's anchored deadline
+/// `free_at` and the modeled time slept out. Otherwise each request gets
+/// an even share of the read's measured interval.
+pub(crate) fn service_extent<'a>(
+    device: &dyn BlockDevice,
+    free_at: &mut Instant,
+    ios: &'a [IoRequest],
+    injected: Option<InjectedService>,
+    scratch: &'a mut Vec<u8>,
+    time_scale: f64,
+    epoch: Instant,
+) -> impl Iterator<Item = IoCompletion> + 'a {
+    debug_assert!(
+        injected.is_none() || ios.len() == 1,
+        "a modeled request is served alone"
+    );
+    let first = ios[0].req;
+    let bb = device.block_bytes();
+    scratch.resize(ios.len() * bb, 0);
     let (started, finished);
     let result;
     if let Some(inj) = &injected {
@@ -494,31 +576,34 @@ pub(crate) fn service_one(
         // Read the payload first (memory/tmpfs reads are orders of
         // magnitude cheaper than the modeled mechanics), then sleep
         // out the remainder of the modeled service.
-        result = read(device, &req, &mut buf);
+        result = device.read_block(first.disk, first.start, scratch);
         sleep_until(deadline);
         *free_at = deadline;
         started = start;
         finished = deadline;
     } else {
         started = Instant::now();
-        result = read(device, &req, &mut buf);
+        result = device.read_block(first.disk, first.start, scratch);
         finished = Instant::now();
     }
-    IoCompletion {
-        disk: req.disk.0,
-        tag: req.tag,
-        span,
-        hint: req.sequential_hint,
+    let (started_ns, finished_ns) = (since(epoch, started), since(epoch, finished));
+    let share =
+        move |i: usize| started_ns + (finished_ns - started_ns) * i as u64 / ios.len() as u64;
+    let scratch = &*scratch;
+    ios.iter().enumerate().map(move |(i, io)| IoCompletion {
+        disk: io.req.disk.0,
+        tag: io.req.tag,
+        span: io.span,
+        hint: io.req.sequential_hint,
         injected,
-        submitted_ns: since(epoch, submitted),
-        started_ns: since(epoch, started),
-        finished_ns: since(epoch, finished),
-        data: result.map(|()| buf),
-    }
-}
-
-fn read(device: &dyn BlockDevice, req: &DiskRequest, buf: &mut [u8]) -> io::Result<()> {
-    device.read_block(req.disk, req.start, buf)
+        submitted_ns: since(epoch, io.submitted),
+        started_ns: share(i),
+        finished_ns: share(i + 1),
+        data: match &result {
+            Ok(()) => Ok(scratch[i * bb..(i + 1) * bb].to_vec()),
+            Err(e) => Err(io::Error::new(e.kind(), e.to_string())),
+        },
+    })
 }
 
 pub(crate) fn since(epoch: Instant, at: Instant) -> u64 {

@@ -8,22 +8,27 @@
 //! a depth-1 threaded queue must match one at the negotiated depth; the
 //! merged trace is ordered by time with one issue and one transfer per
 //! request; the threaded queue's depth bound holds per disk, not per
-//! worker; a panicking device fails the queue instead of hanging it;
-//! and the O_DIRECT alignment precondition must fail loudly, not
+//! worker; a worker reads each run of queued requests for consecutive
+//! blocks of one disk with one device call, and serves a request whose
+//! service is modeled alone; a panicking device fails the queue instead
+//! of hanging it; a device error on a read fails the merge with a typed
+//! error; and the O_DIRECT alignment precondition must fail loudly, not
 //! corrupt.
 
 mod common;
 
+use std::collections::HashMap;
 use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use pm_core::{PmError, ScenarioBuilder};
-use pm_disk::{BlockAddr, DiskId, DiskRequest};
+use pm_disk::{BlockAddr, DiskId, DiskRequest, ServiceBreakdown};
 use pm_engine::{
-    BlockDevice, ExecOutcome, IoCompletion, IoQueue, IoRequest, MemoryDevice, MergeEngine,
-    QueueOptions, ThreadedQueue, DIRECT_ALIGN,
+    disk_seed_for, BlockDevice, ExecOutcome, InjectedService, IoCompletion, IoQueue, IoRequest,
+    LatencyDevice, MemoryDevice, MergeEngine, QueueOptions, ThreadedQueue, DIRECT_ALIGN,
 };
 use pm_extsort::Record;
 use proptest::prelude::*;
@@ -417,6 +422,454 @@ fn depth_bounds_each_disk_even_with_fewer_workers_than_disks() {
     assert_eq!(out.len(), total);
     for c in &out {
         assert_eq!(c.data.as_ref().unwrap(), &vec![c.disk as u8; BB]);
+    }
+}
+
+/// One read a [`CountingDevice`] served, timed against the queue's
+/// epoch.
+#[derive(Debug, Clone, Copy)]
+struct Read {
+    disk: u16,
+    start: u64,
+    blocks: usize,
+    entered_ns: u64,
+    left_ns: u64,
+}
+
+#[derive(Default)]
+struct DeviceLog {
+    reads: Mutex<Vec<Read>>,
+    /// Reads begun, finished or not.
+    entered: AtomicUsize,
+    timings: AtomicUsize,
+}
+
+impl DeviceLog {
+    fn reads(&self) -> Vec<Read> {
+        self.reads.lock().unwrap().clone()
+    }
+}
+
+/// Forwards to `inner`, logging every read and every `service_timing`
+/// call.
+struct CountingDevice<D> {
+    inner: D,
+    log: Arc<DeviceLog>,
+    epoch: Instant,
+}
+
+impl<D: BlockDevice> BlockDevice for CountingDevice<D> {
+    fn block_bytes(&self) -> usize {
+        self.inner.block_bytes()
+    }
+
+    fn disks(&self) -> usize {
+        self.inner.disks()
+    }
+
+    fn read_block(&self, disk: DiskId, start: BlockAddr, buf: &mut [u8]) -> io::Result<()> {
+        let since = |at: Instant| at.duration_since(self.epoch).as_nanos() as u64;
+        self.log.entered.fetch_add(1, Ordering::SeqCst);
+        let entered_ns = since(Instant::now());
+        let result = self.inner.read_block(disk, start, buf);
+        let left_ns = since(Instant::now());
+        self.log.reads.lock().unwrap().push(Read {
+            disk: disk.0,
+            start: start.0,
+            blocks: buf.len() / self.block_bytes(),
+            entered_ns,
+            left_ns,
+        });
+        result
+    }
+
+    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
+        self.inner.write_block(disk, start, data)
+    }
+
+    fn service_timing(&self, req: &DiskRequest) -> Option<InjectedService> {
+        self.log.timings.fetch_add(1, Ordering::SeqCst);
+        self.inner.service_timing(req)
+    }
+}
+
+const EXTENT_DISKS: usize = 8;
+const EXTENT_BB: usize = 16;
+/// Where a gated first read goes: far from every tested block.
+const PRIMER: u64 = 20;
+
+/// The tested `(disk, block)` reads, in submission order: runs of
+/// consecutive blocks, broken by another disk's request, by an address
+/// gap and by a jump back; disks read block by block in turn; and a
+/// disk that resumes its run after the others.
+#[rustfmt::skip]
+const EXTENT_READS: [(u16, u64); 25] = [
+    (0, 0), (0, 1), (0, 2), (0, 3),
+    (1, 0), (1, 1), (2, 0), (1, 2), (1, 3),
+    (3, 0), (3, 1), (3, 3), (3, 4),
+    (4, 5), (4, 6), (4, 7), (4, 0), (4, 1),
+    (5, 0), (6, 0), (7, 0), (5, 1), (6, 1), (7, 1),
+    (0, 4),
+];
+
+/// The payload of `block` on `disk`: distinct for every block.
+fn payload(disk: u16, block: u64) -> Vec<u8> {
+    (0..EXTENT_BB)
+        .map(|i| (usize::from(disk) * 31 + block as usize * 7 + i) as u8)
+        .collect()
+}
+
+/// A device holding [`payload`] at blocks `0..8` and [`PRIMER`] of
+/// every disk.
+fn loaded<D: BlockDevice>(mut dev: D) -> D {
+    for d in 0..EXTENT_DISKS as u16 {
+        for b in (0..8).chain([PRIMER]) {
+            dev.write_block(DiskId(d), BlockAddr(b), &payload(d, b))
+                .unwrap();
+        }
+    }
+    dev
+}
+
+/// [`EXTENT_READS`] as requests, each span its per-disk submission
+/// index and each tag its `(disk, block)`.
+fn extent_requests() -> Vec<IoRequest> {
+    let mut next_span = [0u64; EXTENT_DISKS];
+    EXTENT_READS
+        .iter()
+        .map(|&(disk, block)| {
+            let span = &mut next_span[usize::from(disk)];
+            *span += 1;
+            let mut io = read_request(usize::from(disk), block as usize);
+            io.span = *span - 1;
+            io
+        })
+        .collect()
+}
+
+/// The extents a worker makes of its queue, as sorted
+/// `(disk, start, blocks)`: per worker, maximal runs of requests for
+/// consecutive blocks of one disk.
+fn expected_extents(reqs: &[IoRequest], workers: usize) -> Vec<(u16, u64, usize)> {
+    let mut extents: Vec<(u16, u64, usize)> = Vec::new();
+    for w in 0..workers {
+        let mut prev = None;
+        for io in reqs
+            .iter()
+            .filter(|io| usize::from(io.req.disk.0) % workers == w)
+        {
+            let at = (io.req.disk.0, io.req.start.0);
+            match (prev, extents.last_mut()) {
+                (Some((d, b)), Some(last)) if d == at.0 && b + 1 == at.1 => last.2 += 1,
+                _ => extents.push((at.0, at.1, 1)),
+            }
+            prev = Some(at);
+        }
+    }
+    extents.sort_unstable();
+    extents
+}
+
+/// Per disk, completions arrive in submission order with disjoint
+/// `[started_ns, finished_ns]` intervals, and each carries the bytes a
+/// one-block read of its block returns.
+fn assert_fifo_disjoint_and_exact(out: &[IoCompletion], what: &str) {
+    let reference = loaded(MemoryDevice::new(EXTENT_DISKS, EXTENT_BB));
+    let mut last: HashMap<u16, &IoCompletion> = HashMap::new();
+    for c in out {
+        let block = c.tag % 1000;
+        let mut one = vec![0u8; EXTENT_BB];
+        reference
+            .read_block(DiskId(c.disk), BlockAddr(block), &mut one)
+            .unwrap();
+        assert_eq!(
+            c.data.as_ref().unwrap(),
+            &one,
+            "{what}: disk {} block {block}",
+            c.disk
+        );
+        assert!(c.started_ns <= c.finished_ns, "{what}: interval reversed");
+        if let Some(prev) = last.insert(c.disk, c) {
+            assert_eq!(
+                c.span,
+                prev.span + 1,
+                "{what}: disk {} out of FIFO order",
+                c.disk
+            );
+            assert!(
+                prev.finished_ns <= c.started_ns,
+                "{what}: disk {} intervals overlap",
+                c.disk
+            );
+        }
+    }
+}
+
+#[test]
+fn a_worker_reads_each_contiguous_same_disk_run_with_one_call() {
+    // Expected device reads at jobs 1 (one worker interleaving eight
+    // disks: another disk's request breaks a run) and at jobs 0 (one
+    // worker per disk).
+    for (jobs, workers, expected_reads) in [(1, 1, 15), (0, EXTENT_DISKS, 10)] {
+        let what = format!("jobs {jobs}");
+        let gate = Arc::new(Gate::default());
+        let log = Arc::new(DeviceLog::default());
+        let epoch = Instant::now();
+        let device = CountingDevice {
+            inner: loaded(GatedDevice {
+                inner: MemoryDevice::new(EXTENT_DISKS, EXTENT_BB),
+                gate: Arc::clone(&gate),
+            }),
+            log: Arc::clone(&log),
+            epoch,
+        };
+        let opts = QueueOptions {
+            depth: 64,
+            jobs,
+            time_scale: 1.0,
+        };
+        let mut queue = ThreadedQueue::over(Arc::new(device), "counting", opts);
+        queue.open(epoch).unwrap();
+        // Hold every worker in a first read until everything is queued,
+        // so each worker takes its whole share as one batch.
+        let primers: Vec<IoRequest> = (0..workers)
+            .map(|w| {
+                let mut io = read_request(w, PRIMER as usize);
+                io.span = u64::MAX;
+                io
+            })
+            .collect();
+        queue.submit(&primers).unwrap();
+        let held = Instant::now();
+        while log.entered.load(Ordering::SeqCst) < workers {
+            assert!(
+                held.elapsed() < HANG,
+                "{what}: workers never started reading"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        let reqs = extent_requests();
+        queue.submit(&reqs).unwrap();
+        gate.open();
+        let mut out = Vec::new();
+        while out.len() < reqs.len() + workers {
+            queue.complete(&mut out, 1).unwrap();
+        }
+        queue.shutdown().unwrap();
+        out.retain(|c| c.span != u64::MAX);
+
+        let reads: Vec<Read> = log
+            .reads()
+            .into_iter()
+            .filter(|r| r.start != PRIMER)
+            .collect();
+        let mut extents: Vec<(u16, u64, usize)> =
+            reads.iter().map(|r| (r.disk, r.start, r.blocks)).collect();
+        extents.sort_unstable();
+        assert_eq!(extents.len(), expected_reads, "{what}: device reads");
+        assert_eq!(extents, expected_extents(&reqs, workers), "{what}: extents");
+        assert_fifo_disjoint_and_exact(&out, &what);
+
+        // The requests of an extent tile its interval in even shares, and
+        // that interval holds the device read.
+        let by_block: HashMap<(u16, u64), &IoCompletion> =
+            out.iter().map(|c| ((c.disk, c.tag % 1000), c)).collect();
+        for r in &reads {
+            let members: Vec<&IoCompletion> = (0..r.blocks as u64)
+                .map(|i| by_block[&(r.disk, r.start + i)])
+                .collect();
+            let (first, last) = (members[0], members[r.blocks - 1]);
+            assert!(
+                first.started_ns <= r.entered_ns && r.left_ns <= last.finished_ns,
+                "{what}: extent {r:?} read outside its requests' service"
+            );
+            let even = (last.finished_ns - first.started_ns) / r.blocks as u64;
+            for pair in members.windows(2) {
+                assert_eq!(
+                    pair[0].finished_ns, pair[1].started_ns,
+                    "{what}: {r:?} not tiled"
+                );
+            }
+            for c in &members {
+                let share = c.finished_ns - c.started_ns;
+                assert!(
+                    share.abs_diff(even) <= 1,
+                    "{what}: extent {r:?} share {share} ns, even share {even} ns"
+                );
+            }
+        }
+    }
+}
+
+/// Models service for every third block only, at no cost.
+struct ModelEveryThird(MemoryDevice);
+
+impl BlockDevice for ModelEveryThird {
+    fn block_bytes(&self) -> usize {
+        self.0.block_bytes()
+    }
+
+    fn disks(&self) -> usize {
+        self.0.disks()
+    }
+
+    fn read_block(&self, disk: DiskId, start: BlockAddr, buf: &mut [u8]) -> io::Result<()> {
+        self.0.read_block(disk, start, buf)
+    }
+
+    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
+        self.0.write_block(disk, start, data)
+    }
+
+    fn service_timing(&self, req: &DiskRequest) -> Option<InjectedService> {
+        (req.start.0 % 3 == 0).then_some(InjectedService {
+            breakdown: ServiceBreakdown::default(),
+            sequential: false,
+        })
+    }
+}
+
+/// Serves [`extent_requests`] through one worker over `device` and
+/// returns the completions with the device's log.
+fn serve_extent_requests<D: BlockDevice + 'static>(
+    device: D,
+) -> (Vec<IoCompletion>, Arc<DeviceLog>) {
+    let log = Arc::new(DeviceLog::default());
+    let epoch = Instant::now();
+    let device = CountingDevice {
+        inner: loaded(device),
+        log: Arc::clone(&log),
+        epoch,
+    };
+    let opts = QueueOptions {
+        depth: 64,
+        jobs: 1,
+        time_scale: 0.0,
+    };
+    let mut queue = ThreadedQueue::over(Arc::new(device), "counting", opts);
+    queue.open(epoch).unwrap();
+    let reqs = extent_requests();
+    queue.submit(&reqs).unwrap();
+    let mut out = Vec::new();
+    while out.len() < reqs.len() {
+        queue.complete(&mut out, 1).unwrap();
+    }
+    queue.shutdown().unwrap();
+    (out, log)
+}
+
+#[test]
+fn a_modeled_request_is_served_alone_with_one_timing_call() {
+    let cfg = ScenarioBuilder::new(2, EXTENT_DISKS as u32)
+        .seed(61)
+        .build()
+        .unwrap();
+    let model = || {
+        LatencyDevice::new(
+            MemoryDevice::new(EXTENT_DISKS, EXTENT_BB),
+            EXTENT_DISKS,
+            cfg.disk_spec,
+            cfg.discipline,
+            disk_seed_for(&cfg),
+        )
+    };
+    let (out, log) = serve_extent_requests(model());
+    let n = EXTENT_READS.len();
+    assert_eq!(
+        log.timings.load(Ordering::SeqCst),
+        n,
+        "one service_timing per request"
+    );
+    let reads = log.reads();
+    assert_eq!(reads.len(), n, "one read per modeled request");
+    assert!(reads.iter().all(|r| r.blocks == 1));
+    assert_fifo_disjoint_and_exact(&out, "latency");
+    // Each request carries the service the model computed for it: a
+    // fresh model asked once per request, in submission order, agrees.
+    let reference = model();
+    let expected: HashMap<(u16, u64), ServiceBreakdown> = extent_requests()
+        .iter()
+        .map(|io| {
+            let inj = reference.service_timing(&io.req).unwrap();
+            ((io.req.disk.0, io.req.start.0), inj.breakdown)
+        })
+        .collect();
+    for c in &out {
+        let inj = c.injected.expect("a modeled completion");
+        assert_eq!(inj.breakdown, expected[&(c.disk, c.tag % 1000)]);
+    }
+
+    // A device that models some requests only: those are served alone,
+    // the rest still join into extents, and each request is asked once.
+    let (out, log) =
+        serve_extent_requests(ModelEveryThird(MemoryDevice::new(EXTENT_DISKS, EXTENT_BB)));
+    assert_eq!(
+        log.timings.load(Ordering::SeqCst),
+        n,
+        "one service_timing per request"
+    );
+    assert_fifo_disjoint_and_exact(&out, "every third modeled");
+    for c in &out {
+        assert_eq!(
+            c.injected.is_some(),
+            c.tag % 1000 % 3 == 0,
+            "disk {} tag {}",
+            c.disk,
+            c.tag
+        );
+    }
+    let reads = log.reads();
+    for r in &reads {
+        let modeled = (r.start..r.start + r.blocks as u64).any(|b| b % 3 == 0);
+        assert!(
+            !modeled || r.blocks == 1,
+            "modeled block joined an extent: {r:?}"
+        );
+    }
+    assert!(reads.len() < n, "unmodeled requests must still join");
+}
+
+/// Reads one byte short of the buffer it is given.
+struct ShortReadDevice(MemoryDevice);
+
+impl BlockDevice for ShortReadDevice {
+    fn block_bytes(&self) -> usize {
+        self.0.block_bytes()
+    }
+
+    fn disks(&self) -> usize {
+        self.0.disks()
+    }
+
+    fn read_block(&self, disk: DiskId, start: BlockAddr, buf: &mut [u8]) -> io::Result<()> {
+        self.0.read_block(disk, start, &mut buf[1..])
+    }
+
+    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
+        self.0.write_block(disk, start, data)
+    }
+}
+
+#[test]
+fn a_read_buffer_of_partial_blocks_fails_the_merge_with_a_device_error() {
+    let runs = form_runs(1200, 200, 23);
+    let cfg = ScenarioBuilder::new(runs.len() as u32, 3)
+        .inter(3)
+        .seed(67)
+        .build()
+        .unwrap();
+    let disks = cfg.disks as usize;
+    let engine = engine_custom(cfg, &runs, 1, 0, RPB);
+    let device = ShortReadDevice(MemoryDevice::new(disks, engine.block_bytes()));
+    let mut queue = ThreadedQueue::over(Arc::new(device), "short", engine.queue_options());
+    engine.load(&mut queue, &runs).expect("load");
+    match engine.execute(Box::new(queue)) {
+        Err(err @ PmError::Device { backend, .. }) => {
+            assert_eq!(backend, "short");
+            assert_eq!(err.exit_code(), 2);
+            assert!(err.to_string().contains("whole number"), "{err}");
+        }
+        other => panic!("expected PmError::Device, got {:?}", other.map(|_| ())),
     }
 }
 
