@@ -31,6 +31,7 @@
 //! two can differ.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::io;
 use std::time::{Duration, Instant};
 
 use pm_cache::RunId;
@@ -38,13 +39,14 @@ use pm_core::{
     DecisionCore, LoserTree, MergeConfig, MergeReport, MergeSim, PmError, SyncMode,
     TraceDepletion, Wait,
 };
-use pm_disk::{Cylinder, DiskRequest};
+use pm_disk::DiskRequest;
 use pm_extsort::Record;
 use pm_metrics::{MetricsSink, NullMetrics};
 use pm_sim::{SimDuration, SimTime};
-use pm_trace::{pack_tenant_tag, unpack_tag, unpack_tenant_tag, EventKind, RecordingSink, TraceEvent, TraceSink};
+use pm_trace::{unpack_tag, unpack_tenant_tag, EventKind, NullSink, TraceEvent, TraceSink};
 
 use crate::block::{block_bytes, decode_records, encode_records};
+use crate::derived::{disk_issue, Arrival, EngineTrace, Issuer, MergeRecord};
 use crate::ioqueue::{IoCompletion, IoQueue, IoRequest, QueueOptions};
 use crate::shared::SharedPort;
 
@@ -139,7 +141,12 @@ pub struct ExecOutcome {
     /// events. Each stream keeps its emission order among equal
     /// timestamps, and at equal `at` the merge thread's events come
     /// first.
-    pub events: Vec<TraceEvent>,
+    ///
+    /// The merge records only each depletion's and each submission's
+    /// clock reading and one record per arrival; the stream is derived
+    /// from those on its first read, by replaying the decisions, and
+    /// kept. A run whose trace is never read never builds it.
+    pub events: EngineTrace,
 }
 
 /// The simulator's answer for an engine run's depletion sequence.
@@ -371,22 +378,10 @@ impl MergeEngine {
     /// Panics if an internal invariant of the decision core breaks.
     pub fn execute_metered<M: MetricsSink>(
         &self,
-        mut queue: Box<dyn IoQueue>,
+        queue: Box<dyn IoQueue>,
         metrics: &M,
     ) -> Result<ExecOutcome, PmError> {
-        let disks = self.merge_config().disks;
-        if queue.disks() < disks as usize {
-            return Err(PmError::Usage(format!(
-                "queue has {} disks, scenario needs {disks}",
-                queue.disks(),
-            )));
-        }
-        let epoch = Instant::now();
-        queue
-            .open(epoch)
-            .map_err(|e| PmError::device(queue.backend(), "opening the queue", e))?;
-        let mut state = ExecState::new(self, queue, 0, epoch, metrics);
-        state.run()
+        self.drive(queue, 0, metrics, NullSink)
     }
 
     /// Executes the merge through a [`crate::SharedDeviceSet`] port:
@@ -433,12 +428,31 @@ impl MergeEngine {
             )));
         }
         let tenant = port.tenant();
-        let mut port: Box<dyn IoQueue> = Box::new(port);
+        self.drive(Box::new(port), tenant, metrics, NullSink)
+    }
+
+    /// Opens `queue` and runs the merge on it, tagging reads with
+    /// `tenant`. Every event also goes to `sink` as it happens (the
+    /// public entry points pass a [`NullSink`], so nothing does).
+    pub(crate) fn drive<M: MetricsSink, S: TraceSink>(
+        &self,
+        mut queue: Box<dyn IoQueue>,
+        tenant: u16,
+        metrics: &M,
+        sink: S,
+    ) -> Result<ExecOutcome, PmError> {
+        let disks = self.merge_config().disks;
+        if queue.disks() < disks as usize {
+            return Err(PmError::Usage(format!(
+                "queue has {} disks, scenario needs {disks}",
+                queue.disks(),
+            )));
+        }
         let epoch = Instant::now();
-        port.open(epoch)
-            .map_err(|e| PmError::device("shared", "opening the port", e))?;
-        let mut state = ExecState::new(self, port, tenant, epoch, metrics);
-        state.run()
+        queue
+            .open(epoch)
+            .map_err(|e| PmError::device(queue.backend(), "opening the queue", e))?;
+        ExecState::new(self, queue, tenant, epoch, metrics, sink).run()
     }
 
     /// Replays an engine run's depletion sequence through the
@@ -483,37 +497,7 @@ impl TraceSink for IssueLog {
     }
 }
 
-/// Merges the merge thread's events (already non-decreasing in `at`)
-/// with the completion-stamped ones into one stream ordered by `at`,
-/// the merge thread's first at equal `at`.
-fn merge_trace(mut events: Vec<TraceEvent>, mut completions: Vec<TraceEvent>) -> Vec<TraceEvent> {
-    debug_assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
-    // Stable, and linear when completions are already in order (one
-    // worker publishes its completions as it services them).
-    completions.sort_by_key(|e| e.at);
-    let Some(&fill) = completions.first() else {
-        return events;
-    };
-    // Merge in place from the back: the later tail goes last, and a
-    // completion goes after a merge-thread event with the same `at`.
-    let mut own = events.len();
-    events.resize(own + completions.len(), fill);
-    for k in (0..events.len()).rev() {
-        let Some(&done) = completions.last() else {
-            break;
-        };
-        if own > 0 && events[own - 1].at > done.at {
-            own -= 1;
-            events[k] = events[own];
-        } else {
-            events[k] = done;
-            completions.pop();
-        }
-    }
-    events
-}
-
-struct ExecState<'a, M: MetricsSink> {
+struct ExecState<'a, M: MetricsSink, S: TraceSink> {
     plan: &'a MergeEngine,
     core: DecisionCore,
     /// Reads the core decided on, staged for the queue right after each
@@ -532,37 +516,34 @@ struct ExecState<'a, M: MetricsSink> {
     reap_buf: Vec<IoCompletion>,
     /// In-flight requests per disk (queue-depth gauge).
     inflight: Vec<u64>,
-    /// Tenant id stamped into trace tags (0 for dedicated runs).
-    tenant: u16,
+    /// Per disk, whether each issued read (by span) has arrived.
+    arrived: Vec<Vec<bool>>,
+    /// Per-disk requests of the batch being submitted (metered runs).
+    batch: Vec<u64>,
     metrics: &'a M,
     epoch: Instant,
     /// Arrived, not-yet-consumed block payloads per run, keyed by block
     /// index (striped layouts deliver out of index order).
     store: Vec<BTreeMap<u32, Vec<Record>>>,
-    /// Head position per disk that head-proximity choice scores against:
-    /// the cylinder of the last *submitted* block.
-    head_cyl: Vec<Cylinder>,
-    spans: Vec<u64>,
-    /// Events stamped with the merge thread's clock: the decision core's
-    /// and each request's `DiskIssue`, non-decreasing in `at`.
-    sink: RecordingSink,
-    /// Events stamped with a completion's service times, in arrival
-    /// order (not sorted by `at`).
-    completions: Vec<TraceEvent>,
+    issuer: Issuer,
+    /// What the trace is derived from.
+    record: MergeRecord,
+    /// Every event as it happens: the merge thread's, then each
+    /// arrival's completion events when it is processed.
+    sink: S,
     stall: Duration,
     per_disk_sequential: Vec<u64>,
     per_disk_modeled_busy: Vec<SimDuration>,
-    request_log: Vec<Vec<(u32, u32)>>,
-    depletion: Vec<RunId>,
 }
 
-impl<'a, M: MetricsSink> ExecState<'a, M> {
+impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
     fn new(
         plan: &'a MergeEngine,
         port: Box<dyn IoQueue>,
         tenant: u16,
         epoch: Instant,
         metrics: &'a M,
+        sink: S,
     ) -> Self {
         let backend = port.backend();
         let core = plan.core.clone();
@@ -577,19 +558,17 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             pending: VecDeque::new(),
             reap_buf: Vec::new(),
             inflight: vec![0; d],
-            tenant,
+            arrived: vec![Vec::new(); d],
+            batch: vec![0; d],
             metrics,
             epoch,
             store: vec![BTreeMap::new(); k],
-            head_cyl: vec![Cylinder(0); d],
-            spans: vec![0; d],
-            sink: RecordingSink::unbounded(),
-            completions: Vec::with_capacity(core.layout().total_blocks() as usize),
+            issuer: Issuer::new(d, tenant),
+            record: MergeRecord::new(plan.core.clone(), tenant),
+            sink,
             stall: Duration::ZERO,
             per_disk_sequential: vec![0; d],
             per_disk_modeled_busy: vec![SimDuration::ZERO; d],
-            request_log: vec![Vec::new(); d],
-            depletion: Vec::with_capacity(core.layout().total_blocks() as usize),
             core,
         }
     }
@@ -598,7 +577,7 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         SimTime::ZERO + SimDuration::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
-    fn run(&mut self) -> Result<ExecOutcome, PmError> {
+    fn run(mut self) -> Result<ExecOutcome, PmError> {
         let k = self.core.config().runs as usize;
         self.initial_load()?;
 
@@ -634,10 +613,6 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
         self.port
             .shutdown()
             .map_err(|e| PmError::device(self.backend, "shutting down the queue", e))?;
-        let events = merge_trace(
-            std::mem::replace(&mut self.sink, RecordingSink::unbounded()).into_events(),
-            std::mem::take(&mut self.completions),
-        );
         let report = ExecReport {
             wall,
             stall: self.stall,
@@ -647,17 +622,17 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             fallback_ops: counts.fallback_ops,
             full_prefetch_ops: counts.full_prefetch_ops,
             success_ratio: counts.success_ratio(),
-            per_disk_requests: self.request_log.iter().map(|r| r.len() as u64).collect(),
-            per_disk_sequential: std::mem::take(&mut self.per_disk_sequential),
-            per_disk_modeled_busy: std::mem::take(&mut self.per_disk_modeled_busy),
+            per_disk_requests: self.issuer.requests.iter().map(|r| r.len() as u64).collect(),
+            per_disk_sequential: self.per_disk_sequential,
+            per_disk_modeled_busy: self.per_disk_modeled_busy,
             time_scale: self.plan.cfg.time_scale,
         };
         Ok(ExecOutcome {
             output,
             report,
-            depletion: std::mem::take(&mut self.depletion),
-            requests: std::mem::take(&mut self.request_log),
-            events,
+            depletion: self.record.depletion.clone(),
+            requests: self.issuer.requests,
+            events: EngineTrace::merge(self.record),
         })
     }
 
@@ -691,13 +666,14 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
     /// back the run's next block (`None` once the run is exhausted).
     fn advance_run(&mut self, j: RunId) -> Result<Option<Vec<Record>>, PmError> {
         let now = self.now();
-        self.depletion.push(j);
+        self.record.depletion.push(j);
+        self.record.depleted_at.push(now);
         self.core.consume(j, now, &mut self.sink);
-        let head_cyl = &self.head_cyl;
+        let issuer = &self.issuer;
         let wait = self.core.decide(
             j,
             now,
-            |d| head_cyl[d.0 as usize],
+            |d| issuer.head(d),
             &mut self.reads,
             &mut self.sink,
         );
@@ -723,26 +699,17 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             return Ok(());
         }
         let now = self.now();
+        self.record.submitted_at.push(now);
         let submitted = Instant::now();
         let geometry = &self.core.config().disk_spec.geometry;
         for mut req in self.reads.drain(..) {
-            let d = req.disk.0 as usize;
-            let (run, index) = unpack_tag(req.tag);
-            req.tag = pack_tenant_tag(self.tenant, run, index);
-            let span = self.spans[d];
-            self.spans[d] += 1;
-            self.sink.emit(TraceEvent {
-                at: now,
-                kind: EventKind::DiskIssue {
-                    disk: req.disk.0,
-                    output: false,
-                    tag: req.tag,
-                    span,
-                },
-            });
-            self.request_log[d].push((run, index));
-            self.head_cyl[d] = geometry.cylinder_of(req.start);
+            let span = self.issuer.issue(&mut req, geometry);
+            if S::ENABLED {
+                self.sink.emit(disk_issue(now, &req, span));
+            }
+            let d = usize::from(req.disk.0);
             self.inflight[d] += 1;
+            self.arrived[d].push(false);
             self.stage.push(IoRequest {
                 req,
                 span,
@@ -750,14 +717,14 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
             });
         }
         if M::ENABLED {
-            let mut counts = vec![0u64; self.inflight.len()];
             for r in &self.stage {
-                counts[r.req.disk.0 as usize] += 1;
+                self.batch[usize::from(r.req.disk.0)] += 1;
             }
-            for (d, &n) in counts.iter().enumerate() {
-                if n > 0 {
-                    self.metrics.io_submit_batch(d, n);
+            for (d, n) in self.batch.iter_mut().enumerate() {
+                if *n > 0 {
+                    self.metrics.io_submit_batch(d, *n);
                     self.metrics.disk_queue_depth(d, self.inflight[d] as f64);
+                    *n = 0;
                 }
             }
         }
@@ -783,8 +750,8 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
     }
 
     /// Takes the next completion (reaping a batch from the queue when
-    /// none is pending) and processes it; returns the run whose block
-    /// arrived.
+    /// none is pending), checks it answers a read in flight with one
+    /// block, and processes it; returns the run whose block arrived.
     fn await_arrival(&mut self) -> Result<RunId, PmError> {
         let completion = match self.pending.pop_front() {
             Some(c) => c,
@@ -800,18 +767,51 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
                     self.metrics.io_reap_batch(n as u64);
                 }
                 self.pending.extend(self.reap_buf.drain(..));
-                self.pending.pop_front().expect("complete(_, 1) returned 0")
+                self.pending.pop_front().ok_or_else(|| {
+                    PmError::device(
+                        self.backend,
+                        "waiting for completions",
+                        io::Error::other("the queue reaped no completion"),
+                    )
+                })?
             }
         };
+        let d = usize::from(completion.disk);
         let (_, run, index) = unpack_tenant_tag(completion.tag);
-        let d = completion.disk as usize;
-        self.inflight[d] = self.inflight[d].saturating_sub(1);
+        let landed = self
+            .arrived
+            .get_mut(d)
+            .and_then(|spans| spans.get_mut(completion.span as usize))
+            .filter(|landed| !**landed && self.issuer.issued(d, completion.span, completion.tag));
+        let Some(landed) = landed else {
+            return Err(PmError::device(
+                self.backend,
+                format!("completion of read {} on disk {d}", completion.span),
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("it names run {run} block {index}, which is not in flight there"),
+                ),
+            ));
+        };
+        *landed = true;
+        self.inflight[d] -= 1;
         if M::ENABLED {
             self.metrics.disk_queue_depth(d, self.inflight[d] as f64);
         }
         let data = completion
             .data
             .map_err(|e| PmError::device(self.backend, format!("read run {run} block {index}"), e))?;
+        let bb = self.plan.block_bytes();
+        if data.len() != bb {
+            return Err(PmError::device(
+                self.backend,
+                format!("read run {run} block {index}"),
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("the queue returned {} bytes for a {bb}-byte block", data.len()),
+                ),
+            ));
+        }
         let started = SimTime::ZERO + SimDuration::from_nanos(completion.started_ns);
         let finished = SimTime::ZERO + SimDuration::from_nanos(completion.finished_ns);
         if M::ENABLED {
@@ -820,52 +820,46 @@ impl<'a, M: MetricsSink> ExecState<'a, M> {
                 / NANOS_PER_SEC;
             let service = completion.finished_ns.saturating_sub(completion.started_ns) as f64
                 / NANOS_PER_SEC;
-            self.metrics
-                .disk_io(d, self.plan.block_bytes() as u64, wait, service);
+            self.metrics.disk_io(d, bb as u64, wait, service);
             // Dedicated runs carry tenant 0; a sink built without tenants
             // drops these, a shared run's sink attributes them.
-            self.metrics.tenant_blocks(self.tenant as usize, 1);
-            self.metrics.tenant_wait(self.tenant as usize, wait);
+            let tenant = usize::from(self.record.tenant);
+            self.metrics.tenant_blocks(tenant, 1);
+            self.metrics.tenant_wait(tenant, wait);
         }
-        let sequential = match completion.injected {
-            Some(inj) => {
-                self.per_disk_modeled_busy[d] += inj.breakdown.total();
-                if !inj.sequential {
-                    // Retroactive, like the simulator: positioning ends
-                    // seek+latency (scaled) after service start.
-                    let positioning = inj.breakdown.seek + inj.breakdown.latency;
-                    let scaled = SimDuration::from_nanos(
+        let mut arrival = Arrival {
+            tag: completion.tag,
+            span: completion.span,
+            started,
+            finished,
+            seek_done: started,
+            disk: completion.disk,
+            sequential: completion.hint,
+            sought: false,
+        };
+        if let Some(inj) = completion.injected {
+            self.per_disk_modeled_busy[d] += inj.breakdown.total();
+            arrival.sequential = inj.sequential;
+            if !inj.sequential {
+                // Retroactive, like the simulator: positioning ends
+                // seek+latency (scaled) after service start.
+                let positioning = inj.breakdown.seek + inj.breakdown.latency;
+                arrival.seek_done = started
+                    + SimDuration::from_nanos(
                         (positioning.as_nanos() as f64 * self.plan.cfg.time_scale).round() as u64,
                     );
-                    self.completions.push(TraceEvent {
-                        at: started + scaled,
-                        kind: EventKind::DiskSeekDone {
-                            disk: completion.disk,
-                            output: false,
-                            tag: completion.tag,
-                            span: completion.span,
-                            started,
-                        },
-                    });
-                }
-                inj.sequential
+                arrival.sought = true;
             }
-            None => completion.hint,
-        };
-        if sequential {
+        }
+        if arrival.sequential {
             self.per_disk_sequential[d] += 1;
         }
-        self.completions.push(TraceEvent {
-            at: finished,
-            kind: EventKind::DiskTransferDone {
-                disk: completion.disk,
-                output: false,
-                tag: completion.tag,
-                span: completion.span,
-                started,
-                sequential,
-            },
-        });
+        if S::ENABLED {
+            for event in arrival.events() {
+                self.sink.emit(event);
+            }
+        }
+        self.record.arrivals.push(arrival);
         let count = self.records_in_block(run, index);
         let records = decode_records(&data, count);
         self.core.block_arrived(RunId(run));
@@ -1033,41 +1027,6 @@ mod tests {
             }
         }
         queue.shutdown().unwrap();
-    }
-
-    /// `(at, run)` of each event of `merge_trace(own, completions)`,
-    /// events built as `RunExhausted { run }` at `at` nanoseconds.
-    fn merged(own: &[(u64, u32)], completions: &[(u64, u32)]) -> Vec<(u64, u32)> {
-        let events = |list: &[(u64, u32)]| -> Vec<TraceEvent> {
-            list.iter()
-                .map(|&(at, run)| TraceEvent {
-                    at: SimTime::from_nanos(at),
-                    kind: EventKind::RunExhausted { run },
-                })
-                .collect()
-        };
-        merge_trace(events(own), events(completions))
-            .iter()
-            .map(|ev| match ev.kind {
-                EventKind::RunExhausted { run } => (ev.at.as_nanos(), run),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn merge_trace_orders_by_time_with_own_events_first_on_ties() {
-        // Completions arrive out of order, one before every own event,
-        // one after, and two tie with own events at 4.
-        assert_eq!(
-            merged(
-                &[(2, 0), (4, 1), (4, 2), (9, 3)],
-                &[(4, 10), (1, 11), (12, 12), (4, 13), (3, 14)],
-            ),
-            [(1, 11), (2, 0), (3, 14), (4, 1), (4, 2), (4, 10), (4, 13), (9, 3), (12, 12)]
-        );
-        assert_eq!(merged(&[], &[(5, 1), (3, 2)]), [(3, 2), (5, 1)]);
-        assert_eq!(merged(&[(1, 0), (1, 1)], &[]), [(1, 0), (1, 1)]);
     }
 
     #[test]

@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 mod block;
+mod derived;
 mod device;
 mod engine;
 mod ioqueue;
@@ -59,6 +60,7 @@ mod uring;
 mod workers;
 
 pub use block::{block_bytes, decode_records, encode_records, RECORD_BYTES};
+pub use derived::EngineTrace;
 pub use device::{
     BlockDevice, FileDevice, InjectedService, LatencyDevice, MemoryDevice, DIRECT_ALIGN,
 };

@@ -35,8 +35,9 @@ use pm_extsort::plan::MergeTreePlan;
 use pm_extsort::Record;
 use pm_metrics::{MetricsSink, NullMetrics};
 use pm_sim::{SimDuration, SimTime};
-use pm_trace::{EventKind, TraceEvent};
+use pm_trace::{EventKind, NullSink, TraceEvent, TraceSink};
 
+use crate::derived::{EngineTrace, Segment};
 use crate::engine::{disk_seed_for, EnginePrediction, ExecConfig, ExecOutcome, MergeEngine};
 use crate::ioqueue::IoQueue;
 use crate::workers::ThreadedQueue;
@@ -156,14 +157,18 @@ pub struct MultiPassOutcome {
     /// with an [`EventKind::PassBoundary`] marker, its groups' events
     /// follow one after another, and pass `p + 1` starts where pass
     /// `p`'s summed group walls end.
-    pub events: Vec<TraceEvent>,
+    ///
+    /// The tree keeps its pass markers and each group's merge record,
+    /// each at its offset, and joins them on the stream's first read
+    /// (see [`ExecOutcome::events`]).
+    pub events: EngineTrace,
 }
 
-/// The tree's event stream, written once: each pass's boundary marker
-/// and each group's events go straight in at their final offset.
+/// The tree's trace as segments: each pass's boundary marker and each
+/// group's records, at their final offsets.
 #[derive(Debug, Default)]
 struct TreeTrace {
-    events: Vec<TraceEvent>,
+    segments: Vec<Segment>,
     /// Where the current pass starts on the tree's axis.
     pass_start: SimDuration,
     /// The summed walls of the current pass's groups so far.
@@ -173,19 +178,17 @@ struct TreeTrace {
 impl TreeTrace {
     fn begin_pass(&mut self, pass: u32, groups: u32) {
         self.pass_start += std::mem::take(&mut self.pass_elapsed);
-        self.events.push(TraceEvent {
+        self.segments.push(Segment::Marker(TraceEvent {
             at: SimTime::ZERO + self.pass_start,
             kind: EventKind::PassBoundary { pass, groups },
-        });
+        }));
     }
 
-    /// Appends one merged group's events behind the pass's earlier groups.
-    fn group(&mut self, events: &[TraceEvent], wall: Duration) {
+    /// Appends one merged group's trace behind the pass's earlier groups.
+    fn group(&mut self, trace: EngineTrace, wall: Duration) {
         let offset = self.pass_start + self.pass_elapsed;
-        self.events.extend(events.iter().map(|ev| TraceEvent {
-            at: ev.at + offset,
-            kind: ev.kind,
-        }));
+        self.segments
+            .extend(trace.into_segments().into_iter().map(|s| s.shifted(offset)));
         self.pass_elapsed += wall_as_sim(wall);
     }
 }
@@ -422,7 +425,8 @@ impl<'p> MultiPassExecutor<'p> {
                     next.push(inputs.into_iter().next().expect("one input"));
                     continue;
                 }
-                let (cfg, outcome, prediction) = self.run_group(p, g, inputs, staging, metrics)?;
+                let (cfg, outcome, prediction) =
+                    self.run_group(p, g, inputs, staging, metrics, NullSink)?;
                 out.merged_groups += 1;
                 out.blocks_read += outcome.report.blocks_merged;
                 out.records_merged += outcome.report.records_merged;
@@ -451,7 +455,7 @@ impl<'p> MultiPassExecutor<'p> {
                 if out.scenario.is_none() {
                     out.scenario = Some(cfg);
                 }
-                trace.group(&outcome.events, outcome.report.wall);
+                trace.group(outcome.events, outcome.report.wall);
                 next.push(outcome.output);
             }
             if conc_weight > 0.0 {
@@ -486,21 +490,23 @@ impl<'p> MultiPassExecutor<'p> {
         Ok(MultiPassOutcome {
             output,
             passes,
-            events: trace.events,
+            events: EngineTrace::join(trace.segments),
         })
     }
 
     /// Merges group `g` of pass `p` on a fresh device of the backend
     /// family and checks the engine's requests against the simulator's
     /// replay. Returns the group's derived scenario, its execution and
-    /// the prediction.
-    fn run_group<M: MetricsSink>(
+    /// the prediction. Every event of the merge also goes to `sink` as
+    /// it happens.
+    fn run_group<M: MetricsSink, S: TraceSink>(
         &self,
         p: usize,
         g: usize,
         inputs: Vec<Vec<Record>>,
         staging: &Option<PathBuf>,
         metrics: &M,
+        sink: S,
     ) -> Result<(MergeConfig, ExecOutcome, EnginePrediction), PmError> {
         let cfg =
             ScenarioBuilder::pass_scenario(&self.base, inputs.len() as u32, p as u32, g as u32)?;
@@ -561,7 +567,7 @@ impl<'p> MultiPassExecutor<'p> {
         engine.load(&mut *queue, &inputs)?;
         // The queue holds the group's runs now.
         drop(inputs);
-        let outcome = engine.execute_metered(queue, metrics)?;
+        let outcome = engine.drive(queue, 0, metrics, sink)?;
         let prediction = engine.predict(&outcome.depletion)?;
         if outcome.requests != prediction.requests {
             return Err(PmError::Tolerance(format!(
@@ -596,7 +602,9 @@ fn group_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::derived::{assert_same_events, eager_stream};
     use pm_extsort::plan::{plan_merge_tree, PlanPolicy};
+    use pm_trace::RecordingSink;
 
     fn uniform_runs(k: usize, per_run: usize) -> Vec<Vec<Record>> {
         // Interleave keys so every run participates until the end.
@@ -642,12 +650,12 @@ mod tests {
         assert_eq!(boundaries, vec![0, 1]);
     }
 
-    /// The tree stream is written once, at each event's final offset. It
-    /// must equal the stream rebuilt the old way from the same groups:
-    /// each pass's boundary marker and group events shifted onto a
-    /// pass-local axis, then each pass shifted onto the tree's axis.
+    /// The tree's stream, joined from its segments, must equal the one
+    /// built the old way on the same run: each group's events as recorded
+    /// when they happen, shifted onto a pass-local axis, then each pass
+    /// shifted onto the tree's axis.
     #[test]
-    fn tree_trace_matches_the_per_pass_then_per_tree_rebuild() {
+    fn tree_trace_matches_the_eager_per_pass_then_per_tree_rebuild() {
         let rpb = 20;
         let runs = uniform_runs(8, 100);
         let lens: Vec<u32> = runs
@@ -667,9 +675,10 @@ mod tests {
         };
         let exec = MultiPassExecutor::new(&plan, base, opts, PassBackend::Memory);
 
-        // One run of the tree, keeping every merged group's events and wall.
+        // One run of the tree, keeping every merged group's derived trace,
+        // its eager recording and its wall.
         let mut level = runs.clone();
-        let mut groups_run: Vec<Vec<(Vec<TraceEvent>, Duration)>> = Vec::new();
+        let mut groups_run: Vec<Vec<(EngineTrace, Vec<TraceEvent>, Duration)>> = Vec::new();
         for (p, pass) in plan.passes.iter().enumerate() {
             let mut inputs = level.into_iter();
             let mut next = Vec::new();
@@ -680,10 +689,11 @@ mod tests {
                     next.extend(group_inputs);
                     continue;
                 }
+                let mut eager = RecordingSink::unbounded();
                 let (_, outcome, _) = exec
-                    .run_group(p, g, group_inputs, &None, &NullMetrics)
+                    .run_group(p, g, group_inputs, &None, &NullMetrics, &mut eager)
                     .unwrap();
-                groups.push((outcome.events, outcome.report.wall));
+                groups.push((outcome.events, eager_stream(eager), outcome.report.wall));
                 next.push(outcome.output);
             }
             groups_run.push(groups);
@@ -702,7 +712,7 @@ mod tests {
             }];
             let mut pass_elapsed = SimDuration::ZERO;
             let mut pass_wall = Duration::ZERO;
-            for (events, wall) in groups {
+            for (_, events, wall) in groups {
                 pass_events.extend(events.iter().map(|ev| TraceEvent {
                     at: ev.at + pass_elapsed,
                     kind: ev.kind,
@@ -718,17 +728,23 @@ mod tests {
         }
 
         let mut trace = TreeTrace::default();
-        for (p, groups) in groups_run.iter().enumerate() {
+        for (p, groups) in groups_run.into_iter().enumerate() {
             trace.begin_pass(p as u32, plan.passes[p].groups.len() as u32);
-            for (events, wall) in groups {
-                trace.group(events, *wall);
+            for (derived, _, wall) in groups {
+                trace.group(derived, wall);
             }
         }
         assert!(
-            groups_run[0].iter().any(|(_, wall)| *wall > Duration::ZERO),
+            old.iter()
+                .any(|ev| matches!(ev.kind, EventKind::PassBoundary { pass: 1, .. })
+                    && ev.at > SimTime::ZERO),
             "the second pass must start past zero"
         );
-        assert_eq!(trace.events, old);
+        let joined = EngineTrace::join(trace.segments);
+        let copy = joined.clone();
+        assert_same_events(&joined, &old, "tree");
+        assert_same_events(&joined, &old, "tree, second read");
+        assert_same_events(&copy, &old, "tree, clone");
         // The executor's own run writes a stream of the same shape.
         assert_eq!(exec.run(runs).unwrap().events.len(), old.len());
     }

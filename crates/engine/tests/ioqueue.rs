@@ -19,7 +19,7 @@ mod common;
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -29,6 +29,7 @@ use pm_disk::{BlockAddr, DiskId, DiskRequest, ServiceBreakdown};
 use pm_engine::{
     disk_seed_for, BlockDevice, ExecOutcome, InjectedService, IoCompletion, IoQueue, IoRequest,
     LatencyDevice, MemoryDevice, MergeEngine, QueueOptions, ThreadedQueue, DIRECT_ALIGN,
+    RECORD_BYTES,
 };
 use pm_extsort::Record;
 use proptest::prelude::*;
@@ -870,6 +871,143 @@ fn a_read_buffer_of_partial_blocks_fails_the_merge_with_a_device_error() {
             assert!(err.to_string().contains("whole number"), "{err}");
         }
         other => panic!("expected PmError::Device, got {:?}", other.map(|_| ())),
+    }
+}
+
+/// How [`CorruptingQueue`] damages the completion it corrupts.
+#[derive(Debug, Clone, Copy)]
+enum Corruption {
+    /// The data is one record short.
+    ShortData,
+    /// The tag names the block of the first completion, which has
+    /// already been delivered.
+    StaleTag,
+    /// The disk index is one past the last disk.
+    NoSuchDisk,
+}
+
+/// Forwards to a [`ThreadedQueue`], corrupting the `nth` completion it
+/// hands back (0-based). Dropping it shuts the inner queue down, joining
+/// its workers, and then sets `joined`.
+struct CorruptingQueue {
+    inner: ThreadedQueue,
+    corruption: Corruption,
+    nth: usize,
+    seen: usize,
+    first_tag: Option<u64>,
+    joined: Arc<AtomicBool>,
+}
+
+impl IoQueue for CorruptingQueue {
+    fn backend(&self) -> &'static str {
+        "corrupting"
+    }
+
+    fn block_bytes(&self) -> usize {
+        self.inner.block_bytes()
+    }
+
+    fn disks(&self) -> usize {
+        self.inner.disks()
+    }
+
+    fn depth(&self) -> usize {
+        self.inner.depth()
+    }
+
+    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
+        self.inner.write_block(disk, start, data)
+    }
+
+    fn open(&mut self, epoch: Instant) -> io::Result<()> {
+        self.inner.open(epoch)
+    }
+
+    fn submit(&mut self, reqs: &[IoRequest]) -> io::Result<()> {
+        self.inner.submit(reqs)
+    }
+
+    fn complete(&mut self, out: &mut Vec<IoCompletion>, min_wait: usize) -> io::Result<usize> {
+        let from = out.len();
+        let n = self.inner.complete(out, min_wait)?;
+        for c in &mut out[from..] {
+            let first = *self.first_tag.get_or_insert(c.tag);
+            if self.seen == self.nth {
+                match self.corruption {
+                    Corruption::ShortData => {
+                        if let Ok(data) = &mut c.data {
+                            data.truncate(data.len() - RECORD_BYTES);
+                        }
+                    }
+                    Corruption::StaleTag => c.tag = first,
+                    Corruption::NoSuchDisk => c.disk = self.inner.disks() as u16,
+                }
+            }
+            self.seen += 1;
+        }
+        Ok(n)
+    }
+
+    fn shutdown(&mut self) -> io::Result<()> {
+        self.inner.shutdown()
+    }
+}
+
+impl Drop for CorruptingQueue {
+    fn drop(&mut self) {
+        let _ = self.inner.shutdown();
+        self.joined.store(true, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn a_malformed_completion_fails_the_merge_with_a_device_error() {
+    // Ten runs of ten full blocks each.
+    let runs = form_runs(2000, 200, 41);
+    let cfg = ScenarioBuilder::new(runs.len() as u32, 3)
+        .inter(3)
+        .seed(53)
+        .build()
+        .unwrap();
+    let disks = cfg.disks as usize;
+    let engine = Arc::new(engine_custom(cfg, &runs, 1, 0, RPB));
+    let blocks: u32 = engine.run_blocks().iter().sum();
+    assert_eq!(blocks, 100);
+    for corruption in [
+        Corruption::ShortData,
+        Corruption::StaleTag,
+        Corruption::NoSuchDisk,
+    ] {
+        let joined = Arc::new(AtomicBool::new(false));
+        let mut queue = CorruptingQueue {
+            inner: ThreadedQueue::memory(disks, engine.block_bytes(), engine.queue_options()),
+            corruption,
+            nth: 60,
+            seen: 0,
+            first_tag: None,
+            joined: Arc::clone(&joined),
+        };
+        engine.load(&mut queue, &runs).expect("load");
+        let (tx, rx) = mpsc::channel();
+        let merge = Arc::clone(&engine);
+        let driver = thread::spawn(move || {
+            tx.send(merge.execute(Box::new(queue)).map(|_| ())).unwrap();
+        });
+        let result = rx
+            .recv_timeout(HANG)
+            .unwrap_or_else(|_| panic!("{corruption:?}: execute() must return"));
+        match result {
+            Err(err @ PmError::Device { backend, .. }) => {
+                assert_eq!(backend, "corrupting", "{corruption:?}");
+                assert_eq!(err.exit_code(), 2, "{corruption:?}");
+            }
+            other => panic!("{corruption:?}: expected PmError::Device, got {other:?}"),
+        }
+        assert!(
+            joined.load(Ordering::SeqCst),
+            "{corruption:?}: the queue's workers must be joined when execute() returns"
+        );
+        driver.join().unwrap();
     }
 }
 
