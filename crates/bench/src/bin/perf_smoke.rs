@@ -45,11 +45,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pm_core::{
-    run_trial_range_metered, LoserTree, MergeConfig, MergeSim, RecordingSink, ScenarioBuilder,
-    SyncMode, UniformDepletion,
+    run_trial_range, LoserTree, MergeConfig, MergeSim, RecordingSink, ScenarioBuilder, SyncMode,
+    UniformDepletion,
 };
 use pm_extsort::{generate, run_formation, Record};
-use pm_metrics::StackMetrics;
+use pm_metrics::{MetricsSink, NullMetrics, StackMetrics};
 use pm_obs::{
     render_manifest, run_suite, PointSpec, ProgressSink, RecordKind, SuiteOptions, TrialsMode,
 };
@@ -237,7 +237,7 @@ fn measure_contend(repeats: u32) -> Measured {
     let opts = TenantSimOptions { jobs: 1 };
     // Warm-up run: page in code, size the reused scratch state.
     let _ = sim
-        .run(&jobs, &StaticPartition, &mut wfq, 1992, &opts)
+        .run(&jobs, &StaticPartition, &mut wfq, 1992, &opts, &NullMetrics)
         .expect("valid contend scenario");
     let (a0, b0) = alloc_snapshot();
     let total_started = Instant::now();
@@ -246,7 +246,7 @@ fn measure_contend(repeats: u32) -> Measured {
     for i in 0..repeats {
         let run_started = Instant::now();
         let report = sim
-            .run(&jobs, &StaticPartition, &mut wfq, 1992 + u64::from(i), &opts)
+            .run(&jobs, &StaticPartition, &mut wfq, 1992 + u64::from(i), &opts, &NullMetrics)
             .expect("valid contend scenario");
         let run_ns = run_started.elapsed().as_nanos().max(1);
         let requests: u64 = report.tenants.iter().map(|t| t.requests).sum();
@@ -434,7 +434,7 @@ fn contend_alloc_probe() -> AllocProbe {
         let jobs = contend_jobs(run_blocks);
         let (a0, _) = alloc_snapshot();
         let report = sim
-            .run(&jobs, &StaticPartition, &mut wfq, 1992, &opts)
+            .run(&jobs, &StaticPartition, &mut wfq, 1992, &opts, &NullMetrics)
             .expect("valid contend probe config");
         let (a1, _) = alloc_snapshot();
         let requests: u64 = report.tenants.iter().map(|t| t.requests).sum();
@@ -459,8 +459,8 @@ fn contend_alloc_probe() -> AllocProbe {
 }
 
 /// Metered simulator-core allocation probe: the same two-length
-/// differencing as [`alloc_probe`], but through
-/// [`run_trial_range_metered`] with a live [`StackMetrics`] sink.
+/// differencing as [`alloc_probe`], but through [`run_trial_range`]
+/// recording each trial into a live [`StackMetrics`] sink.
 /// Recording is pre-bound atomics; the only allocating site
 /// (`trial_done`'s label lookup materializing the strategy cell) fires
 /// once per family at warm-up and the per-trial lookups after it are
@@ -472,8 +472,17 @@ fn metered_alloc_probe() -> AllocProbe {
         let mut cfg = ScenarioBuilder::new(25, 8).inter(10).cache_blocks(1200).build().unwrap();
         cfg.run_blocks = run_blocks;
         let (a0, _) = alloc_snapshot();
-        let reports = run_trial_range_metered(&cfg, 0, 1, 1, &metrics, &|_, _| {})
-            .expect("valid metered probe config");
+        let strategy = cfg.strategy.label();
+        let reports = run_trial_range(&cfg, 0, 1, 1, &|_, report| {
+            metrics.trial_done(
+                strategy,
+                report.blocks_merged,
+                report.demand_ops,
+                report.fallback_ops,
+                report.full_prefetch_ops,
+            );
+        })
+        .expect("valid metered probe config");
         let (a1, _) = alloc_snapshot();
         (reports[0].blocks_merged, a1 - a0)
     };
@@ -492,7 +501,7 @@ fn metered_alloc_probe() -> AllocProbe {
 }
 
 /// Metered scheduling-layer allocation probe: [`contend_alloc_probe`]
-/// with a live [`StackMetrics`] sink through [`TenantSim::run_metered`].
+/// with a live [`StackMetrics`] sink passed to [`TenantSim::run`].
 /// Every replayed request records disk I/O, tenant wait, WFQ lag, and a
 /// queue-depth sample — all on pre-bound handles, so the per-request
 /// difference must stay zero with metrics *enabled*.
@@ -507,7 +516,7 @@ fn contend_metered_alloc_probe() -> AllocProbe {
         let jobs = contend_jobs(run_blocks);
         let (a0, _) = alloc_snapshot();
         let report = sim
-            .run_metered(&jobs, &StaticPartition, &mut wfq, 1992, &opts, &metrics)
+            .run(&jobs, &StaticPartition, &mut wfq, 1992, &opts, &metrics)
             .expect("valid metered contend probe config");
         let (a1, _) = alloc_snapshot();
         let requests: u64 = report.tenants.iter().map(|t| t.requests).sum();

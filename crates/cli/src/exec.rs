@@ -482,7 +482,7 @@ fn exec_multipass(
         .map(|(ma, m)| ma.live(m));
     let executor = MultiPassExecutor::new(&plan, base, opts, pass_backend);
     let out = match &metrics {
-        Some(m) => executor.run_metered(runs, &**m)?,
+        Some(m) => executor.run_metered(runs, &**m, |_| Ok(()))?,
         None => executor.run(runs)?,
     };
     if let Some(live) = live {

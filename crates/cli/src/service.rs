@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use pm_core::{MergeConfig, PmError, ScenarioBuilder};
 use pm_engine::{ExecConfig, ExecOutcome, MergeEngine, SharedDeviceSet, ThreadedQueue};
-use pm_metrics::{MetricsSink, StackMetrics};
+use pm_metrics::{MetricsSink, NullMetrics, StackMetrics};
 use pm_extsort::{generate, run_formation};
 use pm_obs::json::Value;
 use pm_obs::{ManifestRecord, PointMetrics, RecordKind, TenantInfo, SCHEMA_VERSION};
@@ -302,8 +302,8 @@ pub fn contend(args: &Args) -> Result<(), PmError> {
             let mut sched = sched_by_name(sched_name)
                 .map_err(|n| PmError::Usage(format!("unknown scheduler '{n}'")))?;
             reports.push(match &metrics {
-                Some(m) => sim.run_metered(&jobs, &*cache, &mut *sched, seed, &opts, &**m)?,
-                None => sim.run(&jobs, &*cache, &mut *sched, seed, &opts)?,
+                Some(m) => sim.run(&jobs, &*cache, &mut *sched, seed, &opts, &**m)?,
+                None => sim.run(&jobs, &*cache, &mut *sched, seed, &opts, &NullMetrics)?,
             });
         }
     }
@@ -545,8 +545,8 @@ pub fn serve(args: &Args) -> Result<(), PmError> {
             let engine = engine.clone();
             let metrics = metrics.clone();
             move || match &metrics {
-                Some(m) => engine.execute_shared_metered(port, &**m),
-                None => engine.execute_shared(port),
+                Some(m) => engine.execute_metered(Box::new(port), &**m),
+                None => engine.execute(Box::new(port)),
             }
         }));
     }

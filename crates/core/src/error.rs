@@ -29,7 +29,7 @@ pub enum PmError {
     Tolerance(String),
     /// The command line (or a scenario file) was malformed.
     Usage(String),
-    /// A device backend ([`IoQueue`] implementation) failed while
+    /// A device backend (a `pm_engine::IoQueue` implementation) failed while
     /// submitting, completing, or writing block I/O.
     Device {
         /// Backend label (`"memory"`, `"file"`, `"latency"`, `"uring"`).

@@ -68,8 +68,7 @@ pub use loser_tree::{LoserTree, MergeKey};
 pub use metrics::MergeReport;
 pub use prefetch::PrefetchChoice;
 pub use runner::{
-    run_trial_range, run_trial_range_metered, run_trials, run_trials_parallel,
-    run_trials_traced, TrialSummary,
+    run_trial_range, run_trials, run_trials_parallel, run_trials_traced, TrialSummary,
 };
 pub use sim::MergeSim;
 pub use strategy::{PrefetchStrategy, SyncMode};

@@ -112,8 +112,9 @@ pub fn run_trials_parallel(
 /// its report. It runs on the worker threads (hence `Sync`), in
 /// completion order — *not* necessarily index order — and is purely
 /// observational: the returned reports are bit-identical for every `jobs`
-/// value regardless of what it does. Use it for progress reporting, not
-/// aggregation.
+/// value regardless of what it does. Use it for progress reporting or to
+/// record each trial into a metrics sink (whose counters aggregate
+/// commutatively), not to aggregate the reports.
 ///
 /// # Errors
 ///
@@ -146,47 +147,6 @@ pub fn run_trial_range(
         on_trial(trial, &report);
         report
     }))
-}
-
-/// [`run_trial_range`] with per-trial metrics: each finished trial's
-/// depletion and prefetch-miss counters are recorded into `metrics`
-/// under the configuration's strategy label, alongside the `on_trial`
-/// callback.
-///
-/// Recording is observational — counters aggregate through relaxed
-/// atomics, so the returned reports (and, for a jobs-invariant workload,
-/// the final counter totals) are bit-identical for every `jobs` value.
-/// With [`pm_metrics::NullMetrics`] this monomorphizes to exactly
-/// [`run_trial_range`].
-///
-/// # Errors
-///
-/// Returns a [`ConfigError`] if `cfg` is invalid.
-///
-/// # Panics
-///
-/// Panics if `count == 0` or `first + count` overflows `u32`.
-pub fn run_trial_range_metered<M: pm_metrics::MetricsSink>(
-    cfg: &MergeConfig,
-    first: u32,
-    count: u32,
-    jobs: usize,
-    metrics: &M,
-    on_trial: &(dyn Fn(u32, &MergeReport) + Sync),
-) -> Result<Vec<MergeReport>, ConfigError> {
-    let strategy = cfg.strategy.label();
-    run_trial_range(cfg, first, count, jobs, &|trial, report| {
-        if M::ENABLED {
-            metrics.trial_done(
-                strategy,
-                report.blocks_merged,
-                report.demand_ops,
-                report.fallback_ops,
-                report.full_prefetch_ops,
-            );
-        }
-        on_trial(trial, report);
-    })
 }
 
 /// [`run_trials_parallel`] with the **first trial traced**: trial 0 runs

@@ -16,9 +16,10 @@
 //! read, and keeps the stream. It replays a clone of the plan's initial
 //! [`DecisionCore`] over the recorded depletions, stamped with the
 //! recorded clock readings, and re-emits each `DiskIssue` with the span
-//! and tenant tag the merge gave it: [`Issuer`] is the issue bookkeeping
-//! both share. Each replayed issue is checked against the arrival with
-//! the same `(disk, span)`; a different tag is an internal-invariant
+//! and tenant tag the merge gave it: both advance the same
+//! [`DecisionLoop`], the core plus its issue bookkeeping ([`Issuer`]).
+//! Each replayed issue is checked against the arrival with the same
+//! `(disk, span)`; a different tag is an internal-invariant
 //! panic naming the run and block, so the trace never comes out silently
 //! different. The replay delivers every issued block at once: no decision
 //! and no event payload depends on when a block arrives, which is what
@@ -35,7 +36,7 @@ use std::ops::Deref;
 use std::sync::OnceLock;
 
 use pm_cache::RunId;
-use pm_core::DecisionCore;
+use pm_core::{DecisionCore, Wait};
 use pm_disk::{Cylinder, DiskGeometry, DiskId, DiskRequest};
 use pm_sim::{SimDuration, SimTime};
 use pm_trace::{
@@ -192,14 +193,12 @@ impl MergeRecord {
             }
             slots[span] = i;
         }
-        let core = self.core.clone();
         let replay = Replay {
             record: self,
-            reads: Vec::with_capacity(core.max_reads()),
-            core,
-            issuer: Issuer::new(disks, self.tenant),
+            steps: DecisionLoop::new(self.core.clone(), self.tenant),
             submitted: self.submitted_at.iter(),
             by_span,
+            delivered: Vec::new(),
             own: RecordingSink::unbounded(),
         };
         replay.run()
@@ -300,6 +299,58 @@ impl Issuer {
     }
 }
 
+/// The decision loop a merge and its trace replay both run: the core,
+/// the reads it decides on, and their issue bookkeeping. Each runs
+/// [`DecisionLoop::initial_load`], then one [`DecisionLoop::step`] per
+/// depletion, and hands each step's reads out through
+/// [`DecisionLoop::issue`]; a new input to the decisions is fed here, once.
+#[derive(Debug)]
+pub(crate) struct DecisionLoop {
+    pub(crate) core: DecisionCore,
+    reads: Vec<DiskRequest>,
+    pub(crate) issuer: Issuer,
+}
+
+impl DecisionLoop {
+    /// A loop from `core`'s state, tagging reads with `tenant`.
+    pub(crate) fn new(core: DecisionCore, tenant: u16) -> Self {
+        DecisionLoop {
+            reads: Vec::with_capacity(core.max_reads()),
+            issuer: Issuer::new(core.config().disks as usize, tenant),
+            core,
+        }
+    }
+
+    /// Decides the initial load; returns how many blocks it reads.
+    pub(crate) fn initial_load(&mut self) -> u64 {
+        self.core.initial_load(&mut self.reads)
+    }
+
+    /// The leading block of `j` was consumed at `at`: deplete it and
+    /// decide what to read and what to wait for.
+    pub(crate) fn step<S: TraceSink>(&mut self, j: RunId, at: SimTime, sink: &mut S) -> Wait {
+        self.core.consume(j, at, sink);
+        let issuer = &self.issuer;
+        self.core.decide(j, at, |d| issuer.head(d), &mut self.reads, sink)
+    }
+
+    /// Whether reads are waiting to be issued.
+    pub(crate) fn has_reads(&self) -> bool {
+        !self.reads.is_empty()
+    }
+
+    /// Issues the reads decided since the last call, in order: each
+    /// tagged and logged by the issuer, with its span.
+    pub(crate) fn issue(&mut self) -> impl Iterator<Item = (DiskRequest, u64)> + '_ {
+        let geometry = &self.core.config().disk_spec.geometry;
+        let issuer = &mut self.issuer;
+        self.reads.drain(..).map(move |mut req| {
+            let span = issuer.issue(&mut req, geometry);
+            (req, span)
+        })
+    }
+}
+
 /// The `DiskIssue` event of `req`, issued at `at` as read `span` of its
 /// disk.
 pub(crate) fn disk_issue(at: SimTime, req: &DiskRequest, span: u64) -> TraceEvent {
@@ -317,31 +368,27 @@ pub(crate) fn disk_issue(at: SimTime, req: &DiskRequest, span: u64) -> TraceEven
 /// A merge replayed over its record.
 struct Replay<'a> {
     record: &'a MergeRecord,
-    core: DecisionCore,
-    reads: Vec<DiskRequest>,
-    issuer: Issuer,
+    steps: DecisionLoop,
     submitted: std::slice::Iter<'a, SimTime>,
     /// Per disk, the index in `record.arrivals` of each span's arrival
     /// (`usize::MAX` for none).
     by_span: Vec<Vec<usize>>,
+    /// The runs of the reads just issued, delivered once all are.
+    delivered: Vec<RunId>,
     own: RecordingSink,
 }
 
 impl Replay<'_> {
-    /// The loop skeleton of `ExecState::run`: initial load, then consume,
-    /// decide and issue for each depletion.
+    /// The merge's decision loop over its recorded depletions.
     fn run(mut self) -> Vec<TraceEvent> {
-        self.core.initial_load(&mut self.reads);
+        self.steps.initial_load();
         self.issue();
         let record = self.record;
         for (&j, &at) in record.depletion.iter().zip(&record.depleted_at) {
-            self.core.consume(j, at, &mut self.own);
-            let issuer = &self.issuer;
-            self.core
-                .decide(j, at, |d| issuer.head(d), &mut self.reads, &mut self.own);
+            self.steps.step(j, at, &mut self.own);
             self.issue();
         }
-        let issued: usize = self.issuer.requests.iter().map(Vec::len).sum();
+        let issued: usize = self.steps.issuer.requests.iter().map(Vec::len).sum();
         assert_eq!(
             issued,
             record.arrivals.len(),
@@ -358,16 +405,14 @@ impl Replay<'_> {
     /// Issues the staged reads at the next submission's clock reading,
     /// each checked against its arrival, and delivers them at once.
     fn issue(&mut self) {
-        if self.reads.is_empty() {
+        if !self.steps.has_reads() {
             return;
         }
         let at = *self
             .submitted
             .next()
             .expect("trace replay submitted more often than the merge");
-        let geometry = self.core.config().disk_spec.geometry;
-        for mut req in self.reads.drain(..) {
-            let span = self.issuer.issue(&mut req, &geometry);
+        for (req, span) in self.steps.issue() {
             let d = usize::from(req.disk.0);
             let arrival = self.by_span[d]
                 .get(span as usize)
@@ -380,7 +425,10 @@ impl Replay<'_> {
                 arrival.map(|a| unpack_tenant_tag(a.tag))
             );
             self.own.emit(disk_issue(at, &req, span));
-            self.core.block_arrived(RunId(run));
+            self.delivered.push(RunId(run));
+        }
+        for run in self.delivered.drain(..) {
+            self.steps.core.block_arrived(run);
         }
     }
 }
@@ -527,10 +575,9 @@ mod tests {
         tenant: u16,
         what: &str,
     ) -> ExecOutcome {
+        assert_eq!(queue.tenant(), tenant, "{what}: the queue's tenant");
         let mut eager = RecordingSink::unbounded();
-        let outcome = engine
-            .drive(queue, tenant, &NullMetrics, &mut eager)
-            .unwrap();
+        let outcome = engine.drive(queue, &NullMetrics, &mut eager).unwrap();
         let eager = eager_stream(eager);
         assert!(!eager.is_empty(), "{what}: nothing recorded");
         let early = outcome.events.clone();

@@ -39,16 +39,16 @@ use pm_core::{
     DecisionCore, LoserTree, MergeConfig, MergeReport, MergeSim, PmError, SyncMode,
     TraceDepletion, Wait,
 };
-use pm_disk::DiskRequest;
 use pm_extsort::Record;
 use pm_metrics::{MetricsSink, NullMetrics};
 use pm_sim::{SimDuration, SimTime};
-use pm_trace::{unpack_tag, unpack_tenant_tag, EventKind, NullSink, TraceEvent, TraceSink};
+use pm_trace::{
+    unpack_tag, unpack_tenant_tag, EventKind, NullSink, TraceEvent, TraceSink, TENANT_TAG_MAX_RUN,
+};
 
 use crate::block::{block_bytes, decode_records, encode_records};
-use crate::derived::{disk_issue, Arrival, EngineTrace, Issuer, MergeRecord};
+use crate::derived::{disk_issue, Arrival, DecisionLoop, EngineTrace, MergeRecord};
 use crate::ioqueue::{IoCompletion, IoQueue, IoRequest, QueueOptions};
-use crate::shared::SharedPort;
 
 /// How to execute a merge: the scenario plus engine-only knobs.
 #[derive(Debug, Clone, Copy)]
@@ -197,9 +197,10 @@ impl MergeEngine {
     /// # Errors
     ///
     /// [`PmError::Usage`] if the engine cannot execute the scenario
-    /// (write modeling, zero records-per-block); [`PmError::Config`] if
-    /// the adjusted configuration is invalid or the cache cannot hold
-    /// the initial load.
+    /// (write modeling, zero records-per-block, more runs than a read's
+    /// tag can name: run ids above [`TENANT_TAG_MAX_RUN`]);
+    /// [`PmError::Config`] if the adjusted configuration is invalid or
+    /// the cache cannot hold the initial load.
     pub fn new(cfg: ExecConfig, run_records: Vec<usize>) -> Result<Self, PmError> {
         if cfg.merge.write.is_some() {
             return Err(PmError::Usage(
@@ -211,6 +212,14 @@ impl MergeEngine {
         }
         if cfg.time_scale <= 0.0 || cfg.time_scale.is_nan() {
             return Err(PmError::Usage("time-scale must be positive".into()));
+        }
+        let max_runs = TENANT_TAG_MAX_RUN as usize + 1;
+        if run_records.len() > max_runs {
+            return Err(PmError::Usage(format!(
+                "the engine merges at most {max_runs} runs, whose ids fit a read's tag \
+                 (the data has {} runs)",
+                run_records.len()
+            )));
         }
         let rpb = cfg.records_per_block;
         let run_blocks: Vec<u32> = run_records
@@ -346,12 +355,17 @@ impl MergeEngine {
     }
 
     /// Executes the merge against a loaded queue: opens it, drives the
-    /// merge through batched submit/complete, and shuts it down.
+    /// merge through batched submit/complete, and shuts it down. Reads
+    /// are tagged with the queue's [`IoQueue::tenant`], so a
+    /// [`crate::SharedPort`] runs one job of a [`crate::SharedDeviceSet`]
+    /// the same way: its set's [`pm_service::IoSched`] picks service
+    /// order, and the decisions stay those of the job alone.
     ///
     /// # Errors
     ///
     /// [`PmError::Device`] if a block read fails or the queue's
-    /// transport dies.
+    /// transport dies (a shared set shutting down with requests
+    /// outstanding included).
     ///
     /// # Panics
     ///
@@ -362,7 +376,8 @@ impl MergeEngine {
 
     /// [`MergeEngine::execute`] with a metrics sink: every block arrival
     /// records per-disk service time, queue wait (submit to service
-    /// start) and bytes read into `metrics`; every submission batch and
+    /// start) and bytes read, and a block count and queue wait under the
+    /// queue's tenant, into `metrics`; every submission batch and
     /// completion reap records its size, and per-disk in-flight depth is
     /// sampled at both transitions. With [`pm_metrics::NullMetrics`] the
     /// recording compiles away and the run is identical to
@@ -370,8 +385,7 @@ impl MergeEngine {
     ///
     /// # Errors
     ///
-    /// [`PmError::Device`] if a block read fails or the queue's
-    /// transport dies.
+    /// As [`MergeEngine::execute`].
     ///
     /// # Panics
     ///
@@ -381,63 +395,15 @@ impl MergeEngine {
         queue: Box<dyn IoQueue>,
         metrics: &M,
     ) -> Result<ExecOutcome, PmError> {
-        self.drive(queue, 0, metrics, NullSink)
+        self.drive(queue, metrics, NullSink)
     }
 
-    /// Executes the merge through a [`crate::SharedDeviceSet`] port:
-    /// same decision procedure, but the disks are shared with other
-    /// jobs and the set's [`pm_service::IoSched`] picks service order.
-    /// Trace event tags carry the port's tenant id
-    /// ([`pm_trace::pack_tenant_tag`]); run ids must fit
-    /// [`pm_trace::TENANT_TAG_MAX_RUN`].
-    ///
-    /// # Errors
-    ///
-    /// [`PmError::Io`] if a block read fails or the set shuts down with
-    /// requests outstanding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an internal invariant of the decision core breaks.
-    pub fn execute_shared(&self, port: SharedPort) -> Result<ExecOutcome, PmError> {
-        self.execute_shared_metered(port, &NullMetrics)
-    }
-
-    /// [`MergeEngine::execute_shared`] with a metrics sink: block
-    /// arrivals additionally record per-tenant block counts and queue
-    /// waits under the port's tenant id.
-    ///
-    /// # Errors
-    ///
-    /// [`PmError::Io`] if a block read fails or the set shuts down with
-    /// requests outstanding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an internal invariant of the decision core breaks.
-    pub fn execute_shared_metered<M: MetricsSink>(
-        &self,
-        port: SharedPort,
-        metrics: &M,
-    ) -> Result<ExecOutcome, PmError> {
-        let runs = self.merge_config().runs;
-        if runs > pm_trace::TENANT_TAG_MAX_RUN {
-            return Err(PmError::Usage(format!(
-                "shared execution tags cap runs at {} (scenario has {runs})",
-                pm_trace::TENANT_TAG_MAX_RUN,
-            )));
-        }
-        let tenant = port.tenant();
-        self.drive(Box::new(port), tenant, metrics, NullSink)
-    }
-
-    /// Opens `queue` and runs the merge on it, tagging reads with
-    /// `tenant`. Every event also goes to `sink` as it happens (the
-    /// public entry points pass a [`NullSink`], so nothing does).
+    /// Opens `queue` and runs the merge on it. Every event also goes to
+    /// `sink` as it happens (the public entry points pass a
+    /// [`NullSink`], so nothing does).
     pub(crate) fn drive<M: MetricsSink, S: TraceSink>(
         &self,
         mut queue: Box<dyn IoQueue>,
-        tenant: u16,
         metrics: &M,
         sink: S,
     ) -> Result<ExecOutcome, PmError> {
@@ -452,7 +418,7 @@ impl MergeEngine {
         queue
             .open(epoch)
             .map_err(|e| PmError::device(queue.backend(), "opening the queue", e))?;
-        ExecState::new(self, queue, tenant, epoch, metrics, sink).run()
+        ExecState::new(self, queue, epoch, metrics, sink).run()
     }
 
     /// Replays an engine run's depletion sequence through the
@@ -499,10 +465,8 @@ impl TraceSink for IssueLog {
 
 struct ExecState<'a, M: MetricsSink, S: TraceSink> {
     plan: &'a MergeEngine,
-    core: DecisionCore,
-    /// Reads the core decided on, staged for the queue right after each
-    /// decision.
-    reads: Vec<DiskRequest>,
+    /// The decisions; their reads go to the queue right after each one.
+    steps: DecisionLoop,
     port: Box<dyn IoQueue>,
     /// The queue's backend label, for error context.
     backend: &'static str,
@@ -525,7 +489,6 @@ struct ExecState<'a, M: MetricsSink, S: TraceSink> {
     /// Arrived, not-yet-consumed block payloads per run, keyed by block
     /// index (striped layouts deliver out of index order).
     store: Vec<BTreeMap<u32, Vec<Record>>>,
-    issuer: Issuer,
     /// What the trace is derived from.
     record: MergeRecord,
     /// Every event as it happens: the merge thread's, then each
@@ -540,18 +503,17 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
     fn new(
         plan: &'a MergeEngine,
         port: Box<dyn IoQueue>,
-        tenant: u16,
         epoch: Instant,
         metrics: &'a M,
         sink: S,
     ) -> Self {
         let backend = port.backend();
-        let core = plan.core.clone();
-        let d = core.config().disks as usize;
-        let k = core.config().runs as usize;
+        let tenant = port.tenant();
+        let d = plan.merge_config().disks as usize;
+        let k = plan.merge_config().runs as usize;
         ExecState {
             plan,
-            reads: Vec::with_capacity(core.max_reads()),
+            steps: DecisionLoop::new(plan.core.clone(), tenant),
             port,
             backend,
             stage: Vec::new(),
@@ -563,13 +525,11 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
             metrics,
             epoch,
             store: vec![BTreeMap::new(); k],
-            issuer: Issuer::new(d, tenant),
             record: MergeRecord::new(plan.core.clone(), tenant),
             sink,
             stall: Duration::ZERO,
             per_disk_sequential: vec![0; d],
             per_disk_modeled_busy: vec![SimDuration::ZERO; d],
-            core,
         }
     }
 
@@ -578,7 +538,7 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
     }
 
     fn run(mut self) -> Result<ExecOutcome, PmError> {
-        let k = self.core.config().runs as usize;
+        let k = self.plan.run_records.len();
         self.initial_load()?;
 
         // Build the loser tree from every run's leading block.
@@ -607,12 +567,13 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         }
         let wall = self.epoch.elapsed();
 
-        let counts = self.core.finish();
+        let counts = self.steps.core.finish();
         assert_eq!(output.len(), total_records);
 
         self.port
             .shutdown()
             .map_err(|e| PmError::device(self.backend, "shutting down the queue", e))?;
+        let requests = self.steps.issuer.requests;
         let report = ExecReport {
             wall,
             stall: self.stall,
@@ -622,7 +583,7 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
             fallback_ops: counts.fallback_ops,
             full_prefetch_ops: counts.full_prefetch_ops,
             success_ratio: counts.success_ratio(),
-            per_disk_requests: self.issuer.requests.iter().map(|r| r.len() as u64).collect(),
+            per_disk_requests: requests.iter().map(|r| r.len() as u64).collect(),
             per_disk_sequential: self.per_disk_sequential,
             per_disk_modeled_busy: self.per_disk_modeled_busy,
             time_scale: self.plan.cfg.time_scale,
@@ -631,7 +592,7 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
             output,
             report,
             depletion: self.record.depletion.clone(),
-            requests: self.issuer.requests,
+            requests,
             events: EngineTrace::merge(self.record),
         })
     }
@@ -640,19 +601,19 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
     /// (unsynchronized: every run has a resident block; synchronized:
     /// every initial block arrived).
     fn initial_load(&mut self) -> Result<(), PmError> {
-        let issued = self.core.initial_load(&mut self.reads);
+        let issued = self.steps.initial_load();
         self.submit_reads()?;
-        match self.core.config().sync {
+        match self.plan.merge_config().sync {
             SyncMode::Synchronized => {
                 for _ in 0..issued {
                     self.await_arrival()?;
                 }
             }
             SyncMode::Unsynchronized => {
-                let mut first_missing = self.core.config().runs;
+                let mut first_missing = self.plan.merge_config().runs;
                 while first_missing > 0 {
                     let run = self.await_arrival()?;
-                    if self.core.resident(run) == 1 {
+                    if self.steps.core.resident(run) == 1 {
                         first_missing -= 1;
                     }
                 }
@@ -668,15 +629,7 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         let now = self.now();
         self.record.depletion.push(j);
         self.record.depleted_at.push(now);
-        self.core.consume(j, now, &mut self.sink);
-        let issuer = &self.issuer;
-        let wait = self.core.decide(
-            j,
-            now,
-            |d| issuer.head(d),
-            &mut self.reads,
-            &mut self.sink,
-        );
+        let wait = self.steps.step(j, now, &mut self.sink);
         self.submit_reads()?;
         match wait {
             Wait::Exhausted => return Ok(None),
@@ -695,15 +648,13 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
     /// queue as one batch (one decision point = one submission batch),
     /// recording per-disk batch sizes and in-flight depth when metered.
     fn submit_reads(&mut self) -> Result<(), PmError> {
-        if self.reads.is_empty() {
+        if !self.steps.has_reads() {
             return Ok(());
         }
         let now = self.now();
         self.record.submitted_at.push(now);
         let submitted = Instant::now();
-        let geometry = &self.core.config().disk_spec.geometry;
-        for mut req in self.reads.drain(..) {
-            let span = self.issuer.issue(&mut req, geometry);
+        for (req, span) in self.steps.issue() {
             if S::ENABLED {
                 self.sink.emit(disk_issue(now, &req, span));
             }
@@ -740,7 +691,7 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
     /// needed (striped layouts deliver a run's blocks out of index
     /// order, so this can wait past the gate).
     fn take_block(&mut self, j: RunId) -> Result<Vec<Record>, PmError> {
-        let index = self.core.depleted(j);
+        let index = self.steps.core.depleted(j);
         loop {
             if let Some(block) = self.store[j.0 as usize].remove(&index) {
                 return Ok(block);
@@ -782,7 +733,9 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
             .arrived
             .get_mut(d)
             .and_then(|spans| spans.get_mut(completion.span as usize))
-            .filter(|landed| !**landed && self.issuer.issued(d, completion.span, completion.tag));
+            .filter(|landed| {
+                !**landed && self.steps.issuer.issued(d, completion.span, completion.tag)
+            });
         let Some(landed) = landed else {
             return Err(PmError::device(
                 self.backend,
@@ -862,7 +815,7 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         self.record.arrivals.push(arrival);
         let count = self.records_in_block(run, index);
         let records = decode_records(&data, count);
-        self.core.block_arrived(RunId(run));
+        self.steps.core.block_arrived(RunId(run));
         self.store[run as usize].insert(index, records);
         Ok(RunId(run))
     }
@@ -881,7 +834,7 @@ mod tests {
     use std::io;
 
     use pm_core::{DataLayout, ScenarioBuilder};
-    use pm_disk::{BlockAddr, DiskId};
+    use pm_disk::{BlockAddr, DiskId, DiskRequest};
     use pm_extsort::{generate, run_formation};
 
     use super::*;
@@ -1027,6 +980,35 @@ mod tests {
             }
         }
         queue.shutdown().unwrap();
+    }
+
+    /// A plan of `k` two-record runs of one record per block on four
+    /// disks.
+    fn two_record_runs(k: usize) -> Result<MergeEngine, PmError> {
+        let mut exec = ExecConfig::new(ScenarioBuilder::new(k as u32, 4).run_blocks(2).build()?);
+        exec.records_per_block = 1;
+        MergeEngine::new(exec, vec![2; k])
+    }
+
+    #[test]
+    fn run_ids_up_to_the_tag_bound_merge_and_one_more_run_is_rejected() {
+        let max_runs = TENANT_TAG_MAX_RUN as usize + 1;
+        let runs = run_formation::load_sort(&generate::uniform(2 * max_runs, 3), 2);
+        assert_eq!(runs.len(), max_runs);
+        let engine = two_record_runs(max_runs).unwrap();
+        let mut queue = ThreadedQueue::memory(4, engine.block_bytes(), engine.queue_options());
+        engine.load(&mut queue, &runs).unwrap();
+        let outcome = engine.execute(Box::new(queue)).unwrap();
+        let mut want: Vec<Record> = runs.concat();
+        want.sort_unstable();
+        assert_eq!(outcome.output, want);
+
+        // One run more and the last run id would alias run 0 in its tags:
+        // the plan is refused before any data is loaded.
+        match two_record_runs(max_runs + 1) {
+            Err(PmError::Usage(msg)) => assert!(msg.contains("65536 runs"), "{msg}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 
     #[test]

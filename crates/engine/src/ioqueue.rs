@@ -143,6 +143,15 @@ pub trait IoQueue: Send {
     /// e.g. a shared set's scheduler queue).
     fn depth(&self) -> usize;
 
+    /// The tenant this queue's reads are tagged with
+    /// ([`pm_trace::pack_tenant_tag`]): a [`crate::SharedPort`]'s job
+    /// index, `0` for a queue the merge owns alone (whose tags are then
+    /// the plain [`pm_trace::pack_tag`] ones). A queue that wraps another
+    /// should forward it.
+    fn tenant(&self) -> u16 {
+        0
+    }
+
     /// Writes `data` — one or more whole blocks — at consecutive
     /// addresses from `start` on `disk` (setup only: most backends
     /// reject writes after [`IoQueue::open`]).

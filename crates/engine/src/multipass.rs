@@ -299,55 +299,32 @@ impl<'p> MultiPassExecutor<'p> {
     ///
     /// Propagates any scenario, I/O, or parity error from a pass.
     pub fn run(&self, runs: Vec<Vec<Record>>) -> Result<MultiPassOutcome, PmError> {
-        self.run_with_hook(runs, |_| Ok(()))
+        self.run_metered(runs, &NullMetrics, |_| Ok(()))
     }
 
-    /// [`MultiPassExecutor::run`] with a metrics sink: each group's
-    /// engine execution records its per-disk observations and each
-    /// completed pass records `pm_pass_blocks_read` /
-    /// `pm_pass_records_merged` under its pass label.
+    /// [`MultiPassExecutor::run`] with a metrics sink and an after-pass
+    /// hook. Each group's engine execution records its per-disk
+    /// observations into `metrics` (as [`MergeEngine::execute_metered`]),
+    /// and each completed pass records `pm_pass_blocks_read` /
+    /// `pm_pass_records_merged` under its pass label; with
+    /// [`NullMetrics`] nothing is recorded.
+    ///
+    /// `after_pass` is called with each pass's index after its groups
+    /// complete but *before* its staging directory is removed — the
+    /// crash window a fault-injection test wants to hit. An error from
+    /// it aborts the execution; like any graceful failure, the
+    /// invocation's staging token is removed on the way out (only a hard
+    /// process death leaves one behind, for a later invocation's
+    /// liveness sweep).
     ///
     /// # Errors
     ///
-    /// Propagates any scenario, I/O, or parity error from a pass.
+    /// Propagates pass errors and whatever `after_pass` returns.
     pub fn run_metered<M: MetricsSink>(
         &self,
         runs: Vec<Vec<Record>>,
         metrics: &M,
-    ) -> Result<MultiPassOutcome, PmError> {
-        self.run_with_hook_metered(runs, |_| Ok(()), metrics)
-    }
-
-    /// Like [`MultiPassExecutor::run`], with a fault-injection hook
-    /// called after each pass's groups complete but *before* the pass's
-    /// staging directory is removed — the crash window a test wants to
-    /// hit. A hook error aborts the execution; like any graceful
-    /// failure, the invocation's staging token is removed on the way
-    /// out (only a hard process death leaves one behind, for a later
-    /// invocation's liveness sweep).
-    ///
-    /// # Errors
-    ///
-    /// Propagates pass errors and whatever the hook returns.
-    pub fn run_with_hook(
-        &self,
-        runs: Vec<Vec<Record>>,
-        hook: impl FnMut(u32) -> Result<(), PmError>,
-    ) -> Result<MultiPassOutcome, PmError> {
-        self.run_with_hook_metered(runs, hook, &NullMetrics)
-    }
-
-    /// [`MultiPassExecutor::run_with_hook`] with a metrics sink (see
-    /// [`MultiPassExecutor::run_metered`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates pass errors and whatever the hook returns.
-    pub fn run_with_hook_metered<M: MetricsSink>(
-        &self,
-        runs: Vec<Vec<Record>>,
-        mut hook: impl FnMut(u32) -> Result<(), PmError>,
-        metrics: &M,
+        mut after_pass: impl FnMut(u32) -> Result<(), PmError>,
     ) -> Result<MultiPassOutcome, PmError> {
         if let Some(first) = self.plan.passes.first() {
             if first.run_blocks.len() != runs.len() {
@@ -370,7 +347,7 @@ impl<'p> MultiPassExecutor<'p> {
             }
             _ => None,
         };
-        let result = self.execute_passes(runs, &mut hook, &staging, metrics);
+        let result = self.execute_passes(runs, &mut after_pass, &staging, metrics);
         if result.is_err() {
             // This invocation is done with its token; left behind it
             // would survive every sweep for as long as the process
@@ -385,7 +362,7 @@ impl<'p> MultiPassExecutor<'p> {
     fn execute_passes<M: MetricsSink>(
         &self,
         runs: Vec<Vec<Record>>,
-        hook: &mut impl FnMut(u32) -> Result<(), PmError>,
+        after_pass: &mut impl FnMut(u32) -> Result<(), PmError>,
         staging: &Option<PathBuf>,
         metrics: &M,
     ) -> Result<MultiPassOutcome, PmError> {
@@ -465,7 +442,7 @@ impl<'p> MultiPassExecutor<'p> {
             level = next;
             // The crash window: the pass's outputs exist, its staging
             // directory has not been removed yet.
-            hook(p as u32)?;
+            after_pass(p as u32)?;
             if let Some(staging) = &staging {
                 let dir = staging.join(format!("pass-{p:02}"));
                 if dir.exists() {
@@ -567,7 +544,7 @@ impl<'p> MultiPassExecutor<'p> {
         engine.load(&mut *queue, &inputs)?;
         // The queue holds the group's runs now.
         drop(inputs);
-        let outcome = engine.drive(queue, 0, metrics, sink)?;
+        let outcome = engine.drive(queue, metrics, sink)?;
         let prediction = engine.predict(&outcome.depletion)?;
         if outcome.requests != prediction.requests {
             return Err(PmError::Tolerance(format!(

@@ -3,9 +3,10 @@
 //!
 //! A [`SharedDeviceSet`] owns one worker thread per shared disk and
 //! admits concurrent [`crate::MergeEngine`] jobs, each through its own
-//! [`SharedPort`]. The contended resource is the disk *arm* — one
-//! request in service per disk, latency-anchored exactly like the
-//! per-run pool — while each port reads its own loaded
+//! [`SharedPort`]: a job runs as `engine.execute(Box::new(port))`, and
+//! the port's [`IoQueue::tenant`] tags its reads. The contended resource
+//! is the disk *arm* — one request in service per disk, latency-anchored
+//! exactly like the per-run pool — while each port reads its own loaded
 //! [`BlockDevice`] (pass one shared `Arc` to every port for physically
 //! shared data).
 //! Where the per-run [`crate::engine::ExecConfig`] pool services each
@@ -191,12 +192,6 @@ pub struct SharedPort {
 }
 
 impl SharedPort {
-    /// The dense tenant index this port's requests are tagged with.
-    #[must_use]
-    pub fn tenant(&self) -> u16 {
-        self.tenant as u16
-    }
-
     fn submit_one(&mut self, req: IoRequest) -> io::Result<()> {
         let d = req.req.disk.0 as usize;
         let io = PendingIo {
@@ -244,6 +239,11 @@ impl IoQueue for SharedPort {
     fn depth(&self) -> usize {
         // The set's scheduler queue is unbounded per disk.
         0
+    }
+
+    /// The dense tenant index the set assigned this port.
+    fn tenant(&self) -> u16 {
+        self.tenant as u16
     }
 
     fn write_block(&mut self, _disk: DiskId, _start: BlockAddr, _data: &[u8]) -> io::Result<()> {

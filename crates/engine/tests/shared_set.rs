@@ -45,7 +45,7 @@ fn run_shared(sched: &str) -> Vec<ExecOutcome> {
         engine.load(&mut queue, &runs).expect("load");
         let port = set.port(queue.into_device(), 1 + i as u32);
         threads.push(std::thread::spawn(move || {
-            let outcome = engine.execute_shared(port).expect("shared execute");
+            let outcome = engine.execute(Box::new(port)).expect("shared execute");
             (engine, runs, outcome)
         }));
     }
@@ -119,13 +119,13 @@ fn a_panicking_disk_worker_fails_its_jobs_instead_of_hanging() {
         let port = set.port(queue.into_device(), 1);
         let tx = tx.clone();
         threads.push(std::thread::spawn(move || {
-            tx.send((i, engine.execute_shared(port).map(|_| ()))).unwrap();
+            tx.send((i, engine.execute(Box::new(port)).map(|_| ()))).unwrap();
         }));
     }
     for _ in 0..threads.len() {
         let (job, result) = rx
             .recv_timeout(Duration::from_secs(5))
-            .expect("execute_shared() must not wait forever on a dead disk worker");
+            .expect("a shared execute() must not wait forever on a dead disk worker");
         if job == 0 {
             match result {
                 Err(err @ PmError::Device { backend, .. }) => {

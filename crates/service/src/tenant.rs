@@ -230,37 +230,22 @@ impl TenantSim {
     /// isolation (on up to `opts.jobs` threads, bit-identically), and
     /// replays the contention under `sched`.
     ///
+    /// Live metrics go to `metrics`: cache grants, per-trial
+    /// isolated-profile counters, per-dispatch disk/tenant observations
+    /// from the *contended* replay (the isolated baselines stay silent),
+    /// WFQ virtual-time lag samples, and final slowdowns. Recording is
+    /// observational — the returned report is bit-identical under
+    /// [`NullMetrics`], which records nothing, and because the replay is
+    /// sequential and counter aggregation commutes, the recorded totals
+    /// are identical for every `opts.jobs` value.
+    ///
     /// # Errors
     ///
     /// [`PmError::Usage`] if the job list is empty, a scenario wants
     /// more disks than the shared set has, or a cache grant is below a
     /// tenant's minimum; [`PmError::Config`] if a granted scenario fails
     /// validation.
-    pub fn run(
-        &mut self,
-        jobs: &[TenantJob],
-        cache: &dyn CachePolicy,
-        sched: &mut dyn IoSched,
-        master_seed: u64,
-        opts: &TenantSimOptions,
-    ) -> Result<ContentionReport, PmError> {
-        self.run_metered(jobs, cache, sched, master_seed, opts, &NullMetrics)
-    }
-
-    /// [`TenantSim::run`] with live metrics: cache grants, per-trial
-    /// isolated-profile counters, per-dispatch disk/tenant observations
-    /// from the *contended* replay (the isolated baselines stay silent),
-    /// WFQ virtual-time lag samples, and final slowdowns.
-    ///
-    /// Recording is observational — the returned report is bit-identical
-    /// to [`TenantSim::run`]'s, and because the replay is sequential and
-    /// counter aggregation commutes, the recorded totals are identical
-    /// for every `opts.jobs` value.
-    ///
-    /// # Errors
-    ///
-    /// As [`TenantSim::run`].
-    pub fn run_metered<M: MetricsSink>(
+    pub fn run<M: MetricsSink>(
         &mut self,
         jobs: &[TenantJob],
         cache: &dyn CachePolicy,
@@ -646,7 +631,7 @@ mod tests {
         let jobs = vec![job("a", 8, 4, 4, 0, 1), job("b", 8, 4, 4, 0, 1)];
         let mut sim = TenantSim::new(shared());
         let report = sim
-            .run(&jobs, &StaticPartition, &mut Fifo, 42, &TenantSimOptions::default())
+            .run(&jobs, &StaticPartition, &mut Fifo, 42, &TenantSimOptions::default(), &NullMetrics)
             .unwrap();
         assert_eq!(report.tenants.len(), 2);
         for t in &report.tenants {
@@ -662,7 +647,7 @@ mod tests {
         let jobs = vec![job("solo", 8, 4, 4, 3, 1)];
         let mut sim = TenantSim::new(shared());
         let report = sim
-            .run(&jobs, &StaticPartition, &mut Fifo, 7, &TenantSimOptions::default())
+            .run(&jobs, &StaticPartition, &mut Fifo, 7, &TenantSimOptions::default(), &NullMetrics)
             .unwrap();
         let t = &report.tenants[0];
         assert_eq!(t.makespan, t.isolated, "alone == baseline");
@@ -679,7 +664,8 @@ mod tests {
         let run = |threads: usize| {
             let mut sim = TenantSim::new(shared());
             let mut wfq = Wfq::new();
-            sim.run(&jobs, &ProportionalShare, &mut wfq, 1992, &TenantSimOptions { jobs: threads })
+            let opts = TenantSimOptions { jobs: threads };
+            sim.run(&jobs, &ProportionalShare, &mut wfq, 1992, &opts, &NullMetrics)
                 .unwrap()
         };
         let a = run(1);
@@ -699,7 +685,14 @@ mod tests {
         let jobs = vec![job("hi", 8, 4, 4, 0, 8), job("lo", 8, 4, 4, 0, 1)];
         let mut sim = TenantSim::new(shared());
         let report = sim
-            .run(&jobs, &StaticPartition, &mut StrictPriority, 3, &TenantSimOptions::default())
+            .run(
+                &jobs,
+                &StaticPartition,
+                &mut StrictPriority,
+                3,
+                &TenantSimOptions::default(),
+                &NullMetrics,
+            )
             .unwrap();
         let hi = &report.tenants[0];
         let lo = &report.tenants[1];
@@ -725,9 +718,11 @@ mod tests {
         ];
         let mut sim = TenantSim::new(SharedSpec { disks: 4, cache_blocks: 6000 });
         let opts = TenantSimOptions::default();
-        let fifo = sim.run(&jobs, &StaticPartition, &mut Fifo, 11, &opts).unwrap();
+        let fifo = sim.run(&jobs, &StaticPartition, &mut Fifo, 11, &opts, &NullMetrics).unwrap();
         let mut wfq_sched = Wfq::new();
-        let wfq = sim.run(&jobs, &StaticPartition, &mut wfq_sched, 11, &opts).unwrap();
+        let wfq = sim
+            .run(&jobs, &StaticPartition, &mut wfq_sched, 11, &opts, &NullMetrics)
+            .unwrap();
         assert!(
             wfq.fairness() < fifo.fairness(),
             "WFQ must bound unfairness: wfq {} vs fifo {}",
@@ -741,7 +736,7 @@ mod tests {
         let jobs = vec![job("a", 8, 4, 4, 0, 1), job("b", 8, 4, 4, 0, 1)];
         let mut sim = TenantSim::new(SharedSpec { disks: 4, cache_blocks: 40 });
         let err = sim
-            .run(&jobs, &StaticPartition, &mut Fifo, 1, &TenantSimOptions::default())
+            .run(&jobs, &StaticPartition, &mut Fifo, 1, &TenantSimOptions::default(), &NullMetrics)
             .unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("below its minimum"), "{err}");
@@ -752,7 +747,7 @@ mod tests {
         let jobs = vec![job("wide", 8, 8, 2, 0, 1)];
         let mut sim = TenantSim::new(shared());
         let err = sim
-            .run(&jobs, &StaticPartition, &mut Fifo, 1, &TenantSimOptions::default())
+            .run(&jobs, &StaticPartition, &mut Fifo, 1, &TenantSimOptions::default(), &NullMetrics)
             .unwrap_err();
         assert!(err.to_string().contains("shared set"), "{err}");
     }

@@ -1,7 +1,7 @@
 //! The paper's experiment families, one builder per figure.
 //!
 //! All builders return [`Sweep`]s whose points are ready-to-run
-//! [`MergeConfig`]s. Design choices the paper leaves implicit are made
+//! [`MergeConfig`](pm_core::MergeConfig)s. Design choices the paper leaves implicit are made
 //! here, once:
 //!
 //! * **Cache sizes.** Fig. 3.2 plots time vs. `N` with "unsynchronized

@@ -26,6 +26,7 @@ use pm_engine::{
 };
 use pm_extsort::plan::{min_passes, plan_merge_tree, PlanPolicy};
 use pm_extsort::{generate, run_formation, Record};
+use pm_metrics::NullMetrics;
 
 /// Records per on-device block used throughout.
 const RPB: u32 = 20;
@@ -211,7 +212,7 @@ fn interrupted_execution_cleans_up_and_stale_tokens_are_swept() {
         PassBackend::File { root: root.clone() },
     );
     let err = exec
-        .run_with_hook(runs.clone(), |pass| {
+        .run_metered(runs.clone(), &NullMetrics, |pass| {
             if pass == 0 {
                 Err(pm_core::PmError::io(
                     "injected crash between passes",
