@@ -5,15 +5,45 @@
 //! trades passes against prefetch depth: large `F` reads the data once but
 //! leaves a shallow `N` per run (more seeks, lower success ratio); small
 //! `F` prefetches deeply but rereads everything each pass. This experiment
-//! sweeps `F` for a 64-run merge, and compares sequential vs. Huffman pass
-//! planning on replacement-selection-like unequal runs.
+//! sweeps `F` for a 64-run merge, and compares the planner's two policies
+//! (`greedy-max` and `balanced`, as `pmerge plan` offers them) on
+//! replacement-selection-like unequal runs. Every tree is planned by
+//! [`plan_merge_tree`] and costed by [`predict_plan`], the same code
+//! `pmerge plan` and `pmerge exec` run.
 //!
 //! Usage: `ext_multipass [--trials n]`
 
 use pm_bench::Harness;
-use pm_extsort::multipass::{plan_huffman, plan_sequential, simulate_plan};
+use pm_core::ScenarioBuilder;
+use pm_extsort::plan::{plan_merge_tree, predict_plan, MergeTreePlan, PlanPolicy};
 use pm_report::{Align, Csv, Table};
 use pm_sim::SimRng;
+
+/// Plans `runs` under `policy` at fan-in cap `f` and returns the tree
+/// with its predicted merge time in seconds.
+fn plan_and_predict(
+    runs: &[u32],
+    f: u32,
+    policy: PlanPolicy,
+    disks: u32,
+    cache: u32,
+    seed: u64,
+) -> (MergeTreePlan, f64) {
+    let plan = plan_merge_tree(runs, f, policy).expect("valid run population");
+    let k = runs.len() as u32;
+    let base = ScenarioBuilder::new(f.min(k), disks)
+        .inter(1)
+        .cache_blocks(cache)
+        .seed(seed)
+        .build()
+        .expect("valid base scenario");
+    let secs = predict_plan(&plan, &base)
+        .expect("every group fits the cache")
+        .iter()
+        .map(|p| p.read_time.as_secs_f64())
+        .sum();
+    (plan, secs)
+}
 
 fn main() {
     let (harness, _) = Harness::from_args();
@@ -37,22 +67,28 @@ fn main() {
         .expect("header");
 
     for f in [2u32, 4, 8, 16, 32, 64] {
-        let plan = plan_sequential(&equal_runs, f);
-        let report = simulate_plan(&plan, disks, cache, true, harness.seed ^ u64::from(f));
+        let (plan, secs) = plan_and_predict(
+            &equal_runs,
+            f,
+            PlanPolicy::GreedyMax,
+            disks,
+            cache,
+            harness.seed ^ u64::from(f),
+        );
         let n = (cache / (4 * f)).max(1);
         table.add_row(vec![
             f.to_string(),
             plan.num_passes().to_string(),
-            plan.total_blocks().to_string(),
+            plan.total_blocks_read().to_string(),
             n.to_string(),
-            format!("{:.1}", report.total().as_secs_f64()),
+            format!("{secs:.1}"),
         ]);
         csv.row_strings(&[
             f.to_string(),
             plan.num_passes().to_string(),
-            plan.total_blocks().to_string(),
+            plan.total_blocks_read().to_string(),
             n.to_string(),
-            format!("{:.3}", report.total().as_secs_f64()),
+            format!("{secs:.3}"),
         ])
         .expect("row");
     }
@@ -61,33 +97,28 @@ fn main() {
     );
     println!("{}", table.render());
 
-    // Part 2: unequal runs — sequential vs Huffman planning.
+    // Part 2: unequal runs — the planner's two policies at one cap.
     let mut rng = SimRng::seed_from_u64(harness.seed);
     let unequal: Vec<u32> = (0..48).map(|_| 20 + rng.index(480) as u32).collect();
     let f = 6u32;
-    let seq = plan_sequential(&unequal, f);
-    let huf = plan_huffman(&unequal, f);
-    let seq_secs = simulate_plan(&seq, disks, cache, true, harness.seed ^ 0xA)
-        .total()
-        .as_secs_f64();
-    let huf_secs = simulate_plan(&huf, disks, cache, true, harness.seed ^ 0xB)
-        .total()
-        .as_secs_f64();
-    println!("unequal runs (48 runs, 20-500 blocks), F={f}:");
-    println!(
-        "  sequential grouping: {} blocks read, {seq_secs:.1} s",
-        seq.total_blocks()
-    );
-    println!(
-        "  Huffman grouping:    {} blocks read, {huf_secs:.1} s",
-        huf.total_blocks()
-    );
+    println!("unequal runs (48 runs, 20-500 blocks), fan-in cap {f}:");
+    for (policy, salt) in [(PlanPolicy::GreedyMax, 0xA), (PlanPolicy::Balanced, 0xB)] {
+        let (plan, secs) = plan_and_predict(&unequal, f, policy, disks, cache, harness.seed ^ salt);
+        println!(
+            "  {:<10} fan-in {}, {} passes, {} blocks read, {secs:.1} s",
+            policy.label(),
+            plan.fan_in,
+            plan.num_passes(),
+            plan.total_blocks_read(),
+        );
+    }
     println!(
         "\nThe fan-in optimum sits in the middle (F=8..16 here): one pass at\n\
          F=64 starves the prefetcher (N=2 out of a 640-block cache) while F=2\n\
-         rereads the data six times. Huffman grouping trims the reread volume\n\
-         on unequal runs. Small merge orders need MergeConfig::per_run_cap:\n\
-         without it, single-run disks hoard the cache (see DESIGN.md §8)."
+         rereads the data six times. At the same pass count, the balanced\n\
+         policy's smaller groups prefetch deeper out of the same cache.\n\
+         Small merge orders need MergeConfig::per_run_cap: without it,\n\
+         single-run disks hoard the cache (see DESIGN.md §8)."
     );
     println!("wrote {}", harness.out_path("ext_multipass.csv").display());
 }

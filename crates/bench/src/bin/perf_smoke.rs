@@ -15,8 +15,9 @@
 //! Flags:
 //!
 //! * `--out <path>` — where to write the JSON (default `BENCH_core.json`).
-//! * `--snapshot <path>` — additionally write the same JSON as a per-PR
-//!   snapshot (default `BENCH_PR9.json`; CI uploads it as an artifact).
+//! * `--snapshot <path>` — additionally write the same JSON to `path`
+//!   (CI writes `BENCH_PR9.json` and uploads it as an artifact); without
+//!   it no snapshot is written.
 //! * `--repeats <n>` — timed repetitions per scenario (default 5).
 //! * `--quick` — 2 repeats; for CI smoke runs.
 //! * `--baseline <path>` — compare against a previously emitted JSON and
@@ -769,7 +770,7 @@ fn parse_baseline(text: &str) -> Vec<(String, f64)> {
 
 fn main() -> ExitCode {
     let mut out_path = String::from("BENCH_core.json");
-    let mut snapshot_path = String::from("BENCH_PR9.json");
+    let mut snapshot_path: Option<String> = None;
     let mut repeats = 5u32;
     let mut baseline: Option<String> = None;
     let mut max_regress_pct = 30.0f64;
@@ -779,7 +780,9 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => out_path = args.next().expect("--out needs a path"),
-            "--snapshot" => snapshot_path = args.next().expect("--snapshot needs a path"),
+            "--snapshot" => {
+                snapshot_path = Some(args.next().expect("--snapshot needs a path"));
+            }
             "--repeats" => {
                 repeats = args
                     .next()
@@ -908,8 +911,10 @@ fn main() -> ExitCode {
     );
     fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("wrote {out_path}");
-    fs::write(&snapshot_path, &json).expect("write snapshot JSON");
-    println!("wrote {snapshot_path}");
+    if let Some(path) = &snapshot_path {
+        fs::write(path, &json).expect("write snapshot JSON");
+        println!("wrote {path}");
+    }
 
     let mut failed = false;
     if check_alloc && probe.per_block_allocs > 0.0 {

@@ -30,8 +30,8 @@ use pm_engine::{
     disk_seed_for, ExecConfig, ExecOutcome, IoQueue, MergeEngine, MultiPassExecutor,
     MultiPassOptions, MultiPassOutcome, PassBackend, ThreadedQueue, RECORD_BYTES,
 };
-use pm_extsort::plan::{min_passes, plan_merge_tree, PlanPolicy};
-use pm_extsort::{generate, run_formation, Record};
+use pm_extsort::plan::{plan_merge_tree, PlanPolicy};
+use pm_extsort::{generate, Record, RunFormation};
 use pm_metrics::StackMetrics;
 use pm_obs::{
     Bound, DiskRollup, ManifestRecord, PointMetrics, RecordKind, ResidualCheck, TraceRollup,
@@ -43,6 +43,7 @@ use pm_workload::spec::ScenarioSpec;
 
 use crate::args::Args;
 use crate::metrics::MetricsArgs;
+use crate::plan::{fan_in_flags, run_blocks};
 
 /// Flags `exec` accepts (see the usage text for semantics).
 const EXEC_KEYS: &[&str] = &[
@@ -161,19 +162,12 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
     }
 
     // Phase 1: run formation (the sort's first pass).
+    let formation = RunFormation::parse(args.get("formation").unwrap_or("load-sort"))?;
     let input = generate::uniform(records, seed);
-    let runs = match args.get("formation").unwrap_or("load-sort") {
-        "load-sort" => run_formation::load_sort(&input, memory),
-        "replacement" => run_formation::replacement_selection(&input, memory),
-        other => {
-            return Err(PmError::Usage(format!(
-                "unknown formation '{other}' (load-sort | replacement)"
-            )))
-        }
-    };
+    let runs = formation.form(&input, memory);
 
     // Multi-pass path: the user bounded the fan-in (or the pass count).
-    if args.get("fan-in").is_some() || args.get("passes").is_some() {
+    if fan_in_flags(args, runs.len() as u32)?.is_some() {
         return exec_multipass(args, backend, &input, runs, rpb, seed, tol_exec);
     }
 
@@ -380,32 +374,6 @@ fn fan_in_hint(args: &Args, err: PmError, runs: u32) -> PmError {
     }
 }
 
-/// The fan-in bound for a multi-pass execution: `--fan-in` verbatim, or
-/// the smallest fan-in that finishes within `--passes` passes.
-fn resolve_fan_in(args: &Args, k: u32) -> Result<u32, PmError> {
-    if args.get("fan-in").is_some() {
-        let f: u32 = args.get_parsed("fan-in", 0u32)?;
-        if f < 2 {
-            return Err(PmError::Usage("--fan-in must be at least 2".into()));
-        }
-        if args.get("passes").is_some() {
-            return Err(PmError::Usage(
-                "--fan-in and --passes are mutually exclusive".into(),
-            ));
-        }
-        return Ok(f);
-    }
-    let p: u32 = args.get_parsed("passes", 0u32)?;
-    if p == 0 {
-        return Err(PmError::Usage("--passes must be positive".into()));
-    }
-    let mut f = 2u32;
-    while min_passes(k, f) > p {
-        f += 1;
-    }
-    Ok(f)
-}
-
 /// `pmerge exec --fan-in F` / `--passes P`: plan a merge tree, execute
 /// it pass by pass, verify the final output, and report per-pass costs.
 fn exec_multipass(
@@ -418,13 +386,9 @@ fn exec_multipass(
     tol_exec: f64,
 ) -> Result<(), PmError> {
     let k = runs.len() as u32;
-    let fan_in_cap = resolve_fan_in(args, k)?;
+    let fan_in_cap = fan_in_flags(args, k)?.expect("exec checked --fan-in or --passes");
     let policy = PlanPolicy::parse(args.get("plan-policy").unwrap_or("greedy-max"))?;
-    let lens: Vec<u32> = runs
-        .iter()
-        .map(|r| (r.len() as u32).div_ceil(rpb).max(1))
-        .collect();
-    let plan = plan_merge_tree(&lens, fan_in_cap, policy)?;
+    let plan = plan_merge_tree(&run_blocks(&runs, rpb), fan_in_cap, policy)?;
 
     // The base scenario is sized for one full-width group; every pass
     // derives its own depth/cap/seed from it.

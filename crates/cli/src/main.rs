@@ -193,7 +193,8 @@ PLAN OPTIONS (scenario flags as above; no merge is executed):
                         a real run-formation pass (--memory, --formation,
                         --rpb as for exec)
     --fan-in <F>        bound every merge group to F runs
-    --passes <P>        bound the tree to P passes (smallest viable fan-in)
+    --passes <P>        instead of --fan-in: bound the tree to P passes
+                        (smallest viable fan-in)
     --cache <C>         without --fan-in/--passes: derive the fan-in bound
                         from this cache budget and the strategy
     --plan-policy <p>   greedy-max | balanced | both     [default: both]

@@ -9,9 +9,9 @@
 
 use pm_core::{ConfigError, PmError, ScenarioBuilder};
 use pm_extsort::plan::{
-    min_passes, plan_merge_tree, predict_plan, MergeTreePlan, PassPrediction, PlanPolicy,
+    fan_in_for_passes, plan_merge_tree, predict_plan, MergeTreePlan, PassPrediction, PlanPolicy,
 };
-use pm_extsort::{generate, run_formation};
+use pm_extsort::{generate, Record, RunFormation};
 use pm_obs::json::Value;
 use pm_report::{Align, Table};
 
@@ -106,20 +106,9 @@ fn run_lengths(args: &Args, seed: u64) -> Result<Vec<u32>, PmError> {
             return Err(PmError::Usage("--records and --memory must be positive".into()));
         }
         let rpb: u32 = args.get_parsed("rpb", 40u32)?;
+        let formation = RunFormation::parse(args.get("formation").unwrap_or("load-sort"))?;
         let input = generate::uniform(records, seed);
-        let runs = match args.get("formation").unwrap_or("load-sort") {
-            "load-sort" => run_formation::load_sort(&input, memory),
-            "replacement" => run_formation::replacement_selection(&input, memory),
-            other => {
-                return Err(PmError::Usage(format!(
-                    "unknown formation '{other}' (load-sort | replacement)"
-                )))
-            }
-        };
-        Ok(runs
-            .iter()
-            .map(|r| (r.len() as u32).div_ceil(rpb).max(1))
-            .collect())
+        Ok(run_blocks(&formation.form(&input, memory), rpb))
     } else {
         let k: u32 = args.get_parsed("runs", 25u32)?;
         let blocks: u32 = args.get_parsed("blocks", 1000u32)?;
@@ -130,25 +119,43 @@ fn run_lengths(args: &Args, seed: u64) -> Result<Vec<u32>, PmError> {
     }
 }
 
-/// The fan-in bound: `--fan-in` verbatim, the smallest fan-in that fits
-/// `--passes`, or the widest merge the `--cache` budget supports.
-fn fan_in_cap(args: &Args, k: u32) -> Result<u32, PmError> {
+/// Each run's length in blocks of `rpb` records (at least one).
+pub(crate) fn run_blocks(runs: &[Vec<Record>], rpb: u32) -> Vec<u32> {
+    runs.iter()
+        .map(|r| (r.len() as u32).div_ceil(rpb).max(1))
+        .collect()
+}
+
+/// The fan-in bound `--fan-in` or `--passes` sets for `k` runs, or `None`
+/// when neither is given: `--fan-in` verbatim, or the smallest fan-in
+/// that finishes within `--passes` passes. Giving both is a usage error.
+pub(crate) fn fan_in_flags(args: &Args, k: u32) -> Result<Option<u32>, PmError> {
     if args.get("fan-in").is_some() {
         let f: u32 = args.get_parsed("fan-in", 0u32)?;
         if f < 2 {
             return Err(PmError::Usage("--fan-in must be at least 2".into()));
         }
-        return Ok(f);
+        if args.get("passes").is_some() {
+            return Err(PmError::Usage(
+                "--fan-in and --passes are mutually exclusive".into(),
+            ));
+        }
+        return Ok(Some(f));
     }
-    if args.get("passes").is_some() {
-        let p: u32 = args.get_parsed("passes", 0u32)?;
-        if p == 0 {
-            return Err(PmError::Usage("--passes must be positive".into()));
-        }
-        let mut f = 2u32;
-        while min_passes(k, f) > p {
-            f += 1;
-        }
+    if args.get("passes").is_none() {
+        return Ok(None);
+    }
+    let p: u32 = args.get_parsed("passes", 0u32)?;
+    if p == 0 {
+        return Err(PmError::Usage("--passes must be positive".into()));
+    }
+    Ok(Some(fan_in_for_passes(k, p)))
+}
+
+/// The fan-in bound: `--fan-in` or `--passes` (see [`fan_in_flags`]), or
+/// the widest merge the `--cache` budget supports.
+fn fan_in_cap(args: &Args, k: u32) -> Result<u32, PmError> {
+    if let Some(f) = fan_in_flags(args, k)? {
         return Ok(f);
     }
     if args.get("cache").is_some() {

@@ -144,6 +144,45 @@ fn exec_rejects_unknown_backend() {
 }
 
 #[test]
+fn passes_bounds_the_fan_in_for_plan_and_exec() {
+    // Both commands reject a fan-in and a pass count given together.
+    for (command, population) in [
+        ("plan", ["--runs", "64", "--blocks", "10"]),
+        ("exec", ["--records", "6400", "--memory", "100"]),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pmerge"))
+            .arg(command)
+            .args(population)
+            .args(["--fan-in", "8", "--passes", "2"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert!(stderr.contains("mutually exclusive"), "{command}: {stderr}");
+    }
+    // 64 runs in two passes need fan-in 8.
+    let (ok, stdout, stderr) = pmerge(&["plan", "--runs", "64", "--blocks", "10", "--passes", "2"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("64 runs (640 blocks total), fan-in cap 8,"), "{stdout}");
+    // A two-pass merge of 64 runs writes the same bytes as one pass.
+    let dir = std::env::temp_dir();
+    let single = dir.join(format!("pmerge-e2e-passes-1-{}.bin", std::process::id()));
+    let double = dir.join(format!("pmerge-e2e-passes-2-{}.bin", std::process::id()));
+    let run = ["exec", "--records", "6400", "--memory", "100", "--out"];
+    let (ok, _, stderr) = pmerge(&[&run[..], &[single.to_str().unwrap()]].concat());
+    assert!(ok, "stderr: {stderr}");
+    let (ok, stdout, stderr) =
+        pmerge(&[&run[..], &[double.to_str().unwrap(), "--passes", "2"]].concat());
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("fan-in 8 (cap 8), 2 passes"), "{stdout}");
+    let (a, b) = (std::fs::read(&single).unwrap(), std::fs::read(&double).unwrap());
+    let _ = std::fs::remove_file(single);
+    let _ = std::fs::remove_file(double);
+    assert_eq!(a.len(), 6400 * 16);
+    assert!(a == b, "two-pass output differs from the single pass");
+}
+
+#[test]
 fn batch_command_end_to_end() {
     let path = std::env::temp_dir().join("pmerge-e2e-batch.txt");
     std::fs::write(

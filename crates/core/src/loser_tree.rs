@@ -44,8 +44,9 @@
 /// An item the [`LoserTree`] can merge: an `Ord` value with an
 /// order-preserving `u64` key that decides most matches on its own.
 ///
-/// Contract: `a <= b` implies `a.merge_key() <= b.merge_key()`. See the
-/// [module docs](self) for a key that breaks it.
+/// Contract: `a <= b` implies `a.merge_key() <= b.merge_key()`. Keying
+/// `i32` by `*self as u64` breaks it: `-1` sign-extends above every
+/// non-negative value, so the merge would emit `0` before `-1`.
 pub trait MergeKey: Ord + Copy {
     /// The order-preserving key of this item.
     fn merge_key(&self) -> u64;

@@ -14,9 +14,9 @@
 //!   (≈ `2M` average run length on random input; Knuth vol. 3 §5.4.1).
 //! * [`pm_core::LoserTree`] — the classic tournament tree used for the
 //!   `k`-way merge, `O(log k)` per record.
-//! * [`multipass`] — multi-pass merge planning (sequential and `F`-ary
-//!   Huffman) with pass-by-pass simulation, for merges whose order exceeds
-//!   the cache-supported fan-in.
+//! * [`plan`] — multi-pass merge-tree planning (`greedy-max` or
+//!   `balanced` fan-in) with pass-by-pass simulation, for merges whose
+//!   order exceeds the cache-supported fan-in.
 //! * [`external_sort`] — the full pipeline. Besides the sorted output it
 //!   records the **block-depletion trace**: the order in which the merge
 //!   finishes blocks of each run. Feeding that trace to
@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod generate;
-pub mod multipass;
 pub mod plan;
 pub mod run_formation;
 

@@ -1,12 +1,13 @@
 //! Merge-tree planning: identity-preserving multi-pass schedules.
 //!
-//! [`crate::multipass`] plans over run *lengths* — good enough to study
-//! the fan-in trade-off in the simulator, where runs are interchangeable.
-//! Executing a plan against real data needs more: every group must name
-//! *which* runs it consumes, outputs must feed the next pass in a
-//! deterministic order, and each pass needs a concrete scenario (depth,
-//! cap, seed) derived from the shared cache budget. This module supplies
-//! that layer.
+//! When the number of runs `k` exceeds the fan-in `F` a merge can
+//! sustain (bounded by the cache, since each input run needs buffers),
+//! the merge proceeds in passes, each combining up to `F` runs into one
+//! longer run. Every group names *which* runs it consumes, outputs feed
+//! the next pass in a deterministic order, and each pass gets a concrete
+//! scenario (depth, cap, seed) derived from the shared cache budget, so
+//! one plan serves the simulator's prediction ([`predict_plan`]), the
+//! engine's executor and the `ext_multipass` fan-in sweep alike.
 //!
 //! Two fan-in policies are provided, selectable via [`PlanPolicy`]:
 //!
@@ -151,14 +152,16 @@ pub fn min_passes(k: u32, fan_in: u32) -> u32 {
     passes
 }
 
-/// The smallest fan-in `F ≥ 2` that still reduces `k` runs in the
-/// minimum pass count achievable at `fan_in_cap`.
+/// The smallest fan-in `F ≥ 2` that reduces `k` runs to one in at most
+/// `passes` passes.
+///
+/// The result never exceeds `max(k, 2)`, the fan-in of a single pass, so
+/// `passes = 0` (unreachable for `k ≥ 2`) yields that too.
 #[must_use]
-pub fn balanced_fan_in(k: u32, fan_in_cap: u32) -> u32 {
-    let cap = fan_in_cap.max(2);
-    let target = min_passes(k, cap);
+pub fn fan_in_for_passes(k: u32, passes: u32) -> u32 {
+    let widest = k.max(2);
     let mut f = 2;
-    while f < cap && min_passes(k, f) > target {
+    while f < widest && min_passes(k, f) > passes {
         f += 1;
     }
     f
@@ -190,7 +193,7 @@ pub fn plan_merge_tree(
     }
     let fan_in = match policy {
         PlanPolicy::GreedyMax => fan_in_cap.max(2),
-        PlanPolicy::Balanced => balanced_fan_in(k, fan_in_cap),
+        PlanPolicy::Balanced => fan_in_for_passes(k, min_passes(k, fan_in_cap)),
     };
     let mut passes = Vec::new();
     let mut level: Vec<u32> = run_blocks.to_vec();
@@ -287,14 +290,16 @@ mod tests {
     }
 
     #[test]
-    fn balanced_fan_in_shrinks_without_adding_passes() {
+    fn fan_in_for_passes_shrinks_without_adding_passes() {
         // k=9 at cap 8 takes 2 passes; F=3 is the smallest that still
         // does (F=2 would need 4).
-        assert_eq!(balanced_fan_in(9, 8), 3);
+        assert_eq!(fan_in_for_passes(9, min_passes(9, 8)), 3);
         // A perfect power keeps the cap.
-        assert_eq!(balanced_fan_in(64, 8), 8);
+        assert_eq!(fan_in_for_passes(64, min_passes(64, 8)), 8);
         // Single pass requires the full width.
-        assert_eq!(balanced_fan_in(5, 8), 5);
+        assert_eq!(fan_in_for_passes(5, min_passes(5, 8)), 5);
+        // A single run needs no merging at any fan-in.
+        assert_eq!(fan_in_for_passes(1, 0), 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The full external-mergesort pipeline with depletion-trace extraction.
 
-use pm_core::{RunId, TraceDepletion};
+use pm_core::{PmError, RunId, TraceDepletion};
 
 use crate::{run_formation, Record};
 use pm_core::LoserTree;
@@ -14,6 +14,39 @@ pub enum RunFormation {
     /// Replacement selection — variable-length runs, ≈ `2M` on random
     /// input.
     ReplacementSelection,
+}
+
+impl RunFormation {
+    /// Parses a CLI spelling.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmError::Usage`] for anything other than `load-sort` and
+    /// `replacement`.
+    pub fn parse(s: &str) -> Result<Self, PmError> {
+        match s {
+            "load-sort" => Ok(RunFormation::LoadSort),
+            "replacement" => Ok(RunFormation::ReplacementSelection),
+            other => Err(PmError::Usage(format!(
+                "unknown formation '{other}' (load-sort | replacement)"
+            ))),
+        }
+    }
+
+    /// Forms sorted runs from `input`, holding `memory` records at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `memory` is zero.
+    #[must_use]
+    pub fn form(self, input: &[Record], memory: usize) -> Vec<Vec<Record>> {
+        match self {
+            RunFormation::LoadSort => run_formation::load_sort(input, memory),
+            RunFormation::ReplacementSelection => {
+                run_formation::replacement_selection(input, memory)
+            }
+        }
+    }
 }
 
 /// External-sort parameters.
@@ -99,12 +132,7 @@ impl SortOutcome {
 pub fn external_sort(input: &[Record], cfg: &ExtSortConfig) -> SortOutcome {
     assert!(cfg.memory_records > 0, "memory must hold at least one record");
     assert!(cfg.records_per_block > 0, "blocks must hold at least one record");
-    let runs = match cfg.run_formation {
-        RunFormation::LoadSort => run_formation::load_sort(input, cfg.memory_records),
-        RunFormation::ReplacementSelection => {
-            run_formation::replacement_selection(input, cfg.memory_records)
-        }
-    };
+    let runs = cfg.run_formation.form(input, cfg.memory_records);
     let run_lengths: Vec<usize> = runs.iter().map(Vec::len).collect();
     let run_blocks: Vec<u32> = run_lengths
         .iter()

@@ -12,12 +12,14 @@
 //! * the pass count matches the analytic `ceil(log_F k)` for the fan-in
 //!   the policy chose;
 //! * every derived per-pass scenario validates within the base cache
+//!   budget;
+//! * `fan_in_for_passes` is the smallest fan-in that meets its pass
 //!   budget.
 
 use proptest::prelude::*;
 
 use pm_core::ScenarioBuilder;
-use pm_extsort::plan::{min_passes, plan_merge_tree, MergeTreePlan, PlanPolicy};
+use pm_extsort::plan::{fan_in_for_passes, min_passes, plan_merge_tree, MergeTreePlan, PlanPolicy};
 
 fn policies() -> impl Strategy<Value = PlanPolicy> {
     prop_oneof![Just(PlanPolicy::GreedyMax), Just(PlanPolicy::Balanced)]
@@ -128,6 +130,18 @@ proptest! {
                     g
                 );
             }
+        }
+    }
+
+    /// `fan_in_for_passes(k, p)` is the smallest `F ≥ 2` that merges `k`
+    /// runs in at most `p` passes.
+    #[test]
+    fn fan_in_for_passes_is_the_smallest_that_fits(k in 1u32..200, p in 1u32..8) {
+        let f = fan_in_for_passes(k, p);
+        prop_assert!(f >= 2);
+        prop_assert!(min_passes(k, f) <= p, "F={} needs {} passes", f, min_passes(k, f));
+        if f > 2 {
+            prop_assert!(min_passes(k, f - 1) > p, "F={} also fits {} passes", f - 1, p);
         }
     }
 }

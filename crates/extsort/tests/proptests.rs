@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use pm_extsort::multipass::{plan_huffman, plan_sequential};
 use pm_core::LoserTree;
 use pm_extsort::{external_sort, run_formation, ExtSortConfig, Record, RunFormation};
 
@@ -265,59 +264,5 @@ fn loser_tree_all_sources_empty() {
     for k in [1, 2, 3, 5, 64, 65] {
         let (merged, expected) = merge_records(vec![Vec::new(); k]);
         assert!(merged.is_empty() && expected.is_empty(), "k = {k}");
-    }
-}
-
-fn run_lengths() -> impl Strategy<Value = Vec<u32>> {
-    prop::collection::vec(1u32..500, 1..40)
-}
-
-proptest! {
-    /// Both planners conserve data: every pass's outputs feed the next,
-    /// and the final output length is the total input length.
-    #[test]
-    fn merge_plans_conserve_data(lengths in run_lengths(), fan_in in 2u32..8) {
-        for plan in [plan_sequential(&lengths, fan_in), plan_huffman(&lengths, fan_in)] {
-            let total: u64 = lengths.iter().map(|&l| u64::from(l)).sum();
-            let mut available: Vec<u64> = lengths.iter().map(|&l| u64::from(l)).collect();
-            for pass in &plan.passes {
-                for group in &pass.groups {
-                    prop_assert!(group.len() <= fan_in as usize, "group too wide");
-                    for &len in group {
-                        let pos = available.iter().position(|&a| a == u64::from(len));
-                        prop_assert!(pos.is_some(), "phantom input {len}");
-                        available.swap_remove(pos.unwrap());
-                    }
-                }
-                available.extend(pass.outputs().iter().map(|&o| u64::from(o)));
-            }
-            prop_assert_eq!(available, vec![total]);
-        }
-    }
-
-    /// Huffman never reads more data than sequential grouping, and both
-    /// read at least (passes × total) is false for huffman — but each
-    /// plan's volume is bounded by passes × total input.
-    #[test]
-    fn huffman_dominates_sequential(lengths in run_lengths(), fan_in in 2u32..8) {
-        let seq = plan_sequential(&lengths, fan_in);
-        let huf = plan_huffman(&lengths, fan_in);
-        prop_assert!(huf.total_blocks() <= seq.total_blocks());
-        let total: u64 = lengths.iter().map(|&l| u64::from(l)).sum();
-        prop_assert!(seq.total_blocks() <= seq.num_passes() as u64 * total);
-    }
-
-    /// Sequential pass count matches the logarithmic formula.
-    #[test]
-    fn sequential_pass_count(k in 1usize..200, fan_in in 2u32..8) {
-        let lengths = vec![10u32; k];
-        let plan = plan_sequential(&lengths, fan_in);
-        let mut expected = 0usize;
-        let mut n = k;
-        while n > 1 {
-            n = n.div_ceil(fan_in as usize);
-            expected += 1;
-        }
-        prop_assert_eq!(plan.num_passes(), expected);
     }
 }

@@ -159,7 +159,7 @@ const QUICK_SWEEP_STRIDE: usize = 6;
 
 /// The full validation set: T1, T2, and the Fig. 3.2 panel-A curves.
 ///
-/// `quick` thins each curve to every [`QUICK_SWEEP_STRIDE`]-th point plus
+/// `quick` thins each curve to every `QUICK_SWEEP_STRIDE`-th point plus
 /// the endpoint (kept points are identical to the full sweep's, including
 /// seeds — a quick run's records are a subset of a full run's).
 #[must_use]

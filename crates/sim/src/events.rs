@@ -171,7 +171,7 @@ impl<E> Tournament<E> {
 /// any correct priority queue over the same keys — which is what lets the
 /// queue pick its store by size without changing a single simulation bit:
 ///
-/// * up to [`LINEAR_MAX_SLOTS`] pending events, a flat vector popped by a
+/// * up to `LINEAR_MAX_SLOTS` (64) pending events, a flat vector popped by a
 ///   contiguous linear min-scan (branch-predictable, pipelines well — the
 ///   fastest structure at the merge simulator's O(D) event bound);
 /// * above that, an indexed tournament (winner tree) whose schedule/pop
@@ -239,7 +239,7 @@ impl<E> EventQueue<E> {
 
     /// Ensures room for at least `additional` more pending events,
     /// migrating from the min-scan store to the tournament if the new
-    /// bound crosses [`LINEAR_MAX_SLOTS`].
+    /// bound crosses `LINEAR_MAX_SLOTS`.
     pub fn reserve(&mut self, additional: usize) {
         let want = self.len() + additional;
         match &mut self.store {
