@@ -34,6 +34,27 @@ pub enum AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
+    /// Short label, as `pmerge --admission` spells it.
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            AdmissionPolicy::AllOrNothing => "all-or-nothing",
+            AdmissionPolicy::Greedy => "greedy",
+        }
+    }
+
+    /// The policy whose [`label`](Self::label) is `label`, or `"aon"` for
+    /// [`AdmissionPolicy::AllOrNothing`]; `None` for an unknown one.
+    #[must_use]
+    pub fn from_label(label: &str) -> Option<Self> {
+        match label {
+            "aon" => Some(AdmissionPolicy::AllOrNothing),
+            _ => [AdmissionPolicy::AllOrNothing, AdmissionPolicy::Greedy]
+                .into_iter()
+                .find(|p| p.label() == label),
+        }
+    }
+
     /// Attempts to admit `groups` into `cache` under this policy.
     ///
     /// Returns the groups actually reserved (with possibly reduced block
@@ -156,6 +177,15 @@ impl AdmissionPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn labels_round_trip() {
+        for p in [AdmissionPolicy::AllOrNothing, AdmissionPolicy::Greedy] {
+            assert_eq!(AdmissionPolicy::from_label(p.label()), Some(p));
+        }
+        assert_eq!(AdmissionPolicy::from_label("aon"), Some(AdmissionPolicy::AllOrNothing));
+        assert_eq!(AdmissionPolicy::from_label("bogus"), None);
+    }
 
     fn groups(spec: &[(u32, u32)]) -> Vec<PrefetchGroup> {
         spec.iter()

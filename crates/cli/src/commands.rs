@@ -2,8 +2,8 @@
 
 use pm_analysis::{bounds, equations, urn, ModelParams};
 use pm_core::{
-    run_trials, run_trials_traced, AdmissionPolicy, MergeConfig, PmError, PrefetchChoice,
-    PrefetchStrategy, ScenarioBuilder, SimDuration, SyncMode, WriteSpec,
+    run_trials, run_trials_traced, MergeConfig, PmError, PrefetchStrategy, ScenarioBuilder,
+    SimDuration, TraceEvent,
 };
 use pm_obs::{
     env_record_line, parse_manifest, render_manifest, render_report, run_suite, validation_points,
@@ -15,81 +15,36 @@ use pm_trace::{export, TraceMetrics};
 
 use crate::args::Args;
 use crate::batch;
+use crate::scenario::{self, SIM_KEYS};
 
-const SCENARIO_KEYS: &[&str] = &[
-    "runs", "blocks", "disks", "strategy", "n", "cache", "sync", "cpu-ms", "admission", "choice",
-    "cap", "layout", "write-disks", "write-buffer", "trials", "seed",
-];
-
-/// Builds a [`MergeConfig`] from scenario options via [`ScenarioBuilder`].
+/// The simulator commands' scenario and trial count: `--runs` runs of
+/// `--blocks` blocks plus the shared scenario flags.
 fn scenario(args: &Args) -> Result<(MergeConfig, u32), PmError> {
     let runs: u32 = args.get_parsed("runs", 25)?;
     let blocks: u32 = args.get_parsed("blocks", 1000)?;
-    let disks: u32 = args.get_parsed("disks", 5)?;
-    let n: u32 = args.get_parsed("n", 10)?;
-    let strategy = match args.get("strategy").unwrap_or("inter") {
-        "none" => PrefetchStrategy::None,
-        "intra" => PrefetchStrategy::IntraRun { n },
-        "inter" => PrefetchStrategy::InterRun { n },
-        // Adaptive: `--n` caps the depth; the floor is 1.
-        "adaptive" => PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: n },
-        other => return Err(PmError::Usage(format!("unknown strategy '{other}'"))),
-    };
-    let cpu_ms: f64 = args.get_parsed("cpu-ms", 0.0)?;
-    if !(cpu_ms.is_finite() && cpu_ms >= 0.0) {
-        return Err(PmError::Usage("--cpu-ms must be >= 0".into()));
-    }
-    let admission = match args.get("admission").unwrap_or("all-or-nothing") {
-        "all-or-nothing" | "aon" => AdmissionPolicy::AllOrNothing,
-        "greedy" => AdmissionPolicy::Greedy,
-        other => return Err(PmError::Usage(format!("unknown admission policy '{other}'"))),
-    };
-    let choice = match args.get("choice").unwrap_or("random") {
-        "random" => PrefetchChoice::Random,
-        "least-held" => PrefetchChoice::LeastHeld,
-        "head-proximity" => PrefetchChoice::HeadProximity,
-        other => return Err(PmError::Usage(format!("unknown prefetch choice '{other}'"))),
-    };
-    let layout = match args.get("layout").unwrap_or("concatenated") {
-        "concatenated" | "concat" => pm_core::DataLayout::Concatenated,
-        "striped" => pm_core::DataLayout::Striped,
-        other => return Err(PmError::Usage(format!("unknown layout '{other}'"))),
-    };
-    let cap: u32 = args.get_parsed("cap", 0)?;
-    let write_disks: u32 = args.get_parsed("write-disks", 0)?;
-    let write_buffer: u32 = args.get_parsed("write-buffer", 64)?;
+    let builder = scenario::builder(args, runs, scenario::SIM)?;
     let trials: u32 = args.get_parsed("trials", 5)?;
     if trials == 0 {
         return Err(PmError::Usage("--trials must be positive".into()));
     }
-    let mut builder = ScenarioBuilder::new(runs, disks)
-        .run_blocks(blocks)
-        .strategy(strategy)
-        .sync_mode(if args.flag("sync") {
-            SyncMode::Synchronized
-        } else {
-            SyncMode::Unsynchronized
-        })
-        .cpu_per_block(SimDuration::from_millis_f64(cpu_ms))
-        .admission(admission)
-        .prefetch_choice(choice)
-        .layout(layout)
-        .per_run_cap((cap > 0).then_some(cap))
-        .write((write_disks > 0).then_some(WriteSpec {
-            disks: write_disks,
-            buffer_blocks: write_buffer,
-        }))
-        .seed(args.get_parsed("seed", 1992)?);
-    if args.get("cache").is_some() {
-        builder = builder.cache_blocks(args.get_parsed("cache", 0)?);
+    Ok((builder.run_blocks(blocks).build()?, trials))
+}
+
+/// Renders an event stream in the `--trace-format` `format`.
+pub(crate) fn render_trace(events: &[TraceEvent], format: &str) -> Result<String, PmError> {
+    match format {
+        "chrome" => Ok(export::chrome_trace_json(events)),
+        "csv" => Ok(export::csv(events)),
+        "gantt" => Ok(export::gantt(events, &export::GanttOptions::default())),
+        other => Err(PmError::Usage(format!(
+            "unknown trace format '{other}' (chrome | csv | gantt)"
+        ))),
     }
-    let cfg = builder.build()?;
-    Ok((cfg, trials))
 }
 
 /// `pmerge simulate`
 pub fn simulate(args: &Args) -> Result<(), PmError> {
-    args.check_known(SCENARIO_KEYS)?;
+    args.check_known(SIM_KEYS)?;
     let (cfg, trials) = scenario(args)?;
     let summary = run_trials(&cfg, trials)?;
     let r = &summary.reports[0];
@@ -138,7 +93,7 @@ pub fn simulate(args: &Args) -> Result<(), PmError> {
 
 /// `pmerge trace`
 pub fn trace(args: &Args) -> Result<(), PmError> {
-    let mut allowed = SCENARIO_KEYS.to_vec();
+    let mut allowed = SIM_KEYS.to_vec();
     allowed.extend_from_slice(&["trace-out", "trace-format", "trace-limit"]);
     args.check_known(&allowed)?;
     let (cfg, trials) = scenario(args)?;
@@ -147,16 +102,7 @@ pub fn trace(args: &Args) -> Result<(), PmError> {
     let (summary, sink) =
         run_trials_traced(&cfg, trials, 1, (limit > 0).then_some(limit))?;
     let events = sink.events();
-    let rendered = match format {
-        "chrome" => export::chrome_trace_json(&events),
-        "csv" => export::csv(&events),
-        "gantt" => export::gantt(&events, &export::GanttOptions::default()),
-        other => {
-            return Err(PmError::Usage(format!(
-                "unknown trace format '{other}' (chrome | csv | gantt)"
-            )))
-        }
-    };
+    let rendered = render_trace(&events, format)?;
     let Some(path) = args.get("trace-out") else {
         // Bare stream to stdout so it can be piped or redirected.
         print!("{rendered}");
@@ -270,7 +216,7 @@ pub fn analyze(args: &Args) -> Result<(), PmError> {
 
 /// `pmerge sweep`
 pub fn sweep(args: &Args) -> Result<(), PmError> {
-    let mut allowed = SCENARIO_KEYS.to_vec();
+    let mut allowed = SIM_KEYS.to_vec();
     allowed.extend_from_slice(&["param", "from", "to", "step"]);
     args.check_known(&allowed)?;
     let param = args.require("param")?.to_string();
@@ -569,6 +515,7 @@ pub fn report(args: &Args) -> Result<(), PmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_core::{AdmissionPolicy, PrefetchChoice, SyncMode, WriteSpec};
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(ToString::to_string)).unwrap()

@@ -23,35 +23,34 @@
 //! simulator's prediction within `--tol-exec`. A failed check exits 1
 //! ([`PmError::Tolerance`]); usage errors exit 2.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use pm_core::{ConfigError, PmError, PrefetchStrategy, ScenarioBuilder, SyncMode};
+use pm_core::{ConfigError, PmError, ScenarioBuilder};
 use pm_engine::{
-    disk_seed_for, ExecConfig, ExecOutcome, IoQueue, MergeEngine, MultiPassExecutor,
-    MultiPassOptions, MultiPassOutcome, PassBackend, ThreadedQueue, RECORD_BYTES,
+    ExecConfig, ExecOutcome, IoQueue, MergeEngine, MultiPassExecutor, MultiPassOptions,
+    MultiPassOutcome, PassBackend, RECORD_BYTES,
 };
 use pm_extsort::plan::{plan_merge_tree, PlanPolicy};
 use pm_extsort::{generate, Record, RunFormation};
 use pm_metrics::StackMetrics;
 use pm_obs::{
-    Bound, DiskRollup, ManifestRecord, PointMetrics, RecordKind, ResidualCheck, TraceRollup,
-    SCHEMA_VERSION,
+    Bound, ManifestRecord, PointMetrics, RecordKind, ResidualCheck, TraceRollup, SCHEMA_VERSION,
 };
 use pm_report::{Align, Table};
-use pm_trace::{export, TraceMetrics};
-use pm_workload::spec::ScenarioSpec;
 
 use crate::args::Args;
+use crate::commands::render_trace;
 use crate::metrics::MetricsArgs;
 use crate::plan::{fan_in_flags, run_blocks};
+use crate::scenario::{self, ENGINE_KEYS};
 
 /// Flags `exec` accepts (see the usage text for semantics).
 const EXEC_KEYS: &[&str] = &[
     // Workload and run formation.
     "records", "memory", "formation", "rpb",
-    // Scenario (run count comes from formation, not --runs).
-    "disks", "strategy", "n", "cache", "sync", "admission", "choice", "cap", "layout", "seed",
-    // Execution.
+    // Execution (the scenario flags are ENGINE_KEYS; the run count comes
+    // from formation, not --runs).
     "backend", "dir", "jobs", "queue-depth", "time-scale",
     // Multi-pass planning (presence of either selects the multi-pass path).
     "fan-in", "passes", "plan-policy",
@@ -117,6 +116,27 @@ impl Backend {
     fn uses_files(self) -> bool {
         matches!(self, Backend::File | Backend::FileDirect | Backend::Uring)
     }
+
+    /// The engine's device family for this backend, with disk files under
+    /// `root` for the file-backed ones.
+    fn pass_backend(self, root: PathBuf) -> PassBackend {
+        match self {
+            Backend::Memory => PassBackend::Memory,
+            Backend::Latency => PassBackend::Latency,
+            Backend::File => PassBackend::File { root },
+            Backend::FileDirect => PassBackend::FileDirect { root },
+            Backend::Uring => PassBackend::Uring { root },
+        }
+    }
+}
+
+/// Where the file-backed devices live: `--dir`, or a temp directory the
+/// command removes afterwards.
+fn device_root(args: &Args) -> PathBuf {
+    match args.get("dir") {
+        Some(d) => PathBuf::from(d),
+        None => std::env::temp_dir().join(format!("pmerge-exec-{}", std::process::id())),
+    }
 }
 
 #[cfg(feature = "uring")]
@@ -145,7 +165,7 @@ fn resolve_uring(backend: Backend) -> Backend {
 
 /// `pmerge exec`
 pub fn exec(args: &Args) -> Result<(), PmError> {
-    args.check_known(EXEC_KEYS)?;
+    args.check_known(&[EXEC_KEYS, ENGINE_KEYS].concat())?;
     let backend = resolve_uring(Backend::parse(args.get("backend").unwrap_or("mem"))?);
     let records: usize = args.get_parsed("records", 50_000usize)?;
     let memory: usize = args.get_parsed("memory", 5_000usize)?;
@@ -168,11 +188,11 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
 
     // Multi-pass path: the user bounded the fan-in (or the pass count).
     if fan_in_flags(args, runs.len() as u32)?.is_some() {
-        return exec_multipass(args, backend, &input, runs, rpb, seed, tol_exec);
+        return exec_multipass(args, backend, &input, runs, rpb, tol_exec);
     }
 
     // Phase 2: plan the merge. The run count comes from the data.
-    let cfg = scenario_for(args, runs.len() as u32, seed)
+    let cfg = scenario::for_engine(args, runs.len() as u32)
         .map_err(|e| fan_in_hint(args, e, runs.len() as u32))?;
     let mut exec_cfg = ExecConfig::new(cfg);
     exec_cfg.records_per_block = rpb;
@@ -204,64 +224,19 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
         .as_ref()
         .zip(metrics.as_ref())
         .map(|(ma, m)| ma.live(m));
-    let opts = engine.queue_options();
-    let dir = backend.uses_files().then(|| match args.get("dir") {
-        Some(d) => std::path::PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("pmerge-exec-{}", std::process::id())),
-    });
+    let root = device_root(args);
     let outcome = {
-        let mut queue: Box<dyn IoQueue> = match backend {
-            Backend::Memory => {
-                Box::new(ThreadedQueue::memory(disks, engine.block_bytes(), opts))
-            }
-            Backend::File => {
-                let dir = dir.as_ref().expect("file backend has a dir");
-                Box::new(
-                    ThreadedQueue::file(dir, disks, engine.block_bytes(), opts).map_err(
-                        |e| PmError::io(format!("cannot create '{}'", dir.display()), e),
-                    )?,
-                )
-            }
-            Backend::FileDirect => {
-                let dir = dir.as_ref().expect("file-direct backend has a dir");
-                Box::new(ThreadedQueue::file_direct(
-                    dir,
-                    disks,
-                    engine.block_bytes(),
-                    opts,
-                )?)
-            }
-            Backend::Latency => Box::new(ThreadedQueue::latency(
-                disks,
-                engine.block_bytes(),
-                cfg.disk_spec,
-                cfg.discipline,
-                disk_seed_for(&cfg),
-                opts,
-            )),
-            #[cfg(feature = "uring")]
-            Backend::Uring => {
-                let dir = dir.as_ref().expect("uring backend has a dir");
-                Box::new(pm_engine::UringQueue::create(
-                    dir,
-                    disks,
-                    engine.block_bytes(),
-                    opts.depth,
-                )?)
-            }
-            #[cfg(not(feature = "uring"))]
-            Backend::Uring => unreachable!("resolve_uring downgraded the backend"),
-        };
+        let mut queue = backend.pass_backend(root.clone()).open_queue(&engine, &root)?;
         engine.load(&mut *queue, &runs)?;
         // The queue holds the runs now.
         drop(runs);
         execute_with(&engine, queue, metrics.as_deref())?
     };
-    if let Some(dir) = &dir {
-        println!("device files under {}", dir.display());
+    if backend.uses_files() {
         if args.get("dir").is_none() {
-            let _ = std::fs::remove_dir_all(dir);
+            let _ = std::fs::remove_dir_all(&root);
         }
+        println!("device files under {}", root.display());
     }
     if let Some(live) = live {
         live.finish();
@@ -318,16 +293,8 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
         println!("wrote {path} ({} records)", outcome.output.len());
     }
     if let Some(path) = args.get("trace-out") {
-        let rendered = match args.get("trace-format").unwrap_or("chrome") {
-            "chrome" => export::chrome_trace_json(&outcome.events),
-            "csv" => export::csv(&outcome.events),
-            "gantt" => export::gantt(&outcome.events, &export::GanttOptions::default()),
-            other => {
-                return Err(PmError::Usage(format!(
-                    "unknown trace format '{other}' (chrome | csv | gantt)"
-                )))
-            }
-        };
+        let format = args.get("trace-format").unwrap_or("chrome");
+        let rendered = render_trace(&outcome.events, format)?;
         std::fs::write(path, rendered)
             .map_err(|e| PmError::io(format!("cannot write '{path}'"), e))?;
         println!("wrote {path}");
@@ -358,19 +325,19 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
 /// [`ConfigError::FanInExceeded`], which tells the user how wide the
 /// cache can actually go and points at `pmerge plan`.
 fn fan_in_hint(args: &Args, err: PmError, runs: u32) -> PmError {
-    match err {
-        PmError::Config(ConfigError::CacheTooSmall { have, need }) => match parse_strategy(args) {
-            Ok(strategy) => {
-                let fan_in = ScenarioBuilder::max_feasible_fan_in(have, strategy);
-                if fan_in < runs {
-                    ConfigError::FanInExceeded { runs, fan_in }.into()
-                } else {
-                    PmError::Config(ConfigError::CacheTooSmall { have, need })
-                }
+    let PmError::Config(ConfigError::CacheTooSmall { have, .. }) = err else {
+        return err;
+    };
+    match scenario::strategy(args, scenario::ENGINE) {
+        Ok(strategy) => {
+            let fan_in = ScenarioBuilder::max_feasible_fan_in(have, strategy);
+            if fan_in < runs {
+                ConfigError::FanInExceeded { runs, fan_in }.into()
+            } else {
+                err
             }
-            Err(e) => e,
-        },
-        e => e,
+        }
+        Err(e) => e,
     }
 }
 
@@ -382,7 +349,6 @@ fn exec_multipass(
     input: &[Record],
     runs: Vec<Vec<Record>>,
     rpb: u32,
-    seed: u64,
     tol_exec: f64,
 ) -> Result<(), PmError> {
     let k = runs.len() as u32;
@@ -392,7 +358,7 @@ fn exec_multipass(
 
     // The base scenario is sized for one full-width group; every pass
     // derives its own depth/cap/seed from it.
-    let base = scenario_for(args, fan_in_cap.min(k), seed)
+    let base = scenario::for_engine(args, fan_in_cap.min(k))
         .map_err(|e| fan_in_hint(args, e, fan_in_cap.min(k)))?;
     let opts = MultiPassOptions {
         records_per_block: rpb,
@@ -400,23 +366,9 @@ fn exec_multipass(
         jobs: args.get_parsed("jobs", 0usize)?,
         time_scale: args.get_parsed("time-scale", 1.0f64)?,
     };
-    let (pass_backend, temp_dir) = match backend {
-        Backend::Memory => (PassBackend::Memory, None),
-        Backend::Latency => (PassBackend::Latency, None),
-        Backend::File | Backend::FileDirect | Backend::Uring => {
-            let root = match args.get("dir") {
-                Some(d) => std::path::PathBuf::from(d),
-                None => std::env::temp_dir().join(format!("pmerge-exec-{}", std::process::id())),
-            };
-            let temp = args.get("dir").is_none().then(|| root.clone());
-            let pb = match backend {
-                Backend::File => PassBackend::File { root },
-                Backend::FileDirect => PassBackend::FileDirect { root },
-                _ => PassBackend::Uring { root },
-            };
-            (pb, temp)
-        }
-    };
+    let root = device_root(args);
+    let temp_dir = (backend.uses_files() && args.get("dir").is_none()).then(|| root.clone());
+    let pass_backend = backend.pass_backend(root);
     println!(
         "formed {} runs from {} records ({} per block); {} plan: fan-in {} (cap {}), {} passes, {} blocks read per the plan; {} backend",
         k,
@@ -492,16 +444,8 @@ fn exec_multipass(
         println!("wrote {path} ({} records)", out.output.len());
     }
     if let Some(path) = args.get("trace-out") {
-        let rendered = match args.get("trace-format").unwrap_or("chrome") {
-            "chrome" => export::chrome_trace_json(&out.events),
-            "csv" => export::csv(&out.events),
-            "gantt" => export::gantt(&out.events, &export::GanttOptions::default()),
-            other => {
-                return Err(PmError::Usage(format!(
-                    "unknown trace format '{other}' (chrome | csv | gantt)"
-                )))
-            }
-        };
+        let format = args.get("trace-format").unwrap_or("chrome");
+        let rendered = render_trace(&out.events, format)?;
         std::fs::write(path, rendered)
             .map_err(|e| PmError::io(format!("cannot write '{path}'"), e))?;
         println!("wrote {path}");
@@ -620,10 +564,8 @@ fn multipass_manifest(
             sweep: None,
             x: None,
             x_label: None,
-            scenario: ScenarioSpec::from_config(
-                format!("exec-{}-pass{}", backend.label(), p.pass + 1),
-                cfg,
-            ),
+            scenario_name: format!("exec-{}-pass{}", backend.label(), p.pass + 1),
+            scenario: *cfg,
             master_seed: base.seed,
             trials: 1,
             auto: None,
@@ -674,18 +616,6 @@ fn multipass_manifest(
             Bound::TwoSided,
         )
     });
-    let m = TraceMetrics::from_events(&out.events);
-    let span_ns = m.span_end.as_nanos() as f64;
-    let disks = m
-        .input_disks
-        .iter()
-        .map(|lane| DiskRollup {
-            utilization: lane.utilization(m.span_end),
-            requests: lane.requests,
-            sequential: lane.sequential,
-            avg_queue_depth: lane.queue_depth.average_until(span_ns).unwrap_or(0.0),
-        })
-        .collect();
     records.push(ManifestRecord {
         schema: SCHEMA_VERSION,
         kind: RecordKind::EngineExec,
@@ -703,7 +633,8 @@ fn multipass_manifest(
         sweep: None,
         x: None,
         x_label: None,
-        scenario: ScenarioSpec::from_config(format!("exec-{}-multipass", backend.label()), base),
+        scenario_name: format!("exec-{}-multipass", backend.label()),
+        scenario: *base,
         master_seed: base.seed,
         trials: 1,
         auto: None,
@@ -717,64 +648,9 @@ fn multipass_manifest(
             blocks_merged: blocks,
         },
         analytic: summary_residual,
-        trace: Some(TraceRollup { disks }),
+        trace: Some(TraceRollup::from_events(&out.events)),
     });
     records
-}
-
-/// Parses the `--strategy`/`--n` pair shared by `exec` and `plan`.
-pub(crate) fn parse_strategy(args: &Args) -> Result<PrefetchStrategy, PmError> {
-    let n: u32 = args.get_parsed("n", 4)?;
-    match args.get("strategy").unwrap_or("inter") {
-        "none" => Ok(PrefetchStrategy::None),
-        "intra" => Ok(PrefetchStrategy::IntraRun { n }),
-        "inter" => Ok(PrefetchStrategy::InterRun { n }),
-        "adaptive" => Ok(PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: n }),
-        other => Err(PmError::Usage(format!("unknown strategy '{other}'"))),
-    }
-}
-
-/// Builds the merge scenario for `exec`: the shared scenario flags, with
-/// the run count fixed by run formation rather than `--runs`.
-pub(crate) fn scenario_for(
-    args: &Args,
-    runs: u32,
-    seed: u64,
-) -> Result<pm_core::MergeConfig, PmError> {
-    let strategy = parse_strategy(args)?;
-    let admission = match args.get("admission").unwrap_or("all-or-nothing") {
-        "all-or-nothing" | "aon" => pm_core::AdmissionPolicy::AllOrNothing,
-        "greedy" => pm_core::AdmissionPolicy::Greedy,
-        other => return Err(PmError::Usage(format!("unknown admission policy '{other}'"))),
-    };
-    let choice = match args.get("choice").unwrap_or("random") {
-        "random" => pm_core::PrefetchChoice::Random,
-        "least-held" => pm_core::PrefetchChoice::LeastHeld,
-        "head-proximity" => pm_core::PrefetchChoice::HeadProximity,
-        other => return Err(PmError::Usage(format!("unknown prefetch choice '{other}'"))),
-    };
-    let layout = match args.get("layout").unwrap_or("concatenated") {
-        "concatenated" | "concat" => pm_core::DataLayout::Concatenated,
-        "striped" => pm_core::DataLayout::Striped,
-        other => return Err(PmError::Usage(format!("unknown layout '{other}'"))),
-    };
-    let cap: u32 = args.get_parsed("cap", 0)?;
-    let mut builder = ScenarioBuilder::new(runs, args.get_parsed("disks", 2)?)
-        .strategy(strategy)
-        .sync_mode(if args.flag("sync") {
-            SyncMode::Synchronized
-        } else {
-            SyncMode::Unsynchronized
-        })
-        .admission(admission)
-        .prefetch_choice(choice)
-        .layout(layout)
-        .per_run_cap((cap > 0).then_some(cap))
-        .seed(seed);
-    if args.get("cache").is_some() {
-        builder = builder.cache_blocks(args.get_parsed("cache", 0)?);
-    }
-    builder.build()
 }
 
 /// The merged output must be in key order and contain exactly the input
@@ -855,18 +731,6 @@ fn manifest_record(
 ) -> ManifestRecord {
     let cfg = engine.merge_config();
     let r = &outcome.report;
-    let m = TraceMetrics::from_events(&outcome.events);
-    let span_ns = m.span_end.as_nanos() as f64;
-    let disks = m
-        .input_disks
-        .iter()
-        .map(|lane| DiskRollup {
-            utilization: lane.utilization(m.span_end),
-            requests: lane.requests,
-            sequential: lane.sequential,
-            avg_queue_depth: lane.queue_depth.average_until(span_ns).unwrap_or(0.0),
-        })
-        .collect();
     ManifestRecord {
         schema: SCHEMA_VERSION,
         kind: RecordKind::EngineExec,
@@ -882,7 +746,8 @@ fn manifest_record(
         sweep: None,
         x: None,
         x_label: None,
-        scenario: ScenarioSpec::from_config(format!("exec-{}", backend.label()), cfg),
+        scenario_name: format!("exec-{}", backend.label()),
+        scenario: *cfg,
         master_seed: cfg.seed,
         trials: 1,
         auto: None,
@@ -896,6 +761,6 @@ fn manifest_record(
             blocks_merged: r.blocks_merged,
         },
         analytic: residual.clone(),
-        trace: Some(TraceRollup { disks }),
+        trace: Some(TraceRollup::from_events(&outcome.events)),
     }
 }

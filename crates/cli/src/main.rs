@@ -13,6 +13,7 @@ mod commands;
 mod exec;
 mod metrics;
 mod plan;
+mod scenario;
 mod service;
 
 use args::Args;
@@ -54,7 +55,7 @@ COMMANDS:
                device set, verifying each job byte-identical to its
                isolated run
 
-SCENARIO OPTIONS (simulate, sweep):
+SCENARIO OPTIONS (simulate, trace, sweep, batch):
     --runs <k>          number of sorted runs            [default: 25]
     --blocks <B>        blocks per run                   [default: 1000]
     --disks <D>         number of input disks            [default: 5]
@@ -112,8 +113,10 @@ REPORT OPTIONS:
     --from <path>       manifest JSONL written by 'validate --manifest-out'
     --html <path>       output file; omitted = stream HTML to stdout
 
-EXEC OPTIONS (strategy flags as above; the run count comes from run
-formation, so --runs/--blocks/--trials do not apply):
+EXEC OPTIONS (the scenario options --disks, --strategy, --n, --cache,
+--sync, --admission, --choice, --cap, --layout and --seed as above, but
+with --disks defaulting to 2 and --n to 4; the run count comes from run
+formation, so --runs/--blocks/--cpu-ms/--write-*/--trials do not apply):
     --backend <b>       mem | file | file-direct | latency | uring
                         (uring needs --features uring and a kernel with
                         io_uring; falls back to file)   [default: mem]
@@ -186,7 +189,8 @@ SERVE OPTIONS:
                         exec)
     --metrics-interval <ms>  periodic snapshot cadence (as for exec)
 
-PLAN OPTIONS (scenario flags as above; no merge is executed):
+PLAN OPTIONS (the scenario options as for exec, with the same defaults
+--disks 2 and --n 4; no merge is executed):
     --runs <k>          plan k uniform runs              [default: 25]
     --blocks <B>        blocks per uniform run           [default: 1000]
     --records <n>       instead of --runs: derive the run population from
@@ -202,6 +206,23 @@ PLAN OPTIONS (scenario flags as above; no merge is executed):
 ";
 
 fn main() {
+    // A reader that stops early (`pmerge plan ... | head`) closes stdout,
+    // and the next `println!` panics with "failed printing to stdout:
+    // Broken pipe". That is the end of the output, not a failure: exit 0
+    // without a message, as other Unix filters do.
+    let report_panic = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        if message.starts_with("failed printing to stdout") && message.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        report_panic(info);
+    }));
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {

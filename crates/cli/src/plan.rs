@@ -16,21 +16,20 @@ use pm_obs::json::Value;
 use pm_report::{Align, Table};
 
 use crate::args::Args;
-use crate::exec::{parse_strategy, scenario_for};
+use crate::scenario::{self, ENGINE_KEYS};
 
 /// Flags `plan` accepts (see the usage text for semantics).
 const PLAN_KEYS: &[&str] = &[
     // Run population: uniform grid, or a real run-formation pass.
     "runs", "blocks", "records", "memory", "formation", "rpb",
-    // Scenario (drives the per-pass cost prediction).
-    "disks", "strategy", "n", "cache", "sync", "admission", "choice", "cap", "layout", "seed",
-    // Fan-in bound and output.
+    // Fan-in bound and output (the scenario flags, which drive the
+    // per-pass cost prediction, are ENGINE_KEYS).
     "fan-in", "passes", "plan-policy", "json",
 ];
 
 /// `pmerge plan`
 pub fn plan(args: &Args) -> Result<(), PmError> {
-    args.check_known(PLAN_KEYS)?;
+    args.check_known(&[PLAN_KEYS, ENGINE_KEYS].concat())?;
     let seed: u64 = args.get_parsed("seed", 1992)?;
     let lens = run_lengths(args, seed)?;
     let k = lens.len() as u32;
@@ -42,7 +41,7 @@ pub fn plan(args: &Args) -> Result<(), PmError> {
 
     // The base scenario is sized for one full-width merge group; every
     // pass of every plan derives its depth, cap, and seed from it.
-    let base = scenario_for(args, fan_in_cap.min(k), seed)?;
+    let base = scenario::for_engine(args, fan_in_cap.min(k))?;
     let mut planned: Vec<(MergeTreePlan, Vec<PassPrediction>)> = Vec::new();
     for policy in policies {
         let plan = plan_merge_tree(&lens, fan_in_cap, policy)?;
@@ -160,7 +159,7 @@ fn fan_in_cap(args: &Args, k: u32) -> Result<u32, PmError> {
     }
     if args.get("cache").is_some() {
         let cache: u32 = args.get_parsed("cache", 0u32)?;
-        let strategy = parse_strategy(args)?;
+        let strategy = scenario::strategy(args, scenario::ENGINE)?;
         let f = ScenarioBuilder::planned_fan_in(cache, strategy);
         if f < 2 {
             return Err(ConfigError::FanInExceeded { runs: k, fan_in: f }.into());

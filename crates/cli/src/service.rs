@@ -39,7 +39,7 @@
 
 use std::sync::Arc;
 
-use pm_core::{MergeConfig, PmError, ScenarioBuilder};
+use pm_core::{MergeConfig, PmError, PrefetchStrategy, ScenarioBuilder};
 use pm_engine::{ExecConfig, ExecOutcome, MergeEngine, SharedDeviceSet, ThreadedQueue};
 use pm_metrics::{MetricsSink, NullMetrics, StackMetrics};
 use pm_extsort::{generate, run_formation};
@@ -52,7 +52,6 @@ use pm_service::{
 };
 use pm_sim::{derive_seeds, SimDuration};
 use pm_trace::EventKind;
-use pm_workload::spec::ScenarioSpec;
 
 use crate::args::Args;
 use crate::metrics::MetricsArgs;
@@ -88,7 +87,8 @@ struct JobSpec {
     runs: u32,
     run_blocks: u32,
     disks: u32,
-    strategy: String,
+    /// The `strategy` name; `None` is inter-run.
+    strategy: Option<String>,
     n: u32,
     cache: u32,
     arrival_ms: f64,
@@ -101,19 +101,26 @@ impl JobSpec {
     /// Builds the tenant's merge scenario (cache 0 = strategy default).
     fn scenario(&self, shared_disks: u32) -> Result<MergeConfig, PmError> {
         let disks = self.disks.min(shared_disks).max(1);
-        let mut b = ScenarioBuilder::new(self.runs, disks).run_blocks(self.run_blocks);
-        b = match self.strategy.as_str() {
-            "none" => b.no_prefetch(),
-            "intra" => b.intra(self.n),
-            "inter" => b.inter(self.n),
-            "adaptive" => b.adaptive(1, self.n.max(2)),
-            other => {
-                return Err(PmError::Usage(format!(
-                    "tenant '{}': unknown strategy '{other}' (none | intra | inter | adaptive)",
-                    self.name
-                )))
-            }
+        let strategy = match self.strategy.as_deref() {
+            None => PrefetchStrategy::InterRun { n: self.n },
+            Some(name) => match PrefetchStrategy::from_name(name, self.n) {
+                // A tenant's adaptive ceiling is at least 2, so its depth
+                // always has room to move.
+                Some(PrefetchStrategy::InterRunAdaptive { n_min, n_max }) => {
+                    PrefetchStrategy::InterRunAdaptive { n_min, n_max: n_max.max(2) }
+                }
+                Some(strategy) => strategy,
+                None => {
+                    return Err(PmError::Usage(format!(
+                        "tenant '{}': unknown strategy '{name}' (none | intra | inter | adaptive)",
+                        self.name
+                    )))
+                }
+            },
         };
+        let mut b = ScenarioBuilder::new(self.runs, disks)
+            .run_blocks(self.run_blocks)
+            .strategy(strategy);
         if self.cache > 0 {
             b = b.cache_blocks(self.cache);
         }
@@ -179,11 +186,7 @@ fn parse_spec(text: &str) -> Result<ServiceSpec, PmError> {
             runs: get_u32(t, "runs", 8)?,
             run_blocks: get_u32(t, "run_blocks", 60)?,
             disks: get_u32(t, "disks", disks)?,
-            strategy: t
-                .get("strategy")
-                .and_then(Value::as_str)
-                .unwrap_or("inter")
-                .to_string(),
+            strategy: t.get("strategy").and_then(Value::as_str).map(str::to_string),
             n: get_u32(t, "n", 4)?,
             cache: get_u32(t, "cache", 0)?,
             arrival_ms: get_f64(t, "arrival_ms", 0.0)?,
@@ -212,7 +215,7 @@ fn synth_spec(n: u32, disks: u32, cache_blocks: u32) -> ServiceSpec {
                 runs: [12, 8, 4][class],
                 run_blocks: 60,
                 disks,
-                strategy: "inter".into(),
+                strategy: None,
                 n: [8, 4, 2][class],
                 cache: 0,
                 arrival_ms: f64::from(t / 3) * 250.0,
@@ -437,7 +440,8 @@ fn contention_manifest(
                 sweep: None,
                 x: None,
                 x_label: None,
-                scenario: ScenarioSpec::from_config(o.name.clone(), &cfg),
+                scenario_name: o.name.clone(),
+                scenario: cfg,
                 master_seed,
                 trials: 1,
                 auto: None,
@@ -534,8 +538,7 @@ pub fn serve(args: &Args) -> Result<(), PmError> {
         .as_ref()
         .zip(metrics.as_ref())
         .map(|(ma, m)| ma.live(m));
-    let mut set =
-        SharedDeviceSet::start_with_metrics(disks, jobs.len(), sched, 1.0, metrics.clone());
+    let mut set = SharedDeviceSet::start(disks, jobs.len(), sched, 1.0, metrics.clone());
     let mut threads = Vec::new();
     for (t, (engine, runs)) in engines.iter().zip(&run_sets).enumerate() {
         let mut queue = ThreadedQueue::memory(disks, engine.block_bytes(), engine.queue_options());
@@ -741,7 +744,8 @@ fn serve_manifest(
                 sweep: None,
                 x: None,
                 x_label: None,
-                scenario: ScenarioSpec::from_config(job.name.clone(), cfg),
+                scenario_name: job.name.clone(),
+                scenario: *cfg,
                 master_seed,
                 trials: 1,
                 auto: None,

@@ -240,3 +240,87 @@ fn serve_rejects_tenant_with_zero_records() {
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("tenant 'solo': 'records' must be positive"), "{stderr}");
 }
+
+/// The commands that parse scenario names, each on a small input.
+const NAME_PARSERS: [&[&str]; 3] = [
+    &["simulate", "--runs", "4", "--blocks", "20", "--disks", "2", "--n", "2", "--trials", "1"],
+    &["exec", "--records", "2000", "--memory", "500", "--n", "2"],
+    &["plan", "--runs", "8", "--blocks", "20", "--fan-in", "4", "--n", "2"],
+];
+
+#[test]
+fn simulate_exec_and_plan_accept_every_scenario_name_and_alias() {
+    let names: [(&str, &str); 13] = [
+        ("strategy", "none"),
+        ("strategy", "intra"),
+        ("strategy", "inter"),
+        ("strategy", "adaptive"),
+        ("admission", "all-or-nothing"),
+        ("admission", "aon"),
+        ("admission", "greedy"),
+        ("choice", "random"),
+        ("choice", "least-held"),
+        ("choice", "head-proximity"),
+        ("layout", "concatenated"),
+        ("layout", "concat"),
+        ("layout", "striped"),
+    ];
+    for command in NAME_PARSERS {
+        for (flag, name) in names {
+            let mut args = command.to_vec();
+            let flag = format!("--{flag}");
+            args.extend([flag.as_str(), name]);
+            if name == "striped" {
+                // Inter-run prefetching needs each run on one disk.
+                args.extend(["--strategy", "intra"]);
+            }
+            let out = Command::new(env!("CARGO_BIN_EXE_pmerge")).args(&args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            // Accepted: the run got past the flags (exit 2 is a usage or
+            // configuration error).
+            assert_ne!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(!out.stdout.is_empty(), "{args:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn simulate_exec_and_plan_reject_an_unknown_name_alike() {
+    for (flag, message) in [
+        ("strategy", "error: unknown strategy 'bogus'"),
+        ("admission", "error: unknown admission policy 'bogus'"),
+        ("choice", "error: unknown prefetch choice 'bogus'"),
+        ("layout", "error: unknown layout 'bogus'"),
+    ] {
+        for command in NAME_PARSERS {
+            let mut args = command.to_vec();
+            let flag = format!("--{flag}");
+            args.extend([flag.as_str(), "bogus"]);
+            let out = Command::new(env!("CARGO_BIN_EXE_pmerge")).args(&args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            assert_eq!(stderr.lines().next(), Some(message), "{args:?}");
+        }
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_pmerge_quietly() {
+    for args in [
+        &["plan", "--runs", "64", "--blocks", "10", "--passes", "2"][..],
+        &["exec", "--records", "20000", "--memory", "500", "--passes", "2"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pmerge"))
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        // The reader goes away before pmerge prints anything.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

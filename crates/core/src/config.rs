@@ -20,6 +20,29 @@ pub enum DataLayout {
     Striped,
 }
 
+impl DataLayout {
+    /// Short label, as `pmerge --layout` spells it.
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            DataLayout::Concatenated => "concatenated",
+            DataLayout::Striped => "striped",
+        }
+    }
+
+    /// The layout whose [`label`](Self::label) is `label`, or `"concat"`
+    /// for [`DataLayout::Concatenated`]; `None` for an unknown one.
+    #[must_use]
+    pub fn from_label(label: &str) -> Option<Self> {
+        match label {
+            "concat" => Some(DataLayout::Concatenated),
+            _ => [DataLayout::Concatenated, DataLayout::Striped]
+                .into_iter()
+                .find(|l| l.label() == label),
+        }
+    }
+}
+
 /// A fully specified merge-phase simulation.
 ///
 /// Use [`ScenarioBuilder`](crate::ScenarioBuilder) for the
@@ -380,6 +403,15 @@ mod tests {
         // But inter-run prefetching is incompatible.
         c.strategy = PrefetchStrategy::InterRun { n: 10 };
         assert_eq!(c.validate(), Err(ConfigError::StripedInterRun));
+    }
+
+    #[test]
+    fn layout_labels_round_trip() {
+        for l in [DataLayout::Concatenated, DataLayout::Striped] {
+            assert_eq!(DataLayout::from_label(l.label()), Some(l));
+        }
+        assert_eq!(DataLayout::from_label("concat"), Some(DataLayout::Concatenated));
+        assert_eq!(DataLayout::from_label("bogus"), None);
     }
 
     #[test]

@@ -44,6 +44,19 @@ impl PrefetchChoice {
         }
     }
 
+    /// The choice whose [`label`](Self::label) is `label`; `None` for an
+    /// unknown one.
+    #[must_use]
+    pub fn from_label(label: &str) -> Option<Self> {
+        [
+            PrefetchChoice::Random,
+            PrefetchChoice::LeastHeld,
+            PrefetchChoice::HeadProximity,
+        ]
+        .into_iter()
+        .find(|c| c.label() == label)
+    }
+
     /// The selection rule of the informed policies: the candidate with
     /// the minimum `score` (held count for [`Self::LeastHeld`], cylinder
     /// distance for [`Self::HeadProximity`]), ties broken by lower run
@@ -102,6 +115,12 @@ mod tests {
         assert_eq!(PrefetchChoice::Random.label(), "random");
         assert_eq!(PrefetchChoice::LeastHeld.label(), "least-held");
         assert_eq!(PrefetchChoice::HeadProximity.label(), "head-proximity");
+        for c in
+            [PrefetchChoice::Random, PrefetchChoice::LeastHeld, PrefetchChoice::HeadProximity]
+        {
+            assert_eq!(PrefetchChoice::from_label(c.label()), Some(c));
+        }
+        assert_eq!(PrefetchChoice::from_label("bogus"), None);
     }
 
     #[test]

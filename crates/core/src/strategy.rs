@@ -71,11 +71,37 @@ impl PrefetchStrategy {
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
+            PrefetchStrategy::InterRunAdaptive { .. } => "inter-adaptive",
+            _ => self.name(),
+        }
+    }
+
+    /// The strategy's kind as scenarios spell it: the `pmerge --strategy`
+    /// values, tenant files and manifests ("none", "intra", "inter",
+    /// "adaptive").
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
             PrefetchStrategy::None => "none",
             PrefetchStrategy::IntraRun { .. } => "intra",
             PrefetchStrategy::InterRun { .. } => "inter",
-            PrefetchStrategy::InterRunAdaptive { .. } => "inter-adaptive",
+            PrefetchStrategy::InterRunAdaptive { .. } => "adaptive",
         }
+    }
+
+    /// The strategy of kind `name` (see [`PrefetchStrategy::name`]) at
+    /// depth `n`; the adaptive kind takes `n` as its ceiling over a floor
+    /// of 1. `None` for an unknown name.
+    #[must_use]
+    pub fn from_name(name: &str, n: u32) -> Option<Self> {
+        [
+            PrefetchStrategy::None,
+            PrefetchStrategy::IntraRun { n },
+            PrefetchStrategy::InterRun { n },
+            PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: n },
+        ]
+        .into_iter()
+        .find(|s| s.name() == name)
     }
 }
 
@@ -137,6 +163,24 @@ mod tests {
         );
         assert_eq!(SyncMode::Synchronized.label(), "sync");
         assert_eq!(SyncMode::Unsynchronized.label(), "unsync");
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for s in [
+            PrefetchStrategy::None,
+            PrefetchStrategy::IntraRun { n: 7 },
+            PrefetchStrategy::InterRun { n: 7 },
+            PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: 7 },
+        ] {
+            assert_eq!(PrefetchStrategy::from_name(s.name(), 7), Some(s));
+        }
+        assert_eq!(
+            PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: 4 }.name(),
+            "adaptive"
+        );
+        assert_eq!(PrefetchStrategy::from_name("inter-adaptive", 7), None);
+        assert_eq!(PrefetchStrategy::from_name("bogus", 7), None);
     }
 
     #[test]

@@ -713,7 +713,7 @@ mod tests {
         let mut queue = ThreadedQueue::memory(3, engine.block_bytes(), engine.queue_options());
         engine.load(&mut queue, &data).unwrap();
         let device = queue.into_device();
-        let mut set = SharedDeviceSet::start(3, 2, sched_by_name("wfq").unwrap(), 1.0);
+        let mut set = SharedDeviceSet::start(3, 2, sched_by_name("wfq").unwrap(), 1.0, None);
         let _first = set.port(Arc::clone(&device), 1);
         let port = set.port(device, 2);
         let tenant = port.tenant();

@@ -73,6 +73,60 @@ pub enum PassBackend {
     },
 }
 
+impl PassBackend {
+    /// Opens a fresh queue of this device family for `engine`, with the
+    /// file-backed families' disk files under `dir` (the in-memory ones
+    /// ignore it). Every multi-pass group and single-pass `pmerge exec`
+    /// open their devices here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmError::Io`] when the disk files cannot be created,
+    /// and a usage error for [`PassBackend::Uring`] in a build without
+    /// the `uring` feature.
+    pub fn open_queue(
+        &self,
+        engine: &MergeEngine,
+        dir: &Path,
+    ) -> Result<Box<dyn IoQueue>, PmError> {
+        let cfg = engine.merge_config();
+        let disks = cfg.disks as usize;
+        let block_bytes = engine.block_bytes();
+        let opts = engine.queue_options();
+        Ok(match self {
+            PassBackend::Memory => Box::new(ThreadedQueue::memory(disks, block_bytes, opts)),
+            PassBackend::File { .. } => Box::new(
+                ThreadedQueue::file(dir, disks, block_bytes, opts)
+                    .map_err(|e| PmError::io(format!("creating {}", dir.display()), e))?,
+            ),
+            PassBackend::FileDirect { .. } => {
+                Box::new(ThreadedQueue::file_direct(dir, disks, block_bytes, opts)?)
+            }
+            PassBackend::Latency => Box::new(ThreadedQueue::latency(
+                disks,
+                block_bytes,
+                cfg.disk_spec,
+                cfg.discipline,
+                disk_seed_for(cfg),
+                opts,
+            )),
+            #[cfg(feature = "uring")]
+            PassBackend::Uring { .. } => Box::new(crate::uring::UringQueue::create(
+                dir,
+                disks,
+                block_bytes,
+                opts.depth,
+            )?),
+            #[cfg(not(feature = "uring"))]
+            PassBackend::Uring { .. } => {
+                return Err(PmError::Usage(
+                    "the uring backend requires building with --features uring".into(),
+                ))
+            }
+        })
+    }
+}
+
 /// Engine knobs shared by every pass (the per-pass merge scenario is
 /// derived from the plan and the base config instead).
 #[derive(Debug, Clone, Copy)]
@@ -494,53 +548,12 @@ impl<'p> MultiPassExecutor<'p> {
         exec.time_scale = self.opts.time_scale;
         let engine = MergeEngine::new(exec, inputs.iter().map(Vec::len).collect())?;
         let cfg = *engine.merge_config();
-        let disks = cfg.disks as usize;
-        let opts = engine.queue_options();
-        let mut queue: Box<dyn IoQueue> = match &self.backend {
-            PassBackend::Memory => {
-                Box::new(ThreadedQueue::memory(disks, engine.block_bytes(), opts))
-            }
-            PassBackend::File { .. } => {
-                let dir = group_dir(staging, "file", p, g)?;
-                Box::new(
-                    ThreadedQueue::file(&dir, disks, engine.block_bytes(), opts)
-                        .map_err(|e| PmError::io(format!("creating {}", dir.display()), e))?,
-                )
-            }
-            PassBackend::FileDirect { .. } => {
-                let dir = group_dir(staging, "file-direct", p, g)?;
-                Box::new(ThreadedQueue::file_direct(
-                    &dir,
-                    disks,
-                    engine.block_bytes(),
-                    opts,
-                )?)
-            }
-            PassBackend::Latency => Box::new(ThreadedQueue::latency(
-                disks,
-                engine.block_bytes(),
-                cfg.disk_spec,
-                cfg.discipline,
-                disk_seed_for(&cfg),
-                opts,
-            )),
-            #[cfg(feature = "uring")]
-            PassBackend::Uring { .. } => {
-                let dir = group_dir(staging, "uring", p, g)?;
-                Box::new(crate::uring::UringQueue::create(
-                    &dir,
-                    disks,
-                    engine.block_bytes(),
-                    opts.depth,
-                )?)
-            }
-            #[cfg(not(feature = "uring"))]
-            PassBackend::Uring { .. } => {
-                return Err(PmError::Usage(
-                    "the uring backend requires building with --features uring".into(),
-                ))
-            }
-        };
+        // File-backed families always carry a staging token; the
+        // in-memory ones ignore the directory.
+        let dir = staging.as_ref().map_or_else(PathBuf::new, |s| {
+            s.join(format!("pass-{p:02}")).join(format!("group-{g:02}"))
+        });
+        let mut queue = self.backend.open_queue(&engine, &dir)?;
         engine.load(&mut *queue, &inputs)?;
         // The queue holds the group's runs now.
         drop(inputs);
@@ -558,22 +571,6 @@ impl<'p> MultiPassExecutor<'p> {
 
 fn wall_as_sim(wall: Duration) -> SimDuration {
     SimDuration::from_nanos(u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX))
-}
-
-/// The staging directory for pass `p`, group `g` of a file-family
-/// backend (which always carries a staging token).
-fn group_dir(
-    staging: &Option<PathBuf>,
-    backend: &str,
-    p: usize,
-    g: usize,
-) -> Result<PathBuf, PmError> {
-    staging
-        .as_ref()
-        .map(|s| s.join(format!("pass-{p:02}")).join(format!("group-{g:02}")))
-        .ok_or_else(|| {
-            PmError::Usage(format!("the {backend} backend requires a staging root"))
-        })
 }
 
 #[cfg(test)]

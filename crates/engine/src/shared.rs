@@ -98,18 +98,12 @@ impl SharedDeviceSet {
     /// `tenants` caps how many ports should be handed out).
     ///
     /// `time_scale` scales injected latency exactly as the per-run pool
-    /// does.
+    /// does. With a `metrics` sink, every dispatch samples the disk's
+    /// remaining queue depth (`pm_disk_queue_depth`) and, under a WFQ
+    /// scheduler, the served tenant's virtual-time lag
+    /// (`pm_tenant_wfq_lag_ticks`).
     #[must_use]
-    pub fn start(disks: usize, tenants: usize, sched: Box<dyn IoSched>, time_scale: f64) -> Self {
-        Self::start_with_metrics(disks, tenants, sched, time_scale, None)
-    }
-
-    /// [`SharedDeviceSet::start`] with a metrics sink: every dispatch
-    /// samples the disk's remaining queue depth
-    /// (`pm_disk_queue_depth`) and, under a WFQ scheduler, the served
-    /// tenant's virtual-time lag (`pm_tenant_wfq_lag_ticks`).
-    #[must_use]
-    pub fn start_with_metrics(
+    pub fn start(
         disks: usize,
         tenants: usize,
         mut sched: Box<dyn IoSched>,

@@ -118,7 +118,7 @@ fn a_metered_merge_is_the_plain_merge_and_counts_every_request() {
 fn a_metered_merge_through_a_shared_port_counts_under_the_port_tenant() {
     let (engine, runs) = setup();
     let plain = plain(&engine, &runs);
-    let mut set = SharedDeviceSet::start(DISKS, 2, sched_by_name("wfq").unwrap(), 1.0);
+    let mut set = SharedDeviceSet::start(DISKS, 2, sched_by_name("wfq").unwrap(), 1.0, None);
     let _idle = set.port(Arc::new(MemoryDevice::new(DISKS, engine.block_bytes())), 1);
     let port = set.port(loaded(&engine, &runs).into_device(), 1);
     assert_eq!(port.tenant(), 1);

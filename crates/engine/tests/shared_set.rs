@@ -38,7 +38,7 @@ fn jobs() -> Vec<(MergeEngine, Vec<Vec<Record>>)> {
 
 fn run_shared(sched: &str) -> Vec<ExecOutcome> {
     let jobs = jobs();
-    let mut set = SharedDeviceSet::start(3, jobs.len(), sched_by_name(sched).unwrap(), 1.0);
+    let mut set = SharedDeviceSet::start(3, jobs.len(), sched_by_name(sched).unwrap(), 1.0, None);
     let mut threads = Vec::new();
     for (i, (engine, runs)) in jobs.into_iter().enumerate() {
         let mut queue = ThreadedQueue::memory(3, engine.block_bytes(), engine.queue_options());
@@ -105,7 +105,7 @@ fn a_panicking_disk_worker_fails_its_jobs_instead_of_hanging() {
     // disks. Each must finish — job 0 with a device error — within the
     // timeout rather than wait forever on a dead worker.
     let jobs = jobs();
-    let mut set = SharedDeviceSet::start(3, jobs.len(), sched_by_name("fifo").unwrap(), 1.0);
+    let mut set = SharedDeviceSet::start(3, jobs.len(), sched_by_name("fifo").unwrap(), 1.0, None);
     let (tx, rx) = mpsc::channel();
     let mut threads = Vec::new();
     for (i, (engine, runs)) in jobs.into_iter().enumerate() {

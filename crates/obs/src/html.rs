@@ -410,7 +410,6 @@ mod tests {
     use crate::convergence::ConvergenceDecision;
     use crate::manifest::{PointMetrics, SCHEMA_VERSION};
     use crate::residual::ResidualCheck;
-    use pm_workload::spec::ScenarioSpec;
 
     fn record(kind: RecordKind, label: &str, pass: Option<bool>) -> ManifestRecord {
         let cfg = pm_core::ScenarioBuilder::new(25, 5).inter(10).cache_blocks(1000).build().unwrap();
@@ -423,7 +422,8 @@ mod tests {
             sweep: (kind == RecordKind::SweepPoint).then(|| "curve <A&B>".to_string()),
             x: (kind == RecordKind::SweepPoint).then_some(10.0),
             x_label: (kind == RecordKind::SweepPoint).then(|| "N".to_string()),
-            scenario: ScenarioSpec::from_config(label, &cfg),
+            scenario_name: label.into(),
+            scenario: cfg,
             master_seed: 1992,
             trials: 5,
             auto: None,

@@ -1,7 +1,8 @@
 //! JSONL run manifests.
 //!
 //! Every experiment point a suite runs is recorded as one JSON line: the
-//! full scenario (replayable via [`ScenarioSpec::to_config`]), the seeds,
+//! full scenario (its name and the [`MergeConfig`] itself, which reads
+//! back as written, so the point replays from the line alone), the seeds,
 //! the trial count (and the convergence decision that chose it), the
 //! aggregated metrics, the residual check against the paper's analysis,
 //! and — when tracing is on — per-disk rollups of trial 0's event stream.
@@ -18,8 +19,11 @@
 //! 64-bit seeds are serialized as JSON *strings*: JSON numbers are
 //! doubles, which cannot represent every `u64`.
 
-use pm_core::PmError;
-use pm_workload::spec::{ChoiceSpec, ScenarioSpec, StrategySpec};
+use pm_core::{
+    AdmissionPolicy, DataLayout, DiskSpec, MergeConfig, PmError, PrefetchChoice,
+    PrefetchStrategy, QueueDiscipline, SimDuration, SyncMode, TraceEvent, WriteSpec,
+};
+use pm_trace::TraceMetrics;
 
 use crate::convergence::ConvergenceDecision;
 use crate::json::Value;
@@ -119,6 +123,26 @@ pub struct TraceRollup {
     pub disks: Vec<DiskRollup>,
 }
 
+impl TraceRollup {
+    /// Rolls up the input disks of a recorded event stream.
+    #[must_use]
+    pub fn from_events(events: &[TraceEvent]) -> Self {
+        let m = TraceMetrics::from_events(events);
+        let span_ns = m.span_end.as_nanos() as f64;
+        let disks = m
+            .input_disks
+            .iter()
+            .map(|lane| DiskRollup {
+                utilization: lane.utilization(m.span_end),
+                requests: lane.requests,
+                sequential: lane.sequential,
+                avg_queue_depth: lane.queue_depth.average_until(span_ns).unwrap_or(0.0),
+            })
+            .collect();
+        TraceRollup { disks }
+    }
+}
+
 /// One tenant's service terms and contention outcome (schema v3).
 ///
 /// Attached to `contend` records (one per tenant) and to per-tenant
@@ -170,8 +194,12 @@ pub struct ManifestRecord {
     pub x: Option<f64>,
     /// Independent-variable axis label for sweep points.
     pub x_label: Option<String>,
+    /// The scenario's name (free-form, used in reports).
+    pub scenario_name: String,
     /// The full replayable scenario (including the point's derived seed).
-    pub scenario: ScenarioSpec,
+    /// The manifest pins the FIFO discipline and the paper's disk, so a
+    /// parsed record always carries those.
+    pub scenario: MergeConfig,
     /// The suite's master seed the point seed was derived from.
     pub master_seed: u64,
     /// Trials actually run.
@@ -198,55 +226,47 @@ fn opt_str(v: &Option<String>) -> Value {
     v.as_ref().map_or(Value::Null, |s| Value::Str(s.clone()))
 }
 
-fn strategy_to_json(s: StrategySpec) -> Value {
-    let kind = |k: &str| ("kind".to_string(), Value::Str(k.to_string()));
+fn strategy_to_json(s: PrefetchStrategy) -> Value {
+    let mut pairs = vec![("kind".to_string(), Value::Str(s.name().to_string()))];
     match s {
-        StrategySpec::None => Value::Obj(vec![kind("none")]),
-        StrategySpec::IntraRun { n } => {
-            Value::Obj(vec![kind("intra"), ("n".into(), num(f64::from(n)))])
+        PrefetchStrategy::None => {}
+        PrefetchStrategy::IntraRun { n } | PrefetchStrategy::InterRun { n } => {
+            pairs.push(("n".into(), num(f64::from(n))));
         }
-        StrategySpec::InterRun { n } => {
-            Value::Obj(vec![kind("inter"), ("n".into(), num(f64::from(n)))])
+        PrefetchStrategy::InterRunAdaptive { n_min, n_max } => {
+            pairs.push(("n_min".into(), num(f64::from(n_min))));
+            pairs.push(("n_max".into(), num(f64::from(n_max))));
         }
-        StrategySpec::InterRunAdaptive { n_min, n_max } => Value::Obj(vec![
-            kind("adaptive"),
-            ("n_min".into(), num(f64::from(n_min))),
-            ("n_max".into(), num(f64::from(n_max))),
-        ]),
     }
+    Value::Obj(pairs)
 }
 
-fn choice_to_str(c: ChoiceSpec) -> &'static str {
-    match c {
-        ChoiceSpec::Random => "random",
-        ChoiceSpec::LeastHeld => "least-held",
-        ChoiceSpec::HeadProximity => "head-proximity",
-    }
-}
-
-fn scenario_to_json(s: &ScenarioSpec) -> Value {
+fn scenario_to_json(name: &str, c: &MergeConfig) -> Value {
     Value::Obj(vec![
-        ("name".into(), Value::Str(s.name.clone())),
-        ("runs".into(), num(f64::from(s.runs))),
-        ("run_blocks".into(), num(f64::from(s.run_blocks))),
-        ("disks".into(), num(f64::from(s.disks))),
-        ("strategy".into(), strategy_to_json(s.strategy)),
-        ("synchronized".into(), Value::Bool(s.synchronized)),
-        ("striped".into(), Value::Bool(s.striped)),
-        ("cache_blocks".into(), num(f64::from(s.cache_blocks))),
-        ("cpu_ms_per_block".into(), num(s.cpu_ms_per_block)),
-        ("greedy_admission".into(), Value::Bool(s.greedy_admission)),
+        ("name".into(), Value::Str(name.to_string())),
+        ("runs".into(), num(f64::from(c.runs))),
+        ("run_blocks".into(), num(f64::from(c.run_blocks))),
+        ("disks".into(), num(f64::from(c.disks))),
+        ("strategy".into(), strategy_to_json(c.strategy)),
+        ("synchronized".into(), Value::Bool(c.sync == SyncMode::Synchronized)),
+        ("striped".into(), Value::Bool(c.layout == DataLayout::Striped)),
+        ("cache_blocks".into(), num(f64::from(c.cache_blocks))),
+        ("cpu_ms_per_block".into(), num(c.cpu_per_block.as_millis_f64())),
+        (
+            "greedy_admission".into(),
+            Value::Bool(c.admission == AdmissionPolicy::Greedy),
+        ),
         (
             "prefetch_choice".into(),
-            Value::Str(choice_to_str(s.prefetch_choice).to_string()),
+            Value::Str(c.prefetch_choice.label().to_string()),
         ),
-        ("per_run_cap".into(), num(f64::from(s.per_run_cap))),
-        ("write_disks".into(), num(f64::from(s.write_disks))),
+        ("per_run_cap".into(), num(f64::from(c.per_run_cap.unwrap_or(0)))),
+        ("write_disks".into(), num(f64::from(c.write.map_or(0, |w| w.disks)))),
         (
             "write_buffer_blocks".into(),
-            num(f64::from(s.write_buffer_blocks)),
+            num(f64::from(c.write.map_or(0, |w| w.buffer_blocks))),
         ),
-        ("seed".into(), Value::Str(s.seed.to_string())),
+        ("seed".into(), Value::Str(c.seed.to_string())),
     ])
 }
 
@@ -332,7 +352,10 @@ impl ManifestRecord {
             ("sweep".into(), opt_str(&self.sweep)),
             ("x".into(), opt_num(self.x)),
             ("x_label".into(), opt_str(&self.x_label)),
-            ("scenario".into(), scenario_to_json(&self.scenario)),
+            (
+                "scenario".into(),
+                scenario_to_json(&self.scenario_name, &self.scenario),
+            ),
             ("master_seed".into(), Value::Str(self.master_seed.to_string())),
             ("trials".into(), num(f64::from(self.trials))),
             ("auto".into(), auto),
@@ -442,6 +465,7 @@ impl ManifestRecord {
                 Some(TraceRollup { disks })
             }
         };
+        let (scenario_name, scenario) = scenario_from_json(get(&v, "scenario")?)?;
         Ok(ManifestRecord {
             schema,
             kind,
@@ -451,7 +475,8 @@ impl ManifestRecord {
             sweep: get_opt_str(&v, "sweep")?,
             x: get_opt_f64(&v, "x")?,
             x_label: get_opt_str(&v, "x_label")?,
-            scenario: scenario_from_json(get(&v, "scenario")?)?,
+            scenario_name,
+            scenario,
             master_seed: get_u64(&v, "master_seed")?,
             trials: get_u64(&v, "trials")? as u32,
             auto,
@@ -462,45 +487,64 @@ impl ManifestRecord {
     }
 }
 
-fn scenario_from_json(v: &Value) -> Result<ScenarioSpec, String> {
-    let strat = get(v, "strategy")?;
-    let strategy = match get_str(strat, "kind")?.as_str() {
-        "none" => StrategySpec::None,
-        "intra" => StrategySpec::IntraRun {
-            n: get_u64(strat, "n")? as u32,
+fn strategy_from_json(v: &Value) -> Result<PrefetchStrategy, String> {
+    let kind = get_str(v, "kind")?;
+    let n = |key| get_u64(v, key).map(|n| n as u32);
+    Ok(match PrefetchStrategy::from_name(&kind, 0) {
+        None => return Err(format!("unknown strategy kind '{kind}'")),
+        Some(PrefetchStrategy::None) => PrefetchStrategy::None,
+        Some(PrefetchStrategy::IntraRun { .. }) => PrefetchStrategy::IntraRun { n: n("n")? },
+        Some(PrefetchStrategy::InterRun { .. }) => PrefetchStrategy::InterRun { n: n("n")? },
+        Some(PrefetchStrategy::InterRunAdaptive { .. }) => PrefetchStrategy::InterRunAdaptive {
+            n_min: n("n_min")?,
+            n_max: n("n_max")?,
         },
-        "inter" => StrategySpec::InterRun {
-            n: get_u64(strat, "n")? as u32,
-        },
-        "adaptive" => StrategySpec::InterRunAdaptive {
-            n_min: get_u64(strat, "n_min")? as u32,
-            n_max: get_u64(strat, "n_max")? as u32,
-        },
-        other => return Err(format!("unknown strategy kind '{other}'")),
-    };
-    let choice = match get_str(v, "prefetch_choice")?.as_str() {
-        "random" => ChoiceSpec::Random,
-        "least-held" => ChoiceSpec::LeastHeld,
-        "head-proximity" => ChoiceSpec::HeadProximity,
-        other => return Err(format!("unknown prefetch choice '{other}'")),
-    };
-    Ok(ScenarioSpec {
-        name: get_str(v, "name")?,
-        runs: get_u64(v, "runs")? as u32,
-        run_blocks: get_u64(v, "run_blocks")? as u32,
-        disks: get_u64(v, "disks")? as u32,
-        strategy,
-        synchronized: get_bool(v, "synchronized")?,
-        striped: get_bool(v, "striped")?,
-        cache_blocks: get_u64(v, "cache_blocks")? as u32,
-        cpu_ms_per_block: get_f64(v, "cpu_ms_per_block")?,
-        greedy_admission: get_bool(v, "greedy_admission")?,
-        prefetch_choice: choice,
-        per_run_cap: get_u64(v, "per_run_cap")? as u32,
-        write_disks: get_u64(v, "write_disks")? as u32,
-        write_buffer_blocks: get_u64(v, "write_buffer_blocks")? as u32,
-        seed: get_u64(v, "seed")?,
     })
+}
+
+/// Reads a scenario object back into its name and the [`MergeConfig`] it
+/// was written from, with the FIFO discipline and the paper's disk.
+fn scenario_from_json(v: &Value) -> Result<(String, MergeConfig), String> {
+    let strategy = strategy_from_json(get(v, "strategy")?)?;
+    let choice = get_str(v, "prefetch_choice")?;
+    let prefetch_choice = PrefetchChoice::from_label(&choice)
+        .ok_or_else(|| format!("unknown prefetch choice '{choice}'"))?;
+    let name = get_str(v, "name")?;
+    let runs = get_u64(v, "runs")? as u32;
+    let run_blocks = get_u64(v, "run_blocks")? as u32;
+    let disks = get_u64(v, "disks")? as u32;
+    let synchronized = get_bool(v, "synchronized")?;
+    let striped = get_bool(v, "striped")?;
+    let cache_blocks = get_u64(v, "cache_blocks")? as u32;
+    let cpu_ms = get_f64(v, "cpu_ms_per_block")?;
+    if !(cpu_ms.is_finite() && cpu_ms >= 0.0) {
+        return Err("field 'cpu_ms_per_block' is not a finite non-negative number".into());
+    }
+    let greedy = get_bool(v, "greedy_admission")?;
+    let per_run_cap = get_u64(v, "per_run_cap")? as u32;
+    let write_disks = get_u64(v, "write_disks")? as u32;
+    let write_buffer_blocks = get_u64(v, "write_buffer_blocks")? as u32;
+    let config = MergeConfig {
+        runs,
+        run_blocks,
+        disks,
+        layout: if striped { DataLayout::Striped } else { DataLayout::Concatenated },
+        strategy,
+        sync: if synchronized { SyncMode::Synchronized } else { SyncMode::Unsynchronized },
+        cache_blocks,
+        cpu_per_block: SimDuration::from_millis_f64(cpu_ms),
+        admission: if greedy { AdmissionPolicy::Greedy } else { AdmissionPolicy::AllOrNothing },
+        prefetch_choice,
+        per_run_cap: (per_run_cap > 0).then_some(per_run_cap),
+        discipline: QueueDiscipline::Fifo,
+        disk_spec: DiskSpec::paper(),
+        write: (write_disks > 0).then_some(WriteSpec {
+            disks: write_disks,
+            buffer_blocks: write_buffer_blocks,
+        }),
+        seed: get_u64(v, "seed")?,
+    };
+    Ok((name, config))
 }
 
 fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
@@ -618,8 +662,8 @@ mod tests {
     use super::*;
 
     fn sample(kind: RecordKind) -> ManifestRecord {
-        let cfg = pm_core::ScenarioBuilder::new(25, 5).inter(10).cache_blocks(1000).build().unwrap();
-        let mut scenario = ScenarioSpec::from_config("eq5 demo", &cfg);
+        let mut scenario =
+            pm_core::ScenarioBuilder::new(25, 5).inter(10).cache_blocks(1000).build().unwrap();
         scenario.seed = u64::MAX - 3;
         ManifestRecord {
             schema: SCHEMA_VERSION,
@@ -634,6 +678,7 @@ mod tests {
             x: (kind == RecordKind::SweepPoint).then_some(10.0),
             x_label: (kind == RecordKind::SweepPoint)
                 .then(|| "N (blocks fetched per run)".to_string()),
+            scenario_name: "eq5 demo".into(),
             scenario,
             master_seed: 1992,
             trials: 7,
@@ -749,10 +794,15 @@ mod tests {
     }
 
     #[test]
-    fn scenario_replays_to_the_same_config() {
-        let r = sample(RecordKind::T1Case);
-        let back = ManifestRecord::from_json_line(&r.to_json_line()).unwrap();
-        assert_eq!(back.scenario.to_config(), r.scenario.to_config());
+    fn hostile_cpu_cost_is_an_error_not_a_panic() {
+        let line = sample(RecordKind::T1Case).to_json_line();
+        for bad in ["-1", "1e999"] {
+            let hostile = line
+                .replace("\"cpu_ms_per_block\":0", &format!("\"cpu_ms_per_block\":{bad}"));
+            assert_ne!(hostile, line);
+            let err = ManifestRecord::from_json_line(&hostile).unwrap_err();
+            assert!(err.to_string().contains("cpu_ms_per_block"), "{err}");
+        }
     }
 
     #[test]
@@ -849,18 +899,26 @@ mod tests {
     }
 
     #[test]
-    fn strategy_variants_round_trip() {
-        for strategy in [
-            StrategySpec::None,
-            StrategySpec::IntraRun { n: 7 },
-            StrategySpec::InterRun { n: 3 },
-            StrategySpec::InterRunAdaptive { n_min: 2, n_max: 9 },
+    fn strategy_kinds_keep_their_wire_names() {
+        for (strategy, json) in [
+            (PrefetchStrategy::None, r#"{"kind":"none"}"#),
+            (PrefetchStrategy::IntraRun { n: 7 }, r#"{"kind":"intra","n":7}"#),
+            (PrefetchStrategy::InterRun { n: 3 }, r#"{"kind":"inter","n":3}"#),
+            (
+                PrefetchStrategy::InterRunAdaptive { n_min: 2, n_max: 9 },
+                r#"{"kind":"adaptive","n_min":2,"n_max":9}"#,
+            ),
         ] {
             let mut r = sample(RecordKind::T1Case);
             r.scenario.strategy = strategy;
-            let back = ManifestRecord::from_json_line(&r.to_json_line()).unwrap();
+            let line = r.to_json_line();
+            assert!(line.contains(&format!("\"strategy\":{json}")), "{line}");
+            let back = ManifestRecord::from_json_line(&line).unwrap();
             assert_eq!(back.scenario.strategy, strategy);
         }
+        let line = sample(RecordKind::T1Case).to_json_line().replace("\"inter\"", "\"bogus\"");
+        let err = ManifestRecord::from_json_line(&line).unwrap_err();
+        assert!(err.to_string().contains("unknown strategy kind 'bogus'"), "{err}");
     }
 
     #[test]

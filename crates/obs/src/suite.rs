@@ -10,13 +10,11 @@
 
 use pm_analysis::predict::PredictionKind;
 use pm_core::{run_trials_traced, MergeConfig, PmError, ScenarioBuilder, SyncMode, TrialSummary};
-use pm_trace::TraceMetrics;
 use pm_workload::paper::{fig2_panel, Fig2Panel};
-use pm_workload::spec::ScenarioSpec;
 
 use crate::convergence::{run_trials_converged, TrialsMode};
 use crate::manifest::{
-    DiskRollup, ManifestRecord, PointMetrics, RecordKind, TraceRollup, SCHEMA_VERSION,
+    ManifestRecord, PointMetrics, RecordKind, TraceRollup, SCHEMA_VERSION,
 };
 use crate::progress::ProgressSink;
 use crate::residual::{check, closed_form, Bound, ResidualCheck, TolerancePolicy};
@@ -229,19 +227,7 @@ fn residual_for(
 
 fn trace_rollup(cfg: &MergeConfig) -> Result<TraceRollup, PmError> {
     let (_, sink) = run_trials_traced(cfg, 1, 1, None)?;
-    let m = TraceMetrics::from_events(&sink.events());
-    let span_ns = m.span_end.as_nanos() as f64;
-    let disks = m
-        .input_disks
-        .iter()
-        .map(|lane| DiskRollup {
-            utilization: lane.utilization(m.span_end),
-            requests: lane.requests,
-            sequential: lane.sequential,
-            avg_queue_depth: lane.queue_depth.average_until(span_ns).unwrap_or(0.0),
-        })
-        .collect();
-    Ok(TraceRollup { disks })
+    Ok(TraceRollup::from_events(&sink.events()))
 }
 
 /// Runs one point and produces its manifest record.
@@ -290,7 +276,8 @@ pub fn run_point(
         sweep: spec.sweep.clone(),
         x: spec.x,
         x_label: spec.x_label.clone(),
-        scenario: ScenarioSpec::from_config(spec.label.clone(), &spec.config),
+        scenario_name: spec.label.clone(),
+        scenario: spec.config,
         master_seed: opts.master_seed,
         trials,
         auto: decision,
@@ -401,7 +388,7 @@ mod tests {
         assert!(rec.auto.is_none());
         assert!(rec.metrics.mean_total_secs > 0.0);
         assert_eq!(rec.metrics.blocks_merged, 4 * 40);
-        assert_eq!(rec.scenario.to_config(), points[0].config);
+        assert_eq!(rec.scenario, points[0].config);
         // Tiny config is far outside the paper's asymptotic regime; intra
         // unsync d>1 maps to the urn asymptote, which T1 does check.
         assert!(rec.analytic.is_some());

@@ -12,15 +12,14 @@
 //! * [`paper::cache_sweep`] — cache-size sweeps shared by Fig. 3.5 (total
 //!   time) and Fig. 3.6 (success ratio), panels a/b/c.
 //!
-//! [`Sweep`]/[`SweepPoint`] carry the scenario structure; [`spec`] provides
-//! a plain-data mirror of [`MergeConfig`](pm_core::MergeConfig) so
-//! scenarios can be stored and replayed.
+//! [`Sweep`]/[`SweepPoint`] carry the scenario structure. Every point is a
+//! plain [`MergeConfig`](pm_core::MergeConfig); `pm-obs` manifests store
+//! and replay it directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod paper;
-pub mod spec;
 mod sweep;
 
 pub use sweep::{Sweep, SweepPoint};

@@ -76,11 +76,40 @@ fn workload_builders_are_stable() {
 
 #[test]
 fn replayed_scenario_specs_reproduce_results() {
-    use pm_workload::spec::ScenarioSpec;
+    use pm_obs::{ManifestRecord, PointMetrics, RecordKind, SCHEMA_VERSION};
     let mut cfg = ScenarioBuilder::new(25, 5).inter(10).cache_blocks(900).build().unwrap();
     cfg.seed = 41;
     let direct = MergeSim::run_uniform(cfg).unwrap();
-    let spec = ScenarioSpec::from_config("replay", &cfg);
-    let replayed = MergeSim::run_uniform(spec.to_config()).unwrap();
+    // Store the scenario as a manifest line and replay what parses back.
+    let record = ManifestRecord {
+        schema: SCHEMA_VERSION,
+        kind: RecordKind::T1Case,
+        label: "replay".into(),
+        pass: None,
+        tenant: None,
+        sweep: None,
+        x: None,
+        x_label: None,
+        scenario_name: "replay".into(),
+        scenario: cfg,
+        master_seed: 41,
+        trials: 1,
+        auto: None,
+        metrics: PointMetrics {
+            mean_total_secs: direct.total.as_secs_f64(),
+            ci_half_width_secs: 0.0,
+            confidence: 0.95,
+            mean_concurrency: direct.avg_concurrency,
+            mean_busy_disks: direct.avg_busy_disks,
+            mean_success_ratio: direct.success_ratio,
+            blocks_merged: direct.blocks_merged,
+        },
+        analytic: None,
+        trace: None,
+    };
+    let line = record.to_json_line();
+    let replayed_cfg = ManifestRecord::from_json_line(&line).unwrap().scenario;
+    assert_eq!(replayed_cfg, cfg);
+    let replayed = MergeSim::run_uniform(replayed_cfg).unwrap();
     assert_eq!(direct, replayed);
 }
