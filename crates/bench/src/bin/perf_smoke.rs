@@ -29,7 +29,9 @@
 //!   full observability pipeline (progress sink + manifest rendering),
 //!   per replayed request in the tenant-scheduling layer, per record merged
 //!   through `LoserTree`, and with live `StackMetrics` recording enabled on
-//!   both the simulator core and the scheduling layer.
+//!   both the simulator core and the scheduling layer — and unless the
+//!   real-I/O engine (`MergeEngine::execute` on `ThreadedQueue::memory`,
+//!   I/O worker included) stays under [`ENGINE_MAX_ALLOCS_PER_BLOCK`].
 //! * `--check-trace` — exit non-zero unless a run recorded with a
 //!   `RecordingSink` reports bit-identically to the default (`NullSink`)
 //!   build of the same configuration — tracing must be observation-only.
@@ -49,6 +51,7 @@ use pm_core::{
     run_trial_range, LoserTree, MergeConfig, MergeSim, RecordingSink, ScenarioBuilder, SyncMode,
     UniformDepletion,
 };
+use pm_engine::{ExecConfig, IoQueue, MergeEngine, ThreadedQueue};
 use pm_extsort::{generate, run_formation, Record};
 use pm_metrics::{MetricsSink, NullMetrics, StackMetrics};
 use pm_obs::{
@@ -563,6 +566,56 @@ fn merge_alloc_probe() -> AllocProbe {
     }
 }
 
+/// The most allocations per merged block [`engine_alloc_probe`] may
+/// find. Not zero: the merge's record of what it did (its depletion
+/// sequence, one arrival per block, the per-disk request lists) lives in
+/// vectors that grow by doubling, a few reallocations per quadrupling of
+/// the input.
+const ENGINE_MAX_ALLOCS_PER_BLOCK: f64 = 0.01;
+
+/// Real-I/O engine allocation probe: [`MergeEngine::execute`] on
+/// [`ThreadedQueue::memory`] — the merge thread and its I/O worker — at
+/// two input sizes, counting every allocation inside `execute` (planning
+/// and loading excluded). The `sort_mem_1pass` shape: 64 runs on 8 disks,
+/// inter-run N=4, 40 records per block, one worker. Per-run and
+/// per-disk state, the output vector, the worker thread and the
+/// payload-buffer pool (which ramps to the cache's size, then recycles)
+/// cost the same at both sizes and cancel; a per-block allocation — a
+/// payload copy, a decoded block, a store node — would not.
+fn engine_alloc_probe() -> AllocProbe {
+    let run_counted = |run_len: usize| -> (u64, u64) {
+        let runs = merge_runs(run_len);
+        let cfg = ScenarioBuilder::new(MERGE_RUNS as u32, 8)
+            .inter(4)
+            .build()
+            .expect("valid engine probe config");
+        let mut exec = ExecConfig::new(cfg);
+        exec.jobs = 1;
+        let engine = MergeEngine::new(exec, runs.iter().map(Vec::len).collect())
+            .expect("valid engine probe plan");
+        let mut queue = ThreadedQueue::memory(8, engine.block_bytes(), engine.queue_options());
+        engine.load(&mut queue, &runs).expect("memory load");
+        let queue: Box<dyn IoQueue> = Box::new(queue);
+        let (a0, _) = alloc_snapshot();
+        let outcome = engine.execute(queue).expect("engine probe merge");
+        let (a1, _) = alloc_snapshot();
+        (outcome.report.blocks_merged, a1 - a0)
+    };
+    // Both sizes run long enough for the buffer pool to reach the
+    // cache's size.
+    let _ = run_counted(2000);
+    let (base_blocks, base_allocs) = run_counted(8000);
+    let (scaled_blocks, scaled_allocs) = run_counted(32_000);
+    let extra_blocks = scaled_blocks - base_blocks;
+    AllocProbe {
+        base_blocks,
+        base_allocs,
+        scaled_blocks,
+        scaled_allocs,
+        per_block_allocs: (scaled_allocs as f64 - base_allocs as f64) / extra_blocks as f64,
+    }
+}
+
 /// A progress sink that formats a status string on every event, standing
 /// in for a live renderer. Its cost is per *trial*, never per block, so
 /// it must cancel out of the per-block allocation difference.
@@ -646,15 +699,9 @@ fn trace_check() -> bool {
     }
 }
 
-fn render_json(
-    results: &[Measured],
-    probe: &AllocProbe,
-    contend_probe: &AllocProbe,
-    obs_probe: &AllocProbe,
-    metered_probe: &AllocProbe,
-    contend_metered_probe: &AllocProbe,
-    merge_probe: &AllocProbe,
-) -> String {
+/// Renders the scenario results and the allocation probes, each probe
+/// given as `(JSON key, the unit it counts, probe)`.
+fn render_json(results: &[Measured], probes: &[(&str, &str, &AllocProbe)]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"pm-bench/perf-smoke/v1\",\n  \"scenarios\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -676,66 +723,20 @@ fn render_json(
         );
         out.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
     }
-    let _ = write!(
-        out,
-        "  ],\n  \"alloc_probe\": {{\"base_blocks\": {}, \"base_allocs\": {}, \
-         \"scaled_blocks\": {}, \"scaled_allocs\": {}, \"per_block_allocs\": {:.4}}},\n",
-        probe.base_blocks,
-        probe.base_allocs,
-        probe.scaled_blocks,
-        probe.scaled_allocs,
-        probe.per_block_allocs
-    );
-    let _ = writeln!(
-        out,
-        "  \"contend_alloc_probe\": {{\"base_blocks\": {}, \"base_allocs\": {}, \
-         \"scaled_blocks\": {}, \"scaled_allocs\": {}, \"per_block_allocs\": {:.4}}},",
-        contend_probe.base_blocks,
-        contend_probe.base_allocs,
-        contend_probe.scaled_blocks,
-        contend_probe.scaled_allocs,
-        contend_probe.per_block_allocs
-    );
-    let _ = writeln!(
-        out,
-        "  \"obs_alloc_probe\": {{\"base_blocks\": {}, \"base_allocs\": {}, \
-         \"scaled_blocks\": {}, \"scaled_allocs\": {}, \"per_block_allocs\": {:.4}}},",
-        obs_probe.base_blocks,
-        obs_probe.base_allocs,
-        obs_probe.scaled_blocks,
-        obs_probe.scaled_allocs,
-        obs_probe.per_block_allocs
-    );
-    let _ = writeln!(
-        out,
-        "  \"metered_alloc_probe\": {{\"base_blocks\": {}, \"base_allocs\": {}, \
-         \"scaled_blocks\": {}, \"scaled_allocs\": {}, \"per_block_allocs\": {:.4}}},",
-        metered_probe.base_blocks,
-        metered_probe.base_allocs,
-        metered_probe.scaled_blocks,
-        metered_probe.scaled_allocs,
-        metered_probe.per_block_allocs
-    );
-    let _ = writeln!(
-        out,
-        "  \"contend_metered_alloc_probe\": {{\"base_blocks\": {}, \"base_allocs\": {}, \
-         \"scaled_blocks\": {}, \"scaled_allocs\": {}, \"per_block_allocs\": {:.4}}},",
-        contend_metered_probe.base_blocks,
-        contend_metered_probe.base_allocs,
-        contend_metered_probe.scaled_blocks,
-        contend_metered_probe.scaled_allocs,
-        contend_metered_probe.per_block_allocs
-    );
-    let _ = write!(
-        out,
-        "  \"merge_alloc_probe\": {{\"base_records\": {}, \"base_allocs\": {}, \
-         \"scaled_records\": {}, \"scaled_allocs\": {}, \"per_record_allocs\": {:.4}}}\n}}\n",
-        merge_probe.base_blocks,
-        merge_probe.base_allocs,
-        merge_probe.scaled_blocks,
-        merge_probe.scaled_allocs,
-        merge_probe.per_block_allocs
-    );
+    out.push_str("  ],\n");
+    for (i, (key, unit, p)) in probes.iter().enumerate() {
+        let _ = write!(
+            out,
+            "  \"{key}\": {{\"base_{unit}s\": {}, \"base_allocs\": {}, \
+             \"scaled_{unit}s\": {}, \"scaled_allocs\": {}, \"per_{unit}_allocs\": {:.4}}}",
+            p.base_blocks, p.base_allocs, p.scaled_blocks, p.scaled_allocs, p.per_block_allocs
+        );
+        out.push_str(if i + 1 == probes.len() {
+            "\n}\n"
+        } else {
+            ",\n"
+        });
+    }
     out
 }
 
@@ -900,14 +901,32 @@ fn main() -> ExitCode {
         merge_probe.per_block_allocs
     );
 
+    let engine_probe = engine_alloc_probe();
+    println!(
+        "engine alloc probe (execute on ThreadedQueue::memory): {} blocks -> {} allocs, \
+         {} blocks -> {} allocs ({:.4} allocs/block)",
+        engine_probe.base_blocks,
+        engine_probe.base_allocs,
+        engine_probe.scaled_blocks,
+        engine_probe.scaled_allocs,
+        engine_probe.per_block_allocs
+    );
+
     let json = render_json(
         &results,
-        &probe,
-        &contend_probe,
-        &obs_probe,
-        &metered_probe,
-        &contend_metered_probe,
-        &merge_probe,
+        &[
+            ("alloc_probe", "block", &probe),
+            ("contend_alloc_probe", "block", &contend_probe),
+            ("obs_alloc_probe", "block", &obs_probe),
+            ("metered_alloc_probe", "block", &metered_probe),
+            (
+                "contend_metered_alloc_probe",
+                "block",
+                &contend_metered_probe,
+            ),
+            ("merge_alloc_probe", "record", &merge_probe),
+            ("engine_alloc_probe", "block", &engine_probe),
+        ],
     );
     fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("wrote {out_path}");
@@ -961,6 +980,14 @@ fn main() -> ExitCode {
             "FAIL: loser-tree merge allocates in steady state \
              ({:.4} allocs per merged record)",
             merge_probe.per_block_allocs
+        );
+        failed = true;
+    }
+    if check_alloc && engine_probe.per_block_allocs > ENGINE_MAX_ALLOCS_PER_BLOCK {
+        eprintln!(
+            "FAIL: the engine allocates per merged block \
+             ({:.4} allocs per block, gate {ENGINE_MAX_ALLOCS_PER_BLOCK})",
+            engine_probe.per_block_allocs
         );
         failed = true;
     }

@@ -136,6 +136,44 @@ fn exec_latency_backend_cross_checks_and_writes_manifest() {
     let _ = std::fs::remove_file(manifest);
 }
 
+/// Head-proximity scores candidates against a head position the engine
+/// and the simulator track differently, so its request sequences may
+/// diverge: `exec` reports how many matched and succeeds, single-pass
+/// and multi-pass. The same input under another prefetch choice keeps
+/// the exact check.
+#[test]
+fn exec_reports_head_proximity_divergence_and_keeps_the_exact_check_otherwise() {
+    let shape = ["exec", "--records", "12000", "--memory", "1500"];
+    for extra in [&[][..], &["--fan-in", "4"][..]] {
+        let args = [&shape[..], extra, &["--choice", "head-proximity"]].concat();
+        let (ok, stdout, stderr) = pmerge(&args);
+        assert!(ok, "{args:?} failed: {stderr}");
+        assert!(stdout.contains("verified: 12000 records"), "{stdout}");
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("sim cross-check: simulator re-derives "))
+            .unwrap_or_else(|| panic!("no cross-check line: {stdout}"));
+        let counts: Vec<u64> = line
+            .split_whitespace()
+            .filter_map(|w| w.parse().ok())
+            .take(2)
+            .collect();
+        assert!(
+            line.contains("parity is not exact") && counts[0] < counts[1],
+            "{args:?}: {line}"
+        );
+
+        let args = [&shape[..], extra, &["--choice", "least-held"]].concat();
+        let (ok, stdout, stderr) = pmerge(&args);
+        assert!(ok, "{args:?} failed: {stderr}");
+        assert!(
+            stdout.contains("sim cross-check: simulator re-derives all "),
+            "{stdout}"
+        );
+        assert!(!stdout.contains("not exact"), "{stdout}");
+    }
+}
+
 #[test]
 fn exec_rejects_unknown_backend() {
     let (ok, _, stderr) = pmerge(&["exec", "--backend", "tape"]);

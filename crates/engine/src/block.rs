@@ -33,22 +33,44 @@ pub fn encode_records(records: &[Record], buf: &mut [u8]) {
     tail.fill(0);
 }
 
-/// Decodes the first `count` records of an encoded block.
-///
-/// # Panics
-///
-/// Panics if `buf` holds fewer than `count` records.
-#[must_use]
-pub fn decode_records(buf: &[u8], count: usize) -> Vec<Record> {
-    assert!(buf.len() >= count * RECORD_BYTES, "buffer too small");
-    buf[..count * RECORD_BYTES]
-        .chunks_exact(RECORD_BYTES)
-        .map(|chunk| {
-            let key = u64::from_le_bytes(chunk[..8].try_into().expect("8-byte key"));
-            let rid = u64::from_le_bytes(chunk[8..].try_into().expect("8-byte rid"));
-            Record::new(key, rid)
-        })
-        .collect()
+/// A merge cursor over one block's records, read straight out of the
+/// block's bytes: the engine merges from the payload buffer a completion
+/// delivered, with no decoded copy, and hands the buffer back to the
+/// queue when the block is used up.
+#[derive(Debug, Default)]
+pub(crate) struct BlockCursor {
+    /// The block's encoded records, its padding cut off.
+    buf: Vec<u8>,
+    /// Byte offset of the next record.
+    pos: usize,
+}
+
+impl BlockCursor {
+    /// A cursor over the first `count` records encoded in `buf`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` holds fewer than `count` records.
+    pub(crate) fn new(mut buf: Vec<u8>, count: usize) -> Self {
+        assert!(buf.len() >= count * RECORD_BYTES, "buffer too small");
+        buf.truncate(count * RECORD_BYTES);
+        BlockCursor { buf, pos: 0 }
+    }
+
+    /// The next record, `None` once the block is used up.
+    #[inline]
+    pub(crate) fn next_record(&mut self) -> Option<Record> {
+        let chunk = self.buf.get(self.pos..self.pos + RECORD_BYTES)?;
+        self.pos += RECORD_BYTES;
+        let key = u64::from_le_bytes(chunk[..8].try_into().expect("8-byte key"));
+        let rid = u64::from_le_bytes(chunk[8..].try_into().expect("8-byte rid"));
+        Some(Record::new(key, rid))
+    }
+
+    /// Takes the block's buffer, leaving an empty cursor.
+    pub(crate) fn take_buf(&mut self) -> Vec<u8> {
+        std::mem::take(self).buf
+    }
 }
 
 #[cfg(test)]
@@ -60,8 +82,12 @@ mod tests {
         let records: Vec<Record> = (0..7).map(|i| Record::new(i * 3, 100 + i)).collect();
         let mut buf = vec![0xAAu8; block_bytes(10)];
         encode_records(&records, &mut buf);
-        assert_eq!(decode_records(&buf, 7), records);
         // The tail past the encoded records is zeroed.
         assert!(buf[7 * RECORD_BYTES..].iter().all(|&b| b == 0));
+        let mut cursor = BlockCursor::new(buf, 7);
+        let decoded: Vec<Record> = std::iter::from_fn(|| cursor.next_record()).collect();
+        assert_eq!(decoded, records);
+        assert_eq!(cursor.next_record(), None);
+        assert_eq!(cursor.take_buf().capacity(), block_bytes(10));
     }
 }

@@ -30,13 +30,13 @@
 //! submitted* block per disk, the simulator the *serviced* head, and the
 //! two can differ.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::time::{Duration, Instant};
 
 use pm_cache::RunId;
 use pm_core::{
-    DecisionCore, LoserTree, MergeConfig, MergeReport, MergeSim, PmError, SyncMode,
+    DecisionCore, LoserTree, MergeConfig, MergeReport, MergeSim, PmError, PrefetchChoice, SyncMode,
     TraceDepletion, Wait,
 };
 use pm_extsort::Record;
@@ -46,7 +46,7 @@ use pm_trace::{
     unpack_tag, unpack_tenant_tag, EventKind, NullSink, TraceEvent, TraceSink, TENANT_TAG_MAX_RUN,
 };
 
-use crate::block::{block_bytes, decode_records, encode_records};
+use crate::block::{block_bytes, encode_records, BlockCursor};
 use crate::derived::{disk_issue, Arrival, DecisionLoop, EngineTrace, MergeRecord};
 use crate::ioqueue::{IoCompletion, IoQueue, IoRequest, QueueOptions};
 
@@ -157,6 +157,32 @@ pub struct EnginePrediction {
     /// Per disk, the `(run, block)` requests the simulator issued, in
     /// submission order.
     pub requests: Vec<Vec<(u32, u32)>>,
+}
+
+/// How far an execution's requests agree with the simulator's replay of
+/// its depletion sequence ([`MergeEngine::request_parity`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestParity {
+    /// Requests the simulator re-derived: per disk, the length of the
+    /// common prefix of the engine's and the simulator's sequences,
+    /// summed.
+    pub matched: u64,
+    /// Requests the engine submitted.
+    pub total: u64,
+    /// Whether both sequences are identical on every disk.
+    pub exact: bool,
+    /// Whether the scenario promises identical sequences: every prefetch
+    /// choice but [`pm_core::PrefetchChoice::HeadProximity`] (see the
+    /// module docs).
+    pub promised: bool,
+}
+
+impl RequestParity {
+    /// The sequences differ where the scenario promises they do not.
+    #[must_use]
+    pub fn broken(&self) -> bool {
+        self.promised && !self.exact
+    }
 }
 
 /// Bytes [`MergeEngine::load`] encodes into one device write, rounded
@@ -443,6 +469,27 @@ impl MergeEngine {
         let (report, IssueLog(requests)) = sim.run_with_sink(&mut model);
         Ok(EnginePrediction { report, requests })
     }
+
+    /// Compares an execution's per-disk `requests` with `prediction`, the
+    /// simulator's replay of its depletion sequence.
+    #[must_use]
+    pub fn request_parity(
+        &self,
+        requests: &[Vec<(u32, u32)>],
+        prediction: &EnginePrediction,
+    ) -> RequestParity {
+        let matched = requests
+            .iter()
+            .zip(&prediction.requests)
+            .map(|(ours, sim)| ours.iter().zip(sim).take_while(|(a, b)| a == b).count() as u64)
+            .sum();
+        RequestParity {
+            matched,
+            total: requests.iter().map(|r| r.len() as u64).sum(),
+            exact: requests == prediction.requests.as_slice(),
+            promised: self.merge_config().prefetch_choice != PrefetchChoice::HeadProximity,
+        }
+    }
 }
 
 /// The one thing [`MergeEngine::predict`] keeps of the simulator's
@@ -486,9 +533,14 @@ struct ExecState<'a, M: MetricsSink, S: TraceSink> {
     batch: Vec<u64>,
     metrics: &'a M,
     epoch: Instant,
-    /// Arrived, not-yet-consumed block payloads per run, keyed by block
-    /// index (striped layouts deliver out of index order).
-    store: Vec<BTreeMap<u32, Vec<Record>>>,
+    /// Per run, the arrived payloads not yet taken for merging.
+    store: Vec<RunWindow>,
+    /// Reads not yet submitted.
+    unissued: u64,
+    /// Buffers handed back to the queue that no read submitted since
+    /// has used: the queue is never given more than the remaining reads
+    /// can use, so the pool drains as the merge ends.
+    spares: u64,
     /// What the trace is derived from.
     record: MergeRecord,
     /// Every event as it happens: the merge thread's, then each
@@ -524,7 +576,9 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
             batch: vec![0; d],
             metrics,
             epoch,
-            store: vec![BTreeMap::new(); k],
+            store: (0..k).map(|_| RunWindow::default()).collect(),
+            unissued: plan.run_blocks.iter().map(|&b| u64::from(b)).sum(),
+            spares: 0,
             record: MergeRecord::new(plan.core.clone(), tenant),
             sink,
             stall: Duration::ZERO,
@@ -542,25 +596,31 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         self.initial_load()?;
 
         // Build the loser tree from every run's leading block.
-        let mut cursors: Vec<std::vec::IntoIter<Record>> = Vec::with_capacity(k);
+        let mut cursors: Vec<BlockCursor> = Vec::with_capacity(k);
         for r in 0..k {
-            cursors.push(self.take_block(RunId(r as u32))?.into_iter());
+            cursors.push(self.take_block(RunId(r as u32))?);
         }
-        let heads: Vec<Option<Record>> = cursors.iter_mut().map(Iterator::next).collect();
+        let heads: Vec<Option<Record>> = cursors.iter_mut().map(BlockCursor::next_record).collect();
         let mut tree = LoserTree::new(heads);
 
         let total_records: usize = self.plan.run_records.iter().sum();
         let mut output = Vec::with_capacity(total_records);
         while let Some((src, _)) = tree.winner() {
-            let next = match cursors[src].next() {
+            let next = match cursors[src].next_record() {
                 Some(rec) => Some(rec),
-                None => match self.advance_run(RunId(src as u32))? {
-                    Some(block) => {
-                        cursors[src] = block.into_iter();
-                        cursors[src].next()
+                None => {
+                    // The block is used up: its buffer goes back to the
+                    // queue before the decisions this depletion triggers
+                    // submit their reads.
+                    self.recycle(cursors[src].take_buf());
+                    match self.advance_run(RunId(src as u32))? {
+                        Some(block) => {
+                            cursors[src] = block;
+                            cursors[src].next_record()
+                        }
+                        None => None,
                     }
-                    None => None,
-                },
+                }
             };
             let (_, rec) = tree.pop_and_replace(next).expect("winner exists");
             output.push(rec);
@@ -625,7 +685,7 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
     /// The leading block of `j` was fully consumed: deplete it, submit
     /// the I/O the core decides on, wait for what it says to, and hand
     /// back the run's next block (`None` once the run is exhausted).
-    fn advance_run(&mut self, j: RunId) -> Result<Option<Vec<Record>>, PmError> {
+    fn advance_run(&mut self, j: RunId) -> Result<Option<BlockCursor>, PmError> {
         let now = self.now();
         self.record.depletion.push(j);
         self.record.depleted_at.push(now);
@@ -680,6 +740,8 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
             }
         }
         let n = self.stage.len();
+        self.unissued -= n as u64;
+        self.spares = self.spares.saturating_sub(n as u64);
         self.port.submit(&self.stage).map_err(|e| {
             PmError::device(self.backend, format!("submitting a batch of {n} reads"), e)
         })?;
@@ -687,14 +749,23 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         Ok(())
     }
 
-    /// Hands back run `j`'s next block, waiting for its arrival if
-    /// needed (striped layouts deliver a run's blocks out of index
-    /// order, so this can wait past the gate).
-    fn take_block(&mut self, j: RunId) -> Result<Vec<Record>, PmError> {
-        let index = self.steps.core.depleted(j);
+    /// Hands a consumed payload buffer back to the queue while reads
+    /// remain that can use it, and drops it otherwise.
+    fn recycle(&mut self, buf: Vec<u8>) {
+        if self.spares < self.unissued {
+            self.spares += 1;
+            self.port.recycle(buf);
+        }
+    }
+
+    /// Hands back a cursor over run `j`'s next block, waiting for its
+    /// arrival if needed (striped layouts deliver a run's blocks out of
+    /// index order, so this can wait past the gate).
+    fn take_block(&mut self, j: RunId) -> Result<BlockCursor, PmError> {
+        let index = self.store[j.0 as usize].next;
         loop {
-            if let Some(block) = self.store[j.0 as usize].remove(&index) {
-                return Ok(block);
+            if let Some(data) = self.store[j.0 as usize].take() {
+                return Ok(BlockCursor::new(data, self.records_in_block(j.0, index)));
             }
             self.await_arrival()?;
         }
@@ -813,10 +884,8 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
             }
         }
         self.record.arrivals.push(arrival);
-        let count = self.records_in_block(run, index);
-        let records = decode_records(&data, count);
         self.steps.core.block_arrived(RunId(run));
-        self.store[run as usize].insert(index, records);
+        self.store[run as usize].put(index, data);
         Ok(RunId(run))
     }
 
@@ -826,6 +895,39 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         let start = index as usize * rpb;
         debug_assert!(start < total);
         rpb.min(total - start)
+    }
+}
+
+/// One run's arrived payloads not yet taken for merging: `slots[i]` is
+/// block `next + i`, `None` until it arrives. Striped layouts and
+/// io_uring deliver a run's blocks out of index order; a block arrives
+/// only while it is in flight, so never below `next`.
+#[derive(Debug, Default)]
+struct RunWindow {
+    /// The run's next block to take.
+    next: u32,
+    slots: VecDeque<Option<Vec<u8>>>,
+}
+
+impl RunWindow {
+    fn put(&mut self, index: u32, data: Vec<u8>) {
+        let at = index
+            .checked_sub(self.next)
+            .expect("a block arrives only while it is in flight") as usize;
+        if at >= self.slots.len() {
+            self.slots.resize_with(at + 1, || None);
+        }
+        debug_assert!(self.slots[at].is_none(), "block {index} arrived twice");
+        self.slots[at] = Some(data);
+    }
+
+    /// Block `next`'s payload, if it arrived; the window then starts at
+    /// the block after it.
+    fn take(&mut self) -> Option<Vec<u8>> {
+        let data = self.slots.front_mut()?.take()?;
+        self.slots.pop_front();
+        self.next += 1;
+        Some(data)
     }
 }
 
@@ -1008,6 +1110,39 @@ mod tests {
         match two_record_runs(max_runs + 1) {
             Err(PmError::Usage(msg)) => assert!(msg.contains("65536 runs"), "{msg}"),
             other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn request_parity_counts_the_common_prefix_and_promises_all_but_head_proximity() {
+        let runs = run_formation::load_sort(&generate::uniform(8_000, 9), 1_000);
+        for choice in [PrefetchChoice::Random, PrefetchChoice::HeadProximity] {
+            let cfg = ScenarioBuilder::new(runs.len() as u32, 2)
+                .inter(4)
+                .prefetch_choice(choice)
+                .build()
+                .unwrap();
+            let engine = MergeEngine::new(ExecConfig::new(cfg), vec![1_000; runs.len()]).unwrap();
+            let mut queue = ThreadedQueue::memory(2, engine.block_bytes(), engine.queue_options());
+            engine.load(&mut queue, &runs).unwrap();
+            let outcome = engine.execute(Box::new(queue)).unwrap();
+            let mut prediction = engine.predict(&outcome.depletion).unwrap();
+            let total: u64 = outcome.requests.iter().map(|r| r.len() as u64).sum();
+
+            let parity = engine.request_parity(&outcome.requests, &prediction);
+            assert_eq!(parity.total, total);
+            if parity.exact {
+                assert_eq!(parity.matched, total);
+            }
+            assert_eq!(parity.promised, choice != PrefetchChoice::HeadProximity);
+            assert!(!parity.broken() || choice == PrefetchChoice::HeadProximity);
+
+            // A simulator that diverges at disk 0's third request.
+            prediction.requests[0][2].1 += 1_000;
+            let parity = engine.request_parity(&outcome.requests, &prediction);
+            assert!(!parity.exact);
+            assert!(parity.matched <= total - outcome.requests[0].len() as u64 + 2);
+            assert_eq!(parity.broken(), choice != PrefetchChoice::HeadProximity);
         }
     }
 

@@ -46,9 +46,17 @@
 //! service interval evenly, so one disk's `[started_ns, finished_ns]`
 //! intervals never overlap.
 //!
-//! **Buffer ownership.** The queue owns all data buffers; a completion
-//! hands the payload back as an owned `Vec<u8>` in
-//! [`IoCompletion::data`]. Callers never lend buffers to the queue.
+//! **Buffer ownership.** A completion hands its payload to the caller as
+//! an owned `Vec<u8>` in [`IoCompletion::data`]. Once the caller has
+//! consumed a payload it may give the buffer back with
+//! [`IoQueue::recycle`]; the backend then refills it for a later
+//! completion instead of allocating a new one, so a merge that recycles
+//! every block runs on a pool bounded by the blocks it holds plus those
+//! in flight. A recycled buffer's length and contents do not matter:
+//! the backend overwrites it with exactly one block. Recycling is a
+//! hint: the default method drops the buffer, and a backend or wrapper
+//! that ignores it only allocates more. A queue that wraps another
+//! should forward `recycle`, as it forwards [`IoQueue::tenant`].
 //!
 //! **Error semantics.** Per-request read failures travel *inside* the
 //! matching [`IoCompletion::data`]; `Err` from `submit`/`complete` means
@@ -190,6 +198,13 @@ pub trait IoQueue: Send {
     ///
     /// Transport failure, or waiting with nothing in flight.
     fn complete(&mut self, out: &mut Vec<IoCompletion>, min_wait: usize) -> io::Result<usize>;
+
+    /// Hands back a payload buffer the caller has consumed, for the
+    /// backend to refill with a later completion (see *Buffer ownership*
+    /// in the module docs). The default drops it.
+    fn recycle(&mut self, buf: Vec<u8>) {
+        drop(buf);
+    }
 
     /// Releases workers, rings, and buffers. Idempotent.
     ///

@@ -59,13 +59,14 @@ mod shared;
 mod uring;
 mod workers;
 
-pub use block::{block_bytes, decode_records, encode_records, RECORD_BYTES};
+pub use block::{block_bytes, encode_records, RECORD_BYTES};
 pub use derived::EngineTrace;
 pub use device::{
     BlockDevice, FileDevice, InjectedService, LatencyDevice, MemoryDevice, DIRECT_ALIGN,
 };
 pub use engine::{
     disk_seed_for, EnginePrediction, ExecConfig, ExecOutcome, ExecReport, MergeEngine,
+    RequestParity,
 };
 pub use ioqueue::{IoCompletion, IoQueue, IoRequest, QueueOptions};
 pub use multipass::{

@@ -7,7 +7,9 @@
 //! a fresh device, executing, and feeding the outputs to the next pass
 //! in group order. Every group is cross-checked against
 //! [`MergeEngine::predict`], so the simulator's per-pass decision
-//! parity — PR 5's core invariant — holds across the whole tree.
+//! parity — the engine's core invariant — holds across the whole tree;
+//! under head-proximity, whose parity is not promised, the pass counts
+//! the requests that matched instead ([`PassOutcome::requests_matched`]).
 //!
 //! # Temp-file lifecycle
 //!
@@ -38,7 +40,9 @@ use pm_sim::{SimDuration, SimTime};
 use pm_trace::{EventKind, NullSink, TraceEvent, TraceSink};
 
 use crate::derived::{EngineTrace, Segment};
-use crate::engine::{disk_seed_for, EnginePrediction, ExecConfig, ExecOutcome, MergeEngine};
+use crate::engine::{
+    disk_seed_for, EnginePrediction, ExecConfig, ExecOutcome, MergeEngine, RequestParity,
+};
 use crate::ioqueue::IoQueue;
 use crate::workers::ThreadedQueue;
 
@@ -187,6 +191,12 @@ pub struct PassOutcome {
     pub full_prefetch_ops: u64,
     /// Summed modeled busy time across disks (latency backend only).
     pub modeled_busy: SimDuration,
+    /// Requests the pass's merges submitted.
+    pub requests: u64,
+    /// Of those, the requests the simulator's replay re-derived
+    /// ([`crate::RequestParity::matched`]): all of them unless the
+    /// prefetch choice is head-proximity, whose parity is not exact.
+    pub requests_matched: u64,
     /// Summed simulator-predicted per-disk busy time.
     pub predicted_busy: SimDuration,
     /// Summed simulator-predicted read (total) time.
@@ -439,6 +449,8 @@ impl<'p> MultiPassExecutor<'p> {
                 fallback_ops: 0,
                 full_prefetch_ops: 0,
                 modeled_busy: SimDuration::ZERO,
+                requests: 0,
+                requests_matched: 0,
                 predicted_busy: SimDuration::ZERO,
                 predicted_read: SimDuration::ZERO,
                 sim_concurrency: 0.0,
@@ -456,9 +468,11 @@ impl<'p> MultiPassExecutor<'p> {
                     next.push(inputs.into_iter().next().expect("one input"));
                     continue;
                 }
-                let (cfg, outcome, prediction) =
+                let (cfg, outcome, prediction, parity) =
                     self.run_group(p, g, inputs, staging, metrics, NullSink)?;
                 out.merged_groups += 1;
+                out.requests += parity.total;
+                out.requests_matched += parity.matched;
                 out.blocks_read += outcome.report.blocks_merged;
                 out.records_merged += outcome.report.records_merged;
                 out.wall += outcome.report.wall;
@@ -527,9 +541,10 @@ impl<'p> MultiPassExecutor<'p> {
 
     /// Merges group `g` of pass `p` on a fresh device of the backend
     /// family and checks the engine's requests against the simulator's
-    /// replay. Returns the group's derived scenario, its execution and
-    /// the prediction. Every event of the merge also goes to `sink` as
-    /// it happens.
+    /// replay: a divergence fails the group unless the scenario does not
+    /// promise parity ([`RequestParity::promised`]). Returns the group's
+    /// derived scenario, its execution, the prediction and the parity.
+    /// Every event of the merge also goes to `sink` as it happens.
     fn run_group<M: MetricsSink, S: TraceSink>(
         &self,
         p: usize,
@@ -538,7 +553,7 @@ impl<'p> MultiPassExecutor<'p> {
         staging: &Option<PathBuf>,
         metrics: &M,
         sink: S,
-    ) -> Result<(MergeConfig, ExecOutcome, EnginePrediction), PmError> {
+    ) -> Result<(MergeConfig, ExecOutcome, EnginePrediction, RequestParity), PmError> {
         let cfg =
             ScenarioBuilder::pass_scenario(&self.base, inputs.len() as u32, p as u32, g as u32)?;
         let mut exec = ExecConfig::new(cfg);
@@ -559,13 +574,15 @@ impl<'p> MultiPassExecutor<'p> {
         drop(inputs);
         let outcome = engine.drive(queue, metrics, sink)?;
         let prediction = engine.predict(&outcome.depletion)?;
-        if outcome.requests != prediction.requests {
+        let parity = engine.request_parity(&outcome.requests, &prediction);
+        if parity.broken() {
             return Err(PmError::Tolerance(format!(
                 "pass {p} group {g}: engine per-disk request sequences \
-                 diverged from the simulator's replay"
+                 diverged from the simulator's replay ({} of {} requests matched)",
+                parity.matched, parity.total
             )));
         }
-        Ok((cfg, outcome, prediction))
+        Ok((cfg, outcome, prediction, parity))
     }
 }
 
@@ -664,7 +681,7 @@ mod tests {
                     continue;
                 }
                 let mut eager = RecordingSink::unbounded();
-                let (_, outcome, _) = exec
+                let (_, outcome, _, _) = exec
                     .run_group(p, g, group_inputs, &None, &NullMetrics, &mut eager)
                     .unwrap();
                 groups.push((outcome.events, eager_stream(eager), outcome.report.wall));

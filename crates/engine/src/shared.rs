@@ -46,14 +46,16 @@ use pm_service::{IoSched, PendingIo};
 
 use crate::device::BlockDevice;
 use crate::ioqueue::{IoCompletion, IoQueue, IoRequest};
-use crate::workers::{service_one, Channel};
+use crate::workers::{service_one, Channel, WorkerBuffers};
 
-/// One queued request: what services it and where the completion goes
-/// (the scheduler's view lives in the parallel `ios` vector).
+/// One queued request: what services it, where the completion goes, and
+/// a recycled buffer for its payload (the scheduler's view lives in the
+/// parallel `ios` vector).
 struct Entry {
     req: IoRequest,
     device: Arc<dyn BlockDevice>,
     done: Arc<Channel<IoCompletion>>,
+    buf: Option<Vec<u8>>,
 }
 
 /// A disk's shared queue. `ios` mirrors `entries` index-for-index so the
@@ -148,6 +150,7 @@ impl SharedDeviceSet {
             done: Arc::new(Channel::new()),
             tenant: u32::from(tenant),
             weight: weight.max(1),
+            spare: Vec::new(),
         }
     }
 
@@ -183,6 +186,9 @@ pub struct SharedPort {
     done: Arc<Channel<IoCompletion>>,
     tenant: u32,
     weight: u32,
+    /// Recycled payload buffers; each submitted request takes one along
+    /// to the disk worker.
+    spare: Vec<Vec<u8>>,
 }
 
 impl SharedPort {
@@ -205,6 +211,7 @@ impl SharedPort {
             req,
             device: Arc::clone(&self.device),
             done: Arc::clone(&self.done),
+            buf: self.spare.pop(),
         });
         q.ios.push(io);
         self.inner
@@ -265,6 +272,10 @@ impl IoQueue for SharedPort {
         })
     }
 
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.spare.push(buf);
+    }
+
     fn shutdown(&mut self) -> io::Result<()> {
         // The workers belong to the set; only this job's completion
         // channel closes.
@@ -275,7 +286,7 @@ impl IoQueue for SharedPort {
 
 fn disk_worker(inner: &SharedInner, d: usize, time_scale: f64, epoch: Instant) {
     let mut free_at = epoch;
-    let mut scratch = Vec::new();
+    let mut bufs = WorkerBuffers::default();
     let (queue, cond) = &inner.queues[d];
     let mut guard = CloseOnUnwind {
         queue,
@@ -310,11 +321,12 @@ fn disk_worker(inner: &SharedInner, d: usize, time_scale: f64, epoch: Instant) {
             q.entries.swap_remove(idx)
         };
         let entry = guard.in_service.insert(entry);
+        bufs.pool.extend(entry.buf.take());
         let completion = service_one(
             &*entry.device,
             &mut free_at,
             entry.req,
-            &mut scratch,
+            &mut bufs,
             time_scale,
             epoch,
         );

@@ -31,7 +31,7 @@ use pm_disk::{BlockAddr, DiskId};
 
 use crate::device::DIRECT_ALIGN;
 use crate::ioqueue::{IoCompletion, IoQueue, IoRequest};
-use crate::workers::since;
+use crate::workers::{refill, since};
 
 const SYS_IO_URING_SETUP: i64 = 425;
 const SYS_IO_URING_ENTER: i64 = 426;
@@ -402,8 +402,15 @@ impl Ring {
         }
     }
 
-    /// Drains every posted CQE into `ready`; returns how many.
-    fn drain_cq(&mut self, epoch: Instant, ready: &mut VecDeque<IoCompletion>) -> usize {
+    /// Drains every posted CQE into `ready`, copying each payload into a
+    /// buffer from `spare` (a new one when it is empty); returns how
+    /// many.
+    fn drain_cq(
+        &mut self,
+        epoch: Instant,
+        ready: &mut VecDeque<IoCompletion>,
+        spare: &mut Vec<Vec<u8>>,
+    ) -> usize {
         let mut n = 0;
         loop {
             let head = unsafe { (*self.cq_khead).load(Ordering::Relaxed) };
@@ -427,15 +434,17 @@ impl Ring {
                     format!("short read: {} of {} bytes", cqe.res, self.block_bytes),
                 ))
             } else {
-                let mut block = vec![0u8; self.block_bytes];
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
+                // SAFETY: the slot's buffer is `block_bytes` long inside
+                // the `buf_base` allocation, and its CQE is posted, so the
+                // kernel has finished writing it and no SQE names the slot
+                // until it is back on the free list below.
+                let block = unsafe {
+                    std::slice::from_raw_parts(
                         self.buf_base.add(slot as usize * self.block_bytes),
-                        block.as_mut_ptr(),
                         self.block_bytes,
-                    );
-                }
-                Ok(block)
+                    )
+                };
+                Ok(refill(spare.pop(), block))
             };
             let finished = Instant::now();
             ready.push_back(IoCompletion {
@@ -482,6 +491,10 @@ pub struct UringQueue {
     write_files: Vec<std::fs::File>,
     rings: Vec<Ring>,
     ready: VecDeque<IoCompletion>,
+    /// Recycled payload buffers, refilled as completions are drained.
+    spare: Vec<Vec<u8>>,
+    /// Scratch for the `poll(2)` descriptor set.
+    poll_fds: Vec<PollFd>,
     epoch: Instant,
     opened: bool,
 }
@@ -534,6 +547,8 @@ impl UringQueue {
             write_files,
             rings: Vec::new(),
             ready: VecDeque::new(),
+            spare: Vec::new(),
+            poll_fds: Vec::new(),
             epoch: Instant::now(),
             opened: false,
         })
@@ -611,7 +626,7 @@ impl IoQueue for UringQueue {
             // submit what's pending and wait for one completion.
             while ring.free.is_empty() {
                 ring.enter(1)?;
-                ring.drain_cq(epoch, &mut self.ready);
+                ring.drain_cq(epoch, &mut self.ready, &mut self.spare);
             }
             let slot = ring.free.pop().expect("free slot");
             ring.push_sqe(slot, req);
@@ -628,19 +643,21 @@ impl IoQueue for UringQueue {
         }
         let epoch = self.epoch;
         for ring in &mut self.rings {
-            ring.drain_cq(epoch, &mut self.ready);
+            ring.drain_cq(epoch, &mut self.ready, &mut self.spare);
         }
         while self.ready.len() < min_wait {
-            let mut fds: Vec<PollFd> = self
-                .rings
-                .iter()
-                .filter(|r| r.inflight > 0)
-                .map(|r| PollFd {
-                    fd: r.fd,
-                    events: POLLIN,
-                    revents: 0,
-                })
-                .collect();
+            let fds = &mut self.poll_fds;
+            fds.clear();
+            fds.extend(
+                self.rings
+                    .iter()
+                    .filter(|r| r.inflight > 0)
+                    .map(|r| PollFd {
+                        fd: r.fd,
+                        events: POLLIN,
+                        revents: 0,
+                    }),
+            );
             if fds.is_empty() {
                 return Err(io::Error::other(format!(
                     "waiting for {min_wait} completions with only {} in flight",
@@ -656,12 +673,16 @@ impl IoQueue for UringQueue {
                 return Err(err);
             }
             for ring in &mut self.rings {
-                ring.drain_cq(epoch, &mut self.ready);
+                ring.drain_cq(epoch, &mut self.ready, &mut self.spare);
             }
         }
         let n = self.ready.len();
         out.extend(self.ready.drain(..));
         Ok(n)
+    }
+
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.spare.push(buf);
     }
 
     fn shutdown(&mut self) -> io::Result<()> {

@@ -13,7 +13,9 @@
 //! other only when the other side sleeps:
 //!
 //! * `submit` pushes each worker's share of a batch under one lock and
-//!   wakes the worker only if it sleeps for want of work.
+//!   wakes the worker only if it sleeps for want of work. Payload
+//!   buffers the merge gave back ([`IoQueue::recycle`]) ride along under
+//!   the same lock, at most one per request.
 //! * A worker takes everything queued under one lock and services it in
 //!   order, one extent at a time. It publishes an extent's completions
 //!   under one lock as soon as the extent is serviced (the latency
@@ -36,8 +38,9 @@
 //! the next block of the same disk. The worker serves each maximal run
 //! of such requests as one extent: one [`BlockDevice::read_block`] into
 //! a reused buffer, split back into one completion per request, in batch
-//! order. Every request of an extent starts service, and frees its depth
-//! slot, when the extent does. Each gets an even share of the extent's
+//! order, each block copied into a recycled payload buffer when the
+//! worker holds one. Every request of an extent starts service, and
+//! frees its depth slot, when the extent does. Each gets an even share of the extent's
 //! measured service interval, so a disk's intervals stay disjoint and
 //! sum to the measured time. A request whose service the device models
 //! ([`BlockDevice::service_timing`] returns `Some`) is served alone:
@@ -125,6 +128,8 @@ impl<T> Channel<T> {
 
 struct RequestState {
     items: Vec<IoRequest>,
+    /// Recycled payload buffers for the worker to fill.
+    buffers: Vec<Vec<u8>>,
     closed: bool,
     /// The worker sleeps for want of work.
     worker_asleep: bool,
@@ -155,6 +160,7 @@ impl RequestQueue {
         RequestQueue {
             state: Mutex::new(RequestState {
                 items: Vec::new(),
+                buffers: Vec::new(),
                 closed: false,
                 worker_asleep: false,
             }),
@@ -172,9 +178,15 @@ impl RequestQueue {
     }
 
     /// Queues `reqs` in order under one lock, sleeping whenever a disk's
-    /// `depth` slots are all taken. `Err` once the queue is closed.
-    fn push(&self, reqs: &[IoRequest]) -> io::Result<()> {
+    /// `depth` slots are all taken, and moves up to one buffer per
+    /// request from `spare` to the worker. `Err` once the queue is
+    /// closed.
+    fn push(&self, reqs: &[IoRequest], spare: &mut Vec<Vec<u8>>) -> io::Result<()> {
         let mut state = self.state.lock().expect("request queue poisoned");
+        // First, so a worker that starts these requests while the
+        // submitter waits for a slot has their buffers.
+        let keep = spare.len().saturating_sub(reqs.len());
+        state.buffers.extend(spare.drain(keep..));
         for io in reqs {
             let slots = self.slots(io);
             loop {
@@ -205,9 +217,10 @@ impl RequestQueue {
         Ok(())
     }
 
-    /// Moves everything queued into the empty `batch`, sleeping while
-    /// nothing is; `false` once the queue is closed and drained.
-    fn take_all(&self, batch: &mut Vec<IoRequest>) -> bool {
+    /// Moves everything queued into the empty `batch`, and every buffer
+    /// handed over into `pool`, sleeping while nothing is queued; `false`
+    /// once the queue is closed and drained.
+    fn take_all(&self, batch: &mut Vec<IoRequest>, pool: &mut Vec<Vec<u8>>) -> bool {
         let mut state = self.state.lock().expect("request queue poisoned");
         while state.items.is_empty() {
             if state.closed {
@@ -218,6 +231,7 @@ impl RequestQueue {
         }
         state.worker_asleep = false;
         std::mem::swap(&mut state.items, batch);
+        pool.append(&mut state.buffers);
         true
     }
 
@@ -256,6 +270,9 @@ pub struct ThreadedQueue {
     label: &'static str,
     opts: QueueOptions,
     running: Option<Running>,
+    /// Recycled payload buffers, handed to the workers with the next
+    /// submission.
+    spare: Vec<Vec<u8>>,
 }
 
 impl ThreadedQueue {
@@ -267,6 +284,7 @@ impl ThreadedQueue {
             label,
             opts,
             running: None,
+            spare: Vec::new(),
         }
     }
 
@@ -412,7 +430,7 @@ impl IoQueue for ThreadedQueue {
         while let Some(first) = rest.first() {
             let w = worker_of(first);
             let n = rest.iter().take_while(|io| worker_of(io) == w).count();
-            running.queues[w].push(&rest[..n])?;
+            running.queues[w].push(&rest[..n], &mut self.spare)?;
             rest = &rest[n..];
         }
         Ok(())
@@ -427,6 +445,10 @@ impl IoQueue for ThreadedQueue {
             .completions
             .recv_into(out, min_wait)
             .ok_or_else(|| io::Error::other("I/O workers exited with requests outstanding"))
+    }
+
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.spare.push(buf);
     }
 
     fn shutdown(&mut self) -> io::Result<()> {
@@ -467,8 +489,11 @@ fn worker_loop(
     // extent at most `depth` requests.
     let mut timings = Vec::with_capacity(queue.depth * queue.waiting.len());
     let mut done = Vec::with_capacity(queue.depth);
-    let mut extent = Vec::with_capacity(queue.depth * device.block_bytes());
-    while queue.take_all(&mut batch) {
+    let mut bufs = WorkerBuffers {
+        extent: Vec::with_capacity(queue.depth * device.block_bytes()),
+        pool: Vec::new(),
+    };
+    while queue.take_all(&mut batch, &mut bufs.pool) {
         // Asked once per request; a request with a modeled service is
         // served alone.
         timings.clear();
@@ -495,7 +520,7 @@ fn worker_loop(
                 &mut free_at[d],
                 ios,
                 timings[i],
-                &mut extent,
+                &mut bufs,
                 time_scale,
                 epoch,
             ));
@@ -528,6 +553,14 @@ impl Drop for CloseOnUnwind<'_> {
     }
 }
 
+/// A worker's buffers: the one it reads each extent into, and the
+/// recycled payload buffers it copies each block into.
+#[derive(Default)]
+pub(crate) struct WorkerBuffers {
+    pub(crate) extent: Vec<u8>,
+    pub(crate) pool: Vec<Vec<u8>>,
+}
+
 /// Services one request: the one-request case of [`service_extent`],
 /// asking the device for its modeled service first. The multi-job
 /// shared device set serves every request this way.
@@ -535,28 +568,30 @@ pub(crate) fn service_one(
     device: &dyn BlockDevice,
     free_at: &mut Instant,
     io: IoRequest,
-    scratch: &mut Vec<u8>,
+    bufs: &mut WorkerBuffers,
     time_scale: f64,
     epoch: Instant,
 ) -> IoCompletion {
     let injected = device.service_timing(&io.req);
-    service_extent(device, free_at, &[io], injected, scratch, time_scale, epoch)
+    service_extent(device, free_at, &[io], injected, bufs, time_scale, epoch)
         .next()
         .expect("one completion per request")
 }
 
 /// Services `ios` — consecutive blocks of one disk — synchronously with
-/// one read into `scratch`, and yields one completion per request, in
-/// order. `injected` is the service the device modeled for a lone
-/// request: the read is then timed against the disk's anchored deadline
-/// `free_at` and the modeled time slept out. Otherwise each request gets
-/// an even share of the read's measured interval.
+/// one read into `bufs.extent`, and yields one completion per request,
+/// in order, each payload copied into a buffer taken from `bufs.pool`
+/// (a new one when it is empty). `injected` is the service the device
+/// modeled for a lone request: the read is then timed against the
+/// disk's anchored deadline `free_at` and the modeled time slept out.
+/// Otherwise each request gets an even share of the read's measured
+/// interval.
 pub(crate) fn service_extent<'a>(
     device: &dyn BlockDevice,
     free_at: &mut Instant,
     ios: &'a [IoRequest],
     injected: Option<InjectedService>,
-    scratch: &'a mut Vec<u8>,
+    bufs: &'a mut WorkerBuffers,
     time_scale: f64,
     epoch: Instant,
 ) -> impl Iterator<Item = IoCompletion> + 'a {
@@ -566,7 +601,8 @@ pub(crate) fn service_extent<'a>(
     );
     let first = ios[0].req;
     let bb = device.block_bytes();
-    scratch.resize(ios.len() * bb, 0);
+    let WorkerBuffers { extent, pool } = bufs;
+    extent.resize(ios.len() * bb, 0);
     let (started, finished);
     let result;
     if let Some(inj) = &injected {
@@ -576,20 +612,20 @@ pub(crate) fn service_extent<'a>(
         // Read the payload first (memory/tmpfs reads are orders of
         // magnitude cheaper than the modeled mechanics), then sleep
         // out the remainder of the modeled service.
-        result = device.read_block(first.disk, first.start, scratch);
+        result = device.read_block(first.disk, first.start, extent);
         sleep_until(deadline);
         *free_at = deadline;
         started = start;
         finished = deadline;
     } else {
         started = Instant::now();
-        result = device.read_block(first.disk, first.start, scratch);
+        result = device.read_block(first.disk, first.start, extent);
         finished = Instant::now();
     }
     let (started_ns, finished_ns) = (since(epoch, started), since(epoch, finished));
     let share =
         move |i: usize| started_ns + (finished_ns - started_ns) * i as u64 / ios.len() as u64;
-    let scratch = &*scratch;
+    let extent = &*extent;
     ios.iter().enumerate().map(move |(i, io)| IoCompletion {
         disk: io.req.disk.0,
         tag: io.req.tag,
@@ -600,10 +636,19 @@ pub(crate) fn service_extent<'a>(
         started_ns: share(i),
         finished_ns: share(i + 1),
         data: match &result {
-            Ok(()) => Ok(scratch[i * bb..(i + 1) * bb].to_vec()),
+            Ok(()) => Ok(refill(pool.pop(), &extent[i * bb..(i + 1) * bb])),
             Err(e) => Err(io::Error::new(e.kind(), e.to_string())),
         },
     })
+}
+
+/// `buf` (a new buffer when `None`) holding exactly `block`, whatever it
+/// held before.
+pub(crate) fn refill(buf: Option<Vec<u8>>, block: &[u8]) -> Vec<u8> {
+    let mut buf = buf.unwrap_or_default();
+    buf.clear();
+    buf.extend_from_slice(block);
+    buf
 }
 
 pub(crate) fn since(epoch: Instant, at: Instant) -> u64 {

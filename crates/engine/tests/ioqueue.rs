@@ -12,8 +12,10 @@
 //! blocks of one disk with one device call, and serves a request whose
 //! service is modeled alone; a panicking device fails the queue instead
 //! of hanging it; a device error on a read fails the merge with a typed
-//! error; and the O_DIRECT alignment precondition must fail loudly, not
-//! corrupt.
+//! error; the O_DIRECT alignment precondition must fail loudly, not
+//! corrupt; and a recycled payload buffer comes back holding exactly its
+//! next block, while a queue that ignores recycling changes nothing the
+//! merge reports.
 
 mod common;
 
@@ -42,12 +44,13 @@ use common::{engine_custom, form_runs, run_file, run_memory, unique_dir, Panicki
 /// request is serviced instantly, but completions are handed back in a
 /// seeded pseudo-random order and in pseudo-random batch sizes — the
 /// worst-case legal behaviour the contract allows (io_uring can
-/// reorder even within one disk).
+/// reorder even within one disk). It reads into recycled buffers.
 struct PermutedQueue {
     device: MemoryDevice,
     rng: u64,
     depth: usize,
     finished: Vec<IoCompletion>,
+    spare: Vec<Vec<u8>>,
     epoch: Instant,
 }
 
@@ -58,6 +61,7 @@ impl PermutedQueue {
             rng: seed | 1,
             depth: depth.max(1),
             finished: Vec::new(),
+            spare: Vec::new(),
             epoch: Instant::now(),
         }
     }
@@ -109,7 +113,8 @@ impl IoQueue for PermutedQueue {
 
     fn submit(&mut self, reqs: &[IoRequest]) -> io::Result<()> {
         for req in reqs {
-            let mut buf = vec![0u8; self.device.block_bytes()];
+            let mut buf = self.spare.pop().unwrap_or_default();
+            buf.resize(self.device.block_bytes(), 0);
             let result = self.device.read_block(req.req.disk, req.req.start, &mut buf);
             let now = Instant::now().duration_since(self.epoch).as_nanos() as u64;
             self.finished.push(IoCompletion {
@@ -148,8 +153,58 @@ impl IoQueue for PermutedQueue {
         Ok(n)
     }
 
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.spare.push(buf);
+    }
+
     fn shutdown(&mut self) -> io::Result<()> {
         Ok(())
+    }
+}
+
+/// Forwards everything but [`IoQueue::recycle`], whose default drops the
+/// buffer: a wrapper that does not forward it.
+struct NoRecycle<Q>(Q);
+
+impl<Q: IoQueue> IoQueue for NoRecycle<Q> {
+    fn backend(&self) -> &'static str {
+        self.0.backend()
+    }
+
+    fn block_bytes(&self) -> usize {
+        self.0.block_bytes()
+    }
+
+    fn disks(&self) -> usize {
+        self.0.disks()
+    }
+
+    fn depth(&self) -> usize {
+        self.0.depth()
+    }
+
+    fn tenant(&self) -> u16 {
+        self.0.tenant()
+    }
+
+    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
+        self.0.write_block(disk, start, data)
+    }
+
+    fn open(&mut self, epoch: Instant) -> io::Result<()> {
+        self.0.open(epoch)
+    }
+
+    fn submit(&mut self, reqs: &[IoRequest]) -> io::Result<()> {
+        self.0.submit(reqs)
+    }
+
+    fn complete(&mut self, out: &mut Vec<IoCompletion>, min_wait: usize) -> io::Result<usize> {
+        self.0.complete(out, min_wait)
+    }
+
+    fn shutdown(&mut self) -> io::Result<()> {
+        self.0.shutdown()
     }
 }
 
@@ -1151,4 +1206,129 @@ fn uring_rejects_writes_that_are_not_whole_blocks() {
         .write_block(DiskId(0), BlockAddr(0), &vec![1; 2 * DIRECT_ALIGN])
         .expect("two whole blocks");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Blocks [`check_recycled_reads`] writes: six full and one partial.
+const RECYCLE_BLOCKS: usize = 7;
+
+/// Loads one run of `6 × rpb + 3` records onto disk 0 of `queue` (so
+/// its last block is zero-padded), opens it, and reads every block
+/// twice — once as one extent of consecutive requests, once as single
+/// reads — after recycling, before each submission, one garbage-filled
+/// buffer per request. Every completion must hold exactly its block, in
+/// a recycled buffer.
+fn check_recycled_reads<Q: IoQueue>(mut queue: Q, what: &str) {
+    let bb = queue.block_bytes();
+    let rpb = bb / RECORD_BYTES;
+    let records: Vec<Record> = (0..(RECYCLE_BLOCKS - 1) * rpb + 3)
+        .map(|i| Record::new(i as u64 * 3 + 1, u64::MAX - i as u64))
+        .collect();
+    let mut image = vec![0xEEu8; RECYCLE_BLOCKS * bb];
+    pm_engine::encode_records(&records, &mut image);
+    assert!(image[records.len() * RECORD_BYTES..].iter().all(|&b| b == 0));
+    queue.write_block(DiskId(0), BlockAddr(0), &image).unwrap();
+    queue.open(Instant::now()).unwrap();
+
+    let reads: Vec<IoRequest> = (0..RECYCLE_BLOCKS).map(|b| read_request(0, b)).collect();
+    let batches: Vec<&[IoRequest]> = std::iter::once(&reads[..])
+        .chain(reads.chunks(1))
+        .collect();
+    for (round, batch) in batches.into_iter().enumerate() {
+        let mut recycled = Vec::new();
+        for (i, _) in batch.iter().enumerate() {
+            // Any length, any contents, capacity for a block.
+            let mut buf = Vec::with_capacity(2 * bb);
+            buf.resize((i * 5 + round) % (2 * bb), 0xA5);
+            recycled.push(buf.as_ptr());
+            queue.recycle(buf);
+        }
+        queue.submit(batch).unwrap();
+        let mut done = Vec::new();
+        while done.len() < batch.len() {
+            queue.complete(&mut done, 1).unwrap();
+        }
+        for c in done {
+            let block = c.span as usize;
+            let data = c.data.unwrap();
+            assert_eq!(
+                data,
+                &image[block * bb..(block + 1) * bb],
+                "{what}: block {block} in round {round}"
+            );
+            assert!(
+                recycled.contains(&data.as_ptr()),
+                "{what}: block {block} in round {round} came in a new buffer"
+            );
+        }
+    }
+    queue.shutdown().unwrap();
+}
+
+#[test]
+fn recycled_buffers_come_back_holding_exactly_their_blocks() {
+    let bb = RPB as usize * RECORD_BYTES;
+    let opts = QueueOptions {
+        depth: RECYCLE_BLOCKS,
+        ..QueueOptions::default()
+    };
+    check_recycled_reads(ThreadedQueue::memory(2, bb, opts), "memory");
+    let dir = unique_dir();
+    check_recycled_reads(ThreadedQueue::file(&dir, 2, bb, opts).unwrap(), "file");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(feature = "uring")]
+#[test]
+fn uring_refills_recycled_buffers_with_exactly_their_blocks() {
+    if !pm_engine::uring_available() {
+        eprintln!("SKIP: io_uring unavailable on this kernel");
+        return;
+    }
+    let dir = unique_dir();
+    let bb = RPB_ALIGNED as usize * RECORD_BYTES;
+    let queue = pm_engine::UringQueue::create(&dir, 2, bb, RECYCLE_BLOCKS).unwrap();
+    check_recycled_reads(queue, "uring");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_queue_that_drops_recycled_buffers_changes_nothing_the_merge_reports() {
+    use pm_core::DataLayout;
+    // 350-record runs end in a partly filled block.
+    let runs = form_runs(3_000, 350, 19);
+    for layout in [DataLayout::Concatenated, DataLayout::Striped] {
+        let scenario = ScenarioBuilder::new(runs.len() as u32, 3)
+            .layout(layout)
+            .seed(53);
+        // Inter-run prefetching needs each run on one disk.
+        let cfg = match layout {
+            DataLayout::Concatenated => scenario.inter(4),
+            DataLayout::Striped => scenario.intra(4),
+        }
+        .build()
+        .unwrap();
+        let disks = cfg.disks as usize;
+        let engine = engine_custom(cfg, &runs, 1, 0, RPB);
+        let recycling = run_memory(&engine, &runs, disks);
+        assert_eq!(recycling.output, common::reference(&runs));
+
+        let mut queue = ThreadedQueue::memory(disks, engine.block_bytes(), engine.queue_options());
+        engine.load(&mut queue, &runs).unwrap();
+        let dropping = engine.execute(Box::new(NoRecycle(queue))).unwrap();
+
+        let mut queue = PermutedQueue::new(disks, engine.block_bytes(), 7, 4);
+        engine.load(&mut queue, &runs).unwrap();
+        let permuted_dropping = engine.execute(Box::new(NoRecycle(queue))).unwrap();
+        let permuted = run_permuted(&engine, &runs, disks, 7, 4);
+
+        for (other, what) in [
+            (&dropping, "threaded, not recycling"),
+            (&permuted, "permuted, recycling"),
+            (&permuted_dropping, "permuted, not recycling"),
+        ] {
+            assert_eq!(other.output, recycling.output, "{layout:?}: {what}");
+            assert_eq!(other.requests, recycling.requests, "{layout:?}: {what}");
+            assert_eq!(other.depletion, recycling.depletion, "{layout:?}: {what}");
+        }
+    }
 }
