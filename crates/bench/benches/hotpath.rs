@@ -5,10 +5,9 @@
 //!
 //! `perf_smoke` (crates/bench/src/bin/perf_smoke.rs) measures the same
 //! code end-to-end in ops/sec; these benches isolate the layers so a
-//! regression can be localized without re-profiling. Two pairs isolate
-//! the PR-7 optimizations specifically: winner selection in the event
-//! queue's linear store vs its tournament store, and scalar vs batched
-//! draws from the RNG's refillable buffer.
+//! regression can be localized without re-profiling. Winner selection is
+//! timed in both of the event queue's stores (linear and tournament), and
+//! raw draws through the RNG's refillable buffer are timed on their own.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pm_core::{DepletionModel, MergeSim, ScenarioBuilder, UniformDepletion};
@@ -107,11 +106,8 @@ fn winner_selection(c: &mut Criterion) {
     }
 }
 
-/// Scalar vs batched raw draws. Both paths produce the identical output
-/// stream (pinned by pm-sim's equivalence tests); the question here is
-/// only what a draw costs when taken one at a time through the buffered
-/// `next_u64` versus in bulk through `fill_u64`.
-fn rng_batched_vs_scalar(c: &mut Criterion) {
+/// Raw draws taken one at a time through the buffered `next_u64`.
+fn rng_draws(c: &mut Criterion) {
     c.bench_function("hotpath/rng_scalar_draws_1M", |b| {
         b.iter(|| {
             let mut rng = SimRng::seed_from_u64(11);
@@ -122,25 +118,11 @@ fn rng_batched_vs_scalar(c: &mut Criterion) {
             black_box(acc)
         });
     });
-    c.bench_function("hotpath/rng_batched_draws_1M", |b| {
-        b.iter(|| {
-            let mut rng = SimRng::seed_from_u64(11);
-            let mut buf = [0u64; 1024];
-            let mut acc = 0u64;
-            for _ in 0..(1_000_000 / buf.len()) {
-                rng.fill_u64(&mut buf);
-                for &v in &buf {
-                    acc = acc.wrapping_add(v);
-                }
-            }
-            black_box(acc)
-        });
-    });
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = depletion_step, demand_path, event_queue_coalesced, winner_selection, rng_batched_vs_scalar
+    targets = depletion_step, demand_path, event_queue_coalesced, winner_selection, rng_draws
 }
 criterion_main!(benches);

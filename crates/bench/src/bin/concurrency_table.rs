@@ -3,8 +3,9 @@
 //! `D = 5, 10, 20` disks, against the exact urn expectation `E[L]` and the
 //! paper's asymptotic `√(πD/2) − 1/3`.
 //!
-//! The paper's model assumes large `N`; we measure at `N = 30` (as the
-//! paper simulated) and at `N = 100` to show convergence.
+//! The `(k, D)` pairs are `pm_workload::paper::t2_cases`. The paper's
+//! model assumes large `N`; we measure at `N = 30` (as the paper
+//! simulated) and at `N = 100` to show convergence.
 //!
 //! Usage: `concurrency_table [--trials n]`
 
@@ -12,12 +13,10 @@ use pm_analysis::urn;
 use pm_bench::Harness;
 use pm_core::ScenarioBuilder;
 use pm_report::{Align, Csv, Table};
+use pm_workload::paper::t2_cases;
 
 fn main() {
     let (harness, _) = Harness::from_args();
-    // k chosen so each disk holds k/D runs comfortably; the paper uses
-    // k = 25 with D = 5 and k = 50 with D = 10. For D = 20 use k = 60.
-    let cases: [(u32, u32); 3] = [(25, 5), (50, 10), (60, 20)];
     let mut table = Table::new(vec![
         "D".into(),
         "k".into(),
@@ -37,7 +36,8 @@ fn main() {
     )
     .expect("header");
 
-    for (k, d) in cases {
+    for case in t2_cases(harness.seed) {
+        let (k, d) = (case.config.runs, case.config.disks);
         for n in [30u32, 100] {
             let mut cfg = ScenarioBuilder::new(k, d).intra(n).build().unwrap();
             cfg.seed = harness.seed ^ (u64::from(d) << 8) ^ u64::from(n);

@@ -6,10 +6,12 @@
 
 use std::fmt::Write as _;
 
-use pm_analysis::{bounds, equations, urn, ModelParams};
+use pm_analysis::{bounds, urn, ModelParams};
 use pm_bench::Harness;
-use pm_core::{MergeConfig, ScenarioBuilder, SyncMode};
+use pm_core::ScenarioBuilder;
+use pm_obs::closed_form;
 use pm_report::{Align, Table};
+use pm_workload::paper::{t1_cases, t2_cases};
 
 fn main() {
     let (harness, _) = Harness::from_args();
@@ -32,47 +34,15 @@ fn main() {
     for i in 1..4 {
         t1.set_align(i, Align::Right);
     }
-    let total = |k: u32, tau: f64| equations::total_seconds(&p, k, tau);
-    let mut case = |label: String, analytic: f64, cfg: MergeConfig| {
-        let mut cfg = cfg;
-        cfg.seed = harness.seed;
-        let sim = harness.run_trials(&cfg).expect("valid").mean_total_secs;
+    for case in t1_cases(harness.seed) {
+        let analytic = closed_form(&case.config).expect("every T1 case has a closed form").secs;
+        let sim = harness.run_trials(&case.config).expect("valid").mean_total_secs;
         t1.add_row(vec![
-            label,
+            case.label,
             format!("{analytic:.1}"),
             format!("{sim:.1}"),
             format!("{:.3}", sim / analytic),
         ]);
-    };
-    for k in [25u32, 50] {
-        case(
-            format!("eq1 baseline k={k}"),
-            total(k, equations::tau_single_no_prefetch(&p, k)),
-            ScenarioBuilder::new(k, 1).build().unwrap(),
-        );
-    }
-    case(
-        "eq3 k=25 D=5".into(),
-        total(25, equations::tau_multi_no_prefetch(&p, 25, 5)),
-        ScenarioBuilder::new(25, 5).build().unwrap(),
-    );
-    {
-        let mut cfg = ScenarioBuilder::new(25, 5).intra(30).build().unwrap();
-        cfg.sync = SyncMode::Synchronized;
-        case(
-            "eq4 k=25 D=5 N=30 sync".into(),
-            total(25, equations::tau_multi_intra_sync(&p, 25, 5, 30)),
-            cfg,
-        );
-    }
-    {
-        let mut cfg = ScenarioBuilder::new(25, 5).inter(10).cache_blocks(2000).build().unwrap();
-        cfg.sync = SyncMode::Synchronized;
-        case(
-            "eq5 k=25 D=5 N=10 sync".into(),
-            total(25, equations::tau_inter_sync(&p, 25, 5, 10)),
-            cfg,
-        );
     }
     let _ = writeln!(md, "## T1 — closed forms vs simulation\n\n{}", t1.render_markdown());
 
@@ -86,10 +56,9 @@ fn main() {
     for i in 0..4 {
         t2.set_align(i, Align::Right);
     }
-    for (k, d) in [(25u32, 5u32), (50, 10)] {
-        let mut cfg = ScenarioBuilder::new(k, d).intra(30).build().unwrap();
-        cfg.seed = harness.seed;
-        let measured = harness.run_trials(&cfg).expect("valid").mean_concurrency;
+    for case in t2_cases(harness.seed) {
+        let d = case.config.disks;
+        let measured = harness.run_trials(&case.config).expect("valid").mean_concurrency;
         t2.add_row(vec![
             d.to_string(),
             format!("{measured:.2}"),

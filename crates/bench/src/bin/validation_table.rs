@@ -1,100 +1,18 @@
 //! Regenerates every **estimated-vs-simulated** comparison quoted in the
 //! paper's text (§3.1–3.2): equations (1)–(5) against the simulator, plus
 //! the transfer-time lower bounds and the unsynchronized asymptotics.
+//! The cases are `pm_workload::paper::t1_cases`; each analytic value is
+//! the closed form `pm_obs::closed_form` maps the case to.
 //!
 //! Usage: `validation_table [--trials n]`
 
-use pm_analysis::{bounds, equations, ModelParams};
 use pm_bench::Harness;
-use pm_core::{MergeConfig, ScenarioBuilder, SyncMode};
+use pm_obs::closed_form;
 use pm_report::{Align, Csv, Table};
-
-struct Case {
-    label: &'static str,
-    analytic_secs: f64,
-    paper_simulated: Option<f64>,
-    config: MergeConfig,
-}
-
-fn cases(p: &ModelParams) -> Vec<Case> {
-    let total = |k: u32, tau: f64| equations::total_seconds(p, k, tau);
-    let mut v = Vec::new();
-
-    v.push(Case {
-        label: "eq1: no prefetch, k=25, D=1",
-        analytic_secs: total(25, equations::tau_single_no_prefetch(p, 25)),
-        paper_simulated: Some(360.9),
-        config: ScenarioBuilder::new(25, 1).build().unwrap(),
-    });
-    v.push(Case {
-        label: "eq1: no prefetch, k=50, D=1",
-        analytic_secs: total(50, equations::tau_single_no_prefetch(p, 50)),
-        paper_simulated: Some(916.0),
-        config: ScenarioBuilder::new(50, 1).build().unwrap(),
-    });
-    for (k, n, paper) in [(25u32, 16u32, 73.0), (50, 16, 158.0), (25, 30, 64.0), (50, 30, 135.0)] {
-        v.push(Case {
-            label: Box::leak(format!("eq2: intra, k={k}, D=1, N={n}").into_boxed_str()),
-            analytic_secs: total(k, equations::tau_single_intra(p, k, n)),
-            paper_simulated: Some(paper),
-            config: ScenarioBuilder::new(k, 1).intra(n).build().unwrap(),
-        });
-    }
-    for (k, d, paper) in [(25u32, 5u32, 281.9), (50, 10, 563.5)] {
-        v.push(Case {
-            label: Box::leak(format!("eq3: no prefetch, k={k}, D={d}").into_boxed_str()),
-            analytic_secs: total(k, equations::tau_multi_no_prefetch(p, k, d)),
-            paper_simulated: Some(paper),
-            config: ScenarioBuilder::new(k, d).build().unwrap(),
-        });
-    }
-    {
-        let mut cfg = ScenarioBuilder::new(25, 5).intra(30).build().unwrap();
-        cfg.sync = SyncMode::Synchronized;
-        v.push(Case {
-            label: "eq4: intra sync, k=25, D=5, N=30",
-            analytic_secs: total(25, equations::tau_multi_intra_sync(p, 25, 5, 30)),
-            paper_simulated: Some(61.6),
-            config: cfg,
-        });
-    }
-    {
-        let mut cfg = ScenarioBuilder::new(25, 5).inter(10).cache_blocks(2000).build().unwrap();
-        cfg.sync = SyncMode::Synchronized;
-        v.push(Case {
-            label: "eq5: inter sync, k=25, D=5, N=10",
-            analytic_secs: total(25, equations::tau_inter_sync(p, 25, 5, 10)),
-            paper_simulated: Some(17.4),
-            config: cfg,
-        });
-    }
-    // Unsynchronized intra-run at N=30: the paper's asymptotic estimate
-    // (eq-4 time over the urn concurrency) vs. simulation.
-    v.push(Case {
-        label: "urn asymptote: intra unsync, k=25, D=5, N=30",
-        analytic_secs: bounds::intra_unsync_asymptotic_secs(p, 25, 5, 30),
-        paper_simulated: Some(28.5),
-        config: ScenarioBuilder::new(25, 5).intra(30).build().unwrap(),
-    });
-    // Inter-run unsynchronized with a huge cache approaches kBT/D.
-    v.push(Case {
-        label: "bound kBT/D: inter unsync, k=25, D=5, N=50",
-        analytic_secs: bounds::multi_disk_lower_bound_secs(p, 25, 5),
-        paper_simulated: Some(12.2),
-        config: ScenarioBuilder::new(25, 5).inter(50).cache_blocks(5000).build().unwrap(),
-    });
-    v.push(Case {
-        label: "bound kBT/D: inter unsync, k=50, D=5, N=50",
-        analytic_secs: bounds::multi_disk_lower_bound_secs(p, 50, 5),
-        paper_simulated: Some(23.6),
-        config: ScenarioBuilder::new(50, 5).inter(50).cache_blocks(10_000).build().unwrap(),
-    });
-    v
-}
+use pm_workload::paper::t1_cases;
 
 fn main() {
     let (harness, _) = Harness::from_args();
-    let p = ModelParams::paper();
     let mut table = Table::new(vec![
         "case".into(),
         "analytic (s)".into(),
@@ -106,24 +24,22 @@ fn main() {
         table.set_align(i, Align::Right);
     }
     let mut rows_csv: Vec<Vec<String>> = Vec::new();
-    for case in cases(&p) {
-        let mut cfg = case.config;
-        cfg.seed = harness.seed;
-        let summary = harness.run_trials(&cfg).expect("valid case");
+    for case in t1_cases(harness.seed) {
+        let analytic = closed_form(&case.config).expect("every T1 case has a closed form").secs;
+        let summary = harness.run_trials(&case.config).expect("valid case");
         let sim = summary.mean_total_secs;
-        let ratio = sim / case.analytic_secs;
+        let ratio = sim / analytic;
         table.add_row(vec![
-            case.label.to_string(),
-            format!("{:.1}", case.analytic_secs),
-            case.paper_simulated
-                .map_or_else(|| "-".into(), |v| format!("{v:.1}")),
+            case.label.clone(),
+            format!("{analytic:.1}"),
+            case.paper_secs.map_or_else(|| "-".into(), |v| format!("{v:.1}")),
             format!("{sim:.1}"),
             format!("{ratio:.3}"),
         ]);
         rows_csv.push(vec![
-            case.label.to_string(),
-            format!("{:.3}", case.analytic_secs),
-            case.paper_simulated.map_or_else(String::new, |v| format!("{v:.3}")),
+            case.label,
+            format!("{analytic:.3}"),
+            case.paper_secs.map_or_else(String::new, |v| format!("{v:.3}")),
             format!("{sim:.3}"),
         ]);
     }

@@ -16,7 +16,7 @@
 //! ## Parallel execution and determinism
 //!
 //! [`Harness::run_sweeps`] fans every sweep point of a figure out over
-//! `jobs` workers ([`Harness::run_sweeps_parallel`]), and
+//! `jobs` workers, and
 //! [`Harness::run_trials`] does the same for a single scenario's trials
 //! via [`pm_core::run_trials_parallel`]. Both are **bit-identical** to
 //! their sequential counterparts for every `jobs` value: trial seeds are
@@ -153,39 +153,19 @@ impl Harness {
     /// `<out>/<name>.csv` with `series,x,y` rows. Returns the series as
     /// `(label, points)` pairs for further processing.
     ///
-    /// Delegates to [`Harness::run_sweeps_parallel`], so the harness's
-    /// `jobs` setting applies; with `jobs == 1` the points run strictly
-    /// sequentially, and the output is byte-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scenario is invalid or output files cannot be written.
-    pub fn run_sweeps(
-        &self,
-        name: &str,
-        title: &str,
-        y_label: &str,
-        sweeps: &[Sweep],
-        measure: impl Fn(&TrialSummary) -> f64,
-    ) -> Vec<(String, Vec<(f64, f64)>)> {
-        self.run_sweeps_parallel(name, title, y_label, sweeps, measure)
-    }
-
-    /// [`Harness::run_sweeps`] with every sweep point of every curve
-    /// running concurrently on the harness's worker pool.
-    ///
-    /// Each point's trials run sequentially inside one worker (the
-    /// cross-point fan-out already saturates the pool), so every point
-    /// produces exactly the summary the sequential driver would, and
-    /// results are collected in point order before rendering — the
-    /// printed series and the CSV are byte-identical for every `jobs`
+    /// Every sweep point of every curve runs concurrently on the
+    /// harness's worker pool. Each point's trials run sequentially inside
+    /// one worker (the cross-point fan-out already saturates the pool),
+    /// so every point produces exactly the summary the sequential driver
+    /// would, and results are collected in point order before rendering —
+    /// the printed series and the CSV are byte-identical for every `jobs`
     /// value. Progress lines (`[name k/total] label x=… (elapsed)`) are
     /// emitted to stderr as points complete.
     ///
     /// # Panics
     ///
     /// Panics if a scenario is invalid or output files cannot be written.
-    pub fn run_sweeps_parallel(
+    pub fn run_sweeps(
         &self,
         name: &str,
         title: &str,
@@ -382,7 +362,7 @@ mod tests {
                 ..Harness::default()
             };
             let series =
-                h.run_sweeps_parallel("unit_par", "t", "secs", &sweeps, |s| s.mean_total_secs);
+                h.run_sweeps("unit_par", "t", "secs", &sweeps, |s| s.mean_total_secs);
             let csv = fs::read_to_string(dir.join("unit_par.csv")).unwrap();
             let _ = fs::remove_dir_all(dir);
             (series, csv)

@@ -92,6 +92,24 @@ fn invalid_scenario_is_rejected() {
 }
 
 #[test]
+fn disk_counts_beyond_the_disk_id_width_exit_2() {
+    for args in [
+        ["--disks", "65536", "--runs", "65536", "--blocks", "1"],
+        ["--write-disks", "65536", "--runs", "2", "--blocks", "2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pmerge"))
+            .arg("simulate")
+            .args(args)
+            .args(["--trials", "1"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("exceed the limit of 65535"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn striped_layout_flag_works() {
     let (ok, stdout, stderr) = pmerge(&[
         "simulate", "--runs", "4", "--blocks", "40", "--disks", "2", "--strategy", "intra",

@@ -149,6 +149,14 @@ pub enum ConfigError {
         /// Required alignment in bytes.
         required: usize,
     },
+    /// More input or write disks than a disk id can name
+    /// ([`MergeConfig::MAX_DISKS`]).
+    TooManyDisks {
+        /// `"disks"` or `"write disks"`.
+        what: &'static str,
+        /// Configured count.
+        count: u32,
+    },
     /// The merge was asked to combine more runs than the cache can fan
     /// in at once; a multi-pass plan is required.
     FanInExceeded {
@@ -186,6 +194,11 @@ impl std::fmt::Display for ConfigError {
                  records_per_block so that records_per_block x 16 is a \
                  multiple of {required} (e.g. --rpb 32 for 512 bytes)"
             ),
+            ConfigError::TooManyDisks { what, count } => write!(
+                f,
+                "{count} {what} exceed the limit of {}",
+                MergeConfig::MAX_DISKS
+            ),
             ConfigError::FanInExceeded { runs, fan_in } => write!(
                 f,
                 "{runs} runs exceed the cache-supported fan-in of {fan_in}; \
@@ -199,6 +212,10 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl MergeConfig {
+    /// Most input (and most write) disks a configuration may have: disk
+    /// ids are 16-bit.
+    pub const MAX_DISKS: u32 = u16::MAX as u32;
+
     /// Minimum cache capacity: the initial load places
     /// `min(N, run_blocks)` blocks of every run.
     #[must_use]
@@ -220,6 +237,9 @@ impl MergeConfig {
         }
         if self.disks == 0 {
             return Err(ConfigError::ZeroParameter("disks"));
+        }
+        if self.disks > Self::MAX_DISKS {
+            return Err(ConfigError::TooManyDisks { what: "disks", count: self.disks });
         }
         if self.strategy.depth() == 0 {
             return Err(ConfigError::ZeroDepth);
@@ -258,6 +278,9 @@ impl MergeConfig {
         if let Some(write) = self.write {
             if write.disks == 0 {
                 return Err(ConfigError::ZeroParameter("write disks"));
+            }
+            if write.disks > Self::MAX_DISKS {
+                return Err(ConfigError::TooManyDisks { what: "write disks", count: write.disks });
             }
             if write.buffer_blocks == 0 {
                 return Err(ConfigError::ZeroParameter("write buffer"));
@@ -332,6 +355,29 @@ mod tests {
         let mut c = base(25, 5);
         c.strategy = PrefetchStrategy::IntraRun { n: 0 };
         assert_eq!(c.validate(), Err(ConfigError::ZeroDepth));
+    }
+
+    #[test]
+    fn disk_counts_are_bounded_by_the_disk_id_width() {
+        // Only `validate` runs here: a simulator or engine over this many
+        // disks would build one disk (or worker) each.
+        let mut c = base(25, 5);
+        c.disks = 65_535;
+        assert_eq!(c.validate(), Ok(()));
+        c.disks = 65_536;
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, ConfigError::TooManyDisks { what: "disks", count: 65_536 });
+        assert_eq!(err.to_string(), "65536 disks exceed the limit of 65535");
+
+        let mut c = base(2, 1);
+        c.run_blocks = 2;
+        c.write = Some(WriteSpec { disks: 65_535, buffer_blocks: 1 });
+        assert_eq!(c.validate(), Ok(()));
+        c.write = Some(WriteSpec { disks: 65_536, buffer_blocks: 1 });
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooManyDisks { what: "write disks", count: 65_536 })
+        );
     }
 
     #[test]

@@ -55,7 +55,6 @@ mod prefetch;
 mod runner;
 mod sim;
 mod strategy;
-mod timeline;
 mod write;
 
 pub use builder::ScenarioBuilder;
@@ -72,7 +71,6 @@ pub use runner::{
 };
 pub use sim::MergeSim;
 pub use strategy::{PrefetchStrategy, SyncMode};
-pub use timeline::{ServiceInterval, StallInterval, Timeline};
 pub use write::WriteSpec;
 
 // Re-export the vocabulary types callers need alongside the simulator.

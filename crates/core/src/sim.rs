@@ -3,9 +3,8 @@
 use pm_cache::RunId;
 use pm_disk::{DiskArray, DiskId, DiskRequest};
 use pm_sim::{Executive, SimDuration, SimTime};
-use pm_trace::{NullSink, OutputSide, RecordingSink, TraceSink};
+use pm_trace::{NullSink, OutputSide, TraceSink};
 
-use crate::timeline::Timeline;
 use crate::write::Writer;
 use crate::{
     ConfigError, DecisionCore, DepletionModel, MergeConfig, MergeReport, SyncMode,
@@ -171,25 +170,6 @@ impl MergeSim {
     pub fn run_uniform(cfg: MergeConfig) -> Result<MergeReport, ConfigError> {
         Ok(Self::new(cfg)?.run(&mut UniformDepletion))
     }
-
-    /// Like [`MergeSim::run`], additionally recording the full execution
-    /// [`Timeline`] (every disk-service interval and CPU stall).
-    ///
-    /// This is a thin shim over the tracing subsystem: the run records
-    /// into an unbounded [`RecordingSink`] and the timeline is rebuilt
-    /// from the event stream by [`Timeline::from_trace`].
-    ///
-    /// # Panics
-    ///
-    /// As [`MergeSim::run`].
-    pub fn run_traced<M: DepletionModel + ?Sized>(self, model: &mut M) -> (MergeReport, Timeline) {
-        let cpu_per_block = self.core.config().cpu_per_block;
-        let (report, sink) = self
-            .replace_sink(RecordingSink::unbounded())
-            .run_with_sink(model);
-        let timeline = Timeline::from_trace(&sink.into_events(), cpu_per_block);
-        (report, timeline)
-    }
 }
 
 impl<S: TraceSink> MergeSim<S> {
@@ -330,8 +310,8 @@ impl<S: TraceSink> MergeSim<S> {
     fn wake_cpu(&mut self, now: SimTime) {
         self.gate = None;
         if now > self.cpu_free_at {
-            // No trace event: stalls are reconstructed exactly from the
-            // gaps between `CpuConsume` stamps (see Timeline::from_trace).
+            // No trace event: a stall is exactly the gap between one
+            // `CpuConsume` stamp plus `cpu_per_block` and the next.
             self.cpu_stall += now - self.cpu_free_at;
         }
         if !self.cpu_scheduled {
@@ -873,48 +853,63 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Runs `cfg` recording every trace event.
+    fn recorded(cfg: MergeConfig) -> (MergeReport, Vec<pm_trace::TraceEvent>) {
+        let (report, sink) = MergeSim::new(cfg)
+            .unwrap()
+            .replace_sink(pm_trace::RecordingSink::unbounded())
+            .run_with_sink(&mut crate::UniformDepletion);
+        (report, sink.into_events())
+    }
+
     #[test]
     fn traced_run_matches_untraced_and_accounts_everything() {
         let cfg = small(PrefetchStrategy::InterRun { n: 5 }, SyncMode::Unsynchronized, 3, 120);
         let plain = MergeSim::run_uniform(cfg).unwrap();
-        let (traced, timeline) = MergeSim::new(cfg)
-            .unwrap()
-            .run_traced(&mut crate::UniformDepletion);
+        let (traced, events) = recorded(cfg);
         assert_eq!(plain, traced, "tracing must not change behaviour");
-        // One service interval per block.
-        assert_eq!(timeline.services.len(), 240);
-        // The timeline's busy time equals the disks' reported busy time.
-        let busy: u64 = (0..3u16)
-            .map(|d| timeline.disk_busy_in(pm_disk::DiskId(d), SimTime::ZERO, SimTime::ZERO + traced.total))
-            .sum();
-        let reported: u64 = traced.per_disk_busy.iter().map(|b| b.as_nanos()).sum();
-        assert_eq!(busy, reported);
-        // Stall intervals sum to the reported CPU stall.
-        let stall: u64 = timeline.stalls.iter().map(|s| (s.end - s.start).as_nanos()).sum();
-        assert_eq!(stall, traced.cpu_stall.as_nanos());
-        // Intervals never overlap on one disk.
-        for d in 0..3u16 {
-            let svcs = timeline.disk_services(pm_disk::DiskId(d));
-            for w in svcs.windows(2) {
-                assert!(w[0].end <= w[1].start, "overlap on disk {d}");
+        let m = pm_trace::TraceMetrics::from_events(&events);
+        // The trace's per-disk lanes equal the disks' own accounts.
+        assert_eq!(m.input_disks.len(), 3);
+        for (d, lane) in m.input_disks.iter().enumerate() {
+            assert_eq!(lane.busy, traced.per_disk_busy[d], "busy time of disk {d}");
+        }
+        let requests: u64 = m.input_disks.iter().map(|l| l.requests).sum();
+        let sequential: u64 = m.input_disks.iter().map(|l| l.sequential).sum();
+        assert_eq!(requests, traced.disk_requests);
+        assert_eq!(requests, 240, "one service per block");
+        assert_eq!(sequential, traced.sequential_requests);
+        // One miss per demand op, each seeing at most C free frames.
+        assert_eq!(m.demand_misses, traced.demand_ops);
+        assert!(m.min_free_at_miss.unwrap() <= 120);
+        // Service windows never overlap on one disk.
+        let mut last_end = [SimTime::ZERO; 3];
+        for ev in &events {
+            if let pm_trace::EventKind::DiskTransferDone {
+                disk,
+                output: false,
+                started,
+                ..
+            } = ev.kind
+            {
+                assert!(last_end[usize::from(disk)] <= started, "overlap on disk {disk}");
+                last_end[usize::from(disk)] = ev.at;
             }
         }
-        // Cache occupancy: one sample per demand op, free never above C.
-        assert_eq!(timeline.cache_free.len(), traced.demand_ops as usize);
-        assert!(timeline.cache_free.iter().all(|&(_, free)| free <= 120));
     }
 
     #[test]
     fn traced_write_runs_tag_output_disks() {
         let mut cfg = small(PrefetchStrategy::IntraRun { n: 4 }, SyncMode::Unsynchronized, 2, 24);
         cfg.write = Some(crate::WriteSpec { disks: 2, buffer_blocks: 8 });
-        let (_, timeline) = MergeSim::new(cfg)
-            .unwrap()
-            .run_traced(&mut crate::UniformDepletion);
-        let writes = timeline.services.iter().filter(|s| s.run.is_none()).count();
-        assert_eq!(writes, 240);
-        let reads = timeline.services.iter().filter(|s| s.run.is_some()).count();
-        assert_eq!(reads, 240);
+        let (report, events) = recorded(cfg);
+        let m = pm_trace::TraceMetrics::from_events(&events);
+        let requests =
+            |lanes: &[pm_trace::DiskLaneMetrics]| lanes.iter().map(|l| l.requests).sum::<u64>();
+        assert_eq!(m.output_disks.len(), 2);
+        assert_eq!(requests(&m.output_disks), 240);
+        assert_eq!(requests(&m.output_disks), report.write_blocks);
+        assert_eq!(requests(&m.input_disks), 240);
     }
 
     #[test]

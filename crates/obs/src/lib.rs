@@ -76,4 +76,4 @@ pub use metrics::{
 };
 pub use progress::{NullProgress, ProgressSink, StderrProgress};
 pub use residual::{closed_form, Bound, ResidualCheck, TolerancePolicy};
-pub use suite::{run_suite, t1_points, t2_points, validation_points, PointSpec, SuiteOptions};
+pub use suite::{run_suite, validation_points, PointSpec, SuiteOptions};

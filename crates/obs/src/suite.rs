@@ -2,15 +2,15 @@
 //!
 //! [`validation_points`] enumerates the reproduction's standing validation
 //! set — the paper's T1 estimated-vs-simulated cases (eqs. 1–5, the urn
-//! asymptote, the `kBT/D` bounds), the T2 urn-concurrency cases, and the
-//! Fig. 3.2 panel-A curves. [`run_suite`] executes any point list under a
-//! [`SuiteOptions`] policy and produces one [`ManifestRecord`] per point,
-//! ready for [`crate::manifest::render_manifest`] /
-//! [`crate::html::render_report`].
+//! asymptote, the `kBT/D` bounds), the T2 urn-concurrency cases (both
+//! defined in `pm_workload::paper`), and the Fig. 3.2 panel-A curves.
+//! [`run_suite`] executes any point list under a [`SuiteOptions`] policy
+//! and produces one [`ManifestRecord`] per point, ready for
+//! [`crate::manifest::render_manifest`] / [`crate::html::render_report`].
 
 use pm_analysis::predict::PredictionKind;
-use pm_core::{run_trials_traced, MergeConfig, PmError, ScenarioBuilder, SyncMode, TrialSummary};
-use pm_workload::paper::{fig2_panel, Fig2Panel};
+use pm_core::{run_trials_traced, MergeConfig, PmError, TrialSummary};
+use pm_workload::paper::{fig2_panel, t1_cases, t2_cases, Fig2Panel};
 
 use crate::convergence::{run_trials_converged, TrialsMode};
 use crate::manifest::{
@@ -68,102 +68,31 @@ impl SuiteOptions {
     }
 }
 
-fn t1(label: impl Into<String>, config: MergeConfig) -> PointSpec {
-    PointSpec {
-        kind: RecordKind::T1Case,
-        label: label.into(),
-        sweep: None,
-        x: None,
-        x_label: None,
-        config,
-    }
-}
-
-/// The T1 table: every estimated-vs-simulated comparison quoted in the
-/// paper's §3.1–3.2, as runnable points seeded with `master_seed`.
-#[must_use]
-pub fn t1_points(master_seed: u64) -> Vec<PointSpec> {
-    let seeded = |mut cfg: MergeConfig| {
-        cfg.seed = master_seed;
-        cfg
-    };
-    let mut v = Vec::new();
-    for k in [25u32, 50] {
-        v.push(t1(
-            format!("eq1: no prefetch, k={k}, D=1"),
-            seeded(ScenarioBuilder::new(k, 1).build().unwrap()),
-        ));
-    }
-    for (k, n) in [(25u32, 16u32), (50, 16), (25, 30), (50, 30)] {
-        v.push(t1(
-            format!("eq2: intra, k={k}, D=1, N={n}"),
-            seeded(ScenarioBuilder::new(k, 1).intra(n).build().unwrap()),
-        ));
-    }
-    for (k, d) in [(25u32, 5u32), (50, 10)] {
-        v.push(t1(
-            format!("eq3: no prefetch, k={k}, D={d}"),
-            seeded(ScenarioBuilder::new(k, d).build().unwrap()),
-        ));
-    }
-    {
-        let mut cfg = ScenarioBuilder::new(25, 5).intra(30).build().unwrap();
-        cfg.sync = SyncMode::Synchronized;
-        v.push(t1("eq4: intra sync, k=25, D=5, N=30", seeded(cfg)));
-    }
-    {
-        let mut cfg = ScenarioBuilder::new(25, 5).inter(10).cache_blocks(2000).build().unwrap();
-        cfg.sync = SyncMode::Synchronized;
-        v.push(t1("eq5: inter sync, k=25, D=5, N=10", seeded(cfg)));
-    }
-    v.push(t1(
-        "urn asymptote: intra unsync, k=25, D=5, N=30",
-        seeded(ScenarioBuilder::new(25, 5).intra(30).build().unwrap()),
-    ));
-    v.push(t1(
-        "bound kBT/D: inter unsync, k=25, D=5, N=50",
-        seeded(ScenarioBuilder::new(25, 5).inter(50).cache_blocks(5000).build().unwrap()),
-    ));
-    v.push(t1(
-        "bound kBT/D: inter unsync, k=50, D=5, N=50",
-        seeded(ScenarioBuilder::new(50, 5).inter(50).cache_blocks(10_000).build().unwrap()),
-    ));
-    v
-}
-
-/// The T2 table: average I/O concurrency of unsynchronized intra-run
-/// prefetching vs. the urn model, at `N = 30`.
-#[must_use]
-pub fn t2_points(master_seed: u64) -> Vec<PointSpec> {
-    [(5u32, 25u32), (10, 50), (20, 60)]
-        .into_iter()
-        .map(|(d, k)| {
-            let mut cfg = ScenarioBuilder::new(k, d).intra(30).build().unwrap();
-            cfg.seed = master_seed;
-            PointSpec {
-                kind: RecordKind::T2Concurrency,
-                label: format!("urn E[D]: intra unsync, k={k}, D={d}, N=30"),
-                sweep: None,
-                x: None,
-                x_label: None,
-                config: cfg,
-            }
-        })
-        .collect()
-}
-
 /// Stride used by quick mode to thin the Fig. 3.2 curves.
 const QUICK_SWEEP_STRIDE: usize = 6;
 
-/// The full validation set: T1, T2, and the Fig. 3.2 panel-A curves.
+/// The full validation set: the paper's T1 and T2 cases
+/// ([`t1_cases`], [`t2_cases`], seeded with `master_seed`) and the
+/// Fig. 3.2 panel-A curves.
 ///
 /// `quick` thins each curve to every `QUICK_SWEEP_STRIDE`-th point plus
 /// the endpoint (kept points are identical to the full sweep's, including
 /// seeds — a quick run's records are a subset of a full run's).
 #[must_use]
 pub fn validation_points(master_seed: u64, quick: bool) -> Vec<PointSpec> {
-    let mut pts = t1_points(master_seed);
-    pts.extend(t2_points(master_seed));
+    let t1 = t1_cases(master_seed).into_iter().map(|c| (RecordKind::T1Case, c));
+    let t2 = t2_cases(master_seed).into_iter().map(|c| (RecordKind::T2Concurrency, c));
+    let mut pts: Vec<PointSpec> = t1
+        .chain(t2)
+        .map(|(kind, c)| PointSpec {
+            kind,
+            label: c.label,
+            sweep: None,
+            x: None,
+            x_label: None,
+            config: c.config,
+        })
+        .collect();
     for sweep in fig2_panel(Fig2Panel::A, master_seed) {
         let sweep = if quick {
             sweep.thinned(QUICK_SWEEP_STRIDE)
@@ -311,6 +240,7 @@ mod tests {
     use super::*;
     use crate::manifest::render_manifest;
     use crate::progress::NullProgress;
+    use pm_core::ScenarioBuilder;
 
     /// A few seconds-scale points that stay fast in debug builds.
     fn tiny_points() -> Vec<PointSpec> {
@@ -367,15 +297,6 @@ mod tests {
         }
         // T1 cases carry the master seed directly.
         assert!(quick[..13].iter().all(|p| p.config.seed == 1992));
-    }
-
-    #[test]
-    fn t1_labels_cover_every_equation() {
-        let labels: Vec<String> = t1_points(1).into_iter().map(|p| p.label).collect();
-        for needle in ["eq1", "eq2", "eq3", "eq4", "eq5", "urn asymptote", "kBT/D"] {
-            assert!(labels.iter().any(|l| l.contains(needle)), "{needle}");
-        }
-        assert_eq!(labels.len(), 13);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   used to eyeball the shape of each reproduced figure.
 //! * [`SvgPlot`] — deterministic inline-SVG line charts with error bars,
 //!   embedded by the `pm-obs` HTML validation report.
-//! * [`Gantt`] — interval rows against a shared time axis, used with
-//!   `pm-core`'s execution timelines to visualize disk overlap.
+//! * [`Gantt`] — interval rows against a shared time axis, used by
+//!   `pm_trace::export::gantt` to draw a recorded trace's disk overlap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,9 +16,9 @@ use crate::SimDuration;
 /// 256-bit state held in registers, and individual draws pop prefetched
 /// values. The buffer is purely a batching device — it prefetches the
 /// *same* output stream the recurrence produces one step at a time, so
-/// every consumer sees bit-identical draws regardless of how calls to the
-/// scalar and bulk APIs interleave (pinned by tests against the published
-/// xoshiro vectors and a scalar reference).
+/// every consumer sees bit-identical draws however many are pending
+/// (pinned by tests against the published xoshiro vectors and a scalar
+/// reference).
 ///
 /// # Examples
 ///
@@ -113,23 +113,6 @@ impl SimRng {
         let v = self.buf[usize::from(self.pos)];
         self.pos += 1;
         v
-    }
-
-    /// Fills `out` with the next `out.len()` raw outputs — exactly the
-    /// values the same number of [`SimRng::next_u64`] calls would return,
-    /// in the same order. Pending buffered draws are drained first; the
-    /// remainder is generated straight into `out` without touching the
-    /// buffer.
-    pub fn fill_u64(&mut self, out: &mut [u64]) {
-        let pending = DRAW_BUFFER_LEN - usize::from(self.pos);
-        let head = pending.min(out.len());
-        out[..head].copy_from_slice(&self.buf[usize::from(self.pos)..usize::from(self.pos) + head]);
-        self.pos += head as u8;
-        let mut s = self.s;
-        for slot in &mut out[head..] {
-            *slot = Self::step(&mut s);
-        }
-        self.s = s;
     }
 
     /// Uniform value in `[0, 1)` with 53 bits of precision.
@@ -415,8 +398,8 @@ mod tests {
     }
 
     /// Scalar reference: the textbook one-step-per-call xoshiro256**, with
-    /// no buffering. The batched generator must reproduce this stream
-    /// exactly no matter how scalar and bulk draws interleave.
+    /// no buffering. The buffered generator must reproduce this stream
+    /// exactly across refill boundaries.
     struct ScalarRef {
         s: [u64; 4],
     }
@@ -446,38 +429,6 @@ mod tests {
         // Cross several refill boundaries.
         for i in 0..(5 * DRAW_BUFFER_LEN + 3) {
             assert_eq!(buffered.next_u64(), scalar.next_u64(), "draw {i}");
-        }
-    }
-
-    #[test]
-    fn fill_u64_matches_scalar_reference() {
-        let mut buffered = SimRng::seed_from_u64(43);
-        let mut scalar = ScalarRef::seed_from_u64(43);
-        // Bulk sizes that start empty, end mid-buffer, and span refills.
-        for len in [1, DRAW_BUFFER_LEN - 1, DRAW_BUFFER_LEN, 3 * DRAW_BUFFER_LEN + 5, 0, 2] {
-            let mut out = vec![0u64; len];
-            buffered.fill_u64(&mut out);
-            for (i, &v) in out.iter().enumerate() {
-                assert_eq!(v, scalar.next_u64(), "len={len} draw {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn interleaved_scalar_and_bulk_draws_share_one_stream() {
-        let mut mixed = SimRng::seed_from_u64(44);
-        let mut scalar = ScalarRef::seed_from_u64(44);
-        for round in 0..20 {
-            // A few scalar draws...
-            for i in 0..round % 7 {
-                assert_eq!(mixed.next_u64(), scalar.next_u64(), "round {round} scalar {i}");
-            }
-            // ...then a bulk fill; the stream must not skip or repeat.
-            let mut out = vec![0u64; (round * 3) % (DRAW_BUFFER_LEN + 4)];
-            mixed.fill_u64(&mut out);
-            for (i, &v) in out.iter().enumerate() {
-                assert_eq!(v, scalar.next_u64(), "round {round} bulk {i}");
-            }
         }
     }
 

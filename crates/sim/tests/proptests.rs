@@ -126,37 +126,6 @@ proptest! {
         prop_assert!(linear.is_empty() && tree.is_empty());
     }
 
-    /// Batched draws reproduce the scalar draw sequence exactly: any
-    /// interleaving of `fill_u64` bulk requests and scalar `next_u64`
-    /// calls yields the same stream as scalar draws alone.
-    #[test]
-    fn batched_rng_draws_match_scalar_sequence(
-        seed in any::<u64>(),
-        chunks in prop::collection::vec(0usize..40, 1..30)
-    ) {
-        let mut batched = SimRng::seed_from_u64(seed);
-        let mut scalar = SimRng::seed_from_u64(seed);
-        for (round, &len) in chunks.iter().enumerate() {
-            if round % 2 == 0 {
-                let mut out = vec![0u64; len];
-                batched.fill_u64(&mut out);
-                for (i, &v) in out.iter().enumerate() {
-                    prop_assert_eq!(v, scalar.next_u64(), "bulk round {} draw {}", round, i);
-                }
-            } else {
-                for i in 0..len {
-                    prop_assert_eq!(
-                        batched.next_u64(),
-                        scalar.next_u64(),
-                        "scalar round {} draw {}",
-                        round,
-                        i
-                    );
-                }
-            }
-        }
-    }
-
     /// Time arithmetic round-trips: (t + d) - t == d.
     #[test]
     fn time_arithmetic_round_trips(t in 0u64..u64::MAX / 4, d in 0u64..u64::MAX / 4) {

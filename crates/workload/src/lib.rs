@@ -11,6 +11,9 @@
 //!   (Fig. 3.3).
 //! * [`paper::cache_sweep`] — cache-size sweeps shared by Fig. 3.5 (total
 //!   time) and Fig. 3.6 (success ratio), panels a/b/c.
+//! * [`paper::t1_cases`] / [`paper::t2_cases`] — the estimated-vs-simulated
+//!   cases of tables T1 and T2, which `validation_table`,
+//!   `concurrency_table`, `make_report` and `pmerge validate` all read.
 //!
 //! [`Sweep`]/[`SweepPoint`] carry the scenario structure. Every point is a
 //! plain [`MergeConfig`](pm_core::MergeConfig); `pm-obs` manifests store

@@ -1,7 +1,8 @@
-//! The paper's experiment families, one builder per figure.
+//! The paper's experiment families: one builder per figure, and the
+//! validation cases of its tables T1 and T2 ([`t1_cases`], [`t2_cases`]).
 //!
 //! All builders return [`Sweep`]s whose points are ready-to-run
-//! [`MergeConfig`](pm_core::MergeConfig)s. Design choices the paper leaves implicit are made
+//! [`MergeConfig`]s. Design choices the paper leaves implicit are made
 //! here, once:
 //!
 //! * **Cache sizes.** Fig. 3.2 plots time vs. `N` with "unsynchronized
@@ -14,7 +15,7 @@
 //!   master seed, the curve label, and `x`, so figures are reproducible
 //!   point-by-point yet no two points share a random stream.
 
-use pm_core::{PrefetchStrategy, ScenarioBuilder, SimDuration, SyncMode};
+use pm_core::{MergeConfig, PrefetchStrategy, ScenarioBuilder, SimDuration, SyncMode};
 
 use crate::Sweep;
 
@@ -194,6 +195,89 @@ pub fn cache_sweep(panel: CachePanel, master_seed: u64) -> Vec<Sweep> {
         .collect()
 }
 
+/// One of the paper's validation cases: a labelled, seeded configuration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PaperCase {
+    /// Case label; its prefix (`eqN`, `urn asymptote`, `bound kBT/D`,
+    /// `urn E[D]`) names the analytical result it is checked against.
+    pub label: String,
+    /// The configuration to simulate, seeded with the master seed.
+    pub config: MergeConfig,
+    /// The simulated total time the paper publishes for this case, in
+    /// seconds (every T1 case has one; the T2 cases do not).
+    pub paper_secs: Option<f64>,
+}
+
+fn case(
+    label: impl Into<String>,
+    mut config: MergeConfig,
+    paper_secs: Option<f64>,
+    seed: u64,
+) -> PaperCase {
+    config.seed = seed;
+    PaperCase { label: label.into(), config, paper_secs }
+}
+
+/// Table T1: every estimated-vs-simulated comparison quoted in the
+/// paper's §3.1–3.2 — eqs. (1)–(5), the unsynchronized intra-run urn
+/// asymptote and the `kBT/D` transfer bound — seeded with `master_seed`.
+///
+/// # Examples
+///
+/// ```
+/// let cases = pm_workload::paper::t1_cases(1992);
+/// assert_eq!(cases.len(), 13);
+/// assert!(cases.iter().all(|c| c.paper_secs.is_some() && c.config.seed == 1992));
+/// ```
+#[must_use]
+pub fn t1_cases(master_seed: u64) -> Vec<PaperCase> {
+    let s = master_seed;
+    let mut v = Vec::new();
+    for (k, paper) in [(25u32, 360.9), (50, 916.0)] {
+        let cfg = ScenarioBuilder::new(k, 1).build().unwrap();
+        v.push(case(format!("eq1: no prefetch, k={k}, D=1"), cfg, Some(paper), s));
+    }
+    for (k, n, paper) in [(25u32, 16u32, 73.0), (50, 16, 158.0), (25, 30, 64.0), (50, 30, 135.0)] {
+        let cfg = ScenarioBuilder::new(k, 1).intra(n).build().unwrap();
+        v.push(case(format!("eq2: intra, k={k}, D=1, N={n}"), cfg, Some(paper), s));
+    }
+    for (k, d, paper) in [(25u32, 5u32, 281.9), (50, 10, 563.5)] {
+        let cfg = ScenarioBuilder::new(k, d).build().unwrap();
+        v.push(case(format!("eq3: no prefetch, k={k}, D={d}"), cfg, Some(paper), s));
+    }
+    let mut cfg = ScenarioBuilder::new(25, 5).intra(30).build().unwrap();
+    cfg.sync = SyncMode::Synchronized;
+    v.push(case("eq4: intra sync, k=25, D=5, N=30", cfg, Some(61.6), s));
+    let mut cfg = ScenarioBuilder::new(25, 5).inter(10).cache_blocks(2000).build().unwrap();
+    cfg.sync = SyncMode::Synchronized;
+    v.push(case("eq5: inter sync, k=25, D=5, N=10", cfg, Some(17.4), s));
+    // Unsynchronized intra-run at N=30: eq. (4)'s time over the urn
+    // concurrency, an asymptote in N.
+    let cfg = ScenarioBuilder::new(25, 5).intra(30).build().unwrap();
+    v.push(case("urn asymptote: intra unsync, k=25, D=5, N=30", cfg, Some(28.5), s));
+    // Unsynchronized inter-run with a huge cache approaches kBT/D.
+    let cfg = ScenarioBuilder::new(25, 5).inter(50).cache_blocks(5000).build().unwrap();
+    v.push(case("bound kBT/D: inter unsync, k=25, D=5, N=50", cfg, Some(12.2), s));
+    let cfg = ScenarioBuilder::new(50, 5).inter(50).cache_blocks(10_000).build().unwrap();
+    v.push(case("bound kBT/D: inter unsync, k=50, D=5, N=50", cfg, Some(23.6), s));
+    v
+}
+
+/// Table T2: average I/O concurrency of unsynchronized intra-run
+/// prefetching at `N = 30` for `D = 5, 10, 20`, checked against the urn
+/// model. `k` keeps several runs per disk: the paper's `k = 25` at
+/// `D = 5` and `k = 50` at `D = 10`, and `k = 60` at `D = 20`.
+#[must_use]
+pub fn t2_cases(master_seed: u64) -> Vec<PaperCase> {
+    [(25u32, 5u32), (50, 10), (60, 20)]
+        .into_iter()
+        .map(|(k, d)| {
+            let cfg = ScenarioBuilder::new(k, d).intra(30).build().unwrap();
+            case(format!("urn E[D]: intra unsync, k={k}, D={d}, N=30"), cfg, None, master_seed)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,6 +346,25 @@ mod tests {
         let t0 = sweeps[1].points[0].config.seed;
         assert_ne!(s0, s1);
         assert_ne!(s0, t0);
+    }
+
+    #[test]
+    fn paper_cases_are_distinct_valid_and_seeded() {
+        let t1 = t1_cases(5);
+        let t2 = t2_cases(5);
+        assert_eq!((t1.len(), t2.len()), (13, 3));
+        for needle in ["eq1", "eq2", "eq3", "eq4", "eq5", "urn asymptote", "kBT/D"] {
+            assert!(t1.iter().any(|c| c.label.contains(needle)), "{needle}");
+        }
+        assert!(t2.iter().all(|c| c.paper_secs.is_none()));
+        let all: Vec<&PaperCase> = t1.iter().chain(&t2).collect();
+        for (i, c) in all.iter().enumerate() {
+            c.config.validate().unwrap();
+            assert_eq!(c.config.seed, 5);
+            assert!(all[..i].iter().all(|o| o.label != c.label), "{}", c.label);
+        }
+        let disks: Vec<u32> = t2.iter().map(|c| c.config.disks).collect();
+        assert_eq!(disks, [5, 10, 20]);
     }
 
     #[test]

@@ -1,63 +1,53 @@
-//! Seeing the paper's overlap argument: record execution timelines and
+//! Seeing the paper's overlap argument: record execution traces and
 //! draw what each disk was doing under three strategies.
 //!
 //! Run with: `cargo run --release --example timeline`
 
 use prefetchmerge::core::{
-    DiskId, MergeSim, PrefetchStrategy, SyncMode, Timeline, UniformDepletion,
+    MergeSim, PrefetchStrategy, RecordingSink, SimDuration, SimTime, SyncMode, TraceEvent,
+    UniformDepletion,
 };
-use prefetchmerge::report::Gantt;
+use prefetchmerge::trace::export::{gantt, GanttOptions};
 use pm_core::ScenarioBuilder;
 
-fn trace(strategy: PrefetchStrategy, sync: SyncMode, cache: u32) -> (f64, Timeline) {
+fn trace(strategy: PrefetchStrategy, sync: SyncMode, cache: u32) -> (f64, Vec<TraceEvent>) {
     let mut cfg = ScenarioBuilder::new(10, 4).build().unwrap();
     cfg.run_blocks = 200;
     cfg.strategy = strategy;
     cfg.sync = sync;
     cfg.cache_blocks = cache;
-    // A small per-block CPU cost so the stall row shows structure
-    // (with an infinitely fast CPU every instant between depletions is a
-    // stall and the row would be solid).
-    cfg.cpu_per_block = prefetchmerge::core::SimDuration::from_millis_f64(0.3);
+    // A finite CPU, inside the range Fig. 3.3 sweeps.
+    cfg.cpu_per_block = SimDuration::from_millis_f64(0.3);
     cfg.seed = 8;
-    let (report, timeline) = MergeSim::new(cfg)
+    let (report, sink) = MergeSim::new(cfg)
         .expect("valid configuration")
-        .run_traced(&mut UniformDepletion);
-    (report.total.as_secs_f64(), timeline)
+        .replace_sink(RecordingSink::unbounded())
+        .run_with_sink(&mut UniformDepletion);
+    (report.total.as_secs_f64(), sink.into_events())
 }
 
-fn draw(title: &str, secs: f64, timeline: &Timeline, window_ms: u64) {
+fn draw(title: &str, secs: f64, events: &[TraceEvent], window_ms: u64) {
     println!("--- {title} (total {secs:.1} s; first {window_ms} ms shown) ---");
-    let mut gantt = Gantt::new(72);
-    for d in 0..4u16 {
-        let intervals: Vec<(u64, u64)> = timeline
-            .disk_services(DiskId(d))
-            .iter()
-            .map(|s| (s.start.as_nanos() / 1_000_000, s.end.as_nanos() / 1_000_000))
-            .collect();
-        gantt.add_row(format!("disk {d}"), '#', intervals);
-    }
-    let stalls: Vec<(u64, u64)> = timeline
-        .stalls
-        .iter()
-        .map(|s| (s.start.as_nanos() / 1_000_000, s.end.as_nanos() / 1_000_000))
-        .collect();
-    gantt.add_row("cpu stalled", 'x', stalls);
-    println!("{}", gantt.render(0, window_ms, "ms"));
+    let options = GanttOptions {
+        width: 72,
+        from: Some(SimTime::ZERO),
+        to: Some(SimTime::ZERO + SimDuration::from_millis(window_ms)),
+    };
+    println!("{}", gantt(events, &options));
 }
 
 fn main() {
     let window = 400;
     let n = 8;
 
-    let (secs, tl) = trace(
+    let (secs, events) = trace(
         PrefetchStrategy::IntraRun { n },
         SyncMode::Synchronized,
         10 * n,
     );
-    draw("intra-run, synchronized: one disk at a time", secs, &tl, window);
+    draw("intra-run, synchronized: one disk at a time", secs, &events, window);
 
-    let (secs, tl) = trace(
+    let (secs, events) = trace(
         PrefetchStrategy::IntraRun { n },
         SyncMode::Unsynchronized,
         10 * n,
@@ -65,11 +55,11 @@ fn main() {
     draw(
         "intra-run, unsynchronized: ~sqrt(D) disks overlap",
         secs,
-        &tl,
+        &events,
         window,
     );
 
-    let (secs, tl) = trace(
+    let (secs, events) = trace(
         PrefetchStrategy::InterRun { n },
         SyncMode::Unsynchronized,
         4 * 10 * n,
@@ -77,13 +67,14 @@ fn main() {
     draw(
         "inter-run, unsynchronized: all disks busy",
         secs,
-        &tl,
+        &events,
         window,
     );
 
     println!(
         "Synchronized intra-run serializes the disks; unsynchronized overlap\n\
          reaches only ~sqrt(D); inter-run prefetching drives all D — the\n\
-         paper's three regimes, drawn from the same simulator."
+         paper's three regimes, drawn from the same simulator. The miss row\n\
+         marks each demand miss (a merge stall that issued I/O)."
     );
 }
