@@ -1,65 +1,44 @@
 //! Wall-clock performance smoke harness for the merge simulator.
 //!
-//! Runs a fixed matrix of paper configurations (strategy × D) plus the
-//! `contend_d8_t4` multi-tenant service mix, the `merge_k64_records`
-//! merge kernel and the `extsort_formation` run-formation kernel, measures
-//! throughput in merged blocks (resp. replayed requests, merged records,
-//! sorted records) per wall-clock second
-//! (reported from the fastest repeat — the workload is deterministic, so
-//! noise only ever slows a run down), probes the steady-state allocation
-//! behaviour of the hot path, the tenant-scheduling layer, the merge
-//! kernel, and the full observability pipeline with a counting global
-//! allocator, and emits everything as `BENCH_core.json` so every PR
-//! leaves a measurable perf trajectory behind.
+//! Two tables drive it, and it writes both as `BENCH_core.json`:
 //!
-//! Flags:
+//! * [`scenarios`] — timed workloads: eight paper configurations
+//!   (strategy × D), the `contend_d8_t4` multi-tenant service mix, the
+//!   `merge_k64_records` merge kernel and the `extsort_formation`
+//!   run-formation kernel, each reporting units (merged blocks, replayed
+//!   requests, merged or sorted records) per second of its fastest repeat.
+//! * [`probes`] — steady-state allocations per unit, counted by a global
+//!   allocator: zero for the simulator core (bare, metered, and under the
+//!   observability pipeline), the tenant-scheduling layer (bare and
+//!   metered) and the merge kernel; at most [`ENGINE_MAX_ALLOCS_PER_BLOCK`]
+//!   for the real-I/O engine.
 //!
-//! * `--out <path>` — where to write the JSON (default `BENCH_core.json`).
-//! * `--snapshot <path>` — additionally write the same JSON to `path`
-//!   (CI writes `BENCH_PR9.json` and uploads it as an artifact); without
-//!   it no snapshot is written.
-//! * `--repeats <n>` — timed repetitions per scenario (default 5).
-//! * `--quick` — 2 repeats; for CI smoke runs.
-//! * `--baseline <path>` — compare against a previously emitted JSON and
-//!   exit non-zero if any scenario's `ops_per_sec` regressed by more than
-//!   `--max-regress` percent.
-//! * `--max-regress <pct>` — regression tolerance (default 30).
-//! * `--check-alloc` — exit non-zero unless the steady-state demand path
-//!   performs zero heap allocations per merged block — bare, under the
-//!   full observability pipeline (progress sink + manifest rendering),
-//!   per replayed request in the tenant-scheduling layer, per record merged
-//!   through `LoserTree`, and with live `StackMetrics` recording enabled on
-//!   both the simulator core and the scheduling layer — and unless the
-//!   real-I/O engine (`MergeEngine::execute` on `ThreadedQueue::memory`,
-//!   I/O worker included) stays under [`ENGINE_MAX_ALLOCS_PER_BLOCK`].
-//! * `--check-trace` — exit non-zero unless a run recorded with a
-//!   `RecordingSink` reports bit-identically to the default (`NullSink`)
-//!   build of the same configuration — tracing must be observation-only.
+//! Flags: `--out <path>` (default `BENCH_core.json`), `--repeats <n>`
+//! (default 5) and `--baseline <path>`, a JSON this harness wrote earlier,
+//! which [`gate`] compares the run against. Exits 0 when every gate passes,
+//! 1 when one fails and 2 on a bad flag.
 //!
 //! Ops/sec numbers are machine-dependent; the committed baseline under
 //! `crates/bench/baseline/` tracks the trajectory on one reference box and
 //! the CI gate only guards against order-of-magnitude regressions.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::fs;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pm_core::{
-    run_trial_range, LoserTree, MergeConfig, MergeSim, RecordingSink, ScenarioBuilder, SyncMode,
-    UniformDepletion,
+    run_trial_range, LoserTree, MergeConfig, MergeSim, ScenarioBuilder, SyncMode, UniformDepletion,
 };
 use pm_engine::{ExecConfig, IoQueue, MergeEngine, ThreadedQueue};
 use pm_extsort::{generate, run_formation, Record};
 use pm_metrics::{MetricsSink, NullMetrics, StackMetrics};
+use pm_obs::json::Value;
 use pm_obs::{
     render_manifest, run_suite, PointSpec, ProgressSink, RecordKind, SuiteOptions, TrialsMode,
 };
-use pm_service::{
-    SharedSpec, StaticPartition, TenantJob, TenantSim, TenantSimOptions, Wfq,
-};
+use pm_service::{SharedSpec, StaticPartition, TenantJob, TenantSim, TenantSimOptions, Wfq};
 use pm_sim::SimDuration;
 
 /// A pass-through allocator that counts every allocation, so the harness
@@ -91,125 +70,150 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn alloc_snapshot() -> (u64, u64) {
-    (
-        ALLOC_COUNT.load(Ordering::Relaxed),
-        ALLOC_BYTES.load(Ordering::Relaxed),
-    )
+    (ALLOC_COUNT.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed))
 }
 
-/// One benchmark scenario: a named paper configuration.
-struct Scenario {
-    name: &'static str,
-    strategy: &'static str,
-    d: u32,
-    cfg: MergeConfig,
-}
+/// The output path, the repeat count and the baseline path.
+type Args = (String, u32, Option<String>);
 
-/// Measured result for one scenario.
-struct Measured {
-    name: String,
-    strategy: &'static str,
-    d: u32,
-    repeats: u32,
-    blocks: u64,
+const USAGE: &str = "usage: perf_smoke [--out PATH] [--repeats N] [--baseline PATH]";
+
+const SCHEMA: &str = "pm-bench/perf-smoke/v1";
+
+/// How far below its baseline `ops_per_sec` a scenario may fall. Shared CI
+/// runners are noisy, so the gate is loose: it catches structural
+/// regressions (a per-block allocation, an O(D·N) event list), not
+/// single-digit drift.
+const MAX_REGRESS_PCT: f64 = 30.0;
+
+/// What [`timed`] measured.
+struct Timing {
+    /// Units done over all timed repeats.
+    units: u64,
     elapsed_ns: u128,
+    /// Throughput of the fastest repeat, and its inverse.
     ops_per_sec: f64,
-    ns_per_block: f64,
+    ns_per_unit: f64,
     allocs: u64,
     alloc_bytes: u64,
 }
 
-fn scenarios() -> Vec<Scenario> {
-    let mut v = Vec::new();
-    v.push(Scenario {
-        name: "no_prefetch_d1",
-        strategy: "none",
-        d: 1,
-        cfg: ScenarioBuilder::new(25, 1).build().unwrap(),
-    });
-    v.push(Scenario {
-        name: "intra_d4_n10",
-        strategy: "intra",
-        d: 4,
-        cfg: ScenarioBuilder::new(25, 4).intra(10).build().unwrap(),
-    });
-    for d in [2u32, 4, 8, 16, 32] {
-        v.push(Scenario {
-            name: match d {
-                2 => "inter_d2_n10",
-                4 => "inter_d4_n10",
-                8 => "inter_d8_n10",
-                16 => "inter_d16_n10",
-                _ => "inter_d32_n10",
-            },
-            strategy: "inter",
-            d,
-            cfg: ScenarioBuilder::new(25, d).inter(10).cache_blocks(1200).build().unwrap(),
-        });
+/// Runs `op` `warm_up` times untimed, then `repeats` times timed, and
+/// counts the allocations of the timed loop. `op(i)` does repeat `i` and
+/// returns its unit count with a value that is dropped after its clock
+/// stops.
+///
+/// The work is deterministic, so scheduler and frequency noise only ever
+/// adds time: the repeat with the fewest ns per unit is the
+/// least-contaminated estimate of true cost, and throughput is reported
+/// from it, not from the aggregate.
+fn timed<R>(repeats: u32, warm_up: u32, mut op: impl FnMut(u32) -> (u64, R)) -> Timing {
+    for _ in 0..warm_up {
+        op(0);
     }
-    let mut sync = ScenarioBuilder::new(25, 8).inter(10).cache_blocks(1200).build().unwrap();
-    sync.sync = SyncMode::Synchronized;
-    v.push(Scenario {
-        name: "inter_sync_d8_n10",
-        strategy: "inter-sync",
-        d: 8,
-        cfg: sync,
-    });
-    v
-}
-
-fn measure(s: &Scenario, repeats: u32) -> Measured {
-    // Warm-up run: page in code, size the allocator's arenas.
-    let _ = MergeSim::run_uniform(s.cfg).expect("valid scenario config");
     let (a0, b0) = alloc_snapshot();
-    let total_started = Instant::now();
-    let mut blocks = 0u64;
-    // The workload is deterministic, so every repeat does identical work
-    // and scheduler/frequency noise is strictly additive: the fastest
-    // repeat is the least-contaminated estimate of true cost. Throughput
-    // is therefore reported from the best repeat, not the aggregate.
+    let started = Instant::now();
+    let mut units = 0u64;
     let mut best: Option<(u128, u64)> = None;
     for i in 0..repeats {
-        let mut cfg = s.cfg;
-        cfg.seed = cfg.seed.wrapping_add(u64::from(i));
         let run_started = Instant::now();
-        let report = MergeSim::run_uniform(cfg).expect("valid scenario config");
-        let run_ns = run_started.elapsed().as_nanos().max(1);
-        blocks += report.blocks_merged;
-        let better = match best {
-            None => true,
-            // Compare rates without division: ns_a/blocks_a < ns_b/blocks_b.
-            Some((b_ns, b_blocks)) => {
-                run_ns * u128::from(b_blocks) < b_ns * u128::from(report.blocks_merged)
-            }
-        };
-        if better {
-            best = Some((run_ns, report.blocks_merged));
+        let (n, out) = op(i);
+        let ns = run_started.elapsed().as_nanos().max(1);
+        std::hint::black_box(out);
+        units += n;
+        // Compare rates without division: ns/n < best_ns/best_n.
+        if best.map_or(true, |(b_ns, b_n)| ns * u128::from(b_n) < b_ns * u128::from(n)) {
+            best = Some((ns, n));
         }
     }
-    let elapsed_ns = total_started.elapsed().as_nanos().max(1);
+    let elapsed_ns = started.elapsed().as_nanos().max(1);
     let (a1, b1) = alloc_snapshot();
-    let (best_ns, best_blocks) = best.expect("at least one repeat");
-    Measured {
-        name: s.name.to_string(),
-        strategy: s.strategy,
-        d: s.d,
-        repeats,
-        blocks,
+    let (best_ns, best_n) = best.expect("at least one repeat");
+    Timing {
+        units,
         elapsed_ns,
-        ops_per_sec: best_blocks as f64 / (best_ns as f64 / 1e9),
-        ns_per_block: best_ns as f64 / best_blocks as f64,
+        ops_per_sec: best_n as f64 / (best_ns as f64 / 1e9),
+        ns_per_unit: best_ns as f64 / best_n as f64,
         allocs: a1 - a0,
         alloc_bytes: b1 - b0,
     }
+}
+
+/// A timed scenario: its name, strategy and D as the JSON records them,
+/// the unit it counts, and its body, which takes the repeat count.
+type Scenario = (&'static str, &'static str, u32, &'static str, Box<dyn FnOnce(u32) -> Timing>);
+
+fn scenario(
+    name: &'static str,
+    strategy: &'static str,
+    d: u32,
+    unit: &'static str,
+    run: impl FnOnce(u32) -> Timing + 'static,
+) -> Scenario {
+    (name, strategy, d, unit, Box::new(run))
+}
+
+/// A paper configuration, each repeat on the next seed.
+fn paper(name: &'static str, strategy: &'static str, d: u32, cfg: MergeConfig) -> Scenario {
+    scenario(name, strategy, d, "block", move |repeats| {
+        timed(repeats, 1, |i| {
+            let mut cfg = cfg;
+            cfg.seed = cfg.seed.wrapping_add(u64::from(i));
+            (MergeSim::run_uniform(cfg).expect("valid scenario config").blocks_merged, ())
+        })
+    })
+}
+
+fn scenarios() -> Vec<Scenario> {
+    let cfg = |b: ScenarioBuilder| b.build().expect("valid scenario config");
+    let inter = |d| cfg(ScenarioBuilder::new(25, d).inter(10).cache_blocks(1200));
+    let mut sync = inter(8);
+    sync.sync = SyncMode::Synchronized;
+    vec![
+        paper("no_prefetch_d1", "none", 1, cfg(ScenarioBuilder::new(25, 1))),
+        paper("intra_d4_n10", "intra", 4, cfg(ScenarioBuilder::new(25, 4).intra(10))),
+        paper("inter_d2_n10", "inter", 2, inter(2)),
+        paper("inter_d4_n10", "inter", 4, inter(4)),
+        paper("inter_d8_n10", "inter", 8, inter(8)),
+        paper("inter_d16_n10", "inter", 16, inter(16)),
+        paper("inter_d32_n10", "inter", 32, inter(32)),
+        paper("inter_sync_d8_n10", "inter-sync", 8, sync),
+        // The full `TenantSim::run`: isolated profiles, per-tenant
+        // baselines, contended WFQ replay. The simulator and scheduler are
+        // reused across repeats, as a sweeping caller would hold them.
+        scenario("contend_d8_t4", "contend", 8, "request", |repeats| {
+            let (jobs, mut sched) =
+                (contend_jobs(60), (TenantSim::new(CONTEND_SHARED), Wfq::new()));
+            timed(repeats, 1, |i| {
+                (contend(&mut sched, &jobs, 1992 + u64::from(i), &NullMetrics), ())
+            })
+        }),
+        // One merge of the 64 × 1024-record input takes 1–2 ms, short
+        // enough that a single scheduler hiccup or a cold cache swamps it,
+        // so each repeat times `MERGE_PASSES` merges and the fastest counts.
+        scenario("merge_k64_records", "loser-tree", 0, "record", |repeats| {
+            let runs = merge_runs(1024);
+            timed(repeats.saturating_mul(MERGE_PASSES), MERGE_PASSES, |_| {
+                (merge_records(&runs), ())
+            })
+        }),
+        // The input is generated before, and the runs dropped after, the
+        // timed window.
+        scenario("extsort_formation", "load-sort", 0, "record", |repeats| {
+            let input = generate::uniform(MERGE_RUNS * FORMATION_RUN_LEN, 1992);
+            timed(repeats, 1, |_| {
+                (input.len() as u64, run_formation::load_sort(&input, FORMATION_RUN_LEN))
+            })
+        }),
+    ]
 }
 
 /// The `contend_d8_t4` service mix: four heterogeneous tenants — a
 /// deep-batch big job, a mid job, and two shallow small jobs arriving in
 /// a later burst — contending for 8 shared disks under WFQ.
 fn contend_jobs(run_blocks: u32) -> Vec<TenantJob> {
-    let job = |name: &str, runs: u32, disks: u32, n: u32, arrival_ms: u64, priority: u32| {
-        TenantJob {
+    let job =
+        |name: &str, runs: u32, disks: u32, n: u32, arrival_ms: u64, priority: u32| TenantJob {
             name: name.into(),
             scenario: ScenarioBuilder::new(runs, disks)
                 .inter(n)
@@ -218,8 +222,7 @@ fn contend_jobs(run_blocks: u32) -> Vec<TenantJob> {
                 .expect("valid contend scenario"),
             arrival: SimDuration::from_millis(arrival_ms),
             priority,
-        }
-    };
+        };
     vec![
         job("big", 12, 8, 8, 0, 2),
         job("mid", 8, 6, 4, 0, 1),
@@ -230,59 +233,25 @@ fn contend_jobs(run_blocks: u32) -> Vec<TenantJob> {
 
 const CONTEND_SHARED: SharedSpec = SharedSpec { disks: 8, cache_blocks: 24000 };
 
-/// Times the full `TenantSim::run` — isolated profiles, per-tenant
-/// baselines, contended WFQ replay — and reports throughput in replayed
-/// requests per second. The simulator and scheduler are reused across
-/// repeats, as a sweeping caller would hold them.
-fn measure_contend(repeats: u32) -> Measured {
-    let jobs = contend_jobs(60);
-    let mut sim = TenantSim::new(CONTEND_SHARED);
-    let mut wfq = Wfq::new();
+/// Runs `jobs` through a reused tenant simulator and scheduler and
+/// returns the requests replayed.
+fn contend(s: &mut (TenantSim, Wfq), jobs: &[TenantJob], seed: u64, m: &impl MetricsSink) -> u64 {
     let opts = TenantSimOptions { jobs: 1 };
-    // Warm-up run: page in code, size the reused scratch state.
-    let _ = sim
-        .run(&jobs, &StaticPartition, &mut wfq, 1992, &opts, &NullMetrics)
-        .expect("valid contend scenario");
-    let (a0, b0) = alloc_snapshot();
-    let total_started = Instant::now();
-    let mut blocks = 0u64;
-    let mut best: Option<(u128, u64)> = None;
-    for i in 0..repeats {
-        let run_started = Instant::now();
-        let report = sim
-            .run(&jobs, &StaticPartition, &mut wfq, 1992 + u64::from(i), &opts, &NullMetrics)
-            .expect("valid contend scenario");
-        let run_ns = run_started.elapsed().as_nanos().max(1);
-        let requests: u64 = report.tenants.iter().map(|t| t.requests).sum();
-        blocks += requests;
-        let better = match best {
-            None => true,
-            Some((b_ns, b_reqs)) => run_ns * u128::from(b_reqs) < b_ns * u128::from(requests),
-        };
-        if better {
-            best = Some((run_ns, requests));
-        }
-    }
-    let elapsed_ns = total_started.elapsed().as_nanos().max(1);
-    let (a1, b1) = alloc_snapshot();
-    let (best_ns, best_reqs) = best.expect("at least one repeat");
-    Measured {
-        name: "contend_d8_t4".to_string(),
-        strategy: "contend",
-        d: 8,
-        repeats,
-        blocks,
-        elapsed_ns,
-        ops_per_sec: best_reqs as f64 / (best_ns as f64 / 1e9),
-        ns_per_block: best_ns as f64 / best_reqs as f64,
-        allocs: a1 - a0,
-        alloc_bytes: b1 - b0,
-    }
+    let report =
+        s.0.run(jobs, &StaticPartition, &mut s.1, seed, &opts, m).expect("valid contend scenario");
+    report.tenants.iter().map(|t| t.requests).sum()
 }
 
-/// Fan-in of the `merge_k64_records` scenario: the benchmark's
-/// single-pass sort merges 64 runs.
+/// Fan-in of the merge scenarios: the benchmark's single-pass sort merges
+/// 64 runs.
 const MERGE_RUNS: usize = 64;
+
+/// Timed merges per repeat of `merge_k64_records`.
+const MERGE_PASSES: u32 = 8;
+
+/// Run length of the `extsort_formation` scenario: the benchmark's
+/// single-pass sort forms `MERGE_RUNS` runs of 62 500 records.
+const FORMATION_RUN_LEN: usize = 62_500;
 
 /// `MERGE_RUNS` sorted runs of `run_len` uniform records each, as
 /// load-sort run formation leaves them.
@@ -308,312 +277,176 @@ fn merge_records(runs: &[Vec<Record>]) -> u64 {
     merged
 }
 
-/// Timed merges per repeat of `merge_k64_records`. One merge of the
-/// 64 × 1024-record input takes 1–2 ms, short enough that a single
-/// scheduler hiccup or a cold cache swamps it, so each repeat times
-/// several and the scenario reports the fastest.
-const MERGE_PASSES: u32 = 8;
-
-/// Times the `merge_k64_records` kernel: 64 runs of 1024 records (built
-/// before the timed window) merged through the loser tree, throughput in
-/// merged records per second from the fastest merge.
-fn measure_merge(repeats: u32) -> Measured {
-    let runs = merge_runs(1024);
-    for _ in 0..MERGE_PASSES {
-        merge_records(&runs);
-    }
-    let (a0, b0) = alloc_snapshot();
-    let total_started = Instant::now();
-    let mut records = 0u64;
-    let mut best_ns = u128::MAX;
-    let mut per_merge = 0u64;
-    for _ in 0..repeats * MERGE_PASSES {
-        let started = Instant::now();
-        per_merge = merge_records(&runs);
-        best_ns = best_ns.min(started.elapsed().as_nanos().max(1));
-        records += per_merge;
-    }
-    let elapsed_ns = total_started.elapsed().as_nanos().max(1);
-    let (a1, b1) = alloc_snapshot();
-    Measured {
-        name: "merge_k64_records".to_string(),
-        strategy: "loser-tree",
-        d: 0,
-        repeats,
-        blocks: records,
-        elapsed_ns,
-        ops_per_sec: per_merge as f64 / (best_ns as f64 / 1e9),
-        ns_per_block: best_ns as f64 / per_merge as f64,
-        allocs: a1 - a0,
-        alloc_bytes: b1 - b0,
-    }
-}
-
-/// Run length of the `extsort_formation` scenario: the benchmark's
-/// single-pass sort forms `MERGE_RUNS` runs of 62 500 records.
-const FORMATION_RUN_LEN: usize = 62_500;
-
-/// Times the `extsort_formation` kernel: `load_sort` over
-/// `MERGE_RUNS` × `FORMATION_RUN_LEN` uniform records (generated before
-/// the timed window), throughput in sorted records per second from the
-/// fastest repeat. Dropping the runs is left out of the timing.
-fn measure_formation(repeats: u32) -> Measured {
-    let input = generate::uniform(MERGE_RUNS * FORMATION_RUN_LEN, 1992);
-    drop(run_formation::load_sort(&input, FORMATION_RUN_LEN));
-    let (a0, b0) = alloc_snapshot();
-    let total_started = Instant::now();
-    let mut best_ns = u128::MAX;
-    for _ in 0..repeats {
-        let started = Instant::now();
-        let runs = run_formation::load_sort(&input, FORMATION_RUN_LEN);
-        best_ns = best_ns.min(started.elapsed().as_nanos().max(1));
-        std::hint::black_box(runs);
-    }
-    let elapsed_ns = total_started.elapsed().as_nanos().max(1);
-    let (a1, b1) = alloc_snapshot();
-    let records = input.len() as u64;
-    Measured {
-        name: "extsort_formation".to_string(),
-        strategy: "load-sort",
-        d: 0,
-        repeats,
-        blocks: records * u64::from(repeats),
-        elapsed_ns,
-        ops_per_sec: records as f64 / (best_ns as f64 / 1e9),
-        ns_per_block: best_ns as f64 / records as f64,
-        allocs: a1 - a0,
-        alloc_bytes: b1 - b0,
-    }
-}
-
-/// Steady-state allocation probe: simulate the same configuration at two
-/// run lengths and count heap allocations inside `run()` only
-/// (construction excluded). If the per-operation hot path is
-/// allocation-free, the counts are identical — every allocation happens
-/// during setup or early ramp-up, none per merged block.
-struct AllocProbe {
-    base_blocks: u64,
+/// What [`probe`] counted at its two sizes.
+struct Probe {
+    base_units: u64,
     base_allocs: u64,
-    scaled_blocks: u64,
+    scaled_units: u64,
     scaled_allocs: u64,
-    per_block_allocs: f64,
+    per_unit: f64,
 }
 
-fn alloc_probe() -> AllocProbe {
-    let run_counted = |run_blocks: u32| -> (u64, u64) {
-        let mut cfg = ScenarioBuilder::new(25, 8).inter(10).cache_blocks(1200).build().unwrap();
-        cfg.run_blocks = run_blocks;
-        let sim = MergeSim::new(cfg).expect("valid probe config");
-        let (a0, _) = alloc_snapshot();
-        let report = sim.run(&mut UniformDepletion);
-        let (a1, _) = alloc_snapshot();
-        (report.blocks_merged, a1 - a0)
-    };
-    // Warm-up pass so lazily sized structures are measured in steady state.
-    let _ = run_counted(100);
-    let (base_blocks, base_allocs) = run_counted(400);
-    let (scaled_blocks, scaled_allocs) = run_counted(1600);
-    let extra_blocks = scaled_blocks - base_blocks;
-    AllocProbe {
-        base_blocks,
+/// Runs `run` at the warm-up size `sizes[0]`, then at the two counted
+/// sizes, and returns the allocations per extra unit. `run(size)` returns
+/// the units it did and the allocations in its counted region (see
+/// [`counted`]). Setup, and per-trial or per-run costs, are the same at
+/// both sizes and cancel; only a per-unit cost survives the difference.
+fn probe(sizes: [u32; 3], mut run: impl FnMut(u32) -> (u64, u64)) -> Probe {
+    run(sizes[0]);
+    let (base_units, base_allocs) = run(sizes[1]);
+    let (scaled_units, scaled_allocs) = run(sizes[2]);
+    Probe {
+        base_units,
         base_allocs,
-        scaled_blocks,
+        scaled_units,
         scaled_allocs,
-        per_block_allocs: (scaled_allocs as f64 - base_allocs as f64) / extra_blocks as f64,
+        per_unit: (scaled_allocs as f64 - base_allocs as f64) / (scaled_units - base_units) as f64,
     }
 }
 
-/// Scheduling-layer allocation probe: the `contend_d8_t4` mix at two run
-/// lengths through one reused [`TenantSim`] + [`Wfq`]. Admission work —
-/// cache grants, isolated profiles, lane building, the report itself —
-/// allocates identically at both lengths and cancels out of the
-/// difference; only a per-request cost in the contention replay loop
-/// could survive, and there must be none (lanes, disk queues, and the
-/// event calendar are pre-sized at admission).
-fn contend_alloc_probe() -> AllocProbe {
-    let mut sim = TenantSim::new(CONTEND_SHARED);
-    let mut wfq = Wfq::new();
-    let opts = TenantSimOptions { jobs: 1 };
-    let mut run_counted = |run_blocks: u32| -> (u64, u64) {
-        let jobs = contend_jobs(run_blocks);
-        let (a0, _) = alloc_snapshot();
-        let report = sim
-            .run(&jobs, &StaticPartition, &mut wfq, 1992, &opts, &NullMetrics)
-            .expect("valid contend probe config");
-        let (a1, _) = alloc_snapshot();
-        let requests: u64 = report.tenants.iter().map(|t| t.requests).sum();
-        (requests, a1 - a0)
-    };
-    // Warm-up at the *largest* length: the isolated profiles inside the
-    // run contain cache-bounded structures that ramp lazily to their
-    // high-water mark, and with multi-thousand-block cache grants a
-    // short run never gets there. Warming at the scaled length
-    // saturates them, so both counted lengths run in true steady state.
-    let _ = run_counted(6400);
-    let (base_blocks, base_allocs) = run_counted(1600);
-    let (scaled_blocks, scaled_allocs) = run_counted(6400);
-    let extra_blocks = scaled_blocks - base_blocks;
-    AllocProbe {
-        base_blocks,
-        base_allocs,
-        scaled_blocks,
-        scaled_allocs,
-        per_block_allocs: (scaled_allocs as f64 - base_allocs as f64) / extra_blocks as f64,
-    }
+/// Runs `f`, which returns a unit count, and pairs that count with the
+/// allocations `f` made.
+fn counted(f: impl FnOnce() -> u64) -> (u64, u64) {
+    let (a0, _) = alloc_snapshot();
+    let units = f();
+    (units, alloc_snapshot().0 - a0)
 }
 
-/// Metered simulator-core allocation probe: the same two-length
-/// differencing as [`alloc_probe`], but through [`run_trial_range`]
-/// recording each trial into a live [`StackMetrics`] sink.
-/// Recording is pre-bound atomics; the only allocating site
-/// (`trial_done`'s label lookup materializing the strategy cell) fires
-/// once per family at warm-up and the per-trial lookups after it are
-/// scan-only, so the per-block difference must still be zero with
-/// metrics *enabled*.
-fn metered_alloc_probe() -> AllocProbe {
-    let metrics = StackMetrics::new(8, &[]);
-    let run_counted = |run_blocks: u32| -> (u64, u64) {
-        let mut cfg = ScenarioBuilder::new(25, 8).inter(10).cache_blocks(1200).build().unwrap();
-        cfg.run_blocks = run_blocks;
-        let (a0, _) = alloc_snapshot();
-        let strategy = cfg.strategy.label();
-        let reports = run_trial_range(&cfg, 0, 1, 1, &|_, report| {
-            metrics.trial_done(
-                strategy,
-                report.blocks_merged,
-                report.demand_ops,
-                report.fallback_ops,
-                report.full_prefetch_ops,
-            );
-        })
-        .expect("valid metered probe config");
-        let (a1, _) = alloc_snapshot();
-        (reports[0].blocks_merged, a1 - a0)
-    };
-    // Warm-up also materializes the per-strategy metric cells.
-    let _ = run_counted(100);
-    let (base_blocks, base_allocs) = run_counted(400);
-    let (scaled_blocks, scaled_allocs) = run_counted(1600);
-    let extra_blocks = scaled_blocks - base_blocks;
-    AllocProbe {
-        base_blocks,
-        base_allocs,
-        scaled_blocks,
-        scaled_allocs,
-        per_block_allocs: (scaled_allocs as f64 - base_allocs as f64) / extra_blocks as f64,
-    }
+/// The simulator-core probe configuration: the paper's 25-run, 8-disk,
+/// inter-run N=10, C=1200 case at `run_blocks` blocks per run.
+fn probe_cfg(run_blocks: u32) -> MergeConfig {
+    let mut cfg =
+        ScenarioBuilder::new(25, 8).inter(10).cache_blocks(1200).build().expect("valid probe");
+    cfg.run_blocks = run_blocks;
+    cfg
 }
 
-/// Metered scheduling-layer allocation probe: [`contend_alloc_probe`]
-/// with a live [`StackMetrics`] sink passed to [`TenantSim::run`].
-/// Every replayed request records disk I/O, tenant wait, WFQ lag, and a
-/// queue-depth sample — all on pre-bound handles, so the per-request
-/// difference must stay zero with metrics *enabled*.
-fn contend_metered_alloc_probe() -> AllocProbe {
-    let tenant_names: Vec<String> =
-        contend_jobs(60).iter().map(|j| j.name.clone()).collect();
-    let metrics = StackMetrics::new(8, &tenant_names);
-    let mut sim = TenantSim::new(CONTEND_SHARED);
-    let mut wfq = Wfq::new();
-    let opts = TenantSimOptions { jobs: 1 };
-    let mut run_counted = |run_blocks: u32| -> (u64, u64) {
-        let jobs = contend_jobs(run_blocks);
-        let (a0, _) = alloc_snapshot();
-        let report = sim
-            .run(&jobs, &StaticPartition, &mut wfq, 1992, &opts, &metrics)
-            .expect("valid metered contend probe config");
-        let (a1, _) = alloc_snapshot();
-        let requests: u64 = report.tenants.iter().map(|t| t.requests).sum();
-        (requests, a1 - a0)
-    };
-    // Warm at the scaled length (see contend_alloc_probe) so the lazily
-    // ramping cache structures and metric cells are all in steady state.
-    let _ = run_counted(6400);
-    let (base_blocks, base_allocs) = run_counted(1600);
-    let (scaled_blocks, scaled_allocs) = run_counted(6400);
-    let extra_blocks = scaled_blocks - base_blocks;
-    AllocProbe {
-        base_blocks,
-        base_allocs,
-        scaled_blocks,
-        scaled_allocs,
-        per_block_allocs: (scaled_allocs as f64 - base_allocs as f64) / extra_blocks as f64,
-    }
-}
-
-/// Merge-kernel allocation probe: the `merge_k64_records` merge at two run
-/// lengths, counting allocations inside the merge only. `LoserTree`
-/// allocates in `new` and nowhere else, so the counts must match and the
-/// per-record difference must be zero.
-fn merge_alloc_probe() -> AllocProbe {
-    let run_counted = |run_len: usize| -> (u64, u64) {
-        let runs = merge_runs(run_len);
-        let (a0, _) = alloc_snapshot();
-        let merged = merge_records(&runs);
-        let (a1, _) = alloc_snapshot();
-        (merged, a1 - a0)
-    };
-    let _ = run_counted(256);
-    let (base_blocks, base_allocs) = run_counted(1024);
-    let (scaled_blocks, scaled_allocs) = run_counted(4096);
-    let extra_blocks = scaled_blocks - base_blocks;
-    AllocProbe {
-        base_blocks,
-        base_allocs,
-        scaled_blocks,
-        scaled_allocs,
-        per_block_allocs: (scaled_allocs as f64 - base_allocs as f64) / extra_blocks as f64,
-    }
-}
-
-/// The most allocations per merged block [`engine_alloc_probe`] may
-/// find. Not zero: the merge's record of what it did (its depletion
-/// sequence, one arrival per block, the per-disk request lists) lives in
-/// vectors that grow by doubling, a few reallocations per quadrupling of
-/// the input.
+/// The most allocations per merged block the engine probe may find. Not
+/// zero: the merge's record of what it did (its depletion sequence, one
+/// arrival per block, the per-disk request lists) lives in vectors that
+/// grow by doubling, a few reallocations per quadrupling of the input.
 const ENGINE_MAX_ALLOCS_PER_BLOCK: f64 = 0.01;
 
-/// Real-I/O engine allocation probe: [`MergeEngine::execute`] on
-/// [`ThreadedQueue::memory`] — the merge thread and its I/O worker — at
-/// two input sizes, counting every allocation inside `execute` (planning
-/// and loading excluded). The `sort_mem_1pass` shape: 64 runs on 8 disks,
-/// inter-run N=4, 40 records per block, one worker. Per-run and
-/// per-disk state, the output vector, the worker thread and the
-/// payload-buffer pool (which ramps to the cache's size, then recycles)
-/// cost the same at both sizes and cancel; a per-block allocation — a
-/// payload copy, a decoded block, a store node — would not.
-fn engine_alloc_probe() -> AllocProbe {
-    let run_counted = |run_len: usize| -> (u64, u64) {
-        let runs = merge_runs(run_len);
-        let cfg = ScenarioBuilder::new(MERGE_RUNS as u32, 8)
-            .inter(4)
-            .build()
-            .expect("valid engine probe config");
-        let mut exec = ExecConfig::new(cfg);
-        exec.jobs = 1;
-        let engine = MergeEngine::new(exec, runs.iter().map(Vec::len).collect())
-            .expect("valid engine probe plan");
-        let mut queue = ThreadedQueue::memory(8, engine.block_bytes(), engine.queue_options());
-        engine.load(&mut queue, &runs).expect("memory load");
-        let queue: Box<dyn IoQueue> = Box::new(queue);
-        let (a0, _) = alloc_snapshot();
-        let outcome = engine.execute(queue).expect("engine probe merge");
-        let (a1, _) = alloc_snapshot();
-        (outcome.report.blocks_merged, a1 - a0)
-    };
-    // Both sizes run long enough for the buffer pool to reach the
-    // cache's size.
-    let _ = run_counted(2000);
-    let (base_blocks, base_allocs) = run_counted(8000);
-    let (scaled_blocks, scaled_allocs) = run_counted(32_000);
-    let extra_blocks = scaled_blocks - base_blocks;
-    AllocProbe {
-        base_blocks,
-        base_allocs,
-        scaled_blocks,
-        scaled_allocs,
-        per_block_allocs: (scaled_allocs as f64 - base_allocs as f64) / extra_blocks as f64,
-    }
+/// An allocation probe: its JSON key, the unit it counts, what it probes,
+/// the most allocations per unit it may find, and its body.
+type ProbeRow = (&'static str, &'static str, &'static str, f64, Box<dyn FnOnce() -> Probe>);
+
+/// A [`ProbeRow`] that runs [`probe`] over `sizes` with `run`.
+fn probe_row(
+    key: &'static str,
+    unit: &'static str,
+    label: &'static str,
+    max_per_unit: f64,
+    sizes: [u32; 3],
+    run: impl FnMut(u32) -> (u64, u64) + 'static,
+) -> ProbeRow {
+    (key, unit, label, max_per_unit, Box::new(move || probe(sizes, run)))
+}
+
+/// The `contend_d8_t4` mix through one reused simulator and scheduler,
+/// recording into `metrics`; a block is a replayed request. Admission work
+/// (cache grants, isolated profiles, lanes, the report) is the same at both
+/// sizes, and lanes, disk queues and the event calendar are pre-sized at
+/// admission. It warms at the largest size: the isolated profiles hold
+/// cache-bounded structures that ramp lazily to a high-water mark a short
+/// run never reaches.
+fn contend_probe(
+    key: &'static str,
+    label: &'static str,
+    metrics: impl MetricsSink + 'static,
+) -> ProbeRow {
+    let mut sched = (TenantSim::new(CONTEND_SHARED), Wfq::new());
+    probe_row(key, "block", label, 0.0, [6400, 1600, 6400], move |n| {
+        let jobs = contend_jobs(n);
+        counted(|| contend(&mut sched, &jobs, 1992, &metrics))
+    })
+}
+
+fn probes() -> Vec<ProbeRow> {
+    let names: Vec<String> = contend_jobs(60).into_iter().map(|j| j.name).collect();
+    let sim_metrics = StackMetrics::new(8, &[]);
+    vec![
+        // Construction is outside the count.
+        probe_row("alloc_probe", "block", "sim core", 0.0, [100, 400, 1600], |n| {
+            let sim = MergeSim::new(probe_cfg(n)).expect("valid probe config");
+            counted(|| sim.run(&mut UniformDepletion).blocks_merged)
+        }),
+        contend_probe("contend_alloc_probe", "scheduling", NullMetrics),
+        // The experiment pipeline: `run_suite` with a formatting progress
+        // sink, plus manifest rendering.
+        probe_row("obs_alloc_probe", "block", "progress + manifest", 0.0, [100, 400, 1600], |n| {
+            let points = vec![PointSpec {
+                kind: RecordKind::T1Case,
+                label: "obs alloc probe".into(),
+                sweep: None,
+                x: None,
+                x_label: None,
+                config: probe_cfg(n),
+            }];
+            let opts = SuiteOptions { trials: TrialsMode::Fixed(2), ..SuiteOptions::new(7) };
+            counted(|| {
+                let records =
+                    run_suite(&points, &opts, &FormattingProgress).expect("valid probe config");
+                std::hint::black_box(render_manifest(&records).len());
+                records[0].metrics.blocks_merged
+            })
+        }),
+        // `run_trial_range` recording each trial into a live `StackMetrics`.
+        // Recording is pre-bound atomics; the one allocating site (the
+        // strategy cell's first lookup) fires during warm-up.
+        probe_row("metered_alloc_probe", "block", "metered", 0.0, [100, 400, 1600], move |n| {
+            let cfg = probe_cfg(n);
+            counted(|| {
+                let strategy = cfg.strategy.label();
+                let reports = run_trial_range(&cfg, 0, 1, 1, &|_, r| {
+                    sim_metrics.trial_done(
+                        strategy,
+                        r.blocks_merged,
+                        r.demand_ops,
+                        r.fallback_ops,
+                        r.full_prefetch_ops,
+                    );
+                })
+                .expect("valid metered probe config");
+                reports[0].blocks_merged
+            })
+        }),
+        // Every replayed request records disk I/O, tenant wait, WFQ lag and
+        // a queue-depth sample, all on pre-bound handles.
+        contend_probe("contend_metered_alloc_probe", "metered", StackMetrics::new(8, &names)),
+        // `LoserTree` allocates in `new` and nowhere else.
+        probe_row("merge_alloc_probe", "record", "loser tree, k=64", 0.0, [256, 1024, 4096], |n| {
+            let runs = merge_runs(n as usize);
+            counted(|| merge_records(&runs))
+        }),
+        // `MergeEngine::execute` on `ThreadedQueue::memory` (the merge
+        // thread and one I/O worker) at the `sort_mem_1pass` shape: 64 runs
+        // on 8 disks, inter-run N=4, 40 records per block. Planning and
+        // loading are outside the count. Per-run and per-disk state, the
+        // output vector, the worker thread and the payload-buffer pool
+        // (which fills to the cache's size, then recycles) are the same at
+        // both sizes; a payload copy or a decoded block per block is not.
+        probe_row(
+            "engine_alloc_probe",
+            "block",
+            "engine on ThreadedQueue::memory",
+            ENGINE_MAX_ALLOCS_PER_BLOCK,
+            [2000, 8000, 32_000],
+            |n| {
+                let runs = merge_runs(n as usize);
+                let cfg = ScenarioBuilder::new(MERGE_RUNS as u32, 8).inter(4).build();
+                let mut exec = ExecConfig::new(cfg.expect("valid engine probe config"));
+                exec.jobs = 1;
+                let engine = MergeEngine::new(exec, runs.iter().map(Vec::len).collect())
+                    .expect("valid engine probe plan");
+                let mut queue =
+                    ThreadedQueue::memory(8, engine.block_bytes(), engine.queue_options());
+                engine.load(&mut queue, &runs).expect("memory load");
+                let queue: Box<dyn IoQueue> = Box::new(queue);
+                counted(|| engine.execute(queue).expect("engine probe merge").report.blocks_merged)
+            },
+        ),
+    ]
 }
 
 /// A progress sink that formats a status string on every event, standing
@@ -634,384 +467,165 @@ impl ProgressSink for FormattingProgress {
     }
 }
 
-/// Observability-layer allocation probe: the same two-length differencing
-/// as [`alloc_probe`], but the counted region is the full experiment
-/// pipeline — `pm_obs::run_suite` with a formatting progress sink plus
-/// manifest rendering. Per-trial and per-point overhead (progress lines,
-/// residual checks, manifest records) is identical at both lengths and
-/// cancels; only a per-block cost could survive, and there must be none.
-fn obs_alloc_probe() -> AllocProbe {
-    let run_counted = |run_blocks: u32| -> (u64, u64) {
-        let mut cfg = ScenarioBuilder::new(25, 8).inter(10).cache_blocks(1200).build().unwrap();
-        cfg.run_blocks = run_blocks;
-        let points = vec![PointSpec {
-            kind: RecordKind::T1Case,
-            label: "obs alloc probe".into(),
-            sweep: None,
-            x: None,
-            x_label: None,
-            config: cfg,
-        }];
-        let opts = SuiteOptions {
-            trials: TrialsMode::Fixed(2),
-            ..SuiteOptions::new(7)
-        };
-        let (a0, _) = alloc_snapshot();
-        let records = run_suite(&points, &opts, &FormattingProgress).expect("valid probe config");
-        let manifest = render_manifest(&records);
-        let (a1, _) = alloc_snapshot();
-        std::hint::black_box(manifest.len());
-        (records[0].metrics.blocks_merged, a1 - a0)
+fn obj<const N: usize>(pairs: [(&str, Value); N]) -> Value {
+    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
+/// Lays the run out as JSON with one scenario, and one probe, per line.
+fn render(scenarios: &[Value], probes: &[(&str, Value)]) -> String {
+    let rows: Vec<String> = scenarios.iter().map(|s| format!("    {}", s.to_json())).collect();
+    let mut out =
+        format!("{{\n  \"schema\": \"{SCHEMA}\",\n  \"scenarios\": [\n{}\n  ]", rows.join(",\n"));
+    for (key, p) in probes {
+        out.push_str(&format!(",\n  \"{key}\": {}", p.to_json()));
+    }
+    out + "\n}\n"
+}
+
+/// The `(name, ops_per_sec)` of every scenario in a JSON this harness
+/// wrote.
+fn rates(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = Value::parse(text)?;
+    if doc.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
+        return Err(format!("not a {SCHEMA} document"));
+    }
+    let rows = doc.get("scenarios").and_then(Value::as_arr).ok_or("no \"scenarios\" array")?;
+    rows.iter()
+        .map(|row| {
+            let name = row.get("name").and_then(Value::as_str);
+            match (name, row.get("ops_per_sec").and_then(Value::as_f64)) {
+                (Some(name), Some(ops)) => Ok((name.to_owned(), ops)),
+                _ => Err(format!("a scenario lacks a name or ops_per_sec: {}", row.to_json())),
+            }
+        })
+        .collect()
+}
+
+/// Gates the run written as `current` against `baseline` and prints one
+/// line per scenario. Fails when the baseline does not parse, when it
+/// shares no scenario with the run, or when a shared scenario's
+/// `ops_per_sec` fell more than [`MAX_REGRESS_PCT`] percent below it. A
+/// scenario on one side only is not gated.
+fn gate(current: &str, baseline: &str) -> bool {
+    let current = rates(current).expect("the harness reads its own JSON");
+    let Ok(baseline) = rates(baseline).map_err(|e| eprintln!("FAIL: bad baseline: {e}")) else {
+        return false;
     };
-    let _ = run_counted(100);
-    let (base_blocks, base_allocs) = run_counted(400);
-    let (scaled_blocks, scaled_allocs) = run_counted(1600);
-    let extra_blocks = scaled_blocks - base_blocks;
-    AllocProbe {
-        base_blocks,
-        base_allocs,
-        scaled_blocks,
-        scaled_allocs,
-        per_block_allocs: (scaled_allocs as f64 - base_allocs as f64) / extra_blocks as f64,
-    }
-}
-
-/// Tracing-equivalence probe: the same configuration run with the default
-/// `NullSink` and with a `RecordingSink` must produce bit-identical
-/// reports — the sink only observes, it never participates. Returns
-/// whether the probe passed.
-fn trace_check() -> bool {
-    let cfg = ScenarioBuilder::new(25, 8).inter(10).cache_blocks(1200).build().unwrap();
-    let untraced = MergeSim::run_uniform(cfg).expect("valid probe config");
-    let (traced, sink) = MergeSim::new(cfg)
-        .expect("valid probe config")
-        .replace_sink(RecordingSink::unbounded())
-        .run_with_sink(&mut UniformDepletion);
-    if untraced == traced {
-        println!(
-            "ok: traced run bit-identical to untraced ({} events recorded)",
-            sink.total_emitted()
-        );
-        true
-    } else {
-        eprintln!("FAIL: recording a trace changed the simulation report");
-        false
-    }
-}
-
-/// Renders the scenario results and the allocation probes, each probe
-/// given as `(JSON key, the unit it counts, probe)`.
-fn render_json(results: &[Measured], probes: &[(&str, &str, &AllocProbe)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"pm-bench/perf-smoke/v1\",\n  \"scenarios\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"strategy\": \"{}\", \"d\": {}, \"repeats\": {}, \
-             \"blocks\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.1}, \
-             \"ns_per_block\": {:.1}, \"allocs\": {}, \"alloc_bytes\": {}}}",
-            r.name,
-            r.strategy,
-            r.d,
-            r.repeats,
-            r.blocks,
-            r.elapsed_ns,
-            r.ops_per_sec,
-            r.ns_per_block,
-            r.allocs,
-            r.alloc_bytes
-        );
-        out.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ],\n");
-    for (i, (key, unit, p)) in probes.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  \"{key}\": {{\"base_{unit}s\": {}, \"base_allocs\": {}, \
-             \"scaled_{unit}s\": {}, \"scaled_allocs\": {}, \"per_{unit}_allocs\": {:.4}}}",
-            p.base_blocks, p.base_allocs, p.scaled_blocks, p.scaled_allocs, p.per_block_allocs
-        );
-        out.push_str(if i + 1 == probes.len() {
-            "\n}\n"
+    let (mut passed, mut shared) = (true, 0);
+    for (name, ops) in &current {
+        let Some((_, base)) = baseline.iter().find(|(b, _)| b == name) else {
+            println!("not gated: {name} has no baseline row");
+            continue;
+        };
+        shared += 1;
+        let floor = base * (1.0 - MAX_REGRESS_PCT / 100.0);
+        if *ops < floor {
+            eprintln!(
+                "FAIL: {name} regressed: {ops:.0} ops/s < {floor:.0} \
+                 ({MAX_REGRESS_PCT}% below baseline {base:.0})"
+            );
+            passed = false;
         } else {
-            ",\n"
-        });
-    }
-    out
-}
-
-/// Extracts `(name, ops_per_sec)` pairs from a previously emitted JSON
-/// file. A purpose-built scanner, not a general JSON parser: it only
-/// understands the exact shape `render_json` writes.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut pairs = Vec::new();
-    for line in text.lines() {
-        let Some(name_at) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[name_at + 9..];
-        let Some(name_end) = rest.find('"') else {
-            continue;
-        };
-        let name = rest[..name_end].to_string();
-        let Some(ops_at) = line.find("\"ops_per_sec\": ") else {
-            continue;
-        };
-        let tail = &line[ops_at + 15..];
-        let num: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            pairs.push((name, v));
+            println!("ok: {name} {ops:.0} ops/s vs baseline {base:.0} (floor {floor:.0})");
         }
     }
-    pairs
+    for (name, _) in &baseline {
+        if !current.iter().any(|(c, _)| c == name) {
+            println!("not gated: baseline row {name} is not in this run");
+        }
+    }
+    if shared == 0 {
+        eprintln!("FAIL: the baseline shares no scenario with this run");
+    }
+    passed && shared > 0
+}
+
+/// Parses `--out`, `--repeats` and `--baseline`, each followed by its value.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let (mut out, mut repeats, mut baseline) = (String::from("BENCH_core.json"), 5, None);
+    while let Some(flag) = args.next() {
+        match (flag.as_str(), args.next()) {
+            ("--out", Some(path)) => out = path,
+            ("--baseline", Some(path)) => baseline = Some(path),
+            ("--repeats", Some(n)) => {
+                repeats =
+                    n.parse().ok().filter(|&n| n > 0).ok_or("--repeats takes a positive count")?;
+            }
+            _ => return Err(format!("unknown flag or missing value: {flag}")),
+        }
+    }
+    Ok((out, repeats, baseline))
 }
 
 fn main() -> ExitCode {
-    let mut out_path = String::from("BENCH_core.json");
-    let mut snapshot_path: Option<String> = None;
-    let mut repeats = 5u32;
-    let mut baseline: Option<String> = None;
-    let mut max_regress_pct = 30.0f64;
-    let mut check_alloc = false;
-    let mut check_trace = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--snapshot" => {
-                snapshot_path = Some(args.next().expect("--snapshot needs a path"));
-            }
-            "--repeats" => {
-                repeats = args
-                    .next()
-                    .expect("--repeats needs a value")
-                    .parse()
-                    .expect("--repeats must be a positive integer");
-                assert!(repeats > 0, "--repeats must be positive");
-            }
-            "--quick" => repeats = repeats.min(2),
-            "--baseline" => baseline = Some(args.next().expect("--baseline needs a path")),
-            "--max-regress" => {
-                max_regress_pct = args
-                    .next()
-                    .expect("--max-regress needs a value")
-                    .parse()
-                    .expect("--max-regress must be a number");
-            }
-            "--check-alloc" => check_alloc = true,
-            "--check-trace" => check_trace = true,
-            other => panic!("unknown flag: {other}"),
+    let (out_path, repeats, baseline) = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("perf_smoke: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
-    }
+    };
 
-    let mut results = Vec::new();
-    for s in scenarios() {
-        let m = measure(&s, repeats);
+    let mut rows = Vec::new();
+    for (name, strategy, d, unit, run) in scenarios() {
+        let t = run(repeats);
         println!(
-            "{:<20} D={:<2} {:>12.0} blocks/s  {:>8.1} ns/block  {:>9} allocs",
-            m.name, m.d, m.ops_per_sec, m.ns_per_block, m.allocs
+            "{name:<20} {:>12.0} {:<10} {:>8.1} ns/{unit:<7} {:>9} allocs",
+            t.ops_per_sec,
+            format!("{unit}s/s"),
+            t.ns_per_unit,
+            t.allocs
         );
-        results.push(m);
-    }
-    {
-        let m = measure_contend(repeats);
-        println!(
-            "{:<20} D={:<2} {:>12.0} reqs/s    {:>8.1} ns/req    {:>9} allocs",
-            m.name, m.d, m.ops_per_sec, m.ns_per_block, m.allocs
-        );
-        results.push(m);
-    }
-    {
-        let m = measure_merge(repeats);
-        println!(
-            "{:<20} k={:<2} {:>12.0} records/s {:>8.1} ns/record {:>9} allocs",
-            m.name, MERGE_RUNS, m.ops_per_sec, m.ns_per_block, m.allocs
-        );
-        results.push(m);
-    }
-    {
-        let m = measure_formation(repeats);
-        println!(
-            "{:<20} k={:<2} {:>12.0} records/s {:>8.1} ns/record {:>9} allocs",
-            m.name, MERGE_RUNS, m.ops_per_sec, m.ns_per_block, m.allocs
-        );
-        results.push(m);
-    }
-    let probe = alloc_probe();
-    println!(
-        "alloc probe: {} blocks -> {} allocs, {} blocks -> {} allocs ({:.4} allocs/block)",
-        probe.base_blocks,
-        probe.base_allocs,
-        probe.scaled_blocks,
-        probe.scaled_allocs,
-        probe.per_block_allocs
-    );
-    let contend_probe = contend_alloc_probe();
-    println!(
-        "contend alloc probe (scheduling layer): {} reqs -> {} allocs, \
-         {} reqs -> {} allocs ({:.4} allocs/req)",
-        contend_probe.base_blocks,
-        contend_probe.base_allocs,
-        contend_probe.scaled_blocks,
-        contend_probe.scaled_allocs,
-        contend_probe.per_block_allocs
-    );
-    let obs_probe = obs_alloc_probe();
-    println!(
-        "obs alloc probe (progress + manifest on): {} blocks -> {} allocs, \
-         {} blocks -> {} allocs ({:.4} allocs/block)",
-        obs_probe.base_blocks,
-        obs_probe.base_allocs,
-        obs_probe.scaled_blocks,
-        obs_probe.scaled_allocs,
-        obs_probe.per_block_allocs
-    );
-
-    let metered_probe = metered_alloc_probe();
-    println!(
-        "metered alloc probe (sim core, metrics on): {} blocks -> {} allocs, \
-         {} blocks -> {} allocs ({:.4} allocs/block)",
-        metered_probe.base_blocks,
-        metered_probe.base_allocs,
-        metered_probe.scaled_blocks,
-        metered_probe.scaled_allocs,
-        metered_probe.per_block_allocs
-    );
-    let contend_metered_probe = contend_metered_alloc_probe();
-    println!(
-        "metered contend alloc probe (scheduling, metrics on): {} reqs -> {} allocs, \
-         {} reqs -> {} allocs ({:.4} allocs/req)",
-        contend_metered_probe.base_blocks,
-        contend_metered_probe.base_allocs,
-        contend_metered_probe.scaled_blocks,
-        contend_metered_probe.scaled_allocs,
-        contend_metered_probe.per_block_allocs
-    );
-    let merge_probe = merge_alloc_probe();
-    println!(
-        "merge alloc probe (loser tree, k={MERGE_RUNS}): {} records -> {} allocs, \
-         {} records -> {} allocs ({:.4} allocs/record)",
-        merge_probe.base_blocks,
-        merge_probe.base_allocs,
-        merge_probe.scaled_blocks,
-        merge_probe.scaled_allocs,
-        merge_probe.per_block_allocs
-    );
-
-    let engine_probe = engine_alloc_probe();
-    println!(
-        "engine alloc probe (execute on ThreadedQueue::memory): {} blocks -> {} allocs, \
-         {} blocks -> {} allocs ({:.4} allocs/block)",
-        engine_probe.base_blocks,
-        engine_probe.base_allocs,
-        engine_probe.scaled_blocks,
-        engine_probe.scaled_allocs,
-        engine_probe.per_block_allocs
-    );
-
-    let json = render_json(
-        &results,
-        &[
-            ("alloc_probe", "block", &probe),
-            ("contend_alloc_probe", "block", &contend_probe),
-            ("obs_alloc_probe", "block", &obs_probe),
-            ("metered_alloc_probe", "block", &metered_probe),
-            (
-                "contend_metered_alloc_probe",
-                "block",
-                &contend_metered_probe,
-            ),
-            ("merge_alloc_probe", "record", &merge_probe),
-            ("engine_alloc_probe", "block", &engine_probe),
-        ],
-    );
-    fs::write(&out_path, &json).expect("write benchmark JSON");
-    println!("wrote {out_path}");
-    if let Some(path) = &snapshot_path {
-        fs::write(path, &json).expect("write snapshot JSON");
-        println!("wrote {path}");
+        rows.push(obj([
+            ("name", Value::Str(name.into())),
+            ("strategy", Value::Str(strategy.into())),
+            ("d", Value::Num(d.into())),
+            ("repeats", Value::Num(repeats.into())),
+            ("blocks", Value::Num(t.units as f64)),
+            ("elapsed_ns", Value::Num(t.elapsed_ns as f64)),
+            ("ops_per_sec", Value::Num(t.ops_per_sec)),
+            ("ns_per_block", Value::Num(t.ns_per_unit)),
+            ("allocs", Value::Num(t.allocs as f64)),
+            ("alloc_bytes", Value::Num(t.alloc_bytes as f64)),
+        ]));
     }
 
     let mut failed = false;
-    if check_alloc && probe.per_block_allocs > 0.0 {
-        eprintln!(
-            "FAIL: steady-state demand path allocates ({:.4} allocs per merged block)",
-            probe.per_block_allocs
+    let mut probe_rows = Vec::new();
+    for (key, unit, label, max_per_unit, run) in probes() {
+        let p = run();
+        println!(
+            "{key} ({label}): {} {unit}s -> {} allocs, {} {unit}s -> {} allocs ({:.4}/{unit})",
+            p.base_units, p.base_allocs, p.scaled_units, p.scaled_allocs, p.per_unit
         );
-        failed = true;
+        if p.per_unit > max_per_unit {
+            eprintln!("FAIL: {key} allocates {:.4} per {unit} (gate {max_per_unit})", p.per_unit);
+            failed = true;
+        }
+        probe_rows.push((
+            key,
+            obj([
+                (&format!("base_{unit}s"), Value::Num(p.base_units as f64)),
+                ("base_allocs", Value::Num(p.base_allocs as f64)),
+                (&format!("scaled_{unit}s"), Value::Num(p.scaled_units as f64)),
+                ("scaled_allocs", Value::Num(p.scaled_allocs as f64)),
+                (&format!("per_{unit}_allocs"), Value::Num(p.per_unit)),
+            ]),
+        ));
     }
-    if check_alloc && contend_probe.per_block_allocs > 0.0 {
-        eprintln!(
-            "FAIL: scheduling layer allocates in steady state \
-             ({:.4} allocs per replayed request)",
-            contend_probe.per_block_allocs
-        );
-        failed = true;
+
+    let json = render(&rows, &probe_rows);
+    if let Err(e) = fs::write(&out_path, &json) {
+        eprintln!("FAIL: cannot write {out_path}: {e}");
+        return ExitCode::FAILURE;
     }
-    if check_alloc && obs_probe.per_block_allocs > 0.0 {
-        eprintln!(
-            "FAIL: observability layer adds per-block allocations \
-             ({:.4} allocs per merged block with progress + manifest on)",
-            obs_probe.per_block_allocs
-        );
-        failed = true;
-    }
-    if check_alloc && metered_probe.per_block_allocs > 0.0 {
-        eprintln!(
-            "FAIL: metrics-enabled sim core allocates in steady state \
-             ({:.4} allocs per merged block)",
-            metered_probe.per_block_allocs
-        );
-        failed = true;
-    }
-    if check_alloc && contend_metered_probe.per_block_allocs > 0.0 {
-        eprintln!(
-            "FAIL: metrics-enabled scheduling layer allocates in steady state \
-             ({:.4} allocs per replayed request)",
-            contend_metered_probe.per_block_allocs
-        );
-        failed = true;
-    }
-    if check_alloc && merge_probe.per_block_allocs > 0.0 {
-        eprintln!(
-            "FAIL: loser-tree merge allocates in steady state \
-             ({:.4} allocs per merged record)",
-            merge_probe.per_block_allocs
-        );
-        failed = true;
-    }
-    if check_alloc && engine_probe.per_block_allocs > ENGINE_MAX_ALLOCS_PER_BLOCK {
-        eprintln!(
-            "FAIL: the engine allocates per merged block \
-             ({:.4} allocs per block, gate {ENGINE_MAX_ALLOCS_PER_BLOCK})",
-            engine_probe.per_block_allocs
-        );
-        failed = true;
-    }
-    if check_trace && !trace_check() {
-        failed = true;
-    }
+    println!("wrote {out_path}");
     if let Some(path) = baseline {
-        let text = fs::read_to_string(&path).expect("read baseline JSON");
-        for (name, base_ops) in parse_baseline(&text) {
-            let Some(cur) = results.iter().find(|r| r.name == name) else {
-                continue;
-            };
-            let floor = base_ops * (1.0 - max_regress_pct / 100.0);
-            if cur.ops_per_sec < floor {
-                eprintln!(
-                    "FAIL: {name} regressed: {:.0} blocks/s < {:.0} ({}% below baseline {:.0})",
-                    cur.ops_per_sec, floor, max_regress_pct, base_ops
-                );
+        match fs::read_to_string(&path) {
+            Ok(text) => failed |= !gate(&json, &text),
+            Err(e) => {
+                eprintln!("FAIL: cannot read the baseline {path}: {e}");
                 failed = true;
-            } else {
-                println!(
-                    "ok: {name} {:.0} blocks/s vs baseline {:.0} (floor {:.0})",
-                    cur.ops_per_sec, base_ops, floor
-                );
             }
         }
     }
@@ -1019,5 +633,64 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run_of(rows: &[(&str, f64)]) -> String {
+        let rows: Vec<Value> = rows
+            .iter()
+            .map(|&(name, ops)| {
+                obj([("name", Value::Str(name.into())), ("ops_per_sec", Value::Num(ops))])
+            })
+            .collect();
+        render(&rows, &[("alloc_probe", obj([("per_block_allocs", Value::Num(0.0))]))])
+    }
+
+    #[test]
+    fn committed_baselines_name_every_scenario() {
+        for text in [
+            include_str!("../../baseline/BENCH_core.json"),
+            include_str!("../../baseline/BENCH_core_pre_pr.json"),
+        ] {
+            let rows = rates(text).expect("committed baseline parses");
+            for (name, ..) in scenarios() {
+                assert!(rows.iter().any(|(n, _)| n == name), "no {name} row");
+            }
+        }
+    }
+
+    #[test]
+    fn a_written_file_reads_back_one_scenario_per_line() {
+        let text = run_of(&[("a", 1.5e7), ("b", 2.25)]);
+        assert_eq!(text.lines().filter(|l| l.contains("\"name\"")).count(), 2);
+        let back = rates(&text).unwrap();
+        assert_eq!(back, [("a".to_owned(), 1.5e7), ("b".to_owned(), 2.25)]);
+    }
+
+    #[test]
+    fn the_gate_needs_a_parsable_baseline_that_shares_a_scenario() {
+        let run = run_of(&[("a", 100.0), ("new", 5.0)]);
+        assert!(gate(&run, &run_of(&[("a", 140.0), ("gone", 1.0)])));
+        assert!(!gate(&run, &run_of(&[("a", 150.0)])), "a fell more than 30%");
+        assert!(!gate(&run, &run_of(&[("a", 150.0)]).replace(',', ",\n")), "multi-line");
+        assert!(!gate(&run, &run_of(&[("b", 100.0)])), "disjoint");
+        assert!(!gate(&run, &run_of(&[])), "empty");
+        assert!(!gate(&run, "{\"schema\": \"pm-bench/perf-smoke/v1\", \"scenarios\": ["));
+        assert!(!gate(&run, "{\"scenarios\": [{\"name\": \"a\", \"ops_per_sec\": 1}]}"));
+    }
+
+    #[test]
+    fn accepts_exactly_three_flags() {
+        let parse = |args: &str| parse_args(args.split_whitespace().map(String::from));
+        let all = parse("--out o.json --repeats 2 --baseline b.json");
+        assert_eq!(all, Ok(("o.json".into(), 2, Some("b.json".into()))));
+        assert_eq!(parse(""), Ok(("BENCH_core.json".into(), 5, None)));
+        for bad in ["--quick", "--check-alloc", "--max-regress 30", "--repeats 0", "--out"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -868,6 +868,9 @@ mod tests {
         let plain = MergeSim::run_uniform(cfg).unwrap();
         let (traced, events) = recorded(cfg);
         assert_eq!(plain, traced, "tracing must not change behaviour");
+        // The paper's k=25, D=8, inter-run N=10, C=1200 case, too.
+        let paper = crate::ScenarioBuilder::new(25, 8).inter(10).cache_blocks(1200).build().unwrap();
+        assert_eq!(MergeSim::run_uniform(paper).unwrap(), recorded(paper).0);
         let m = pm_trace::TraceMetrics::from_events(&events);
         // The trace's per-disk lanes equal the disks' own accounts.
         assert_eq!(m.input_disks.len(), 3);

@@ -21,7 +21,7 @@ struct Row {
 /// let mut g = Gantt::new(40);
 /// g.add_row("disk 0", '#', vec![(0, 50), (60, 100)]);
 /// g.add_row("disk 1", '#', vec![(25, 75)]);
-/// let out = g.render(0, 100, "ns");
+/// let out = g.render(0, 100, |t| format!("{t} ns"));
 /// assert!(out.contains("disk 0"));
 /// assert!(out.contains('#'));
 /// ```
@@ -62,13 +62,14 @@ impl Gantt {
     }
 
     /// Renders the window `[from, to)`; a cell is marked if any of the
-    /// row's intervals overlaps it. `unit` labels the axis.
+    /// row's intervals overlaps it. `axis` writes the label of each end of
+    /// the axis from its time.
     ///
     /// # Panics
     ///
     /// Panics if `from >= to`.
     #[must_use]
-    pub fn render(&self, from: u64, to: u64, unit: &str) -> String {
+    pub fn render(&self, from: u64, to: u64, axis: impl Fn(u64) -> String) -> String {
         assert!(from < to, "empty gantt window");
         let span = to - from;
         let label_w = self
@@ -99,9 +100,8 @@ impl Gantt {
             out.push_str(&cells.iter().collect::<String>());
             out.push_str("|\n");
         }
-        let lo = format!("{from} {unit}");
-        let hi = format!("{to} {unit}");
-        let w2 = self.width.saturating_sub(hi.len());
+        let (lo, hi) = (axis(from), axis(to));
+        let w2 = self.width.saturating_sub(hi.chars().count());
         out.push_str(&format!(
             "{:>label_w$} +{}+\n{:>label_w$}  {lo:<w2$}{hi}\n",
             "",
@@ -120,7 +120,7 @@ mod tests {
     fn marks_busy_cells() {
         let mut g = Gantt::new(10);
         g.add_row("d0", '#', vec![(0, 50)]);
-        let out = g.render(0, 100, "ms");
+        let out = g.render(0, 100, |t| format!("{t} ms"));
         let line = out.lines().next().unwrap();
         assert!(line.contains("#####"));
         assert!(!line.contains("######"), "{line}");
@@ -130,7 +130,7 @@ mod tests {
     fn intervals_outside_window_are_dropped() {
         let mut g = Gantt::new(10);
         g.add_row("d0", '#', vec![(200, 300)]);
-        let out = g.render(0, 100, "ms");
+        let out = g.render(0, 100, |t| format!("{t} ms"));
         assert!(!out.lines().next().unwrap().contains('#'));
     }
 
@@ -138,7 +138,7 @@ mod tests {
     fn tiny_intervals_still_visible() {
         let mut g = Gantt::new(10);
         g.add_row("d0", '#', vec![(50, 51)]);
-        let out = g.render(0, 1000, "ms");
+        let out = g.render(0, 1000, |t| format!("{t} ms"));
         assert!(out.lines().next().unwrap().contains('#'));
     }
 
@@ -146,7 +146,7 @@ mod tests {
     fn clamps_partial_overlap() {
         let mut g = Gantt::new(10);
         g.add_row("d0", '#', vec![(90, 150)]);
-        let out = g.render(0, 100, "ms");
+        let out = g.render(0, 100, |t| format!("{t} ms"));
         let line = out.lines().next().unwrap();
         // Only the last cell is busy.
         assert!(line.trim_end().ends_with("#|"), "{line}");
@@ -157,7 +157,7 @@ mod tests {
         let mut g = Gantt::new(20);
         g.add_row("disk 0", '#', vec![(0, 10)]);
         g.add_row("cpu", '.', vec![(5, 15)]);
-        let out = g.render(0, 20, "ms");
+        let out = g.render(0, 20, |t| format!("{t} ms"));
         let lines: Vec<&str> = out.lines().collect();
         let bar0 = lines[0].find('|').unwrap();
         let bar1 = lines[1].find('|').unwrap();
@@ -170,6 +170,6 @@ mod tests {
     #[should_panic(expected = "empty gantt window")]
     fn empty_window_rejected() {
         let g = Gantt::new(10);
-        let _ = g.render(5, 5, "ms");
+        let _ = g.render(5, 5, |t| format!("{t} ms"));
     }
 }

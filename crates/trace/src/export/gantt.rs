@@ -35,8 +35,9 @@ impl Default for GanttOptions {
 /// Renders an event stream (oldest first) as an ASCII Gantt chart.
 ///
 /// One row per input disk (`#` = in service) and per output disk (`=`),
-/// plus a `miss` row marking each demand-miss instant with `!`. Returns a
-/// note instead of a chart when the window is empty.
+/// plus a `miss` row marking each demand-miss instant with `!`. The axis
+/// reads in the largest of ns, µs, ms and s in which the window's end is
+/// at least 10. Returns a note instead of a chart when the window is empty.
 #[must_use]
 pub fn gantt(events: &[TraceEvent], options: &GanttOptions) -> String {
     // BTreeMaps keep the row order stable by disk id.
@@ -82,7 +83,11 @@ pub fn gantt(events: &[TraceEvent], options: &GanttOptions) -> String {
     if !misses.is_empty() {
         chart.add_row("miss", '!', misses);
     }
-    chart.render(from, to, "ns")
+    let (unit, ns_per_unit) = [("s", 1e9), ("ms", 1e6), ("µs", 1e3)]
+        .into_iter()
+        .find(|&(_, scale)| to as f64 / scale >= 10.0)
+        .unwrap_or(("ns", 1.0));
+    chart.render(from, to, |ns| format!("{} {unit}", ns as f64 / ns_per_unit))
 }
 
 #[cfg(test)]
@@ -143,6 +148,19 @@ mod tests {
         // The service lies before the window: no marks, axis shows window.
         assert!(!out.lines().next().unwrap().contains('#'));
         assert!(out.contains("2000 ns"));
+    }
+
+    #[test]
+    fn axis_reads_in_the_largest_unit_that_keeps_the_end_at_least_10() {
+        let events = vec![xfer(0, false, 2_000_000_000, 25_000_000_000)];
+        let out = gantt(&events, &GanttOptions::default());
+        let axis = out.lines().last().unwrap();
+        assert!(axis.trim_start().starts_with("0 s") && axis.ends_with(" 25 s"), "{axis}");
+        let window = GanttOptions { from: Some(t(1_500_000_000)), ..GanttOptions::default() };
+        let out = gantt(&events, &window);
+        assert!(out.lines().last().unwrap().contains("1.5 s"), "{out}");
+        let micros = gantt(&[xfer(0, false, 0, 12_500)], &GanttOptions::default());
+        assert!(micros.lines().last().unwrap().ends_with(" 12.5 µs"), "{micros}");
     }
 
     #[test]
