@@ -1,170 +1,66 @@
-//! Runs every experiment binary (the full reproduction), by default in
-//! `--quick` mode. Useful as a one-shot regression sweep after changing
-//! the simulator.
+//! Runs the experiments of `pm_bench::EXPERIMENTS` that the command line
+//! names (all of them when it names none), one after another in this
+//! process: the full reproduction, or any part of it.
 //!
-//! Usage: `run_all [--full] [--jobs n] [--trials n] [--seed n] [--out dir]`
+//! Usage: `run_all [experiment…] [--trials n] [--quick] [--seed n]
+//! [--out dir] [--jobs n] [--panel p]`
 //!
-//! `--jobs n` (or the `PM_JOBS` environment variable) launches up to `n`
-//! experiment binaries concurrently (`0` = one per core; default 1).
-//! Each child's output is captured and printed under its banner in the
-//! canonical experiment order once everything has finished, so the
-//! rendered report reads identically for every `--jobs` value — and every
-//! experiment is internally deterministic, so the CSVs are byte-identical
-//! too. `--jobs` is consumed here (it is *not* forwarded): process-level
-//! fan-out already saturates the machine, and nesting worker pools would
-//! only oversubscribe it. All other flags are forwarded to the children.
-//!
-//! Any experiment that exits nonzero (or fails to launch) is reported in
-//! the summary with its exit status, and `run_all` itself exits 1.
+//! `--jobs n` (or the `PM_JOBS` environment variable) sizes each
+//! experiment's own pool of sweep points and trials; the output is
+//! byte-identical for every value. Each experiment's output follows a
+//! banner on stdout, and a progress line per experiment goes to stderr.
+//! An unknown experiment name or a malformed flag exits 2. An experiment
+//! that fails (returns an error or panics) is reported in the summary
+//! and the rest still run; `run_all` then exits 1.
 
-use std::path::PathBuf;
-use std::process::Command;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+use pm_bench::{select, usage_error, Harness};
 use pm_core::parallel;
 
-const EXPERIMENTS: &[&str] = &[
-    "validation_table",
-    "concurrency_table",
-    "fig2_time_vs_n",
-    "fig3_cpu_speed",
-    "fig5_time_vs_cache",
-    "fig6_success_ratio",
-    "ablation_admission",
-    "ablation_queue",
-    "ablation_prefetch",
-    "model_vs_real",
-    "ext_replacement_selection",
-    "ext_write_traffic",
-    "ext_k100",
-    "ext_multipass",
-    "ext_striping",
-    "ext_blocksize",
-    "ext_variance",
-    "ext_adaptive",
-    "ext_end_to_end",
-    "make_report",
-];
-
-/// Outcome of one experiment binary.
-struct Outcome {
-    /// `None` if the binary could not be launched.
-    status: Option<std::process::ExitStatus>,
-    stdout: Vec<u8>,
-    stderr: Vec<u8>,
-    launch_error: Option<String>,
-    secs: f64,
-}
-
-impl Outcome {
-    fn succeeded(&self) -> bool {
-        self.status.is_some_and(|s| s.success())
-    }
-
-    fn describe(&self) -> String {
-        match (&self.launch_error, self.status) {
-            (Some(e), _) => format!("failed to launch: {e}"),
-            (None, Some(s)) => format!("exited with {s}"),
-            (None, None) => "unknown failure".into(),
-        }
-    }
-}
-
 fn main() {
-    let mut jobs: usize = std::env::var("PM_JOBS")
-        .ok()
-        .map(|v| v.parse().expect("PM_JOBS must be a non-negative integer"))
-        .unwrap_or(1);
-    let mut full = false;
-    let mut passthrough = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--full" => full = true,
-            "--jobs" => {
-                let v = args.next().expect("--jobs needs a value");
-                jobs = v.parse().expect("--jobs must be a non-negative integer");
-            }
-            other => passthrough.push(other.to_string()),
-        }
-    }
-    // Sibling binaries live next to this one.
-    let mut dir = PathBuf::from(std::env::args().next().expect("argv[0]"));
-    dir.pop();
-
-    let jobs = parallel::effective_jobs(jobs).min(EXPERIMENTS.len());
+    let (h, names) = Harness::from_args();
+    let selected = select(&names, h.panel.as_deref()).unwrap_or_else(|e| usage_error(&e));
+    let jobs = parallel::effective_jobs(h.jobs);
     eprintln!(
         "running {} experiments with {jobs} job{}",
-        EXPERIMENTS.len(),
+        selected.len(),
         if jobs == 1 { "" } else { "s" }
     );
     let started = Instant::now();
-    let completed = AtomicUsize::new(0);
-    let outcomes: Vec<Outcome> = parallel::run_ordered(EXPERIMENTS.len(), jobs, |i| {
-        let exp = EXPERIMENTS[i];
-        let mut cmd = Command::new(dir.join(exp));
-        if !full {
-            cmd.arg("--quick");
-        }
-        for a in &passthrough {
-            cmd.arg(a);
-        }
+    let mut failed: Vec<(&str, String)> = Vec::new();
+    for (i, (name, run)) in selected.iter().enumerate() {
+        println!("\n================ {name} ================");
         let launched = Instant::now();
-        let outcome = match cmd.output() {
-            Ok(out) => Outcome {
-                status: Some(out.status),
-                stdout: out.stdout,
-                stderr: out.stderr,
-                launch_error: None,
-                secs: launched.elapsed().as_secs_f64(),
-            },
-            Err(e) => Outcome {
-                status: None,
-                stdout: Vec::new(),
-                stderr: Vec::new(),
-                launch_error: Some(format!(
-                    "{e} (build all bins first: cargo build --release -p pm-bench)"
-                )),
-                secs: launched.elapsed().as_secs_f64(),
-            },
-        };
-        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+        // The panic hook has already printed the message to stderr.
+        let outcome = catch_unwind(AssertUnwindSafe(|| run(&h)))
+            .unwrap_or_else(|_| Err("panicked (message above on stderr)".into()));
         eprintln!(
-            "  [{done}/{}] {exp} {} in {:.1}s (elapsed {:.1}s)",
-            EXPERIMENTS.len(),
-            if outcome.succeeded() { "ok" } else { "FAILED" },
-            outcome.secs,
+            "  [{}/{}] {name} {} in {:.1}s (elapsed {:.1}s)",
+            i + 1,
+            selected.len(),
+            if outcome.is_ok() { "ok" } else { "FAILED" },
+            launched.elapsed().as_secs_f64(),
             started.elapsed().as_secs_f64()
         );
-        outcome
-    });
-
-    let mut failed: Vec<(&str, String)> = Vec::new();
-    for (exp, outcome) in EXPERIMENTS.iter().zip(&outcomes) {
-        println!("\n================ {exp} ================");
-        print!("{}", String::from_utf8_lossy(&outcome.stdout));
-        if !outcome.succeeded() {
-            eprint!("{}", String::from_utf8_lossy(&outcome.stderr));
-            eprintln!("{exp} {}", outcome.describe());
-            failed.push((exp, outcome.describe()));
+        if let Err(why) = outcome {
+            eprintln!("{name} failed: {why}");
+            failed.push((name, why));
         }
     }
+
     println!("\n================ summary ================");
     if failed.is_empty() {
         println!(
             "all {} experiments completed in {:.1}s",
-            EXPERIMENTS.len(),
+            selected.len(),
             started.elapsed().as_secs_f64()
         );
     } else {
-        println!(
-            "{}/{} experiments FAILED:",
-            failed.len(),
-            EXPERIMENTS.len()
-        );
-        for (exp, why) in &failed {
-            println!("  {exp}: {why}");
+        println!("{}/{} experiments FAILED:", failed.len(), selected.len());
+        for (name, why) in &failed {
+            println!("  {name}: {why}");
         }
         std::process::exit(1);
     }

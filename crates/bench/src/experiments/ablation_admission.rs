@@ -3,51 +3,39 @@
 //!
 //! The paper adopts all-or-nothing, citing its companion Markov analysis:
 //! greedily filling the cache with partial prefetches delays the return to
-//! a state where all `D` disks can be driven concurrently. This binary
+//! a state where all `D` disks can be driven concurrently. This experiment
 //! quantifies the claim on the paper's configurations across the
 //! cache-constrained region.
-//!
-//! Usage: `ablation_admission [--trials n] [--quick]`
 
-use pm_bench::{format_num, Harness};
 use pm_core::{AdmissionPolicy, ScenarioBuilder};
-use pm_report::{Align, Csv, Table};
 
-fn main() {
-    let (harness, _) = Harness::from_args();
+use crate::{format_num, right_aligned, Harness};
+
+pub(super) fn run(h: &Harness) -> Result<(), String> {
     let (k, d, n) = (25u32, 5u32, 10u32);
-    let caches: Vec<u32> = if harness.quick {
+    let caches: Vec<u32> = if h.quick {
         vec![300, 600, 900]
     } else {
         vec![275, 350, 450, 600, 750, 900, 1050, 1200]
     };
-    let mut table = Table::new(vec![
-        "cache (blocks)".into(),
-        "all-or-nothing (s)".into(),
-        "greedy (s)".into(),
-        "AoN concurrency".into(),
-        "greedy concurrency".into(),
+    let mut table = right_aligned(0, &[
+        "cache (blocks)", "all-or-nothing (s)", "greedy (s)", "AoN concurrency",
+        "greedy concurrency",
     ]);
-    for i in 0..5 {
-        table.set_align(i, Align::Right);
-    }
-    std::fs::create_dir_all(&harness.out_dir).expect("create output dir");
-    let file = std::fs::File::create(harness.out_path("ablation_admission.csv")).expect("csv");
-    let mut csv = Csv::with_header(
-        file,
+    let mut csv = h.csv(
+        "ablation_admission",
         &["cache", "aon_secs", "greedy_secs", "aon_conc", "greedy_conc"],
-    )
-    .expect("header");
+    )?;
 
     for cache in caches {
         let run_one = |policy: AdmissionPolicy| {
             let mut cfg = ScenarioBuilder::new(k, d).inter(n).cache_blocks(cache).build().unwrap();
             cfg.admission = policy;
-            cfg.seed = harness.seed ^ u64::from(cache);
-            harness.run_trials(&cfg).expect("valid case")
+            cfg.seed = h.seed ^ u64::from(cache);
+            h.run_trials(&cfg)
         };
-        let aon = run_one(AdmissionPolicy::AllOrNothing);
-        let greedy = run_one(AdmissionPolicy::Greedy);
+        let aon = run_one(AdmissionPolicy::AllOrNothing)?;
+        let greedy = run_one(AdmissionPolicy::Greedy)?;
         table.add_row(vec![
             format_num(f64::from(cache)),
             format!("{:.1}", aon.mean_total_secs),
@@ -55,19 +43,18 @@ fn main() {
             format!("{:.2}", aon.mean_concurrency),
             format!("{:.2}", greedy.mean_concurrency),
         ]);
-        csv.row_strings(&[
+        csv.row(&[
             cache.to_string(),
             format!("{:.3}", aon.mean_total_secs),
             format!("{:.3}", greedy.mean_total_secs),
             format!("{:.3}", aon.mean_concurrency),
             format!("{:.3}", greedy.mean_concurrency),
-        ])
-        .expect("row");
+        ])?;
     }
     println!(
         "== A1: admission policy ablation — inter-run, k={k}, D={d}, N={n} (trials={}) ==\n",
-        harness.trials
+        h.trials
     );
     println!("{}", table.render());
-    println!("wrote {}", harness.out_path("ablation_admission.csv").display());
+    csv.finish()
 }

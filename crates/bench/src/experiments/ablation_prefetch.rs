@@ -3,18 +3,16 @@
 //! The paper picks the run to prefetch on each non-demand disk uniformly
 //! at random, stating that head-position-based heuristics (studied in its
 //! companion report) brought too little benefit to justify their
-//! bookkeeping. This binary re-examines the claim against two informed
-//! policies: *least-held* (prefetch the run closest to stalling the merge)
-//! and *head-proximity* (prefetch the run needing the shortest seek).
-//!
-//! Usage: `ablation_prefetch [--trials n] [--quick]`
+//! bookkeeping. This experiment re-examines the claim against two
+//! informed policies: *least-held* (prefetch the run closest to stalling
+//! the merge) and *head-proximity* (prefetch the run needing the shortest
+//! seek).
 
-use pm_bench::Harness;
 use pm_core::{PrefetchChoice, ScenarioBuilder};
-use pm_report::{Align, Csv, Table};
 
-fn main() {
-    let (harness, _) = Harness::from_args();
+use crate::{right_aligned, Harness};
+
+pub(super) fn run(h: &Harness) -> Result<(), String> {
     let policies = [
         PrefetchChoice::Random,
         PrefetchChoice::LeastHeld,
@@ -27,30 +25,20 @@ fn main() {
         ("k=50 D=5 N=5 C=800", 50, 5, 5, 800),
         ("k=50 D=10 N=10 C=2000", 50, 10, 10, 2000),
     ];
-    let mut table = Table::new(vec![
-        "scenario".into(),
-        "policy".into(),
-        "total (s)".into(),
-        "success ratio".into(),
-        "concurrency".into(),
+    let mut table = right_aligned(2, &[
+        "scenario", "policy", "total (s)", "success ratio", "concurrency",
     ]);
-    for i in 2..5 {
-        table.set_align(i, Align::Right);
-    }
-    std::fs::create_dir_all(&harness.out_dir).expect("create output dir");
-    let file = std::fs::File::create(harness.out_path("ablation_prefetch.csv")).expect("csv");
-    let mut csv = Csv::with_header(
-        file,
+    let mut csv = h.csv(
+        "ablation_prefetch",
         &["scenario", "policy", "total_secs", "success_ratio", "concurrency"],
-    )
-    .expect("header");
+    )?;
 
     for (label, k, d, n, cache) in scenarios {
         for policy in policies {
             let mut cfg = ScenarioBuilder::new(k, d).inter(n).cache_blocks(cache).build().unwrap();
             cfg.prefetch_choice = policy;
-            cfg.seed = harness.seed;
-            let s = harness.run_trials(&cfg).expect("valid case");
+            cfg.seed = h.seed;
+            let s = h.run_trials(&cfg)?;
             let ratio = s.mean_success_ratio.unwrap_or(0.0);
             table.add_row(vec![
                 label.to_string(),
@@ -59,20 +47,16 @@ fn main() {
                 format!("{ratio:.3}"),
                 format!("{:.2}", s.mean_concurrency),
             ]);
-            csv.row_strings(&[
+            csv.row(&[
                 label.to_string(),
                 policy.label().to_string(),
                 format!("{:.3}", s.mean_total_secs),
                 format!("{ratio:.4}"),
                 format!("{:.3}", s.mean_concurrency),
-            ])
-            .expect("row");
+            ])?;
         }
     }
-    println!(
-        "== A4: inter-run prefetch target policy (trials={}) ==\n",
-        harness.trials
-    );
+    println!("== A4: inter-run prefetch target policy (trials={}) ==\n", h.trials);
     println!("{}", table.render());
-    println!("wrote {}", harness.out_path("ablation_prefetch.csv").display());
+    csv.finish()
 }

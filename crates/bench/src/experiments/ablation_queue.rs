@@ -7,15 +7,12 @@
 //! measures it. (Note: with reordering, blocks of one run can complete out
 //! of index order; the counting cache approximates block identity, so
 //! treat SSTF/LOOK results as an estimate.)
-//!
-//! Usage: `ablation_queue [--trials n] [--quick]`
 
-use pm_bench::Harness;
 use pm_core::{MergeConfig, QueueDiscipline, ScenarioBuilder};
-use pm_report::{Align, Csv, Table};
 
-fn main() {
-    let (harness, _) = Harness::from_args();
+use crate::{right_aligned, Harness};
+
+pub(super) fn run(h: &Harness) -> Result<(), String> {
     let disciplines = [
         ("FIFO", QueueDiscipline::Fifo),
         ("SSTF", QueueDiscipline::Sstf),
@@ -32,25 +29,15 @@ fn main() {
         ),
         ("no-prefetch k=25 D=5", ScenarioBuilder::new(25, 5).build().unwrap()),
     ];
-    let mut table = Table::new(vec![
-        "scenario".into(),
-        "discipline".into(),
-        "total (s)".into(),
-        "seek total (s)".into(),
-    ]);
-    table.set_align(2, Align::Right);
-    table.set_align(3, Align::Right);
-    std::fs::create_dir_all(&harness.out_dir).expect("create output dir");
-    let file = std::fs::File::create(harness.out_path("ablation_queue.csv")).expect("csv");
-    let mut csv =
-        Csv::with_header(file, &["scenario", "discipline", "total_secs", "seek_secs"]).expect("header");
+    let mut table = right_aligned(2, &["scenario", "discipline", "total (s)", "seek total (s)"]);
+    let mut csv = h.csv("ablation_queue", &["scenario", "discipline", "total_secs", "seek_secs"])?;
 
     for (label, base) in scenarios {
         for (dname, discipline) in disciplines {
             let mut cfg = base;
             cfg.discipline = discipline;
-            cfg.seed = harness.seed;
-            let summary = harness.run_trials(&cfg).expect("valid case");
+            cfg.seed = h.seed;
+            let summary = h.run_trials(&cfg)?;
             let seek_secs: f64 = summary
                 .reports
                 .iter()
@@ -63,19 +50,15 @@ fn main() {
                 format!("{:.1}", summary.mean_total_secs),
                 format!("{seek_secs:.2}"),
             ]);
-            csv.row_strings(&[
+            csv.row(&[
                 label.to_string(),
                 dname.to_string(),
                 format!("{:.3}", summary.mean_total_secs),
                 format!("{seek_secs:.3}"),
-            ])
-            .expect("row");
+            ])?;
         }
     }
-    println!(
-        "== A2: disk scheduling discipline ablation (trials={}) ==\n",
-        harness.trials
-    );
+    println!("== A2: disk scheduling discipline ablation (trials={}) ==\n", h.trials);
     println!("{}", table.render());
-    println!("wrote {}", harness.out_path("ablation_queue.csv").display());
+    csv.finish()
 }

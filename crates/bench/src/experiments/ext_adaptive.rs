@@ -7,17 +7,14 @@
 //! block deeper, rejection → halve. This experiment sweeps the cache size
 //! and compares the adaptive policy against every fixed depth it
 //! subsumes.
-//!
-//! Usage: `ext_adaptive [--trials n] [--quick]`
 
-use pm_bench::{format_num, Harness};
 use pm_core::{PrefetchStrategy, ScenarioBuilder};
-use pm_report::{Align, Csv, Table};
 
-fn main() {
-    let (harness, _) = Harness::from_args();
+use crate::{format_num, right_aligned, Harness};
+
+pub(super) fn run(h: &Harness) -> Result<(), String> {
     let (k, d) = (25u32, 5u32);
-    let caches: Vec<u32> = if harness.quick {
+    let caches: Vec<u32> = if h.quick {
         vec![100, 400, 900]
     } else {
         vec![100, 200, 300, 450, 600, 750, 900, 1200]
@@ -27,18 +24,11 @@ fn main() {
     header.extend(fixed_ns.iter().map(|n| format!("N={n} (s)")));
     header.push("adaptive 1..20 (s)".into());
     header.push("vs best fixed".into());
-    let cols = header.len();
-    let mut table = Table::new(header);
-    for i in 0..cols {
-        table.set_align(i, Align::Right);
-    }
-    std::fs::create_dir_all(&harness.out_dir).expect("create output dir");
-    let file = std::fs::File::create(harness.out_path("ext_adaptive.csv")).expect("csv");
-    let mut csv = Csv::with_header(
-        file,
+    let mut table = right_aligned(0, &header);
+    let mut csv = h.csv(
+        "ext_adaptive",
         &["cache", "n1", "n2", "n5", "n10", "n20", "adaptive", "ratio_vs_best"],
-    )
-    .expect("header");
+    )?;
 
     for &cache in &caches {
         let mut row = vec![format_num(f64::from(cache))];
@@ -51,26 +41,26 @@ fn main() {
                 continue;
             }
             let mut cfg = ScenarioBuilder::new(k, d).inter(n).cache_blocks(cache).build().unwrap();
-            cfg.seed = harness.seed ^ u64::from(cache) ^ (u64::from(n) << 32);
-            let secs = harness.run_trials(&cfg).expect("valid").mean_total_secs;
+            cfg.seed = h.seed ^ u64::from(cache) ^ (u64::from(n) << 32);
+            let secs = h.run_trials(&cfg)?.mean_total_secs;
             best = best.min(secs);
             row.push(format!("{secs:.1}"));
             csv_row.push(format!("{secs:.3}"));
         }
         let mut cfg = ScenarioBuilder::new(k, d).inter(1).cache_blocks(cache).build().unwrap();
         cfg.strategy = PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: 20 };
-        cfg.seed = harness.seed ^ u64::from(cache);
-        let adaptive = harness.run_trials(&cfg).expect("valid").mean_total_secs;
+        cfg.seed = h.seed ^ u64::from(cache);
+        let adaptive = h.run_trials(&cfg)?.mean_total_secs;
         row.push(format!("{adaptive:.1}"));
         row.push(format!("{:.2}x", adaptive / best));
         csv_row.push(format!("{adaptive:.3}"));
         csv_row.push(format!("{:.4}", adaptive / best));
         table.add_row(row);
-        csv.row_strings(&csv_row).expect("row");
+        csv.row(&csv_row)?;
     }
     println!(
         "== E14: adaptive prefetch depth — inter-run, k={k}, D={d} (trials={}) ==\n",
-        harness.trials
+        h.trials
     );
     println!("{}", table.render());
     println!(
@@ -78,5 +68,5 @@ fn main() {
          otherwise requires tuning N by hand — resolving the trade-off the\n\
          paper identifies but leaves open."
     );
-    println!("wrote {}", harness.out_path("ext_adaptive.csv").display());
+    csv.finish()
 }

@@ -12,40 +12,29 @@
 //! bytes, but out of a fixed-size cache they leave fewer slots, so the
 //! inter-run success ratio falls — block size has an optimum for a given
 //! cache, which 4 KiB sits near for the paper's configuration.
-//!
-//! Usage: `ext_blocksize [--trials n]`
 
-use pm_bench::Harness;
 use pm_core::{DiskSpec, PrefetchStrategy, ScenarioBuilder};
-use pm_report::{Align, Csv, Table};
+
+use crate::{right_aligned, Harness};
 
 const RUN_BYTES: u64 = 4096 * 1000; // the paper's run: 4,096,000 bytes
 const CACHE_BYTES: u64 = 4096 * 1200; // the fig-3.5(a) asymptote cache
 const OP_BYTES: u64 = 4096 * 10; // inter-run op depth: N·bs = 40 KiB
 
-fn main() {
-    let (harness, _) = Harness::from_args();
+pub(super) fn run(h: &Harness) -> Result<(), String> {
     let k = 25u32;
     let d = 5u32;
-    let mut table = Table::new(vec![
-        "block bytes".into(),
-        "blocks/run".into(),
-        "N".into(),
-        "cache blocks".into(),
-        "no-prefetch (s)".into(),
-        "inter-run (s)".into(),
-        "success ratio".into(),
+    let mut table = right_aligned(0, &[
+        "block bytes", "blocks/run", "N", "cache blocks", "no-prefetch (s)", "inter-run (s)",
+        "success ratio",
     ]);
-    for i in 0..7 {
-        table.set_align(i, Align::Right);
-    }
-    std::fs::create_dir_all(&harness.out_dir).expect("create output dir");
-    let file = std::fs::File::create(harness.out_path("ext_blocksize.csv")).expect("csv");
-    let mut csv = Csv::with_header(
-        file,
-        &["block_bytes", "blocks_per_run", "n", "cache_blocks", "baseline_secs", "inter_secs", "success_ratio"],
-    )
-    .expect("header");
+    let mut csv = h.csv(
+        "ext_blocksize",
+        &[
+            "block_bytes", "blocks_per_run", "n", "cache_blocks", "baseline_secs", "inter_secs",
+            "success_ratio",
+        ],
+    )?;
 
     for bs in [512u32, 1024, 2048, 4096, 8192, 16384] {
         let spec = DiskSpec::paper_with_block_bytes(bs);
@@ -56,14 +45,14 @@ fn main() {
         let mut base = ScenarioBuilder::new(k, d).build().unwrap();
         base.disk_spec = spec;
         base.run_blocks = run_blocks;
-        base.seed = harness.seed ^ u64::from(bs);
+        base.seed = h.seed ^ u64::from(bs);
 
-        let baseline = harness.run_trials(&base).expect("valid").mean_total_secs;
+        let baseline = h.run_trials(&base)?.mean_total_secs;
 
         let mut inter = base;
         inter.strategy = PrefetchStrategy::InterRun { n };
         inter.cache_blocks = cache_blocks;
-        let summary = harness.run_trials(&inter).expect("valid");
+        let summary = h.run_trials(&inter)?;
         let ratio = summary.mean_success_ratio.unwrap_or(0.0);
 
         table.add_row(vec![
@@ -75,7 +64,7 @@ fn main() {
             format!("{:.1}", summary.mean_total_secs),
             format!("{ratio:.3}"),
         ]);
-        csv.row_strings(&[
+        csv.row(&[
             bs.to_string(),
             run_blocks.to_string(),
             n.to_string(),
@@ -83,12 +72,11 @@ fn main() {
             format!("{baseline:.3}"),
             format!("{:.3}", summary.mean_total_secs),
             format!("{ratio:.4}"),
-        ])
-        .expect("row");
+        ])?;
     }
     println!(
         "== E12: block-size sensitivity — 25 runs x 4 MB, 5 disks, 4.9 MB cache (trials={}) ==\n",
-        harness.trials
+        h.trials
     );
     println!("{}", table.render());
     println!(
@@ -99,5 +87,5 @@ fn main() {
          too few of them — the paper's 4 KiB sits comfortably in the flat\n\
          region."
     );
-    println!("wrote {}", harness.out_path("ext_blocksize.csv").display());
+    csv.finish()
 }

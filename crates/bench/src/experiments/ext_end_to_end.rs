@@ -5,16 +5,13 @@
 //! formation (one streaming read + write of all data). This experiment
 //! combines the analytic formation cost with the simulated merge time for
 //! each strategy — the Amdahl view of the paper's contribution.
-//!
-//! Usage: `ext_end_to_end [--trials n]`
 
 use pm_analysis::{pipeline, ModelParams};
-use pm_bench::Harness;
 use pm_core::{MergeConfig, PrefetchStrategy, ScenarioBuilder};
-use pm_report::{Align, Csv, Table};
 
-fn main() {
-    let (harness, _) = Harness::from_args();
+use crate::{right_aligned, Harness};
+
+pub(super) fn run(h: &Harness) -> Result<(), String> {
     let p = ModelParams::paper();
     let (k, d) = (25u32, 5u32);
     let formation = pipeline::formation_secs(&p, k, d);
@@ -31,29 +28,19 @@ fn main() {
         }),
     ];
 
-    let mut table = Table::new(vec![
-        "strategy".into(),
-        "merge (s)".into(),
-        "formation (s)".into(),
-        "end-to-end (s)".into(),
-        "merge speedup".into(),
-        "end-to-end speedup".into(),
+    let mut table = right_aligned(1, &[
+        "strategy", "merge (s)", "formation (s)", "end-to-end (s)", "merge speedup",
+        "end-to-end speedup",
     ]);
-    for i in 1..6 {
-        table.set_align(i, Align::Right);
-    }
-    std::fs::create_dir_all(&harness.out_dir).expect("create output dir");
-    let file = std::fs::File::create(harness.out_path("ext_end_to_end.csv")).expect("csv");
-    let mut csv = Csv::with_header(
-        file,
+    let mut csv = h.csv(
+        "ext_end_to_end",
         &["strategy", "merge_secs", "formation_secs", "total_secs", "merge_speedup", "e2e_speedup"],
-    )
-    .expect("header");
+    )?;
 
     let mut baseline_merge = None;
     for (label, mut cfg) in strategies {
-        cfg.seed = harness.seed;
-        let merge = harness.run_trials(&cfg).expect("valid").mean_total_secs;
+        cfg.seed = h.seed;
+        let merge = h.run_trials(&cfg)?.mean_total_secs;
         let base = *baseline_merge.get_or_insert(merge);
         // The single-disk baseline also forms runs on one disk.
         let f = if cfg.disks == 1 {
@@ -71,19 +58,18 @@ fn main() {
             format!("{:.1}x", base / merge),
             format!("{:.1}x", base_total / total),
         ]);
-        csv.row_strings(&[
+        csv.row(&[
             label.to_string(),
             format!("{merge:.3}"),
             format!("{f:.3}"),
             format!("{total:.3}"),
             format!("{:.3}", base / merge),
             format!("{:.3}", base_total / total),
-        ])
-        .expect("row");
+        ])?;
     }
     println!(
         "== E15: end-to-end sort (formation + merge), k={k}, D={d} (trials={}) ==\n",
-        harness.trials
+        h.trials
     );
     println!("{}", table.render());
     println!(
@@ -94,5 +80,5 @@ fn main() {
          (Amdahl bound {:.1}x vs this baseline).",
         pipeline::max_end_to_end_speedup(&p, k, d, baseline_merge.unwrap_or(360.0)),
     );
-    println!("wrote {}", harness.out_path("ext_end_to_end.csv").display());
+    csv.finish()
 }

@@ -1,23 +1,21 @@
 //! **Extension E9**: the `k = 100` results the paper omitted.
 //!
 //! The paper simulated 25-, 50-, and 100-run merges but notes "for reasons
-//! of space, the results for k = 100 are not presented here". This binary
-//! produces them: total time vs. `N` for 100 runs on 5 and 10 disks
-//! (100 runs do not fit on a single paper disk, so the single-disk
+//! of space, the results for k = 100 are not presented here". This
+//! experiment produces them: total time vs. `N` for 100 runs on 5 and 10
+//! disks (100 runs do not fit on a single paper disk, so the single-disk
 //! baseline is analytic only).
-//!
-//! Usage: `ext_k100 [--trials n] [--quick]`
 
 use pm_analysis::{bounds, equations, ModelParams};
-use pm_bench::Harness;
 use pm_core::ScenarioBuilder;
 use pm_workload::Sweep;
 
-fn main() {
-    let (harness, _) = Harness::from_args();
+use crate::Harness;
+
+pub(super) fn run(h: &Harness) -> Result<(), String> {
     let k = 100u32;
     let ns: Vec<f64> = (1..=30).map(f64::from).collect();
-    let seed = harness.seed;
+    let seed = h.seed;
     let sweeps = vec![
         Sweep::build("All Disks One Run (100 runs, 10 disks)", "N", ns.iter().copied(), |x| {
             let n = x as u32;
@@ -44,13 +42,13 @@ fn main() {
             cfg
         }),
     ];
-    harness.run_sweeps(
+    h.run_sweeps(
         "ext_k100",
         "E9: Fetching N blocks (100 runs — the panel the paper omitted)",
         "total time (s)",
         &sweeps,
         |s| s.mean_total_secs,
-    );
+    )?;
     let p = ModelParams::paper();
     println!(
         "analytic anchors for k=100: single-disk no-prefetch {:.0} s (eq. 1,\n\
@@ -61,4 +59,5 @@ fn main() {
         bounds::multi_disk_lower_bound_secs(&p, k, 10),
         equations::total_seconds(&p, k, equations::tau_multi_no_prefetch(&p, k, 10)),
     );
+    Ok(())
 }

@@ -10,14 +10,12 @@
 //! replacement-selection-like unequal runs. Every tree is planned by
 //! [`plan_merge_tree`] and costed by [`predict_plan`], the same code
 //! `pmerge plan` and `pmerge exec` run.
-//!
-//! Usage: `ext_multipass [--trials n]`
 
-use pm_bench::Harness;
 use pm_core::ScenarioBuilder;
 use pm_extsort::plan::{plan_merge_tree, predict_plan, MergeTreePlan, PlanPolicy};
-use pm_report::{Align, Csv, Table};
 use pm_sim::SimRng;
+
+use crate::{right_aligned, Harness};
 
 /// Plans `runs` under `policy` at fan-in cap `f` and returns the tree
 /// with its predicted merge time in seconds.
@@ -28,69 +26,49 @@ fn plan_and_predict(
     disks: u32,
     cache: u32,
     seed: u64,
-) -> (MergeTreePlan, f64) {
-    let plan = plan_merge_tree(runs, f, policy).expect("valid run population");
+) -> Result<(MergeTreePlan, f64), String> {
+    let plan = plan_merge_tree(runs, f, policy).map_err(|e| e.to_string())?;
     let k = runs.len() as u32;
     let base = ScenarioBuilder::new(f.min(k), disks)
         .inter(1)
         .cache_blocks(cache)
         .seed(seed)
         .build()
-        .expect("valid base scenario");
+        .map_err(|e| e.to_string())?;
     let secs = predict_plan(&plan, &base)
-        .expect("every group fits the cache")
+        .map_err(|e| e.to_string())?
         .iter()
         .map(|p| p.read_time.as_secs_f64())
         .sum();
-    (plan, secs)
+    Ok((plan, secs))
 }
 
-fn main() {
-    let (harness, _) = Harness::from_args();
+pub(super) fn run(h: &Harness) -> Result<(), String> {
     let (disks, cache) = (5u32, 640u32);
 
     // Part 1: equal runs (the paper's setup), fan-in sweep.
     let equal_runs = vec![250u32; 64]; // 16,000 blocks = 64 MB at 4 KiB
-    let mut table = Table::new(vec![
-        "fan-in F".into(),
-        "passes".into(),
-        "blocks read".into(),
-        "N per run".into(),
-        "total (s)".into(),
+    let mut table = right_aligned(0, &[
+        "fan-in F", "passes", "blocks read", "N per run", "total (s)",
     ]);
-    for i in 0..5 {
-        table.set_align(i, Align::Right);
-    }
-    std::fs::create_dir_all(&harness.out_dir).expect("create output dir");
-    let file = std::fs::File::create(harness.out_path("ext_multipass.csv")).expect("csv");
-    let mut csv = Csv::with_header(file, &["fan_in", "passes", "blocks", "n", "total_secs"])
-        .expect("header");
+    let mut csv = h.csv("ext_multipass", &["fan_in", "passes", "blocks", "n", "total_secs"])?;
 
     for f in [2u32, 4, 8, 16, 32, 64] {
-        let (plan, secs) = plan_and_predict(
-            &equal_runs,
-            f,
-            PlanPolicy::GreedyMax,
-            disks,
-            cache,
-            harness.seed ^ u64::from(f),
-        );
+        let seed = h.seed ^ u64::from(f);
+        let (plan, secs) =
+            plan_and_predict(&equal_runs, f, PlanPolicy::GreedyMax, disks, cache, seed)?;
         let n = (cache / (4 * f)).max(1);
-        table.add_row(vec![
-            f.to_string(),
-            plan.num_passes().to_string(),
-            plan.total_blocks_read().to_string(),
-            n.to_string(),
-            format!("{secs:.1}"),
-        ]);
-        csv.row_strings(&[
-            f.to_string(),
-            plan.num_passes().to_string(),
-            plan.total_blocks_read().to_string(),
-            n.to_string(),
-            format!("{secs:.3}"),
-        ])
-        .expect("row");
+        let cells = |secs: String| {
+            vec![
+                f.to_string(),
+                plan.num_passes().to_string(),
+                plan.total_blocks_read().to_string(),
+                n.to_string(),
+                secs,
+            ]
+        };
+        table.add_row(cells(format!("{secs:.1}")));
+        csv.row(&cells(format!("{secs:.3}")))?;
     }
     println!(
         "== E10: multi-pass merging — 64 runs x 250 blocks, D={disks}, cache {cache} blocks ==\n"
@@ -98,12 +76,12 @@ fn main() {
     println!("{}", table.render());
 
     // Part 2: unequal runs — the planner's two policies at one cap.
-    let mut rng = SimRng::seed_from_u64(harness.seed);
+    let mut rng = SimRng::seed_from_u64(h.seed);
     let unequal: Vec<u32> = (0..48).map(|_| 20 + rng.index(480) as u32).collect();
     let f = 6u32;
     println!("unequal runs (48 runs, 20-500 blocks), fan-in cap {f}:");
     for (policy, salt) in [(PlanPolicy::GreedyMax, 0xA), (PlanPolicy::Balanced, 0xB)] {
-        let (plan, secs) = plan_and_predict(&unequal, f, policy, disks, cache, harness.seed ^ salt);
+        let (plan, secs) = plan_and_predict(&unequal, f, policy, disks, cache, h.seed ^ salt)?;
         println!(
             "  {:<10} fan-in {}, {} passes, {} blocks read, {secs:.1} s",
             policy.label(),
@@ -120,5 +98,5 @@ fn main() {
          Small merge orders need MergeConfig::per_run_cap: without it,\n\
          single-run disks hoard the cache (see DESIGN.md §8)."
     );
-    println!("wrote {}", harness.out_path("ext_multipass.csv").display());
+    csv.finish()
 }

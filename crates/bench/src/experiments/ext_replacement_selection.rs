@@ -8,61 +8,45 @@
 //! experiment sorts the same input both ways and replays each merge's
 //! data-driven depletion trace through the same disks (variable-length
 //! runs use `MergeSim::with_run_lengths`).
-//!
-//! Usage: `ext_replacement_selection [--trials n]`
 
-use pm_bench::Harness;
 use pm_core::{MergeSim, PrefetchStrategy, ScenarioBuilder, SyncMode};
 use pm_extsort::{external_sort, generate, ExtSortConfig, RunFormation, SortOutcome};
-use pm_report::{Align, Csv, Table};
+
+use crate::{right_aligned, Harness};
 
 const D: u32 = 5;
 const MEMORY: usize = 4_000; // records per memory load (100 blocks)
 const RPB: usize = 40;
 
-fn simulate(outcome: &SortOutcome, strategy: PrefetchStrategy, cache_factor: u32, seed: u64) -> f64 {
+fn simulate(
+    outcome: &SortOutcome,
+    strategy: PrefetchStrategy,
+    cache_factor: u32,
+    seed: u64,
+) -> Result<f64, String> {
     let mut cfg = ScenarioBuilder::new(outcome.run_lengths.len() as u32, D).build().unwrap();
     cfg.strategy = strategy;
     cfg.sync = SyncMode::Unsynchronized;
     cfg.cache_blocks = cfg.runs * strategy.depth() * cache_factor;
     cfg.seed = seed;
     let mut trace = outcome.depletion_model();
-    MergeSim::with_run_lengths(cfg, &outcome.run_blocks)
-        .expect("valid configuration")
-        .run(&mut trace)
-        .total
-        .as_secs_f64()
+    let sim = MergeSim::with_run_lengths(cfg, &outcome.run_blocks).map_err(|e| e.to_string())?;
+    Ok(sim.run(&mut trace).total.as_secs_f64())
 }
 
-fn main() {
-    let (harness, _) = Harness::from_args();
+pub(super) fn run(h: &Harness) -> Result<(), String> {
     let n_records = 20 * MEMORY; // 20 memory loads
-    let mut table = Table::new(vec![
-        "input".into(),
-        "strategy".into(),
-        "load-sort runs".into(),
-        "load-sort (s)".into(),
-        "repl-sel runs".into(),
-        "repl-sel (s)".into(),
+    let mut table = right_aligned(2, &[
+        "input", "strategy", "load-sort runs", "load-sort (s)", "repl-sel runs", "repl-sel (s)",
     ]);
-    for i in 2..6 {
-        table.set_align(i, Align::Right);
-    }
-    std::fs::create_dir_all(&harness.out_dir).expect("create output dir");
-    let file =
-        std::fs::File::create(harness.out_path("ext_replacement_selection.csv")).expect("csv");
-    let mut csv = Csv::with_header(
-        file,
+    let mut csv = h.csv(
+        "ext_replacement_selection",
         &["input", "strategy", "ls_runs", "ls_secs", "rs_runs", "rs_secs"],
-    )
-    .expect("header");
+    )?;
 
     let inputs: Vec<(&str, Vec<pm_extsort::Record>)> = vec![
-        ("uniform random", generate::uniform(n_records, harness.seed)),
-        (
-            "nearly sorted",
-            generate::nearly_sorted(n_records, n_records / 50, harness.seed),
-        ),
+        ("uniform random", generate::uniform(n_records, h.seed)),
+        ("nearly sorted", generate::nearly_sorted(n_records, n_records / 50, h.seed)),
     ];
     for (input_name, records) in inputs {
         let sort_with = |formation: RunFormation| {
@@ -77,32 +61,29 @@ fn main() {
         };
         let load_sort = sort_with(RunFormation::LoadSort);
         let repl_sel = sort_with(RunFormation::ReplacementSelection);
-        assert!(load_sort.output == repl_sel.output, "both must sort identically");
+        if load_sort.output != repl_sel.output {
+            return Err(format!("{input_name}: the two run formations sort differently"));
+        }
 
         for (sname, strategy) in [
             ("intra N=10", PrefetchStrategy::IntraRun { n: 10 }),
             ("inter N=10", PrefetchStrategy::InterRun { n: 10 }),
         ] {
             let cache_factor = if strategy.is_inter_run() { 4 } else { 1 };
-            let ls_secs = simulate(&load_sort, strategy, cache_factor, harness.seed);
-            let rs_secs = simulate(&repl_sel, strategy, cache_factor, harness.seed);
-            table.add_row(vec![
-                input_name.to_string(),
-                sname.to_string(),
-                load_sort.run_lengths.len().to_string(),
-                format!("{ls_secs:.2}"),
-                repl_sel.run_lengths.len().to_string(),
-                format!("{rs_secs:.2}"),
-            ]);
-            csv.row_strings(&[
-                input_name.to_string(),
-                sname.to_string(),
-                load_sort.run_lengths.len().to_string(),
-                format!("{ls_secs:.4}"),
-                repl_sel.run_lengths.len().to_string(),
-                format!("{rs_secs:.4}"),
-            ])
-            .expect("row");
+            let ls_secs = simulate(&load_sort, strategy, cache_factor, h.seed)?;
+            let rs_secs = simulate(&repl_sel, strategy, cache_factor, h.seed)?;
+            let cells = |p: usize| {
+                vec![
+                    input_name.to_string(),
+                    sname.to_string(),
+                    load_sort.run_lengths.len().to_string(),
+                    format!("{ls_secs:.p$}"),
+                    repl_sel.run_lengths.len().to_string(),
+                    format!("{rs_secs:.p$}"),
+                ]
+            };
+            table.add_row(cells(2));
+            csv.row(&cells(4))?;
         }
     }
     println!("== E7: replacement selection vs load-sort run formation (D={D}) ==\n");
@@ -115,8 +96,5 @@ fn main() {
          automatically better once the merge is disk-striped. Neither effect\n\
          is expressible in the paper's equal-run model."
     );
-    println!(
-        "wrote {}",
-        harness.out_path("ext_replacement_selection.csv").display()
-    );
+    csv.finish()
 }

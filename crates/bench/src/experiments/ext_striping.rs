@@ -13,19 +13,17 @@
 //!
 //! all at the same cache budget, plus the striped closed form derived in
 //! `pm_analysis::equations::tau_striped_intra_sync`.
-//!
-//! Usage: `ext_striping [--trials n] [--quick]`
 
 use pm_analysis::{equations, ModelParams};
-use pm_bench::Harness;
 use pm_core::{DataLayout, ScenarioBuilder};
 use pm_workload::Sweep;
 
-fn main() {
-    let (harness, _) = Harness::from_args();
+use crate::Harness;
+
+pub(super) fn run(h: &Harness) -> Result<(), String> {
     let (k, d) = (25u32, 5u32);
     let ns: Vec<f64> = (1..=30).map(f64::from).collect();
-    let seed = harness.seed;
+    let seed = h.seed;
     let cache = |n: u32| 4 * k * n;
 
     let sweeps = vec![
@@ -51,13 +49,13 @@ fn main() {
             cfg
         }),
     ];
-    harness.run_sweeps(
+    h.run_sweeps(
         "ext_striping",
         "E11: striping vs independent disks (25 runs, 5 disks, cache 4kN)",
         "total time (s)",
         &sweeps,
         |s| s.mean_total_secs,
-    );
+    )?;
     let p = ModelParams::paper();
     for n in [5u32, 10, 30] {
         println!(
@@ -72,4 +70,5 @@ fn main() {
          maximum over D*N blocks and wins across the sweep — the paper's\n\
          independent-disk design is the right call for merging."
     );
+    Ok(())
 }

@@ -1,54 +1,41 @@
 //! **Extension E13**: how many trials do the figures need?
 //!
 //! The paper averages a handful of simulation trials per data point (the
-//! trial count is lost to the scan). This binary measures the trial-to-
-//! trial variability of each strategy and the confidence-interval width as
-//! a function of the number of trials, justifying the 5-trial default used
-//! throughout this reproduction.
-//!
-//! Usage: `ext_variance [--trials n]`  (n = total pool, default 30)
+//! trial count is lost to the scan). This experiment measures the
+//! trial-to-trial variability of each strategy and the
+//! confidence-interval width as a function of the number of trials,
+//! justifying the 5-trial default used throughout this reproduction.
+//! `--trials` sizes the pool; left at its default of 5, the pool is 30.
 
-use pm_bench::Harness;
-use pm_core::{MergeConfig, ScenarioBuilder, run_trials_parallel};
-use pm_report::{Align, Csv, Table};
+use pm_core::{MergeConfig, ScenarioBuilder};
 use pm_stats::{ConfidenceInterval, OnlineStats};
 
-fn main() {
-    let (mut harness, _) = Harness::from_args();
-    if harness.trials == Harness::default().trials {
-        harness.trials = 30;
+use crate::{right_aligned, Harness};
+
+pub(super) fn run(h: &Harness) -> Result<(), String> {
+    let mut h = h.clone();
+    if h.trials == Harness::default().trials {
+        h.trials = 30;
     }
-    let pool = harness.trials;
+    let pool = h.trials;
     let scenarios: Vec<(&str, MergeConfig)> = vec![
         ("no prefetch, k=25, D=1", ScenarioBuilder::new(25, 1).build().unwrap()),
         ("intra N=10, k=25, D=5", ScenarioBuilder::new(25, 5).intra(10).build().unwrap()),
         ("inter N=10, k=25, D=5, C=600", ScenarioBuilder::new(25, 5).inter(10).cache_blocks(600).build().unwrap()),
         ("inter N=10, k=25, D=5, C=1200", ScenarioBuilder::new(25, 5).inter(10).cache_blocks(1200).build().unwrap()),
     ];
-    let mut table = Table::new(vec![
-        "scenario".into(),
-        "mean (s)".into(),
-        "stddev (s)".into(),
-        "CV %".into(),
-        "±95% @3".into(),
-        "±95% @5".into(),
-        "±95% @10".into(),
-        format!("±95% @{pool}"),
+    let pool_hw = format!("±95% @{pool}");
+    let mut table = right_aligned(1, &[
+        "scenario", "mean (s)", "stddev (s)", "CV %", "±95% @3", "±95% @5", "±95% @10", &pool_hw,
     ]);
-    for i in 1..8 {
-        table.set_align(i, Align::Right);
-    }
-    std::fs::create_dir_all(&harness.out_dir).expect("create output dir");
-    let file = std::fs::File::create(harness.out_path("ext_variance.csv")).expect("csv");
-    let mut csv = Csv::with_header(
-        file,
+    let mut csv = h.csv(
+        "ext_variance",
         &["scenario", "mean", "stddev", "cv", "hw3", "hw5", "hw10", "hw_pool"],
-    )
-    .expect("header");
+    )?;
 
     for (label, mut cfg) in scenarios {
-        cfg.seed = harness.seed;
-        let summary = run_trials_parallel(&cfg, pool, harness.jobs).expect("valid scenario");
+        cfg.seed = h.seed;
+        let summary = h.run_trials(&cfg)?;
         let totals: Vec<f64> = summary.reports.iter().map(|r| r.total.as_secs_f64()).collect();
         let stats = OnlineStats::from_slice(&totals);
         let cv = stats.sample_stddev() / stats.mean() * 100.0;
@@ -66,7 +53,7 @@ fn main() {
             format!("{:.1}%", rel_hw(10)),
             format!("{:.1}%", rel_hw(pool as usize)),
         ]);
-        csv.row_strings(&[
+        csv.row(&[
             label.to_string(),
             format!("{:.4}", stats.mean()),
             format!("{:.4}", stats.sample_stddev()),
@@ -75,8 +62,7 @@ fn main() {
             format!("{:.4}", rel_hw(5)),
             format!("{:.4}", rel_hw(10)),
             format!("{:.4}", rel_hw(pool as usize)),
-        ])
-        .expect("row");
+        ])?;
     }
     println!("== E13: trial-to-trial variability (pool of {pool} trials per scenario) ==\n");
     println!("{}", table.render());
@@ -87,5 +73,5 @@ fn main() {
          inter-run prefetching, where admission outcomes cascade (CV ~8%):\n\
          the steep region of Fig 3.5 genuinely needs its multiple trials."
     );
-    println!("wrote {}", harness.out_path("ext_variance.csv").display());
+    csv.finish()
 }

@@ -7,38 +7,29 @@
 //! bounded buffer, and the merge stalls when the buffer fills. Sweeping
 //! `W` shows the break-even point where the write side stops being the
 //! bottleneck — i.e. how many write disks the paper's numbers require.
-//!
-//! Usage: `ext_write_traffic [--trials n]`
 
-use pm_bench::Harness;
 use pm_core::{ScenarioBuilder, WriteSpec};
-use pm_report::{Align, Csv, Table};
 
-fn main() {
-    let (harness, _) = Harness::from_args();
+use crate::{right_aligned, Harness};
+
+pub(super) fn run(h: &Harness) -> Result<(), String> {
     let (k, d, n, cache) = (25u32, 5u32, 10u32, 1200u32);
     let buffer = 64u32;
 
     let base = ScenarioBuilder::new(k, d).inter(n).cache_blocks(cache).build().unwrap();
     let baseline = {
         let mut cfg = base;
-        cfg.seed = harness.seed;
-        harness.run_trials(&cfg).expect("valid").mean_total_secs
+        cfg.seed = h.seed;
+        h.run_trials(&cfg)?.mean_total_secs
     };
 
-    let mut table = Table::new(vec![
-        "write disks W".into(),
-        "total (s)".into(),
-        "slowdown vs no-write model".into(),
-        "write-side bound kBT/W (s)".into(),
+    let mut table = right_aligned(0, &[
+        "write disks W", "total (s)", "slowdown vs no-write model", "write-side bound kBT/W (s)",
     ]);
-    for i in 0..4 {
-        table.set_align(i, Align::Right);
-    }
-    std::fs::create_dir_all(&harness.out_dir).expect("create output dir");
-    let file = std::fs::File::create(harness.out_path("ext_write_traffic.csv")).expect("csv");
-    let mut csv = Csv::with_header(file, &["write_disks", "total_secs", "slowdown", "bound_secs"])
-        .expect("header");
+    let mut csv = h.csv(
+        "ext_write_traffic",
+        &["write_disks", "total_secs", "slowdown", "bound_secs"],
+    )?;
 
     println!(
         "== E8: write traffic — inter-run k={k}, D={d}, N={n}, C={cache}, buffer={buffer} ==\n"
@@ -50,8 +41,8 @@ fn main() {
             disks: w,
             buffer_blocks: buffer,
         });
-        cfg.seed = harness.seed ^ u64::from(w);
-        let total = harness.run_trials(&cfg).expect("valid").mean_total_secs;
+        cfg.seed = h.seed ^ u64::from(w);
+        let total = h.run_trials(&cfg)?.mean_total_secs;
         // Sequential append: ~T per output block on the write side.
         let bound = f64::from(k) * 1000.0 * 2.16e-3 / f64::from(w);
         table.add_row(vec![
@@ -60,13 +51,12 @@ fn main() {
             format!("{:.2}x", total / baseline),
             format!("{bound:.1}"),
         ]);
-        csv.row_strings(&[
+        csv.row(&[
             w.to_string(),
             format!("{total:.3}"),
             format!("{:.4}", total / baseline),
             format!("{bound:.3}"),
-        ])
-        .expect("row");
+        ])?;
     }
     println!("{}", table.render());
     println!(
@@ -75,5 +65,5 @@ fn main() {
          once W approaches D — the paper's separate write subsystem must be\n\
          nearly as wide as the read subsystem it serves."
     );
-    println!("wrote {}", harness.out_path("ext_write_traffic.csv").display());
+    csv.finish()
 }

@@ -10,13 +10,11 @@
 //! materializes every record) but wide enough to show the pattern: on
 //! uniform-random data the random model is accurate; skewed consumption
 //! degrades it.
-//!
-//! Usage: `model_vs_real [--trials n]`
 
-use pm_bench::Harness;
 use pm_core::{MergeSim, PrefetchStrategy, ScenarioBuilder, SyncMode};
 use pm_extsort::{external_sort, generate, ExtSortConfig, RunFormation};
-use pm_report::{Align, Csv, Table};
+
+use crate::{right_aligned, Harness};
 
 const K: u32 = 10; // runs
 const D: u32 = 5; // disks
@@ -40,27 +38,13 @@ fn strategies() -> Vec<(&'static str, PrefetchStrategy, u32)> {
     ]
 }
 
-fn main() {
-    let (harness, _) = Harness::from_args();
-    let mut table = Table::new(vec![
-        "input".into(),
-        "strategy".into(),
-        "random model (s)".into(),
-        "real trace (s)".into(),
-        "real/model".into(),
+pub(super) fn run(h: &Harness) -> Result<(), String> {
+    let mut table = right_aligned(2, &[
+        "input", "strategy", "random model (s)", "real trace (s)", "real/model",
     ]);
-    for i in 2..5 {
-        table.set_align(i, Align::Right);
-    }
-    std::fs::create_dir_all(&harness.out_dir).expect("create output dir");
-    let file = std::fs::File::create(harness.out_path("model_vs_real.csv")).expect("csv");
-    let mut csv = Csv::with_header(
-        file,
-        &["input", "strategy", "model_secs", "real_secs"],
-    )
-    .expect("header");
+    let mut csv = h.csv("model_vs_real", &["input", "strategy", "model_secs", "real_secs"])?;
 
-    for (input_name, records) in inputs(harness.seed) {
+    for (input_name, records) in inputs(h.seed) {
         let outcome = external_sort(
             &records,
             &ExtSortConfig {
@@ -69,11 +53,12 @@ fn main() {
                 run_formation: RunFormation::LoadSort,
             },
         );
-        assert!(outcome.output.windows(2).all(|w| w[0] <= w[1]), "sort failed");
-        let blocks = outcome
-            .uniform_run_blocks()
-            .expect("load-sort runs are equal");
-        assert_eq!(blocks, BLOCKS);
+        if !outcome.output.windows(2).all(|w| w[0] <= w[1]) {
+            return Err(format!("{input_name}: the external sort's output is not sorted"));
+        }
+        if outcome.uniform_run_blocks() != Some(BLOCKS) {
+            return Err(format!("{input_name}: load-sort runs are not {BLOCKS} blocks each"));
+        }
 
         for (sname, strategy, cache) in strategies() {
             let mut cfg = ScenarioBuilder::new(K, D).build().unwrap();
@@ -81,18 +66,13 @@ fn main() {
             cfg.strategy = strategy;
             cfg.sync = SyncMode::Unsynchronized;
             cfg.cache_blocks = cache;
-            cfg.seed = harness.seed;
+            cfg.seed = h.seed;
             // Random depletion model, averaged over trials.
-            let model_secs = harness.run_trials(&cfg)
-                .expect("valid config")
-                .mean_total_secs;
+            let model_secs = h.run_trials(&cfg)?.mean_total_secs;
             // Data-driven trace (deterministic given the input).
             let mut trace = outcome.depletion_model();
-            let real_secs = MergeSim::new(cfg)
-                .expect("valid config")
-                .run(&mut trace)
-                .total
-                .as_secs_f64();
+            let sim = MergeSim::new(cfg).map_err(|e| e.to_string())?;
+            let real_secs = sim.run(&mut trace).total.as_secs_f64();
             table.add_row(vec![
                 input_name.to_string(),
                 sname.to_string(),
@@ -100,18 +80,17 @@ fn main() {
                 format!("{real_secs:.2}"),
                 format!("{:.3}", real_secs / model_secs),
             ]);
-            csv.row_strings(&[
+            csv.row(&[
                 input_name.to_string(),
                 sname.to_string(),
                 format!("{model_secs:.4}"),
                 format!("{real_secs:.4}"),
-            ])
-            .expect("row");
+            ])?;
         }
     }
     println!(
         "== A3: random depletion model vs data-driven merge (k={K}, D={D}, {BLOCKS} blocks/run) ==\n"
     );
     println!("{}", table.render());
-    println!("wrote {}", harness.out_path("model_vs_real.csv").display());
+    csv.finish()
 }

@@ -1,17 +1,26 @@
-//! Shared harness for the experiment binaries.
+//! The experiments that regenerate every figure and table of Pai & Varman
+//! (ICDE 1992), and the harness they share.
 //!
-//! Every figure/table of Pai & Varman (ICDE 1992) has a binary in
-//! `src/bin/` that reruns its scenarios through this harness, prints the
-//! paper's series (table + terminal plot), and writes raw CSV under
-//! `target/experiments/`. Common flags:
+//! Each experiment is a function in [`EXPERIMENTS`], run by the `run_all`
+//! binary: `run_all [name…] [flags]` runs the named experiments (all of
+//! them when none is named) one after another in one process. Each prints
+//! the paper's series (table, and a terminal plot for sweeps) and writes
+//! raw CSV under `target/experiments/`. Flags:
 //!
 //! * `--trials <n>` — independent simulation trials per point (default 5).
-//! * `--quick` — 2 trials and every 3rd sweep point; for smoke runs.
+//! * `--quick` — at most 2 trials and every 3rd sweep point; for smoke runs.
 //! * `--seed <n>` — master seed (default 1992).
 //! * `--out <dir>` — CSV output directory.
-//! * `--jobs <n>` — worker threads for sweep points and trials
-//!   (default 1; `0` = one per core; also settable via the `PM_JOBS`
-//!   environment variable, with the flag taking precedence).
+//! * `--jobs <n>` — worker threads for each experiment's sweep points and
+//!   trials (default 1; `0` = one per core; also settable via the
+//!   `PM_JOBS` environment variable, with the flag taking precedence).
+//! * `--panel <p>` — run one panel (`a`–`c` of `fig2_time_vs_n`, `1`–`3`
+//!   of `fig5_time_vs_cache` and `fig6_success_ratio`) of the one
+//!   experiment named.
+//!
+//! The T1, T2 and Fig. 3.2 tables that EXPERIMENTS.md shows are built by
+//! [`t1_table`], [`t2_table`] and [`fig2_points`]; the crate's tests check
+//! the file's generated regions against them.
 //!
 //! ## Parallel execution and determinism
 //!
@@ -25,15 +34,14 @@
 //! any output is rendered, so tables, plots and CSV files never depend on
 //! worker count or OS scheduling. Per-point progress lines go to stderr;
 //! all result output (and the CSVs) stays on the deterministic path.
-//! Expect near-linear wall-clock speedup in `min(jobs, points)` until the
-//! experiment runs out of sweep points — the flagship `run_all --full`
-//! reproduction is several times faster on a multicore box.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::io::{BufWriter, Write};
+use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -41,8 +49,22 @@ use pm_core::{MergeConfig, TrialSummary, parallel, run_trials_parallel};
 use pm_report::{Align, AsciiPlot, Csv, Table};
 use pm_workload::Sweep;
 
-/// Parsed common options plus any binary-specific leftover arguments.
-#[derive(Debug, Clone)]
+mod experiments;
+
+pub use experiments::concurrency_table::t2_table;
+pub use experiments::fig2_time_vs_n::fig2_points;
+pub use experiments::validation_table::t1_table;
+pub use experiments::{select, Experiment, EXPERIMENTS};
+
+/// The command line `run_all` accepts, printed with every usage error.
+pub const USAGE: &str = "usage: run_all [experiment...] [--trials n] [--quick] [--seed n] \
+                         [--out dir] [--jobs n] [--panel p]";
+
+/// Series of a family of curves: `(label, [(x, y)])` per curve.
+pub type Series = Vec<(String, Vec<(f64, f64)>)>;
+
+/// Parsed common options.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Harness {
     /// Trials per sweep point.
     pub trials: u32,
@@ -54,6 +76,8 @@ pub struct Harness {
     pub out_dir: PathBuf,
     /// Worker threads for sweep points and trials (`0` = one per core).
     pub jobs: usize,
+    /// The one panel to run, for a multi-panel experiment.
+    pub panel: Option<String>,
 }
 
 impl Default for Harness {
@@ -64,55 +88,57 @@ impl Default for Harness {
             seed: 1992,
             out_dir: PathBuf::from("target/experiments"),
             jobs: 1,
+            panel: None,
         }
     }
 }
 
+fn value<T: FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("{flag}: invalid value '{v}'"))
+}
+
 impl Harness {
-    /// Parses common flags from `std::env::args`, returning the harness
-    /// and the remaining (binary-specific) arguments.
+    /// Parses the flags of [`USAGE`], returning the harness and the
+    /// experiment names given.
     ///
-    /// `--jobs` falls back to the `PM_JOBS` environment variable when the
-    /// flag is absent, and to `1` when neither is given.
+    /// # Errors
     ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed flags.
-    #[must_use]
-    pub fn from_args() -> (Self, Vec<String>) {
+    /// Returns a message naming the flag on an unknown flag, a missing or
+    /// malformed value, or `--trials 0`.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(Self, Vec<String>), String> {
         let mut h = Harness::default();
-        if let Ok(v) = std::env::var("PM_JOBS") {
-            h.jobs = v.parse().expect("PM_JOBS must be a non-negative integer");
-        }
-        let mut rest = Vec::new();
-        let mut args = std::env::args().skip(1);
+        let mut names = Vec::new();
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--trials" => {
-                    let v = args.next().expect("--trials needs a value");
-                    h.trials = v.parse().expect("--trials must be a positive integer");
-                    assert!(h.trials > 0, "--trials must be positive");
-                }
-                "--seed" => {
-                    let v = args.next().expect("--seed needs a value");
-                    h.seed = v.parse().expect("--seed must be an integer");
-                }
-                "--out" => {
-                    let v = args.next().expect("--out needs a directory");
-                    h.out_dir = PathBuf::from(v);
-                }
-                "--jobs" => {
-                    let v = args.next().expect("--jobs needs a value");
-                    h.jobs = v.parse().expect("--jobs must be a non-negative integer");
-                }
+                "--trials" => h.trials = value(&arg, &mut args)?,
+                "--seed" => h.seed = value(&arg, &mut args)?,
+                "--out" => h.out_dir = value(&arg, &mut args)?,
+                "--jobs" => h.jobs = value(&arg, &mut args)?,
+                "--panel" => h.panel = Some(value::<String>(&arg, &mut args)?.to_ascii_lowercase()),
                 "--quick" => h.quick = true,
-                other => rest.push(other.to_string()),
+                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+                _ => names.push(arg),
             }
+        }
+        if h.trials == 0 {
+            return Err("--trials must be positive".into());
         }
         if h.quick {
             h.trials = h.trials.min(2);
         }
-        (h, rest)
+        Ok((h, names))
+    }
+
+    /// Parses `std::env::args`, with `PM_JOBS` read as a `--jobs` that
+    /// any `--jobs` flag overrides. Prints [`USAGE`] and exits 2 when the
+    /// flags do not parse.
+    #[must_use]
+    pub fn from_args() -> (Self, Vec<String>) {
+        let env_jobs = std::env::var("PM_JOBS").ok().map(|v| ["--jobs".to_string(), v]);
+        Self::parse(env_jobs.into_iter().flatten().chain(std::env::args().skip(1)))
+            .unwrap_or_else(|e| usage_error(&e))
     }
 
     /// Runs one scenario's trials over the harness's worker pool.
@@ -121,60 +147,50 @@ impl Harness {
     ///
     /// # Errors
     ///
-    /// Returns a [`pm_core::ConfigError`] if `cfg` is invalid.
-    pub fn run_trials(&self, cfg: &MergeConfig) -> Result<TrialSummary, pm_core::ConfigError> {
-        run_trials_parallel(cfg, self.trials, self.jobs)
+    /// Returns the configuration error if `cfg` is invalid.
+    pub fn run_trials(&self, cfg: &MergeConfig) -> Result<TrialSummary, String> {
+        run_trials_parallel(cfg, self.trials, self.jobs).map_err(|e| e.to_string())
     }
 
     /// Effective sweep points after `--quick` subsampling. Always keeps
     /// the first and last point of each sweep.
     #[must_use]
     pub fn thin(&self, sweep: &Sweep) -> Sweep {
-        if !self.quick || sweep.points.len() <= 3 {
-            return sweep.clone();
-        }
-        let last = sweep.points.len() - 1;
-        let points = sweep
-            .points
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % 3 == 0 || *i == last)
-            .map(|(_, p)| p.clone())
-            .collect();
-        Sweep {
-            label: sweep.label.clone(),
-            x_label: sweep.x_label.clone(),
-            points,
+        if self.quick && sweep.points.len() > 3 {
+            sweep.thinned(3)
+        } else {
+            sweep.clone()
         }
     }
 
-    /// Runs a family of sweeps, extracting `measure` from each point's
-    /// trial summary. Prints a table and an ASCII plot, and writes
-    /// `<out>/<name>.csv` with `series,x,y` rows. Returns the series as
-    /// `(label, points)` pairs for further processing.
+    /// The indices into `all` (an experiment's panel names) of the panels
+    /// to run: the one `--panel` names, or every panel.
+    fn panel_indices(&self, all: &[&str]) -> Result<Vec<usize>, String> {
+        match &self.panel {
+            None => Ok((0..all.len()).collect()),
+            Some(p) => all
+                .iter()
+                .position(|a| a == p)
+                .map(|i| vec![i])
+                .ok_or_else(|| format!("unknown panel '{p}', expected one of {}", all.join(", "))),
+        }
+    }
+
+    /// Simulates every point of `sweeps` (not thinned) and extracts
+    /// `measure` from each point's trial summary.
     ///
-    /// Every sweep point of every curve runs concurrently on the
-    /// harness's worker pool. Each point's trials run sequentially inside
-    /// one worker (the cross-point fan-out already saturates the pool),
-    /// so every point produces exactly the summary the sequential driver
-    /// would, and results are collected in point order before rendering —
-    /// the printed series and the CSV are byte-identical for every `jobs`
-    /// value. Progress lines (`[name k/total] label x=… (elapsed)`) are
-    /// emitted to stderr as points complete.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scenario is invalid or output files cannot be written.
-    pub fn run_sweeps(
+    /// Every point of every curve runs concurrently on the harness's
+    /// worker pool; each point's trials run sequentially inside one worker
+    /// (the cross-point fan-out already saturates the pool), so every
+    /// point produces exactly the summary the sequential driver would.
+    /// Progress lines (`[name k/total] label x=… (elapsed)`) go to stderr.
+    fn sweep_series(
         &self,
         name: &str,
-        title: &str,
-        y_label: &str,
         sweeps: &[Sweep],
         measure: impl Fn(&TrialSummary) -> f64,
-    ) -> Vec<(String, Vec<(f64, f64)>)> {
-        let thinned: Vec<Sweep> = sweeps.iter().map(|s| self.thin(s)).collect();
-        let items: Vec<(usize, f64, &MergeConfig)> = thinned
+    ) -> Result<Series, String> {
+        let items: Vec<(usize, f64, &MergeConfig)> = sweeps
             .iter()
             .enumerate()
             .flat_map(|(si, sweep)| sweep.points.iter().map(move |p| (si, p.x, &p.config)))
@@ -182,75 +198,134 @@ impl Harness {
         let total = items.len();
         let completed = AtomicUsize::new(0);
         let started = Instant::now();
-        let summaries: Vec<TrialSummary> = parallel::run_ordered(total, self.jobs, |i| {
+        let summaries = parallel::run_ordered(total, self.jobs, |i| {
             let (si, x, config) = items[i];
             let summary = pm_core::run_trials(config, self.trials)
-                .unwrap_or_else(|e| panic!("{name}: invalid config at x={x}: {e}"));
+                .map_err(|e| format!("{name}: invalid config at x={x}: {e}"))?;
             let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
             eprintln!(
                 "  [{name} {done}/{total}] {} x={} ({:.1}s)",
-                thinned[si].label,
+                sweeps[si].label,
                 format_num(x),
                 started.elapsed().as_secs_f64()
             );
-            summary
+            Ok::<_, String>(summary)
         });
-
-        let mut series: Vec<(String, Vec<(f64, f64)>)> = thinned
+        let mut series: Series = sweeps
             .iter()
             .map(|s| (s.label.clone(), Vec::with_capacity(s.points.len())))
             .collect();
-        let mut table = Table::new(vec![
-            "series".into(),
-            thinned.first().map_or_else(|| "x".into(), |s| s.x_label.clone()),
-            y_label.into(),
-        ]);
-        table.set_align(1, Align::Right);
-        table.set_align(2, Align::Right);
-        for ((si, x, _), summary) in items.iter().zip(&summaries) {
-            let y = measure(summary);
-            series[*si].1.push((*x, y));
-            table.add_row(vec![
-                thinned[*si].label.clone(),
-                format_num(*x),
-                format!("{y:.3}"),
-            ]);
+        for ((si, x, _), summary) in items.iter().zip(summaries) {
+            series[*si].1.push((*x, measure(&summary?)));
         }
-        println!("== {title} ==\n");
+        Ok(series)
+    }
+
+    /// Runs a family of sweeps (thinned under `--quick`), extracting
+    /// `measure` from each point's trial summary. Prints a table and an
+    /// ASCII plot, and writes `<out>/<name>.csv` with `series,x,y` rows.
+    /// Returns the series for further processing.
+    ///
+    /// The printed series and the CSV are byte-identical for every `jobs`
+    /// value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if a scenario is invalid or the CSV cannot be
+    /// written.
+    pub fn run_sweeps(
+        &self,
+        name: &str,
+        title: &str,
+        y_label: &str,
+        sweeps: &[Sweep],
+        measure: impl Fn(&TrialSummary) -> f64,
+    ) -> Result<Series, String> {
+        let thinned: Vec<Sweep> = sweeps.iter().map(|s| self.thin(s)).collect();
+        let series = self.sweep_series(name, &thinned, measure)?;
+        let x_label = thinned.first().map_or("x", |s| s.x_label.as_str());
+        let mut table = right_aligned(1, &["series", x_label, y_label]);
         let mut plot = AsciiPlot::new(format!("{title} ({y_label})"), 72, 20);
         for (label, points) in &series {
+            for &(x, y) in points {
+                table.add_row(vec![label.clone(), format_num(x), format!("{y:.3}")]);
+            }
             plot.add_series(label.clone(), points.clone());
         }
+        println!("== {title} ==\n");
         println!("{}", plot.render());
         println!("{}", table.render());
-        self.write_csv(name, &series, y_label);
-        series
+        self.write_csv(name, &series, y_label)?;
+        Ok(series)
     }
 
     /// Writes `series,x,y` CSV for a family of curves.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on I/O errors.
-    pub fn write_csv(&self, name: &str, series: &[(String, Vec<(f64, f64)>)], y_label: &str) {
-        fs::create_dir_all(&self.out_dir).expect("create output directory");
-        let path = self.out_dir.join(format!("{name}.csv"));
-        let file = fs::File::create(&path).expect("create CSV file");
-        let mut csv = Csv::with_header(file, &["series", "x", y_label]).expect("write CSV header");
+    /// Returns a message on I/O errors.
+    pub fn write_csv(&self, name: &str, series: &Series, y_label: &str) -> Result<(), String> {
+        let mut csv = self.csv(name, &["series", "x", y_label])?;
         for (label, points) in series {
             for &(x, y) in points {
-                csv.row_strings(&[label.clone(), format_num(x), format!("{y:.6}")])
-                    .expect("write CSV row");
+                csv.row(&[label.clone(), format_num(x), format!("{y:.6}")])?;
             }
         }
-        println!("wrote {}", path.display());
+        csv.finish()
     }
 
-    /// Path for an auxiliary output file.
+    /// Creates `<out>/<name>.csv` (and the output directory) with the
+    /// given header row.
+    pub(crate) fn csv(&self, name: &str, header: &[&str]) -> Result<CsvFile, String> {
+        let path = self.out_path(&format!("{name}.csv"));
+        let fail = |e: std::io::Error| format!("{}: {e}", path.display());
+        fs::create_dir_all(&self.out_dir).map_err(fail)?;
+        let file = fs::File::create(&path).map_err(fail)?;
+        let csv = Csv::with_header(BufWriter::new(file), header).map_err(fail)?;
+        Ok(CsvFile { csv, path })
+    }
+
+    /// Path for an output file.
     #[must_use]
     pub fn out_path(&self, file: &str) -> PathBuf {
         self.out_dir.join(file)
     }
+}
+
+/// An experiment's CSV output, from [`Harness::csv`].
+pub(crate) struct CsvFile {
+    csv: Csv<BufWriter<fs::File>>,
+    path: PathBuf,
+}
+
+impl CsvFile {
+    /// Writes one row of already-formatted fields.
+    pub(crate) fn row(&mut self, fields: &[String]) -> Result<(), String> {
+        self.csv.row_strings(fields).map_err(|e| format!("{}: {e}", self.path.display()))
+    }
+
+    /// Flushes the file and prints `wrote <path>`.
+    pub(crate) fn finish(self) -> Result<(), String> {
+        self.csv.into_inner().flush().map_err(|e| format!("{}: {e}", self.path.display()))?;
+        println!("wrote {}", self.path.display());
+        Ok(())
+    }
+}
+
+/// Prints `error` and [`USAGE`] to stderr and exits 2.
+pub fn usage_error(error: &str) -> ! {
+    eprintln!("error: {error}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// A table with the given column headers, right-aligned (for numbers)
+/// from column `first_right` on.
+pub(crate) fn right_aligned(first_right: usize, headers: &[impl AsRef<str>]) -> Table {
+    let mut table = Table::new(headers.iter().map(|h| h.as_ref().to_string()).collect());
+    for i in first_right..headers.len() {
+        table.set_align(i, Align::Right);
+    }
+    table
 }
 
 /// Formats a sweep coordinate without trailing noise (integers stay
@@ -264,20 +339,56 @@ pub fn format_num(x: f64) -> String {
     }
 }
 
-/// Ensures a directory exists and returns it (test/bench convenience).
-///
-/// # Panics
-///
-/// Panics if the directory cannot be created.
-pub fn ensure_dir(path: &Path) -> &Path {
-    fs::create_dir_all(path).expect("create directory");
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pm_core::ScenarioBuilder;
+
+    fn args(line: &str) -> Result<(Harness, Vec<String>), String> {
+        Harness::parse(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn parse_accepts_every_flag() {
+        let (h, names) = args(
+            "fig5_time_vs_cache --trials 3 --seed 7 --out x/y --jobs 4 --panel B --quick",
+        )
+        .unwrap();
+        assert_eq!(names, ["fig5_time_vs_cache"]);
+        let expected = Harness {
+            trials: 2,
+            quick: true,
+            seed: 7,
+            out_dir: PathBuf::from("x/y"),
+            jobs: 4,
+            panel: Some("b".into()),
+        };
+        assert_eq!(h, expected);
+        assert_eq!(args("").unwrap(), (Harness::default(), vec![]));
+    }
+
+    #[test]
+    fn parse_later_flags_win() {
+        // `from_args` puts PM_JOBS first, so the flag overrides it.
+        assert_eq!(args("--jobs 3 --jobs 2").unwrap().0.jobs, 2);
+    }
+
+    #[test]
+    fn parse_rejects_bad_flags() {
+        for (line, needle) in [
+            ("--trails 1", "unknown flag --trails"),
+            ("--trials x", "--trials: invalid value 'x'"),
+            ("--trials -1", "--trials: invalid value '-1'"),
+            ("--trials 0", "--trials must be positive"),
+            ("--seed", "--seed needs a value"),
+            ("--jobs two", "--jobs: invalid value 'two'"),
+            ("--panel", "--panel needs a value"),
+            ("-q", "unknown flag -q"),
+        ] {
+            let err = args(line).unwrap_err();
+            assert!(err.contains(needle), "{line}: {err}");
+        }
+    }
 
     #[test]
     fn format_num_trims_integers() {
@@ -318,9 +429,10 @@ mod tests {
         };
         h.write_csv(
             "unit",
-            &[("curve".to_string(), vec![(1.0, 2.0), (3.0, 4.5)])],
+            &vec![("curve".to_string(), vec![(1.0, 2.0), (3.0, 4.5)])],
             "secs",
-        );
+        )
+        .unwrap();
         let content = fs::read_to_string(dir.join("unit.csv")).unwrap();
         assert!(content.starts_with("series,x,secs\n"));
         assert!(content.contains("curve,1,2.000000"));
@@ -361,8 +473,9 @@ mod tests {
                 out_dir: dir.clone(),
                 ..Harness::default()
             };
-            let series =
-                h.run_sweeps("unit_par", "t", "secs", &sweeps, |s| s.mean_total_secs);
+            let series = h
+                .run_sweeps("unit_par", "t", "secs", &sweeps, |s| s.mean_total_secs)
+                .unwrap();
             let csv = fs::read_to_string(dir.join("unit_par.csv")).unwrap();
             let _ = fs::remove_dir_all(dir);
             (series, csv)
@@ -373,5 +486,17 @@ mod tests {
             assert_eq!(seq_series, par_series, "jobs={jobs}");
             assert_eq!(seq_csv, par_csv, "jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn panels_select_one_or_all() {
+        let all = ["a", "b", "c"];
+        assert_eq!(Harness::default().panel_indices(&all).unwrap(), [0, 1, 2]);
+        let h = Harness {
+            panel: Some("b".into()),
+            ..Harness::default()
+        };
+        assert_eq!(h.panel_indices(&all).unwrap(), [1]);
+        assert!(h.panel_indices(&["1", "2"]).unwrap_err().contains("unknown panel 'b'"));
     }
 }

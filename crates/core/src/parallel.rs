@@ -11,8 +11,9 @@
 //! Determinism contract: for any `jobs`, `run_ordered(n, jobs, f)` returns
 //! `[f(0), f(1), …, f(n-1)]`, provided each `f(i)` depends only on `i`
 //! (no shared mutable state). Every parallel entry point in this
-//! workspace ([`run_trials_parallel`](crate::run_trials_parallel), the
-//! bench harness's sweep runner, `run_all`) is built on this guarantee,
+//! workspace ([`run_trials_parallel`](crate::run_trials_parallel) and the
+//! bench harness's sweep runner, which every experiment `run_all` runs
+//! goes through) is built on this guarantee,
 //! and the `parallel_determinism` integration suite enforces it
 //! bit-for-bit against the sequential baselines.
 //!

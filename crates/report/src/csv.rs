@@ -5,7 +5,7 @@ use std::io::{self, Write};
 /// Streams rows to a writer as CSV.
 ///
 /// Fields containing commas, quotes, or newlines are quoted; embedded
-/// quotes are doubled. All experiment binaries write their raw series
+/// quotes are doubled. All experiments write their raw series
 /// through this so results can be re-plotted outside the repo.
 #[derive(Debug)]
 pub struct Csv<W: Write> {

@@ -1,6 +1,6 @@
 //! Result rendering for `prefetchmerge` experiments.
 //!
-//! The experiment binaries in `pm-bench` print the same tables and series
+//! The experiments in `pm-bench` print the same tables and series
 //! the paper reports. This crate supplies the rendering primitives:
 //!
 //! * [`Table`] — aligned plain-text and GitHub-markdown tables (the

@@ -2,7 +2,7 @@
 //!
 //! Each figure in the paper's evaluation is a family of simulator
 //! configurations swept over one independent variable. This crate encodes
-//! those families once, so the `pm-bench` binaries, the examples, and the
+//! those families once, so the `pm-bench` experiments, the examples, and the
 //! integration tests all run *exactly* the same scenarios:
 //!
 //! * [`paper::fig2_panel`] — total time vs. prefetch depth `N` (Fig. 3.2
