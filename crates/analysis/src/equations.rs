@@ -198,12 +198,20 @@ mod tests {
         let pp = p();
         for k in [25u32, 50] {
             assert!((tau_single_intra(&pp, k, 1) - tau_single_no_prefetch(&pp, k)).abs() < 1e-12);
-            assert!((tau_multi_no_prefetch(&pp, k, 1) - tau_single_no_prefetch(&pp, k)).abs() < 1e-12);
+            assert!(
+                (tau_multi_no_prefetch(&pp, k, 1) - tau_single_no_prefetch(&pp, k)).abs() < 1e-12
+            );
             for n in [2u32, 10] {
-                assert!((tau_multi_intra_sync(&pp, k, 1, n) - tau_single_intra(&pp, k, n)).abs() < 1e-12);
+                assert!(
+                    (tau_multi_intra_sync(&pp, k, 1, n) - tau_single_intra(&pp, k, n)).abs()
+                        < 1e-12
+                );
             }
             for d in [2u32, 5] {
-                assert!((tau_multi_intra_sync(&pp, k, d, 1) - tau_multi_no_prefetch(&pp, k, d)).abs() < 1e-12);
+                assert!(
+                    (tau_multi_intra_sync(&pp, k, d, 1) - tau_multi_no_prefetch(&pp, k, d)).abs()
+                        < 1e-12
+                );
             }
         }
     }
@@ -221,7 +229,10 @@ mod tests {
         let pp = p();
         // D = 1 striped degenerates to eq (2).
         for n in [1u32, 10] {
-            assert!((tau_striped_intra_sync(&pp, 25, 1, n) - tau_single_intra(&pp, 25, n)).abs() < 1e-12);
+            assert!(
+                (tau_striped_intra_sync(&pp, 25, 1, n) - tau_single_intra(&pp, 25, n)).abs()
+                    < 1e-12
+            );
         }
         // Striping beats concatenated intra-run at equal N (parallel
         // transfer) but loses to inter-run's latency amortization.

@@ -190,7 +190,13 @@ impl Chain {
 fn enumerate_subsets(items: &[usize], size: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     let mut current = Vec::with_capacity(size);
-    fn rec(items: &[usize], size: usize, start: usize, current: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    fn rec(
+        items: &[usize],
+        size: usize,
+        start: usize,
+        current: &mut Vec<usize>,
+        out: &mut Vec<Vec<usize>>,
+    ) {
         if current.len() == size {
             out.push(current.clone());
             return;
@@ -258,7 +264,11 @@ mod tests {
         // qualitative ceiling as the paper's Figures 3.5/3.6, where the
         // success ratio needs a cache several times k·N to reach 1).
         // (Debug builds use the smaller configurations only.)
-        let ds: &[u32] = if cfg!(debug_assertions) { &[2, 3] } else { &[2, 3, 4] };
+        let ds: &[u32] = if cfg!(debug_assertions) {
+            &[2, 3]
+        } else {
+            &[2, 3, 4]
+        };
         for &d in ds {
             let p8 = average_parallelism(d, d * 8, Policy::AllOrNothing);
             let p12 = average_parallelism(d, d * 12, Policy::AllOrNothing);
@@ -288,7 +298,11 @@ mod tests {
         // partial fetches occupy disks and delay the return to
         // all-disks-concurrent operation, which a chain without service
         // times cannot express.
-        let ds: &[u32] = if cfg!(debug_assertions) { &[4] } else { &[4, 5] };
+        let ds: &[u32] = if cfg!(debug_assertions) {
+            &[4]
+        } else {
+            &[4, 5]
+        };
         for &d in ds {
             // Keep the state space (binomial(C, D) states) tractable.
             let multipliers: &[u32] = if cfg!(debug_assertions) {

@@ -17,11 +17,11 @@
 //!   prefetching (valid for large `N`; simulation approaches it from
 //!   above).
 
+use crate::bounds::{intra_unsync_asymptotic_secs, multi_disk_lower_bound_secs};
 use crate::equations::{
     tau_inter_sync, tau_multi_intra_sync, tau_multi_no_prefetch, tau_single_intra,
     tau_single_no_prefetch, tau_striped_intra_sync, total_seconds,
 };
-use crate::bounds::{intra_unsync_asymptotic_secs, multi_disk_lower_bound_secs};
 use crate::ModelParams;
 
 /// Scenario shape the closed forms are keyed on: the prefetching strategy
@@ -62,7 +62,10 @@ impl PredictionKind {
     /// few percent); `false` for the one-sided asymptote/bound cases.
     #[must_use]
     pub fn is_exact(self) -> bool {
-        matches!(self, PredictionKind::Equation(_) | PredictionKind::StripedEquation)
+        matches!(
+            self,
+            PredictionKind::Equation(_) | PredictionKind::StripedEquation
+        )
     }
 
     /// Short stable label, e.g. `"eq4"` or `"kBT/D"`, used in manifests
@@ -268,8 +271,8 @@ mod tests {
     #[test]
     fn striped_mapping() {
         let pp = p();
-        let pred = predict_total_secs(&pp, 25, 5, StrategyShape::IntraRun { n: 10 }, true, true)
-            .unwrap();
+        let pred =
+            predict_total_secs(&pp, 25, 5, StrategyShape::IntraRun { n: 10 }, true, true).unwrap();
         assert_eq!(pred.kind, PredictionKind::StripedEquation);
         let expected =
             equations::total_seconds(&pp, 25, equations::tau_striped_intra_sync(&pp, 25, 5, 10));

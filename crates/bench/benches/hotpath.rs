@@ -10,9 +10,9 @@
 //! raw draws through the RNG's refillable buffer are timed on their own.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use pm_cache::RunId;
 use pm_core::{DepletionModel, MergeSim, ScenarioBuilder, UniformDepletion};
 use pm_sim::{EventQueue, SimRng, SimTime};
-use pm_cache::RunId;
 use std::hint::black_box;
 
 /// One simulated block consumption: a uniform draw over the live-run set.

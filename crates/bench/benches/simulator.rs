@@ -16,14 +16,46 @@ fn bench_config(c: &mut Criterion, name: &str, cfg: MergeConfig) {
 }
 
 fn simulator_benches(c: &mut Criterion) {
-    bench_config(c, "sim/no_prefetch_k25_d1", ScenarioBuilder::new(25, 1).build().unwrap());
-    bench_config(c, "sim/no_prefetch_k25_d5", ScenarioBuilder::new(25, 5).build().unwrap());
-    bench_config(c, "sim/intra_k25_d5_n10", ScenarioBuilder::new(25, 5).intra(10).build().unwrap());
-    bench_config(c, "sim/inter_k25_d5_n10_c1200", ScenarioBuilder::new(25, 5).inter(10).cache_blocks(1200).build().unwrap());
-    let mut sync = ScenarioBuilder::new(25, 5).inter(10).cache_blocks(1200).build().unwrap();
+    bench_config(
+        c,
+        "sim/no_prefetch_k25_d1",
+        ScenarioBuilder::new(25, 1).build().unwrap(),
+    );
+    bench_config(
+        c,
+        "sim/no_prefetch_k25_d5",
+        ScenarioBuilder::new(25, 5).build().unwrap(),
+    );
+    bench_config(
+        c,
+        "sim/intra_k25_d5_n10",
+        ScenarioBuilder::new(25, 5).intra(10).build().unwrap(),
+    );
+    bench_config(
+        c,
+        "sim/inter_k25_d5_n10_c1200",
+        ScenarioBuilder::new(25, 5)
+            .inter(10)
+            .cache_blocks(1200)
+            .build()
+            .unwrap(),
+    );
+    let mut sync = ScenarioBuilder::new(25, 5)
+        .inter(10)
+        .cache_blocks(1200)
+        .build()
+        .unwrap();
     sync.sync = SyncMode::Synchronized;
     bench_config(c, "sim/inter_sync_k25_d5_n10", sync);
-    bench_config(c, "sim/inter_k50_d10_n10_c3500", ScenarioBuilder::new(50, 10).inter(10).cache_blocks(3500).build().unwrap());
+    bench_config(
+        c,
+        "sim/inter_k50_d10_n10_c3500",
+        ScenarioBuilder::new(50, 10)
+            .inter(10)
+            .cache_blocks(3500)
+            .build()
+            .unwrap(),
+    );
 }
 
 criterion_group! {

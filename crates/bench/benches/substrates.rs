@@ -157,12 +157,23 @@ fn load_sort_shapes(c: &mut Criterion) {
     const N: usize = 16 * RUN;
     let shapes = [
         ("extsort/load_sort_uniform", generate::uniform(N, 7)),
-        ("extsort/load_sort_nearly_sorted", generate::nearly_sorted(N, N / 100, 7)),
-        ("extsort/load_sort_reverse_sorted", generate::reverse_sorted(N)),
-        ("extsort/load_sort_few_distinct", generate::few_distinct(N, 16, 7)),
+        (
+            "extsort/load_sort_nearly_sorted",
+            generate::nearly_sorted(N, N / 100, 7),
+        ),
+        (
+            "extsort/load_sort_reverse_sorted",
+            generate::reverse_sorted(N),
+        ),
+        (
+            "extsort/load_sort_few_distinct",
+            generate::few_distinct(N, 16, 7),
+        ),
         (
             "extsort/load_sort_equal_keys_desc_rids",
-            (0..N as u64).map(|i| Record::new(7, N as u64 - i)).collect(),
+            (0..N as u64)
+                .map(|i| Record::new(7, N as u64 - i))
+                .collect(),
         ),
     ];
     for (name, input) in &shapes {

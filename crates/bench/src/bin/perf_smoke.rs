@@ -70,7 +70,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn alloc_snapshot() -> (u64, u64) {
-    (ALLOC_COUNT.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed))
+    (
+        ALLOC_COUNT.load(Ordering::Relaxed),
+        ALLOC_BYTES.load(Ordering::Relaxed),
+    )
 }
 
 /// The output path, the repeat count and the baseline path.
@@ -122,7 +125,9 @@ fn timed<R>(repeats: u32, warm_up: u32, mut op: impl FnMut(u32) -> (u64, R)) -> 
         std::hint::black_box(out);
         units += n;
         // Compare rates without division: ns/n < best_ns/best_n.
-        if best.map_or(true, |(b_ns, b_n)| ns * u128::from(b_n) < b_ns * u128::from(n)) {
+        if best.map_or(true, |(b_ns, b_n)| {
+            ns * u128::from(b_n) < b_ns * u128::from(n)
+        }) {
             best = Some((ns, n));
         }
     }
@@ -141,7 +146,13 @@ fn timed<R>(repeats: u32, warm_up: u32, mut op: impl FnMut(u32) -> (u64, R)) -> 
 
 /// A timed scenario: its name, strategy and D as the JSON records them,
 /// the unit it counts, and its body, which takes the repeat count.
-type Scenario = (&'static str, &'static str, u32, &'static str, Box<dyn FnOnce(u32) -> Timing>);
+type Scenario = (
+    &'static str,
+    &'static str,
+    u32,
+    &'static str,
+    Box<dyn FnOnce(u32) -> Timing>,
+);
 
 fn scenario(
     name: &'static str,
@@ -159,7 +170,12 @@ fn paper(name: &'static str, strategy: &'static str, d: u32, cfg: MergeConfig) -
         timed(repeats, 1, |i| {
             let mut cfg = cfg;
             cfg.seed = cfg.seed.wrapping_add(u64::from(i));
-            (MergeSim::run_uniform(cfg).expect("valid scenario config").blocks_merged, ())
+            (
+                MergeSim::run_uniform(cfg)
+                    .expect("valid scenario config")
+                    .blocks_merged,
+                (),
+            )
         })
     })
 }
@@ -170,8 +186,18 @@ fn scenarios() -> Vec<Scenario> {
     let mut sync = inter(8);
     sync.sync = SyncMode::Synchronized;
     vec![
-        paper("no_prefetch_d1", "none", 1, cfg(ScenarioBuilder::new(25, 1))),
-        paper("intra_d4_n10", "intra", 4, cfg(ScenarioBuilder::new(25, 4).intra(10))),
+        paper(
+            "no_prefetch_d1",
+            "none",
+            1,
+            cfg(ScenarioBuilder::new(25, 1)),
+        ),
+        paper(
+            "intra_d4_n10",
+            "intra",
+            4,
+            cfg(ScenarioBuilder::new(25, 4).intra(10)),
+        ),
         paper("inter_d2_n10", "inter", 2, inter(2)),
         paper("inter_d4_n10", "inter", 4, inter(4)),
         paper("inter_d8_n10", "inter", 8, inter(8)),
@@ -182,10 +208,15 @@ fn scenarios() -> Vec<Scenario> {
         // baselines, contended WFQ replay. The simulator and scheduler are
         // reused across repeats, as a sweeping caller would hold them.
         scenario("contend_d8_t4", "contend", 8, "request", |repeats| {
-            let (jobs, mut sched) =
-                (contend_jobs(60), (TenantSim::new(CONTEND_SHARED), Wfq::new()));
+            let (jobs, mut sched) = (
+                contend_jobs(60),
+                (TenantSim::new(CONTEND_SHARED), Wfq::new()),
+            );
             timed(repeats, 1, |i| {
-                (contend(&mut sched, &jobs, 1992 + u64::from(i), &NullMetrics), ())
+                (
+                    contend(&mut sched, &jobs, 1992 + u64::from(i), &NullMetrics),
+                    (),
+                )
             })
         }),
         // One merge of the 64 × 1024-record input takes 1–2 ms, short
@@ -202,7 +233,10 @@ fn scenarios() -> Vec<Scenario> {
         scenario("extsort_formation", "load-sort", 0, "record", |repeats| {
             let input = generate::uniform(MERGE_RUNS * FORMATION_RUN_LEN, 1992);
             timed(repeats, 1, |_| {
-                (input.len() as u64, run_formation::load_sort(&input, FORMATION_RUN_LEN))
+                (
+                    input.len() as u64,
+                    run_formation::load_sort(&input, FORMATION_RUN_LEN),
+                )
             })
         }),
     ]
@@ -231,14 +265,18 @@ fn contend_jobs(run_blocks: u32) -> Vec<TenantJob> {
     ]
 }
 
-const CONTEND_SHARED: SharedSpec = SharedSpec { disks: 8, cache_blocks: 24000 };
+const CONTEND_SHARED: SharedSpec = SharedSpec {
+    disks: 8,
+    cache_blocks: 24000,
+};
 
 /// Runs `jobs` through a reused tenant simulator and scheduler and
 /// returns the requests replayed.
 fn contend(s: &mut (TenantSim, Wfq), jobs: &[TenantJob], seed: u64, m: &impl MetricsSink) -> u64 {
     let opts = TenantSimOptions { jobs: 1 };
     let report =
-        s.0.run(jobs, &StaticPartition, &mut s.1, seed, &opts, m).expect("valid contend scenario");
+        s.0.run(jobs, &StaticPartition, &mut s.1, seed, &opts, m)
+            .expect("valid contend scenario");
     report.tenants.iter().map(|t| t.requests).sum()
 }
 
@@ -315,8 +353,11 @@ fn counted(f: impl FnOnce() -> u64) -> (u64, u64) {
 /// The simulator-core probe configuration: the paper's 25-run, 8-disk,
 /// inter-run N=10, C=1200 case at `run_blocks` blocks per run.
 fn probe_cfg(run_blocks: u32) -> MergeConfig {
-    let mut cfg =
-        ScenarioBuilder::new(25, 8).inter(10).cache_blocks(1200).build().expect("valid probe");
+    let mut cfg = ScenarioBuilder::new(25, 8)
+        .inter(10)
+        .cache_blocks(1200)
+        .build()
+        .expect("valid probe");
     cfg.run_blocks = run_blocks;
     cfg
 }
@@ -329,7 +370,13 @@ const ENGINE_MAX_ALLOCS_PER_BLOCK: f64 = 0.01;
 
 /// An allocation probe: its JSON key, the unit it counts, what it probes,
 /// the most allocations per unit it may find, and its body.
-type ProbeRow = (&'static str, &'static str, &'static str, f64, Box<dyn FnOnce() -> Probe>);
+type ProbeRow = (
+    &'static str,
+    &'static str,
+    &'static str,
+    f64,
+    Box<dyn FnOnce() -> Probe>,
+);
 
 /// A [`ProbeRow`] that runs [`probe`] over `sizes` with `run`.
 fn probe_row(
@@ -340,7 +387,13 @@ fn probe_row(
     sizes: [u32; 3],
     run: impl FnMut(u32) -> (u64, u64) + 'static,
 ) -> ProbeRow {
-    (key, unit, label, max_per_unit, Box::new(move || probe(sizes, run)))
+    (
+        key,
+        unit,
+        label,
+        max_per_unit,
+        Box::new(move || probe(sizes, run)),
+    )
 }
 
 /// The `contend_d8_t4` mix through one reused simulator and scheduler,
@@ -367,58 +420,93 @@ fn probes() -> Vec<ProbeRow> {
     let sim_metrics = StackMetrics::new(8, &[]);
     vec![
         // Construction is outside the count.
-        probe_row("alloc_probe", "block", "sim core", 0.0, [100, 400, 1600], |n| {
-            let sim = MergeSim::new(probe_cfg(n)).expect("valid probe config");
-            counted(|| sim.run(&mut UniformDepletion).blocks_merged)
-        }),
+        probe_row(
+            "alloc_probe",
+            "block",
+            "sim core",
+            0.0,
+            [100, 400, 1600],
+            |n| {
+                let sim = MergeSim::new(probe_cfg(n)).expect("valid probe config");
+                counted(|| sim.run(&mut UniformDepletion).blocks_merged)
+            },
+        ),
         contend_probe("contend_alloc_probe", "scheduling", NullMetrics),
         // The experiment pipeline: `run_suite` with a formatting progress
         // sink, plus manifest rendering.
-        probe_row("obs_alloc_probe", "block", "progress + manifest", 0.0, [100, 400, 1600], |n| {
-            let points = vec![PointSpec {
-                kind: RecordKind::T1Case,
-                label: "obs alloc probe".into(),
-                sweep: None,
-                x: None,
-                x_label: None,
-                config: probe_cfg(n),
-            }];
-            let opts = SuiteOptions { trials: TrialsMode::Fixed(2), ..SuiteOptions::new(7) };
-            counted(|| {
-                let records =
-                    run_suite(&points, &opts, &FormattingProgress).expect("valid probe config");
-                std::hint::black_box(render_manifest(&records).len());
-                records[0].metrics.blocks_merged
-            })
-        }),
+        probe_row(
+            "obs_alloc_probe",
+            "block",
+            "progress + manifest",
+            0.0,
+            [100, 400, 1600],
+            |n| {
+                let points = vec![PointSpec {
+                    kind: RecordKind::T1Case,
+                    label: "obs alloc probe".into(),
+                    sweep: None,
+                    x: None,
+                    x_label: None,
+                    config: probe_cfg(n),
+                }];
+                let opts = SuiteOptions {
+                    trials: TrialsMode::Fixed(2),
+                    ..SuiteOptions::new(7)
+                };
+                counted(|| {
+                    let records =
+                        run_suite(&points, &opts, &FormattingProgress).expect("valid probe config");
+                    std::hint::black_box(render_manifest(&records).len());
+                    records[0].metrics.blocks_merged
+                })
+            },
+        ),
         // `run_trial_range` recording each trial into a live `StackMetrics`.
         // Recording is pre-bound atomics; the one allocating site (the
         // strategy cell's first lookup) fires during warm-up.
-        probe_row("metered_alloc_probe", "block", "metered", 0.0, [100, 400, 1600], move |n| {
-            let cfg = probe_cfg(n);
-            counted(|| {
-                let strategy = cfg.strategy.label();
-                let reports = run_trial_range(&cfg, 0, 1, 1, &|_, r| {
-                    sim_metrics.trial_done(
-                        strategy,
-                        r.blocks_merged,
-                        r.demand_ops,
-                        r.fallback_ops,
-                        r.full_prefetch_ops,
-                    );
+        probe_row(
+            "metered_alloc_probe",
+            "block",
+            "metered",
+            0.0,
+            [100, 400, 1600],
+            move |n| {
+                let cfg = probe_cfg(n);
+                counted(|| {
+                    let strategy = cfg.strategy.label();
+                    let reports = run_trial_range(&cfg, 0, 1, 1, &|_, r| {
+                        sim_metrics.trial_done(
+                            strategy,
+                            r.blocks_merged,
+                            r.demand_ops,
+                            r.fallback_ops,
+                            r.full_prefetch_ops,
+                        );
+                    })
+                    .expect("valid metered probe config");
+                    reports[0].blocks_merged
                 })
-                .expect("valid metered probe config");
-                reports[0].blocks_merged
-            })
-        }),
+            },
+        ),
         // Every replayed request records disk I/O, tenant wait, WFQ lag and
         // a queue-depth sample, all on pre-bound handles.
-        contend_probe("contend_metered_alloc_probe", "metered", StackMetrics::new(8, &names)),
+        contend_probe(
+            "contend_metered_alloc_probe",
+            "metered",
+            StackMetrics::new(8, &names),
+        ),
         // `LoserTree` allocates in `new` and nowhere else.
-        probe_row("merge_alloc_probe", "record", "loser tree, k=64", 0.0, [256, 1024, 4096], |n| {
-            let runs = merge_runs(n as usize);
-            counted(|| merge_records(&runs))
-        }),
+        probe_row(
+            "merge_alloc_probe",
+            "record",
+            "loser tree, k=64",
+            0.0,
+            [256, 1024, 4096],
+            |n| {
+                let runs = merge_runs(n as usize);
+                counted(|| merge_records(&runs))
+            },
+        ),
         // `MergeEngine::execute` on `ThreadedQueue::memory` (the merge
         // thread and one I/O worker) at the `sort_mem_1pass` shape: 64 runs
         // on 8 disks, inter-run N=4, 40 records per block. Planning and
@@ -443,7 +531,13 @@ fn probes() -> Vec<ProbeRow> {
                     ThreadedQueue::memory(8, engine.block_bytes(), engine.queue_options());
                 engine.load(&mut queue, &runs).expect("memory load");
                 let queue: Box<dyn IoQueue> = Box::new(queue);
-                counted(|| engine.execute(queue).expect("engine probe merge").report.blocks_merged)
+                counted(|| {
+                    engine
+                        .execute(queue)
+                        .expect("engine probe merge")
+                        .report
+                        .blocks_merged
+                })
             },
         ),
     ]
@@ -473,9 +567,14 @@ fn obj<const N: usize>(pairs: [(&str, Value); N]) -> Value {
 
 /// Lays the run out as JSON with one scenario, and one probe, per line.
 fn render(scenarios: &[Value], probes: &[(&str, Value)]) -> String {
-    let rows: Vec<String> = scenarios.iter().map(|s| format!("    {}", s.to_json())).collect();
-    let mut out =
-        format!("{{\n  \"schema\": \"{SCHEMA}\",\n  \"scenarios\": [\n{}\n  ]", rows.join(",\n"));
+    let rows: Vec<String> = scenarios
+        .iter()
+        .map(|s| format!("    {}", s.to_json()))
+        .collect();
+    let mut out = format!(
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"scenarios\": [\n{}\n  ]",
+        rows.join(",\n")
+    );
     for (key, p) in probes {
         out.push_str(&format!(",\n  \"{key}\": {}", p.to_json()));
     }
@@ -489,13 +588,19 @@ fn rates(text: &str) -> Result<Vec<(String, f64)>, String> {
     if doc.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
         return Err(format!("not a {SCHEMA} document"));
     }
-    let rows = doc.get("scenarios").and_then(Value::as_arr).ok_or("no \"scenarios\" array")?;
+    let rows = doc
+        .get("scenarios")
+        .and_then(Value::as_arr)
+        .ok_or("no \"scenarios\" array")?;
     rows.iter()
         .map(|row| {
             let name = row.get("name").and_then(Value::as_str);
             match (name, row.get("ops_per_sec").and_then(Value::as_f64)) {
                 (Some(name), Some(ops)) => Ok((name.to_owned(), ops)),
-                _ => Err(format!("a scenario lacks a name or ops_per_sec: {}", row.to_json())),
+                _ => Err(format!(
+                    "a scenario lacks a name or ops_per_sec: {}",
+                    row.to_json()
+                )),
             }
         })
         .collect()
@@ -548,8 +653,11 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             ("--out", Some(path)) => out = path,
             ("--baseline", Some(path)) => baseline = Some(path),
             ("--repeats", Some(n)) => {
-                repeats =
-                    n.parse().ok().filter(|&n| n > 0).ok_or("--repeats takes a positive count")?;
+                repeats = n
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or("--repeats takes a positive count")?;
             }
             _ => return Err(format!("unknown flag or missing value: {flag}")),
         }
@@ -599,7 +707,10 @@ fn main() -> ExitCode {
             p.base_units, p.base_allocs, p.scaled_units, p.scaled_allocs, p.per_unit
         );
         if p.per_unit > max_per_unit {
-            eprintln!("FAIL: {key} allocates {:.4} per {unit} (gate {max_per_unit})", p.per_unit);
+            eprintln!(
+                "FAIL: {key} allocates {:.4} per {unit} (gate {max_per_unit})",
+                p.per_unit
+            );
             failed = true;
         }
         probe_rows.push((
@@ -607,7 +718,10 @@ fn main() -> ExitCode {
             obj([
                 (&format!("base_{unit}s"), Value::Num(p.base_units as f64)),
                 ("base_allocs", Value::Num(p.base_allocs as f64)),
-                (&format!("scaled_{unit}s"), Value::Num(p.scaled_units as f64)),
+                (
+                    &format!("scaled_{unit}s"),
+                    Value::Num(p.scaled_units as f64),
+                ),
                 ("scaled_allocs", Value::Num(p.scaled_allocs as f64)),
                 (&format!("per_{unit}_allocs"), Value::Num(p.per_unit)),
             ]),
@@ -644,10 +758,16 @@ mod tests {
         let rows: Vec<Value> = rows
             .iter()
             .map(|&(name, ops)| {
-                obj([("name", Value::Str(name.into())), ("ops_per_sec", Value::Num(ops))])
+                obj([
+                    ("name", Value::Str(name.into())),
+                    ("ops_per_sec", Value::Num(ops)),
+                ])
             })
             .collect();
-        render(&rows, &[("alloc_probe", obj([("per_block_allocs", Value::Num(0.0))]))])
+        render(
+            &rows,
+            &[("alloc_probe", obj([("per_block_allocs", Value::Num(0.0))]))],
+        )
     }
 
     #[test]
@@ -675,12 +795,24 @@ mod tests {
     fn the_gate_needs_a_parsable_baseline_that_shares_a_scenario() {
         let run = run_of(&[("a", 100.0), ("new", 5.0)]);
         assert!(gate(&run, &run_of(&[("a", 140.0), ("gone", 1.0)])));
-        assert!(!gate(&run, &run_of(&[("a", 150.0)])), "a fell more than 30%");
-        assert!(!gate(&run, &run_of(&[("a", 150.0)]).replace(',', ",\n")), "multi-line");
+        assert!(
+            !gate(&run, &run_of(&[("a", 150.0)])),
+            "a fell more than 30%"
+        );
+        assert!(
+            !gate(&run, &run_of(&[("a", 150.0)]).replace(',', ",\n")),
+            "multi-line"
+        );
         assert!(!gate(&run, &run_of(&[("b", 100.0)])), "disjoint");
         assert!(!gate(&run, &run_of(&[])), "empty");
-        assert!(!gate(&run, "{\"schema\": \"pm-bench/perf-smoke/v1\", \"scenarios\": ["));
-        assert!(!gate(&run, "{\"scenarios\": [{\"name\": \"a\", \"ops_per_sec\": 1}]}"));
+        assert!(!gate(
+            &run,
+            "{\"schema\": \"pm-bench/perf-smoke/v1\", \"scenarios\": ["
+        ));
+        assert!(!gate(
+            &run,
+            "{\"scenarios\": [{\"name\": \"a\", \"ops_per_sec\": 1}]}"
+        ));
     }
 
     #[test]
@@ -689,7 +821,13 @@ mod tests {
         let all = parse("--out o.json --repeats 2 --baseline b.json");
         assert_eq!(all, Ok(("o.json".into(), 2, Some("b.json".into()))));
         assert_eq!(parse(""), Ok(("BENCH_core.json".into(), 5, None)));
-        for bad in ["--quick", "--check-alloc", "--max-regress 30", "--repeats 0", "--out"] {
+        for bad in [
+            "--quick",
+            "--check-alloc",
+            "--max-regress 30",
+            "--repeats 0",
+            "--out",
+        ] {
             assert!(parse(bad).is_err(), "{bad}");
         }
     }

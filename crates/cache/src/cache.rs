@@ -177,7 +177,10 @@ impl BlockCache {
     /// Panics if `run` has no reserved frames.
     pub fn block_arrived(&mut self, run: RunId) {
         let s = self.slots_mut(run);
-        assert!(s.reserved > 0, "arrival for run {run:?} with no reservation");
+        assert!(
+            s.reserved > 0,
+            "arrival for run {run:?} with no reservation"
+        );
         s.reserved -= 1;
         s.resident += 1;
     }
@@ -190,7 +193,10 @@ impl BlockCache {
     /// demand fetch instead.
     pub fn deplete(&mut self, run: RunId) {
         let s = self.slots_mut(run);
-        assert!(s.resident > 0, "depletion of run {run:?} with no resident block");
+        assert!(
+            s.resident > 0,
+            "depletion of run {run:?} with no resident block"
+        );
         s.resident -= 1;
         self.free += 1;
     }

@@ -183,7 +183,10 @@ mod tests {
         for p in [AdmissionPolicy::AllOrNothing, AdmissionPolicy::Greedy] {
             assert_eq!(AdmissionPolicy::from_label(p.label()), Some(p));
         }
-        assert_eq!(AdmissionPolicy::from_label("aon"), Some(AdmissionPolicy::AllOrNothing));
+        assert_eq!(
+            AdmissionPolicy::from_label("aon"),
+            Some(AdmissionPolicy::AllOrNothing)
+        );
         assert_eq!(AdmissionPolicy::from_label("bogus"), None);
     }
 

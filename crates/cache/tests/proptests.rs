@@ -24,7 +24,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(|run| Op::Arrive { run }),
         any::<u8>().prop_map(|run| Op::Deplete { run }),
         (any::<u8>(), 0u8..20).prop_map(|(run, n)| Op::Cancel { run, n }),
-        (any::<bool>(), prop::collection::vec((any::<u8>(), 0u8..10), 0..5))
+        (
+            any::<bool>(),
+            prop::collection::vec((any::<u8>(), 0u8..10), 0..5)
+        )
             .prop_map(|(policy, groups)| Op::Admit { policy, groups }),
     ]
 }

@@ -49,7 +49,10 @@ pub fn parse_batch(contents: &str) -> Result<Vec<BatchLine>, PmError> {
         };
         let name = name.trim();
         if name.is_empty() {
-            return Err(PmError::Usage(format!("line {}: empty scenario name", lineno + 1)));
+            return Err(PmError::Usage(format!(
+                "line {}: empty scenario name",
+                lineno + 1
+            )));
         }
         let mut tokens = Vec::new();
         for word in rest.split_whitespace() {
@@ -104,8 +107,25 @@ synced: runs=4 disks=2 sync
         let lines = parse_batch(text).unwrap();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0].name, "baseline");
-        assert_eq!(lines[1].tokens, vec!["--runs", "25", "--disks", "5", "--strategy", "inter", "--n", "10", "--cache", "1200"]);
-        assert_eq!(lines[2].tokens, vec!["--runs", "4", "--disks", "2", "--sync"]);
+        assert_eq!(
+            lines[1].tokens,
+            vec![
+                "--runs",
+                "25",
+                "--disks",
+                "5",
+                "--strategy",
+                "inter",
+                "--n",
+                "10",
+                "--cache",
+                "1200"
+            ]
+        );
+        assert_eq!(
+            lines[2].tokens,
+            vec!["--runs", "4", "--disks", "2", "--sync"]
+        );
         let args = line_args(&lines[2]).unwrap();
         assert!(args.flag("sync"));
         assert_eq!(args.get("runs"), Some("4"));
@@ -119,9 +139,18 @@ synced: runs=4 disks=2 sync
 
     #[test]
     fn rejects_empty_name_and_malformed_options() {
-        assert!(parse_batch(": runs=4\n").unwrap_err().to_string().contains("empty scenario name"));
-        assert!(parse_batch("x: runs=\n").unwrap_err().to_string().contains("malformed option"));
-        assert!(parse_batch("x: =4\n").unwrap_err().to_string().contains("malformed option"));
+        assert!(parse_batch(": runs=4\n")
+            .unwrap_err()
+            .to_string()
+            .contains("empty scenario name"));
+        assert!(parse_batch("x: runs=\n")
+            .unwrap_err()
+            .to_string()
+            .contains("malformed option"));
+        assert!(parse_batch("x: =4\n")
+            .unwrap_err()
+            .to_string()
+            .contains("malformed option"));
     }
 
     #[test]

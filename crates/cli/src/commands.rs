@@ -60,7 +60,10 @@ pub fn simulate(args: &Args) -> Result<(), PmError> {
     );
     println!("trials:   {trials}\n");
     println!("total time        {}", summary.ci_total_secs);
-    println!("I/O concurrency   {:.2} (peak {})", summary.mean_concurrency, r.peak_busy_disks);
+    println!(
+        "I/O concurrency   {:.2} (peak {})",
+        summary.mean_concurrency, r.peak_busy_disks
+    );
     if let Some(ratio) = summary.mean_success_ratio {
         println!("success ratio     {ratio:.3}");
     }
@@ -99,8 +102,7 @@ pub fn trace(args: &Args) -> Result<(), PmError> {
     let (cfg, trials) = scenario(args)?;
     let format = args.get("trace-format").unwrap_or("chrome");
     let limit: usize = args.get_parsed("trace-limit", 0usize)?;
-    let (summary, sink) =
-        run_trials_traced(&cfg, trials, 1, (limit > 0).then_some(limit))?;
+    let (summary, sink) = run_trials_traced(&cfg, trials, 1, (limit > 0).then_some(limit))?;
     let events = sink.events();
     let rendered = render_trace(&events, format)?;
     let Some(path) = args.get("trace-out") else {
@@ -108,7 +110,8 @@ pub fn trace(args: &Args) -> Result<(), PmError> {
         print!("{rendered}");
         return Ok(());
     };
-    std::fs::write(path, &rendered).map_err(|e| PmError::io(format!("cannot write '{path}'"), e))?;
+    std::fs::write(path, &rendered)
+        .map_err(|e| PmError::io(format!("cannot write '{path}'"), e))?;
 
     let m = TraceMetrics::from_events(&events);
     println!(
@@ -142,7 +145,10 @@ pub fn trace(args: &Args) -> Result<(), PmError> {
             format!("{:.2}", lane.utilization(m.span_end)),
             lane.requests.to_string(),
             lane.sequential.to_string(),
-            format!("{:.2}", lane.queue_depth.average_until(span_ns).unwrap_or(0.0)),
+            format!(
+                "{:.2}",
+                lane.queue_depth.average_until(span_ns).unwrap_or(0.0)
+            ),
         ]);
     };
     for (d, lane) in m.input_disks.iter().enumerate() {
@@ -155,13 +161,15 @@ pub fn trace(args: &Args) -> Result<(), PmError> {
     println!(
         "demand misses     {} ({} per merged block)",
         m.demand_misses,
-        m.miss_rate().map_or_else(|| "-".into(), |r| format!("{r:.3}")),
+        m.miss_rate()
+            .map_or_else(|| "-".into(), |r| format!("{r:.3}")),
     );
     if m.prefetch_batches > 0 {
         println!(
             "prefetch batches  {}, group admit rate {}, {} blocks admitted / {} rejected",
             m.prefetch_batches,
-            m.admit_rate().map_or_else(|| "-".into(), |r| format!("{r:.3}")),
+            m.admit_rate()
+                .map_or_else(|| "-".into(), |r| format!("{r:.3}")),
             m.admitted_blocks,
             m.rejected_blocks,
         );
@@ -187,17 +195,40 @@ pub fn analyze(args: &Args) -> Result<(), PmError> {
         ..ModelParams::paper()
     };
     let total = |tau: f64| equations::total_seconds(&p, k, tau);
-    let mut t = Table::new(vec!["prediction".into(), "tau (ms/blk)".into(), "total (s)".into()]);
+    let mut t = Table::new(vec![
+        "prediction".into(),
+        "tau (ms/blk)".into(),
+        "total (s)".into(),
+    ]);
     t.set_align(1, Align::Right);
     t.set_align(2, Align::Right);
     let mut row = |name: &str, tau: f64| {
-        t.add_row(vec![name.into(), format!("{tau:.3}"), format!("{:.1}", total(tau))]);
+        t.add_row(vec![
+            name.into(),
+            format!("{tau:.3}"),
+            format!("{:.1}", total(tau)),
+        ]);
     };
-    row("eq1: single disk, no prefetch", equations::tau_single_no_prefetch(&p, k));
-    row("eq2: single disk, intra-run", equations::tau_single_intra(&p, k, n));
-    row("eq3: D disks, no prefetch", equations::tau_multi_no_prefetch(&p, k, d));
-    row("eq4: D disks, intra-run sync", equations::tau_multi_intra_sync(&p, k, d, n));
-    row("eq5: D disks, inter-run sync", equations::tau_inter_sync(&p, k, d, n));
+    row(
+        "eq1: single disk, no prefetch",
+        equations::tau_single_no_prefetch(&p, k),
+    );
+    row(
+        "eq2: single disk, intra-run",
+        equations::tau_single_intra(&p, k, n),
+    );
+    row(
+        "eq3: D disks, no prefetch",
+        equations::tau_multi_no_prefetch(&p, k, d),
+    );
+    row(
+        "eq4: D disks, intra-run sync",
+        equations::tau_multi_intra_sync(&p, k, d, n),
+    );
+    row(
+        "eq5: D disks, inter-run sync",
+        equations::tau_inter_sync(&p, k, d, n),
+    );
     println!("closed-form predictions for k={k}, D={d}, N={n}, {blocks}-block runs\n");
     println!("{}", t.render());
     println!(
@@ -245,7 +276,10 @@ pub fn sweep(args: &Args) -> Result<(), PmError> {
                     }
                     PrefetchStrategy::InterRun { .. } => PrefetchStrategy::InterRun { n },
                     PrefetchStrategy::InterRunAdaptive { n_min, .. } => {
-                        PrefetchStrategy::InterRunAdaptive { n_min, n_max: n.max(n_min) }
+                        PrefetchStrategy::InterRunAdaptive {
+                            n_min,
+                            n_max: n.max(n_min),
+                        }
                     }
                 };
                 // Re-derive the default cache unless pinned explicitly.
@@ -259,13 +293,18 @@ pub fn sweep(args: &Args) -> Result<(), PmError> {
             "disks" => cfg.disks = x as u32,
             other => return Err(PmError::Usage(format!("cannot sweep '{other}'"))),
         }
-        cfg.validate().map_err(|e| PmError::Usage(format!("at {param}={x}: {e}")))?;
+        cfg.validate()
+            .map_err(|e| PmError::Usage(format!("at {param}={x}: {e}")))?;
         let summary = run_trials(&cfg, trials)?;
         points.push((x, summary.mean_total_secs, summary.mean_success_ratio));
         x += step;
     }
 
-    let mut t = Table::new(vec![param.clone(), "total (s)".into(), "success ratio".into()]);
+    let mut t = Table::new(vec![
+        param.clone(),
+        "total (s)".into(),
+        "success ratio".into(),
+    ]);
     t.set_align(1, Align::Right);
     t.set_align(2, Align::Right);
     for &(x, secs, ratio) in &points {
@@ -276,12 +315,14 @@ pub fn sweep(args: &Args) -> Result<(), PmError> {
         ]);
     }
     let mut plot = AsciiPlot::new(format!("total time vs {param}"), 64, 16);
-    plot.add_series("total (s)", points.iter().map(|&(x, y, _)| (x, y)).collect());
+    plot.add_series(
+        "total (s)",
+        points.iter().map(|&(x, y, _)| (x, y)).collect(),
+    );
     println!("{}", plot.render());
     println!("{}", t.render());
     Ok(())
 }
-
 
 /// `pmerge batch <file>`
 pub fn run_batch(args: &Args) -> Result<(), PmError> {
@@ -353,10 +394,9 @@ fn validate_options(args: &Args) -> Result<SuiteOptions, PmError> {
                 ..ConvergencePolicy::default()
             })
         }
-        t => TrialsMode::Fixed(
-            t.parse()
-                .map_err(|_| PmError::Usage(format!("--trials must be a count or 'auto', got '{t}'")))?,
-        ),
+        t => TrialsMode::Fixed(t.parse().map_err(|_| {
+            PmError::Usage(format!("--trials must be a count or 'auto', got '{t}'"))
+        })?),
     };
     let defaults = TolerancePolicy::default();
     let tolerance = TolerancePolicy {
@@ -382,19 +422,32 @@ fn validate_options(args: &Args) -> Result<SuiteOptions, PmError> {
 /// maps to exit status 1 (usage and I/O failures exit 2).
 pub fn validate(args: &Args) -> Result<(), PmError> {
     args.check_known(&[
-        "quick", "html", "manifest", "manifest-out", "trials", "rel-ci", "min-trials",
-        "max-trials", "jobs", "seed", "trace", "record-env", "progress", "tol-eq",
-        "tol-striped", "tol-bound", "tol-conc",
+        "quick",
+        "html",
+        "manifest",
+        "manifest-out",
+        "trials",
+        "rel-ci",
+        "min-trials",
+        "max-trials",
+        "jobs",
+        "seed",
+        "trace",
+        "record-env",
+        "progress",
+        "tol-eq",
+        "tol-striped",
+        "tol-bound",
+        "tol-conc",
     ])?;
     let opts = validate_options(args)?;
     let points = validation_points(opts.master_seed, args.flag("quick"));
-    let progress: Box<dyn ProgressSink> = if args.flag("progress")
-        || std::io::IsTerminal::is_terminal(&std::io::stderr())
-    {
-        Box::new(StderrProgress::new())
-    } else {
-        Box::new(NullProgress)
-    };
+    let progress: Box<dyn ProgressSink> =
+        if args.flag("progress") || std::io::IsTerminal::is_terminal(&std::io::stderr()) {
+            Box::new(StderrProgress::new())
+        } else {
+            Box::new(NullProgress)
+        };
     let started = std::time::Instant::now();
     let records = run_suite(&points, &opts, progress.as_ref())?;
     let wall_secs = started.elapsed().as_secs_f64();
@@ -497,7 +550,9 @@ pub fn report(args: &Args) -> Result<(), PmError> {
         .map_err(|e| PmError::io(format!("cannot read '{path}'"), e))?;
     let records = parse_manifest(&contents).map_err(|e| PmError::Usage(format!("{path}: {e}")))?;
     if records.is_empty() {
-        return Err(PmError::Usage(format!("'{path}' contains no manifest records")));
+        return Err(PmError::Usage(format!(
+            "'{path}' contains no manifest records"
+        )));
     }
     let html = render_report(&records);
     match args.get("html") {
@@ -536,11 +591,33 @@ mod tests {
     fn scenario_parses_every_option() {
         let (cfg, trials) = scenario(&args(&[
             "simulate",
-            "--runs", "10", "--blocks", "100", "--disks", "2",
-            "--strategy", "intra", "--n", "4", "--cache", "80",
-            "--sync", "--cpu-ms", "0.5", "--admission", "greedy",
-            "--choice", "least-held", "--write-disks", "2",
-            "--write-buffer", "16", "--trials", "3", "--seed", "7",
+            "--runs",
+            "10",
+            "--blocks",
+            "100",
+            "--disks",
+            "2",
+            "--strategy",
+            "intra",
+            "--n",
+            "4",
+            "--cache",
+            "80",
+            "--sync",
+            "--cpu-ms",
+            "0.5",
+            "--admission",
+            "greedy",
+            "--choice",
+            "least-held",
+            "--write-disks",
+            "2",
+            "--write-buffer",
+            "16",
+            "--trials",
+            "3",
+            "--seed",
+            "7",
         ]))
         .unwrap();
         assert_eq!(cfg.runs, 10);
@@ -550,7 +627,13 @@ mod tests {
         assert_eq!(cfg.cache_blocks, 80);
         assert_eq!(cfg.admission, AdmissionPolicy::Greedy);
         assert_eq!(cfg.prefetch_choice, PrefetchChoice::LeastHeld);
-        assert_eq!(cfg.write, Some(WriteSpec { disks: 2, buffer_blocks: 16 }));
+        assert_eq!(
+            cfg.write,
+            Some(WriteSpec {
+                disks: 2,
+                buffer_blocks: 16
+            })
+        );
         assert_eq!(cfg.seed, 7);
         assert_eq!(trials, 3);
     }
@@ -572,18 +655,24 @@ mod tests {
         // inter-run ones — the adaptive variant sizes on its floor
         // n_min = 1, NOT the --n ceiling.
         let cases = [
-            ("none", 25),          // 25 * 1
-            ("intra", 25 * 10),    // 25 * n
-            ("inter", 4 * 25 * 10),// 4 * 25 * n
-            ("adaptive", 4 * 25),  // 4 * 25 * n_min
+            ("none", 25),           // 25 * 1
+            ("intra", 25 * 10),     // 25 * n
+            ("inter", 4 * 25 * 10), // 4 * 25 * n
+            ("adaptive", 4 * 25),   // 4 * 25 * n_min
         ];
         for (strategy, expected) in cases {
             let (cfg, _) = scenario(&args(&["simulate", "--strategy", strategy])).unwrap();
             assert_eq!(cfg.cache_blocks, expected, "strategy {strategy}");
         }
         // An explicit --cache always wins.
-        let (cfg, _) =
-            scenario(&args(&["simulate", "--strategy", "adaptive", "--cache", "500"])).unwrap();
+        let (cfg, _) = scenario(&args(&[
+            "simulate",
+            "--strategy",
+            "adaptive",
+            "--cache",
+            "500",
+        ]))
+        .unwrap();
         assert_eq!(cfg.cache_blocks, 500);
     }
 
@@ -591,8 +680,7 @@ mod tests {
     fn trace_writes_every_format() {
         let dir = std::env::temp_dir();
         let scenario_args = [
-            "trace", "--runs", "4", "--blocks", "20", "--disks", "2",
-            "--n", "2", "--trials", "2",
+            "trace", "--runs", "4", "--blocks", "20", "--disks", "2", "--n", "2", "--trials", "2",
         ];
         for (format, probe) in [
             ("chrome", "\"traceEvents\""),
@@ -615,9 +703,23 @@ mod tests {
         let path = std::env::temp_dir().join("pmerge-trace-limit.csv");
         let p = path.to_str().unwrap().to_string();
         trace(&args(&[
-            "trace", "--runs", "4", "--blocks", "20", "--disks", "2", "--n", "2",
-            "--trials", "1", "--trace-limit", "10", "--trace-format", "csv",
-            "--trace-out", &p,
+            "trace",
+            "--runs",
+            "4",
+            "--blocks",
+            "20",
+            "--disks",
+            "2",
+            "--n",
+            "2",
+            "--trials",
+            "1",
+            "--trace-limit",
+            "10",
+            "--trace-format",
+            "csv",
+            "--trace-out",
+            &p,
         ]))
         .unwrap();
         let contents = std::fs::read_to_string(&path).unwrap();
@@ -633,32 +735,57 @@ mod tests {
     #[test]
     fn simulate_runs_small_scenario() {
         simulate(&args(&[
-            "simulate", "--runs", "4", "--blocks", "20", "--disks", "2",
-            "--n", "2", "--trials", "2",
+            "simulate", "--runs", "4", "--blocks", "20", "--disks", "2", "--n", "2", "--trials",
+            "2",
         ]))
         .unwrap();
     }
 
     #[test]
     fn analyze_prints_predictions() {
-        analyze(&args(&["analyze", "--runs", "25", "--disks", "5", "--n", "10"])).unwrap();
+        analyze(&args(&[
+            "analyze", "--runs", "25", "--disks", "5", "--n", "10",
+        ]))
+        .unwrap();
         assert!(analyze(&args(&["analyze", "--runs", "0"])).is_err());
     }
 
     #[test]
     fn sweep_small_range() {
         sweep(&args(&[
-            "sweep", "--param", "n", "--from", "1", "--to", "3", "--step", "1",
-            "--runs", "4", "--blocks", "20", "--disks", "2", "--strategy", "intra",
-            "--trials", "2",
+            "sweep",
+            "--param",
+            "n",
+            "--from",
+            "1",
+            "--to",
+            "3",
+            "--step",
+            "1",
+            "--runs",
+            "4",
+            "--blocks",
+            "20",
+            "--disks",
+            "2",
+            "--strategy",
+            "intra",
+            "--trials",
+            "2",
         ]))
         .unwrap();
     }
 
     #[test]
     fn sweep_rejects_bad_ranges() {
-        assert!(sweep(&args(&["sweep", "--param", "n", "--from", "5", "--to", "1"])).is_err());
-        assert!(sweep(&args(&["sweep", "--param", "bogus", "--from", "1", "--to", "2"])).is_err());
+        assert!(sweep(&args(&[
+            "sweep", "--param", "n", "--from", "5", "--to", "1"
+        ]))
+        .is_err());
+        assert!(sweep(&args(&[
+            "sweep", "--param", "bogus", "--from", "1", "--to", "2"
+        ]))
+        .is_err());
         assert!(sweep(&args(&["sweep"])).is_err());
     }
 
@@ -685,8 +812,12 @@ mod tests {
     #[test]
     fn batch_reports_bad_scenarios() {
         let path = std::env::temp_dir().join("pmerge-batch-bad.txt");
-        std::fs::write(&path, "broken: cache=1
-").unwrap();
+        std::fs::write(
+            &path,
+            "broken: cache=1
+",
+        )
+        .unwrap();
         let a = args(&["batch", "--file", path.to_str().unwrap()]);
         let err = run_batch(&a).unwrap_err();
         assert!(err.to_string().contains("broken"));
@@ -715,8 +846,14 @@ mod tests {
         assert_eq!(opts.master_seed, 7);
         assert!((opts.tolerance.equation_rel - 0.001).abs() < 1e-12);
 
-        let opts = validate_options(&args(&["validate", "--rel-ci", "0.05", "--max-trials", "6"]))
-            .unwrap();
+        let opts = validate_options(&args(&[
+            "validate",
+            "--rel-ci",
+            "0.05",
+            "--max-trials",
+            "6",
+        ]))
+        .unwrap();
         match opts.trials {
             TrialsMode::Auto(p) => {
                 assert!((p.rel_ci - 0.05).abs() < 1e-12);
@@ -734,7 +871,11 @@ mod tests {
     fn report_round_trips_a_manifest() {
         // validate is too slow for a unit test; render a manifest from the
         // library's suite driver on a tiny point instead.
-        let cfg = ScenarioBuilder::new(4, 2).intra(5).run_blocks(40).build().unwrap();
+        let cfg = ScenarioBuilder::new(4, 2)
+            .intra(5)
+            .run_blocks(40)
+            .build()
+            .unwrap();
         let points = vec![pm_obs::PointSpec {
             kind: pm_obs::RecordKind::T1Case,
             label: "tiny".into(),

@@ -50,15 +50,29 @@ use crate::scenario::{self, ENGINE_KEYS};
 /// Flags `exec` accepts (see the usage text for semantics).
 const EXEC_KEYS: &[&str] = &[
     // Workload and run formation.
-    "records", "memory", "formation", "rpb",
+    "records",
+    "memory",
+    "formation",
+    "rpb",
     // Execution (the scenario flags are ENGINE_KEYS; the run count comes
     // from formation, not --runs).
-    "backend", "dir", "jobs", "queue-depth", "time-scale",
+    "backend",
+    "dir",
+    "jobs",
+    "queue-depth",
+    "time-scale",
     // Multi-pass planning (presence of either selects the multi-pass path).
-    "fan-in", "passes", "plan-policy",
+    "fan-in",
+    "passes",
+    "plan-policy",
     // Outputs and checks.
-    "out", "trace-out", "trace-format", "manifest-out", "tol-exec",
-    "metrics-out", "metrics-interval",
+    "out",
+    "trace-out",
+    "trace-format",
+    "manifest-out",
+    "tol-exec",
+    "metrics-out",
+    "metrics-interval",
 ];
 
 /// Runs the engine through the metered entry point when `--metrics-out`
@@ -172,7 +186,9 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
     let records: usize = args.get_parsed("records", 50_000usize)?;
     let memory: usize = args.get_parsed("memory", 5_000usize)?;
     if records == 0 || memory == 0 {
-        return Err(PmError::Usage("--records and --memory must be positive".into()));
+        return Err(PmError::Usage(
+            "--records and --memory must be positive".into(),
+        ));
     }
     // O_DIRECT backends need 512-byte-aligned blocks: 32 records/block
     // (512 B) aligns, the classic 40 (640 B) does not.
@@ -228,7 +244,9 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
         .map(|(ma, m)| ma.live(m));
     let root = device_root(args);
     let outcome = {
-        let mut queue = backend.pass_backend(root.clone()).open_queue(&engine, &root)?;
+        let mut queue = backend
+            .pass_backend(root.clone())
+            .open_queue(&engine, &root)?;
         engine.load(&mut *queue, &runs)?;
         // The queue holds the runs now.
         drop(runs);
@@ -275,7 +293,13 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
             .iter()
             .map(|d| d.as_secs_f64())
             .sum();
-        ResidualCheck::evaluate("engine-read-time", predicted, measured, tol_exec, Bound::TwoSided)
+        ResidualCheck::evaluate(
+            "engine-read-time",
+            predicted,
+            measured,
+            tol_exec,
+            Bound::TwoSided,
+        )
     });
 
     print_report(&outcome, &prediction.report);
@@ -305,8 +329,7 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
         let record = manifest_record(backend, &engine, &outcome, &prediction.report, &residual);
         let mut line = record.to_json_line();
         line.push('\n');
-        std::fs::write(path, line)
-            .map_err(|e| PmError::io(format!("cannot write '{path}'"), e))?;
+        std::fs::write(path, line).map_err(|e| PmError::io(format!("cannot write '{path}'"), e))?;
         println!("wrote {path}");
     }
     if let (Some(ma), Some(m)) = (&metrics_args, &metrics) {
@@ -483,19 +506,12 @@ fn exec_multipass(
         ma.write(m)?;
     }
 
-    let failed: Vec<&ResidualCheck> = residuals
-        .iter()
-        .flatten()
-        .filter(|r| !r.pass)
-        .collect();
-    if let Some(worst) = failed
-        .iter()
-        .max_by(|a, b| {
-            let da = (a.ratio - 1.0).abs();
-            let db = (b.ratio - 1.0).abs();
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        })
-    {
+    let failed: Vec<&ResidualCheck> = residuals.iter().flatten().filter(|r| !r.pass).collect();
+    if let Some(worst) = failed.iter().max_by(|a, b| {
+        let da = (a.ratio - 1.0).abs();
+        let db = (b.ratio - 1.0).abs();
+        da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
+    }) {
         return Err(PmError::Tolerance(format!(
             "{} of {} passes off the simulator's prediction; worst ({}) by {:.1}% (tolerance {:.1}%)",
             failed.len(),
@@ -603,9 +619,21 @@ fn multipass_manifest(
     }
     let wall: f64 = out.passes.iter().map(|p| p.wall.as_secs_f64()).sum();
     let blocks: u64 = out.passes.iter().map(|p| p.blocks_read).sum();
-    let predicted: f64 = out.passes.iter().map(|p| p.predicted_busy.as_secs_f64()).sum();
-    let measured: f64 = out.passes.iter().map(|p| p.modeled_busy.as_secs_f64()).sum();
-    let weight: f64 = out.passes.iter().map(|p| p.predicted_read.as_secs_f64()).sum();
+    let predicted: f64 = out
+        .passes
+        .iter()
+        .map(|p| p.predicted_busy.as_secs_f64())
+        .sum();
+    let measured: f64 = out
+        .passes
+        .iter()
+        .map(|p| p.modeled_busy.as_secs_f64())
+        .sum();
+    let weight: f64 = out
+        .passes
+        .iter()
+        .map(|p| p.predicted_read.as_secs_f64())
+        .sum();
     let (conc, busy) = if weight > 0.0 {
         (
             out.passes
@@ -676,7 +704,9 @@ fn multipass_manifest(
 /// records.
 fn verify_output(output: &[Record], input: &[Record]) -> Result<(), PmError> {
     if !output.windows(2).all(|w| w[0].key <= w[1].key) {
-        return Err(PmError::Tolerance("merged output is out of key order".into()));
+        return Err(PmError::Tolerance(
+            "merged output is out of key order".into(),
+        ));
     }
     let mut got: Vec<Record> = output.to_vec();
     got.sort_by_key(|r| (r.key, r.rid));

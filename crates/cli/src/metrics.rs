@@ -68,8 +68,7 @@ impl MetricsArgs {
     pub fn write(&self, metrics: &StackMetrics) -> Result<(), PmError> {
         let path = &self.out;
         let text = render_metrics(&metrics.snapshot(), MetricsFormat::from_path(path));
-        std::fs::write(path, text)
-            .map_err(|e| PmError::io(format!("cannot write '{path}'"), e))?;
+        std::fs::write(path, text).map_err(|e| PmError::io(format!("cannot write '{path}'"), e))?;
         println!("wrote metrics -> {path}");
         Ok(())
     }

@@ -21,10 +21,18 @@ use crate::scenario::{self, ENGINE_KEYS};
 /// Flags `plan` accepts (see the usage text for semantics).
 const PLAN_KEYS: &[&str] = &[
     // Run population: uniform grid, or a real run-formation pass.
-    "runs", "blocks", "records", "memory", "formation", "rpb",
+    "runs",
+    "blocks",
+    "records",
+    "memory",
+    "formation",
+    "rpb",
     // Fan-in bound and output (the scenario flags, which drive the
     // per-pass cost prediction, are ENGINE_KEYS).
-    "fan-in", "passes", "plan-policy", "json",
+    "fan-in",
+    "passes",
+    "plan-policy",
+    "json",
 ];
 
 /// `pmerge plan`
@@ -80,9 +88,8 @@ pub fn plan(args: &Args) -> Result<(), PmError> {
         print_plan(plan, preds);
     }
     if planned.len() == 2 {
-        let read = |i: usize| -> f64 {
-            planned[i].1.iter().map(|p| p.read_time.as_secs_f64()).sum()
-        };
+        let read =
+            |i: usize| -> f64 { planned[i].1.iter().map(|p| p.read_time.as_secs_f64()).sum() };
         println!(
             "\n{} vs {}: {} vs {} blocks read, predicted read {:.3} s vs {:.3} s",
             planned[1].0.policy.label(),
@@ -102,7 +109,9 @@ fn run_lengths(args: &Args, seed: u64) -> Result<Vec<u32>, PmError> {
         let records: usize = args.get_parsed("records", 50_000usize)?;
         let memory: usize = args.get_parsed("memory", 5_000usize)?;
         if records == 0 || memory == 0 {
-            return Err(PmError::Usage("--records and --memory must be positive".into()));
+            return Err(PmError::Usage(
+                "--records and --memory must be positive".into(),
+            ));
         }
         let rpb: u32 = args.get_parsed("rpb", 40u32)?;
         let formation = RunFormation::parse(args.get("formation").unwrap_or("load-sort"))?;
@@ -112,7 +121,9 @@ fn run_lengths(args: &Args, seed: u64) -> Result<Vec<u32>, PmError> {
         let k: u32 = args.get_parsed("runs", 25u32)?;
         let blocks: u32 = args.get_parsed("blocks", 1000u32)?;
         if k == 0 || blocks == 0 {
-            return Err(PmError::Usage("--runs and --blocks must be positive".into()));
+            return Err(PmError::Usage(
+                "--runs and --blocks must be positive".into(),
+            ));
         }
         Ok(vec![blocks; k as usize])
     }
@@ -216,10 +227,7 @@ fn policy_json(plan: &MergeTreePlan, preds: &[PassPrediction]) -> Value {
     Value::Obj(vec![
         ("policy".into(), Value::Str(plan.policy.label().into())),
         ("fan_in".into(), Value::Num(f64::from(plan.fan_in))),
-        (
-            "num_passes".into(),
-            Value::Num(plan.num_passes() as f64),
-        ),
+        ("num_passes".into(), Value::Num(plan.num_passes() as f64)),
         (
             "total_blocks_read".into(),
             Value::Num(plan.total_blocks_read() as f64),
@@ -239,19 +247,13 @@ fn policy_json(plan: &MergeTreePlan, preds: &[PassPrediction]) -> Value {
                         Value::Obj(vec![
                             ("pass".into(), Value::Num((i + 1) as f64)),
                             ("fan_in".into(), Value::Num(f64::from(pass.fan_in))),
-                            (
-                                "inputs".into(),
-                                Value::Num(pass.run_blocks.len() as f64),
-                            ),
+                            ("inputs".into(), Value::Num(pass.run_blocks.len() as f64)),
                             ("groups".into(), Value::Num(pass.groups.len() as f64)),
                             (
                                 "merged_groups".into(),
                                 Value::Num(f64::from(pred.merged_groups)),
                             ),
-                            (
-                                "blocks_read".into(),
-                                Value::Num(pass.blocks_read as f64),
-                            ),
+                            ("blocks_read".into(), Value::Num(pass.blocks_read as f64)),
                             (
                                 "predicted_read_secs".into(),
                                 Value::Num(pred.read_time.as_secs_f64()),

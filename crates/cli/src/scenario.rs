@@ -30,14 +30,37 @@ pub(crate) const ENGINE: Defaults = Defaults { disks: 2, n: 4 };
 
 /// The scenario flags `exec` and `plan` accept.
 pub(crate) const ENGINE_KEYS: &[&str] = &[
-    "disks", "strategy", "n", "cache", "sync", "admission", "choice", "cap", "layout", "seed",
+    "disks",
+    "strategy",
+    "n",
+    "cache",
+    "sync",
+    "admission",
+    "choice",
+    "cap",
+    "layout",
+    "seed",
 ];
 
 /// The scenario flags the simulator commands accept: the engine's plus
 /// the run shape, CPU cost, write disks and trial count.
 pub(crate) const SIM_KEYS: &[&str] = &[
-    "runs", "blocks", "disks", "strategy", "n", "cache", "sync", "cpu-ms", "admission", "choice",
-    "cap", "layout", "write-disks", "write-buffer", "trials", "seed",
+    "runs",
+    "blocks",
+    "disks",
+    "strategy",
+    "n",
+    "cache",
+    "sync",
+    "cpu-ms",
+    "admission",
+    "choice",
+    "cap",
+    "layout",
+    "write-disks",
+    "write-buffer",
+    "trials",
+    "seed",
 ];
 
 /// The value `--<key>` names, parsed by `parse`; `default` when the flag
@@ -59,9 +82,13 @@ fn named<T>(
 /// adaptive strategy takes `--n` as its ceiling over a floor of 1).
 pub(crate) fn strategy(args: &Args, defaults: Defaults) -> Result<PrefetchStrategy, PmError> {
     let n: u32 = args.get_parsed("n", defaults.n)?;
-    named(args, "strategy", "strategy", PrefetchStrategy::InterRun { n }, |s| {
-        PrefetchStrategy::from_name(s, n)
-    })
+    named(
+        args,
+        "strategy",
+        "strategy",
+        PrefetchStrategy::InterRun { n },
+        |s| PrefetchStrategy::from_name(s, n),
+    )
 }
 
 /// A builder for the scenario the flags describe over `runs` runs. The
@@ -91,7 +118,13 @@ pub(crate) fn builder(
         PrefetchChoice::Random,
         PrefetchChoice::from_label,
     )?;
-    let layout = named(args, "layout", "layout", DataLayout::Concatenated, DataLayout::from_label)?;
+    let layout = named(
+        args,
+        "layout",
+        "layout",
+        DataLayout::Concatenated,
+        DataLayout::from_label,
+    )?;
     let cap: u32 = args.get_parsed("cap", 0)?;
     let write_disks: u32 = args.get_parsed("write-disks", 0)?;
     let write_buffer: u32 = args.get_parsed("write-buffer", 64)?;
@@ -134,30 +167,61 @@ mod tests {
 
     #[test]
     fn defaults_differ_by_command_family() {
-        let sim = builder(&args(&["simulate"]), 25, SIM).unwrap().build().unwrap();
-        assert_eq!((sim.disks, sim.strategy), (5, PrefetchStrategy::InterRun { n: 10 }));
+        let sim = builder(&args(&["simulate"]), 25, SIM)
+            .unwrap()
+            .build()
+            .unwrap();
+        assert_eq!(
+            (sim.disks, sim.strategy),
+            (5, PrefetchStrategy::InterRun { n: 10 })
+        );
         let engine = for_engine(&args(&["exec"]), 8).unwrap();
-        assert_eq!((engine.disks, engine.strategy), (2, PrefetchStrategy::InterRun { n: 4 }));
+        assert_eq!(
+            (engine.disks, engine.strategy),
+            (2, PrefetchStrategy::InterRun { n: 4 })
+        );
         assert_eq!(engine.seed, 1992);
     }
 
     #[test]
     fn names_and_aliases_map_to_values() {
         let cfg = builder(
-            &args(&["exec", "--strategy", "adaptive", "--n", "6", "--admission", "aon",
-                "--choice", "head-proximity", "--layout", "concat"]),
+            &args(&[
+                "exec",
+                "--strategy",
+                "adaptive",
+                "--n",
+                "6",
+                "--admission",
+                "aon",
+                "--choice",
+                "head-proximity",
+                "--layout",
+                "concat",
+            ]),
             8,
             ENGINE,
         )
         .unwrap()
         .build()
         .unwrap();
-        assert_eq!(cfg.strategy, PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: 6 });
+        assert_eq!(
+            cfg.strategy,
+            PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: 6 }
+        );
         assert_eq!(cfg.admission, AdmissionPolicy::AllOrNothing);
         assert_eq!(cfg.prefetch_choice, PrefetchChoice::HeadProximity);
         assert_eq!(cfg.layout, DataLayout::Concatenated);
         let cfg = builder(
-            &args(&["exec", "--strategy", "intra", "--layout", "striped", "--admission", "greedy"]),
+            &args(&[
+                "exec",
+                "--strategy",
+                "intra",
+                "--layout",
+                "striped",
+                "--admission",
+                "greedy",
+            ]),
             8,
             ENGINE,
         )

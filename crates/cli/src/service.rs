@@ -41,8 +41,8 @@ use std::sync::Arc;
 
 use pm_core::{MergeConfig, PmError, PrefetchStrategy, ScenarioBuilder};
 use pm_engine::{ExecConfig, ExecOutcome, MergeEngine, SharedDeviceSet, ThreadedQueue};
-use pm_metrics::{MetricsSink, NullMetrics, StackMetrics};
 use pm_extsort::{generate, run_formation};
+use pm_metrics::{MetricsSink, NullMetrics, StackMetrics};
 use pm_obs::json::Value;
 use pm_obs::{ManifestRecord, PointMetrics, RecordKind, TenantInfo, SCHEMA_VERSION};
 use pm_report::{Align, Table};
@@ -70,14 +70,30 @@ fn stack_metrics_for(
 }
 
 const CONTEND_KEYS: &[&str] = &[
-    "scenario-file", "tenants", "disks", "cache", "sched", "cache-policy", "jobs", "seed",
-    "csv", "manifest-out", "metrics-out", "metrics-interval",
+    "scenario-file",
+    "tenants",
+    "disks",
+    "cache",
+    "sched",
+    "cache-policy",
+    "jobs",
+    "seed",
+    "csv",
+    "manifest-out",
+    "metrics-out",
+    "metrics-interval",
 ];
 
 const SERVE_KEYS: &[&str] = &[
-    "scenario-file", "sched", "cache-policy", "rpb", "queue-depth", "seed",
+    "scenario-file",
+    "sched",
+    "cache-policy",
+    "rpb",
+    "queue-depth",
+    "seed",
     "manifest-out",
-    "metrics-out", "metrics-interval",
+    "metrics-out",
+    "metrics-interval",
 ];
 
 /// One tenant's parsed spec: scenario shape plus service terms and the
@@ -107,7 +123,10 @@ impl JobSpec {
                 // A tenant's adaptive ceiling is at least 2, so its depth
                 // always has room to move.
                 Some(PrefetchStrategy::InterRunAdaptive { n_min, n_max }) => {
-                    PrefetchStrategy::InterRunAdaptive { n_min, n_max: n_max.max(2) }
+                    PrefetchStrategy::InterRunAdaptive {
+                        n_min,
+                        n_max: n_max.max(2),
+                    }
                 }
                 Some(strategy) => strategy,
                 None => {
@@ -160,7 +179,9 @@ fn get_u32(v: &Value, key: &str, default: u32) -> Result<u32, PmError> {
 /// `serve` generates `records` records and sorts them `memory` at a time.
 fn positive(t: &Value, tenant: &str, key: &str, default: u32) -> Result<usize, PmError> {
     match get_u32(t, key, default)? {
-        0 => Err(PmError::Usage(format!("tenant '{tenant}': '{key}' must be positive"))),
+        0 => Err(PmError::Usage(format!(
+            "tenant '{tenant}': '{key}' must be positive"
+        ))),
         n => Ok(n as usize),
     }
 }
@@ -186,7 +207,10 @@ fn parse_spec(text: &str) -> Result<ServiceSpec, PmError> {
             runs: get_u32(t, "runs", 8)?,
             run_blocks: get_u32(t, "run_blocks", 60)?,
             disks: get_u32(t, "disks", disks)?,
-            strategy: t.get("strategy").and_then(Value::as_str).map(str::to_string),
+            strategy: t
+                .get("strategy")
+                .and_then(Value::as_str)
+                .map(str::to_string),
             n: get_u32(t, "n", 4)?,
             cache: get_u32(t, "cache", 0)?,
             arrival_ms: get_f64(t, "arrival_ms", 0.0)?,
@@ -197,7 +221,10 @@ fn parse_spec(text: &str) -> Result<ServiceSpec, PmError> {
         });
     }
     Ok(ServiceSpec {
-        shared: SharedSpec { disks, cache_blocks },
+        shared: SharedSpec {
+            disks,
+            cache_blocks,
+        },
         tenants: specs,
     })
 }
@@ -226,7 +253,10 @@ fn synth_spec(n: u32, disks: u32, cache_blocks: u32) -> ServiceSpec {
         })
         .collect();
     ServiceSpec {
-        shared: SharedSpec { disks, cache_blocks },
+        shared: SharedSpec {
+            disks,
+            cache_blocks,
+        },
         tenants,
     }
 }
@@ -340,11 +370,19 @@ fn print_contention(report: &ContentionReport, cache_total: u32) {
         report.sched, report.cache_policy
     );
     let mut t = Table::new(
-        ["tenant", "prio", "arrive ms", "cache", "isolated ms", "makespan ms", "wait ms",
-         "slowdown"]
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
+        [
+            "tenant",
+            "prio",
+            "arrive ms",
+            "cache",
+            "isolated ms",
+            "makespan ms",
+            "wait ms",
+            "slowdown",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect(),
     );
     for i in 1..8 {
         t.set_align(i, Align::Right);
@@ -555,9 +593,10 @@ pub fn serve(args: &Args) -> Result<(), PmError> {
     }
     let mut outcomes = Vec::with_capacity(threads.len());
     for t in threads {
-        outcomes.push(t.join().map_err(|_| {
-            PmError::Usage("a tenant's merge thread panicked".into())
-        })??);
+        outcomes.push(
+            t.join()
+                .map_err(|_| PmError::Usage("a tenant's merge thread panicked".into()))??,
+        );
     }
     set.shutdown();
     if let Some(live) = live {
@@ -572,9 +611,7 @@ pub fn serve(args: &Args) -> Result<(), PmError> {
         engine.load(&mut queue, runs)?;
         isolated.push(engine.execute(Box::new(queue))?);
     }
-    for (t, ((engine, shared), alone)) in
-        engines.iter().zip(&outcomes).zip(&isolated).enumerate()
-    {
+    for (t, ((engine, shared), alone)) in engines.iter().zip(&outcomes).zip(&isolated).enumerate() {
         let name = &jobs[t].name;
         if shared.output != alone.output {
             return Err(PmError::Tolerance(format!(
@@ -643,10 +680,21 @@ fn mean_queue_wait_secs(outcome: &ExecOutcome) -> f64 {
     let mut served = 0u64;
     for ev in &outcome.events {
         match ev.kind {
-            EventKind::DiskIssue { disk, output: false, span, .. } => {
+            EventKind::DiskIssue {
+                disk,
+                output: false,
+                span,
+                ..
+            } => {
                 issued.insert((disk, span), ev.at);
             }
-            EventKind::DiskTransferDone { disk, output: false, span, started, .. } => {
+            EventKind::DiskTransferDone {
+                disk,
+                output: false,
+                span,
+                started,
+                ..
+            } => {
                 if let Some(at) = issued.remove(&(disk, span)) {
                     total += started.since(at).as_secs_f64();
                     served += 1;
@@ -672,18 +720,24 @@ fn print_serve(
 ) {
     println!("\n=== serve: sched {sched} · cache {cache_policy} ===");
     let mut t = Table::new(
-        ["tenant", "prio", "cache", "records", "shared ms", "isolated ms", "slowdown",
-         "wait ms"]
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
+        [
+            "tenant",
+            "prio",
+            "cache",
+            "records",
+            "shared ms",
+            "isolated ms",
+            "slowdown",
+            "wait ms",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect(),
     );
     for i in 1..8 {
         t.set_align(i, Align::Right);
     }
-    for (((job, grant), shared), alone) in
-        jobs.iter().zip(grants).zip(outcomes).zip(isolated)
-    {
+    for (((job, grant), shared), alone) in jobs.iter().zip(grants).zip(outcomes).zip(isolated) {
         let shared_ms = shared.report.wall.as_secs_f64() * 1e3;
         let alone_ms = alone.report.wall.as_secs_f64() * 1e3;
         t.add_row(vec![
@@ -693,7 +747,14 @@ fn print_serve(
             shared.output.len().to_string(),
             format!("{shared_ms:.2}"),
             format!("{alone_ms:.2}"),
-            format!("{:.3}", if alone_ms > 0.0 { shared_ms / alone_ms } else { f64::NAN }),
+            format!(
+                "{:.3}",
+                if alone_ms > 0.0 {
+                    shared_ms / alone_ms
+                } else {
+                    f64::NAN
+                }
+            ),
             format!("{:.3}", mean_queue_wait_secs(shared) * 1e3),
         ]);
     }
@@ -756,11 +817,7 @@ fn serve_manifest(
                     mean_concurrency: 0.0,
                     mean_busy_disks: 0.0,
                     mean_success_ratio: None,
-                    blocks_merged: shared
-                        .requests
-                        .iter()
-                        .map(|d| d.len() as u64)
-                        .sum(),
+                    blocks_merged: shared.requests.iter().map(|d| d.len() as u64).sum(),
                 },
                 analytic: None,
                 trace: None,

@@ -69,8 +69,25 @@ fn analyze_prints_equations() {
 #[test]
 fn sweep_produces_table_and_plot() {
     let (ok, stdout, stderr) = pmerge(&[
-        "sweep", "--param", "n", "--from", "1", "--to", "3", "--step", "1", "--runs", "4",
-        "--blocks", "20", "--disks", "2", "--strategy", "intra", "--trials", "1",
+        "sweep",
+        "--param",
+        "n",
+        "--from",
+        "1",
+        "--to",
+        "3",
+        "--step",
+        "1",
+        "--runs",
+        "4",
+        "--blocks",
+        "20",
+        "--disks",
+        "2",
+        "--strategy",
+        "intra",
+        "--trials",
+        "1",
     ]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("total time vs n"));
@@ -105,15 +122,31 @@ fn disk_counts_beyond_the_disk_id_width_exit_2() {
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("exceed the limit of 65535"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("exceed the limit of 65535"),
+            "{args:?}: {stderr}"
+        );
     }
 }
 
 #[test]
 fn striped_layout_flag_works() {
     let (ok, stdout, stderr) = pmerge(&[
-        "simulate", "--runs", "4", "--blocks", "40", "--disks", "2", "--strategy", "intra",
-        "--n", "4", "--layout", "striped", "--trials", "1",
+        "simulate",
+        "--runs",
+        "4",
+        "--blocks",
+        "40",
+        "--disks",
+        "2",
+        "--strategy",
+        "intra",
+        "--n",
+        "4",
+        "--layout",
+        "striped",
+        "--trials",
+        "1",
     ]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("total time"));
@@ -122,7 +155,15 @@ fn striped_layout_flag_works() {
 #[test]
 fn exec_memory_backend_end_to_end() {
     let (ok, stdout, stderr) = pmerge(&[
-        "exec", "--records", "4000", "--memory", "800", "--disks", "2", "--n", "2",
+        "exec",
+        "--records",
+        "4000",
+        "--memory",
+        "800",
+        "--disks",
+        "2",
+        "--n",
+        "2",
     ]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("verified: 4000 records"));
@@ -132,8 +173,19 @@ fn exec_memory_backend_end_to_end() {
 #[test]
 fn exec_file_backend_end_to_end() {
     let (ok, stdout, stderr) = pmerge(&[
-        "exec", "--backend", "file", "--records", "4000", "--memory", "800", "--disks", "2",
-        "--n", "2", "--jobs", "2",
+        "exec",
+        "--backend",
+        "file",
+        "--records",
+        "4000",
+        "--memory",
+        "800",
+        "--disks",
+        "2",
+        "--n",
+        "2",
+        "--jobs",
+        "2",
     ]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("verified: 4000 records"));
@@ -144,8 +196,21 @@ fn exec_latency_backend_cross_checks_and_writes_manifest() {
     let manifest = std::env::temp_dir().join("pmerge-e2e-exec.jsonl");
     let m = manifest.to_str().unwrap().to_string();
     let (ok, stdout, stderr) = pmerge(&[
-        "exec", "--backend", "latency", "--records", "4000", "--memory", "800", "--disks", "2",
-        "--n", "2", "--time-scale", "0.0005", "--manifest-out", &m,
+        "exec",
+        "--backend",
+        "latency",
+        "--records",
+        "4000",
+        "--memory",
+        "800",
+        "--disks",
+        "2",
+        "--n",
+        "2",
+        "--time-scale",
+        "0.0005",
+        "--manifest-out",
+        &m,
     ]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("ratio 1.0000) -> pass"), "{stdout}");
@@ -219,7 +284,10 @@ fn passes_bounds_the_fan_in_for_plan_and_exec() {
     // 64 runs in two passes need fan-in 8.
     let (ok, stdout, stderr) = pmerge(&["plan", "--runs", "64", "--blocks", "10", "--passes", "2"]);
     assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("64 runs (640 blocks total), fan-in cap 8,"), "{stdout}");
+    assert!(
+        stdout.contains("64 runs (640 blocks total), fan-in cap 8,"),
+        "{stdout}"
+    );
     // A two-pass merge of 64 runs writes the same bytes as one pass.
     let dir = std::env::temp_dir();
     let single = dir.join(format!("pmerge-e2e-passes-1-{}.bin", std::process::id()));
@@ -231,7 +299,10 @@ fn passes_bounds_the_fan_in_for_plan_and_exec() {
         pmerge(&[&run[..], &[double.to_str().unwrap(), "--passes", "2"]].concat());
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("fan-in 8 (cap 8), 2 passes"), "{stdout}");
-    let (a, b) = (std::fs::read(&single).unwrap(), std::fs::read(&double).unwrap());
+    let (a, b) = (
+        std::fs::read(&single).unwrap(),
+        std::fs::read(&double).unwrap(),
+    );
     let _ = std::fs::remove_file(single);
     let _ = std::fs::remove_file(double);
     assert_eq!(a.len(), 6400 * 16);
@@ -246,7 +317,8 @@ fn batch_command_end_to_end() {
         "# comparison\nbaseline: runs=4 blocks=20 disks=1 strategy=none\nfast: runs=4 blocks=20 disks=2 strategy=inter n=2 cache=40\n",
     )
     .unwrap();
-    let (ok, stdout, stderr) = pmerge(&["batch", "--file", path.to_str().unwrap(), "--trials", "1"]);
+    let (ok, stdout, stderr) =
+        pmerge(&["batch", "--file", path.to_str().unwrap(), "--trials", "1"]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("baseline"));
     assert!(stdout.contains("fast"));
@@ -262,7 +334,10 @@ fn removed_queue_alias_is_an_unknown_option() {
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
-        assert!(stderr.contains("unknown option --queue"), "{command}: {stderr}");
+        assert!(
+            stderr.contains("unknown option --queue"),
+            "{command}: {stderr}"
+        );
     }
 }
 
@@ -280,28 +355,41 @@ fn serve_with_zero(field: &str) -> (Option<i32>, String) {
         .output()
         .expect("binary runs");
     let _ = std::fs::remove_file(path);
-    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
 fn serve_rejects_tenant_with_zero_memory() {
     let (code, stderr) = serve_with_zero("memory");
     assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("tenant 'solo': 'memory' must be positive"), "{stderr}");
+    assert!(
+        stderr.contains("tenant 'solo': 'memory' must be positive"),
+        "{stderr}"
+    );
 }
 
 #[test]
 fn serve_rejects_tenant_with_zero_records() {
     let (code, stderr) = serve_with_zero("records");
     assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("tenant 'solo': 'records' must be positive"), "{stderr}");
+    assert!(
+        stderr.contains("tenant 'solo': 'records' must be positive"),
+        "{stderr}"
+    );
 }
 
 /// The commands that parse scenario names, each on a small input.
 const NAME_PARSERS: [&[&str]; 3] = [
-    &["simulate", "--runs", "4", "--blocks", "20", "--disks", "2", "--n", "2", "--trials", "1"],
+    &[
+        "simulate", "--runs", "4", "--blocks", "20", "--disks", "2", "--n", "2", "--trials", "1",
+    ],
     &["exec", "--records", "2000", "--memory", "500", "--n", "2"],
-    &["plan", "--runs", "8", "--blocks", "20", "--fan-in", "4", "--n", "2"],
+    &[
+        "plan", "--runs", "8", "--blocks", "20", "--fan-in", "4", "--n", "2",
+    ],
 ];
 
 #[test]
@@ -330,7 +418,10 @@ fn simulate_exec_and_plan_accept_every_scenario_name_and_alias() {
                 // Inter-run prefetching needs each run on one disk.
                 args.extend(["--strategy", "intra"]);
             }
-            let out = Command::new(env!("CARGO_BIN_EXE_pmerge")).args(&args).output().unwrap();
+            let out = Command::new(env!("CARGO_BIN_EXE_pmerge"))
+                .args(&args)
+                .output()
+                .unwrap();
             let stderr = String::from_utf8_lossy(&out.stderr);
             // Accepted: the run got past the flags (exit 2 is a usage or
             // configuration error).
@@ -352,7 +443,10 @@ fn simulate_exec_and_plan_reject_an_unknown_name_alike() {
             let mut args = command.to_vec();
             let flag = format!("--{flag}");
             args.extend([flag.as_str(), "bogus"]);
-            let out = Command::new(env!("CARGO_BIN_EXE_pmerge")).args(&args).output().unwrap();
+            let out = Command::new(env!("CARGO_BIN_EXE_pmerge"))
+                .args(&args)
+                .output()
+                .unwrap();
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(2), "{args:?}");
             assert_eq!(stderr.lines().next(), Some(message), "{args:?}");
@@ -364,7 +458,15 @@ fn simulate_exec_and_plan_reject_an_unknown_name_alike() {
 fn a_closed_stdout_ends_pmerge_quietly() {
     for args in [
         &["plan", "--runs", "64", "--blocks", "10", "--passes", "2"][..],
-        &["exec", "--records", "20000", "--memory", "500", "--passes", "2"],
+        &[
+            "exec",
+            "--records",
+            "20000",
+            "--memory",
+            "500",
+            "--passes",
+            "2",
+        ],
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_pmerge"))
             .args(args)

@@ -60,8 +60,19 @@ fn plan_two_pass_uniform_tree() {
     check_golden(
         "plan_k64_f8.txt",
         &[
-            "plan", "--runs", "64", "--blocks", "50", "--disks", "4", "--strategy", "inter",
-            "--n", "4", "--fan-in", "8",
+            "plan",
+            "--runs",
+            "64",
+            "--blocks",
+            "50",
+            "--disks",
+            "4",
+            "--strategy",
+            "inter",
+            "--n",
+            "4",
+            "--fan-in",
+            "8",
         ],
     );
 }
@@ -73,8 +84,19 @@ fn plan_policy_divergence() {
     check_golden(
         "plan_k9_f8.txt",
         &[
-            "plan", "--runs", "9", "--blocks", "50", "--disks", "4", "--strategy", "inter",
-            "--n", "4", "--fan-in", "8",
+            "plan",
+            "--runs",
+            "9",
+            "--blocks",
+            "50",
+            "--disks",
+            "4",
+            "--strategy",
+            "inter",
+            "--n",
+            "4",
+            "--fan-in",
+            "8",
         ],
     );
 }
@@ -85,8 +107,22 @@ fn plan_trivial_single_pass_json() {
     check_golden(
         "plan_trivial.json",
         &[
-            "plan", "--runs", "4", "--blocks", "50", "--disks", "4", "--strategy", "inter",
-            "--n", "4", "--fan-in", "8", "--plan-policy", "greedy-max", "--json",
+            "plan",
+            "--runs",
+            "4",
+            "--blocks",
+            "50",
+            "--disks",
+            "4",
+            "--strategy",
+            "inter",
+            "--n",
+            "4",
+            "--fan-in",
+            "8",
+            "--plan-policy",
+            "greedy-max",
+            "--json",
         ],
     );
 }
@@ -96,11 +132,25 @@ fn exec_overwide_merge_exits_2_and_points_at_plan() {
     // 16 runs into a cache that only fans 8 ways: a configuration error
     // (exit 2) whose message names both commands of the escape hatch.
     let (code, _, stderr) = pmerge(&[
-        "exec", "--records", "4000", "--memory", "250", "--cache", "32", "--disks", "2",
-        "--strategy", "inter", "--n", "4",
+        "exec",
+        "--records",
+        "4000",
+        "--memory",
+        "250",
+        "--cache",
+        "32",
+        "--disks",
+        "2",
+        "--strategy",
+        "inter",
+        "--n",
+        "4",
     ]);
     assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("16 runs exceed the cache-supported fan-in of 8"), "{stderr}");
+    assert!(
+        stderr.contains("16 runs exceed the cache-supported fan-in of 8"),
+        "{stderr}"
+    );
     assert!(stderr.contains("pmerge plan"), "{stderr}");
     assert!(stderr.contains("--fan-in"), "{stderr}");
 }
@@ -114,8 +164,19 @@ fn exec_multipass_output_is_byte_identical_to_single_pass() {
     let manifest = dir.join("multi.jsonl");
 
     let base = [
-        "exec", "--records", "4000", "--memory", "250", "--disks", "2", "--strategy", "inter",
-        "--n", "2", "--seed", "7",
+        "exec",
+        "--records",
+        "4000",
+        "--memory",
+        "250",
+        "--disks",
+        "2",
+        "--strategy",
+        "inter",
+        "--n",
+        "2",
+        "--seed",
+        "7",
     ];
     let mut single_args: Vec<&str> = base.to_vec();
     let single_path = single.to_str().unwrap();
@@ -127,8 +188,14 @@ fn exec_multipass_output_is_byte_identical_to_single_pass() {
     let multi_path = multi.to_str().unwrap();
     let manifest_path = manifest.to_str().unwrap();
     multi_args.extend([
-        "--fan-in", "4", "--plan-policy", "balanced", "--out", multi_path,
-        "--manifest-out", manifest_path,
+        "--fan-in",
+        "4",
+        "--plan-policy",
+        "balanced",
+        "--out",
+        multi_path,
+        "--manifest-out",
+        manifest_path,
     ]);
     let (code, stdout, stderr) = pmerge(&multi_args);
     assert_eq!(code, Some(0), "multi-pass failed: {stderr}");

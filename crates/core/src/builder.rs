@@ -138,8 +138,7 @@ impl ScenarioBuilder {
             }
         };
         if base.strategy.is_inter_run() && base.per_run_cap.is_none() {
-            cfg.per_run_cap =
-                Some((base.cache_blocks / group_runs.max(1)).max(2 * depth));
+            cfg.per_run_cap = Some((base.cache_blocks / group_runs.max(1)).max(2 * depth));
         }
         cfg.seed = Self::pass_seed(base.seed, pass, group);
         cfg.validate()?;
@@ -150,10 +149,10 @@ impl ScenarioBuilder {
     /// a splitmix64-style mix so sibling groups never share streams.
     #[must_use]
     pub fn pass_seed(master: u64, pass: u32, group: u32) -> u64 {
-        let mut z = master
-            .wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(
-                1 + u64::from(pass) * 0x0001_0000 + u64::from(group),
-            ));
+        let mut z = master.wrapping_add(
+            0x9E37_79B9_7F4A_7C15_u64
+                .wrapping_mul(1 + u64::from(pass) * 0x0001_0000 + u64::from(group)),
+        );
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
@@ -389,7 +388,10 @@ mod tests {
             PrefetchStrategy::IntraRun { n: 3 },
             PrefetchStrategy::InterRun { n: 3 },
         ] {
-            let base = ScenarioBuilder::new(6, 3).strategy(strategy).build().unwrap();
+            let base = ScenarioBuilder::new(6, 3)
+                .strategy(strategy)
+                .build()
+                .unwrap();
             for kg in 1..=6 {
                 let cfg = ScenarioBuilder::pass_scenario(&base, kg, 0, 0).unwrap();
                 assert!(cfg.min_cache_blocks() <= cfg.cache_blocks);

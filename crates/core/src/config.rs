@@ -172,18 +172,16 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroParameter(what) => write!(f, "{what} must be positive"),
             ConfigError::ZeroDepth => write!(f, "prefetch depth N must be positive"),
-            ConfigError::StripedInterRun => write!(
-                f,
-                "inter-run prefetching requires the concatenated layout"
-            ),
+            ConfigError::StripedInterRun => {
+                write!(f, "inter-run prefetching requires the concatenated layout")
+            }
             ConfigError::CacheTooSmall { have, need } => write!(
                 f,
                 "cache of {have} blocks cannot hold the initial load of {need} blocks"
             ),
-            ConfigError::DiskTooSmall { need, have } => write!(
-                f,
-                "fullest disk needs {need} blocks but holds only {have}"
-            ),
+            ConfigError::DiskTooSmall { need, have } => {
+                write!(f, "fullest disk needs {need} blocks but holds only {have}")
+            }
             ConfigError::BlockAlignment {
                 block_bytes,
                 required,
@@ -239,7 +237,10 @@ impl MergeConfig {
             return Err(ConfigError::ZeroParameter("disks"));
         }
         if self.disks > Self::MAX_DISKS {
-            return Err(ConfigError::TooManyDisks { what: "disks", count: self.disks });
+            return Err(ConfigError::TooManyDisks {
+                what: "disks",
+                count: self.disks,
+            });
         }
         if self.strategy.depth() == 0 {
             return Err(ConfigError::ZeroDepth);
@@ -280,7 +281,10 @@ impl MergeConfig {
                 return Err(ConfigError::ZeroParameter("write disks"));
             }
             if write.disks > Self::MAX_DISKS {
-                return Err(ConfigError::TooManyDisks { what: "write disks", count: write.disks });
+                return Err(ConfigError::TooManyDisks {
+                    what: "write disks",
+                    count: write.disks,
+                });
             }
             if write.buffer_blocks == 0 {
                 return Err(ConfigError::ZeroParameter("write buffer"));
@@ -366,17 +370,32 @@ mod tests {
         assert_eq!(c.validate(), Ok(()));
         c.disks = 65_536;
         let err = c.validate().unwrap_err();
-        assert_eq!(err, ConfigError::TooManyDisks { what: "disks", count: 65_536 });
+        assert_eq!(
+            err,
+            ConfigError::TooManyDisks {
+                what: "disks",
+                count: 65_536
+            }
+        );
         assert_eq!(err.to_string(), "65536 disks exceed the limit of 65535");
 
         let mut c = base(2, 1);
         c.run_blocks = 2;
-        c.write = Some(WriteSpec { disks: 65_535, buffer_blocks: 1 });
+        c.write = Some(WriteSpec {
+            disks: 65_535,
+            buffer_blocks: 1,
+        });
         assert_eq!(c.validate(), Ok(()));
-        c.write = Some(WriteSpec { disks: 65_536, buffer_blocks: 1 });
+        c.write = Some(WriteSpec {
+            disks: 65_536,
+            buffer_blocks: 1,
+        });
         assert_eq!(
             c.validate(),
-            Err(ConfigError::TooManyDisks { what: "write disks", count: 65_536 })
+            Err(ConfigError::TooManyDisks {
+                what: "write disks",
+                count: 65_536
+            })
         );
     }
 
@@ -399,7 +418,10 @@ mod tests {
         let mut c = base(50, 1);
         c.runs = 60;
         c.cache_blocks = 60;
-        assert!(matches!(c.validate(), Err(ConfigError::DiskTooSmall { .. })));
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::DiskTooSmall { .. })
+        ));
     }
 
     #[test]
@@ -417,12 +439,24 @@ mod tests {
     #[test]
     fn write_spec_is_validated() {
         let mut c = base(25, 5);
-        c.write = Some(crate::WriteSpec { disks: 2, buffer_blocks: 32 });
+        c.write = Some(crate::WriteSpec {
+            disks: 2,
+            buffer_blocks: 32,
+        });
         assert!(c.validate().is_ok());
-        c.write = Some(crate::WriteSpec { disks: 0, buffer_blocks: 32 });
+        c.write = Some(crate::WriteSpec {
+            disks: 0,
+            buffer_blocks: 32,
+        });
         assert_eq!(c.validate(), Err(ConfigError::ZeroParameter("write disks")));
-        c.write = Some(crate::WriteSpec { disks: 2, buffer_blocks: 0 });
-        assert_eq!(c.validate(), Err(ConfigError::ZeroParameter("write buffer")));
+        c.write = Some(crate::WriteSpec {
+            disks: 2,
+            buffer_blocks: 0,
+        });
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::ZeroParameter("write buffer"))
+        );
     }
 
     #[test]
@@ -430,11 +464,17 @@ mod tests {
         // 50 runs x 1000 blocks on one write disk: 50,000 > 53,760 fits;
         // bump runs so it does not.
         let mut c = base(50, 10);
-        c.write = Some(crate::WriteSpec { disks: 1, buffer_blocks: 8 });
+        c.write = Some(crate::WriteSpec {
+            disks: 1,
+            buffer_blocks: 8,
+        });
         assert!(c.validate().is_ok());
         c.runs = 54;
         c.cache_blocks = 54;
-        assert!(matches!(c.validate(), Err(ConfigError::DiskTooSmall { .. })));
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::DiskTooSmall { .. })
+        ));
     }
 
     #[test]
@@ -456,7 +496,10 @@ mod tests {
         for l in [DataLayout::Concatenated, DataLayout::Striped] {
             assert_eq!(DataLayout::from_label(l.label()), Some(l));
         }
-        assert_eq!(DataLayout::from_label("concat"), Some(DataLayout::Concatenated));
+        assert_eq!(
+            DataLayout::from_label("concat"),
+            Some(DataLayout::Concatenated)
+        );
         assert_eq!(DataLayout::from_label("bogus"), None);
     }
 
@@ -466,12 +509,18 @@ mod tests {
         assert!(e.to_string().contains("initial load"));
         assert!(ConfigError::ZeroDepth.to_string().contains('N'));
         // The fan-in overflow message must point the user at the planner.
-        let e = ConfigError::FanInExceeded { runs: 64, fan_in: 8 };
+        let e = ConfigError::FanInExceeded {
+            runs: 64,
+            fan_in: 8,
+        };
         assert!(e.to_string().contains("pmerge plan"), "{e}");
         assert!(e.to_string().contains("64"));
         // The alignment message must name the required alignment and the
         // knob that fixes it.
-        let e = ConfigError::BlockAlignment { block_bytes: 640, required: 512 };
+        let e = ConfigError::BlockAlignment {
+            block_bytes: 640,
+            required: 512,
+        };
         assert!(e.to_string().contains("512"), "{e}");
         assert!(e.to_string().contains("records_per_block"), "{e}");
     }

@@ -142,9 +142,7 @@ impl DepletionModel for SkewedDepletion {
         }
         debug_assert_eq!(
             self.total,
-            live.iter()
-                .map(|r| self.weights[r.0 as usize])
-                .sum::<f64>(),
+            live.iter().map(|r| self.weights[r.0 as usize]).sum::<f64>(),
             "cached total is stale: the live set changed without a length change"
         );
         let mut target = rng.uniform_f64() * self.total;
@@ -191,7 +189,10 @@ mod tests {
         }
         for &c in &counts {
             let expected = n as f64 / 5.0;
-            assert!((f64::from(c) - expected).abs() < 0.05 * expected, "{counts:?}");
+            assert!(
+                (f64::from(c) - expected).abs() < 0.05 * expected,
+                "{counts:?}"
+            );
         }
     }
 
@@ -251,7 +252,10 @@ mod tests {
         }
         for &c in &counts {
             let expected = n as f64 / 4.0;
-            assert!((f64::from(c) - expected).abs() < 0.05 * expected, "{counts:?}");
+            assert!(
+                (f64::from(c) - expected).abs() < 0.05 * expected,
+                "{counts:?}"
+            );
         }
     }
 

@@ -122,10 +122,7 @@ mod tests {
             PmError::Config(ConfigError::ZeroParameter("runs")).exit_code(),
             2
         );
-        assert_eq!(
-            PmError::io("f", std::io::Error::other("x")).exit_code(),
-            2
-        );
+        assert_eq!(PmError::io("f", std::io::Error::other("x")).exit_code(), 2);
         assert_eq!(
             PmError::device("uring", "submit", std::io::Error::other("x")).exit_code(),
             2

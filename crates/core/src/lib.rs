@@ -60,8 +60,8 @@ mod write;
 pub use builder::ScenarioBuilder;
 pub use config::{ConfigError, DataLayout, MergeConfig};
 pub use decide::{DecisionCore, DecisionCounts, Wait};
-pub use error::PmError;
 pub use depletion::{DepletionModel, SkewedDepletion, TraceDepletion, UniformDepletion};
+pub use error::PmError;
 pub use layout::{RunLayout, RunPlacement};
 pub use loser_tree::{LoserTree, MergeKey};
 pub use metrics::MergeReport;

@@ -123,11 +123,17 @@ impl<T: MergeKey> LoserTree<T> {
     pub fn new(heads: Vec<Option<T>>) -> Self {
         let k = heads.len();
         assert!(k > 0, "loser tree needs at least one source");
-        assert!(u32::try_from(k).is_ok(), "loser tree supports at most u32::MAX sources");
+        assert!(
+            u32::try_from(k).is_ok(),
+            "loser tree supports at most u32::MAX sources"
+        );
         let p = k.next_power_of_two();
         let mut items = heads;
         items.resize_with(p, || None);
-        let keys: Vec<u64> = items.iter().map(|h| h.map_or(u64::MAX, |t| t.merge_key())).collect();
+        let keys: Vec<u64> = items
+            .iter()
+            .map(|h| h.map_or(u64::MAX, |t| t.merge_key()))
+            .collect();
         let mut tree = LoserTree {
             k,
             losers: vec![0; p],
@@ -194,10 +200,7 @@ impl<T: MergeKey> LoserTree<T> {
     pub fn pop_and_replace(&mut self, replacement: Option<T>) -> Option<(usize, T)> {
         let source = self.winner;
         let Some(item) = self.items[source].take() else {
-            assert!(
-                replacement.is_none(),
-                "cannot feed an exhausted tournament"
-            );
+            assert!(replacement.is_none(), "cannot feed an exhausted tournament");
             return None;
         };
         let mut key = replacement.map_or(u64::MAX, |t| t.merge_key());
@@ -302,10 +305,7 @@ mod tests {
     #[test]
     fn interleaving_tracks_sources_correctly() {
         let out = merge_all(vec![vec![1, 3, 5], vec![2, 4, 6]]);
-        assert_eq!(
-            out,
-            vec![(0, 1), (1, 2), (0, 3), (1, 4), (0, 5), (1, 6)]
-        );
+        assert_eq!(out, vec![(0, 1), (1, 2), (0, 3), (1, 4), (0, 5), (1, 6)]);
     }
 
     #[test]

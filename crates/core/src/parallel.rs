@@ -102,7 +102,11 @@ mod tests {
     fn results_come_back_in_index_order() {
         for jobs in [1, 2, 3, 8, 0] {
             let out = run_ordered(50, jobs, |i| i * i);
-            assert_eq!(out, (0..50).map(|i| i * i).collect::<Vec<_>>(), "jobs={jobs}");
+            assert_eq!(
+                out,
+                (0..50).map(|i| i * i).collect::<Vec<_>>(),
+                "jobs={jobs}"
+            );
         }
     }
 

@@ -115,9 +115,11 @@ mod tests {
         assert_eq!(PrefetchChoice::Random.label(), "random");
         assert_eq!(PrefetchChoice::LeastHeld.label(), "least-held");
         assert_eq!(PrefetchChoice::HeadProximity.label(), "head-proximity");
-        for c in
-            [PrefetchChoice::Random, PrefetchChoice::LeastHeld, PrefetchChoice::HeadProximity]
-        {
+        for c in [
+            PrefetchChoice::Random,
+            PrefetchChoice::LeastHeld,
+            PrefetchChoice::HeadProximity,
+        ] {
             assert_eq!(PrefetchChoice::from_label(c.label()), Some(c));
         }
         assert_eq!(PrefetchChoice::from_label("bogus"), None);

@@ -179,14 +179,16 @@ pub fn run_trials_traced(
     let outcomes = parallel::run_ordered(trials as usize, jobs, |i| {
         let mut trial_cfg = base;
         trial_cfg.seed = seeds[i];
-        let sim = MergeSim::new(trial_cfg)
-            .expect("seed change cannot invalidate a validated config");
+        let sim =
+            MergeSim::new(trial_cfg).expect("seed change cannot invalidate a validated config");
         if i == 0 {
             let recorder = match limit {
                 Some(cap) => RecordingSink::with_capacity(cap),
                 None => RecordingSink::unbounded(),
             };
-            let (report, sink) = sim.replace_sink(recorder).run_with_sink(&mut UniformDepletion);
+            let (report, sink) = sim
+                .replace_sink(recorder)
+                .run_with_sink(&mut UniformDepletion);
             (report, Some(sink))
         } else {
             (sim.run(&mut UniformDepletion), None)
@@ -309,7 +311,10 @@ mod tests {
             let par = run_trials_parallel(&cfg(), 6, jobs).unwrap();
             assert_eq!(seq.reports, par.reports, "jobs={jobs}");
             assert_eq!(seq.mean_total_secs.to_bits(), par.mean_total_secs.to_bits());
-            assert_eq!(seq.mean_concurrency.to_bits(), par.mean_concurrency.to_bits());
+            assert_eq!(
+                seq.mean_concurrency.to_bits(),
+                par.mean_concurrency.to_bits()
+            );
         }
     }
 

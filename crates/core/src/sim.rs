@@ -264,7 +264,8 @@ impl<S: TraceSink> MergeSim<S> {
         let now = self.exec.now();
         let (done, next) = self.disks.complete_traced(now, disk, &mut self.sink);
         if let Some(s) = next {
-            self.exec.schedule_at(s.completion_at, Event::DiskDone(disk));
+            self.exec
+                .schedule_at(s.completion_at, Event::DiskDone(disk));
         }
         self.busy.update(now, self.disks.busy_count() as u32);
         let (run, _index) = pm_trace::unpack_tag(done.request.tag);
@@ -329,7 +330,8 @@ impl<S: TraceSink> MergeSim<S> {
         let writer = self.writer.as_mut().expect("write event without writer");
         let (_, next) = writer.complete_traced(now, disk, &mut OutputSide(&mut self.sink));
         if let Some(s) = next {
-            self.exec.schedule_at(s.completion_at, Event::WriteDone(disk));
+            self.exec
+                .schedule_at(s.completion_at, Event::WriteDone(disk));
         }
         if self.gate == Some(Gate::WriteSpace) {
             self.wake_cpu(now);
@@ -383,7 +385,8 @@ impl<S: TraceSink> MergeSim<S> {
             if let Some((disk, s)) =
                 writer.produce_block_traced(now, &mut OutputSide(&mut self.sink))
             {
-                self.exec.schedule_at(s.completion_at, Event::WriteDone(disk));
+                self.exec
+                    .schedule_at(s.completion_at, Event::WriteDone(disk));
             }
         }
         let disks = &self.disks;
@@ -412,7 +415,8 @@ impl<S: TraceSink> MergeSim<S> {
             let disk = req.disk;
             let (_, started) = self.disks.submit_traced(now, req, &mut self.sink);
             if let Some(s) = started {
-                self.exec.schedule_at(s.completion_at, Event::DiskDone(disk));
+                self.exec
+                    .schedule_at(s.completion_at, Event::DiskDone(disk));
             }
         }
         self.busy.update(now, self.disks.busy_count() as u32);
@@ -479,7 +483,6 @@ impl<S: TraceSink> MergeSim<S> {
     }
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,8 +512,13 @@ mod tests {
 
     #[test]
     fn merges_every_block_no_prefetch() {
-        let r = MergeSim::run_uniform(small(PrefetchStrategy::None, SyncMode::Unsynchronized, 1, 6))
-            .unwrap();
+        let r = MergeSim::run_uniform(small(
+            PrefetchStrategy::None,
+            SyncMode::Unsynchronized,
+            1,
+            6,
+        ))
+        .unwrap();
         assert_eq!(r.blocks_merged, 240);
         assert_eq!(r.disk_requests, 240);
         assert!(r.total > SimDuration::ZERO);
@@ -549,7 +557,12 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let cfg = small(PrefetchStrategy::InterRun { n: 3 }, SyncMode::Unsynchronized, 3, 60);
+        let cfg = small(
+            PrefetchStrategy::InterRun { n: 3 },
+            SyncMode::Unsynchronized,
+            3,
+            60,
+        );
         let a = MergeSim::run_uniform(cfg).unwrap();
         let b = MergeSim::run_uniform(cfg).unwrap();
         assert_eq!(a, b);
@@ -557,7 +570,12 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let cfg = small(PrefetchStrategy::IntraRun { n: 4 }, SyncMode::Unsynchronized, 2, 24);
+        let cfg = small(
+            PrefetchStrategy::IntraRun { n: 4 },
+            SyncMode::Unsynchronized,
+            2,
+            24,
+        );
         let a = MergeSim::run_uniform(cfg).unwrap();
         let mut cfg2 = cfg;
         cfg2.seed = 43;
@@ -607,7 +625,12 @@ mod tests {
 
     #[test]
     fn finite_cpu_adds_time() {
-        let mut fast = small(PrefetchStrategy::IntraRun { n: 5 }, SyncMode::Unsynchronized, 2, 30);
+        let mut fast = small(
+            PrefetchStrategy::IntraRun { n: 5 },
+            SyncMode::Unsynchronized,
+            2,
+            30,
+        );
         let mut slow = fast;
         slow.cpu_per_block = SimDuration::from_millis(5);
         fast.cpu_per_block = SimDuration::ZERO;
@@ -672,11 +695,20 @@ mod tests {
         // Distributing the runs shortens seeks by ~D× (the paper's eq. 3
         // mechanism). Total time in this tiny scenario is dominated by
         // rotational-latency noise, so assert on the seek component.
-        let one = MergeSim::run_uniform(small(PrefetchStrategy::None, SyncMode::Unsynchronized, 1, 6))
-            .unwrap();
-        let three =
-            MergeSim::run_uniform(small(PrefetchStrategy::None, SyncMode::Unsynchronized, 3, 6))
-                .unwrap();
+        let one = MergeSim::run_uniform(small(
+            PrefetchStrategy::None,
+            SyncMode::Unsynchronized,
+            1,
+            6,
+        ))
+        .unwrap();
+        let three = MergeSim::run_uniform(small(
+            PrefetchStrategy::None,
+            SyncMode::Unsynchronized,
+            3,
+            6,
+        ))
+        .unwrap();
         assert!(
             three.seek_total.as_millis_f64() < 0.6 * one.seek_total.as_millis_f64(),
             "three={} one={}",
@@ -688,7 +720,12 @@ mod tests {
     #[test]
     fn trace_model_round_robin() {
         // A strict round-robin trace merges everything deterministically.
-        let cfg = small(PrefetchStrategy::IntraRun { n: 4 }, SyncMode::Unsynchronized, 2, 24);
+        let cfg = small(
+            PrefetchStrategy::IntraRun { n: 4 },
+            SyncMode::Unsynchronized,
+            2,
+            24,
+        );
         let mut trace = Vec::new();
         for block in 0..40u32 {
             for run in 0..6u32 {
@@ -729,7 +766,12 @@ mod tests {
 
     #[test]
     fn variable_run_lengths_merge_completely() {
-        let cfg = small(PrefetchStrategy::IntraRun { n: 4 }, SyncMode::Unsynchronized, 2, 100);
+        let cfg = small(
+            PrefetchStrategy::IntraRun { n: 4 },
+            SyncMode::Unsynchronized,
+            2,
+            100,
+        );
         let lengths = [40u32, 10, 25, 3, 60, 17];
         let sim = MergeSim::with_run_lengths(cfg, &lengths).unwrap();
         let r = sim.run(&mut crate::UniformDepletion);
@@ -740,7 +782,12 @@ mod tests {
 
     #[test]
     fn variable_lengths_inter_run_strategy() {
-        let cfg = small(PrefetchStrategy::InterRun { n: 5 }, SyncMode::Unsynchronized, 3, 400);
+        let cfg = small(
+            PrefetchStrategy::InterRun { n: 5 },
+            SyncMode::Unsynchronized,
+            3,
+            400,
+        );
         let lengths = [80u32, 5, 120, 44, 61, 9];
         let r = MergeSim::with_run_lengths(cfg, &lengths)
             .unwrap()
@@ -750,11 +797,18 @@ mod tests {
 
     #[test]
     fn variable_lengths_reject_undersized_cache() {
-        let cfg = small(PrefetchStrategy::IntraRun { n: 10 }, SyncMode::Unsynchronized, 2, 30);
+        let cfg = small(
+            PrefetchStrategy::IntraRun { n: 10 },
+            SyncMode::Unsynchronized,
+            2,
+            30,
+        );
         // Initial load needs min(10, len) per run = 10+10+5 = 25 <= 30: ok.
         assert!(MergeSim::with_run_lengths(cfg, &[40, 40, 5]).is_ok());
         // 10*4 = 40 > 30: rejected.
-        let err = MergeSim::with_run_lengths(cfg, &[40, 40, 40, 40]).err().unwrap();
+        let err = MergeSim::with_run_lengths(cfg, &[40, 40, 40, 40])
+            .err()
+            .unwrap();
         assert!(matches!(err, crate::ConfigError::CacheTooSmall { .. }));
     }
 
@@ -767,8 +821,15 @@ mod tests {
 
     #[test]
     fn uniform_lengths_match_plain_constructor() {
-        let cfg = small(PrefetchStrategy::IntraRun { n: 5 }, SyncMode::Unsynchronized, 2, 30);
-        let a = MergeSim::new(cfg).unwrap().run(&mut crate::UniformDepletion);
+        let cfg = small(
+            PrefetchStrategy::IntraRun { n: 5 },
+            SyncMode::Unsynchronized,
+            2,
+            30,
+        );
+        let a = MergeSim::new(cfg)
+            .unwrap()
+            .run(&mut crate::UniformDepletion);
         let b = MergeSim::with_run_lengths(cfg, &[40; 6])
             .unwrap()
             .run(&mut crate::UniformDepletion);
@@ -805,8 +866,16 @@ mod tests {
 
     #[test]
     fn write_traffic_completes_and_counts() {
-        let mut cfg = small(PrefetchStrategy::InterRun { n: 5 }, SyncMode::Unsynchronized, 3, 200);
-        cfg.write = Some(crate::WriteSpec { disks: 2, buffer_blocks: 16 });
+        let mut cfg = small(
+            PrefetchStrategy::InterRun { n: 5 },
+            SyncMode::Unsynchronized,
+            3,
+            200,
+        );
+        cfg.write = Some(crate::WriteSpec {
+            disks: 2,
+            buffer_blocks: 16,
+        });
         let r = MergeSim::run_uniform(cfg).unwrap();
         assert_eq!(r.blocks_merged, 240);
         assert_eq!(r.write_blocks, 240);
@@ -819,20 +888,41 @@ mod tests {
         // Read side: 3 disks with deep prefetching. Write side: one disk
         // must absorb every output block (mostly sequential, so ~T per
         // block), which dominates the read-side bound of total/3.
-        let mut cfg = small(PrefetchStrategy::InterRun { n: 5 }, SyncMode::Unsynchronized, 3, 400);
+        let mut cfg = small(
+            PrefetchStrategy::InterRun { n: 5 },
+            SyncMode::Unsynchronized,
+            3,
+            400,
+        );
         let baseline = MergeSim::run_uniform(cfg).unwrap();
-        cfg.write = Some(crate::WriteSpec { disks: 1, buffer_blocks: 8 });
+        cfg.write = Some(crate::WriteSpec {
+            disks: 1,
+            buffer_blocks: 8,
+        });
         let with_writes = MergeSim::run_uniform(cfg).unwrap();
         let write_bound = SimDuration::from_millis_f64(2.16) * 240;
-        assert!(with_writes.total >= write_bound, "{} < {}", with_writes.total, write_bound);
+        assert!(
+            with_writes.total >= write_bound,
+            "{} < {}",
+            with_writes.total,
+            write_bound
+        );
         assert!(with_writes.total > baseline.total);
     }
 
     #[test]
     fn ample_write_disks_cost_little() {
-        let mut cfg = small(PrefetchStrategy::InterRun { n: 5 }, SyncMode::Unsynchronized, 3, 400);
+        let mut cfg = small(
+            PrefetchStrategy::InterRun { n: 5 },
+            SyncMode::Unsynchronized,
+            3,
+            400,
+        );
         let baseline = MergeSim::run_uniform(cfg).unwrap();
-        cfg.write = Some(crate::WriteSpec { disks: 4, buffer_blocks: 64 });
+        cfg.write = Some(crate::WriteSpec {
+            disks: 4,
+            buffer_blocks: 64,
+        });
         let with_writes = MergeSim::run_uniform(cfg).unwrap();
         // The paper's assumption: with enough write bandwidth the write
         // side is invisible (small tolerance for the final drain).
@@ -846,8 +936,16 @@ mod tests {
 
     #[test]
     fn write_traffic_is_deterministic() {
-        let mut cfg = small(PrefetchStrategy::IntraRun { n: 4 }, SyncMode::Unsynchronized, 2, 24);
-        cfg.write = Some(crate::WriteSpec { disks: 2, buffer_blocks: 4 });
+        let mut cfg = small(
+            PrefetchStrategy::IntraRun { n: 4 },
+            SyncMode::Unsynchronized,
+            2,
+            24,
+        );
+        cfg.write = Some(crate::WriteSpec {
+            disks: 2,
+            buffer_blocks: 4,
+        });
         let a = MergeSim::run_uniform(cfg).unwrap();
         let b = MergeSim::run_uniform(cfg).unwrap();
         assert_eq!(a, b);
@@ -864,12 +962,21 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced_and_accounts_everything() {
-        let cfg = small(PrefetchStrategy::InterRun { n: 5 }, SyncMode::Unsynchronized, 3, 120);
+        let cfg = small(
+            PrefetchStrategy::InterRun { n: 5 },
+            SyncMode::Unsynchronized,
+            3,
+            120,
+        );
         let plain = MergeSim::run_uniform(cfg).unwrap();
         let (traced, events) = recorded(cfg);
         assert_eq!(plain, traced, "tracing must not change behaviour");
         // The paper's k=25, D=8, inter-run N=10, C=1200 case, too.
-        let paper = crate::ScenarioBuilder::new(25, 8).inter(10).cache_blocks(1200).build().unwrap();
+        let paper = crate::ScenarioBuilder::new(25, 8)
+            .inter(10)
+            .cache_blocks(1200)
+            .build()
+            .unwrap();
         assert_eq!(MergeSim::run_uniform(paper).unwrap(), recorded(paper).0);
         let m = pm_trace::TraceMetrics::from_events(&events);
         // The trace's per-disk lanes equal the disks' own accounts.
@@ -895,7 +1002,10 @@ mod tests {
                 ..
             } = ev.kind
             {
-                assert!(last_end[usize::from(disk)] <= started, "overlap on disk {disk}");
+                assert!(
+                    last_end[usize::from(disk)] <= started,
+                    "overlap on disk {disk}"
+                );
                 last_end[usize::from(disk)] = ev.at;
             }
         }
@@ -903,8 +1013,16 @@ mod tests {
 
     #[test]
     fn traced_write_runs_tag_output_disks() {
-        let mut cfg = small(PrefetchStrategy::IntraRun { n: 4 }, SyncMode::Unsynchronized, 2, 24);
-        cfg.write = Some(crate::WriteSpec { disks: 2, buffer_blocks: 8 });
+        let mut cfg = small(
+            PrefetchStrategy::IntraRun { n: 4 },
+            SyncMode::Unsynchronized,
+            2,
+            24,
+        );
+        cfg.write = Some(crate::WriteSpec {
+            disks: 2,
+            buffer_blocks: 8,
+        });
         let (report, events) = recorded(cfg);
         let m = pm_trace::TraceMetrics::from_events(&events);
         let requests =
@@ -920,7 +1038,10 @@ mod tests {
         // At an ample cache the adaptive policy should climb toward n_max
         // and perform like the best fixed depth in its range.
         let mut adaptive = small(
-            PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: 10 },
+            PrefetchStrategy::InterRunAdaptive {
+                n_min: 1,
+                n_max: 10,
+            },
             SyncMode::Unsynchronized,
             3,
             240,
@@ -962,7 +1083,12 @@ mod tests {
 
     #[test]
     fn invalid_config_is_rejected() {
-        let mut cfg = small(PrefetchStrategy::IntraRun { n: 5 }, SyncMode::Unsynchronized, 2, 30);
+        let mut cfg = small(
+            PrefetchStrategy::IntraRun { n: 5 },
+            SyncMode::Unsynchronized,
+            2,
+            30,
+        );
         cfg.cache_blocks = 10;
         assert!(MergeSim::run_uniform(cfg).is_err());
     }

@@ -139,7 +139,11 @@ mod tests {
         assert_eq!(PrefetchStrategy::IntraRun { n: 7 }.depth(), 7);
         assert_eq!(PrefetchStrategy::InterRun { n: 3 }.depth(), 3);
         assert_eq!(
-            PrefetchStrategy::InterRunAdaptive { n_min: 2, n_max: 16 }.depth(),
+            PrefetchStrategy::InterRunAdaptive {
+                n_min: 2,
+                n_max: 16
+            }
+            .depth(),
             2
         );
     }

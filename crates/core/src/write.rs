@@ -14,7 +14,9 @@
 //! after a disk's first are sequential (no seek, no rotational latency) —
 //! the most favourable realistic layout.
 
-use pm_disk::{BlockAddr, CompletedRequest, DiskArray, DiskId, DiskRequest, DiskSpec, StartedService};
+use pm_disk::{
+    BlockAddr, CompletedRequest, DiskArray, DiskId, DiskRequest, DiskSpec, StartedService,
+};
 use pm_sim::{SimDuration, SimTime};
 use pm_trace::TraceSink;
 
@@ -50,7 +52,10 @@ impl Writer {
     /// validate via [`WriteSpec`] checks in `MergeConfig::validate`.
     pub(crate) fn new(spec: WriteSpec, disk_spec: DiskSpec, seed: u64) -> Self {
         assert!(spec.disks > 0, "write subsystem needs at least one disk");
-        assert!(spec.buffer_blocks > 0, "write buffer needs at least one block");
+        assert!(
+            spec.buffer_blocks > 0,
+            "write buffer needs at least one block"
+        );
         Writer {
             array: DiskArray::new(
                 spec.disks as usize,

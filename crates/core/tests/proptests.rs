@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 
 use pm_core::{
-    AdmissionPolicy, MergeConfig, MergeSim, PrefetchStrategy, QueueDiscipline, ScenarioBuilder, SimDuration, SyncMode, parallel, run_trials, run_trials_parallel,
+    parallel, run_trials, run_trials_parallel, AdmissionPolicy, MergeConfig, MergeSim,
+    PrefetchStrategy, QueueDiscipline, ScenarioBuilder, SimDuration, SyncMode,
 };
 use pm_sim::{derive_seeds, SimRng};
 
@@ -29,22 +30,22 @@ struct Params {
 fn params() -> impl Strategy<Value = Params> {
     (
         (
-            1u32..10,       // runs
-            1u32..60,       // run_blocks
-            1u32..6,        // disks
-            0u32..4,        // strategy selector
-            1u32..8,        // depth
-            any::<bool>(),  // sync
-            0u32..100,      // extra cache beyond the minimum
-            0u32..2_000,    // cpu microseconds per block
+            1u32..10,      // runs
+            1u32..60,      // run_blocks
+            1u32..6,       // disks
+            0u32..4,       // strategy selector
+            1u32..8,       // depth
+            any::<bool>(), // sync
+            0u32..100,     // extra cache beyond the minimum
+            0u32..2_000,   // cpu microseconds per block
         ),
         (
-            any::<bool>(),  // greedy admission
-            0u8..3,         // prefetch choice
+            any::<bool>(),              // greedy admission
+            0u8..3,                     // prefetch choice
             prop::option::of(1u32..30), // per-run cap
-            any::<bool>(),  // striped layout
-            0u32..3,        // write disks (0 = none)
-            any::<u64>(),   // seed
+            any::<bool>(),              // striped layout
+            0u32..3,                    // write disks (0 = none)
+            any::<u64>(),               // seed
         ),
     )
         .prop_map(

@@ -68,7 +68,11 @@ impl DiskArray {
     }
 
     /// Routes a request to its addressed drive.
-    pub fn submit(&mut self, now: SimTime, req: DiskRequest) -> (RequestId, Option<StartedService>) {
+    pub fn submit(
+        &mut self,
+        now: SimTime,
+        req: DiskRequest,
+    ) -> (RequestId, Option<StartedService>) {
         self.submit_traced(now, req, &mut NullSink)
     }
 
@@ -89,7 +93,11 @@ impl DiskArray {
     }
 
     /// Completes the in-service request on `id`.
-    pub fn complete(&mut self, now: SimTime, id: DiskId) -> (CompletedRequest, Option<StartedService>) {
+    pub fn complete(
+        &mut self,
+        now: SimTime,
+        id: DiskId,
+    ) -> (CompletedRequest, Option<StartedService>) {
         self.complete_traced(now, id, &mut NullSink)
     }
 

@@ -124,7 +124,11 @@ mod tests {
 
     #[test]
     fn empty_queue_selects_none() {
-        for d in [QueueDiscipline::Fifo, QueueDiscipline::Sstf, QueueDiscipline::Look] {
+        for d in [
+            QueueDiscipline::Fifo,
+            QueueDiscipline::Sstf,
+            QueueDiscipline::Look,
+        ] {
             assert_eq!(d.select(&[], Cylinder(0), SweepDirection::Up), None);
         }
     }

@@ -155,7 +155,11 @@ impl Disk {
     ///
     /// Panics if the request is empty, targets another disk, or does not
     /// fit on the platter.
-    pub fn submit(&mut self, now: SimTime, req: DiskRequest) -> (RequestId, Option<StartedService>) {
+    pub fn submit(
+        &mut self,
+        now: SimTime,
+        req: DiskRequest,
+    ) -> (RequestId, Option<StartedService>) {
         self.submit_traced(now, req, &mut NullSink)
     }
 
@@ -175,7 +179,9 @@ impl Disk {
         assert_eq!(req.disk, self.id, "request routed to wrong disk");
         assert!(req.len > 0, "empty disk request");
         assert!(
-            self.spec.geometry.contains_span(req.start, u64::from(req.len)),
+            self.spec
+                .geometry
+                .contains_span(req.start, u64::from(req.len)),
             "request [{}, +{}) beyond disk capacity",
             req.start.0,
             req.len
@@ -233,7 +239,8 @@ impl Disk {
     ) -> (CompletedRequest, Option<StartedService>) {
         let svc = self.in_service.take().expect("complete() on an idle disk");
         assert_eq!(
-            svc.completes, now,
+            svc.completes,
+            now,
             "complete() at {} but service finishes at {}",
             now.as_nanos(),
             svc.completes.as_nanos()

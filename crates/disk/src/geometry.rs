@@ -116,7 +116,10 @@ mod tests {
         let g = DiskGeometry::paper();
         assert_eq!(g.blocks_per_cylinder(), 64);
         // Cylinder byte capacity matches the original 16×32×512 layout.
-        assert_eq!(g.blocks_per_cylinder() * g.block_bytes as u64, 16 * 32 * 512);
+        assert_eq!(
+            g.blocks_per_cylinder() * g.block_bytes as u64,
+            16 * 32 * 512
+        );
     }
 
     #[test]

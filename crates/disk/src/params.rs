@@ -87,8 +87,7 @@ impl DiskSpec {
     pub fn paper_with_block_bytes(block_bytes: u32) -> Self {
         assert!(block_bytes > 0, "block size must be positive");
         let paper_geom = DiskGeometry::paper();
-        let cylinder_bytes =
-            paper_geom.blocks_per_cylinder() as u32 * paper_geom.block_bytes;
+        let cylinder_bytes = paper_geom.blocks_per_cylinder() as u32 * paper_geom.block_bytes;
         assert!(
             cylinder_bytes % block_bytes == 0,
             "block size {block_bytes} must divide the cylinder capacity {cylinder_bytes}"
@@ -101,9 +100,8 @@ impl DiskSpec {
         };
         let paper_params = DiskParams::paper();
         // Scale T with the block size at the same sustained rate.
-        let transfer_ns = paper_params.transfer_per_block.as_nanos() as u128
-            * u128::from(block_bytes)
-            / 4096;
+        let transfer_ns =
+            paper_params.transfer_per_block.as_nanos() as u128 * u128::from(block_bytes) / 4096;
         DiskSpec {
             geometry,
             params: DiskParams {
@@ -168,7 +166,10 @@ mod tests {
             let rate = f64::from(bs) / spec.params.transfer_per_block.as_millis_f64();
             assert!((rate - 4096.0 / 2.16).abs() < 1e-6, "bs={bs} rate={rate}");
             // Mechanics unchanged.
-            assert_eq!(spec.params.rotation_period, DiskParams::paper().rotation_period);
+            assert_eq!(
+                spec.params.rotation_period,
+                DiskParams::paper().rotation_period
+            );
             assert_eq!(spec.params.seek, DiskParams::paper().seek);
         }
     }

@@ -49,8 +49,7 @@ impl SeekModel {
                 settle,
                 per_sqrt_cylinder,
             } => {
-                let sqrt_ns =
-                    per_sqrt_cylinder.as_nanos() as f64 * f64::from(distance).sqrt();
+                let sqrt_ns = per_sqrt_cylinder.as_nanos() as f64 * f64::from(distance).sqrt();
                 settle + SimDuration::from_nanos(sqrt_ns.round() as u64)
             }
         }
@@ -105,7 +104,10 @@ mod tests {
         let m = SeekModel::paper();
         assert_eq!(m.seek_time(100).as_millis_f64(), 3.0);
         assert_eq!(m.seek_time(200).as_millis_f64(), 6.0);
-        assert_eq!(m.linear_per_cylinder(), Some(SimDuration::from_millis_f64(0.03)));
+        assert_eq!(
+            m.linear_per_cylinder(),
+            Some(SimDuration::from_millis_f64(0.03))
+        );
     }
 
     #[test]

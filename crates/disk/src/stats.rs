@@ -200,7 +200,13 @@ mod tests {
     #[test]
     fn records_accumulate() {
         let mut s = DiskStats::new(840);
-        s.record_service(sample_breakdown(), 1, 33, SimDuration::from_millis(4), false);
+        s.record_service(
+            sample_breakdown(),
+            1,
+            33,
+            SimDuration::from_millis(4),
+            false,
+        );
         s.record_service(
             ServiceBreakdown {
                 transfer: SimDuration::from_millis(2),

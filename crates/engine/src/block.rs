@@ -24,7 +24,10 @@ pub fn block_bytes(records_per_block: u32) -> usize {
 ///
 /// Panics if `buf` is too small.
 pub fn encode_records(records: &[Record], buf: &mut [u8]) {
-    assert!(buf.len() >= records.len() * RECORD_BYTES, "buffer too small");
+    assert!(
+        buf.len() >= records.len() * RECORD_BYTES,
+        "buffer too small"
+    );
     let (used, tail) = buf.split_at_mut(records.len() * RECORD_BYTES);
     for (chunk, rec) in used.chunks_exact_mut(RECORD_BYTES).zip(records) {
         chunk[..8].copy_from_slice(&rec.key.to_le_bytes());

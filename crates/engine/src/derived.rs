@@ -331,7 +331,8 @@ impl DecisionLoop {
     pub(crate) fn step<S: TraceSink>(&mut self, j: RunId, at: SimTime, sink: &mut S) -> Wait {
         self.core.consume(j, at, sink);
         let issuer = &self.issuer;
-        self.core.decide(j, at, |d| issuer.head(d), &mut self.reads, sink)
+        self.core
+            .decide(j, at, |d| issuer.head(d), &mut self.reads, sink)
     }
 
     /// Whether reads are waiting to be issued.

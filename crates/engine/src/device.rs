@@ -228,8 +228,13 @@ impl FileDevice {
             }
             .into());
         }
-        let mut dev = Self::create(dir, disks, block_bytes)
-            .map_err(|e| PmError::device("file-direct", format!("creating files under {}", dir.display()), e))?;
+        let mut dev = Self::create(dir, disks, block_bytes).map_err(|e| {
+            PmError::device(
+                "file-direct",
+                format!("creating files under {}", dir.display()),
+                e,
+            )
+        })?;
         let mut direct = Vec::with_capacity(disks);
         for path in &dev.paths {
             use std::os::unix::fs::OpenOptionsExt;

@@ -822,9 +822,9 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         if M::ENABLED {
             self.metrics.disk_queue_depth(d, self.inflight[d] as f64);
         }
-        let data = completion
-            .data
-            .map_err(|e| PmError::device(self.backend, format!("read run {run} block {index}"), e))?;
+        let data = completion.data.map_err(|e| {
+            PmError::device(self.backend, format!("read run {run} block {index}"), e)
+        })?;
         let bb = self.plan.block_bytes();
         if data.len() != bb {
             return Err(PmError::device(
@@ -832,7 +832,10 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
                 format!("read run {run} block {index}"),
                 io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("the queue returned {} bytes for a {bb}-byte block", data.len()),
+                    format!(
+                        "the queue returned {} bytes for a {bb}-byte block",
+                        data.len()
+                    ),
                 ),
             ));
         }
@@ -840,10 +843,12 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         let finished = SimTime::ZERO + SimDuration::from_nanos(completion.finished_ns);
         if M::ENABLED {
             const NANOS_PER_SEC: f64 = 1e9;
-            let wait = completion.started_ns.saturating_sub(completion.submitted_ns) as f64
+            let wait = completion
+                .started_ns
+                .saturating_sub(completion.submitted_ns) as f64
                 / NANOS_PER_SEC;
-            let service = completion.finished_ns.saturating_sub(completion.started_ns) as f64
-                / NANOS_PER_SEC;
+            let service =
+                completion.finished_ns.saturating_sub(completion.started_ns) as f64 / NANOS_PER_SEC;
             self.metrics.disk_io(d, bb as u64, wait, service);
             // Dedicated runs carry tenant 0; a sink built without tenants
             // drops these, a shared run's sink attributes them.

@@ -70,8 +70,8 @@ pub use engine::{
 };
 pub use ioqueue::{IoCompletion, IoQueue, IoRequest, QueueOptions};
 pub use multipass::{
-    clean_stale_passes, MultiPassExecutor, MultiPassOptions, MultiPassOutcome,
-    PassBackend, PassOutcome,
+    clean_stale_passes, MultiPassExecutor, MultiPassOptions, MultiPassOutcome, PassBackend,
+    PassOutcome,
 };
 pub use shared::{SharedDeviceSet, SharedPort};
 #[cfg(feature = "uring")]

@@ -159,7 +159,9 @@ impl Default for MultiPassOptions {
 }
 
 fn placeholder_config() -> MergeConfig {
-    ScenarioBuilder::new(2, 1).build().expect("valid placeholder")
+    ScenarioBuilder::new(2, 1)
+        .build()
+        .expect("valid placeholder")
 }
 
 /// What one pass of a multi-pass execution measured.
@@ -315,15 +317,14 @@ pub fn clean_stale_passes(root: &Path) -> Result<u32, PmError> {
     let entries = std::fs::read_dir(root)
         .map_err(|e| PmError::io(format!("scanning {}", root.display()), e))?;
     for entry in entries {
-        let entry =
-            entry.map_err(|e| PmError::io(format!("scanning {}", root.display()), e))?;
+        let entry = entry.map_err(|e| PmError::io(format!("scanning {}", root.display()), e))?;
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if !entry.path().is_dir() {
             continue;
         }
-        let stale = name.starts_with("pass-")
-            || staged_pid(&name).is_some_and(|pid| !owner_alive(pid));
+        let stale =
+            name.starts_with("pass-") || staged_pid(&name).is_some_and(|pid| !owner_alive(pid));
         if stale {
             std::fs::remove_dir_all(entry.path()).map_err(|e| {
                 PmError::io(format!("removing stale {}", entry.path().display()), e)
@@ -354,7 +355,12 @@ impl<'p> MultiPassExecutor<'p> {
         opts: MultiPassOptions,
         backend: PassBackend,
     ) -> Self {
-        MultiPassExecutor { plan, base, opts, backend }
+        MultiPassExecutor {
+            plan,
+            base,
+            opts,
+            backend,
+        }
     }
 
     /// Runs the whole tree over `runs` (level-0 inputs, in plan order).
@@ -461,8 +467,7 @@ impl<'p> MultiPassExecutor<'p> {
             let mut next: Vec<Vec<Record>> = Vec::with_capacity(pass.groups.len());
             let mut inputs_iter = level.into_iter();
             for (g, group) in pass.groups.iter().enumerate() {
-                let inputs: Vec<Vec<Record>> =
-                    inputs_iter.by_ref().take(group.len).collect();
+                let inputs: Vec<Vec<Record>> = inputs_iter.by_ref().take(group.len).collect();
                 if group.len == 1 {
                     // Passthrough: the run advances a level without I/O.
                     next.push(inputs.into_iter().next().expect("one input"));
@@ -514,9 +519,8 @@ impl<'p> MultiPassExecutor<'p> {
             if let Some(staging) = &staging {
                 let dir = staging.join(format!("pass-{p:02}"));
                 if dir.exists() {
-                    std::fs::remove_dir_all(&dir).map_err(|e| {
-                        PmError::io(format!("removing {}", dir.display()), e)
-                    })?;
+                    std::fs::remove_dir_all(&dir)
+                        .map_err(|e| PmError::io(format!("removing {}", dir.display()), e))?;
                 }
             }
             if M::ENABLED {
@@ -526,9 +530,8 @@ impl<'p> MultiPassExecutor<'p> {
         }
         if let Some(staging) = &staging {
             if staging.exists() {
-                std::fs::remove_dir_all(staging).map_err(|e| {
-                    PmError::io(format!("removing {}", staging.display()), e)
-                })?;
+                std::fs::remove_dir_all(staging)
+                    .map_err(|e| PmError::io(format!("removing {}", staging.display()), e))?;
             }
         }
         let output = level.into_iter().next().unwrap_or_default();
@@ -620,8 +623,15 @@ mod tests {
             .collect();
         let plan = plan_merge_tree(&lens, 3, PlanPolicy::GreedyMax).unwrap();
         assert_eq!(plan.num_passes(), 2);
-        let base = ScenarioBuilder::new(3, 2).inter(2).seed(11).build().unwrap();
-        let opts = MultiPassOptions { records_per_block: rpb, ..Default::default() };
+        let base = ScenarioBuilder::new(3, 2)
+            .inter(2)
+            .seed(11)
+            .build()
+            .unwrap();
+        let opts = MultiPassOptions {
+            records_per_block: rpb,
+            ..Default::default()
+        };
         let exec = MultiPassExecutor::new(&plan, base, opts, PassBackend::Memory);
         let out = exec.run(runs).unwrap();
         assert_eq!(out.output, expect);
@@ -726,9 +736,10 @@ mod tests {
             }
         }
         assert!(
-            old.iter()
-                .any(|ev| matches!(ev.kind, EventKind::PassBoundary { pass: 1, .. })
-                    && ev.at > SimTime::ZERO),
+            old.iter().any(
+                |ev| matches!(ev.kind, EventKind::PassBoundary { pass: 1, .. })
+                    && ev.at > SimTime::ZERO
+            ),
             "the second pass must start past zero"
         );
         let joined = EngineTrace::join(trace.segments);
@@ -771,7 +782,10 @@ mod tests {
         let exec = MultiPassExecutor::new(
             &plan,
             base,
-            MultiPassOptions { records_per_block: 20, ..Default::default() },
+            MultiPassOptions {
+                records_per_block: 20,
+                ..Default::default()
+            },
             PassBackend::Memory,
         );
         let out = exec.run(runs.clone()).unwrap();
@@ -818,15 +832,13 @@ mod tests {
                 let root = root.clone();
                 handles.push(s.spawn(move || {
                     let runs = uniform_runs(8, 100);
-                    let mut expect: Vec<Record> =
-                        runs.iter().flatten().copied().collect();
+                    let mut expect: Vec<Record> = runs.iter().flatten().copied().collect();
                     expect.sort();
                     let lens: Vec<u32> = runs
                         .iter()
                         .map(|r| (r.len() as u32).div_ceil(rpb))
                         .collect();
-                    let plan =
-                        plan_merge_tree(&lens, 3, PlanPolicy::GreedyMax).unwrap();
+                    let plan = plan_merge_tree(&lens, 3, PlanPolicy::GreedyMax).unwrap();
                     let base = ScenarioBuilder::new(3, 2)
                         .inter(2)
                         .seed(seed)
@@ -836,12 +848,8 @@ mod tests {
                         records_per_block: rpb,
                         ..Default::default()
                     };
-                    let exec = MultiPassExecutor::new(
-                        &plan,
-                        base,
-                        opts,
-                        PassBackend::File { root },
-                    );
+                    let exec =
+                        MultiPassExecutor::new(&plan, base, opts, PassBackend::File { root });
                     (expect, exec.run(runs).unwrap().output)
                 }));
             }

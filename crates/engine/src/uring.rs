@@ -212,7 +212,12 @@ struct Ring {
 unsafe impl Send for Ring {}
 
 impl Ring {
-    fn new(disk: u16, read_file: std::fs::File, depth: usize, block_bytes: usize) -> io::Result<Self> {
+    fn new(
+        disk: u16,
+        read_file: std::fs::File,
+        depth: usize,
+        block_bytes: usize,
+    ) -> io::Result<Self> {
         let mut params = Params::default();
         let fd = unsafe {
             syscall(
@@ -230,7 +235,11 @@ impl Ring {
             params.sq_off.array as usize + params.sq_entries as usize * size_of::<u32>();
         let cq_ring_len =
             params.cq_off.cqes as usize + params.cq_entries as usize * size_of::<Cqe>();
-        let sq_len = if single { sq_ring_len.max(cq_ring_len) } else { sq_ring_len };
+        let sq_len = if single {
+            sq_ring_len.max(cq_ring_len)
+        } else {
+            sq_ring_len
+        };
         let map = |len: usize, off: i64| -> io::Result<*mut u8> {
             let p = unsafe {
                 mmap(
@@ -366,7 +375,11 @@ impl Ring {
         if to_submit == 0 && min_complete == 0 {
             return Ok(());
         }
-        let flags = if min_complete > 0 { IORING_ENTER_GETEVENTS } else { 0 };
+        let flags = if min_complete > 0 {
+            IORING_ENTER_GETEVENTS
+        } else {
+            0
+        };
         loop {
             let rc = unsafe {
                 syscall(
@@ -521,9 +534,8 @@ impl UringQueue {
             }
             .into());
         }
-        std::fs::create_dir_all(dir).map_err(|e| {
-            PmError::device("uring", format!("creating {}", dir.display()), e)
-        })?;
+        std::fs::create_dir_all(dir)
+            .map_err(|e| PmError::device("uring", format!("creating {}", dir.display()), e))?;
         let mut paths = Vec::with_capacity(disks);
         let mut write_files = Vec::with_capacity(disks);
         for d in 0..disks {
@@ -534,9 +546,7 @@ impl UringQueue {
                 .create(true)
                 .truncate(true)
                 .open(&path)
-                .map_err(|e| {
-                    PmError::device("uring", format!("creating {}", path.display()), e)
-                })?;
+                .map_err(|e| PmError::device("uring", format!("creating {}", path.display()), e))?;
             paths.push(path);
             write_files.push(file);
         }
@@ -603,7 +613,12 @@ impl IoQueue for UringQueue {
                 .read(true)
                 .custom_flags(O_DIRECT)
                 .open(path)?;
-            rings.push(Ring::new(d as u16, read_file, self.depth, self.block_bytes)?);
+            rings.push(Ring::new(
+                d as u16,
+                read_file,
+                self.depth,
+                self.block_bytes,
+            )?);
         }
         self.rings = rings;
         self.epoch = epoch;

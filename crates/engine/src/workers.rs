@@ -121,7 +121,10 @@ impl<T> Channel<T> {
     /// Never panics: it runs in a dying worker's unwind guard, and
     /// setting the flag is valid whatever a panicking holder left.
     pub(crate) fn close(&self) {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
         self.ready.notify_all();
     }
 }
@@ -166,7 +169,9 @@ impl RequestQueue {
             }),
             work: Condvar::new(),
             space: Condvar::new(),
-            waiting: (0..disks.div_ceil(workers)).map(|_| AtomicUsize::new(0)).collect(),
+            waiting: (0..disks.div_ceil(workers))
+                .map(|_| AtomicUsize::new(0))
+                .collect(),
             submitter_asleep: AtomicBool::new(false),
             workers,
             depth,
@@ -247,7 +252,10 @@ impl RequestQueue {
 
     /// Never panics, like [`Channel::close`].
     fn close(&self) {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
         self.work.notify_all();
         self.space.notify_all();
     }
@@ -291,7 +299,11 @@ impl ThreadedQueue {
     /// An in-memory backend (`disks` RAM arrays).
     #[must_use]
     pub fn memory(disks: usize, block_bytes: usize, opts: QueueOptions) -> Self {
-        Self::over(Arc::new(MemoryDevice::new(disks, block_bytes)), "memory", opts)
+        Self::over(
+            Arc::new(MemoryDevice::new(disks, block_bytes)),
+            "memory",
+            opts,
+        )
     }
 
     /// A buffered-file backend: one file per disk under `dir`.
@@ -299,7 +311,12 @@ impl ThreadedQueue {
     /// # Errors
     ///
     /// Propagates file-creation failures.
-    pub fn file(dir: &Path, disks: usize, block_bytes: usize, opts: QueueOptions) -> io::Result<Self> {
+    pub fn file(
+        dir: &Path,
+        disks: usize,
+        block_bytes: usize,
+        opts: QueueOptions,
+    ) -> io::Result<Self> {
         Ok(Self::over(
             Arc::new(FileDevice::create(dir, disks, block_bytes)?),
             "file",
@@ -340,7 +357,9 @@ impl ThreadedQueue {
     ) -> Self {
         let inner = MemoryDevice::new(disks, block_bytes);
         Self::over(
-            Arc::new(LatencyDevice::new(inner, disks, spec, discipline, disk_seed)),
+            Arc::new(LatencyDevice::new(
+                inner, disks, spec, discipline, disk_seed,
+            )),
             "latency",
             opts,
         )

@@ -22,7 +22,11 @@ fn scenarios() -> Vec<(&'static str, MergeConfig)> {
     vec![
         (
             "no-prefetch",
-            ScenarioBuilder::new(8, 2).cache_blocks(16).seed(11).build().unwrap(),
+            ScenarioBuilder::new(8, 2)
+                .cache_blocks(16)
+                .seed(11)
+                .build()
+                .unwrap(),
         ),
         (
             "intra-sync",
@@ -36,7 +40,11 @@ fn scenarios() -> Vec<(&'static str, MergeConfig)> {
         ),
         (
             "inter-random",
-            ScenarioBuilder::new(8, 3).inter(4).seed(13).build().unwrap(),
+            ScenarioBuilder::new(8, 3)
+                .inter(4)
+                .seed(13)
+                .build()
+                .unwrap(),
         ),
         (
             "inter-greedy-least-held",
@@ -102,7 +110,10 @@ fn memory_and_file_backends_agree_across_jobs() {
                 );
                 let (a, b) = (&outcome.report, &baseline.report);
                 assert_eq!(a.demand_ops, b.demand_ops, "{name}/{backend}/jobs={jobs}");
-                assert_eq!(a.fallback_ops, b.fallback_ops, "{name}/{backend}/jobs={jobs}");
+                assert_eq!(
+                    a.fallback_ops, b.fallback_ops,
+                    "{name}/{backend}/jobs={jobs}"
+                );
                 assert_eq!(
                     a.full_prefetch_ops, b.full_prefetch_ops,
                     "{name}/{backend}/jobs={jobs}"
@@ -126,7 +137,11 @@ fn queue_depth_and_backend_leave_decisions_invariant() {
     // must re-derive every per-disk request sequence from the depletion
     // alone.
     let runs = form_runs(3000, 400, 29);
-    let cfg = ScenarioBuilder::new(8, 3).inter(4).seed(51).build().unwrap();
+    let cfg = ScenarioBuilder::new(8, 3)
+        .inter(4)
+        .seed(51)
+        .build()
+        .unwrap();
     let disks = cfg.disks as usize;
     let baseline = {
         let engine = engine_custom(cfg, &runs, 1, 1, RPB_ALIGNED);
@@ -167,7 +182,11 @@ fn executions_are_repeatable() {
     // The same engine executed twice on fresh devices is bit-identical:
     // no hidden state leaks between executions.
     let runs = form_runs(2000, 250, 3);
-    let cfg = ScenarioBuilder::new(8, 2).inter(4).seed(21).build().unwrap();
+    let cfg = ScenarioBuilder::new(8, 2)
+        .inter(4)
+        .seed(21)
+        .build()
+        .unwrap();
     let engine = engine_for(cfg, &runs, 0);
     let first = run_memory(&engine, &runs, 2);
     let second = run_memory(&engine, &runs, 2);
@@ -197,7 +216,11 @@ fn uneven_run_lengths_merge_completely() {
 fn trace_events_cover_every_request() {
     use pm_core::EventKind;
     let runs = form_runs(2000, 250, 5);
-    let cfg = ScenarioBuilder::new(8, 2).inter(4).seed(23).build().unwrap();
+    let cfg = ScenarioBuilder::new(8, 2)
+        .inter(4)
+        .seed(23)
+        .build()
+        .unwrap();
     let engine = engine_for(cfg, &runs, 0);
     let outcome = run_memory(&engine, &runs, 2);
     let issues = outcome

@@ -92,10 +92,7 @@ pub fn unique_dir() -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "pm-engine-test-{}-{n}",
-        std::process::id()
-    ))
+    std::env::temp_dir().join(format!("pm-engine-test-{}-{n}", std::process::id()))
 }
 
 /// Asserts `outcome` merged every input record into key order (ties may
@@ -108,7 +105,11 @@ pub fn assert_sorted_output(outcome: &ExecOutcome, runs: &[Vec<Record>]) {
     );
     let mut got = outcome.output.clone();
     got.sort_by_key(|r| (r.key, r.rid));
-    assert_eq!(got, reference(runs), "merged output is not the input multiset");
+    assert_eq!(
+        got,
+        reference(runs),
+        "merged output is not the input multiset"
+    );
 }
 
 /// A [`MemoryDevice`] whose reads panic (writes load it normally).
@@ -124,7 +125,10 @@ impl BlockDevice for PanickingDevice {
     }
 
     fn read_block(&self, disk: DiskId, start: BlockAddr, _buf: &mut [u8]) -> io::Result<()> {
-        panic!("injected device fault reading disk {} block {}", disk.0, start.0);
+        panic!(
+            "injected device fault reading disk {} block {}",
+            disk.0, start.0
+        );
     }
 
     fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {

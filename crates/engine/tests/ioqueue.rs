@@ -115,7 +115,9 @@ impl IoQueue for PermutedQueue {
         for req in reqs {
             let mut buf = self.spare.pop().unwrap_or_default();
             buf.resize(self.device.block_bytes(), 0);
-            let result = self.device.read_block(req.req.disk, req.req.start, &mut buf);
+            let result = self
+                .device
+                .read_block(req.req.disk, req.req.start, &mut buf);
             let now = Instant::now().duration_since(self.epoch).as_nanos() as u64;
             self.finished.push(IoCompletion {
                 disk: req.req.disk.0,
@@ -1116,7 +1118,8 @@ fn a_panicking_device_fails_the_merge_with_a_device_error() {
     engine.load(&mut queue, &runs).expect("load");
     let (tx, rx) = mpsc::channel();
     let driver = thread::spawn(move || {
-        tx.send(engine.execute(Box::new(queue)).map(|_| ())).unwrap();
+        tx.send(engine.execute(Box::new(queue)).map(|_| ()))
+            .unwrap();
     });
     let result = rx
         .recv_timeout(HANG)
@@ -1145,7 +1148,10 @@ fn misaligned_blocks_fail_direct_open_with_the_alignment_error() {
         msg.contains(&DIRECT_ALIGN.to_string()),
         "error must name the {DIRECT_ALIGN}-byte alignment unit: {msg}"
     );
-    assert!(msg.contains("640"), "error must name the offending size: {msg}");
+    assert!(
+        msg.contains("640"),
+        "error must name the offending size: {msg}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1175,8 +1181,14 @@ fn uring_backend_matches_the_memory_reference() {
         let outcome = engine.execute(Box::new(queue)).expect("execute");
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(outcome.output, baseline.output, "depth={depth}: output");
-        assert_eq!(outcome.requests, baseline.requests, "depth={depth}: requests");
-        assert_eq!(outcome.depletion, baseline.depletion, "depth={depth}: depletion");
+        assert_eq!(
+            outcome.requests, baseline.requests,
+            "depth={depth}: requests"
+        );
+        assert_eq!(
+            outcome.depletion, baseline.depletion,
+            "depth={depth}: depletion"
+        );
         let prediction = engine.predict(&outcome.depletion).expect("predict");
         assert_eq!(
             prediction.requests, outcome.requests,
@@ -1225,14 +1237,14 @@ fn check_recycled_reads<Q: IoQueue>(mut queue: Q, what: &str) {
         .collect();
     let mut image = vec![0xEEu8; RECYCLE_BLOCKS * bb];
     pm_engine::encode_records(&records, &mut image);
-    assert!(image[records.len() * RECORD_BYTES..].iter().all(|&b| b == 0));
+    assert!(image[records.len() * RECORD_BYTES..]
+        .iter()
+        .all(|&b| b == 0));
     queue.write_block(DiskId(0), BlockAddr(0), &image).unwrap();
     queue.open(Instant::now()).unwrap();
 
     let reads: Vec<IoRequest> = (0..RECYCLE_BLOCKS).map(|b| read_request(0, b)).collect();
-    let batches: Vec<&[IoRequest]> = std::iter::once(&reads[..])
-        .chain(reads.chunks(1))
-        .collect();
+    let batches: Vec<&[IoRequest]> = std::iter::once(&reads[..]).chain(reads.chunks(1)).collect();
     for (round, batch) in batches.into_iter().enumerate() {
         let mut recycled = Vec::new();
         for (i, _) in batch.iter().enumerate() {

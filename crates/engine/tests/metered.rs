@@ -95,7 +95,10 @@ fn assert_observed(metrics: &StackMetrics, metered: &ExecOutcome, plain: &ExecOu
     assert_eq!(metered.requests, plain.requests, "requests");
     assert_eq!(metered.depletion, plain.depletion, "depletion");
     let (metered_trace, plain_trace) = (timeless(metered), timeless(plain));
-    assert_eq!(metered_trace.own, plain_trace.own, "the merge thread's events");
+    assert_eq!(
+        metered_trace.own, plain_trace.own,
+        "the merge thread's events"
+    );
     assert_eq!(metered_trace.done, plain_trace.done, "the completions");
     for (d, &n) in metered.report.per_disk_requests.iter().enumerate() {
         assert_eq!(metrics.disk_requests(d), n, "requests on disk {d}");
@@ -111,7 +114,11 @@ fn a_metered_merge_is_the_plain_merge_and_counts_every_request() {
         .execute_metered(Box::new(loaded(&engine, &runs)), &metrics)
         .unwrap();
     assert_observed(&metrics, &metered, &plain);
-    assert_eq!(timeless(&metered).tenants, [0], "a dedicated queue tags tenant 0");
+    assert_eq!(
+        timeless(&metered).tenants,
+        [0],
+        "a dedicated queue tags tenant 0"
+    );
 }
 
 #[test]
@@ -126,7 +133,11 @@ fn a_metered_merge_through_a_shared_port_counts_under_the_port_tenant() {
     let shared = engine.execute_metered(Box::new(port), &metrics).unwrap();
     set.shutdown();
     assert_observed(&metrics, &shared, &plain);
-    assert_eq!(timeless(&shared).tenants, [1], "every tag carries the port's tenant");
+    assert_eq!(
+        timeless(&shared).tenants,
+        [1],
+        "every tag carries the port's tenant"
+    );
     assert_eq!(metrics.tenant_blocks_done(1), shared.report.blocks_merged);
     assert_eq!(metrics.tenant_blocks_done(0), 0);
 }

@@ -47,19 +47,32 @@ fn decisions(outcome: &ExecOutcome) -> String {
 fn scenarios() -> Vec<(&'static str, MergeConfig)> {
     let b = |disks| ScenarioBuilder::new(8, disks);
     vec![
-        ("no-prefetch", b(2).cache_blocks(16).seed(51).build().unwrap()),
+        (
+            "no-prefetch",
+            b(2).cache_blocks(16).seed(51).build().unwrap(),
+        ),
         ("intra", b(2).intra(4).seed(52).build().unwrap()),
-        ("intra-sync", b(3).intra(3).synchronized().seed(53).build().unwrap()),
+        (
+            "intra-sync",
+            b(3).intra(3).synchronized().seed(53).build().unwrap(),
+        ),
         ("inter-random", b(3).inter(4).seed(54).build().unwrap()),
-        ("inter-sync", b(3).inter(4).synchronized().seed(55).build().unwrap()),
+        (
+            "inter-sync",
+            b(3).inter(4).synchronized().seed(55).build().unwrap(),
+        ),
         (
             "inter-sync-tight",
-            b(4).inter(3).synchronized().cache_blocks(40).seed(56).build().unwrap(),
+            b(4).inter(3)
+                .synchronized()
+                .cache_blocks(40)
+                .seed(56)
+                .build()
+                .unwrap(),
         ),
         (
             "inter-greedy-least-held",
-            b(3)
-                .inter(4)
+            b(3).inter(4)
                 .admission(AdmissionPolicy::Greedy)
                 .prefetch_choice(PrefetchChoice::LeastHeld)
                 .seed(57)
@@ -68,8 +81,7 @@ fn scenarios() -> Vec<(&'static str, MergeConfig)> {
         ),
         (
             "inter-head",
-            b(3)
-                .inter(4)
+            b(3).inter(4)
                 .prefetch_choice(PrefetchChoice::HeadProximity)
                 .seed(58)
                 .build()
@@ -77,8 +89,7 @@ fn scenarios() -> Vec<(&'static str, MergeConfig)> {
         ),
         (
             "inter-head-sync",
-            b(4)
-                .inter(2)
+            b(4).inter(2)
                 .prefetch_choice(PrefetchChoice::HeadProximity)
                 .synchronized()
                 .seed(59)
@@ -91,8 +102,7 @@ fn scenarios() -> Vec<(&'static str, MergeConfig)> {
         ),
         (
             "inter-cap-greedy-head",
-            b(2)
-                .inter(4)
+            b(2).inter(4)
                 .per_run_cap(Some(5))
                 .admission(AdmissionPolicy::Greedy)
                 .prefetch_choice(PrefetchChoice::HeadProximity)
@@ -102,12 +112,15 @@ fn scenarios() -> Vec<(&'static str, MergeConfig)> {
         ),
         (
             "adaptive",
-            b(2).adaptive(1, 8).cache_blocks(96).seed(62).build().unwrap(),
+            b(2).adaptive(1, 8)
+                .cache_blocks(96)
+                .seed(62)
+                .build()
+                .unwrap(),
         ),
         (
             "adaptive-sync-least-held",
-            b(3)
-                .adaptive(1, 6)
+            b(3).adaptive(1, 6)
                 .synchronized()
                 .prefetch_choice(PrefetchChoice::LeastHeld)
                 .cache_blocks(72)
@@ -147,13 +160,18 @@ fn engine_decisions_match_golden_digests() {
             let engine = engine_for(cfg, &runs, jobs);
             let outcome = run_memory(&engine, &runs, cfg.disks as usize);
             assert_sorted_output(&outcome, &runs);
-            lines.push(format!("{name} {:016x}", fnv1a(decisions(&outcome).as_bytes())));
+            lines.push(format!(
+                "{name} {:016x}",
+                fnv1a(decisions(&outcome).as_bytes())
+            ));
         }
-        assert_eq!(lines[0], lines[1], "{name}: decisions depend on the worker count");
+        assert_eq!(
+            lines[0], lines[1],
+            "{name}: decisions depend on the worker count"
+        );
         writeln!(text, "{}", lines[0]).unwrap();
     }
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/request_digest.txt");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/request_digest.txt");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
         std::fs::write(&path, &text).expect("write golden");

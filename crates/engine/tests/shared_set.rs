@@ -23,8 +23,25 @@ use common::{assert_sorted_output, engine_for, form_runs, run_memory, PanickingD
 /// Two heterogeneous jobs over 3 shared disks.
 fn jobs() -> Vec<(MergeEngine, Vec<Vec<Record>>)> {
     let specs = [
-        (ScenarioBuilder::new(6, 3).inter(4).seed(21).build().unwrap(), 900, 160),
-        (ScenarioBuilder::new(4, 2).intra(3).cache_blocks(48).seed(22).build().unwrap(), 500, 140),
+        (
+            ScenarioBuilder::new(6, 3)
+                .inter(4)
+                .seed(21)
+                .build()
+                .unwrap(),
+            900,
+            160,
+        ),
+        (
+            ScenarioBuilder::new(4, 2)
+                .intra(3)
+                .cache_blocks(48)
+                .seed(22)
+                .build()
+                .unwrap(),
+            500,
+            140,
+        ),
     ];
     specs
         .into_iter()
@@ -55,7 +72,10 @@ fn run_shared(sched: &str) -> Vec<ExecOutcome> {
         assert_sorted_output(&outcome, &runs);
         // Per-job predict parity regardless of cross-job interleaving.
         let prediction = engine.predict(&outcome.depletion).expect("predict");
-        assert_eq!(prediction.requests, outcome.requests, "request-sequence parity");
+        assert_eq!(
+            prediction.requests, outcome.requests,
+            "request-sequence parity"
+        );
         outcomes.push(outcome);
     }
     set.shutdown();
@@ -71,9 +91,18 @@ fn shared_jobs_match_isolated_runs_under_every_policy() {
     for sched in ["fifo", "wfq", "priority"] {
         let shared = run_shared(sched);
         for (job, (s, i)) in shared.iter().zip(&isolated).enumerate() {
-            assert_eq!(s.output, i.output, "{sched} job {job}: output must be byte-identical");
-            assert_eq!(s.requests, i.requests, "{sched} job {job}: request sequences");
-            assert_eq!(s.depletion, i.depletion, "{sched} job {job}: depletion sequence");
+            assert_eq!(
+                s.output, i.output,
+                "{sched} job {job}: output must be byte-identical"
+            );
+            assert_eq!(
+                s.requests, i.requests,
+                "{sched} job {job}: request sequences"
+            );
+            assert_eq!(
+                s.depletion, i.depletion,
+                "{sched} job {job}: depletion sequence"
+            );
             assert_eq!(
                 s.report.per_disk_requests, i.report.per_disk_requests,
                 "{sched} job {job}: per-disk request counts"
@@ -88,7 +117,10 @@ fn shared_trace_tags_carry_the_tenant_id() {
     for (job, outcome) in shared.iter().enumerate() {
         let mut saw_issue = false;
         for ev in &outcome.events {
-            if let pm_trace::EventKind::DiskIssue { tag, output: false, .. } = ev.kind {
+            if let pm_trace::EventKind::DiskIssue {
+                tag, output: false, ..
+            } = ev.kind
+            {
                 let (tenant, _, _) = pm_trace::unpack_tenant_tag(tag);
                 assert_eq!(tenant as usize, job, "issue tag tenant id");
                 saw_issue = true;
@@ -119,7 +151,8 @@ fn a_panicking_disk_worker_fails_its_jobs_instead_of_hanging() {
         let port = set.port(queue.into_device(), 1);
         let tx = tx.clone();
         threads.push(std::thread::spawn(move || {
-            tx.send((i, engine.execute(Box::new(port)).map(|_| ()))).unwrap();
+            tx.send((i, engine.execute(Box::new(port)).map(|_| ())))
+                .unwrap();
         }));
     }
     for _ in 0..threads.len() {

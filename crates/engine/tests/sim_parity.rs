@@ -11,9 +11,7 @@
 
 mod common;
 
-use pm_core::{
-    AdmissionPolicy, MergeConfig, PrefetchChoice, QueueDiscipline, ScenarioBuilder,
-};
+use pm_core::{AdmissionPolicy, MergeConfig, PrefetchChoice, QueueDiscipline, ScenarioBuilder};
 use pm_engine::{disk_seed_for, ThreadedQueue};
 
 use common::{engine_for, form_runs, run_memory};
@@ -22,15 +20,27 @@ fn parity_scenarios() -> Vec<(&'static str, MergeConfig)> {
     vec![
         (
             "no-prefetch",
-            ScenarioBuilder::new(8, 2).cache_blocks(16).seed(31).build().unwrap(),
+            ScenarioBuilder::new(8, 2)
+                .cache_blocks(16)
+                .seed(31)
+                .build()
+                .unwrap(),
         ),
         (
             "intra",
-            ScenarioBuilder::new(8, 2).intra(4).seed(32).build().unwrap(),
+            ScenarioBuilder::new(8, 2)
+                .intra(4)
+                .seed(32)
+                .build()
+                .unwrap(),
         ),
         (
             "inter-random",
-            ScenarioBuilder::new(8, 3).inter(4).seed(33).build().unwrap(),
+            ScenarioBuilder::new(8, 3)
+                .inter(4)
+                .seed(33)
+                .build()
+                .unwrap(),
         ),
         (
             "inter-greedy",
@@ -88,11 +98,8 @@ fn latency_backend_matches_modeled_service_exactly() {
         // Replay the model at 2000x so the whole matrix stays fast; the
         // breakdowns recorded are unscaled model durations.
         exec.time_scale = 5e-4;
-        let engine = pm_engine::MergeEngine::new(
-            exec,
-            runs.iter().map(Vec::len).collect(),
-        )
-        .unwrap();
+        let engine =
+            pm_engine::MergeEngine::new(exec, runs.iter().map(Vec::len).collect()).unwrap();
         let disks = cfg.disks as usize;
         let mut queue = ThreadedQueue::latency(
             disks,
@@ -127,7 +134,11 @@ fn latency_backend_wall_clock_tracks_prediction() {
     // accumulating, but a loaded host still adds noise — hence the
     // loose band and the #[ignore] gate.
     let runs = form_runs(2000, 250, 23);
-    let cfg = ScenarioBuilder::new(8, 2).inter(4).seed(41).build().unwrap();
+    let cfg = ScenarioBuilder::new(8, 2)
+        .inter(4)
+        .seed(41)
+        .build()
+        .unwrap();
     let engine = engine_for(cfg, &runs, 0);
     let mut exec = *engine.exec_config();
     exec.time_scale = 0.25;

@@ -29,8 +29,7 @@
 //! [`predict_plan`] walk the same structure.
 
 use pm_core::{
-    ConfigError, MergeConfig, MergeSim, PmError, ScenarioBuilder, SimDuration,
-    UniformDepletion,
+    ConfigError, MergeConfig, MergeSim, PmError, ScenarioBuilder, SimDuration, UniformDepletion,
 };
 
 /// How the planner chooses the per-pass fan-in.
@@ -184,12 +183,18 @@ pub fn plan_merge_tree(
         return Err(PmError::Usage("cannot plan a merge of zero runs".into()));
     }
     if run_blocks.contains(&0) {
-        return Err(PmError::Usage("cannot plan a merge with an empty run".into()));
+        return Err(PmError::Usage(
+            "cannot plan a merge with an empty run".into(),
+        ));
     }
     let k = u32::try_from(run_blocks.len())
         .map_err(|_| PmError::Usage("too many runs to plan".into()))?;
     if k > 1 && fan_in_cap < 2 {
-        return Err(ConfigError::FanInExceeded { runs: k, fan_in: fan_in_cap }.into());
+        return Err(ConfigError::FanInExceeded {
+            runs: k,
+            fan_in: fan_in_cap,
+        }
+        .into());
     }
     let fan_in = match policy {
         PlanPolicy::GreedyMax => fan_in_cap.max(2),
@@ -204,10 +209,17 @@ pub fn plan_merge_tree(
         let mut start = 0;
         while start < level.len() {
             let len = f.min(level.len() - start);
-            let sum: u64 = level[start..start + len].iter().map(|&b| u64::from(b)).sum();
+            let sum: u64 = level[start..start + len]
+                .iter()
+                .map(|&b| u64::from(b))
+                .sum();
             let output_blocks = u32::try_from(sum)
                 .map_err(|_| PmError::Usage("merged run exceeds u32 blocks".into()))?;
-            groups.push(PlanGroup { start, len, output_blocks });
+            groups.push(PlanGroup {
+                start,
+                len,
+                output_blocks,
+            });
             next.push(output_blocks);
             start += len;
         }
@@ -216,10 +228,20 @@ pub fn plan_merge_tree(
             .filter(|g| g.len > 1)
             .map(|g| u64::from(g.output_blocks))
             .sum();
-        passes.push(PlanPass { fan_in, run_blocks: level, groups, blocks_read });
+        passes.push(PlanPass {
+            fan_in,
+            run_blocks: level,
+            groups,
+            blocks_read,
+        });
         level = next;
     }
-    Ok(MergeTreePlan { policy, fan_in_cap, fan_in, passes })
+    Ok(MergeTreePlan {
+        policy,
+        fan_in_cap,
+        fan_in,
+        passes,
+    })
 }
 
 /// Predicted cost of one pass, from the merge-phase simulator.
@@ -257,19 +279,19 @@ pub fn predict_plan(
                     continue;
                 }
                 let lens = pass.group_lengths(g);
-                let cfg = ScenarioBuilder::pass_scenario(
-                    base,
-                    group.len as u32,
-                    p as u32,
-                    g as u32,
-                )?;
+                let cfg =
+                    ScenarioBuilder::pass_scenario(base, group.len as u32, p as u32, g as u32)?;
                 let report = MergeSim::with_run_lengths(cfg, lens)
                     .map_err(PmError::Config)?
                     .run(&mut UniformDepletion);
                 read_time += report.total;
                 merged_groups += 1;
             }
-            Ok(PassPrediction { read_time, blocks: pass.blocks_read, merged_groups })
+            Ok(PassPrediction {
+                read_time,
+                blocks: pass.blocks_read,
+                merged_groups,
+            })
         })
         .collect()
 }
@@ -312,7 +334,11 @@ mod tests {
         // Greedy: [8, 1] then [2]; the singleton moves no data but the
         // final pass re-reads everything.
         assert_eq!(
-            greedy.passes[0].groups.iter().map(|g| g.len).collect::<Vec<_>>(),
+            greedy.passes[0]
+                .groups
+                .iter()
+                .map(|g| g.len)
+                .collect::<Vec<_>>(),
             vec![8, 1]
         );
         assert_eq!(greedy.passes[0].blocks_read, 80);
@@ -320,7 +346,11 @@ mod tests {
         // Balanced: three 3-way groups then one 3-way group.
         assert_eq!(balanced.fan_in, 3);
         assert_eq!(
-            balanced.passes[0].groups.iter().map(|g| g.len).collect::<Vec<_>>(),
+            balanced.passes[0]
+                .groups
+                .iter()
+                .map(|g| g.len)
+                .collect::<Vec<_>>(),
             vec![3, 3, 3]
         );
         assert_eq!(balanced.passes[1].groups.len(), 1);

@@ -97,10 +97,7 @@ impl SortOutcome {
     #[must_use]
     pub fn uniform_run_blocks(&self) -> Option<u32> {
         let first = *self.run_blocks.first()?;
-        self.run_blocks
-            .iter()
-            .all(|&b| b == first)
-            .then_some(first)
+        self.run_blocks.iter().all(|&b| b == first).then_some(first)
     }
 }
 
@@ -130,8 +127,14 @@ impl SortOutcome {
 /// Panics if the configuration has zero memory or block size.
 #[must_use]
 pub fn external_sort(input: &[Record], cfg: &ExtSortConfig) -> SortOutcome {
-    assert!(cfg.memory_records > 0, "memory must hold at least one record");
-    assert!(cfg.records_per_block > 0, "blocks must hold at least one record");
+    assert!(
+        cfg.memory_records > 0,
+        "memory must hold at least one record"
+    );
+    assert!(
+        cfg.records_per_block > 0,
+        "blocks must hold at least one record"
+    );
     let runs = cfg.run_formation.form(input, cfg.memory_records);
     let run_lengths: Vec<usize> = runs.iter().map(Vec::len).collect();
     let run_blocks: Vec<u32> = run_lengths
@@ -226,7 +229,9 @@ mod tests {
         let input = generate::uniform(2400, 4);
         let out = external_sort(&input, &cfg(400, 10));
         let blocks = out.uniform_run_blocks().expect("equal runs");
-        let mut sim_cfg = ScenarioBuilder::new(out.run_lengths.len() as u32, 2).build().unwrap();
+        let mut sim_cfg = ScenarioBuilder::new(out.run_lengths.len() as u32, 2)
+            .build()
+            .unwrap();
         sim_cfg.run_blocks = blocks;
         sim_cfg.strategy = PrefetchStrategy::IntraRun { n: 4 };
         sim_cfg.cache_blocks = sim_cfg.runs * 4;

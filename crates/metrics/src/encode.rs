@@ -40,7 +40,13 @@ pub fn encode_text(snapshots: &[MetricSnapshot]) -> String {
                             &format_u64(*cum),
                         );
                     }
-                    sample_line(&mut out, &bucket, &s.labels, Some("+Inf"), &format_u64(h.count));
+                    sample_line(
+                        &mut out,
+                        &bucket,
+                        &s.labels,
+                        Some("+Inf"),
+                        &format_u64(h.count),
+                    );
                     sample_line(
                         &mut out,
                         &format!("{exposed}_sum"),
@@ -71,7 +77,13 @@ fn exposed_name(m: &MetricSnapshot) -> String {
     }
 }
 
-fn sample_line(out: &mut String, name: &str, labels: &[(String, String)], le: Option<&str>, value: &str) {
+fn sample_line(
+    out: &mut String,
+    name: &str,
+    labels: &[(String, String)],
+    le: Option<&str>,
+    value: &str,
+) {
     out.push_str(name);
     if !labels.is_empty() || le.is_some() {
         out.push('{');
@@ -114,7 +126,9 @@ fn format_f64(v: f64) -> String {
 }
 
 fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn escape_help(v: &str) -> String {
@@ -139,7 +153,10 @@ mod tests {
         c.inc_by(3);
         g.set(1.5);
         let text = encode_text(&r.snapshot());
-        assert!(text.contains("# HELP pm_reads_total Total reads.\n"), "{text}");
+        assert!(
+            text.contains("# HELP pm_reads_total Total reads.\n"),
+            "{text}"
+        );
         assert!(text.contains("# TYPE pm_reads_total counter\n"), "{text}");
         assert!(text.contains("pm_reads_total 3\n"), "{text}");
         assert!(text.contains("# TYPE pm_depth gauge\n"), "{text}");
@@ -159,11 +176,26 @@ mod tests {
         h.observe(0.5);
         h.observe(50.0);
         let text = encode_text(&r.snapshot());
-        assert!(text.contains("pm_service_seconds_bucket{disk=\"0\",le=\"0.1\"} 1\n"), "{text}");
-        assert!(text.contains("pm_service_seconds_bucket{disk=\"0\",le=\"1\"} 2\n"), "{text}");
-        assert!(text.contains("pm_service_seconds_bucket{disk=\"0\",le=\"+Inf\"} 3\n"), "{text}");
-        assert!(text.contains("pm_service_seconds_sum{disk=\"0\"} 50.55\n"), "{text}");
-        assert!(text.contains("pm_service_seconds_count{disk=\"0\"} 3\n"), "{text}");
+        assert!(
+            text.contains("pm_service_seconds_bucket{disk=\"0\",le=\"0.1\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pm_service_seconds_bucket{disk=\"0\",le=\"1\"} 2\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pm_service_seconds_bucket{disk=\"0\",le=\"+Inf\"} 3\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pm_service_seconds_sum{disk=\"0\"} 50.55\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pm_service_seconds_count{disk=\"0\"} 3\n"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -175,10 +207,16 @@ mod tests {
         f.get_or_create(&["t10"]).inc();
         f.get_or_create(&["t2"]).inc();
         let text = encode_text(&r.snapshot());
-        assert!(text.contains("pm_jobs_total{tenant=\"t\\\"quote\\\"\"} 1\n"), "{text}");
+        assert!(
+            text.contains("pm_jobs_total{tenant=\"t\\\"quote\\\"\"} 1\n"),
+            "{text}"
+        );
         let p2 = text.find("tenant=\"t2\"").unwrap();
         let p10 = text.find("tenant=\"t10\"").unwrap();
-        assert!(p10 < p2, "lexicographic fallback sorts t10 before t2: {text}");
+        assert!(
+            p10 < p2,
+            "lexicographic fallback sorts t10 before t2: {text}"
+        );
     }
 
     #[test]

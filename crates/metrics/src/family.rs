@@ -72,10 +72,11 @@ impl<M> Family<M> {
             "label value count must match label names"
         );
         let mut cells = self.cells.lock().expect("family cells");
-        if let Some((_, m)) = cells
-            .iter()
-            .find(|(vals, _)| vals.iter().map(String::as_str).eq(label_values.iter().copied()))
-        {
+        if let Some((_, m)) = cells.iter().find(|(vals, _)| {
+            vals.iter()
+                .map(String::as_str)
+                .eq(label_values.iter().copied())
+        }) {
             return Arc::clone(m);
         }
         let m = Arc::new((self.make)());

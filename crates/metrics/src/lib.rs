@@ -42,6 +42,8 @@ mod stack;
 pub use encode::encode_text;
 pub use family::Family;
 pub use metric::{exponential_buckets, Counter, Gauge, Histogram, HistogramSnapshot};
-pub use registry::{Collector, IntoCollector, MetricKind, MetricSnapshot, Registry, Sample, SampleValue};
+pub use registry::{
+    Collector, IntoCollector, MetricKind, MetricSnapshot, Registry, Sample, SampleValue,
+};
 pub use sink::{MetricsSink, NullMetrics};
 pub use stack::{duration_buckets, StackMetrics};

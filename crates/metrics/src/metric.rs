@@ -136,7 +136,10 @@ impl Histogram {
     pub fn new(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket");
         for pair in bounds.windows(2) {
-            assert!(pair[0] < pair[1], "bucket bounds must be strictly ascending");
+            assert!(
+                pair[0] < pair[1],
+                "bucket bounds must be strictly ascending"
+            );
         }
         assert!(
             bounds.iter().all(|b| b.is_finite()),

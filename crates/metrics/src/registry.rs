@@ -261,9 +261,15 @@ mod tests {
         f.get_or_create(&["1"]).inc_by(2);
         let snap = r.snapshot();
         assert_eq!(snap[0].samples.len(), 2);
-        assert_eq!(snap[0].samples[0].labels, vec![("disk".to_string(), "1".to_string())]);
+        assert_eq!(
+            snap[0].samples[0].labels,
+            vec![("disk".to_string(), "1".to_string())]
+        );
         assert_eq!(snap[0].samples[0].value, SampleValue::Counter(2));
-        assert_eq!(snap[0].samples[1].labels, vec![("disk".to_string(), "3".to_string())]);
+        assert_eq!(
+            snap[0].samples[1].labels,
+            vec![("disk".to_string(), "3".to_string())]
+        );
     }
 
     #[test]

@@ -89,7 +89,13 @@ pub trait MetricsSink: Send + Sync {
         fallback_ops: u64,
         full_prefetch_ops: u64,
     ) {
-        let _ = (strategy, blocks, demand_ops, fallback_ops, full_prefetch_ops);
+        let _ = (
+            strategy,
+            blocks,
+            demand_ops,
+            fallback_ops,
+            full_prefetch_ops,
+        );
     }
 }
 
@@ -163,7 +169,13 @@ impl<M: MetricsSink> MetricsSink for &M {
         fallback_ops: u64,
         full_prefetch_ops: u64,
     ) {
-        (**self).trial_done(strategy, blocks, demand_ops, fallback_ops, full_prefetch_ops);
+        (**self).trial_done(
+            strategy,
+            blocks,
+            demand_ops,
+            fallback_ops,
+            full_prefetch_ops,
+        );
     }
 }
 

@@ -90,14 +90,14 @@ impl StackMetrics {
         let requests: Arc<Family<Counter>> = Arc::new(Family::new(&["disk"]));
         let bytes: Arc<Family<Counter>> = Arc::new(Family::new(&["disk"]));
         let depth: Arc<Family<Gauge>> = Arc::new(Family::new(&["disk"]));
-        let service: Arc<Family<Histogram>> = Arc::new(Family::new_with_constructor(
-            &["disk"],
-            || Histogram::new(&duration_buckets()),
-        ));
-        let wait: Arc<Family<Histogram>> = Arc::new(Family::new_with_constructor(
-            &["disk"],
-            || Histogram::new(&duration_buckets()),
-        ));
+        let service: Arc<Family<Histogram>> =
+            Arc::new(Family::new_with_constructor(&["disk"], || {
+                Histogram::new(&duration_buckets())
+            }));
+        let wait: Arc<Family<Histogram>> =
+            Arc::new(Family::new_with_constructor(&["disk"], || {
+                Histogram::new(&duration_buckets())
+            }));
         registry.register(
             "pm_disk_requests",
             "Completed read requests per disk.",
@@ -123,10 +123,10 @@ impl StackMetrics {
             "Per-request wait before service began, per disk.",
             Arc::clone(&wait),
         );
-        let submit_batch: Arc<Family<Histogram>> = Arc::new(Family::new_with_constructor(
-            &["disk"],
-            || Histogram::new(&batch_buckets()),
-        ));
+        let submit_batch: Arc<Family<Histogram>> =
+            Arc::new(Family::new_with_constructor(&["disk"], || {
+                Histogram::new(&batch_buckets())
+            }));
         registry.register(
             "pm_io_submit_batch_size",
             "Requests per submission batch handed to the disk's queue.",
@@ -154,10 +154,10 @@ impl StackMetrics {
 
         let grant: Arc<Family<Gauge>> = Arc::new(Family::new(&["tenant"]));
         let tblocks: Arc<Family<Counter>> = Arc::new(Family::new(&["tenant"]));
-        let twait: Arc<Family<Histogram>> = Arc::new(Family::new_with_constructor(
-            &["tenant"],
-            || Histogram::new(&duration_buckets()),
-        ));
+        let twait: Arc<Family<Histogram>> =
+            Arc::new(Family::new_with_constructor(&["tenant"], || {
+                Histogram::new(&duration_buckets())
+            }));
         let slowdown: Arc<Family<Gauge>> = Arc::new(Family::new(&["tenant"]));
         let wfq_lag: Arc<Family<Gauge>> = Arc::new(Family::new(&["tenant"]));
         registry.register(
@@ -358,8 +358,12 @@ impl MetricsSink for StackMetrics {
 
     fn pass_done(&self, pass: u32, blocks_read: u64, records_merged: u64) {
         let label = pass.to_string();
-        self.pass_blocks.get_or_create(&[&label]).inc_by(blocks_read);
-        self.pass_records.get_or_create(&[&label]).inc_by(records_merged);
+        self.pass_blocks
+            .get_or_create(&[&label])
+            .inc_by(blocks_read);
+        self.pass_records
+            .get_or_create(&[&label])
+            .inc_by(records_merged);
     }
 
     fn trial_done(
@@ -372,9 +376,15 @@ impl MetricsSink for StackMetrics {
     ) {
         self.trial_count.get_or_create(&[strategy]).inc();
         self.trial_blocks.get_or_create(&[strategy]).inc_by(blocks);
-        self.trial_demand.get_or_create(&[strategy]).inc_by(demand_ops);
-        self.trial_fallback.get_or_create(&[strategy]).inc_by(fallback_ops);
-        self.trial_full.get_or_create(&[strategy]).inc_by(full_prefetch_ops);
+        self.trial_demand
+            .get_or_create(&[strategy])
+            .inc_by(demand_ops);
+        self.trial_fallback
+            .get_or_create(&[strategy])
+            .inc_by(fallback_ops);
+        self.trial_full
+            .get_or_create(&[strategy])
+            .inc_by(full_prefetch_ops);
     }
 }
 
@@ -402,13 +412,31 @@ mod tests {
         assert!((m.disk_busy_secs(1) - 0.004).abs() < 1e-9);
         assert_eq!(m.tenant_blocks_done(1), 7);
         let text = encode_text(&m.snapshot());
-        assert!(text.contains("pm_disk_requests_total{disk=\"0\"} 1\n"), "{text}");
-        assert!(text.contains("pm_tenant_cache_grant_blocks{tenant=\"alice\"} 128\n"), "{text}");
-        assert!(text.contains("pm_tenant_slowdown{tenant=\"bob\"} 1.8\n"), "{text}");
-        assert!(text.contains("pm_pass_blocks_read_total{pass=\"1\"} 100\n"), "{text}");
-        assert!(text.contains("pm_io_submit_batch_size_count{disk=\"0\"} 1\n"), "{text}");
+        assert!(
+            text.contains("pm_disk_requests_total{disk=\"0\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pm_tenant_cache_grant_blocks{tenant=\"alice\"} 128\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pm_tenant_slowdown{tenant=\"bob\"} 1.8\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pm_pass_blocks_read_total{pass=\"1\"} 100\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pm_io_submit_batch_size_count{disk=\"0\"} 1\n"),
+            "{text}"
+        );
         assert!(text.contains("pm_io_reap_batch_size_count 1\n"), "{text}");
-        assert!(text.contains("pm_sim_trials_total{strategy=\"inter\"} 1\n"), "{text}");
+        assert!(
+            text.contains("pm_sim_trials_total{strategy=\"inter\"} 1\n"),
+            "{text}"
+        );
     }
 
     #[test]

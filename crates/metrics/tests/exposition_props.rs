@@ -24,15 +24,20 @@ struct Obs {
 }
 
 fn obs_strategy() -> impl Strategy<Value = Obs> {
-    (0usize..3, 0usize..2, 0u64..1 << 20, 0u32..2_000_000, 0u32..2_000_000).prop_map(
-        |(disk, tenant, bytes, wait_us, service_us)| Obs {
+    (
+        0usize..3,
+        0usize..2,
+        0u64..1 << 20,
+        0u32..2_000_000,
+        0u32..2_000_000,
+    )
+        .prop_map(|(disk, tenant, bytes, wait_us, service_us)| Obs {
             disk,
             tenant,
             bytes,
             wait_us,
             service_us,
-        },
-    )
+        })
 }
 
 fn record_all(metrics: &StackMetrics, observations: &[Obs], jobs: usize) {

@@ -11,7 +11,7 @@
 //! function of those reports, and therefore the chosen trial count and the
 //! final summary are identical for every `--jobs` value.
 
-use pm_core::{ConfigError, MergeConfig, MergeReport, TrialSummary, run_trial_range};
+use pm_core::{run_trial_range, ConfigError, MergeConfig, MergeReport, TrialSummary};
 use pm_stats::{ConfidenceInterval, OnlineStats};
 
 /// How many trials to run per experiment point.

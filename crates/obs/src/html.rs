@@ -110,10 +110,16 @@ fn t2_table(out: &mut String, rows: &[&ManifestRecord]) {
         out.push_str("<tr>");
         let _ = write!(out, "<td>{}</td>", esc(&r.label));
         num_cell(out, &d.to_string());
-        num_cell(out, &format!("{:.3}", pm_analysis::urn::expected_concurrency(d)));
         num_cell(
             out,
-            &format!("{:.3}", pm_analysis::urn::expected_concurrency_asymptotic(d)),
+            &format!("{:.3}", pm_analysis::urn::expected_concurrency(d)),
+        );
+        num_cell(
+            out,
+            &format!(
+                "{:.3}",
+                pm_analysis::urn::expected_concurrency_asymptotic(d)
+            ),
         );
         num_cell(out, &format!("{:.3}", r.metrics.mean_concurrency));
         match &r.analytic {
@@ -163,9 +169,7 @@ fn figures(out: &mut String, sweeps: &[&ManifestRecord]) {
                         errs.push(r.metrics.ci_half_width_secs);
                         // One kBT/D reference line per bounded curve.
                         if let Some(a) = &r.analytic {
-                            if a.kind == "kBT/D"
-                                && !hlines.iter().any(|(_, y)| *y == a.predicted)
-                            {
+                            if a.kind == "kBT/D" && !hlines.iter().any(|(_, y)| *y == a.predicted) {
                                 hlines.push((format!("kBT/D = {:.1}s", a.predicted), a.predicted));
                             }
                         }
@@ -323,7 +327,10 @@ fn convergence_table(out: &mut String, rows: &[&ManifestRecord]) {
 /// no sweep points produces no figure, etc.).
 #[must_use]
 pub fn render_report(records: &[ManifestRecord]) -> String {
-    let t1: Vec<&ManifestRecord> = records.iter().filter(|r| r.kind == RecordKind::T1Case).collect();
+    let t1: Vec<&ManifestRecord> = records
+        .iter()
+        .filter(|r| r.kind == RecordKind::T1Case)
+        .collect();
     let t2: Vec<&ManifestRecord> = records
         .iter()
         .filter(|r| r.kind == RecordKind::T2Concurrency)
@@ -412,7 +419,11 @@ mod tests {
     use crate::residual::ResidualCheck;
 
     fn record(kind: RecordKind, label: &str, pass: Option<bool>) -> ManifestRecord {
-        let cfg = pm_core::ScenarioBuilder::new(25, 5).inter(10).cache_blocks(1000).build().unwrap();
+        let cfg = pm_core::ScenarioBuilder::new(25, 5)
+            .inter(10)
+            .cache_blocks(1000)
+            .build()
+            .unwrap();
         ManifestRecord {
             schema: SCHEMA_VERSION,
             kind,

@@ -199,7 +199,10 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
 fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
-        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos));
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
     }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
@@ -333,7 +336,10 @@ mod tests {
     fn round_trips_structures() {
         let v = Value::Obj(vec![
             ("schema".into(), Value::Num(1.0)),
-            ("name".into(), Value::Str("eq1: no prefetch, \"k=25\"".into())),
+            (
+                "name".into(),
+                Value::Str("eq1: no prefetch, \"k=25\"".into()),
+            ),
             ("seed".into(), Value::Str("18446744073709551615".into())),
             ("ok".into(), Value::Bool(true)),
             ("none".into(), Value::Null),
@@ -358,7 +364,14 @@ mod tests {
 
     #[test]
     fn numbers_round_trip_to_the_bit() {
-        for n in [0.0, 16.001234, -1.0 / 3.0, 1e-12, 9.25e17, f64::MIN_POSITIVE] {
+        for n in [
+            0.0,
+            16.001234,
+            -1.0 / 3.0,
+            1e-12,
+            9.25e17,
+            f64::MIN_POSITIVE,
+        ] {
             let json = Value::Num(n).to_json();
             let back = Value::parse(&json).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), n.to_bits(), "{json}");
@@ -385,7 +398,10 @@ mod tests {
         let v = Value::parse(r#"{"a": 3, "b": [1, 2], "c": "x", "d": false}"#).unwrap();
         assert_eq!(v.get("a").and_then(Value::as_f64), Some(3.0));
         assert_eq!(v.get("a").and_then(Value::as_u64), Some(3));
-        assert_eq!(v.get("b").and_then(Value::as_arr).map(<[Value]>::len), Some(2));
+        assert_eq!(
+            v.get("b").and_then(Value::as_arr).map(<[Value]>::len),
+            Some(2)
+        );
         assert_eq!(v.get("c").and_then(Value::as_str), Some("x"));
         assert_eq!(v.get("d").and_then(Value::as_bool), Some(false));
         assert_eq!(v.get("missing"), None);
@@ -394,7 +410,16 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "tru", "1 2", "{\"a\":}", ""] {
+        for bad in [
+            "{",
+            "[1,",
+            "\"open",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "{\"a\":}",
+            "",
+        ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} parsed");
         }
     }
@@ -405,7 +430,10 @@ mod tests {
             let hostile = open.repeat(100_000);
             let err = Value::parse(&hostile).unwrap_err();
             assert!(err.contains("nesting deeper than"), "{err}");
-            assert!(err.contains(&format!("byte {}", MAX_DEPTH * open.len())), "{err}");
+            assert!(
+                err.contains(&format!("byte {}", MAX_DEPTH * open.len())),
+                "{err}"
+            );
         }
         let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Value::parse(&at_limit).is_ok());

@@ -20,8 +20,8 @@
 //! doubles, which cannot represent every `u64`.
 
 use pm_core::{
-    AdmissionPolicy, DataLayout, DiskSpec, MergeConfig, PmError, PrefetchChoice,
-    PrefetchStrategy, QueueDiscipline, SimDuration, SyncMode, TraceEvent, WriteSpec,
+    AdmissionPolicy, DataLayout, DiskSpec, MergeConfig, PmError, PrefetchChoice, PrefetchStrategy,
+    QueueDiscipline, SimDuration, SyncMode, TraceEvent, WriteSpec,
 };
 use pm_trace::TraceMetrics;
 
@@ -248,10 +248,19 @@ fn scenario_to_json(name: &str, c: &MergeConfig) -> Value {
         ("run_blocks".into(), num(f64::from(c.run_blocks))),
         ("disks".into(), num(f64::from(c.disks))),
         ("strategy".into(), strategy_to_json(c.strategy)),
-        ("synchronized".into(), Value::Bool(c.sync == SyncMode::Synchronized)),
-        ("striped".into(), Value::Bool(c.layout == DataLayout::Striped)),
+        (
+            "synchronized".into(),
+            Value::Bool(c.sync == SyncMode::Synchronized),
+        ),
+        (
+            "striped".into(),
+            Value::Bool(c.layout == DataLayout::Striped),
+        ),
         ("cache_blocks".into(), num(f64::from(c.cache_blocks))),
-        ("cpu_ms_per_block".into(), num(c.cpu_per_block.as_millis_f64())),
+        (
+            "cpu_ms_per_block".into(),
+            num(c.cpu_per_block.as_millis_f64()),
+        ),
         (
             "greedy_admission".into(),
             Value::Bool(c.admission == AdmissionPolicy::Greedy),
@@ -260,8 +269,14 @@ fn scenario_to_json(name: &str, c: &MergeConfig) -> Value {
             "prefetch_choice".into(),
             Value::Str(c.prefetch_choice.label().to_string()),
         ),
-        ("per_run_cap".into(), num(f64::from(c.per_run_cap.unwrap_or(0)))),
-        ("write_disks".into(), num(f64::from(c.write.map_or(0, |w| w.disks)))),
+        (
+            "per_run_cap".into(),
+            num(f64::from(c.per_run_cap.unwrap_or(0))),
+        ),
+        (
+            "write_disks".into(),
+            num(f64::from(c.write.map_or(0, |w| w.disks))),
+        ),
         (
             "write_buffer_blocks".into(),
             num(f64::from(c.write.map_or(0, |w| w.buffer_blocks))),
@@ -281,7 +296,10 @@ impl ManifestRecord {
                 num(self.metrics.ci_half_width_secs),
             ),
             ("confidence".into(), num(self.metrics.confidence)),
-            ("mean_concurrency".into(), num(self.metrics.mean_concurrency)),
+            (
+                "mean_concurrency".into(),
+                num(self.metrics.mean_concurrency),
+            ),
             ("mean_busy_disks".into(), num(self.metrics.mean_busy_disks)),
             (
                 "mean_success_ratio".into(),
@@ -356,7 +374,10 @@ impl ManifestRecord {
                 "scenario".into(),
                 scenario_to_json(&self.scenario_name, &self.scenario),
             ),
-            ("master_seed".into(), Value::Str(self.master_seed.to_string())),
+            (
+                "master_seed".into(),
+                Value::Str(self.master_seed.to_string()),
+            ),
             ("trials".into(), num(f64::from(self.trials))),
             ("auto".into(), auto),
             ("metrics".into(), metrics),
@@ -387,8 +408,7 @@ impl ManifestRecord {
             None | Some(Value::Null) => None,
             Some(p) => Some(
                 p.as_u64()
-                    .ok_or("field 'pass' is not an unsigned integer")?
-                    as u32,
+                    .ok_or("field 'pass' is not an unsigned integer")? as u32,
             ),
         };
         // v1/v2 lines have no `tenant` field; absent and null read as None.
@@ -528,12 +548,24 @@ fn scenario_from_json(v: &Value) -> Result<(String, MergeConfig), String> {
         runs,
         run_blocks,
         disks,
-        layout: if striped { DataLayout::Striped } else { DataLayout::Concatenated },
+        layout: if striped {
+            DataLayout::Striped
+        } else {
+            DataLayout::Concatenated
+        },
         strategy,
-        sync: if synchronized { SyncMode::Synchronized } else { SyncMode::Unsynchronized },
+        sync: if synchronized {
+            SyncMode::Synchronized
+        } else {
+            SyncMode::Unsynchronized
+        },
         cache_blocks,
         cpu_per_block: SimDuration::from_millis_f64(cpu_ms),
-        admission: if greedy { AdmissionPolicy::Greedy } else { AdmissionPolicy::AllOrNothing },
+        admission: if greedy {
+            AdmissionPolicy::Greedy
+        } else {
+            AdmissionPolicy::AllOrNothing
+        },
         prefetch_choice,
         per_run_cap: (per_run_cap > 0).then_some(per_run_cap),
         discipline: QueueDiscipline::Fifo,
@@ -662,8 +694,11 @@ mod tests {
     use super::*;
 
     fn sample(kind: RecordKind) -> ManifestRecord {
-        let mut scenario =
-            pm_core::ScenarioBuilder::new(25, 5).inter(10).cache_blocks(1000).build().unwrap();
+        let mut scenario = pm_core::ScenarioBuilder::new(25, 5)
+            .inter(10)
+            .cache_blocks(1000)
+            .build()
+            .unwrap();
         scenario.seed = u64::MAX - 3;
         ManifestRecord {
             schema: SCHEMA_VERSION,
@@ -727,7 +762,11 @@ mod tests {
 
     #[test]
     fn record_round_trips() {
-        for kind in [RecordKind::T1Case, RecordKind::T2Concurrency, RecordKind::SweepPoint] {
+        for kind in [
+            RecordKind::T1Case,
+            RecordKind::T2Concurrency,
+            RecordKind::SweepPoint,
+        ] {
             let r = sample(kind);
             let line = r.to_json_line();
             assert!(!line.contains('\n'));
@@ -737,7 +776,11 @@ mod tests {
 
     #[test]
     fn every_truncated_line_is_an_error() {
-        for kind in [RecordKind::T1Case, RecordKind::T2Concurrency, RecordKind::SweepPoint] {
+        for kind in [
+            RecordKind::T1Case,
+            RecordKind::T2Concurrency,
+            RecordKind::SweepPoint,
+        ] {
             let line = sample(kind).to_json_line();
             for (cut, _) in line.char_indices() {
                 let prefix = &line[..cut];
@@ -797,8 +840,10 @@ mod tests {
     fn hostile_cpu_cost_is_an_error_not_a_panic() {
         let line = sample(RecordKind::T1Case).to_json_line();
         for bad in ["-1", "1e999"] {
-            let hostile = line
-                .replace("\"cpu_ms_per_block\":0", &format!("\"cpu_ms_per_block\":{bad}"));
+            let hostile = line.replace(
+                "\"cpu_ms_per_block\":0",
+                &format!("\"cpu_ms_per_block\":{bad}"),
+            );
             assert_ne!(hostile, line);
             let err = ManifestRecord::from_json_line(&hostile).unwrap_err();
             assert!(err.to_string().contains("cpu_ms_per_block"), "{err}");
@@ -902,8 +947,14 @@ mod tests {
     fn strategy_kinds_keep_their_wire_names() {
         for (strategy, json) in [
             (PrefetchStrategy::None, r#"{"kind":"none"}"#),
-            (PrefetchStrategy::IntraRun { n: 7 }, r#"{"kind":"intra","n":7}"#),
-            (PrefetchStrategy::InterRun { n: 3 }, r#"{"kind":"inter","n":3}"#),
+            (
+                PrefetchStrategy::IntraRun { n: 7 },
+                r#"{"kind":"intra","n":7}"#,
+            ),
+            (
+                PrefetchStrategy::InterRun { n: 3 },
+                r#"{"kind":"inter","n":3}"#,
+            ),
             (
                 PrefetchStrategy::InterRunAdaptive { n_min: 2, n_max: 9 },
                 r#"{"kind":"adaptive","n_min":2,"n_max":9}"#,
@@ -916,9 +967,14 @@ mod tests {
             let back = ManifestRecord::from_json_line(&line).unwrap();
             assert_eq!(back.scenario.strategy, strategy);
         }
-        let line = sample(RecordKind::T1Case).to_json_line().replace("\"inter\"", "\"bogus\"");
+        let line = sample(RecordKind::T1Case)
+            .to_json_line()
+            .replace("\"inter\"", "\"bogus\"");
         let err = ManifestRecord::from_json_line(&line).unwrap_err();
-        assert!(err.to_string().contains("unknown strategy kind 'bogus'"), "{err}");
+        assert!(
+            err.to_string().contains("unknown strategy kind 'bogus'"),
+            "{err}"
+        );
     }
 
     #[test]

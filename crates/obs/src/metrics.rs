@@ -30,7 +30,11 @@ impl MetricsFormat {
     /// else the Prometheus text exposition.
     #[must_use]
     pub fn from_path(path: &str) -> MetricsFormat {
-        if path.rsplit('.').next().is_some_and(|ext| ext.eq_ignore_ascii_case("json")) {
+        if path
+            .rsplit('.')
+            .next()
+            .is_some_and(|ext| ext.eq_ignore_ascii_case("json"))
+        {
             MetricsFormat::Json
         } else {
             MetricsFormat::Prom
@@ -304,7 +308,10 @@ mod tests {
         let sample = &blocks.get("samples").and_then(Value::as_arr).unwrap()[0];
         assert_eq!(sample.get("value").and_then(Value::as_u64), Some(7));
         assert_eq!(
-            sample.get("labels").and_then(|l| l.get("tenant")).and_then(Value::as_str),
+            sample
+                .get("labels")
+                .and_then(|l| l.get("tenant"))
+                .and_then(Value::as_str),
             Some("a")
         );
     }

@@ -11,7 +11,9 @@
 
 use pm_analysis::predict::{predict_total_secs, Prediction, PredictionKind, StrategyShape};
 use pm_analysis::ModelParams;
-use pm_core::{AdmissionPolicy, DataLayout, DiskSpec, MergeConfig, PrefetchStrategy, QueueDiscipline, SyncMode};
+use pm_core::{
+    AdmissionPolicy, DataLayout, DiskSpec, MergeConfig, PrefetchStrategy, QueueDiscipline, SyncMode,
+};
 
 /// Per-kind residual tolerances.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,7 +157,13 @@ impl ResidualCheck {
 #[must_use]
 pub fn check(pred: &Prediction, mean_total_secs: f64, policy: &TolerancePolicy) -> ResidualCheck {
     let (tolerance, bound) = policy.for_kind(pred.kind);
-    ResidualCheck::evaluate(pred.kind.label(), pred.secs, mean_total_secs, tolerance, bound)
+    ResidualCheck::evaluate(
+        pred.kind.label(),
+        pred.secs,
+        mean_total_secs,
+        tolerance,
+        bound,
+    )
 }
 
 /// Returns the paper's closed-form prediction for `cfg`'s total time, or
@@ -242,8 +250,15 @@ mod tests {
         capped.per_run_cap = Some(4);
         assert!(closed_form(&capped).is_none());
 
-        let mut adaptive = ScenarioBuilder::new(25, 5).inter(10).cache_blocks(2000).build().unwrap();
-        adaptive.strategy = PrefetchStrategy::InterRunAdaptive { n_min: 2, n_max: 10 };
+        let mut adaptive = ScenarioBuilder::new(25, 5)
+            .inter(10)
+            .cache_blocks(2000)
+            .build()
+            .unwrap();
+        adaptive.strategy = PrefetchStrategy::InterRunAdaptive {
+            n_min: 2,
+            n_max: 10,
+        };
         assert!(closed_form(&adaptive).is_none());
 
         let mut written = base;
@@ -255,7 +270,11 @@ mod tests {
 
         // Synchronized inter-run with a tight cache breaks eq. 5's
         // every-batch-admitted assumption.
-        let mut tight = ScenarioBuilder::new(25, 5).inter(10).cache_blocks(250).build().unwrap();
+        let mut tight = ScenarioBuilder::new(25, 5)
+            .inter(10)
+            .cache_blocks(250)
+            .build()
+            .unwrap();
         tight.sync = SyncMode::Synchronized;
         assert!(closed_form(&tight).is_none());
     }

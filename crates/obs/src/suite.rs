@@ -13,9 +13,7 @@ use pm_core::{run_trials_traced, MergeConfig, PmError, TrialSummary};
 use pm_workload::paper::{fig2_panel, t1_cases, t2_cases, Fig2Panel};
 
 use crate::convergence::{run_trials_converged, TrialsMode};
-use crate::manifest::{
-    ManifestRecord, PointMetrics, RecordKind, TraceRollup, SCHEMA_VERSION,
-};
+use crate::manifest::{ManifestRecord, PointMetrics, RecordKind, TraceRollup, SCHEMA_VERSION};
 use crate::progress::ProgressSink;
 use crate::residual::{check, closed_form, Bound, ResidualCheck, TolerancePolicy};
 
@@ -80,8 +78,12 @@ const QUICK_SWEEP_STRIDE: usize = 6;
 /// seeds — a quick run's records are a subset of a full run's).
 #[must_use]
 pub fn validation_points(master_seed: u64, quick: bool) -> Vec<PointSpec> {
-    let t1 = t1_cases(master_seed).into_iter().map(|c| (RecordKind::T1Case, c));
-    let t2 = t2_cases(master_seed).into_iter().map(|c| (RecordKind::T2Concurrency, c));
+    let t1 = t1_cases(master_seed)
+        .into_iter()
+        .map(|c| (RecordKind::T1Case, c));
+    let t2 = t2_cases(master_seed)
+        .into_iter()
+        .map(|c| (RecordKind::T2Concurrency, c));
     let mut pts: Vec<PointSpec> = t1
         .chain(t2)
         .map(|(kind, c)| PointSpec {
@@ -247,7 +249,11 @@ mod tests {
         let mut intra = ScenarioBuilder::new(4, 2).intra(5).build().unwrap();
         intra.run_blocks = 40;
         intra.seed = 11;
-        let mut inter = ScenarioBuilder::new(4, 2).inter(5).cache_blocks(80).build().unwrap();
+        let mut inter = ScenarioBuilder::new(4, 2)
+            .inter(5)
+            .cache_blocks(80)
+            .build()
+            .unwrap();
         inter.run_blocks = 40;
         inter.seed = 11;
         vec![
@@ -287,7 +293,8 @@ mod tests {
         // Quick points are a subset of full points (identical configs).
         for q in &quick {
             assert!(
-                full.iter().any(|f| f.label == q.label && f.config == q.config),
+                full.iter()
+                    .any(|f| f.label == q.label && f.config == q.config),
                 "{} missing from the full suite",
                 q.label
             );
@@ -353,7 +360,11 @@ mod tests {
         let rec = run_point(&p, &tiny_opts(), &NullProgress, 0, 1).unwrap();
         let a = rec.analytic.unwrap();
         assert_eq!(a.kind, "urn-E[D]");
-        assert_eq!(a.bound, Bound::Upper, "the urn game is an idealized ceiling");
+        assert_eq!(
+            a.bound,
+            Bound::Upper,
+            "the urn game is an idealized ceiling"
+        );
         let expected = pm_analysis::urn::expected_concurrency(2);
         assert!((a.predicted - expected).abs() < 1e-12);
     }

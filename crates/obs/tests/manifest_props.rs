@@ -11,8 +11,8 @@
 use proptest::prelude::*;
 
 use pm_core::{
-    AdmissionPolicy, DataLayout, MergeConfig, PrefetchChoice, PrefetchStrategy,
-    ScenarioBuilder, SimDuration, SyncMode, WriteSpec,
+    AdmissionPolicy, DataLayout, MergeConfig, PrefetchChoice, PrefetchStrategy, ScenarioBuilder,
+    SimDuration, SyncMode, WriteSpec,
 };
 use pm_obs::{ManifestRecord, PointMetrics, RecordKind, SCHEMA_VERSION};
 
@@ -56,7 +56,10 @@ fn strategies() -> impl Strategy<Value = PrefetchStrategy> {
         (1u32..10_000).prop_map(|n| PrefetchStrategy::IntraRun { n }),
         (1u32..10_000).prop_map(|n| PrefetchStrategy::InterRun { n }),
         (1u32..100, 0u32..10_000).prop_map(|(n_min, extra)| {
-            PrefetchStrategy::InterRunAdaptive { n_min, n_max: n_min + extra }
+            PrefetchStrategy::InterRunAdaptive {
+                n_min,
+                n_max: n_min + extra,
+            }
         }),
     ]
 }
@@ -76,8 +79,10 @@ fn caps() -> impl Strategy<Value = Option<u32>> {
 fn writes() -> impl Strategy<Value = Option<WriteSpec>> {
     prop_oneof![
         Just(None),
-        (1u32..64, any::<u32>())
-            .prop_map(|(disks, buffer_blocks)| Some(WriteSpec { disks, buffer_blocks })),
+        (1u32..64, any::<u32>()).prop_map(|(disks, buffer_blocks)| Some(WriteSpec {
+            disks,
+            buffer_blocks
+        })),
     ]
 }
 
@@ -121,9 +126,16 @@ fn configs() -> impl Strategy<Value = MergeConfig> {
                 } else {
                     SyncMode::Unsynchronized
                 };
-                cfg.layout = if striped { DataLayout::Striped } else { DataLayout::Concatenated };
-                cfg.admission =
-                    if greedy { AdmissionPolicy::Greedy } else { AdmissionPolicy::AllOrNothing };
+                cfg.layout = if striped {
+                    DataLayout::Striped
+                } else {
+                    DataLayout::Concatenated
+                };
+                cfg.admission = if greedy {
+                    AdmissionPolicy::Greedy
+                } else {
+                    AdmissionPolicy::AllOrNothing
+                };
                 cfg.cpu_per_block = SimDuration::from_nanos(cpu_ns);
                 cfg.prefetch_choice = prefetch_choice;
                 cfg.per_run_cap = per_run_cap;
@@ -154,9 +166,11 @@ fn every_named_value_round_trips() {
         PrefetchStrategy::InterRun { n: 5 },
         PrefetchStrategy::InterRunAdaptive { n_min: 2, n_max: 9 },
     ] {
-        for choice in
-            [PrefetchChoice::Random, PrefetchChoice::LeastHeld, PrefetchChoice::HeadProximity]
-        {
+        for choice in [
+            PrefetchChoice::Random,
+            PrefetchChoice::LeastHeld,
+            PrefetchChoice::HeadProximity,
+        ] {
             for layout in [DataLayout::Concatenated, DataLayout::Striped] {
                 for admission in [AdmissionPolicy::AllOrNothing, AdmissionPolicy::Greedy] {
                     for sync in [SyncMode::Synchronized, SyncMode::Unsynchronized] {
@@ -182,7 +196,10 @@ fn names_and_odd_values_survive() {
     cfg.cpu_per_block = SimDuration::from_millis_f64(0.123_457);
     cfg.seed = u64::MAX;
     cfg.per_run_cap = Some(1);
-    cfg.write = Some(WriteSpec { disks: 1, buffer_blocks: 0 });
+    cfg.write = Some(WriteSpec {
+        disks: 1,
+        buffer_blocks: 0,
+    });
     for name in ["", "fig5: \"N=10\", C=1200", "tenant\tβ\n"] {
         let back = round_trip(name, cfg);
         assert_eq!(back.scenario_name, name);

@@ -105,7 +105,10 @@ mod tests {
 
     #[test]
     fn quoting() {
-        let out = render(&["x"], &[vec!["has,comma"], vec!["has\"quote"], vec!["line\nbreak"]]);
+        let out = render(
+            &["x"],
+            &[vec!["has,comma"], vec!["has\"quote"], vec!["line\nbreak"]],
+        );
         assert_eq!(out, "x\n\"has,comma\"\n\"has\"\"quote\"\n\"line\nbreak\"\n");
     }
 
@@ -119,7 +122,8 @@ mod tests {
     #[test]
     fn row_strings_helper() {
         let mut csv = Csv::with_header(Vec::new(), &["n", "secs"]).unwrap();
-        csv.row_strings(&["10".to_string(), "1.5".to_string()]).unwrap();
+        csv.row_strings(&["10".to_string(), "1.5".to_string()])
+            .unwrap();
         let out = String::from_utf8(csv.into_inner()).unwrap();
         assert!(out.ends_with("10,1.5\n"));
     }

@@ -48,12 +48,7 @@ impl Gantt {
 
     /// Adds a row. Intervals are half-open `[start, end)` in any consistent
     /// time unit; rows render in insertion order.
-    pub fn add_row(
-        &mut self,
-        label: impl Into<String>,
-        marker: char,
-        intervals: Vec<(u64, u64)>,
-    ) {
+    pub fn add_row(&mut self, label: impl Into<String>, marker: char, intervals: Vec<(u64, u64)>) {
         self.rows.push(Row {
             label: label.into(),
             intervals,

@@ -202,7 +202,10 @@ impl IoSched for Wfq {
 
     fn vtime_lag(&self, disk: usize, tenant: usize) -> Option<u64> {
         let flow = disk * self.tenants + tenant;
-        let lag = self.vtime.get(disk)?.saturating_sub(*self.finish.get(flow)?);
+        let lag = self
+            .vtime
+            .get(disk)?
+            .saturating_sub(*self.finish.get(flow)?);
         Some(lag >> WFQ_SHIFT)
     }
 }
@@ -272,9 +275,11 @@ impl CachePolicy for ProportionalShare {
 
     fn allocate(&self, total: u32, demands: &[CacheDemand], out: &mut Vec<u32>) {
         let sum: u64 = demands.iter().map(|d| u64::from(d.weight.max(1))).sum();
-        out.extend(demands.iter().map(|d| {
-            (u64::from(total) * u64::from(d.weight.max(1)) / sum.max(1)) as u32
-        }));
+        out.extend(
+            demands
+                .iter()
+                .map(|d| (u64::from(total) * u64::from(d.weight.max(1)) / sum.max(1)) as u32),
+        );
     }
 }
 
@@ -313,7 +318,12 @@ mod tests {
     use super::*;
 
     fn io(tenant: u32, weight: u32, seq: u64, cost: u64) -> PendingIo {
-        PendingIo { tenant, weight, seq, cost }
+        PendingIo {
+            tenant,
+            weight,
+            seq,
+            cost,
+        }
     }
 
     #[test]
@@ -381,7 +391,10 @@ mod tests {
             first16.push(picked.tenant);
         }
         let t0 = first16.iter().filter(|&&t| t == 0).count();
-        assert_eq!(t0, 12, "weight-3 tenant gets 3/4 of early service: {first16:?}");
+        assert_eq!(
+            t0, 12,
+            "weight-3 tenant gets 3/4 of early service: {first16:?}"
+        );
     }
 
     #[test]
@@ -422,8 +435,7 @@ mod tests {
         let mut s = Wfq::new();
         s.reset(1, 2);
         // Both flows backlogged, but only tenant 0 gets served.
-        let pending: Vec<PendingIo> =
-            vec![io(0, 1, 0, 100), io(0, 1, 1, 100), io(1, 1, 2, 100)];
+        let pending: Vec<PendingIo> = vec![io(0, 1, 0, 100), io(0, 1, 1, 100), io(1, 1, 2, 100)];
         for p in &pending {
             s.enqueued(0, p);
         }
@@ -439,8 +451,16 @@ mod tests {
     #[test]
     fn cache_policies_split_the_budget() {
         let demands = [
-            CacheDemand { weight: 3, requested: 500, min: 50 },
-            CacheDemand { weight: 1, requested: 200, min: 20 },
+            CacheDemand {
+                weight: 3,
+                requested: 500,
+                min: 50,
+            },
+            CacheDemand {
+                weight: 1,
+                requested: 200,
+                min: 20,
+            },
         ];
         let mut out = Vec::new();
         StaticPartition.allocate(1000, &demands, &mut out);

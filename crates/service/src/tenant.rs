@@ -365,7 +365,8 @@ impl TenantSim {
             self.pending_lane[d].reserve(n);
         }
         self.in_service.resize(disks, None);
-        self.calendar.reserve((n + disks).saturating_sub(self.calendar.capacity()));
+        self.calendar
+            .reserve((n + disks).saturating_sub(self.calendar.capacity()));
         self.finish.resize(n, 0);
         self.open_lanes.resize(n, 0);
         self.wait_sum.resize(n, 0);
@@ -403,9 +404,7 @@ impl TenantSim {
                 requests,
                 isolated: SimDuration::from_nanos(isolated[t]),
                 makespan: SimDuration::from_nanos(makespan),
-                queue_wait: SimDuration::from_nanos(
-                    self.wait_sum[t] / self.served[t].max(1),
-                ),
+                queue_wait: SimDuration::from_nanos(self.wait_sum[t] / self.served[t].max(1)),
                 slowdown: if isolated[t] > 0 {
                     makespan as f64 / isolated[t] as f64
                 } else {
@@ -464,8 +463,10 @@ impl TenantSim {
         let mut seq = 0u64;
         for (t, job) in jobs.iter().enumerate() {
             if active(t) {
-                self.calendar
-                    .push(((job.arrival.as_nanos(), t as u32, seq), Ev::Arrive(t as u32)));
+                self.calendar.push((
+                    (job.arrival.as_nanos(), t as u32, seq),
+                    Ev::Arrive(t as u32),
+                ));
                 seq += 1;
             }
         }
@@ -473,7 +474,8 @@ impl TenantSim {
             let now = key.0;
             match ev {
                 Ev::Arrive(t) => {
-                    let (start, end) = (self.lane_start[t as usize], self.lane_start[t as usize + 1]);
+                    let (start, end) =
+                        (self.lane_start[t as usize], self.lane_start[t as usize + 1]);
                     if start == end {
                         // No I/O demand at all: the tenant is done on arrival.
                         self.finish[t as usize] = now;
@@ -488,7 +490,9 @@ impl TenantSim {
                 }
                 Ev::Complete(d) => {
                     let d = d as usize;
-                    let l = self.in_service[d].take().expect("completion without service") as usize;
+                    let l = self.in_service[d]
+                        .take()
+                        .expect("completion without service") as usize;
                     let t = self.lanes[l].tenant as usize;
                     let run = &mut self.lane_run[l];
                     run.outstanding -= 1;
@@ -623,7 +627,10 @@ mod tests {
     }
 
     fn shared() -> SharedSpec {
-        SharedSpec { disks: 4, cache_blocks: 4000 }
+        SharedSpec {
+            disks: 4,
+            cache_blocks: 4000,
+        }
     }
 
     #[test]
@@ -631,7 +638,14 @@ mod tests {
         let jobs = vec![job("a", 8, 4, 4, 0, 1), job("b", 8, 4, 4, 0, 1)];
         let mut sim = TenantSim::new(shared());
         let report = sim
-            .run(&jobs, &StaticPartition, &mut Fifo, 42, &TenantSimOptions::default(), &NullMetrics)
+            .run(
+                &jobs,
+                &StaticPartition,
+                &mut Fifo,
+                42,
+                &TenantSimOptions::default(),
+                &NullMetrics,
+            )
             .unwrap();
         assert_eq!(report.tenants.len(), 2);
         for t in &report.tenants {
@@ -647,7 +661,14 @@ mod tests {
         let jobs = vec![job("solo", 8, 4, 4, 3, 1)];
         let mut sim = TenantSim::new(shared());
         let report = sim
-            .run(&jobs, &StaticPartition, &mut Fifo, 7, &TenantSimOptions::default(), &NullMetrics)
+            .run(
+                &jobs,
+                &StaticPartition,
+                &mut Fifo,
+                7,
+                &TenantSimOptions::default(),
+                &NullMetrics,
+            )
             .unwrap();
         let t = &report.tenants[0];
         assert_eq!(t.makespan, t.isolated, "alone == baseline");
@@ -665,8 +686,15 @@ mod tests {
             let mut sim = TenantSim::new(shared());
             let mut wfq = Wfq::new();
             let opts = TenantSimOptions { jobs: threads };
-            sim.run(&jobs, &ProportionalShare, &mut wfq, 1992, &opts, &NullMetrics)
-                .unwrap()
+            sim.run(
+                &jobs,
+                &ProportionalShare,
+                &mut wfq,
+                1992,
+                &opts,
+                &NullMetrics,
+            )
+            .unwrap()
         };
         let a = run(1);
         let b = run(4);
@@ -716,12 +744,24 @@ mod tests {
             job("mid", 8, 4, 4, 1, 1),
             job("small", 4, 2, 2, 2, 1),
         ];
-        let mut sim = TenantSim::new(SharedSpec { disks: 4, cache_blocks: 6000 });
+        let mut sim = TenantSim::new(SharedSpec {
+            disks: 4,
+            cache_blocks: 6000,
+        });
         let opts = TenantSimOptions::default();
-        let fifo = sim.run(&jobs, &StaticPartition, &mut Fifo, 11, &opts, &NullMetrics).unwrap();
+        let fifo = sim
+            .run(&jobs, &StaticPartition, &mut Fifo, 11, &opts, &NullMetrics)
+            .unwrap();
         let mut wfq_sched = Wfq::new();
         let wfq = sim
-            .run(&jobs, &StaticPartition, &mut wfq_sched, 11, &opts, &NullMetrics)
+            .run(
+                &jobs,
+                &StaticPartition,
+                &mut wfq_sched,
+                11,
+                &opts,
+                &NullMetrics,
+            )
             .unwrap();
         assert!(
             wfq.fairness() < fifo.fairness(),
@@ -734,9 +774,19 @@ mod tests {
     #[test]
     fn undersized_cache_grant_is_rejected() {
         let jobs = vec![job("a", 8, 4, 4, 0, 1), job("b", 8, 4, 4, 0, 1)];
-        let mut sim = TenantSim::new(SharedSpec { disks: 4, cache_blocks: 40 });
+        let mut sim = TenantSim::new(SharedSpec {
+            disks: 4,
+            cache_blocks: 40,
+        });
         let err = sim
-            .run(&jobs, &StaticPartition, &mut Fifo, 1, &TenantSimOptions::default(), &NullMetrics)
+            .run(
+                &jobs,
+                &StaticPartition,
+                &mut Fifo,
+                1,
+                &TenantSimOptions::default(),
+                &NullMetrics,
+            )
             .unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("below its minimum"), "{err}");
@@ -747,7 +797,14 @@ mod tests {
         let jobs = vec![job("wide", 8, 8, 2, 0, 1)];
         let mut sim = TenantSim::new(shared());
         let err = sim
-            .run(&jobs, &StaticPartition, &mut Fifo, 1, &TenantSimOptions::default(), &NullMetrics)
+            .run(
+                &jobs,
+                &StaticPartition,
+                &mut Fifo,
+                1,
+                &TenantSimOptions::default(),
+                &NullMetrics,
+            )
             .unwrap_err();
         assert!(err.to_string().contains("shared set"), "{err}");
     }

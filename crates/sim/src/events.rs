@@ -93,9 +93,19 @@ impl<E> Tournament<E> {
         // allocate; hand out low slots first (cosmetic — keys decide order).
         self.free.reserve(new_leaves - self.free.len());
         self.free.extend((old..new_leaves).rev().map(|s| s as u32));
-        let mut nodes = vec![Node { key: EMPTY, slot: 0 }; 2 * new_leaves];
+        let mut nodes = vec![
+            Node {
+                key: EMPTY,
+                slot: 0
+            };
+            2 * new_leaves
+        ];
         for (s, leaf) in nodes[new_leaves..].iter_mut().enumerate() {
-            leaf.key = if s < old { self.nodes[old + s].key } else { EMPTY };
+            leaf.key = if s < old {
+                self.nodes[old + s].key
+            } else {
+                EMPTY
+            };
             leaf.slot = s as u32;
         }
         self.nodes = nodes;
@@ -448,7 +458,11 @@ mod tests {
         for i in 0..8 {
             q.schedule(t(i), i as u32);
         }
-        assert_eq!(q.capacity(), cap, "scheduling within capacity must not grow");
+        assert_eq!(
+            q.capacity(),
+            cap,
+            "scheduling within capacity must not grow"
+        );
         q.reserve(100);
         assert!(q.capacity() >= 108);
         assert_eq!(q.pop(), Some((t(0), 0)));

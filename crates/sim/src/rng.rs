@@ -185,7 +185,10 @@ impl SimRng {
     ///
     /// Panics if `limit` is zero.
     pub fn uniform_duration(&mut self, limit: SimDuration) -> SimDuration {
-        assert!(!limit.is_zero(), "uniform_duration requires a positive limit");
+        assert!(
+            !limit.is_zero(),
+            "uniform_duration requires a positive limit"
+        );
         SimDuration::from_nanos(self.range_u64(0, limit.as_nanos()))
     }
 
@@ -328,7 +331,10 @@ mod tests {
         for &c in &counts {
             // Each bucket should be within 5% of n/7.
             let expected = n as f64 / 7.0;
-            assert!((f64::from(c) - expected).abs() < 0.05 * expected, "{counts:?}");
+            assert!(
+                (f64::from(c) - expected).abs() < 0.05 * expected,
+                "{counts:?}"
+            );
         }
     }
 

@@ -103,7 +103,10 @@ impl SimDuration {
     /// Panics if `ms` is negative or not finite.
     #[must_use]
     pub fn from_millis_f64(ms: f64) -> Self {
-        assert!(ms.is_finite() && ms >= 0.0, "duration must be >= 0, got {ms}");
+        assert!(
+            ms.is_finite() && ms >= 0.0,
+            "duration must be >= 0, got {ms}"
+        );
         SimDuration((ms * 1.0e6).round() as u64)
     }
 
@@ -161,7 +164,11 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.checked_add(rhs.0).expect("simulated duration overflow"))
+        SimDuration(
+            self.0
+                .checked_add(rhs.0)
+                .expect("simulated duration overflow"),
+        )
     }
 }
 
@@ -188,7 +195,11 @@ impl SubAssign for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0.checked_mul(rhs).expect("simulated duration overflow"))
+        SimDuration(
+            self.0
+                .checked_mul(rhs)
+                .expect("simulated duration overflow"),
+        )
     }
 }
 

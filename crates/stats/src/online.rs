@@ -215,7 +215,9 @@ mod tests {
 
     #[test]
     fn matches_naive_two_pass() {
-        let values: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin() * 10.0 + 5.0).collect();
+        let values: Vec<f64> = (0..100)
+            .map(|i| (i as f64 * 0.37).sin() * 10.0 + 5.0)
+            .collect();
         let s = OnlineStats::from_slice(&values);
         assert!((s.population_variance() - naive_variance(&values)).abs() < 1e-9);
     }

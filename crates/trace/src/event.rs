@@ -226,7 +226,9 @@ impl EventKind {
     #[must_use]
     pub const fn as_output(self) -> Self {
         match self {
-            EventKind::DiskIssue { disk, tag, span, .. } => EventKind::DiskIssue {
+            EventKind::DiskIssue {
+                disk, tag, span, ..
+            } => EventKind::DiskIssue {
                 disk,
                 output: true,
                 tag,

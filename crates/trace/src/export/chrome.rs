@@ -95,10 +95,14 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 
     for ev in events {
         match ev.kind {
-            EventKind::DiskIssue { disk, output, span, .. } => {
+            EventKind::DiskIssue {
+                disk, output, span, ..
+            } => {
                 issued.insert((pid_of(disk, output), span), ev.at);
             }
-            EventKind::DiskSeekDone { disk, output, span, .. } => {
+            EventKind::DiskSeekDone {
+                disk, output, span, ..
+            } => {
                 positioned.insert((pid_of(disk, output), span), ev.at);
             }
             EventKind::DiskTransferDone {
@@ -171,7 +175,11 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 );
                 push(&mut out, &counter(ev.at, free));
             }
-            EventKind::PrefetchBatch { groups, blocks, depth } => {
+            EventKind::PrefetchBatch {
+                groups,
+                blocks,
+                depth,
+            } => {
                 push(
                     &mut out,
                     &format!(
@@ -249,16 +257,34 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
-    fn service(disk: u16, span: u64, issue: u64, start: u64, mech: u64, done: u64) -> Vec<TraceEvent> {
+    fn service(
+        disk: u16,
+        span: u64,
+        issue: u64,
+        start: u64,
+        mech: u64,
+        done: u64,
+    ) -> Vec<TraceEvent> {
         let tag = pack_tag(2, 9);
         vec![
             TraceEvent {
                 at: t(issue),
-                kind: EventKind::DiskIssue { disk, output: false, tag, span },
+                kind: EventKind::DiskIssue {
+                    disk,
+                    output: false,
+                    tag,
+                    span,
+                },
             },
             TraceEvent {
                 at: t(mech),
-                kind: EventKind::DiskSeekDone { disk, output: false, tag, span, started: t(start) },
+                kind: EventKind::DiskSeekDone {
+                    disk,
+                    output: false,
+                    tag,
+                    span,
+                    started: t(start),
+                },
             },
             TraceEvent {
                 at: t(done),
@@ -296,7 +322,11 @@ mod tests {
     fn merge_events_land_on_the_merge_process() {
         let events = vec![TraceEvent {
             at: t(42_000),
-            kind: EventKind::DemandMiss { run: 3, block: 12, free: 40 },
+            kind: EventKind::DemandMiss {
+                run: 3,
+                block: 12,
+                free: 40,
+            },
         }];
         let json = chrome_trace_json(&events);
         assert!(json.contains("\"name\":\"process_name\",\"args\":{\"name\":\"merge\"}"));

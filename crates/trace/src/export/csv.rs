@@ -31,7 +31,9 @@ pub fn csv(events: &[TraceEvent]) -> String {
         let (started, sequential) = match *kind {
             EventKind::DiskSeekDone { started, .. } => (Some(started.as_nanos()), None),
             EventKind::DiskTransferDone {
-                started, sequential, ..
+                started,
+                sequential,
+                ..
             } => (Some(started.as_nanos()), Some(sequential)),
             _ => (None, None),
         };

@@ -121,7 +121,11 @@ mod tests {
             xfer(0, true, 200, 900),
             TraceEvent {
                 at: t(450),
-                kind: EventKind::DemandMiss { run: 0, block: 1, free: 2 },
+                kind: EventKind::DemandMiss {
+                    run: 0,
+                    block: 1,
+                    free: 2,
+                },
             },
         ];
         let out = gantt(&events, &GanttOptions::default());
@@ -155,16 +159,28 @@ mod tests {
         let events = vec![xfer(0, false, 2_000_000_000, 25_000_000_000)];
         let out = gantt(&events, &GanttOptions::default());
         let axis = out.lines().last().unwrap();
-        assert!(axis.trim_start().starts_with("0 s") && axis.ends_with(" 25 s"), "{axis}");
-        let window = GanttOptions { from: Some(t(1_500_000_000)), ..GanttOptions::default() };
+        assert!(
+            axis.trim_start().starts_with("0 s") && axis.ends_with(" 25 s"),
+            "{axis}"
+        );
+        let window = GanttOptions {
+            from: Some(t(1_500_000_000)),
+            ..GanttOptions::default()
+        };
         let out = gantt(&events, &window);
         assert!(out.lines().last().unwrap().contains("1.5 s"), "{out}");
         let micros = gantt(&[xfer(0, false, 0, 12_500)], &GanttOptions::default());
-        assert!(micros.lines().last().unwrap().ends_with(" 12.5 µs"), "{micros}");
+        assert!(
+            micros.lines().last().unwrap().ends_with(" 12.5 µs"),
+            "{micros}"
+        );
     }
 
     #[test]
     fn empty_trace_degrades_gracefully() {
-        assert_eq!(gantt(&[], &GanttOptions::default()), "(empty trace window)\n");
+        assert_eq!(
+            gantt(&[], &GanttOptions::default()),
+            "(empty trace window)\n"
+        );
     }
 }

@@ -78,7 +78,11 @@ pub const fn pack_tenant_tag(tenant: u16, run: u32, block: u32) -> u64 {
 /// Reverses [`pack_tenant_tag`]: returns `(tenant, run, block)`.
 #[must_use]
 pub const fn unpack_tenant_tag(tag: u64) -> (u16, u32, u32) {
-    ((tag >> 48) as u16, ((tag >> 32) as u32) & TENANT_TAG_MAX_RUN, tag as u32)
+    (
+        (tag >> 48) as u16,
+        ((tag >> 32) as u32) & TENANT_TAG_MAX_RUN,
+        tag as u32,
+    )
 }
 
 #[cfg(test)]
@@ -89,7 +93,10 @@ mod tests {
     fn tag_round_trips() {
         assert_eq!(unpack_tag(pack_tag(0, 0)), (0, 0));
         assert_eq!(unpack_tag(pack_tag(7, 1234)), (7, 1234));
-        assert_eq!(unpack_tag(pack_tag(u32::MAX, u32::MAX)), (u32::MAX, u32::MAX));
+        assert_eq!(
+            unpack_tag(pack_tag(u32::MAX, u32::MAX)),
+            (u32::MAX, u32::MAX)
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Metrics aggregation over a recorded event stream.
 
-use pm_stats::{Counter, TimeWeighted};
 use pm_sim::{SimDuration, SimTime};
+use pm_stats::{Counter, TimeWeighted};
 
 use crate::{EventKind, TraceEvent};
 
@@ -123,8 +123,7 @@ impl TraceMetrics {
                 EventKind::DiskSeekDone { .. } => {}
                 EventKind::DemandMiss { free, .. } => {
                     m.demand_misses += 1;
-                    m.min_free_at_miss =
-                        Some(m.min_free_at_miss.map_or(free, |lo| lo.min(free)));
+                    m.min_free_at_miss = Some(m.min_free_at_miss.map_or(free, |lo| lo.min(free)));
                 }
                 EventKind::PrefetchBatch { .. } => m.prefetch_batches += 1,
                 EventKind::CacheAdmit { blocks, .. } => {
@@ -244,11 +243,19 @@ mod tests {
         let events = vec![
             TraceEvent {
                 at: t(1),
-                kind: EventKind::DemandMiss { run: 0, block: 3, free: 8 },
+                kind: EventKind::DemandMiss {
+                    run: 0,
+                    block: 3,
+                    free: 8,
+                },
             },
             TraceEvent {
                 at: t(1),
-                kind: EventKind::PrefetchBatch { groups: 2, blocks: 10, depth: 5 },
+                kind: EventKind::PrefetchBatch {
+                    groups: 2,
+                    blocks: 10,
+                    depth: 5,
+                },
             },
             TraceEvent {
                 at: t(1),
@@ -264,7 +271,11 @@ mod tests {
             },
             TraceEvent {
                 at: t(2),
-                kind: EventKind::DemandMiss { run: 1, block: 0, free: 2 },
+                kind: EventKind::DemandMiss {
+                    run: 1,
+                    block: 0,
+                    free: 2,
+                },
             },
             TraceEvent {
                 at: t(3),
@@ -289,7 +300,12 @@ mod tests {
             issue(0, 0, 0),
             TraceEvent {
                 at: t(0),
-                kind: EventKind::DiskIssue { disk: 0, output: true, tag: 0, span: 0 },
+                kind: EventKind::DiskIssue {
+                    disk: 0,
+                    output: true,
+                    tag: 0,
+                    span: 0,
+                },
             },
             done(10, 0, 0, 0, false),
             TraceEvent {

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 
-use pm_trace::{
-    pack_tag, pack_tenant_tag, unpack_tag, unpack_tenant_tag, TENANT_TAG_MAX_RUN,
-};
+use pm_trace::{pack_tag, pack_tenant_tag, unpack_tag, unpack_tenant_tag, TENANT_TAG_MAX_RUN};
 
 proptest! {
     #[test]

@@ -57,22 +57,36 @@ fn ample_cache(k: u32, n: u32) -> u32 {
 
 fn intra_sweep(label: &str, k: u32, d: u32, ns: &[u32], master: u64) -> Sweep {
     let owned = label.to_string();
-    Sweep::build(label, "N (blocks fetched per run)", ns.iter().map(|&n| f64::from(n)), move |x| {
-        let n = x as u32;
-        let mut cfg = ScenarioBuilder::new(k, d).intra(n).build().unwrap();
-        cfg.seed = point_seed(master, &owned, u64::from(n));
-        cfg
-    })
+    Sweep::build(
+        label,
+        "N (blocks fetched per run)",
+        ns.iter().map(|&n| f64::from(n)),
+        move |x| {
+            let n = x as u32;
+            let mut cfg = ScenarioBuilder::new(k, d).intra(n).build().unwrap();
+            cfg.seed = point_seed(master, &owned, u64::from(n));
+            cfg
+        },
+    )
 }
 
 fn inter_sweep(label: &str, k: u32, d: u32, ns: &[u32], master: u64) -> Sweep {
     let owned = label.to_string();
-    Sweep::build(label, "N (blocks fetched per run)", ns.iter().map(|&n| f64::from(n)), move |x| {
-        let n = x as u32;
-        let mut cfg = ScenarioBuilder::new(k, d).inter(n).cache_blocks(ample_cache(k, n)).build().unwrap();
-        cfg.seed = point_seed(master, &owned, u64::from(n));
-        cfg
-    })
+    Sweep::build(
+        label,
+        "N (blocks fetched per run)",
+        ns.iter().map(|&n| f64::from(n)),
+        move |x| {
+            let n = x as u32;
+            let mut cfg = ScenarioBuilder::new(k, d)
+                .inter(n)
+                .cache_blocks(ample_cache(k, n))
+                .build()
+                .unwrap();
+            cfg.seed = point_seed(master, &owned, u64::from(n));
+            cfg
+        },
+    )
 }
 
 /// Figure 3.2: total time vs. `N ∈ 1..=30`, unsynchronized.
@@ -95,21 +109,87 @@ pub fn fig2_panel(panel: Fig2Panel, master_seed: u64) -> Vec<Sweep> {
     let expanded: Vec<u32> = (5..=30).collect();
     match panel {
         Fig2Panel::A => vec![
-            inter_sweep("All Disks One Run (25 runs, 5 disks)", 25, 5, &full, master_seed),
-            intra_sweep("Demand Run Only (25 runs, 5 disks)", 25, 5, &full, master_seed),
-            intra_sweep("Demand Run Only (25 runs, 1 disk)", 25, 1, &full, master_seed),
+            inter_sweep(
+                "All Disks One Run (25 runs, 5 disks)",
+                25,
+                5,
+                &full,
+                master_seed,
+            ),
+            intra_sweep(
+                "Demand Run Only (25 runs, 5 disks)",
+                25,
+                5,
+                &full,
+                master_seed,
+            ),
+            intra_sweep(
+                "Demand Run Only (25 runs, 1 disk)",
+                25,
+                1,
+                &full,
+                master_seed,
+            ),
         ],
         Fig2Panel::B => vec![
-            inter_sweep("All Disks One Run (50 runs, 10 disks)", 50, 10, &full, master_seed),
-            inter_sweep("All Disks One Run (50 runs, 5 disks)", 50, 5, &full, master_seed),
-            intra_sweep("Demand Run Only (50 runs, 10 disks)", 50, 10, &full, master_seed),
-            intra_sweep("Demand Run Only (50 runs, 1 disk)", 50, 1, &full, master_seed),
+            inter_sweep(
+                "All Disks One Run (50 runs, 10 disks)",
+                50,
+                10,
+                &full,
+                master_seed,
+            ),
+            inter_sweep(
+                "All Disks One Run (50 runs, 5 disks)",
+                50,
+                5,
+                &full,
+                master_seed,
+            ),
+            intra_sweep(
+                "Demand Run Only (50 runs, 10 disks)",
+                50,
+                10,
+                &full,
+                master_seed,
+            ),
+            intra_sweep(
+                "Demand Run Only (50 runs, 1 disk)",
+                50,
+                1,
+                &full,
+                master_seed,
+            ),
         ],
         Fig2Panel::C => vec![
-            inter_sweep("All Disks One Run (25 runs, 5 disks)", 25, 5, &expanded, master_seed),
-            inter_sweep("All Disks One Run (50 runs, 5 disks)", 50, 5, &expanded, master_seed),
-            intra_sweep("Demand Run Only (25 runs, 5 disks)", 25, 5, &expanded, master_seed),
-            intra_sweep("Demand Run Only (50 runs, 5 disks)", 50, 5, &expanded, master_seed),
+            inter_sweep(
+                "All Disks One Run (25 runs, 5 disks)",
+                25,
+                5,
+                &expanded,
+                master_seed,
+            ),
+            inter_sweep(
+                "All Disks One Run (50 runs, 5 disks)",
+                50,
+                5,
+                &expanded,
+                master_seed,
+            ),
+            intra_sweep(
+                "Demand Run Only (25 runs, 5 disks)",
+                25,
+                5,
+                &expanded,
+                master_seed,
+            ),
+            intra_sweep(
+                "Demand Run Only (50 runs, 5 disks)",
+                50,
+                5,
+                &expanded,
+                master_seed,
+            ),
         ],
     }
 }
@@ -122,15 +202,20 @@ pub fn fig3_cpu_sweep(master_seed: u64) -> Vec<Sweep> {
     let cpu_ms: Vec<f64> = (0..=14).map(|i| f64::from(i) * 0.05).collect();
     let curve = move |label: &'static str, strategy: PrefetchStrategy, sync: SyncMode| {
         let cache = if strategy.is_inter_run() { 1200 } else { k * n };
-        Sweep::build(label, "CPU time to merge one block (ms)", cpu_ms.iter().copied(), move |x| {
-            let mut cfg = ScenarioBuilder::new(k, d).build().unwrap();
-            cfg.strategy = strategy;
-            cfg.sync = sync;
-            cfg.cache_blocks = cache;
-            cfg.cpu_per_block = SimDuration::from_millis_f64(x);
-            cfg.seed = point_seed(master_seed, label, (x * 1000.0) as u64);
-            cfg
-        })
+        Sweep::build(
+            label,
+            "CPU time to merge one block (ms)",
+            cpu_ms.iter().copied(),
+            move |x| {
+                let mut cfg = ScenarioBuilder::new(k, d).build().unwrap();
+                cfg.strategy = strategy;
+                cfg.sync = sync;
+                cfg.cache_blocks = cache;
+                cfg.cpu_per_block = SimDuration::from_millis_f64(x);
+                cfg.seed = point_seed(master_seed, label, (x * 1000.0) as u64);
+                cfg
+            },
+        )
     };
     vec![
         curve(
@@ -187,7 +272,11 @@ pub fn cache_sweep(panel: CachePanel, master_seed: u64) -> Vec<Sweep> {
                 .collect();
             let owned = label.clone();
             Sweep::build(label, "Cache size (blocks)", xs, move |x| {
-                let mut cfg = ScenarioBuilder::new(k, d).inter(n).cache_blocks(x as u32).build().unwrap();
+                let mut cfg = ScenarioBuilder::new(k, d)
+                    .inter(n)
+                    .cache_blocks(x as u32)
+                    .build()
+                    .unwrap();
                 cfg.seed = point_seed(master_seed, &owned, x as u64);
                 cfg
             })
@@ -215,7 +304,11 @@ fn case(
     seed: u64,
 ) -> PaperCase {
     config.seed = seed;
-    PaperCase { label: label.into(), config, paper_secs }
+    PaperCase {
+        label: label.into(),
+        config,
+        paper_secs,
+    }
 }
 
 /// Table T1: every estimated-vs-simulated comparison quoted in the
@@ -235,31 +328,78 @@ pub fn t1_cases(master_seed: u64) -> Vec<PaperCase> {
     let mut v = Vec::new();
     for (k, paper) in [(25u32, 360.9), (50, 916.0)] {
         let cfg = ScenarioBuilder::new(k, 1).build().unwrap();
-        v.push(case(format!("eq1: no prefetch, k={k}, D=1"), cfg, Some(paper), s));
+        v.push(case(
+            format!("eq1: no prefetch, k={k}, D=1"),
+            cfg,
+            Some(paper),
+            s,
+        ));
     }
-    for (k, n, paper) in [(25u32, 16u32, 73.0), (50, 16, 158.0), (25, 30, 64.0), (50, 30, 135.0)] {
+    for (k, n, paper) in [
+        (25u32, 16u32, 73.0),
+        (50, 16, 158.0),
+        (25, 30, 64.0),
+        (50, 30, 135.0),
+    ] {
         let cfg = ScenarioBuilder::new(k, 1).intra(n).build().unwrap();
-        v.push(case(format!("eq2: intra, k={k}, D=1, N={n}"), cfg, Some(paper), s));
+        v.push(case(
+            format!("eq2: intra, k={k}, D=1, N={n}"),
+            cfg,
+            Some(paper),
+            s,
+        ));
     }
     for (k, d, paper) in [(25u32, 5u32, 281.9), (50, 10, 563.5)] {
         let cfg = ScenarioBuilder::new(k, d).build().unwrap();
-        v.push(case(format!("eq3: no prefetch, k={k}, D={d}"), cfg, Some(paper), s));
+        v.push(case(
+            format!("eq3: no prefetch, k={k}, D={d}"),
+            cfg,
+            Some(paper),
+            s,
+        ));
     }
     let mut cfg = ScenarioBuilder::new(25, 5).intra(30).build().unwrap();
     cfg.sync = SyncMode::Synchronized;
     v.push(case("eq4: intra sync, k=25, D=5, N=30", cfg, Some(61.6), s));
-    let mut cfg = ScenarioBuilder::new(25, 5).inter(10).cache_blocks(2000).build().unwrap();
+    let mut cfg = ScenarioBuilder::new(25, 5)
+        .inter(10)
+        .cache_blocks(2000)
+        .build()
+        .unwrap();
     cfg.sync = SyncMode::Synchronized;
     v.push(case("eq5: inter sync, k=25, D=5, N=10", cfg, Some(17.4), s));
     // Unsynchronized intra-run at N=30: eq. (4)'s time over the urn
     // concurrency, an asymptote in N.
     let cfg = ScenarioBuilder::new(25, 5).intra(30).build().unwrap();
-    v.push(case("urn asymptote: intra unsync, k=25, D=5, N=30", cfg, Some(28.5), s));
+    v.push(case(
+        "urn asymptote: intra unsync, k=25, D=5, N=30",
+        cfg,
+        Some(28.5),
+        s,
+    ));
     // Unsynchronized inter-run with a huge cache approaches kBT/D.
-    let cfg = ScenarioBuilder::new(25, 5).inter(50).cache_blocks(5000).build().unwrap();
-    v.push(case("bound kBT/D: inter unsync, k=25, D=5, N=50", cfg, Some(12.2), s));
-    let cfg = ScenarioBuilder::new(50, 5).inter(50).cache_blocks(10_000).build().unwrap();
-    v.push(case("bound kBT/D: inter unsync, k=50, D=5, N=50", cfg, Some(23.6), s));
+    let cfg = ScenarioBuilder::new(25, 5)
+        .inter(50)
+        .cache_blocks(5000)
+        .build()
+        .unwrap();
+    v.push(case(
+        "bound kBT/D: inter unsync, k=25, D=5, N=50",
+        cfg,
+        Some(12.2),
+        s,
+    ));
+    let cfg = ScenarioBuilder::new(50, 5)
+        .inter(50)
+        .cache_blocks(10_000)
+        .build()
+        .unwrap();
+    v.push(case(
+        "bound kBT/D: inter unsync, k=50, D=5, N=50",
+        cfg,
+        Some(23.6),
+        s,
+    ));
     v
 }
 
@@ -273,7 +413,12 @@ pub fn t2_cases(master_seed: u64) -> Vec<PaperCase> {
         .into_iter()
         .map(|(k, d)| {
             let cfg = ScenarioBuilder::new(k, d).intra(30).build().unwrap();
-            case(format!("urn E[D]: intra unsync, k={k}, D={d}, N=30"), cfg, None, master_seed)
+            case(
+                format!("urn E[D]: intra unsync, k={k}, D={d}, N=30"),
+                cfg,
+                None,
+                master_seed,
+            )
         })
         .collect()
 }
@@ -319,8 +464,12 @@ mod tests {
             assert!((last.x - 0.7).abs() < 1e-9);
         }
         // Sync and unsync variants are present.
-        assert!(sweeps.iter().any(|s| s.points[0].config.sync == SyncMode::Synchronized));
-        assert!(sweeps.iter().any(|s| s.points[0].config.sync == SyncMode::Unsynchronized));
+        assert!(sweeps
+            .iter()
+            .any(|s| s.points[0].config.sync == SyncMode::Synchronized));
+        assert!(sweeps
+            .iter()
+            .any(|s| s.points[0].config.sync == SyncMode::Unsynchronized));
     }
 
     #[test]

@@ -27,7 +27,12 @@ pub struct Sweep {
 
 impl Sweep {
     /// Builds a sweep by applying `make` to each value of `xs`.
-    pub fn build<I, F>(label: impl Into<String>, x_label: impl Into<String>, xs: I, mut make: F) -> Self
+    pub fn build<I, F>(
+        label: impl Into<String>,
+        x_label: impl Into<String>,
+        xs: I,
+        mut make: F,
+    ) -> Self
     where
         I: IntoIterator<Item = f64>,
         F: FnMut(f64) -> MergeConfig,
@@ -129,7 +134,9 @@ mod tests {
 
     #[test]
     fn validate_reports_offending_x() {
-        let mut s = Sweep::build("bad", "N", [4.0], |x| ScenarioBuilder::new(25, 5).intra(x as u32).build().unwrap());
+        let mut s = Sweep::build("bad", "N", [4.0], |x| {
+            ScenarioBuilder::new(25, 5).intra(x as u32).build().unwrap()
+        });
         s.points[0].config.cache_blocks = 1;
         let err = s.validate().unwrap_err();
         assert_eq!(err.0, 4.0);

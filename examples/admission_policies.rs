@@ -8,10 +8,10 @@
 //!
 //! Run with: `cargo run --release --example admission_policies`
 
+use pm_core::ScenarioBuilder;
 use prefetchmerge::analysis::markov::{average_parallelism, Policy};
 use prefetchmerge::core::{run_trials, AdmissionPolicy};
 use prefetchmerge::report::{Align, Table};
-use pm_core::ScenarioBuilder;
 
 fn main() {
     // Part (a): the paper's configuration, full simulator.
@@ -25,7 +25,11 @@ fn main() {
     table.set_align(2, Align::Right);
     for cache in [300u32, 450, 600, 900, 1200] {
         let time_for = |policy| {
-            let mut cfg = ScenarioBuilder::new(25, 5).inter(10).cache_blocks(cache).build().unwrap();
+            let mut cfg = ScenarioBuilder::new(25, 5)
+                .inter(10)
+                .cache_blocks(cache)
+                .build()
+                .unwrap();
             cfg.admission = policy;
             cfg.seed = 3;
             run_trials(&cfg, 3).expect("valid").mean_total_secs

@@ -8,9 +8,9 @@
 //!
 //! Run with: `cargo run --release --example cache_tuning`
 
+use pm_core::ScenarioBuilder;
 use prefetchmerge::core::run_trials;
 use prefetchmerge::report::{Align, Table};
-use pm_core::ScenarioBuilder;
 
 fn main() {
     let (k, d) = (25, 5);
@@ -36,7 +36,11 @@ fn main() {
                 row.push("-".into());
                 continue;
             }
-            let cfg = ScenarioBuilder::new(k, d).inter(n).cache_blocks(cache).build().unwrap();
+            let cfg = ScenarioBuilder::new(k, d)
+                .inter(n)
+                .cache_blocks(cache)
+                .build()
+                .unwrap();
             let summary = run_trials(&cfg, 3).expect("valid configuration");
             let secs = summary.mean_total_secs;
             if best.map_or(true, |(b, _)| secs < b) {

@@ -6,9 +6,9 @@
 //!
 //! Run with: `cargo run --release --example finite_cpu`
 
+use pm_core::ScenarioBuilder;
 use prefetchmerge::core::{run_trials, PrefetchStrategy, SimDuration, SyncMode};
 use prefetchmerge::report::{Align, Table};
-use pm_core::ScenarioBuilder;
 
 fn main() {
     let (k, d, n) = (25, 5, 10);
@@ -50,9 +50,7 @@ fn main() {
             format!("{:.0}%", stall * 100.0),
         ]);
     }
-    println!(
-        "total merge time vs CPU speed ({k} runs, {d} disks, N={n}; paper Fig 3.3)\n"
-    );
+    println!("total merge time vs CPU speed ({k} runs, {d} disks, N={n}; paper Fig 3.3)\n");
     println!("{}", table.render());
     println!(
         "Synchronized intra-run never overlaps CPU and I/O, so it is worst\n\

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use prefetchmerge::core::run_trials;
 use pm_core::ScenarioBuilder;
+use prefetchmerge::core::run_trials;
 
 fn main() {
     // The paper's workload: 25 sorted runs of 1000 × 4 KiB blocks.
@@ -20,7 +20,11 @@ fn main() {
     // 3. Additionally prefetch 10 blocks of one run from every other disk
     //    on each demand fetch ("All Disks One Run" = inter-run
     //    prefetching), through a 1200-block cache.
-    let inter = ScenarioBuilder::new(k, 5).inter(10).cache_blocks(1200).build().unwrap();
+    let inter = ScenarioBuilder::new(k, 5)
+        .inter(10)
+        .cache_blocks(1200)
+        .build()
+        .unwrap();
 
     println!("merge of {k} runs x 1000 blocks (4 KiB each), 5 trials per case\n");
     let mut baseline_secs = None;

@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release --example real_mergesort`
 
+use pm_core::ScenarioBuilder;
 use prefetchmerge::core::{run_trials, MergeSim, PrefetchStrategy};
 use prefetchmerge::extsort::{external_sort, generate, ExtSortConfig, RunFormation};
-use pm_core::ScenarioBuilder;
 
 fn main() {
     // 8 runs x 100 blocks x 40 records: one memory load per run.
@@ -36,7 +36,11 @@ fn main() {
     for (label, strategy, cache) in [
         ("no prefetching", PrefetchStrategy::None, k),
         ("intra-run N=8", PrefetchStrategy::IntraRun { n: 8 }, k * 8),
-        ("inter-run N=8", PrefetchStrategy::InterRun { n: 8 }, 4 * k * 8),
+        (
+            "inter-run N=8",
+            PrefetchStrategy::InterRun { n: 8 },
+            4 * k * 8,
+        ),
     ] {
         let mut cfg = ScenarioBuilder::new(k, 4).build().unwrap();
         cfg.run_blocks = blocks;

@@ -3,12 +3,12 @@
 //!
 //! Run with: `cargo run --release --example timeline`
 
+use pm_core::ScenarioBuilder;
 use prefetchmerge::core::{
     MergeSim, PrefetchStrategy, RecordingSink, SimDuration, SimTime, SyncMode, TraceEvent,
     UniformDepletion,
 };
 use prefetchmerge::trace::export::{gantt, GanttOptions};
-use pm_core::ScenarioBuilder;
 
 fn trace(strategy: PrefetchStrategy, sync: SyncMode, cache: u32) -> (f64, Vec<TraceEvent>) {
     let mut cfg = ScenarioBuilder::new(10, 4).build().unwrap();
@@ -45,7 +45,12 @@ fn main() {
         SyncMode::Synchronized,
         10 * n,
     );
-    draw("intra-run, synchronized: one disk at a time", secs, &events, window);
+    draw(
+        "intra-run, synchronized: one disk at a time",
+        secs,
+        &events,
+        window,
+    );
 
     let (secs, events) = trace(
         PrefetchStrategy::IntraRun { n },

@@ -8,12 +8,11 @@
 //!
 //! Run with: `cargo run --release --example trace_inspect`
 
+use pm_core::ScenarioBuilder;
 use prefetchmerge::core::{
-    EventKind, MergeSim, PrefetchStrategy, RecordingSink, SimTime, SyncMode,
-    UniformDepletion,
+    EventKind, MergeSim, PrefetchStrategy, RecordingSink, SimTime, SyncMode, UniformDepletion,
 };
 use prefetchmerge::trace::TraceMetrics;
-use pm_core::ScenarioBuilder;
 
 fn main() {
     let mut cfg = ScenarioBuilder::new(10, 4).build().unwrap();

@@ -59,18 +59,17 @@ fn main() {
             ),
             None => ("-".to_string(), "n/a"),
         };
-        println!("{} | {trials} | {converged} | {rel} | {ratio} | {verdict}", r.label);
+        println!(
+            "{} | {trials} | {converged} | {rel} | {ratio} | {verdict}",
+            r.label
+        );
     }
 
     let breaches = records
         .iter()
         .filter(|r| r.analytic.as_ref().is_some_and(|a| !a.pass))
         .count();
-    println!(
-        "\n{} points, {} residual breaches",
-        records.len(),
-        breaches
-    );
+    println!("\n{} points, {} residual breaches", records.len(), breaches);
 
     std::fs::create_dir_all("target/experiments").expect("output dir");
     std::fs::write(

@@ -2,7 +2,7 @@
 //! across the whole pipeline, and the workload builders derive distinct,
 //! stable seeds per experiment point.
 
-use pm_core::{MergeSim, PrefetchStrategy, ScenarioBuilder, SyncMode, run_trials};
+use pm_core::{run_trials, MergeSim, PrefetchStrategy, ScenarioBuilder, SyncMode};
 use pm_extsort::{external_sort, generate, ExtSortConfig, RunFormation};
 use pm_workload::paper::{fig2_panel, Fig2Panel};
 
@@ -25,7 +25,11 @@ fn whole_reports_are_bit_identical() {
 
 #[test]
 fn trials_are_reproducible_but_distinct() {
-    let cfg = ScenarioBuilder::new(25, 5).inter(5).cache_blocks(500).build().unwrap();
+    let cfg = ScenarioBuilder::new(25, 5)
+        .inter(5)
+        .cache_blocks(500)
+        .build()
+        .unwrap();
     let a = run_trials(&cfg, 4).unwrap();
     let b = run_trials(&cfg, 4).unwrap();
     for (x, y) in a.reports.iter().zip(&b.reports) {
@@ -77,7 +81,11 @@ fn workload_builders_are_stable() {
 #[test]
 fn replayed_scenario_specs_reproduce_results() {
     use pm_obs::{ManifestRecord, PointMetrics, RecordKind, SCHEMA_VERSION};
-    let mut cfg = ScenarioBuilder::new(25, 5).inter(10).cache_blocks(900).build().unwrap();
+    let mut cfg = ScenarioBuilder::new(25, 5)
+        .inter(10)
+        .cache_blocks(900)
+        .build()
+        .unwrap();
     cfg.seed = 41;
     let direct = MergeSim::run_uniform(cfg).unwrap();
     // Store the scenario as a manifest line and replay what parses back.

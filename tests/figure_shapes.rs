@@ -29,8 +29,20 @@ fn fig2a_orderings_hold() {
     let intra1 = run_thin(&sweeps[2]);
     for ((i5, d5), d1) in inter5.iter().zip(&intra5).zip(&intra1) {
         // At every N: inter-run (5 disks) <= intra-run (5 disks) <= 1 disk.
-        assert!(i5.1 <= d5.1 * 1.02, "N={}: inter {} vs intra5 {}", i5.0, i5.1, d5.1);
-        assert!(d5.1 < d1.1, "N={}: intra5 {} vs intra1 {}", d5.0, d5.1, d1.1);
+        assert!(
+            i5.1 <= d5.1 * 1.02,
+            "N={}: inter {} vs intra5 {}",
+            i5.0,
+            i5.1,
+            d5.1
+        );
+        assert!(
+            d5.1 < d1.1,
+            "N={}: intra5 {} vs intra1 {}",
+            d5.0,
+            d5.1,
+            d1.1
+        );
     }
     // Time decreases with N for each curve.
     for curve in [&inter5, &intra5, &intra1] {
@@ -46,7 +58,12 @@ fn fig2b_more_disks_help_inter_run() {
     // At large N, 10 disks beat 5 disks for the same k.
     let last10 = inter10.last().unwrap();
     let last5 = inter5.last().unwrap();
-    assert!(last10.1 < last5.1, "10 disks {} vs 5 disks {}", last10.1, last5.1);
+    assert!(
+        last10.1 < last5.1,
+        "10 disks {} vs 5 disks {}",
+        last10.1,
+        last5.1
+    );
 }
 
 #[test]
@@ -66,7 +83,10 @@ fn fig3_sync_hierarchy() {
         let intra_sync = ds.1;
         // The paper's figure 3.3 ordering at every CPU speed:
         assert!(inter_unsync <= inter_sync * 1.02);
-        assert!(inter_sync < intra_unsync * 1.25, "inter sync should be competitive");
+        assert!(
+            inter_sync < intra_unsync * 1.25,
+            "inter sync should be competitive"
+        );
         assert!(intra_unsync < intra_sync);
         // Inter-run (either mode) beats intra-run across the whole range.
         assert!(inter_unsync < intra_unsync);
@@ -83,7 +103,12 @@ fn fig5_time_falls_and_saturates_with_cache() {
         assert!(pts[1].1 <= pts[0].1 * 1.03, "{}: {:?}", sweep.label, pts);
         assert!(pts[2].1 <= pts[1].1 * 1.03, "{}: {:?}", sweep.label, pts);
         // The minimum-cache point is much slower than the asymptote.
-        assert!(pts[0].1 > pts[2].1 * 1.15, "{}: no cache effect? {:?}", sweep.label, pts);
+        assert!(
+            pts[0].1 > pts[2].1 * 1.15,
+            "{}: no cache effect? {:?}",
+            sweep.label,
+            pts
+        );
     }
 }
 
@@ -116,9 +141,15 @@ fn fig5_optimal_n_depends_on_cache() {
     // (N = 10's success ratio is still near zero there).
     let n5_small = at(&sweeps[1], 400.0);
     let n10_small = at(&sweeps[2], 400.0);
-    assert!(n5_small < n10_small, "small cache: N=5 {n5_small} vs N=10 {n10_small}");
+    assert!(
+        n5_small < n10_small,
+        "small cache: N=5 {n5_small} vs N=10 {n10_small}"
+    );
     // At 1200 blocks: the deeper depth wins.
     let n5_big = at(&sweeps[1], 1200.0);
     let n10_big = at(&sweeps[2], 1200.0);
-    assert!(n10_big < n5_big, "big cache: N=10 {n10_big} vs N=5 {n5_big}");
+    assert!(
+        n10_big < n5_big,
+        "big cache: N=10 {n10_big} vs N=5 {n5_big}"
+    );
 }

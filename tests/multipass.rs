@@ -21,8 +21,8 @@ use std::path::PathBuf;
 
 use pm_core::ScenarioBuilder;
 use pm_engine::{
-    clean_stale_passes, ExecConfig, MergeEngine, MultiPassExecutor, MultiPassOptions,
-    PassBackend, ThreadedQueue,
+    clean_stale_passes, ExecConfig, MergeEngine, MultiPassExecutor, MultiPassOptions, PassBackend,
+    ThreadedQueue,
 };
 use pm_extsort::plan::{min_passes, plan_merge_tree, PlanPolicy};
 use pm_extsort::{generate, run_formation, Record};
@@ -156,9 +156,7 @@ fn multipass_output_matches_single_pass_across_backends_jobs_policies() {
                 }
                 if let Some(dir) = root {
                     // The executor removed each pass's staging directory.
-                    let leftover = std::fs::read_dir(&dir)
-                        .map(|it| it.count())
-                        .unwrap_or(0);
+                    let leftover = std::fs::read_dir(&dir).map(|it| it.count()).unwrap_or(0);
                     assert_eq!(leftover, 0, "staging not cleaned under {}", dir.display());
                     let _ = std::fs::remove_dir_all(&dir);
                 }
@@ -172,7 +170,11 @@ fn latency_backend_per_pass_busy_matches_prediction() {
     let tol = 0.02;
     let runs = form_runs(4000, 250, 83);
     assert_eq!(runs.len(), 16);
-    let base = ScenarioBuilder::new(4, 2).inter(2).seed(29).build().unwrap();
+    let base = ScenarioBuilder::new(4, 2)
+        .inter(2)
+        .seed(29)
+        .build()
+        .unwrap();
     for policy in [PlanPolicy::GreedyMax, PlanPolicy::Balanced] {
         let plan = plan_merge_tree(&run_blocks(&runs), 4, policy).unwrap();
         let exec = MultiPassExecutor::new(&plan, base, opts(0, 5e-4), PassBackend::Latency);
@@ -197,7 +199,11 @@ fn interrupted_execution_cleans_up_and_stale_tokens_are_swept() {
     let runs = form_runs(3000, 188, 47);
     assert_eq!(runs.len(), 16);
     let expect = reference(&runs);
-    let base = ScenarioBuilder::new(4, 2).inter(2).seed(13).build().unwrap();
+    let base = ScenarioBuilder::new(4, 2)
+        .inter(2)
+        .seed(13)
+        .build()
+        .unwrap();
     let plan = plan_merge_tree(&run_blocks(&runs), 4, PlanPolicy::GreedyMax).unwrap();
     let root = unique_dir();
 
@@ -231,7 +237,10 @@ fn interrupted_execution_cleans_up_and_stale_tokens_are_swept() {
     // A hard crash can't run the error path: simulate its residue — a
     // dead owner's token (pid far beyond pid_max) with pass/group
     // litter, plus a legacy bare pass directory from an old layout.
-    let dead = root.join("exec-999999999-3").join("pass-00").join("group-00");
+    let dead = root
+        .join("exec-999999999-3")
+        .join("pass-00")
+        .join("group-00");
     std::fs::create_dir_all(&dead).unwrap();
     std::fs::write(dead.join("disk-00.bin"), b"stale").unwrap();
     std::fs::create_dir_all(root.join("pass-07")).unwrap();

@@ -7,7 +7,8 @@
 //! paper's numbers are reproduced.
 
 use pm_core::{
-    MergeConfig, MergeSim, ScenarioBuilder, TrialSummary, UniformDepletion, run_trials, run_trials_parallel,
+    run_trials, run_trials_parallel, MergeConfig, MergeSim, ScenarioBuilder, TrialSummary,
+    UniformDepletion,
 };
 use pm_sim::derive_seeds;
 
@@ -18,7 +19,11 @@ fn config_grid() -> Vec<(String, MergeConfig)> {
         let mut intra = ScenarioBuilder::new(8, d).intra(4).build().unwrap();
         intra.run_blocks = 40;
         grid.push((format!("intra D={d}"), intra));
-        let mut inter = ScenarioBuilder::new(8, d).inter(4).cache_blocks(8 * 4 + 20).build().unwrap();
+        let mut inter = ScenarioBuilder::new(8, d)
+            .inter(4)
+            .cache_blocks(8 * 4 + 20)
+            .build()
+            .unwrap();
         inter.run_blocks = 40;
         grid.push((format!("inter D={d}"), inter));
     }
@@ -104,7 +109,11 @@ fn jobs_zero_uses_all_cores_and_stays_identical() {
 fn trial_order_is_the_derived_seed_order() {
     // Trial i's report must land at index i: re-simulating seed i directly
     // reproduces exactly reports[i], for a worker pool of any size.
-    let mut cfg = ScenarioBuilder::new(6, 3).inter(3).cache_blocks(6 * 3 + 10).build().unwrap();
+    let mut cfg = ScenarioBuilder::new(6, 3)
+        .inter(3)
+        .cache_blocks(6 * 3 + 10)
+        .build()
+        .unwrap();
     cfg.run_blocks = 30;
     let seeds = derive_seeds(cfg.seed, 6);
     let par = run_trials_parallel(&cfg, 6, 4).expect("valid config");

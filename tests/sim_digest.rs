@@ -74,7 +74,10 @@ fn strategies() -> [(&'static str, PrefetchStrategy); 4] {
         ("none", PrefetchStrategy::None),
         ("intra", PrefetchStrategy::IntraRun { n: 4 }),
         ("inter", PrefetchStrategy::InterRun { n: 4 }),
-        ("adaptive", PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: 6 }),
+        (
+            "adaptive",
+            PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: 6 },
+        ),
     ]
 }
 
@@ -97,9 +100,10 @@ fn scenarios() -> Vec<(String, MergeConfig, Option<Vec<u32>>, Depletion)> {
                     ("sync", SyncMode::Synchronized),
                     ("unsync", SyncMode::Unsynchronized),
                 ] {
-                    for (dname, depletion) in
-                        [("uniform", Depletion::Uniform), ("skewed", Depletion::Skewed)]
-                    {
+                    for (dname, depletion) in [
+                        ("uniform", Depletion::Uniform),
+                        ("skewed", Depletion::Skewed),
+                    ] {
                         let cfg = ScenarioBuilder::new(2 * disks + 1, disks)
                             .disk_spec(small_disk())
                             .run_blocks(16)
@@ -184,14 +188,20 @@ fn scenarios() -> Vec<(String, MergeConfig, Option<Vec<u32>>, Depletion)> {
             "write-inter",
             base()
                 .inter(4)
-                .write(Some(WriteSpec { disks: 2, buffer_blocks: 8 }))
+                .write(Some(WriteSpec {
+                    disks: 2,
+                    buffer_blocks: 8,
+                }))
                 .build(),
         ),
         (
             "write-intra-one-disk",
             base()
                 .intra(4)
-                .write(Some(WriteSpec { disks: 1, buffer_blocks: 4 }))
+                .write(Some(WriteSpec {
+                    disks: 1,
+                    buffer_blocks: 4,
+                }))
                 .build(),
         ),
         (
@@ -225,9 +235,21 @@ fn scenarios() -> Vec<(String, MergeConfig, Option<Vec<u32>>, Depletion)> {
 
     let ragged = vec![40u32, 3, 17, 25, 1, 60, 9, 12, 33];
     for (name, strategy, choice) in [
-        ("ragged-intra", PrefetchStrategy::IntraRun { n: 4 }, PrefetchChoice::Random),
-        ("ragged-inter", PrefetchStrategy::InterRun { n: 4 }, PrefetchChoice::Random),
-        ("ragged-inter-head", PrefetchStrategy::InterRun { n: 4 }, PrefetchChoice::HeadProximity),
+        (
+            "ragged-intra",
+            PrefetchStrategy::IntraRun { n: 4 },
+            PrefetchChoice::Random,
+        ),
+        (
+            "ragged-inter",
+            PrefetchStrategy::InterRun { n: 4 },
+            PrefetchChoice::Random,
+        ),
+        (
+            "ragged-inter-head",
+            PrefetchStrategy::InterRun { n: 4 },
+            PrefetchChoice::HeadProximity,
+        ),
         (
             "ragged-adaptive",
             PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: 5 },
@@ -242,7 +264,12 @@ fn scenarios() -> Vec<(String, MergeConfig, Option<Vec<u32>>, Depletion)> {
             .seed(77)
             .build()
             .expect("ragged scenario");
-        out.push((name.to_string(), cfg, Some(ragged.clone()), Depletion::Uniform));
+        out.push((
+            name.to_string(),
+            cfg,
+            Some(ragged.clone()),
+            Depletion::Uniform,
+        ));
     }
     out
 }

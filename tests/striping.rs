@@ -3,7 +3,7 @@
 //! (striping vs. independent disks with inter-run prefetching).
 
 use pm_analysis::{equations, ModelParams};
-use pm_core::{DataLayout, MergeConfig, PrefetchStrategy, ScenarioBuilder, SyncMode, run_trials};
+use pm_core::{run_trials, DataLayout, MergeConfig, PrefetchStrategy, ScenarioBuilder, SyncMode};
 use pm_stats::relative_error;
 
 const TRIALS: u32 = 3;
@@ -33,10 +33,15 @@ fn striped_sync_matches_closed_form() {
 #[test]
 fn striping_beats_concatenated_intra_run() {
     // Same strategy and cache; striping parallelizes every fetch.
-    let striped = run_trials(&striped_intra(25, 5, 10), TRIALS).unwrap().mean_total_secs;
-    let concat = run_trials(&ScenarioBuilder::new(25, 5).intra(10).build().unwrap(), TRIALS)
+    let striped = run_trials(&striped_intra(25, 5, 10), TRIALS)
         .unwrap()
         .mean_total_secs;
+    let concat = run_trials(
+        &ScenarioBuilder::new(25, 5).intra(10).build().unwrap(),
+        TRIALS,
+    )
+    .unwrap()
+    .mean_total_secs;
     // Unsynchronized concatenated intra-run already overlaps ~sqrt(D)
     // disks, so striping's edge is moderate (its parallelism is within
     // each operation, not across them).
@@ -56,7 +61,11 @@ fn inter_run_beats_striping_at_equal_cache() {
     let mut striped = striped_intra(25, 5, n);
     striped.cache_blocks = cache;
     let striped_secs = run_trials(&striped, TRIALS).unwrap().mean_total_secs;
-    let inter = ScenarioBuilder::new(25, 5).inter(n).cache_blocks(cache).build().unwrap();
+    let inter = ScenarioBuilder::new(25, 5)
+        .inter(n)
+        .cache_blocks(cache)
+        .build()
+        .unwrap();
     let inter_secs = run_trials(&inter, TRIALS).unwrap().mean_total_secs;
     assert!(
         inter_secs < striped_secs,
@@ -77,7 +86,11 @@ fn striped_fits_workloads_concatenation_cannot() {
 
 #[test]
 fn striped_rejects_inter_run() {
-    let mut cfg = ScenarioBuilder::new(25, 5).inter(10).cache_blocks(1000).build().unwrap();
+    let mut cfg = ScenarioBuilder::new(25, 5)
+        .inter(10)
+        .cache_blocks(1000)
+        .build()
+        .unwrap();
     cfg.layout = DataLayout::Striped;
     assert!(matches!(
         cfg.validate(),
@@ -90,8 +103,13 @@ fn striped_unsync_is_not_slower_than_sync() {
     let mut sync_cfg = striped_intra(25, 5, 10);
     sync_cfg.sync = SyncMode::Synchronized;
     let sync = run_trials(&sync_cfg, TRIALS).unwrap().mean_total_secs;
-    let unsync = run_trials(&striped_intra(25, 5, 10), TRIALS).unwrap().mean_total_secs;
-    assert!(unsync <= sync * 1.01, "unsync {unsync:.1} vs sync {sync:.1}");
+    let unsync = run_trials(&striped_intra(25, 5, 10), TRIALS)
+        .unwrap()
+        .mean_total_secs;
+    assert!(
+        unsync <= sync * 1.01,
+        "unsync {unsync:.1} vs sync {sync:.1}"
+    );
 }
 
 #[test]
@@ -106,5 +124,8 @@ fn no_prefetch_striped_still_profits_from_parallel_blocks() {
     let c = run_trials(&ScenarioBuilder::new(25, 5).build().unwrap(), TRIALS)
         .unwrap()
         .mean_total_secs;
-    assert!(relative_error(s, c) < 0.05, "striped {s:.1} vs concat {c:.1}");
+    assert!(
+        relative_error(s, c) < 0.05,
+        "striped {s:.1} vs concat {c:.1}"
+    );
 }

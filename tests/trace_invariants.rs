@@ -14,7 +14,8 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use pm_core::{
-    EventKind, MergeConfig, MergeSim, PrefetchStrategy, RecordingSink, ScenarioBuilder, SyncMode, TraceEvent, UniformDepletion, run_trials_parallel, run_trials_traced,
+    run_trials_parallel, run_trials_traced, EventKind, MergeConfig, MergeSim, PrefetchStrategy,
+    RecordingSink, ScenarioBuilder, SyncMode, TraceEvent, UniformDepletion,
 };
 use pm_trace::export::chrome_trace_json;
 
@@ -59,8 +60,16 @@ fn chrome_export_matches_golden_snapshot() {
 fn event_streams_are_well_formed() {
     let scenarios = [
         (PrefetchStrategy::None, SyncMode::Unsynchronized, 0),
-        (PrefetchStrategy::IntraRun { n: 4 }, SyncMode::Synchronized, 0),
-        (PrefetchStrategy::InterRun { n: 4 }, SyncMode::Unsynchronized, 2),
+        (
+            PrefetchStrategy::IntraRun { n: 4 },
+            SyncMode::Synchronized,
+            0,
+        ),
+        (
+            PrefetchStrategy::InterRun { n: 4 },
+            SyncMode::Unsynchronized,
+            2,
+        ),
         (
             PrefetchStrategy::InterRunAdaptive { n_min: 1, n_max: 8 },
             SyncMode::Unsynchronized,
@@ -115,7 +124,10 @@ fn event_streams_are_well_formed() {
                 }
                 EventKind::DiskTransferDone { started, .. } => {
                     let entry = open.remove(&key).expect("transfer-done without issue");
-                    assert!(entry.0, "{strategy:?}: span {span} finished without seek-done");
+                    assert!(
+                        entry.0,
+                        "{strategy:?}: span {span} finished without seek-done"
+                    );
                     assert!(!entry.1);
                     assert!(started <= ev.at);
                 }
