@@ -7,8 +7,9 @@
 //!
 //! `--jobs n` (or the `PM_JOBS` environment variable) sizes each
 //! experiment's own pool of sweep points and trials; the output is
-//! byte-identical for every value. Each experiment's output follows a
-//! banner on stdout, and a progress line per experiment goes to stderr.
+//! byte-identical for every value. Each experiment's tables follow a
+//! banner on stdout, each written to `<out>/<key>.csv` from the same
+//! cells, and a progress line per experiment goes to stderr.
 //! An unknown experiment name or a malformed flag exits 2. An experiment
 //! that fails (returns an error or panics) is reported in the summary
 //! and the rest still run; `run_all` then exits 1.
@@ -16,8 +17,21 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use pm_bench::{select, usage_error, Harness};
+use pm_bench::{select, usage_error, Harness, Output};
 use pm_core::parallel;
+
+/// Prints each table and writes its CSV.
+fn emit(h: &Harness, outputs: &[Output]) -> Result<(), String> {
+    for out in outputs {
+        println!("== {} ==\n", out.title);
+        if let Some(plot) = &out.plot {
+            println!("{plot}");
+        }
+        println!("{}", out.table().render());
+        println!("wrote {}", out.write_csv(&h.out_dir)?.display());
+    }
+    Ok(())
+}
 
 fn main() {
     let (h, names) = Harness::from_args();
@@ -35,7 +49,8 @@ fn main() {
         let launched = Instant::now();
         // The panic hook has already printed the message to stderr.
         let outcome = catch_unwind(AssertUnwindSafe(|| run(&h)))
-            .unwrap_or_else(|_| Err("panicked (message above on stderr)".into()));
+            .unwrap_or_else(|_| Err("panicked (message above on stderr)".into()))
+            .and_then(|outputs| emit(&h, &outputs));
         eprintln!(
             "  [{}/{}] {name} {} in {:.1}s (elapsed {:.1}s)",
             i + 1,

@@ -4,15 +4,21 @@
 
 use pm_workload::paper::fig3_cpu_sweep;
 
-use crate::Harness;
+use crate::{points_output, Harness, Output};
 
-pub(super) fn run(h: &Harness) -> Result<(), String> {
-    h.run_sweeps(
-        "fig3",
-        "Fig 3.3: Effect of finite-speed CPU (25 runs, 5 disks, N=10)",
-        "total time (s)",
-        &fig3_cpu_sweep(h.seed),
-        |s| s.mean_total_secs,
-    )?;
-    Ok(())
+/// The full series, then each curve at 0, 0.35 and 0.7 ms per block.
+pub(super) fn run(h: &Harness) -> Result<Vec<Output>, String> {
+    let title = "Fig 3.3: Effect of finite-speed CPU (25 runs, 5 disks, N=10)";
+    let sweeps = fig3_cpu_sweep(h.seed);
+    let (out, series) = h.run_sweeps("fig3", title, "total time (s)", &sweeps, |s| {
+        s.mean_total_secs
+    })?;
+    let points = points_output(
+        "fig3_points",
+        &format!("{title}: total seconds at selected CPU costs"),
+        &series,
+        &[0.0, 0.35, 0.7],
+        |x| format!("{x} ms"),
+    );
+    Ok(vec![out, points])
 }
