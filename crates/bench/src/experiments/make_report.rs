@@ -1,15 +1,13 @@
-//! A machine-written markdown report of the headline reproduction results
-//! (the T1 and T2 tables of EXPERIMENTS.md and the headline speedup) at
-//! `<out>/REPORT.md`.
+//! The headline reproduction result: the paper's single-disk baseline
+//! against five disks with inter-run prefetching. The T1 and T2 tables are
+//! `validation_table` and `concurrency_table`.
 
 use pm_analysis::{bounds, ModelParams};
 use pm_core::ScenarioBuilder;
 
-use super::{concurrency_table, validation_table};
 use crate::{Harness, Output};
 
-/// The headline speedup, after writing it to `REPORT.md` under the T1
-/// and T2 tables.
+/// The headline speedup.
 pub(super) fn run(h: &Harness) -> Result<Vec<Output>, String> {
     let secs = |cfg: ScenarioBuilder| {
         let cfg = cfg.seed(h.seed).build().map_err(|e| e.to_string())?;
@@ -37,23 +35,5 @@ pub(super) fn run(h: &Harness) -> Result<Vec<Output>, String> {
             bounds::multi_disk_lower_bound_secs(&ModelParams::paper(), 25, 5)
         ),
     ]);
-    let t1 = validation_table::run(h)?.remove(0);
-    let t2 = concurrency_table::run(h)?.remove(0);
-    let md = format!(
-        "# prefetchmerge — regenerated headline results\n\n\
-         {} trials per case, master seed {}.\n\n\
-         ## T1 — closed forms vs simulation\n\n{}\n\
-         ## T2 — urn-game concurrency\n\n{}\n\
-         ## Headline\n\n{}",
-        h.trials,
-        h.seed,
-        t1.table().render_markdown(),
-        t2.table().render_markdown(),
-        headline.table().render_markdown(),
-    );
-    let path = h.out_path("REPORT.md");
-    std::fs::create_dir_all(&h.out_dir)
-        .and_then(|()| std::fs::write(&path, &md))
-        .map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(vec![headline])
 }

@@ -249,12 +249,6 @@ impl Harness {
         let x_label = thinned.first().map_or("x", |s| s.x_label.as_str());
         Ok((series_output(key, title, x_label, y_label, &series), series))
     }
-
-    /// Path for an output file.
-    #[must_use]
-    pub fn out_path(&self, file: &str) -> PathBuf {
-        self.out_dir.join(file)
-    }
 }
 
 /// One table an experiment returns. `run_all` prints it and writes the

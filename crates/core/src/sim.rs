@@ -328,7 +328,7 @@ impl<S: TraceSink> MergeSim<S> {
     fn on_write_done(&mut self, disk: DiskId) {
         let now = self.exec.now();
         let writer = self.writer.as_mut().expect("write event without writer");
-        let (_, next) = writer.complete_traced(now, disk, &mut OutputSide(&mut self.sink));
+        let next = writer.complete_traced(now, disk, &mut OutputSide(&mut self.sink));
         if let Some(s) = next {
             self.exec
                 .schedule_at(s.completion_at, Event::WriteDone(disk));
@@ -1031,6 +1031,8 @@ mod tests {
         assert_eq!(requests(&m.output_disks), 240);
         assert_eq!(requests(&m.output_disks), report.write_blocks);
         assert_eq!(requests(&m.input_disks), 240);
+        let busy: SimDuration = m.output_disks.iter().map(|l| l.busy).sum();
+        assert_eq!(busy, report.write_busy);
     }
 
     #[test]

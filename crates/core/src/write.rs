@@ -14,9 +14,7 @@
 //! after a disk's first are sequential (no seek, no rotational latency) —
 //! the most favourable realistic layout.
 
-use pm_disk::{
-    BlockAddr, CompletedRequest, DiskArray, DiskId, DiskRequest, DiskSpec, StartedService,
-};
+use pm_disk::{BlockAddr, DiskArray, DiskId, DiskRequest, DiskSpec, StartedService};
 use pm_sim::{SimDuration, SimTime};
 use pm_trace::TraceSink;
 
@@ -39,8 +37,6 @@ pub(crate) struct Writer {
     occupied: u32,
     next_disk: u16,
     next_offset: Vec<u64>,
-    blocks_written: u64,
-    busy_total: SimDuration,
 }
 
 impl Writer {
@@ -67,8 +63,6 @@ impl Writer {
             occupied: 0,
             next_disk: 0,
             next_offset: vec![0; spec.disks as usize],
-            blocks_written: 0,
-            busy_total: SimDuration::ZERO,
         }
     }
 
@@ -124,11 +118,7 @@ impl Writer {
     /// Completes the in-service write on `disk`, freeing its buffer slot.
     /// Returns the next write started on that disk, if any.
     #[cfg(test)]
-    pub(crate) fn complete(
-        &mut self,
-        now: SimTime,
-        disk: DiskId,
-    ) -> (CompletedRequest, Option<StartedService>) {
+    pub(crate) fn complete(&mut self, now: SimTime, disk: DiskId) -> Option<StartedService> {
         self.complete_traced(now, disk, &mut pm_trace::NullSink)
     }
 
@@ -138,23 +128,21 @@ impl Writer {
         now: SimTime,
         disk: DiskId,
         sink: &mut S,
-    ) -> (CompletedRequest, Option<StartedService>) {
-        let (done, next) = self.array.complete_traced(now, disk, sink);
+    ) -> Option<StartedService> {
+        let (_, next) = self.array.complete_traced(now, disk, sink);
         debug_assert!(self.occupied > 0);
         self.occupied -= 1;
-        self.blocks_written += 1;
-        self.busy_total += done.breakdown.total();
-        (done, next)
+        next
     }
 
-    /// Blocks written so far.
+    /// Blocks written so far: every write request is one block.
     pub(crate) fn blocks_written(&self) -> u64 {
-        self.blocks_written
+        self.array.aggregate_stats().requests()
     }
 
     /// Total write-disk service time.
     pub(crate) fn busy_total(&self) -> SimDuration {
-        self.busy_total
+        self.array.aggregate_stats().busy_total()
     }
 }
 
@@ -192,7 +180,7 @@ mod tests {
         let (d, s1) = w.produce_block(SimTime::ZERO).unwrap();
         assert!(!s1.breakdown.is_sequential(), "first write pays mechanics");
         w.produce_block(SimTime::ZERO); // queued behind the first
-        let (_, next) = w.complete(s1.completion_at, d);
+        let next = w.complete(s1.completion_at, d);
         let s2 = next.unwrap();
         assert!(s2.breakdown.is_sequential(), "append streams");
         assert!(w.has_space());

@@ -22,19 +22,13 @@ pub struct StartedService {
     pub breakdown: ServiceBreakdown,
 }
 
-/// A finished request, with its full timing history.
+/// A finished request and what its service cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletedRequest {
     /// Identifier assigned at submission.
     pub id: RequestId,
     /// The original request (including the caller's `tag`).
     pub request: DiskRequest,
-    /// When the request was submitted.
-    pub arrived: SimTime,
-    /// When service began.
-    pub started: SimTime,
-    /// When service finished.
-    pub completed: SimTime,
     /// Service-time composition.
     pub breakdown: ServiceBreakdown,
     /// Whether the request streamed sequentially after the previous one.
@@ -45,18 +39,15 @@ pub struct CompletedRequest {
 struct Queued {
     id: RequestId,
     req: DiskRequest,
-    arrived: SimTime,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct InService {
     id: RequestId,
     req: DiskRequest,
-    arrived: SimTime,
     started: SimTime,
     completes: SimTime,
     breakdown: ServiceBreakdown,
-    seek_cylinders: u32,
     sequential: bool,
 }
 
@@ -108,7 +99,7 @@ impl Disk {
             queue: VecDeque::new(),
             in_service: None,
             next_request_seq: 0,
-            stats: DiskStats::new(spec.geometry.cylinders),
+            stats: DiskStats::new(),
         }
     }
 
@@ -199,11 +190,7 @@ impl Disk {
                 },
             });
         }
-        let queued = Queued {
-            id,
-            req,
-            arrived: now,
-        };
+        let queued = Queued { id, req };
         if self.in_service.is_none() {
             let started = self.begin_service(now, queued);
             (id, Some(started))
@@ -245,19 +232,10 @@ impl Disk {
             now.as_nanos(),
             svc.completes.as_nanos()
         );
-        self.stats.record_service(
-            svc.breakdown,
-            u64::from(svc.req.len),
-            svc.seek_cylinders,
-            svc.started - svc.arrived,
-            svc.sequential,
-        );
+        self.stats.record_service(svc.breakdown, svc.sequential);
         let done = CompletedRequest {
             id: svc.id,
             request: svc.req,
-            arrived: svc.arrived,
-            started: svc.started,
-            completed: now,
             breakdown: svc.breakdown,
             sequential: svc.sequential,
         };
@@ -315,8 +293,8 @@ impl Disk {
         let target = geometry.cylinder_of(queued.req.start);
         let sequential =
             queued.req.sequential_hint && self.next_sequential == Some(queued.req.start);
-        let (seek_cylinders, seek, latency) = if sequential {
-            (0, SimDuration::ZERO, SimDuration::ZERO)
+        let (seek, latency) = if sequential {
+            (SimDuration::ZERO, SimDuration::ZERO)
         } else {
             let d = target.distance(self.head);
             let latency = if params.rotation_period.is_zero() {
@@ -324,7 +302,7 @@ impl Disk {
             } else {
                 self.rng.uniform_duration(params.rotation_period)
             };
-            (d, params.seek_time(d), latency)
+            (params.seek_time(d), latency)
         };
         let breakdown = ServiceBreakdown {
             seek,
@@ -338,11 +316,9 @@ impl Disk {
         self.in_service = Some(InService {
             id: queued.id,
             req: queued.req,
-            arrived: queued.arrived,
             started: now,
             completes,
             breakdown,
-            seek_cylinders,
             sequential,
         });
         StartedService {
@@ -519,22 +495,6 @@ mod tests {
         d.complete(t);
         // Head ends on the cylinder of the last block.
         assert_eq!(d.head(), Cylinder(0));
-        assert_eq!(d.stats().blocks(), 5);
-    }
-
-    #[test]
-    fn queue_wait_is_recorded() {
-        let mut d = disk();
-        let (_, s1) = d.submit(SimTime::ZERO, req(0, 1));
-        d.submit(SimTime::ZERO, req(3000, 1));
-        let t1 = s1.unwrap().completion_at;
-        let (_, s2) = d.complete(t1);
-        let t2 = s2.unwrap().completion_at;
-        d.complete(t2);
-        // Second request waited from t=0 until t1.
-        let waits = d.stats().queue_wait_ms();
-        assert_eq!(waits.count(), 2);
-        assert!((waits.max() - t1.as_millis_f64()).abs() < 1e-9);
     }
 
     #[test]

@@ -78,11 +78,13 @@ impl Table {
         self.rows.len()
     }
 
+    /// Column widths in `char`s, the unit `format!` pads by.
     fn widths(&self) -> Vec<usize> {
-        let mut w: Vec<usize> = self.headers.iter().map(String::len).collect();
+        let width = |cell: &String| cell.chars().count();
+        let mut w: Vec<usize> = self.headers.iter().map(width).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
-                w[i] = w[i].max(cell.len());
+                w[i] = w[i].max(width(cell));
             }
         }
         w
@@ -180,6 +182,19 @@ mod tests {
         t.add_row(vec!["a-very-long-cell".into()]);
         let text = t.render();
         assert!(text.lines().nth(1).unwrap().len() >= "a-very-long-cell".len());
+    }
+
+    #[test]
+    fn multibyte_headers_pad_by_char() {
+        // `±` is one char but two bytes: the rule and the cells must still
+        // end where the header does.
+        let mut t = Table::new(vec!["±95% (%)".into(), "n".into()]);
+        t.set_align(0, Align::Right);
+        t.add_row(vec!["1.5".into(), "3".into()]);
+        let text = t.render();
+        let widths: Vec<usize> = text.lines().map(|l| l.chars().count()).collect();
+        assert_eq!(widths, [11, 11, 11], "{text}");
+        assert!(text.lines().nth(2).unwrap().starts_with("     1.5  3"));
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //!   used for per-trial aggregation.
 //! * [`ConfidenceInterval`] — Student-t confidence intervals over a set of
 //!   trial results.
-//! * [`Histogram`] — fixed-width binning with quantile queries, used for
-//!   seek-distance and service-time distributions.
 //! * [`TimeWeighted`] — time-weighted average of a step function, used for
 //!   disk-concurrency and utilization metrics.
 //! * [`Counter`] — ratio bookkeeping (e.g. the paper's *success ratio*).
@@ -22,13 +20,11 @@
 
 mod ci;
 mod counter;
-mod histogram;
 mod online;
 mod timeweighted;
 
 pub use ci::ConfidenceInterval;
 pub use counter::Counter;
-pub use histogram::{Histogram, HistogramSlot};
 pub use online::OnlineStats;
 pub use timeweighted::TimeWeighted;
 

@@ -53,30 +53,6 @@ impl OnlineStats {
         s
     }
 
-    /// Reconstructs an accumulator from raw moments: `count` samples with
-    /// the given `sum`, sum of squares, and extrema.
-    ///
-    /// Producers on hot paths (e.g. per-request disk statistics) accumulate
-    /// these four quantities in integer arithmetic and convert once at
-    /// reporting time, instead of paying Welford's floating-point recurrence
-    /// per sample. The second central moment is recovered as
-    /// `sumsq − sum²/n`, clamped at zero against rounding.
-    #[must_use]
-    pub fn from_moments(count: u64, sum: f64, sumsq: f64, min: f64, max: f64) -> Self {
-        if count == 0 {
-            return Self::new();
-        }
-        let mean = sum / count as f64;
-        let m2 = (sumsq - sum * mean).max(0.0);
-        Self {
-            count,
-            mean,
-            m2,
-            min,
-            max,
-        }
-    }
-
     /// Adds one sample.
     pub fn push(&mut self, x: f64) {
         self.count += 1;

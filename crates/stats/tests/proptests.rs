@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use pm_stats::{ConfidenceInterval, Histogram, OnlineStats, TimeWeighted};
+use pm_stats::{ConfidenceInterval, OnlineStats, TimeWeighted};
 
 fn finite_samples() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1.0e6f64..1.0e6, 1..200)
@@ -46,26 +46,6 @@ proptest! {
         prop_assert!(ci90.contains(ci90.mean));
         prop_assert!(ci99.half_width >= ci90.half_width);
         prop_assert!(ci90.half_width >= 0.0);
-    }
-
-    /// Histogram bookkeeping: counts are conserved and fractions sum to 1.
-    #[test]
-    fn histogram_conserves_counts(
-        values in prop::collection::vec(-10.0f64..110.0, 1..300),
-        bins in 1usize..40,
-    ) {
-        let mut h = Histogram::new(0.0, 100.0, bins);
-        for &v in &values {
-            h.record(v);
-        }
-        let binned: u64 = (0..bins).map(|i| h.bin_count(i)).sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), values.len() as u64);
-        let in_range = values.iter().filter(|&&v| (0.0..100.0).contains(&v)).count();
-        prop_assert_eq!(binned, in_range as u64);
-        if in_range > 0 {
-            let total: f64 = (0..bins).map(|i| h.bin_fraction(i)).sum();
-            prop_assert!((total - 1.0).abs() < 1e-9);
-        }
     }
 
     /// A time-weighted average is bracketed by the extreme recorded values.
