@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pm_analysis::markov::{average_parallelism, Policy};
-use pm_core::{LoserTree, ScenarioBuilder};
+use pm_core::{LoserTree, NullSink, ScenarioBuilder};
 use pm_disk::{BlockAddr, Disk, DiskId, DiskRequest, DiskSpec, QueueDiscipline};
 use pm_engine::{ExecConfig, MergeEngine, ThreadedQueue};
 use pm_extsort::{external_sort, generate, run_formation, ExtSortConfig, Record, RunFormation};
@@ -63,9 +63,10 @@ fn disk_service(c: &mut Criterion) {
                             sequential_hint: false,
                             tag: i,
                         },
+                        &mut NullSink,
                     );
                     t = started.expect("idle disk").completion_at;
-                    disk.complete(t);
+                    disk.complete(t, &mut NullSink);
                 }
                 black_box(t)
             },

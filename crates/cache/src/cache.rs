@@ -27,13 +27,15 @@ struct RunSlots {
 ///
 /// ```
 /// use pm_cache::{BlockCache, RunId};
+/// use pm_sim::SimTime;
+/// use pm_trace::NullSink;
 ///
 /// let mut cache = BlockCache::new(10, 2);
 /// assert!(cache.try_reserve(RunId(0), 4));
 /// assert_eq!(cache.free(), 6);
 /// cache.block_arrived(RunId(0));
 /// assert_eq!(cache.resident(RunId(0)), 1);
-/// cache.deplete(RunId(0));
+/// cache.deplete(RunId(0), SimTime::ZERO, &mut NullSink);
 /// assert_eq!(cache.free(), 7);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,13 +187,15 @@ impl BlockCache {
         s.resident += 1;
     }
 
-    /// Consumes the leading resident block of `run`, freeing its frame.
+    /// Consumes the leading resident block of `run` at `now`, freeing its
+    /// frame, and emits a [`EventKind::CacheEvictConsumed`] (with the free
+    /// count *after* the frame returned) into `sink`.
     ///
     /// # Panics
     ///
     /// Panics if `run` has no resident blocks — the merge must wait for a
     /// demand fetch instead.
-    pub fn deplete(&mut self, run: RunId) {
+    pub fn deplete<S: TraceSink>(&mut self, run: RunId, now: SimTime, sink: &mut S) {
         let s = self.slots_mut(run);
         assert!(
             s.resident > 0,
@@ -199,17 +203,6 @@ impl BlockCache {
         );
         s.resident -= 1;
         self.free += 1;
-    }
-
-    /// [`BlockCache::deplete`] with tracing: additionally emits a
-    /// [`EventKind::CacheEvictConsumed`] (with the free count *after* the
-    /// frame returned) into `sink`.
-    ///
-    /// # Panics
-    ///
-    /// As [`BlockCache::deplete`].
-    pub fn deplete_traced<S: TraceSink>(&mut self, run: RunId, now: SimTime, sink: &mut S) {
-        self.deplete(run);
         if S::ENABLED {
             sink.emit(TraceEvent {
                 at: now,
@@ -252,6 +245,7 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_trace::NullSink;
 
     #[test]
     fn new_cache_is_all_free() {
@@ -277,7 +271,7 @@ mod tests {
         assert_eq!(c.held(RunId(1)), 3);
         assert!(c.invariant_holds());
 
-        c.deplete(RunId(1));
+        c.deplete(RunId(1), SimTime::ZERO, &mut NullSink);
         assert_eq!(c.resident(RunId(1)), 0);
         assert_eq!(c.free(), 8);
         assert!(c.invariant_holds());
@@ -323,7 +317,7 @@ mod tests {
     #[should_panic(expected = "no resident block")]
     fn depleting_empty_run_panics() {
         let mut c = BlockCache::new(10, 1);
-        c.deplete(RunId(0));
+        c.deplete(RunId(0), SimTime::ZERO, &mut NullSink);
     }
 
     #[test]

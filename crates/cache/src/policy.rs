@@ -55,45 +55,36 @@ impl AdmissionPolicy {
         }
     }
 
-    /// Attempts to admit `groups` into `cache` under this policy.
+    /// Attempts to admit `groups` into `cache` under this policy at `now`.
     ///
-    /// Returns the groups actually reserved (with possibly reduced block
-    /// counts under [`AdmissionPolicy::Greedy`]); an empty vector means the
-    /// prefetch was not admitted at all. The boolean reports whether the
-    /// *entire* request was admitted — the paper's success-ratio event.
+    /// Writes the groups actually reserved into `admitted` (with possibly
+    /// reduced block counts under [`AdmissionPolicy::Greedy`]); an empty
+    /// buffer means the prefetch was not admitted at all. `admitted` is
+    /// cleared first, so a caller reuses one scratch buffer: once its
+    /// capacity has grown to the maximum group count (≤ D) the call
+    /// performs no heap allocation. Returns whether the *entire* request
+    /// was admitted — the paper's success-ratio event.
     ///
-    /// Allocates the returned vector; hot paths should prefer
-    /// [`AdmissionPolicy::admit_into`] with a reused scratch buffer.
-    pub fn admit(
-        self,
-        cache: &mut BlockCache,
-        groups: &[PrefetchGroup],
-    ) -> (Vec<PrefetchGroup>, bool) {
-        let mut admitted = Vec::new();
-        let full = self.admit_into(cache, groups, &mut admitted);
-        (admitted, full)
-    }
-
-    /// [`AdmissionPolicy::admit`] writing the admitted groups into a
-    /// caller-owned buffer instead of allocating one. `admitted` is
-    /// cleared first; after the first few operations its capacity has
-    /// grown to the maximum group count (≤ D) and the call performs no
-    /// heap allocation. Returns whether the *entire* request was admitted.
-    pub fn admit_into(
+    /// Emits one [`EventKind::CacheAdmit`] per group (partially) reserved
+    /// and one [`EventKind::CacheReject`] per group (partially) turned
+    /// away into `sink`.
+    pub fn admit_into<S: TraceSink>(
         self,
         cache: &mut BlockCache,
         groups: &[PrefetchGroup],
         admitted: &mut Vec<PrefetchGroup>,
+        now: SimTime,
+        sink: &mut S,
     ) -> bool {
         admitted.clear();
         let wanted: u32 = groups.iter().map(|g| g.blocks).sum();
         if wanted == 0 {
             return true;
         }
-        match self {
+        let full = match self {
             AdmissionPolicy::AllOrNothing => {
                 if cache.try_reserve_groups(groups) {
-                    admitted.extend_from_slice(groups);
+                    admitted.extend(groups.iter().filter(|g| g.blocks > 0));
                     true
                 } else {
                     false
@@ -119,25 +110,12 @@ impl AdmissionPolicy {
                 let got: u32 = admitted.iter().map(|g| g.blocks).sum();
                 got == wanted
             }
-        }
-    }
-
-    /// [`AdmissionPolicy::admit_into`] with tracing: additionally emits one
-    /// [`EventKind::CacheAdmit`] per group (partially) reserved and one
-    /// [`EventKind::CacheReject`] per group (partially) turned away.
-    pub fn admit_into_traced<S: TraceSink>(
-        self,
-        cache: &mut BlockCache,
-        groups: &[PrefetchGroup],
-        admitted: &mut Vec<PrefetchGroup>,
-        now: SimTime,
-        sink: &mut S,
-    ) -> bool {
-        let full = self.admit_into(cache, groups, admitted);
+        };
         if S::ENABLED {
-            // `admitted` is an in-order subsequence of `groups` with
-            // possibly reduced counts (equal to it when `full`); walk the
-            // two together to report the per-group outcome.
+            // `admitted` is an in-order subsequence of the non-empty
+            // `groups` with possibly reduced counts (equal to them when
+            // `full`); walk the two together to report the per-group
+            // outcome.
             let mut j = 0;
             for g in groups {
                 if g.blocks == 0 {
@@ -177,6 +155,7 @@ impl AdmissionPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_trace::NullSink;
 
     #[test]
     fn labels_round_trip() {
@@ -188,6 +167,17 @@ mod tests {
             Some(AdmissionPolicy::AllOrNothing)
         );
         assert_eq!(AdmissionPolicy::from_label("bogus"), None);
+    }
+
+    /// `policy.admit_into` into a fresh buffer, untraced.
+    fn admit(
+        policy: AdmissionPolicy,
+        cache: &mut BlockCache,
+        groups: &[PrefetchGroup],
+    ) -> (Vec<PrefetchGroup>, bool) {
+        let mut admitted = Vec::new();
+        let full = policy.admit_into(cache, groups, &mut admitted, SimTime::ZERO, &mut NullSink);
+        (admitted, full)
     }
 
     fn groups(spec: &[(u32, u32)]) -> Vec<PrefetchGroup> {
@@ -203,7 +193,7 @@ mod tests {
     fn all_or_nothing_admits_when_fits() {
         let mut cache = BlockCache::new(10, 3);
         let g = groups(&[(0, 3), (1, 3), (2, 3)]);
-        let (admitted, full) = AdmissionPolicy::AllOrNothing.admit(&mut cache, &g);
+        let (admitted, full) = admit(AdmissionPolicy::AllOrNothing, &mut cache, &g);
         assert!(full);
         assert_eq!(admitted.len(), 3);
         assert_eq!(cache.free(), 1);
@@ -213,7 +203,7 @@ mod tests {
     fn all_or_nothing_rejects_whole_request() {
         let mut cache = BlockCache::new(8, 3);
         let g = groups(&[(0, 3), (1, 3), (2, 3)]);
-        let (admitted, full) = AdmissionPolicy::AllOrNothing.admit(&mut cache, &g);
+        let (admitted, full) = admit(AdmissionPolicy::AllOrNothing, &mut cache, &g);
         assert!(!full);
         assert!(admitted.is_empty());
         assert_eq!(cache.free(), 8, "rejection must not consume space");
@@ -223,7 +213,7 @@ mod tests {
     fn greedy_takes_what_fits_including_partial_group() {
         let mut cache = BlockCache::new(5, 3);
         let g = groups(&[(0, 3), (1, 3), (2, 3)]);
-        let (admitted, full) = AdmissionPolicy::Greedy.admit(&mut cache, &g);
+        let (admitted, full) = admit(AdmissionPolicy::Greedy, &mut cache, &g);
         assert!(!full);
         assert_eq!(
             admitted,
@@ -237,7 +227,7 @@ mod tests {
     fn greedy_full_admission_reports_success() {
         let mut cache = BlockCache::new(10, 2);
         let g = groups(&[(0, 4), (1, 4)]);
-        let (admitted, full) = AdmissionPolicy::Greedy.admit(&mut cache, &g);
+        let (admitted, full) = admit(AdmissionPolicy::Greedy, &mut cache, &g);
         assert!(full);
         assert_eq!(admitted, g);
     }
@@ -246,7 +236,7 @@ mod tests {
     fn empty_request_is_trivially_full() {
         let mut cache = BlockCache::new(1, 1);
         for policy in [AdmissionPolicy::AllOrNothing, AdmissionPolicy::Greedy] {
-            let (admitted, full) = policy.admit(&mut cache, &groups(&[(0, 0)]));
+            let (admitted, full) = admit(policy, &mut cache, &groups(&[(0, 0)]));
             assert!(full);
             assert!(admitted.is_empty());
             assert_eq!(cache.free(), 1);
@@ -257,7 +247,7 @@ mod tests {
     fn greedy_skips_zero_groups() {
         let mut cache = BlockCache::new(4, 3);
         let g = groups(&[(0, 0), (1, 2), (2, 0)]);
-        let (admitted, full) = AdmissionPolicy::Greedy.admit(&mut cache, &g);
+        let (admitted, full) = admit(AdmissionPolicy::Greedy, &mut cache, &g);
         assert!(full);
         assert_eq!(admitted, groups(&[(1, 2)]));
     }

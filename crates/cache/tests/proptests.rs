@@ -5,6 +5,8 @@
 use proptest::prelude::*;
 
 use pm_cache::{AdmissionPolicy, BlockCache, PrefetchGroup, RunId};
+use pm_sim::SimTime;
+use pm_trace::{EventKind, NullSink, RecordingSink};
 
 /// An operation against the cache, generated blindly; the test applies it
 /// only when its precondition holds (mirroring how the simulator guards
@@ -41,6 +43,8 @@ proptest! {
     ) {
         let mut cache = BlockCache::new(capacity, num_runs);
         let clamp = |r: u8| RunId(u32::from(r) % num_runs);
+        // One scratch buffer for every admission, as the simulator keeps.
+        let mut admitted = Vec::new();
         for op in ops {
             match op {
                 Op::TryReserve { run, n } => {
@@ -55,7 +59,7 @@ proptest! {
                 Op::Deplete { run } => {
                     let run = clamp(run);
                     if cache.resident(run) > 0 {
-                        cache.deplete(run);
+                        cache.deplete(run, SimTime::ZERO, &mut NullSink);
                     }
                 }
                 Op::Cancel { run, n } => {
@@ -74,7 +78,9 @@ proptest! {
                         .map(|(r, b)| PrefetchGroup { run: clamp(r), blocks: u32::from(b) })
                         .collect();
                     let free_before = cache.free();
-                    let (admitted, full) = policy.admit(&mut cache, &groups);
+                    let full = policy.admit_into(
+                        &mut cache, &groups, &mut admitted, SimTime::ZERO, &mut NullSink,
+                    );
                     let got: u32 = admitted.iter().map(|g| g.blocks).sum();
                     let wanted: u32 = groups.iter().map(|g| g.blocks).sum();
                     prop_assert!(got <= free_before, "admitted more than was free");
@@ -91,20 +97,20 @@ proptest! {
         }
     }
 
-    /// The allocating `admit` wrapper and the scratch-buffer `admit_into`
-    /// are two entry points to the same decision: for every policy, group
-    /// list, and cache occupancy they must admit the identical set of
-    /// groups, report the same full/partial outcome, and leave the cache
-    /// in the identical state. The hot path relies on this to swap one for
-    /// the other without changing simulation results.
+    /// `admit_into` clears the buffer it is handed: called with a stale
+    /// buffer and a recording sink it admits the identical groups, reports
+    /// the same full/partial outcome and leaves the cache in the identical
+    /// state as a call with a fresh buffer and no trace. The simulator
+    /// reuses one buffer across operations and traces only on request, so
+    /// results rely on both. The recorded admits and rejects account for
+    /// every block asked for.
     #[test]
-    fn admit_and_admit_into_are_equivalent(
+    fn admit_into_with_a_stale_buffer_matches_a_fresh_one(
         capacity in 1u32..200,
         num_runs in 1u32..16,
         all_or_nothing in any::<bool>(),
         preload in prop::collection::vec((any::<u8>(), 0u8..10), 0..8),
         groups in prop::collection::vec((any::<u8>(), 0u8..10), 0..8),
-        // A dirty scratch buffer must not leak stale entries into the result.
         stale in prop::collection::vec((any::<u8>(), 0u8..10), 0..4),
     ) {
         let policy = if all_or_nothing {
@@ -123,16 +129,34 @@ proptest! {
             .map(|(r, b)| PrefetchGroup { run: clamp(r), blocks: u32::from(b) })
             .collect();
 
-        let (admitted_a, full_a) = policy.admit(&mut cache_a, &groups);
+        let mut admitted_a = Vec::new();
+        let full_a = policy.admit_into(
+            &mut cache_a, &groups, &mut admitted_a, SimTime::ZERO, &mut NullSink,
+        );
         let mut admitted_b: Vec<PrefetchGroup> = stale
             .into_iter()
             .map(|(r, b)| PrefetchGroup { run: clamp(r), blocks: u32::from(b) })
             .collect();
-        let full_b = policy.admit_into(&mut cache_b, &groups, &mut admitted_b);
+        let mut sink = RecordingSink::unbounded();
+        let full_b = policy.admit_into(
+            &mut cache_b, &groups, &mut admitted_b, SimTime::ZERO, &mut sink,
+        );
 
-        prop_assert_eq!(admitted_a, admitted_b, "admitted sets differ");
+        prop_assert_eq!(&admitted_a, &admitted_b, "admitted sets differ");
         prop_assert_eq!(full_a, full_b, "full/partial outcome differs");
         prop_assert_eq!(cache_a, cache_b, "cache state diverged");
+        let (mut admits, mut rejects) = (0, 0);
+        for e in sink.events() {
+            match e.kind {
+                EventKind::CacheAdmit { blocks, .. } => admits += blocks,
+                EventKind::CacheReject { blocks, .. } => rejects += blocks,
+                ref other => prop_assert!(false, "unexpected event {:?}", other),
+            }
+        }
+        let got: u32 = admitted_a.iter().map(|g| g.blocks).sum();
+        let wanted: u32 = groups.iter().map(|g| g.blocks).sum();
+        prop_assert_eq!(admits, got);
+        prop_assert_eq!(rejects, wanted - got);
     }
 
     /// `held` always equals `resident + reserved`, and global counters are

@@ -27,11 +27,12 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
-use pm_core::{ConfigError, PmError, ScenarioBuilder};
+use pm_core::{ConfigError, PmError, ScenarioBuilder, SimDuration};
 use pm_engine::{
     ExecConfig, ExecOutcome, IoQueue, MergeEngine, MultiPassExecutor, MultiPassOptions,
-    MultiPassOutcome, PassBackend, RECORD_BYTES,
+    MultiPassOutcome, PassBackend, PassOutcome, RECORD_BYTES,
 };
 use pm_extsort::plan::{plan_merge_tree, PlanPolicy};
 use pm_extsort::{generate, Record, RunFormation};
@@ -494,7 +495,7 @@ fn exec_multipass(
     }
     if let Some(path) = args.get("manifest-out") {
         let mut lines = String::new();
-        for record in multipass_manifest(backend, &base, &plan, &out, &residuals) {
+        for record in multipass_manifest(backend, &base, &plan, k, &out, &residuals) {
             lines.push_str(&record.to_json_line());
             lines.push('\n');
         }
@@ -560,13 +561,13 @@ fn print_multipass_report(out: &MultiPassOutcome, residuals: &[Option<ResidualCh
         ]);
     }
     println!("\n{}", t.render());
-    let wall: f64 = out.passes.iter().map(|p| p.wall.as_secs_f64()).sum();
+    let wall = out.passes.iter().map(|p| p.wall).sum::<Duration>();
     let blocks: u64 = out.passes.iter().map(|p| p.blocks_read).sum();
     println!(
         "total             {} blocks read across {} passes, {:.3} s wall",
         blocks,
         out.passes.len(),
-        wall,
+        wall.as_secs_f64(),
     );
 }
 
@@ -576,6 +577,7 @@ fn multipass_manifest(
     backend: Backend,
     base: &pm_core::MergeConfig,
     plan: &pm_extsort::plan::MergeTreePlan,
+    k: u32,
     out: &MultiPassOutcome,
     residuals: &[Option<ResidualCheck>],
 ) -> Vec<ManifestRecord> {
@@ -617,23 +619,15 @@ fn multipass_manifest(
             trace: None,
         });
     }
-    let wall: f64 = out.passes.iter().map(|p| p.wall.as_secs_f64()).sum();
+    // Durations are summed before converting: an empty `f64` sum is `-0`.
+    let wall = out.passes.iter().map(|p| p.wall).sum::<Duration>();
     let blocks: u64 = out.passes.iter().map(|p| p.blocks_read).sum();
-    let predicted: f64 = out
-        .passes
-        .iter()
-        .map(|p| p.predicted_busy.as_secs_f64())
-        .sum();
-    let measured: f64 = out
-        .passes
-        .iter()
-        .map(|p| p.modeled_busy.as_secs_f64())
-        .sum();
-    let weight: f64 = out
-        .passes
-        .iter()
-        .map(|p| p.predicted_read.as_secs_f64())
-        .sum();
+    let secs = |f: fn(&PassOutcome) -> SimDuration| -> f64 {
+        out.passes.iter().map(f).sum::<SimDuration>().as_secs_f64()
+    };
+    let predicted = secs(|p| p.predicted_busy);
+    let measured = secs(|p| p.modeled_busy);
+    let weight = secs(|p| p.predicted_read);
     let (conc, busy) = if weight > 0.0 {
         (
             out.passes
@@ -669,7 +663,7 @@ fn multipass_manifest(
         label: format!(
             "exec: {} backend, k={}, D={}, {}, {} x{} passes",
             backend.label(),
-            plan.passes.first().map_or(0, |p| p.run_blocks.len()),
+            k,
             base.disks,
             base.strategy.label(),
             plan.policy.label(),
@@ -686,7 +680,7 @@ fn multipass_manifest(
         trials: 1,
         auto: None,
         metrics: PointMetrics {
-            mean_total_secs: wall,
+            mean_total_secs: wall.as_secs_f64(),
             ci_half_width_secs: 0.0,
             confidence: 0.95,
             mean_concurrency: conc,

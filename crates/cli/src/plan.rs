@@ -7,7 +7,7 @@
 //! time. `--json` emits the same structure as a single JSON object for
 //! scripting.
 
-use pm_core::{ConfigError, PmError, ScenarioBuilder};
+use pm_core::{ConfigError, PmError, ScenarioBuilder, SimDuration};
 use pm_extsort::plan::{
     fan_in_for_passes, plan_merge_tree, predict_plan, MergeTreePlan, PassPrediction, PlanPolicy,
 };
@@ -88,8 +88,7 @@ pub fn plan(args: &Args) -> Result<(), PmError> {
         print_plan(plan, preds);
     }
     if planned.len() == 2 {
-        let read =
-            |i: usize| -> f64 { planned[i].1.iter().map(|p| p.read_time.as_secs_f64()).sum() };
+        let read = |i: usize| predicted_read(&planned[i].1);
         println!(
             "\n{} vs {}: {} vs {} blocks read, predicted read {:.3} s vs {:.3} s",
             planned[1].0.policy.label(),
@@ -182,6 +181,15 @@ fn fan_in_cap(args: &Args, k: u32) -> Result<u32, PmError> {
     ))
 }
 
+/// Predicted read seconds of a whole plan: `0` (never `-0`) for none.
+fn predicted_read(preds: &[PassPrediction]) -> f64 {
+    preds
+        .iter()
+        .map(|p| p.read_time)
+        .sum::<SimDuration>()
+        .as_secs_f64()
+}
+
 /// Prints one policy's merge tree as a per-pass table.
 fn print_plan(plan: &MergeTreePlan, preds: &[PassPrediction]) {
     println!(
@@ -190,7 +198,7 @@ fn print_plan(plan: &MergeTreePlan, preds: &[PassPrediction]) {
         plan.fan_in,
         plan.num_passes(),
         plan.total_blocks_read(),
-        preds.iter().map(|p| p.read_time.as_secs_f64()).sum::<f64>(),
+        predicted_read(preds),
     );
     if plan.passes.is_empty() {
         println!("(a single run needs no merging)");
@@ -234,7 +242,7 @@ fn policy_json(plan: &MergeTreePlan, preds: &[PassPrediction]) -> Value {
         ),
         (
             "predicted_read_secs".into(),
-            Value::Num(preds.iter().map(|p| p.read_time.as_secs_f64()).sum()),
+            Value::Num(predicted_read(preds)),
         ),
         (
             "passes".into(),

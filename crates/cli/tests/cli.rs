@@ -482,3 +482,63 @@ fn a_closed_stdout_ends_pmerge_quietly() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+/// A single input run needs no merge pass: the empty sums print `0`, never
+/// `-0`, and the whole-tree manifest label counts the one input run.
+#[test]
+fn a_single_run_sums_to_zero_and_is_labelled_k1() {
+    for json in [false, true] {
+        let mut args = vec!["plan", "--runs", "1", "--fan-in", "2"];
+        if json {
+            args.push("--json");
+        }
+        let (ok, stdout, stderr) = pmerge(&args);
+        assert!(ok, "{stderr}");
+        assert!(!stdout.contains("-0"), "{stdout}");
+        let zero = if json {
+            "\"predicted_read_secs\":0,"
+        } else {
+            "predicted read 0.000 s"
+        };
+        assert!(stdout.contains(zero), "{stdout}");
+    }
+
+    let manifest = std::env::temp_dir().join("pmerge-e2e-single-run.jsonl");
+    let m = manifest.to_str().unwrap().to_string();
+    let (ok, stdout, stderr) = pmerge(&[
+        "exec",
+        "--records",
+        "100",
+        "--memory",
+        "100",
+        "--fan-in",
+        "2",
+        "--manifest-out",
+        &m,
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains(" 0.000 s wall"), "{stdout}");
+    assert!(!stdout.contains("-0"), "{stdout}");
+    let contents = std::fs::read_to_string(&manifest).unwrap();
+    let _ = std::fs::remove_file(manifest);
+    assert!(contents.contains("\"mean_total_secs\":0,"), "{contents}");
+    assert!(!contents.contains(":-0"), "{contents}");
+    assert!(contents.contains("k=1,"), "{contents}");
+}
+
+/// A block too large to allocate is a usage error (exit 2), single-pass
+/// and multi-pass, not an allocation abort.
+#[test]
+fn an_oversized_block_exits_2() {
+    let shape = ["exec", "--records", "100", "--memory", "10"];
+    for extra in [&[][..], &["--fan-in", "2"][..]] {
+        let args = [&shape[..], extra, &["--rpb", "4294967295"]].concat();
+        let out = Command::new(env!("CARGO_BIN_EXE_pmerge"))
+            .args(&args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("a block over 16777216 bytes"), "{stderr}");
+    }
+}

@@ -326,7 +326,7 @@ impl DecisionCore {
         }
         progress.depleted += 1;
         self.counts.blocks_merged += 1;
-        self.cache.deplete_traced(j, now, sink);
+        self.cache.deplete(j, now, sink);
     }
 
     /// Decides, after [`DecisionCore::consume`] of `j`, what I/O to issue
@@ -525,13 +525,8 @@ impl DecisionCore {
             // random, so shuffle the non-demand groups.
             self.rng.shuffle(&mut groups[1..]);
         }
-        let full = self.cfg.admission.admit_into_traced(
-            &mut self.cache,
-            &groups,
-            &mut admitted,
-            now,
-            sink,
-        );
+        let admission = self.cfg.admission;
+        let full = admission.admit_into(&mut self.cache, &groups, &mut admitted, now, sink);
         if full {
             self.counts.full_prefetch_ops += 1;
         }

@@ -116,13 +116,15 @@ pub fn run_trials_parallel(
 /// record each trial into a metrics sink (whose counters aggregate
 /// commutatively), not to aggregate the reports.
 ///
+/// `count == 0` validates `cfg` and returns no reports.
+///
 /// # Errors
 ///
 /// Returns a [`ConfigError`] if `cfg` is invalid.
 ///
 /// # Panics
 ///
-/// Panics if `count == 0` or `first + count` overflows `u32`.
+/// Panics if `first + count` overflows `u32`.
 pub fn run_trial_range(
     cfg: &MergeConfig,
     first: u32,
@@ -130,7 +132,6 @@ pub fn run_trial_range(
     jobs: usize,
     on_trial: &(dyn Fn(u32, &MergeReport) + Sync),
 ) -> Result<Vec<MergeReport>, ConfigError> {
-    assert!(count > 0, "need at least one trial");
     let end = first.checked_add(count).expect("trial range overflows u32");
     cfg.validate()?;
     let seeds = pm_sim::derive_seeds(cfg.seed, end as usize);
@@ -150,14 +151,14 @@ pub fn run_trial_range(
 }
 
 /// [`run_trials_parallel`] with the **first trial traced**: trial 0 runs
-/// with a [`RecordingSink`] (ring-buffered to `limit` events when given,
-/// unbounded otherwise) and the recorded trace is returned alongside the
-/// summary. All other trials run untraced.
+/// on the calling thread with a [`RecordingSink`] (ring-buffered to
+/// `limit` events when given, unbounded otherwise) and the recorded trace
+/// is returned alongside the summary. Trials `1..trials` come untraced
+/// from [`run_trial_range`] over up to `jobs` workers.
 ///
 /// Tracing is observational only, so the summary is bit-identical to
-/// [`run_trials_parallel`]'s — and because every trial's seed is
-/// pre-derived from `cfg.seed`, the recorded trace itself is bit-identical
-/// for every `jobs` value.
+/// [`run_trials_parallel`]'s, and the recorded trace is the same for
+/// every `jobs` value.
 ///
 /// # Errors
 ///
@@ -173,36 +174,19 @@ pub fn run_trials_traced(
     limit: Option<usize>,
 ) -> Result<(TrialSummary, RecordingSink), ConfigError> {
     assert!(trials > 0, "need at least one trial");
-    cfg.validate()?;
-    let seeds = pm_sim::derive_seeds(cfg.seed, trials as usize);
-    let base = *cfg;
-    let outcomes = parallel::run_ordered(trials as usize, jobs, |i| {
-        let mut trial_cfg = base;
-        trial_cfg.seed = seeds[i];
-        let sim =
-            MergeSim::new(trial_cfg).expect("seed change cannot invalidate a validated config");
-        if i == 0 {
-            let recorder = match limit {
-                Some(cap) => RecordingSink::with_capacity(cap),
-                None => RecordingSink::unbounded(),
-            };
-            let (report, sink) = sim
-                .replace_sink(recorder)
-                .run_with_sink(&mut UniformDepletion);
-            (report, Some(sink))
-        } else {
-            (sim.run(&mut UniformDepletion), None)
-        }
-    });
-    let mut reports = Vec::with_capacity(outcomes.len());
-    let mut trace = None;
-    for (report, sink) in outcomes {
-        reports.push(report);
-        if let Some(s) = sink {
-            trace = Some(s);
-        }
-    }
-    let trace = trace.expect("trial 0 always records");
+    let rest = run_trial_range(cfg, 1, trials - 1, jobs, &|_, _| {})?;
+    // Trial 0's seed is the first element of `derive_seeds(cfg.seed, _)`:
+    // the first draw of a stream seeded with `cfg.seed`.
+    let mut first = *cfg;
+    first.seed = pm_sim::SimRng::seed_from_u64(cfg.seed).next_u64();
+    let recorder = match limit {
+        Some(cap) => RecordingSink::with_capacity(cap),
+        None => RecordingSink::unbounded(),
+    };
+    let (report, trace) = MergeSim::new(first)?
+        .replace_sink(recorder)
+        .run_with_sink(&mut UniformDepletion);
+    let reports = std::iter::once(report).chain(rest).collect();
     Ok((TrialSummary::from_reports(reports), trace))
 }
 
@@ -343,6 +327,24 @@ mod tests {
         let mut pieces = run_trial_range(&cfg(), 0, 2, 1, &|_, _| {}).unwrap();
         pieces.extend(run_trial_range(&cfg(), 2, 4, 2, &|_, _| {}).unwrap());
         assert_eq!(whole, pieces);
+    }
+
+    #[test]
+    fn an_empty_trial_range_only_validates() {
+        assert!(run_trial_range(&cfg(), 5, 0, 2, &|_, _| {})
+            .unwrap()
+            .is_empty());
+        let mut bad = cfg();
+        bad.cache_blocks = 1;
+        assert!(run_trial_range(&bad, 0, 0, 1, &|_, _| {}).is_err());
+    }
+
+    #[test]
+    fn tracing_one_trial_matches_the_untraced_run() {
+        let plain = run_trials(&cfg(), 1).unwrap();
+        let (traced, sink) = run_trials_traced(&cfg(), 1, 2, None).unwrap();
+        assert_eq!(plain.reports, traced.reports);
+        assert!(sink.total_emitted() > 0);
     }
 
     #[test]

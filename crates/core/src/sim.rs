@@ -262,7 +262,7 @@ impl<S: TraceSink> MergeSim<S> {
 
     fn on_disk_done(&mut self, disk: DiskId) {
         let now = self.exec.now();
-        let (done, next) = self.disks.complete_traced(now, disk, &mut self.sink);
+        let (done, next) = self.disks.complete(now, disk, &mut self.sink);
         if let Some(s) = next {
             self.exec
                 .schedule_at(s.completion_at, Event::DiskDone(disk));
@@ -328,7 +328,7 @@ impl<S: TraceSink> MergeSim<S> {
     fn on_write_done(&mut self, disk: DiskId) {
         let now = self.exec.now();
         let writer = self.writer.as_mut().expect("write event without writer");
-        let next = writer.complete_traced(now, disk, &mut OutputSide(&mut self.sink));
+        let next = writer.complete(now, disk, &mut OutputSide(&mut self.sink));
         if let Some(s) = next {
             self.exec
                 .schedule_at(s.completion_at, Event::WriteDone(disk));
@@ -382,9 +382,7 @@ impl<S: TraceSink> MergeSim<S> {
     fn deplete_block(&mut self, now: SimTime, j: RunId) {
         self.core.consume(j, now, &mut self.sink);
         if let Some(writer) = &mut self.writer {
-            if let Some((disk, s)) =
-                writer.produce_block_traced(now, &mut OutputSide(&mut self.sink))
-            {
+            if let Some((disk, s)) = writer.produce_block(now, &mut OutputSide(&mut self.sink)) {
                 self.exec
                     .schedule_at(s.completion_at, Event::WriteDone(disk));
             }
@@ -413,7 +411,7 @@ impl<S: TraceSink> MergeSim<S> {
     fn submit_reads(&mut self, now: SimTime) {
         for req in self.reads.drain(..) {
             let disk = req.disk;
-            let (_, started) = self.disks.submit_traced(now, req, &mut self.sink);
+            let (_, started) = self.disks.submit(now, req, &mut self.sink);
             if let Some(s) = started {
                 self.exec
                     .schedule_at(s.completion_at, Event::DiskDone(disk));

@@ -78,21 +78,15 @@ impl Writer {
 
     /// Accepts one output block and issues its write. Returns the service
     /// start if the target disk was idle (the caller schedules the
-    /// completion event).
+    /// completion event). The caller wraps its sink in
+    /// [`pm_trace::OutputSide`] so the emitted disk events are stamped as
+    /// the output array's.
     ///
     /// # Panics
     ///
     /// Panics if the buffer is full (the caller must gate on
     /// [`Writer::has_space`]) or the write disk is out of capacity.
-    #[cfg(test)]
-    pub(crate) fn produce_block(&mut self, now: SimTime) -> Option<(DiskId, StartedService)> {
-        self.produce_block_traced(now, &mut pm_trace::NullSink)
-    }
-
-    /// [`Writer::produce_block`] with tracing. The caller wraps its sink
-    /// in [`pm_trace::OutputSide`] so the emitted disk events are stamped
-    /// as the output array's.
-    pub(crate) fn produce_block_traced<S: TraceSink>(
+    pub(crate) fn produce_block<S: TraceSink>(
         &mut self,
         now: SimTime,
         sink: &mut S,
@@ -111,25 +105,19 @@ impl Writer {
             sequential_hint: offset > 0,
             tag: offset,
         };
-        let (_, started) = self.array.submit_traced(now, req, sink);
+        let (_, started) = self.array.submit(now, req, sink);
         started.map(|s| (disk, s))
     }
 
     /// Completes the in-service write on `disk`, freeing its buffer slot.
     /// Returns the next write started on that disk, if any.
-    #[cfg(test)]
-    pub(crate) fn complete(&mut self, now: SimTime, disk: DiskId) -> Option<StartedService> {
-        self.complete_traced(now, disk, &mut pm_trace::NullSink)
-    }
-
-    /// [`Writer::produce_block_traced`]'s counterpart for completions.
-    pub(crate) fn complete_traced<S: TraceSink>(
+    pub(crate) fn complete<S: TraceSink>(
         &mut self,
         now: SimTime,
         disk: DiskId,
         sink: &mut S,
     ) -> Option<StartedService> {
-        let (_, next) = self.array.complete_traced(now, disk, sink);
+        let (_, next) = self.array.complete(now, disk, sink);
         debug_assert!(self.occupied > 0);
         self.occupied -= 1;
         next
@@ -149,6 +137,7 @@ impl Writer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_trace::NullSink;
 
     fn writer(disks: u32, buffer: u32) -> Writer {
         Writer::new(
@@ -165,22 +154,22 @@ mod tests {
     fn blocks_round_robin_across_disks() {
         let mut w = writer(3, 10);
         let t = SimTime::ZERO;
-        let d0 = w.produce_block(t).unwrap().0;
-        let d1 = w.produce_block(t).unwrap().0;
-        let d2 = w.produce_block(t).unwrap().0;
+        let d0 = w.produce_block(t, &mut NullSink).unwrap().0;
+        let d1 = w.produce_block(t, &mut NullSink).unwrap().0;
+        let d2 = w.produce_block(t, &mut NullSink).unwrap().0;
         assert_eq!((d0, d1, d2), (DiskId(0), DiskId(1), DiskId(2)));
         // Fourth block goes back to disk 0 — which is busy, so no start.
-        assert!(w.produce_block(t).is_none());
+        assert!(w.produce_block(t, &mut NullSink).is_none());
         assert_eq!(w.occupied, 4);
     }
 
     #[test]
     fn appends_stream_sequentially() {
         let mut w = writer(1, 10);
-        let (d, s1) = w.produce_block(SimTime::ZERO).unwrap();
+        let (d, s1) = w.produce_block(SimTime::ZERO, &mut NullSink).unwrap();
         assert!(!s1.breakdown.is_sequential(), "first write pays mechanics");
-        w.produce_block(SimTime::ZERO); // queued behind the first
-        let next = w.complete(s1.completion_at, d);
+        w.produce_block(SimTime::ZERO, &mut NullSink); // queued behind the first
+        let next = w.complete(s1.completion_at, d, &mut NullSink);
         let s2 = next.unwrap();
         assert!(s2.breakdown.is_sequential(), "append streams");
         assert!(w.has_space());
@@ -190,11 +179,11 @@ mod tests {
     #[test]
     fn buffer_fills_and_drains() {
         let mut w = writer(1, 2);
-        let (d, s1) = w.produce_block(SimTime::ZERO).unwrap();
-        w.produce_block(SimTime::ZERO);
+        let (d, s1) = w.produce_block(SimTime::ZERO, &mut NullSink).unwrap();
+        w.produce_block(SimTime::ZERO, &mut NullSink);
         assert!(!w.has_space());
         assert!(w.is_draining());
-        w.complete(s1.completion_at, d);
+        w.complete(s1.completion_at, d, &mut NullSink);
         assert!(w.has_space());
     }
 
@@ -202,15 +191,15 @@ mod tests {
     #[should_panic(expected = "write buffer overflow")]
     fn overflow_panics() {
         let mut w = writer(1, 1);
-        w.produce_block(SimTime::ZERO);
-        w.produce_block(SimTime::ZERO);
+        w.produce_block(SimTime::ZERO, &mut NullSink);
+        w.produce_block(SimTime::ZERO, &mut NullSink);
     }
 
     #[test]
     fn busy_time_accumulates() {
         let mut w = writer(2, 4);
-        let (d, s) = w.produce_block(SimTime::ZERO).unwrap();
-        w.complete(s.completion_at, d);
+        let (d, s) = w.produce_block(SimTime::ZERO, &mut NullSink).unwrap();
+        w.complete(s.completion_at, d, &mut NullSink);
         assert_eq!(w.busy_total(), s.breakdown.total());
     }
 }

@@ -1,7 +1,7 @@
 //! A set of independently operating disks.
 
 use pm_sim::SimTime;
-use pm_trace::{NullSink, TraceSink};
+use pm_trace::TraceSink;
 
 use crate::{
     CompletedRequest, Disk, DiskId, DiskRequest, DiskSpec, DiskStats, QueueDiscipline, RequestId,
@@ -67,23 +67,14 @@ impl DiskArray {
         &self.disks[id.0 as usize]
     }
 
-    /// Routes a request to its addressed drive.
-    pub fn submit(
-        &mut self,
-        now: SimTime,
-        req: DiskRequest,
-    ) -> (RequestId, Option<StartedService>) {
-        self.submit_traced(now, req, &mut NullSink)
-    }
-
-    /// [`DiskArray::submit`] with tracing (see [`Disk::submit_traced`]).
-    pub fn submit_traced<S: TraceSink>(
+    /// Routes a request to its addressed drive (see [`Disk::submit`]).
+    pub fn submit<S: TraceSink>(
         &mut self,
         now: SimTime,
         req: DiskRequest,
         sink: &mut S,
     ) -> (RequestId, Option<StartedService>) {
-        let (id, started) = self.disks[req.disk.0 as usize].submit_traced(now, req, sink);
+        let (id, started) = self.disks[req.disk.0 as usize].submit(now, req, sink);
         if started.is_some() {
             // The drive was idle and went straight into service.
             self.busy += 1;
@@ -92,23 +83,14 @@ impl DiskArray {
         (id, started)
     }
 
-    /// Completes the in-service request on `id`.
-    pub fn complete(
-        &mut self,
-        now: SimTime,
-        id: DiskId,
-    ) -> (CompletedRequest, Option<StartedService>) {
-        self.complete_traced(now, id, &mut NullSink)
-    }
-
-    /// [`DiskArray::complete`] with tracing (see [`Disk::complete_traced`]).
-    pub fn complete_traced<S: TraceSink>(
+    /// Completes the in-service request on `id` (see [`Disk::complete`]).
+    pub fn complete<S: TraceSink>(
         &mut self,
         now: SimTime,
         id: DiskId,
         sink: &mut S,
     ) -> (CompletedRequest, Option<StartedService>) {
-        let (done, next) = self.disks[id.0 as usize].complete_traced(now, sink);
+        let (done, next) = self.disks[id.0 as usize].complete(now, sink);
         if next.is_none() {
             // The drive's queue drained; it fell idle.
             self.busy -= 1;
@@ -155,6 +137,7 @@ impl DiskArray {
 mod tests {
     use super::*;
     use crate::BlockAddr;
+    use pm_trace::NullSink;
 
     fn array(n: usize) -> DiskArray {
         DiskArray::new(n, DiskSpec::paper(), QueueDiscipline::Fifo, 123)
@@ -173,7 +156,7 @@ mod tests {
     #[test]
     fn routes_to_addressed_disk() {
         let mut a = array(3);
-        a.submit(SimTime::ZERO, req(1, 0));
+        a.submit(SimTime::ZERO, req(1, 0), &mut NullSink);
         assert!(!a.disk(DiskId(0)).is_busy());
         assert!(a.disk(DiskId(1)).is_busy());
         assert!(!a.disk(DiskId(2)).is_busy());
@@ -185,7 +168,7 @@ mod tests {
         let mut a = array(4);
         let mut completions = Vec::new();
         for d in 0..4 {
-            let (_, s) = a.submit(SimTime::ZERO, req(d, 0));
+            let (_, s) = a.submit(SimTime::ZERO, req(d, 0), &mut NullSink);
             completions.push(s.unwrap().completion_at);
         }
         assert_eq!(a.busy_count(), 4);
@@ -197,11 +180,11 @@ mod tests {
     #[test]
     fn queued_count_spans_disks() {
         let mut a = array(2);
-        a.submit(SimTime::ZERO, req(0, 0));
-        a.submit(SimTime::ZERO, req(0, 100));
-        a.submit(SimTime::ZERO, req(1, 0));
-        a.submit(SimTime::ZERO, req(1, 100));
-        a.submit(SimTime::ZERO, req(1, 200));
+        a.submit(SimTime::ZERO, req(0, 0), &mut NullSink);
+        a.submit(SimTime::ZERO, req(0, 100), &mut NullSink);
+        a.submit(SimTime::ZERO, req(1, 0), &mut NullSink);
+        a.submit(SimTime::ZERO, req(1, 100), &mut NullSink);
+        a.submit(SimTime::ZERO, req(1, 200), &mut NullSink);
         assert_eq!(a.queued_count(), 3);
     }
 
@@ -209,21 +192,21 @@ mod tests {
     fn busy_count_tracks_submit_complete_cycle() {
         let mut a = array(2);
         assert_eq!(a.busy_count(), 0);
-        let (_, s0) = a.submit(SimTime::ZERO, req(0, 0));
+        let (_, s0) = a.submit(SimTime::ZERO, req(0, 0), &mut NullSink);
         assert_eq!(a.busy_count(), 1);
         // Second request on the same disk queues: still one busy drive.
-        a.submit(SimTime::ZERO, req(0, 100));
+        a.submit(SimTime::ZERO, req(0, 100), &mut NullSink);
         assert_eq!(a.busy_count(), 1);
-        let (_, s1) = a.submit(SimTime::ZERO, req(1, 0));
+        let (_, s1) = a.submit(SimTime::ZERO, req(1, 0), &mut NullSink);
         assert_eq!(a.busy_count(), 2);
         // Disk 0 chains into its queued request: stays busy.
         let t0 = s0.unwrap().completion_at;
-        let (_, next) = a.complete(t0, DiskId(0));
+        let (_, next) = a.complete(t0, DiskId(0), &mut NullSink);
         assert!(next.is_some());
         assert_eq!(a.busy_count(), 2);
         // Disk 1 drains: falls idle.
         let t1 = s1.unwrap().completion_at;
-        let (_, next) = a.complete(t1, DiskId(1));
+        let (_, next) = a.complete(t1, DiskId(1), &mut NullSink);
         assert!(next.is_none());
         assert_eq!(a.busy_count(), 1);
     }
@@ -231,10 +214,10 @@ mod tests {
     #[test]
     fn aggregate_stats_sum_over_disks() {
         let mut a = array(2);
-        let (_, s0) = a.submit(SimTime::ZERO, req(0, 0));
-        let (_, s1) = a.submit(SimTime::ZERO, req(1, 0));
-        a.complete(s0.unwrap().completion_at, DiskId(0));
-        a.complete(s1.unwrap().completion_at, DiskId(1));
+        let (_, s0) = a.submit(SimTime::ZERO, req(0, 0), &mut NullSink);
+        let (_, s1) = a.submit(SimTime::ZERO, req(1, 0), &mut NullSink);
+        a.complete(s0.unwrap().completion_at, DiskId(0), &mut NullSink);
+        a.complete(s1.unwrap().completion_at, DiskId(1), &mut NullSink);
         let agg = a.aggregate_stats();
         assert_eq!(agg.requests(), 2);
     }
@@ -245,7 +228,7 @@ mod tests {
             let mut a = array(3);
             let mut times = Vec::new();
             for i in 0..30u64 {
-                let (_, s) = a.submit(SimTime::ZERO, req((i % 3) as u16, i * 50));
+                let (_, s) = a.submit(SimTime::ZERO, req((i % 3) as u16, i * 50), &mut NullSink);
                 if let Some(s) = s {
                     times.push(s.completion_at);
                 }

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use pm_sim::{SimDuration, SimRng, SimTime};
-use pm_trace::{EventKind, NullSink, TraceEvent, TraceSink};
+use pm_trace::{EventKind, TraceEvent, TraceSink};
 
 use crate::discipline::{QueueDiscipline, SweepDirection};
 use crate::geometry::Cylinder;
@@ -139,29 +139,17 @@ impl Disk {
         &self.stats
     }
 
-    /// Submits a request. Returns its assigned id and, if the disk was
-    /// idle, the service it immediately entered.
+    /// Submits a request at `now`, emitting an [`EventKind::DiskIssue`]
+    /// into `sink`. Returns its assigned id and, if the disk was idle, the
+    /// service it immediately entered. Callers without a trace pass
+    /// [`NullSink`](pm_trace::NullSink), for which the emission compiles
+    /// away.
     ///
     /// # Panics
     ///
     /// Panics if the request is empty, targets another disk, or does not
     /// fit on the platter.
-    pub fn submit(
-        &mut self,
-        now: SimTime,
-        req: DiskRequest,
-    ) -> (RequestId, Option<StartedService>) {
-        self.submit_traced(now, req, &mut NullSink)
-    }
-
-    /// [`Disk::submit`] with tracing: additionally emits a
-    /// [`EventKind::DiskIssue`] into `sink`. With a disabled sink this
-    /// monomorphizes to exactly [`Disk::submit`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Disk::submit`].
-    pub fn submit_traced<S: TraceSink>(
+    pub fn submit<S: TraceSink>(
         &mut self,
         now: SimTime,
         req: DiskRequest,
@@ -200,26 +188,17 @@ impl Disk {
         }
     }
 
-    /// Completes the request in service. `now` must equal the completion
-    /// time previously returned. Returns the completed request and, if the
-    /// queue was non-empty, the next service started.
+    /// Completes the request in service, emitting
+    /// [`EventKind::DiskSeekDone`] (stamped with the instant positioning
+    /// finished, which for a sequential stream is the service start) and
+    /// [`EventKind::DiskTransferDone`] into `sink`. `now` must equal the
+    /// completion time previously returned. Returns the completed request
+    /// and, if the queue was non-empty, the next service started.
     ///
     /// # Panics
     ///
     /// Panics if the disk is idle or `now` is not the completion instant.
-    pub fn complete(&mut self, now: SimTime) -> (CompletedRequest, Option<StartedService>) {
-        self.complete_traced(now, &mut NullSink)
-    }
-
-    /// [`Disk::complete`] with tracing: additionally emits
-    /// [`EventKind::DiskSeekDone`] (stamped with the instant positioning
-    /// finished, which for a sequential stream is the service start) and
-    /// [`EventKind::DiskTransferDone`] into `sink`.
-    ///
-    /// # Panics
-    ///
-    /// As [`Disk::complete`].
-    pub fn complete_traced<S: TraceSink>(
+    pub fn complete<S: TraceSink>(
         &mut self,
         now: SimTime,
         sink: &mut S,
@@ -332,6 +311,7 @@ impl Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_trace::NullSink;
 
     fn disk() -> Disk {
         Disk::new(DiskId(0), DiskSpec::paper(), QueueDiscipline::Fifo, 42)
@@ -357,7 +337,7 @@ mod tests {
     #[test]
     fn idle_disk_starts_service_immediately() {
         let mut d = disk();
-        let (id, started) = d.submit(SimTime::ZERO, req(0, 1));
+        let (id, started) = d.submit(SimTime::ZERO, req(0, 1), &mut NullSink);
         let s = started.expect("idle disk should start service");
         assert_eq!(s.request_id, id);
         assert!(d.is_busy());
@@ -372,8 +352,8 @@ mod tests {
     #[test]
     fn busy_disk_queues() {
         let mut d = disk();
-        let (_, s1) = d.submit(SimTime::ZERO, req(0, 1));
-        let (_, s2) = d.submit(SimTime::ZERO, req(500, 1));
+        let (_, s1) = d.submit(SimTime::ZERO, req(0, 1), &mut NullSink);
+        let (_, s2) = d.submit(SimTime::ZERO, req(500, 1), &mut NullSink);
         assert!(s1.is_some());
         assert!(s2.is_none());
         assert_eq!(d.queue_len(), 1);
@@ -382,15 +362,15 @@ mod tests {
     #[test]
     fn fifo_completion_chain() {
         let mut d = disk();
-        let (id1, s1) = d.submit(SimTime::ZERO, req(0, 1));
-        let (id2, _) = d.submit(SimTime::ZERO, req(100, 1));
-        let (id3, _) = d.submit(SimTime::ZERO, req(200, 1));
+        let (id1, s1) = d.submit(SimTime::ZERO, req(0, 1), &mut NullSink);
+        let (id2, _) = d.submit(SimTime::ZERO, req(100, 1), &mut NullSink);
+        let (id3, _) = d.submit(SimTime::ZERO, req(200, 1), &mut NullSink);
         let t1 = s1.unwrap().completion_at;
-        let (done1, s2) = d.complete(t1);
+        let (done1, s2) = d.complete(t1, &mut NullSink);
         assert_eq!(done1.id, id1);
         let s2 = s2.unwrap();
         assert_eq!(s2.request_id, id2);
-        let (done2, s3) = d.complete(s2.completion_at);
+        let (done2, s3) = d.complete(s2.completion_at, &mut NullSink);
         assert_eq!(done2.id, id2);
         assert_eq!(s3.unwrap().request_id, id3);
     }
@@ -398,13 +378,13 @@ mod tests {
     #[test]
     fn sequential_request_streams_for_free() {
         let mut d = disk();
-        let (_, s1) = d.submit(SimTime::ZERO, req(10, 1));
+        let (_, s1) = d.submit(SimTime::ZERO, req(10, 1), &mut NullSink);
         let t1 = s1.unwrap().completion_at;
-        let (_, next) = d.complete(t1);
+        let (_, next) = d.complete(t1, &mut NullSink);
         assert!(next.is_none());
         // Hinted continuation immediately after the previous block: zero
         // mechanical cost.
-        let (_, s2) = d.submit(t1, seq_req(11, 1));
+        let (_, s2) = d.submit(t1, seq_req(11, 1), &mut NullSink);
         let b = s2.unwrap().breakdown;
         assert!(b.is_sequential());
         assert_eq!(b.total(), SimDuration::from_millis_f64(2.16));
@@ -415,10 +395,10 @@ mod tests {
         // Separate operations pay the mechanical delay even when they are
         // position-sequential (Kwan–Baer model: every access pays R).
         let mut d = disk();
-        let (_, s1) = d.submit(SimTime::ZERO, req(10, 1));
+        let (_, s1) = d.submit(SimTime::ZERO, req(10, 1), &mut NullSink);
         let t1 = s1.unwrap().completion_at;
-        d.complete(t1);
-        let (_, s2) = d.submit(t1, req(11, 1));
+        d.complete(t1, &mut NullSink);
+        let (_, s2) = d.submit(t1, req(11, 1), &mut NullSink);
         let b = s2.unwrap().breakdown;
         assert!(!b.is_sequential());
         assert!(!b.latency.is_zero());
@@ -428,15 +408,15 @@ mod tests {
     #[test]
     fn intervening_request_breaks_the_stream() {
         let mut d = disk();
-        let (_, s1) = d.submit(SimTime::ZERO, req(10, 1));
+        let (_, s1) = d.submit(SimTime::ZERO, req(10, 1), &mut NullSink);
         let t1 = s1.unwrap().completion_at;
-        d.complete(t1);
+        d.complete(t1, &mut NullSink);
         // Jump elsewhere.
-        let (_, s2) = d.submit(t1, req(5000, 1));
+        let (_, s2) = d.submit(t1, req(5000, 1), &mut NullSink);
         let t2 = s2.unwrap().completion_at;
-        d.complete(t2);
+        d.complete(t2, &mut NullSink);
         // Back to the block after 10: the hint no longer matches the head.
-        let (_, s3) = d.submit(t2, seq_req(11, 1));
+        let (_, s3) = d.submit(t2, seq_req(11, 1), &mut NullSink);
         assert!(!s3.unwrap().breakdown.is_sequential());
     }
 
@@ -448,16 +428,16 @@ mod tests {
         let mut d = disk();
         let mut completion = SimTime::ZERO;
         let mut total = SimDuration::ZERO;
-        let (_, s0) = d.submit(SimTime::ZERO, req(640, 1)); // cylinder 10
+        let (_, s0) = d.submit(SimTime::ZERO, req(640, 1), &mut NullSink); // cylinder 10
         let s0 = s0.unwrap();
         total += s0.breakdown.total();
         for i in 1..n {
-            d.submit(SimTime::ZERO, seq_req(640 + i, 1));
+            d.submit(SimTime::ZERO, seq_req(640 + i, 1), &mut NullSink);
         }
         let mut started = Some(s0);
         while let Some(s) = started {
             completion = s.completion_at;
-            let (_, next) = d.complete(completion);
+            let (_, next) = d.complete(completion, &mut NullSink);
             if let Some(nx) = &next {
                 total += nx.breakdown.total();
             }
@@ -475,12 +455,12 @@ mod tests {
     fn seek_time_matches_distance() {
         let mut d = disk();
         // First move the head deterministically to cylinder 10 (block 640).
-        let (_, s1) = d.submit(SimTime::ZERO, req(640, 1));
+        let (_, s1) = d.submit(SimTime::ZERO, req(640, 1), &mut NullSink);
         let t1 = s1.unwrap().completion_at;
-        d.complete(t1);
+        d.complete(t1, &mut NullSink);
         assert_eq!(d.head(), Cylinder(10));
         // Request at cylinder 30 (block 1920): seek distance 20 cylinders.
-        let (_, s2) = d.submit(t1, req(1920, 1));
+        let (_, s2) = d.submit(t1, req(1920, 1), &mut NullSink);
         let b = s2.unwrap().breakdown;
         assert_eq!(b.seek, SimDuration::from_millis_f64(0.03) * 20);
     }
@@ -488,11 +468,11 @@ mod tests {
     #[test]
     fn multi_block_request_transfers_scale() {
         let mut d = disk();
-        let (_, s) = d.submit(SimTime::ZERO, req(0, 5));
+        let (_, s) = d.submit(SimTime::ZERO, req(0, 5), &mut NullSink);
         let b = s.unwrap().breakdown;
         assert_eq!(b.transfer, SimDuration::from_millis_f64(2.16) * 5);
         let t = s.unwrap().completion_at;
-        d.complete(t);
+        d.complete(t, &mut NullSink);
         // Head ends on the cylinder of the last block.
         assert_eq!(d.head(), Cylinder(0));
     }
@@ -501,11 +481,11 @@ mod tests {
     fn deterministic_given_seed() {
         let run = || {
             let mut d = disk();
-            let (_, s) = d.submit(SimTime::ZERO, req(0, 1));
+            let (_, s) = d.submit(SimTime::ZERO, req(0, 1), &mut NullSink);
             let mut t = s.unwrap().completion_at;
             for i in 1..50 {
-                d.submit(t, req(i * 97 % 3000, 1));
-                let (_, s) = d.complete(t);
+                d.submit(t, req(i * 97 % 3000, 1), &mut NullSink);
+                let (_, s) = d.complete(t, &mut NullSink);
                 t = s.unwrap().completion_at;
             }
             t
@@ -516,13 +496,13 @@ mod tests {
     #[test]
     fn sstf_services_nearest_first() {
         let mut d = Disk::new(DiskId(0), DiskSpec::paper(), QueueDiscipline::Sstf, 1);
-        let (_, s1) = d.submit(SimTime::ZERO, req(640, 1)); // head -> cyl 10
-        let (far, _) = d.submit(SimTime::ZERO, req(640 * 80, 1)); // cyl 800
-        let (near, _) = d.submit(SimTime::ZERO, req(640 + 64, 1)); // cyl 11
+        let (_, s1) = d.submit(SimTime::ZERO, req(640, 1), &mut NullSink); // head -> cyl 10
+        let (far, _) = d.submit(SimTime::ZERO, req(640 * 80, 1), &mut NullSink); // cyl 800
+        let (near, _) = d.submit(SimTime::ZERO, req(640 + 64, 1), &mut NullSink); // cyl 11
         let t1 = s1.unwrap().completion_at;
-        let (_, s2) = d.complete(t1);
+        let (_, s2) = d.complete(t1, &mut NullSink);
         assert_eq!(s2.unwrap().request_id, near);
-        let (_, s3) = d.complete(s2.unwrap().completion_at);
+        let (_, s3) = d.complete(s2.unwrap().completion_at, &mut NullSink);
         assert_eq!(s3.unwrap().request_id, far);
     }
 
@@ -530,7 +510,7 @@ mod tests {
     #[should_panic(expected = "idle disk")]
     fn complete_on_idle_disk_panics() {
         let mut d = disk();
-        d.complete(SimTime::ZERO);
+        d.complete(SimTime::ZERO, &mut NullSink);
     }
 
     #[test]
@@ -546,6 +526,7 @@ mod tests {
                 sequential_hint: false,
                 tag: 0,
             },
+            &mut NullSink,
         );
     }
 
@@ -554,15 +535,15 @@ mod tests {
     fn oversized_request_rejected() {
         let mut d = disk();
         let cap = d.spec().geometry.capacity_blocks();
-        d.submit(SimTime::ZERO, req(cap - 1, 2));
+        d.submit(SimTime::ZERO, req(cap - 1, 2), &mut NullSink);
     }
 
     #[test]
     fn request_ids_are_unique_and_disk_scoped() {
         let mut d0 = disk();
         let mut d1 = Disk::new(DiskId(1), DiskSpec::paper(), QueueDiscipline::Fifo, 7);
-        let (a, _) = d0.submit(SimTime::ZERO, req(0, 1));
-        let (b, _) = d0.submit(SimTime::ZERO, req(1, 1));
+        let (a, _) = d0.submit(SimTime::ZERO, req(0, 1), &mut NullSink);
+        let (b, _) = d0.submit(SimTime::ZERO, req(1, 1), &mut NullSink);
         let (c, _) = d1.submit(
             SimTime::ZERO,
             DiskRequest {
@@ -572,6 +553,7 @@ mod tests {
                 sequential_hint: false,
                 tag: 0,
             },
+            &mut NullSink,
         );
         assert_ne!(a, b);
         assert_ne!(a, c);

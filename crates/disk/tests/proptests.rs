@@ -6,6 +6,7 @@ use pm_disk::{
     BlockAddr, Disk, DiskArray, DiskId, DiskRequest, DiskSpec, QueueDiscipline, SeekModel,
 };
 use pm_sim::{SimDuration, SimTime};
+use pm_trace::NullSink;
 
 fn spec() -> DiskSpec {
     DiskSpec::paper()
@@ -28,7 +29,7 @@ proptest! {
                 len: 1,
                 sequential_hint: false,
                 tag: i as u64,
-            });
+            }, &mut NullSink);
             let s = s.expect("idle disk starts immediately");
             prop_assert!(s.breakdown.latency < spec().params.rotation_period);
             prop_assert_eq!(s.breakdown.transfer, spec().params.transfer_per_block);
@@ -38,7 +39,7 @@ proptest! {
             );
             prop_assert_eq!(s.completion_at, now + s.breakdown.total());
             now = s.completion_at;
-            disk.complete(now);
+            disk.complete(now, &mut NullSink);
         }
         prop_assert_eq!(disk.stats().requests(), starts.len() as u64);
     }
@@ -59,7 +60,7 @@ proptest! {
                 len: 1,
                 sequential_hint: false,
                 tag: i as u64,
-            });
+            }, &mut NullSink);
             expected.push(id);
             if let Some(s) = s {
                 first = Some(s);
@@ -70,7 +71,7 @@ proptest! {
         let mut now;
         while let Some(s) = next {
             now = s.completion_at;
-            let (done, n) = disk.complete(now);
+            let (done, n) = disk.complete(now, &mut NullSink);
             order.push(done.id);
             next = n;
         }
@@ -119,7 +120,7 @@ proptest! {
                 len: 1,
                 sequential_hint: false,
                 tag: i as u64,
-            });
+            }, &mut NullSink);
             prop_assert!(ids.insert(id), "duplicate request id");
             if let Some(s) = s {
                 completions.push((s.completion_at, DiskId(d)));
@@ -127,7 +128,7 @@ proptest! {
         }
         // Drain all queues disk by disk.
         while let Some((t, d)) = completions.pop() {
-            let (_, next) = array.complete(t, d);
+            let (_, next) = array.complete(t, d, &mut NullSink);
             if let Some(s) = next {
                 completions.push((s.completion_at, d));
             }

@@ -11,6 +11,11 @@ use pm_extsort::Record;
 /// Bytes one encoded [`Record`] occupies.
 pub const RECORD_BYTES: usize = 16;
 
+/// Largest block [`MergeEngine::new`](crate::MergeEngine::new) accepts:
+/// 16 MiB (1 Mi records), far above the 512 B / 640 B defaults and the
+/// paper's 4 KiB, so one block buffer's allocation stays bounded.
+pub const MAX_BLOCK_BYTES: usize = 1 << 24;
+
 /// Bytes one block occupies for the given records-per-block factor.
 #[must_use]
 pub fn block_bytes(records_per_block: u32) -> usize {

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use pm_core::{ConfigError, PmError};
+use pm_core::{ConfigError, NullSink, PmError};
 use pm_disk::{
     BlockAddr, DiskArray, DiskId, DiskRequest, DiskSpec, QueueDiscipline, ServiceBreakdown,
 };
@@ -405,9 +405,9 @@ impl<D: BlockDevice> BlockDevice for LatencyDevice<D> {
         let mut m = self.model.lock().expect("latency model poisoned");
         let d = req.disk.0 as usize;
         let now = m.vnow[d];
-        let (_, started) = m.array.submit(now, *req);
+        let (_, started) = m.array.submit(now, *req, &mut NullSink);
         let s = started.expect("latency disk driven one request at a time");
-        let (done, next) = m.array.complete(s.completion_at, req.disk);
+        let (done, next) = m.array.complete(s.completion_at, req.disk, &mut NullSink);
         debug_assert!(next.is_none(), "latency disk queue must stay empty");
         m.vnow[d] = s.completion_at;
         Some(InjectedService {

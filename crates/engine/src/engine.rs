@@ -46,7 +46,7 @@ use pm_trace::{
     unpack_tag, unpack_tenant_tag, EventKind, NullSink, TraceEvent, TraceSink, TENANT_TAG_MAX_RUN,
 };
 
-use crate::block::{block_bytes, encode_records, BlockCursor};
+use crate::block::{block_bytes, encode_records, BlockCursor, MAX_BLOCK_BYTES};
 use crate::derived::{disk_issue, Arrival, DecisionLoop, EngineTrace, MergeRecord};
 use crate::ioqueue::{IoCompletion, IoQueue, IoRequest, QueueOptions};
 
@@ -223,7 +223,8 @@ impl MergeEngine {
     /// # Errors
     ///
     /// [`PmError::Usage`] if the engine cannot execute the scenario
-    /// (write modeling, zero records-per-block, more runs than a read's
+    /// (write modeling, zero records-per-block or a block larger than
+    /// [`MAX_BLOCK_BYTES`], more runs than a read's
     /// tag can name: run ids above [`TENANT_TAG_MAX_RUN`]);
     /// [`PmError::Config`] if the adjusted configuration is invalid or
     /// the cache cannot hold the initial load.
@@ -235,6 +236,12 @@ impl MergeEngine {
         }
         if cfg.records_per_block == 0 {
             return Err(PmError::Usage("records-per-block must be positive".into()));
+        }
+        if block_bytes(cfg.records_per_block) > MAX_BLOCK_BYTES {
+            return Err(PmError::Usage(format!(
+                "records-per-block {} makes a block over {MAX_BLOCK_BYTES} bytes",
+                cfg.records_per_block
+            )));
         }
         if cfg.time_scale <= 0.0 || cfg.time_scale.is_nan() {
             return Err(PmError::Usage("time-scale must be positive".into()));

@@ -59,7 +59,7 @@ mod shared;
 mod uring;
 mod workers;
 
-pub use block::{block_bytes, encode_records, RECORD_BYTES};
+pub use block::{block_bytes, encode_records, MAX_BLOCK_BYTES, RECORD_BYTES};
 pub use derived::EngineTrace;
 pub use device::{
     BlockDevice, FileDevice, InjectedService, LatencyDevice, MemoryDevice, DIRECT_ALIGN,

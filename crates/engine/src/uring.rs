@@ -16,6 +16,9 @@
 //! The raw ABI (setup/enter/register syscalls, ring memory maps, SQE и
 //! CQE layouts) is used directly so no external crate is needed; the
 //! layouts are the stable io_uring v1 ABI present since Linux 5.1.
+//! Every `unsafe` block states the invariant it relies on (`SAFETY:`).
+
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::collections::VecDeque;
@@ -147,6 +150,7 @@ struct Iovec {
 #[must_use]
 pub fn uring_available() -> bool {
     let mut params = Params::default();
+    // SAFETY: the kernel writes only `params`, live across the call.
     let fd = unsafe {
         syscall(
             SYS_IO_URING_SETUP,
@@ -157,6 +161,7 @@ pub fn uring_available() -> bool {
     if fd < 0 {
         return false;
     }
+    // SAFETY: the probe's own ring, closed once.
     unsafe {
         close(fd as i32);
     }
@@ -206,8 +211,9 @@ struct Ring {
     inflight: u32,
 }
 
-// The raw pointers reference process-wide ring maps owned by this Ring;
-// the queue is driven from one thread at a time (`IoQueue` takes &mut).
+// SAFETY: the raw pointers reference ring maps and an arena this Ring
+// alone owns and frees in `Drop`; one thread drives it at a time
+// (`IoQueue` takes `&mut self`).
 #[allow(unsafe_code)]
 unsafe impl Send for Ring {}
 
@@ -219,6 +225,7 @@ impl Ring {
         block_bytes: usize,
     ) -> io::Result<Self> {
         let mut params = Params::default();
+        // SAFETY: the kernel writes only `params`, live across the call.
         let fd = unsafe {
             syscall(
                 SYS_IO_URING_SETUP,
@@ -241,6 +248,8 @@ impl Ring {
             sq_ring_len
         };
         let map = |len: usize, off: i64| -> io::Result<*mut u8> {
+            // SAFETY: a null hint maps the ring at a fresh address, so no
+            // existing memory is touched; failure is checked below.
             let p = unsafe {
                 mmap(
                     std::ptr::null_mut(),
@@ -253,6 +262,7 @@ impl Ring {
             };
             if p as i64 == -1 {
                 let e = io::Error::last_os_error();
+                // SAFETY: the ring is not yet owned by a `Ring`; closed once.
                 unsafe { close(fd) };
                 return Err(e);
             }
@@ -271,17 +281,23 @@ impl Ring {
         // O_DIRECT.
         let buf_layout = Layout::from_size_align(block_bytes * depth, 4096)
             .map_err(|e| io::Error::other(format!("buffer layout: {e}")))?;
+        // SAFETY: non-zero size: `create` refuses a zero `block_bytes` and
+        // clamps `depth` to at least 1.
         let buf_base = unsafe { alloc_zeroed(buf_layout) };
         if buf_base.is_null() {
+            // SAFETY: the ring is not yet owned by a `Ring`; closed once.
             unsafe { close(fd) };
             return Err(io::Error::other("registered-buffer allocation failed"));
         }
         let iovecs: Vec<Iovec> = (0..depth)
             .map(|s| Iovec {
+                // SAFETY: slot `s < depth` starts inside the arena.
                 iov_base: unsafe { buf_base.add(s * block_bytes) }.cast(),
                 iov_len: block_bytes,
             })
             .collect();
+        // SAFETY: `iovecs` outlives the call and names `depth` arena slots;
+        // the arena stays allocated until `Drop` has closed the ring.
         let rc = unsafe {
             syscall(
                 SYS_IO_URING_REGISTER,
@@ -293,6 +309,8 @@ impl Ring {
         };
         if rc < 0 {
             let e = io::Error::last_os_error();
+            // SAFETY: registration failed, so the kernel holds no arena
+            // slot; neither is owned by a `Ring` yet, so each goes once.
             unsafe {
                 close(fd);
                 dealloc(buf_base, buf_layout);
@@ -302,6 +320,8 @@ impl Ring {
 
         let sq = params.sq_off;
         let cq = params.cq_off;
+        // The kernel places every `sq_off`/`cq_off` offset inside the maps,
+        // which were sized from those offsets and live until `Drop`.
         Ok(Ring {
             fd,
             read_file,
@@ -311,13 +331,15 @@ impl Ring {
             cq_len,
             sqes,
             sqes_len,
+            // SAFETY: the SQ mask word lies in the SQ map, fixed at setup.
             sq_mask: unsafe { *sq_ptr.add(sq.ring_mask as usize).cast::<u32>() },
+            // SAFETY: the CQ mask word lies in the CQ map, fixed at setup.
             cq_mask: unsafe { *cq_ptr.add(cq.ring_mask as usize).cast::<u32>() },
-            sq_ktail: unsafe { sq_ptr.add(sq.tail as usize).cast() },
-            sq_array: unsafe { sq_ptr.add(sq.array as usize).cast() },
-            cq_khead: unsafe { cq_ptr.add(cq.head as usize).cast() },
-            cq_ktail: unsafe { cq_ptr.add(cq.tail as usize).cast() },
-            cqes: unsafe { cq_ptr.add(cq.cqes as usize).cast() },
+            sq_ktail: sq_ptr.wrapping_add(sq.tail as usize).cast(),
+            sq_array: sq_ptr.wrapping_add(sq.array as usize).cast(),
+            cq_khead: cq_ptr.wrapping_add(cq.head as usize).cast(),
+            cq_ktail: cq_ptr.wrapping_add(cq.tail as usize).cast(),
+            cqes: cq_ptr.wrapping_add(cq.cqes as usize).cast(),
             buf_base,
             buf_layout,
             block_bytes,
@@ -334,8 +356,14 @@ impl Ring {
     /// caller guarantees a free SQ entry (slots bound outstanding +
     /// pending to the ring size).
     fn push_sqe(&mut self, slot: u16, req: &IoRequest) {
+        // SAFETY: `sq_ktail` points into the live SQ map; only this thread
+        // writes the SQ tail, so a relaxed load reads its own last store.
         let tail = unsafe { (*self.sq_ktail).load(Ordering::Relaxed) };
         let idx = (tail & self.sq_mask) as usize;
+        // SAFETY: `idx` is masked into the SQE and index arrays and the
+        // caller guarantees the entry is free; the slot's buffer lies in
+        // the arena and no other SQE names it. The release store of the
+        // tail publishes the entry only after it is written.
         unsafe {
             *self.sqes.add(idx) = Sqe {
                 opcode: IORING_OP_READ_FIXED,
@@ -381,6 +409,7 @@ impl Ring {
             0
         };
         loop {
+            // SAFETY: integer arguments only; the ring fd is open.
             let rc = unsafe {
                 syscall(
                     SYS_IO_URING_ENTER,
@@ -426,15 +455,25 @@ impl Ring {
     ) -> usize {
         let mut n = 0;
         loop {
-            let head = unsafe { (*self.cq_khead).load(Ordering::Relaxed) };
-            let tail = unsafe { (*self.cq_ktail).load(Ordering::Acquire) };
+            // SAFETY: both point into the live CQ map; only this thread
+            // writes the head, and the acquire load of the kernel's tail
+            // makes every CQE before it visible.
+            let (head, tail) = unsafe {
+                (
+                    (*self.cq_khead).load(Ordering::Relaxed),
+                    (*self.cq_ktail).load(Ordering::Acquire),
+                )
+            };
             if head == tail {
                 return n;
             }
-            let cqe = unsafe { *self.cqes.add((head & self.cq_mask) as usize) };
-            unsafe {
+            // SAFETY: the masked index is a posted CQE (`head != tail`);
+            // it is copied out before the release store hands it back.
+            let cqe = unsafe {
+                let cqe = *self.cqes.add((head & self.cq_mask) as usize);
                 (*self.cq_khead).store(head.wrapping_add(1), Ordering::Release);
-            }
+                cqe
+            };
             let slot = cqe.user_data as u16;
             let meta = self.meta[slot as usize]
                 .take()
@@ -480,6 +519,8 @@ impl Ring {
 
 impl Drop for Ring {
     fn drop(&mut self) {
+        // SAFETY: each map goes with its mapped length (`cq_len` is 0 when
+        // the CQ shares the SQ map), the fd once, the arena with its layout.
         unsafe {
             munmap(self.sqes.cast(), self.sqes_len);
             if self.cq_len > 0 {
@@ -679,6 +720,8 @@ impl IoQueue for UringQueue {
                     self.ready.len()
                 )));
             }
+            // SAFETY: `fds` holds `fds.len()` live entries; the kernel
+            // writes only their `revents`.
             let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, -1) };
             if rc < 0 {
                 let err = io::Error::last_os_error();

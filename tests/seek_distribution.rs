@@ -3,7 +3,7 @@
 //! closed form the paper builds on (`P(x=0) = 1/k`,
 //! `P(x=i) = 2(k−i)/k²`).
 
-use pm_core::{MergeConfig, MergeSim, ScenarioBuilder, UniformDepletion};
+use pm_core::{MergeConfig, MergeSim, NullSink, ScenarioBuilder, UniformDepletion};
 use pm_disk::{DiskArray, DiskId};
 use pm_sim::SimRng;
 
@@ -41,10 +41,11 @@ fn measured_move_pmf(k: u32, seed: u64) -> Vec<f64> {
                 sequential_hint: false,
                 tag: i as u64,
             },
+            &mut NullSink,
         );
         let s = started.expect("serial access");
         now = s.completion_at;
-        array.complete(now, DiskId(0));
+        array.complete(now, DiskId(0), &mut NullSink);
         let cyl = lba as f64 / blocks_per_cyl;
         if let Some(prev) = last_cyl {
             // Convert cylinder distance back to run-width moves.
