@@ -5,13 +5,15 @@
 //!
 //! `perf_smoke` (crates/bench/src/bin/perf_smoke.rs) measures the same
 //! code end-to-end in ops/sec; these benches isolate the layers so a
-//! regression can be localized without re-profiling. Winner selection is
-//! timed in both of the event queue's stores (linear and tournament), and
-//! raw draws through the RNG's refillable buffer are timed on their own.
+//! regression can be localized without re-profiling. The event queue's
+//! pop-and-re-arm cycle is timed at the paper's array sizes and one wide
+//! array, and raw draws through the RNG's refillable buffer are timed on
+//! their own.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pm_cache::RunId;
 use pm_core::{DepletionModel, MergeSim, ScenarioBuilder, UniformDepletion};
+use pm_disk::DiskSpec;
 use pm_sim::{EventQueue, SimRng, SimTime};
 use std::hint::black_box;
 
@@ -47,58 +49,32 @@ fn demand_path(c: &mut Criterion) {
 }
 
 /// The event queue at its real operating point: completion coalescing
-/// keeps at most one event per disk pending, so the queue holds ~D
-/// elements while the simulation pops and re-arms millions of times.
-/// (substrates.rs benches the same queue at 10k pending, where the
-/// tournament store takes over from the linear scan.)
-fn event_queue_coalesced(c: &mut Criterion) {
-    const D: u64 = 8;
-    c.bench_function("hotpath/event_queue_rearm_1M_d8", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(D as usize + 1);
-            let mut rng = SimRng::seed_from_u64(7);
-            for d in 0..D {
-                q.schedule(SimTime::from_nanos(rng.next_u64() % 1_000), d);
-            }
-            let mut acc = 0u64;
-            for _ in 0..1_000_000 {
-                let (t, d) = q.pop().expect("queue stays populated");
-                acc = acc.wrapping_add(d);
-                // Re-arm this disk's next completion, as dispatch does.
-                let next = t.as_nanos() + 1 + rng.next_u64() % 1_000;
-                q.schedule(SimTime::from_nanos(next), d);
-            }
-            black_box(acc)
-        });
-    });
-}
-
-/// Winner selection head-to-head: the identical coalesced rearm workload
-/// run against the linear store (capacity within `LINEAR_MAX_SLOTS`) and
-/// against the tournament store (capacity above it). Both must agree on
-/// every pop — the store swap is keyed on capacity precisely because the
-/// linear scan wins at simulator-sized queues and the tournament wins in
-/// the hundreds; this pair puts numbers on the crossover's two sides.
-fn winner_selection(c: &mut Criterion) {
-    for (name, slots, iters) in [
-        ("hotpath/winner_linear_rearm_1M_s8", 8u64, 1_000_000u32),
-        ("hotpath/winner_linear_rearm_1M_s48", 48, 1_000_000),
-        ("hotpath/winner_tournament_rearm_1M_s128", 128, 1_000_000),
-        ("hotpath/winner_tournament_rearm_100k_s1024", 1024, 100_000),
-    ] {
-        c.bench_function(name, |b| {
+/// keeps at most one event per disk pending, so the queue holds D + 1
+/// entries (the read disks plus the CPU step) while the simulation pops
+/// and re-arms millions of times. Each re-arm adds a service time drawn
+/// as the paper's disk draws one, one block's transfer plus a uniform
+/// rotational latency, so the new key lands among the pending keys as a
+/// disk's next completion does. The sizes are D + 1 for D = 8, 16 and 32,
+/// and one wide array. (substrates.rs times the same queue filled to 10k
+/// pending events and drained, with no re-arm.)
+fn event_queue_rearm(c: &mut Criterion) {
+    let params = DiskSpec::paper().params;
+    let transfer = params.transfer_time(1);
+    let rotation = params.rotation_period;
+    for slots in [9u64, 17, 33, 1024] {
+        c.bench_function(&format!("hotpath/event_queue_rearm_1M_s{slots}"), |b| {
             b.iter(|| {
                 let mut q = EventQueue::with_capacity(slots as usize);
                 let mut rng = SimRng::seed_from_u64(7);
                 for d in 0..slots {
-                    q.schedule(SimTime::from_nanos(rng.next_u64() % 1_000), d);
+                    q.schedule(SimTime::ZERO + rng.uniform_duration(rotation), d);
                 }
                 let mut acc = 0u64;
-                for _ in 0..iters {
+                for _ in 0..1_000_000 {
                     let (t, d) = q.pop().expect("queue stays populated");
                     acc = acc.wrapping_add(d);
-                    let next = t.as_nanos() + 1 + rng.next_u64() % 1_000;
-                    q.schedule(SimTime::from_nanos(next), d);
+                    // Re-arm this disk's next completion, as dispatch does.
+                    q.schedule(t + transfer + rng.uniform_duration(rotation), d);
                 }
                 black_box(acc)
             });
@@ -123,6 +99,6 @@ fn rng_draws(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = depletion_step, demand_path, event_queue_coalesced, winner_selection, rng_draws
+    targets = depletion_step, demand_path, event_queue_rearm, rng_draws
 }
 criterion_main!(benches);

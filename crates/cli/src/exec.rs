@@ -45,7 +45,7 @@ use pm_report::{Align, Table};
 use crate::args::Args;
 use crate::commands::render_trace;
 use crate::metrics::MetricsArgs;
-use crate::plan::{fan_in_flags, run_blocks};
+use crate::plan::{fan_in_flags, records_per_block, run_blocks};
 use crate::scenario::{self, ENGINE_KEYS};
 
 /// Flags `exec` accepts (see the usage text for semantics).
@@ -193,7 +193,7 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
     }
     // O_DIRECT backends need 512-byte-aligned blocks: 32 records/block
     // (512 B) aligns, the classic 40 (640 B) does not.
-    let rpb: u32 = args.get_parsed("rpb", if backend.needs_alignment() { 32 } else { 40 })?;
+    let rpb = records_per_block(args, if backend.needs_alignment() { 32 } else { 40 })?;
     let seed: u64 = args.get_parsed("seed", 1992)?;
     let tol_exec: f64 = args.get_parsed("tol-exec", 0.02)?;
     if !(tol_exec.is_finite() && tol_exec > 0.0) {
@@ -560,7 +560,11 @@ fn print_multipass_report(out: &MultiPassOutcome, residuals: &[Option<ResidualCh
             },
         ]);
     }
-    println!("\n{}", t.render());
+    if out.passes.is_empty() {
+        println!("\n(a single run needs no merging)");
+    } else {
+        println!("\n{}", t.render());
+    }
     let wall = out.passes.iter().map(|p| p.wall).sum::<Duration>();
     let blocks: u64 = out.passes.iter().map(|p| p.blocks_read).sum();
     println!(

@@ -8,6 +8,7 @@
 //! scripting.
 
 use pm_core::{ConfigError, PmError, ScenarioBuilder, SimDuration};
+use pm_engine::{block_bytes, MAX_BLOCK_BYTES};
 use pm_extsort::plan::{
     fan_in_for_passes, plan_merge_tree, predict_plan, MergeTreePlan, PassPrediction, PlanPolicy,
 };
@@ -112,7 +113,7 @@ fn run_lengths(args: &Args, seed: u64) -> Result<Vec<u32>, PmError> {
                 "--records and --memory must be positive".into(),
             ));
         }
-        let rpb: u32 = args.get_parsed("rpb", 40u32)?;
+        let rpb = records_per_block(args, 40)?;
         let formation = RunFormation::parse(args.get("formation").unwrap_or("load-sort"))?;
         let input = generate::uniform(records, seed);
         Ok(run_blocks(&formation.form(&input, memory), rpb))
@@ -126,6 +127,22 @@ fn run_lengths(args: &Args, seed: u64) -> Result<Vec<u32>, PmError> {
         }
         Ok(vec![blocks; k as usize])
     }
+}
+
+/// `--rpb`, the records per on-device block: positive, and small enough
+/// that a block fits the engine's [`MAX_BLOCK_BYTES`], so every block
+/// count derived from it describes blocks `exec` can run.
+pub(crate) fn records_per_block(args: &Args, default: u32) -> Result<u32, PmError> {
+    let rpb: u32 = args.get_parsed("rpb", default)?;
+    if rpb == 0 {
+        return Err(PmError::Usage("--rpb must be positive".into()));
+    }
+    if block_bytes(rpb) > MAX_BLOCK_BYTES {
+        return Err(PmError::Usage(format!(
+            "--rpb {rpb} makes a block over {MAX_BLOCK_BYTES} bytes"
+        )));
+    }
+    Ok(rpb)
 }
 
 /// Each run's length in blocks of `rpb` records (at least one).

@@ -542,3 +542,46 @@ fn an_oversized_block_exits_2() {
         assert!(stderr.contains("a block over 16777216 bytes"), "{stderr}");
     }
 }
+
+/// `--rpb` is checked before any block count is derived from it: zero,
+/// or a block over the engine's cap, is a usage error (exit 2) in `plan`
+/// and in `exec`, never a division by zero or a plan `exec` refuses.
+#[test]
+fn a_bad_records_per_block_exits_2() {
+    let shape = ["--records", "100", "--memory", "10", "--fan-in", "2"];
+    for (cmd, rpb, msg) in [
+        ("plan", "0", "--rpb must be positive"),
+        ("exec", "0", "--rpb must be positive"),
+        ("plan", "4294967295", "a block over 16777216 bytes"),
+    ] {
+        let args = [&[cmd][..], &shape, &["--rpb", rpb]].concat();
+        let out = Command::new(env!("CARGO_BIN_EXE_pmerge"))
+            .args(&args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(msg), "{args:?}: {stderr}");
+    }
+}
+
+/// A one-run `exec` prints the note `plan` prints, not an empty table.
+#[test]
+fn a_one_run_exec_prints_the_note_not_an_empty_table() {
+    let (ok, stdout, stderr) = pmerge(&[
+        "exec",
+        "--records",
+        "100",
+        "--memory",
+        "100",
+        "--fan-in",
+        "2",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("(a single run needs no merging)"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("merged/groups"), "{stdout}");
+    assert!(stdout.contains("0 blocks read across 0 passes"), "{stdout}");
+}

@@ -249,19 +249,23 @@ impl Disk {
     }
 
     fn start_next(&mut self, now: SimTime) -> Option<StartedService> {
-        // Indexed selection: FIFO (the paper's model) never computes a
-        // cylinder, and the reordering disciplines read targets straight
-        // from the queue — no per-completion allocation either way.
-        let geometry = &self.spec.geometry;
-        let queue = &self.queue;
-        let (idx, sweep) = self.discipline.select_indexed(
-            queue.len(),
-            |i| geometry.cylinder_of(queue[i].req.start),
-            self.head,
-            self.sweep,
-        )?;
-        self.sweep = sweep;
-        let queued = self.queue.remove(idx).expect("selected index in range");
+        let queued = if self.discipline == QueueDiscipline::Fifo {
+            // The paper's model: the head of the queue, in O(1).
+            self.queue.pop_front()?
+        } else {
+            // The reordering disciplines read targets straight from the
+            // queue, with no per-completion allocation.
+            let geometry = &self.spec.geometry;
+            let queue = &self.queue;
+            let (idx, sweep) = self.discipline.select_indexed(
+                queue.len(),
+                |i| geometry.cylinder_of(queue[i].req.start),
+                self.head,
+                self.sweep,
+            )?;
+            self.sweep = sweep;
+            self.queue.remove(idx).expect("selected index in range")
+        };
         Some(self.begin_service(now, queued))
     }
 
@@ -504,6 +508,34 @@ mod tests {
         assert_eq!(s2.unwrap().request_id, near);
         let (_, s3) = d.complete(s2.unwrap().completion_at, &mut NullSink);
         assert_eq!(s3.unwrap().request_id, far);
+    }
+
+    #[test]
+    fn fifo_serves_in_submission_order_while_sstf_and_look_reorder() {
+        // The head goes to cylinder 10 (64 blocks per cylinder) while four
+        // requests queue behind it, at cylinders 800, 11, 5 and 400.
+        let order = |discipline| {
+            let mut d = Disk::new(DiskId(0), DiskSpec::paper(), discipline, 3);
+            let (_, first) = d.submit(SimTime::ZERO, req(64 * 10, 1), &mut NullSink);
+            let cylinders = [800, 11, 5, 400];
+            let ids: Vec<RequestId> = cylinders
+                .iter()
+                .map(|&c| d.submit(SimTime::ZERO, req(64 * c, 1), &mut NullSink).0)
+                .collect();
+            let mut served = Vec::new();
+            let mut next = first;
+            while let Some(s) = next {
+                let (done, n) = d.complete(s.completion_at, &mut NullSink);
+                if let Some(i) = ids.iter().position(|&id| id == done.id) {
+                    served.push(cylinders[i]);
+                }
+                next = n;
+            }
+            served
+        };
+        assert_eq!(order(QueueDiscipline::Fifo), [800, 11, 5, 400]);
+        assert_eq!(order(QueueDiscipline::Sstf), [11, 5, 400, 800]);
+        assert_eq!(order(QueueDiscipline::Look), [11, 400, 800, 5]);
     }
 
     #[test]

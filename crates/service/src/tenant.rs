@@ -589,10 +589,11 @@ impl TenantSim {
     }
 }
 
-/// Removes and returns the smallest-keyed event (linear min-scan; the
+/// Removes and returns the smallest-keyed event by a linear min-scan. The
 /// calendar holds at most one completion per disk plus the un-fired
-/// arrivals, so a scan beats a heap at this size — same reasoning as
-/// `pm_sim::EventQueue`'s linear store).
+/// arrivals. Its key orders same-instant events by tenant before
+/// arrival, which `pm_sim::EventQueue`'s `(time, insertion order)` key
+/// cannot express, so it keeps its own store.
 fn pop_min(calendar: &mut Vec<(EvKey, Ev)>) -> Option<(EvKey, Ev)> {
     let mut best = 0;
     for i in 1..calendar.len() {

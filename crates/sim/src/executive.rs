@@ -16,7 +16,7 @@ use crate::{EventQueue, SimDuration, SimTime};
 /// ```
 /// use pm_sim::{Executive, SimDuration};
 ///
-/// #[derive(Debug, PartialEq)]
+/// #[derive(Debug, Clone, Copy, PartialEq)]
 /// enum Ev { Ping, Pong }
 ///
 /// let mut exec = Executive::new();
@@ -33,13 +33,13 @@ pub struct Executive<E> {
     dispatched: u64,
 }
 
-impl<E> Default for Executive<E> {
+impl<E: Copy> Default for Executive<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> Executive<E> {
+impl<E: Copy> Executive<E> {
     /// Creates an executive with the clock at `t = 0`.
     #[must_use]
     pub fn new() -> Self {

@@ -71,59 +71,70 @@ proptest! {
         prop_assert_eq!(sorted, (0..len).collect::<Vec<_>>());
     }
 
-    /// Tournament winner selection is equivalent to a linear min-scan:
-    /// for an arbitrary interleaving of schedules and pops, the
-    /// tournament-backed queue (large capacity), the linear-backed queue
-    /// (small capacity), and a naive reference that scans all pending
-    /// events for the minimum `(time, insertion order)` all pop the same
-    /// winners in the same FIFO-tie-broken order.
+    /// The event queue against a naive reference model: a list of pending
+    /// `(time, insertion order)` pairs whose minimum is found by a full
+    /// scan. Random interleavings of `schedule`, `pop`, `peek_time`, `len`
+    /// and `clear` run on both, with times drawn from a narrow range so
+    /// same-instant ties are common, and with `pop` followed straight by a
+    /// `schedule` (the simulator's re-arm, which overwrites the popped
+    /// root) as an operation of its own.
     #[test]
-    fn tournament_matches_linear_min_scan(
-        ops in prop::collection::vec((0u64..500, 0usize..3), 1..200)
+    fn event_queue_matches_a_naive_min_scan(
+        ops in prop::collection::vec((0u32..40, 0u64..50), 1..400)
     ) {
-        let mut linear = EventQueue::new();
-        let mut tree = EventQueue::with_capacity(256);
-        prop_assert!(!linear.is_tournament());
-        prop_assert!(tree.is_tournament());
-        // Naive reference: all pending events, winner by full min-scan.
+        let mut q: EventQueue<usize> = EventQueue::with_capacity(8);
         let mut reference: Vec<(u64, usize)> = Vec::new();
         let mut next_id = 0usize;
-        let drain = |n: usize,
-                         linear: &mut EventQueue<usize>,
-                         tree: &mut EventQueue<usize>,
-                         reference: &mut Vec<(u64, usize)>|
-         -> Result<(), TestCaseError> {
-            for _ in 0..n {
-                let expect = reference
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &(t, id))| (t, id))
-                    .map(|(i, &(t, id))| (i, t, id));
-                let a = linear.pop();
-                let b = tree.pop();
-                match expect {
-                    None => {
-                        prop_assert!(a.is_none() && b.is_none());
-                    }
-                    Some((i, t, id)) => {
-                        reference.remove(i);
-                        let want = Some((SimTime::from_nanos(t), id));
-                        prop_assert_eq!(a, want, "linear vs min-scan");
-                        prop_assert_eq!(b, want, "tournament vs min-scan");
-                    }
+        let pop_both = |q: &mut EventQueue<usize>, reference: &mut Vec<(u64, usize)>| {
+            let earliest = (0..reference.len()).min_by_key(|&i| reference[i]);
+            let want = earliest
+                .map(|i| reference.remove(i))
+                .map(|(t, id)| (SimTime::from_nanos(t), id));
+            (q.pop(), want)
+        };
+        for &(op, time) in &ops {
+            match op {
+                // schedule
+                0..=15 => {
+                    q.schedule(SimTime::from_nanos(time), next_id);
+                    reference.push((time, next_id));
+                    next_id += 1;
+                }
+                // pop
+                16..=27 => {
+                    let (got, want) = pop_both(&mut q, &mut reference);
+                    prop_assert_eq!(got, want);
+                }
+                // pop, then re-arm at or after the popped instant
+                28..=35 => {
+                    let (got, want) = pop_both(&mut q, &mut reference);
+                    prop_assert_eq!(got, want);
+                    let at = got.map_or(0, |(t, _)| t.as_nanos()) + time;
+                    q.schedule(SimTime::from_nanos(at), next_id);
+                    reference.push((at, next_id));
+                    next_id += 1;
+                }
+                36 => {
+                    let want = reference.iter().map(|&(t, _)| t).min();
+                    prop_assert_eq!(q.peek_time(), want.map(SimTime::from_nanos));
+                }
+                37 | 38 => {
+                    prop_assert_eq!(q.len(), reference.len());
+                    prop_assert_eq!(q.is_empty(), reference.is_empty());
+                }
+                _ => {
+                    q.clear();
+                    reference.clear();
                 }
             }
-            Ok(())
-        };
-        for &(time, pops) in &ops {
-            linear.schedule(SimTime::from_nanos(time), next_id);
-            tree.schedule(SimTime::from_nanos(time), next_id);
-            reference.push((time, next_id));
-            next_id += 1;
-            drain(pops, &mut linear, &mut tree, &mut reference)?;
         }
-        drain(ops.len() + 2, &mut linear, &mut tree, &mut reference)?;
-        prop_assert!(linear.is_empty() && tree.is_empty());
+        while !reference.is_empty() {
+            let (got, want) = pop_both(&mut q, &mut reference);
+            prop_assert_eq!(got, want);
+        }
+        prop_assert!(q.is_empty());
+        prop_assert_eq!(q.pop(), None);
+        prop_assert_eq!(q.peek_time(), None);
     }
 
     /// Time arithmetic round-trips: (t + d) - t == d.
@@ -132,81 +143,5 @@ proptest! {
         let time = SimTime::from_nanos(t);
         let dur = SimDuration::from_nanos(d);
         prop_assert_eq!((time + dur) - time, dur);
-    }
-
-    /// Crossing the 64-slot linear→tournament migration boundary with
-    /// events pending — upward (a schedule triggers the migration) and
-    /// back down (pops drain the migrated store below the threshold,
-    /// interleaved with more schedules) — preserves the exact
-    /// `(time, insertion order)` pop sequence of a naive min-scan.
-    #[test]
-    fn migration_boundary_preserves_pop_order(
-        first_pushes in 70usize..120,
-        phases in prop::collection::vec((0u64..500, 0usize..90, 1usize..90), 2..6)
-    ) {
-        // Occupancy bound that flips the store (events.rs
-        // LINEAR_MAX_SLOTS), pinned by capacity probes below.
-        const BOUNDARY: usize = 64;
-        let small: EventQueue<usize> = EventQueue::with_capacity(BOUNDARY);
-        prop_assert!(!small.is_tournament());
-        let large: EventQueue<usize> = EventQueue::with_capacity(BOUNDARY + 1);
-        prop_assert!(large.is_tournament());
-
-        let mut q: EventQueue<usize> = EventQueue::new();
-        let mut reference: Vec<(u64, usize)> = Vec::new();
-        let mut next_id = 0usize;
-        let mut push = |q: &mut EventQueue<usize>,
-                        reference: &mut Vec<(u64, usize)>,
-                        t: u64| {
-            q.schedule(SimTime::from_nanos(t), next_id);
-            reference.push((t, next_id));
-            next_id += 1;
-        };
-        let pop_and_check = |q: &mut EventQueue<usize>,
-                             reference: &mut Vec<(u64, usize)>|
-         -> Result<(), TestCaseError> {
-            let expect = reference
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &(t, id))| (t, id))
-                .map(|(i, &(t, id))| (i, t, id));
-            match expect {
-                None => prop_assert!(q.pop().is_none()),
-                Some((i, t, id)) => {
-                    reference.remove(i);
-                    prop_assert_eq!(q.pop(), Some((SimTime::from_nanos(t), id)));
-                }
-            }
-            Ok(())
-        };
-
-        // Upward crossing: the first phase pushes straight through the
-        // boundary, migrating linear → tournament with a full store.
-        for j in 0..first_pushes {
-            push(&mut q, &mut reference, (j as u64 * 13) % 251);
-        }
-        prop_assert!(q.is_tournament(), "must have crossed the boundary up");
-
-        for &(base, pushes, pops) in &phases {
-            for j in 0..pushes {
-                push(&mut q, &mut reference, base + (j as u64 * 7) % 97);
-            }
-            for _ in 0..pops {
-                pop_and_check(&mut q, &mut reference)?;
-            }
-        }
-        // Downward crossing: drain the migrated store below the
-        // threshold, then keep scheduling and verify order still holds.
-        while q.len() >= BOUNDARY {
-            pop_and_check(&mut q, &mut reference)?;
-        }
-        for j in 0..8 {
-            push(&mut q, &mut reference, 1000 + j);
-        }
-        while !q.is_empty() {
-            pop_and_check(&mut q, &mut reference)?;
-        }
-        prop_assert!(reference.is_empty());
-        prop_assert!(q.pop().is_none());
     }
 }
