@@ -31,9 +31,13 @@
 //! all-or-nothing only a slim edge (none at `D = 3`); the decisive
 //! advantage the paper's intuition describes — greedy "delays the chances
 //! of returning to a state where all `D` disks can be used concurrently" —
-//! is temporal, and shows up at full strength in the `ablation_admission`
-//! simulation experiment, which models service times and deep (`N > 1`)
-//! prefetches.
+//! would have to be temporal. The `ablation_admission` simulation
+//! experiment (A1), which models service times and deep (`N > 1`)
+//! prefetches, does not show it: greedy is ahead at every cache up to 900
+//! blocks. There the two policies also fall back differently: a rejected
+//! all-or-nothing operation reads only the demand block, while greedy
+//! always reads up to `N` blocks of the demand run and never falls back.
+//! See the T3 note in EXPERIMENTS.md.
 
 use std::collections::HashMap;
 

@@ -120,8 +120,10 @@ formation, so --runs/--blocks/--cpu-ms/--write-*/--trials do not apply):
     --backend <b>       mem | file | file-direct | latency | uring
                         (uring needs --features uring and a kernel with
                         io_uring; falls back to file)   [default: mem]
-    --dir <path>        file backends: device directory (kept); default
-                        is a temp directory removed afterwards
+    --dir <path>        file backends: staging root; each run stages in
+                        its own exec-<pid>-<n> directory there, removes
+                        it, and sweeps any a dead run left; default is a
+                        temp directory removed afterwards
     --records <n>       records to generate and sort     [default: 50000]
     --memory <m>        run-formation memory, in records [default: 5000]
     --formation <f>     load-sort | replacement          [default: load-sort]
@@ -136,8 +138,7 @@ formation, so --runs/--blocks/--cpu-ms/--write-*/--trials do not apply):
     --trace-out <path>  export the engine's event stream
     --trace-format <f>  chrome | csv | gantt             [default: chrome]
     --manifest-out <p>  write a JSONL manifest (kind \"exec\"): one record
-                        single-pass; per-pass records plus a summary when
-                        multi-pass
+                        per merge pass plus a summary of the whole tree
     --tol-exec <f>      latency backend: two-sided tolerance on modeled
                         read time vs the simulator       [default: 0.02]
     --metrics-out <p>   write a metrics export on exit: Prometheus text
@@ -145,7 +146,8 @@ formation, so --runs/--blocks/--cpu-ms/--write-*/--trials do not apply):
     --metrics-interval <ms>  with --metrics-out: also write numbered
                         snapshot files every <ms> milliseconds
     --fan-in <F>        merge at most F runs per group; plans and runs a
-                        multi-pass merge tree when k exceeds F
+                        multi-pass merge tree when k exceeds F (without
+                        --fan-in or --passes: one merge of all k runs)
     --passes <P>        instead of --fan-in: use the smallest fan-in that
                         finishes in P passes
     --plan-policy <p>   greedy-max | balanced            [default: greedy-max]

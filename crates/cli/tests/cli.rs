@@ -585,3 +585,138 @@ fn a_one_run_exec_prints_the_note_not_an_empty_table() {
     assert!(!stdout.contains("merged/groups"), "{stdout}");
     assert!(stdout.contains("0 blocks read across 0 passes"), "{stdout}");
 }
+
+/// A unique path under the system temp dir for one test's file.
+fn temp_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("pmerge-e2e-{tag}-{}", std::process::id()))
+}
+
+/// Reads and removes a manifest `exec` wrote.
+fn read_manifest(path: &std::path::Path) -> Vec<pm_obs::ManifestRecord> {
+    let text = std::fs::read_to_string(path).unwrap();
+    let _ = std::fs::remove_file(path);
+    pm_obs::parse_manifest(&text).unwrap()
+}
+
+/// Without `--fan-in` or `--passes`, `exec` runs a one-pass tree whose one
+/// merge is the user's scenario as given, and writes the same bytes as a
+/// two-pass tree of the same sort.
+#[test]
+fn a_no_flag_exec_runs_the_users_scenario_verbatim() {
+    let manifest = temp_path("verbatim.jsonl");
+    let single = temp_path("verbatim-1.bin");
+    let double = temp_path("verbatim-2.bin");
+    let shape = [
+        "exec",
+        "--records",
+        "6400",
+        "--memory",
+        "100",
+        "--disks",
+        "4",
+        "--n",
+        "2",
+        "--seed",
+        "4242",
+    ];
+    let (ok, stdout, stderr) = pmerge(
+        &[
+            &shape[..],
+            &["--out", single.to_str().unwrap()],
+            &["--manifest-out", manifest.to_str().unwrap()],
+        ]
+        .concat(),
+    );
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("1 passes"), "{stdout}");
+    let records = read_manifest(&manifest);
+    assert_eq!(records.len(), 2, "one pass record and the summary");
+    let pass = &records[0];
+    assert_eq!(pass.pass, Some(1));
+    assert_eq!(pass.scenario.seed, 4242);
+    assert_eq!(pass.scenario.per_run_cap, None);
+    assert_eq!(pass.scenario.strategy.depth(), 2);
+    assert_eq!(pass.scenario.runs, 64);
+    let summary = &records[1];
+    assert_eq!(summary.pass, None);
+    assert_eq!(summary.scenario, pass.scenario);
+    assert_eq!(
+        summary.metrics.mean_success_ratio,
+        pass.metrics.mean_success_ratio
+    );
+    assert!(summary.metrics.mean_success_ratio.is_some());
+
+    let (ok, _, stderr) = pmerge(
+        &[
+            &shape[..],
+            &["--out", double.to_str().unwrap()],
+            &["--fan-in", "8", "--plan-policy", "balanced"],
+        ]
+        .concat(),
+    );
+    assert!(ok, "{stderr}");
+    let (a, b) = (
+        std::fs::read(&single).unwrap(),
+        std::fs::read(&double).unwrap(),
+    );
+    let _ = std::fs::remove_file(single);
+    let _ = std::fs::remove_file(double);
+    assert_eq!(a.len(), 6400 * 16);
+    assert!(a == b, "the two-pass tree wrote other bytes");
+}
+
+/// A multi-pass summary record describes the data, not the fan-in-capped
+/// group: k runs, the longest run's blocks, and the tree's success ratio.
+#[test]
+fn a_multipass_summary_describes_every_run() {
+    let manifest = temp_path("summary.jsonl");
+    let (ok, _, stderr) = pmerge(&[
+        "exec",
+        "--records",
+        "6400",
+        "--memory",
+        "100",
+        "--fan-in",
+        "8",
+        "--manifest-out",
+        manifest.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    let records = read_manifest(&manifest);
+    assert_eq!(records.len(), 3, "two pass records and the summary");
+    let summary = records.last().unwrap();
+    assert!(summary.label.contains("k=64,"), "{}", summary.label);
+    assert_eq!(summary.scenario.runs, 64);
+    // 100 records per run at 40 per block.
+    assert_eq!(summary.scenario.run_blocks, 3);
+    let ratio = summary.metrics.mean_success_ratio.expect("demand ops ran");
+    assert!((0.0..=1.0).contains(&ratio), "{ratio}");
+}
+
+/// A file-backed exec without `--fan-in` stages under `--dir` like any
+/// tree: it sweeps a dead process's staging and leaves none of its own.
+#[test]
+fn a_no_flag_file_exec_sweeps_stale_staging_and_leaves_none() {
+    let root = temp_path("staging");
+    let stale = root.join("exec-999999999-0").join("pass-00");
+    std::fs::create_dir_all(&stale).unwrap();
+    let (ok, stdout, stderr) = pmerge(&[
+        "exec",
+        "--backend",
+        "file",
+        "--dir",
+        root.to_str().unwrap(),
+        "--records",
+        "4000",
+        "--memory",
+        "800",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("verified: 4000 records"), "{stdout}");
+    let left: Vec<_> = std::fs::read_dir(&root)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    let _ = std::fs::remove_dir_all(&root);
+    assert!(left.is_empty(), "staging left under --dir: {left:?}");
+}

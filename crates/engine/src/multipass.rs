@@ -1,12 +1,13 @@
 //! Multi-pass execution: drive a [`MergeTreePlan`] through the engine.
 //!
 //! The single-pass [`MergeEngine`] tops out at the cache's fan-in; this
-//! module walks a planned merge tree pass by pass, deriving each
-//! group's scenario from the shared cache budget
-//! ([`ScenarioBuilder::pass_scenario`]), loading the group's runs onto
-//! a fresh device, executing, and feeding the outputs to the next pass
-//! in group order. Every group is cross-checked against
-//! [`MergeEngine::predict`], so the simulator's per-pass decision
+//! module walks a planned merge tree pass by pass, loading each group's
+//! runs onto a fresh device, executing, and feeding the outputs to the
+//! next pass in group order. A tree of exactly one merge (one pass, one
+//! group) runs the base scenario verbatim; in a larger tree every group
+//! derives its scenario from the shared cache budget
+//! ([`ScenarioBuilder::pass_scenario`]). Every group is cross-checked
+//! against [`MergeEngine::predict`], so the simulator's per-pass decision
 //! parity — the engine's core invariant — holds across the whole tree;
 //! under head-proximity, whose parity is not promised, the pass counts
 //! the requests that matched instead ([`PassOutcome::requests_matched`]).
@@ -78,10 +79,66 @@ pub enum PassBackend {
 }
 
 impl PassBackend {
+    /// The backend `name` selects (`mem`, `file`, `file-direct`,
+    /// `latency` or `uring`, or an alias), with the file-backed families
+    /// staging under `root`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage error naming the valid backends for any other
+    /// name.
+    pub fn parse(name: &str, root: PathBuf) -> Result<Self, PmError> {
+        Ok(match name {
+            "mem" | "memory" => PassBackend::Memory,
+            "file" => PassBackend::File { root },
+            "file-direct" | "direct" => PassBackend::FileDirect { root },
+            "latency" => PassBackend::Latency,
+            "uring" | "io_uring" => PassBackend::Uring { root },
+            other => {
+                return Err(PmError::Usage(format!(
+                    "unknown backend '{other}' (mem | file | file-direct | latency | uring)"
+                )))
+            }
+        })
+    }
+
+    /// The backend's name, as [`PassBackend::parse`] takes it.
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            PassBackend::Memory => "mem",
+            PassBackend::File { .. } => "file",
+            PassBackend::FileDirect { .. } => "file-direct",
+            PassBackend::Latency => "latency",
+            PassBackend::Uring { .. } => "uring",
+        }
+    }
+
+    /// Whether reads bypass the page cache, so blocks must align to
+    /// 512 bytes.
+    #[must_use]
+    pub fn needs_alignment(&self) -> bool {
+        matches!(
+            self,
+            PassBackend::FileDirect { .. } | PassBackend::Uring { .. }
+        )
+    }
+
+    /// The directory the file-backed families stage under; `None` for
+    /// the in-memory ones.
+    #[must_use]
+    pub fn staging_root(&self) -> Option<&Path> {
+        match self {
+            PassBackend::File { root }
+            | PassBackend::FileDirect { root }
+            | PassBackend::Uring { root } => Some(root),
+            PassBackend::Memory | PassBackend::Latency => None,
+        }
+    }
+
     /// Opens a fresh queue of this device family for `engine`, with the
     /// file-backed families' disk files under `dir` (the in-memory ones
-    /// ignore it). Every multi-pass group and single-pass `pmerge exec`
-    /// open their devices here.
+    /// ignore it). Every merged group opens its device here.
     ///
     /// # Errors
     ///
@@ -207,8 +264,9 @@ pub struct PassOutcome {
     pub sim_concurrency: f64,
     /// Simulated read-time-weighted average busy-disk count.
     pub sim_busy_disks: f64,
-    /// The derived scenario of the pass's first merged group, if any —
-    /// representative for reporting.
+    /// The scenario of the pass's first merged group, if any —
+    /// representative for reporting (the base scenario, with the data's
+    /// run count and length, in a tree of one merge).
     pub scenario: Option<MergeConfig>,
 }
 
@@ -346,8 +404,10 @@ pub struct MultiPassExecutor<'p> {
 
 impl<'p> MultiPassExecutor<'p> {
     /// Binds a plan to a base scenario, engine options, and a backend.
-    /// The base scenario's strategy family, cache budget, disks and
-    /// seed drive every derived pass scenario.
+    /// A plan of exactly one merge runs `base` as given (its run count
+    /// and length are the data's); in a larger plan the base scenario's
+    /// strategy family, cache budget, disks and seed drive every derived
+    /// pass scenario.
     #[must_use]
     pub fn new(
         plan: &'p MergeTreePlan,
@@ -408,14 +468,12 @@ impl<'p> MultiPassExecutor<'p> {
         // This invocation's private staging root: stale leftovers are
         // swept first, then every pass stages under a token no
         // concurrent executor shares.
-        let staging = match &self.backend {
-            PassBackend::File { root }
-            | PassBackend::FileDirect { root }
-            | PassBackend::Uring { root } => {
+        let staging = match self.backend.staging_root() {
+            Some(root) => {
                 clean_stale_passes(root)?;
                 Some(root.join(exec_token()))
             }
-            _ => None,
+            None => None,
         };
         let result = self.execute_passes(runs, &mut after_pass, &staging, metrics);
         if result.is_err() {
@@ -543,10 +601,12 @@ impl<'p> MultiPassExecutor<'p> {
     }
 
     /// Merges group `g` of pass `p` on a fresh device of the backend
-    /// family and checks the engine's requests against the simulator's
-    /// replay: a divergence fails the group unless the scenario does not
-    /// promise parity ([`RequestParity::promised`]). Returns the group's
-    /// derived scenario, its execution, the prediction and the parity.
+    /// family, under the base scenario if the plan has no other merge and
+    /// under the group's derived one otherwise, and checks the engine's
+    /// requests against the simulator's replay: a divergence fails the
+    /// group unless the scenario does not promise parity
+    /// ([`RequestParity::promised`]). Returns the group's scenario, its
+    /// execution, the prediction and the parity.
     /// Every event of the merge also goes to `sink` as it happens.
     fn run_group<M: MetricsSink, S: TraceSink>(
         &self,
@@ -557,8 +617,12 @@ impl<'p> MultiPassExecutor<'p> {
         metrics: &M,
         sink: S,
     ) -> Result<(MergeConfig, ExecOutcome, EnginePrediction, RequestParity), PmError> {
-        let cfg =
-            ScenarioBuilder::pass_scenario(&self.base, inputs.len() as u32, p as u32, g as u32)?;
+        let merges: usize = self.plan.passes.iter().map(|p| p.merged_groups()).sum();
+        let cfg = if merges == 1 {
+            self.base
+        } else {
+            ScenarioBuilder::pass_scenario(&self.base, inputs.len() as u32, p as u32, g as u32)?
+        };
         let mut exec = ExecConfig::new(cfg);
         exec.records_per_block = self.opts.records_per_block;
         exec.queue_depth = self.opts.queue_depth;
@@ -772,6 +836,41 @@ mod tests {
             outs.push(exec.run(runs.clone()).unwrap().output);
         }
         assert_eq!(outs[0], outs[1]);
+    }
+
+    /// A tree of one merge runs the base scenario as given: the same
+    /// seed, depth and cap, so the same requests and output as the engine
+    /// run directly.
+    #[test]
+    fn a_one_merge_tree_runs_the_base_scenario_verbatim() {
+        let rpb = 20;
+        let runs = uniform_runs(4, 100);
+        let plan = plan_merge_tree(&[5; 4], 8, PlanPolicy::GreedyMax).unwrap();
+        let base = ScenarioBuilder::new(4, 2)
+            .inter(3)
+            .seed(17)
+            .build()
+            .unwrap();
+        let opts = MultiPassOptions {
+            records_per_block: rpb,
+            ..Default::default()
+        };
+        let exec = MultiPassExecutor::new(&plan, base, opts, PassBackend::Memory);
+        let (cfg, tree, _, _) = exec
+            .run_group(0, 0, runs.clone(), &None, &NullMetrics, NullSink)
+            .unwrap();
+
+        let mut direct = ExecConfig::new(base);
+        direct.records_per_block = rpb;
+        let engine = MergeEngine::new(direct, runs.iter().map(Vec::len).collect()).unwrap();
+        assert_eq!(cfg, *engine.merge_config());
+        let mut queue = PassBackend::Memory
+            .open_queue(&engine, Path::new(""))
+            .unwrap();
+        engine.load(&mut *queue, &runs).unwrap();
+        let alone = engine.execute(queue).unwrap();
+        assert_eq!(tree.requests, alone.requests);
+        assert_eq!(tree.output, alone.output);
     }
 
     #[test]
