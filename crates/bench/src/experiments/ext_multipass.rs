@@ -18,7 +18,10 @@ use pm_sim::SimRng;
 use crate::{Harness, Output};
 
 /// Plans `runs` under `policy` at fan-in cap `f` and returns the tree
-/// with its predicted merge time in seconds.
+/// with its predicted merge time in seconds. The base scenario is the
+/// one-pass merge of every run at the prefetch depth the cache buys: a
+/// tree of one merge runs it as given, and a larger tree derives each
+/// group's scenario from its cache budget, seed and disks.
 fn plan_and_predict(
     runs: &[u32],
     f: u32,
@@ -29,8 +32,8 @@ fn plan_and_predict(
 ) -> Result<(MergeTreePlan, f64), String> {
     let plan = plan_merge_tree(runs, f, policy).map_err(|e| e.to_string())?;
     let k = runs.len() as u32;
-    let base = ScenarioBuilder::new(f.min(k), disks)
-        .inter(1)
+    let base = ScenarioBuilder::new(k, disks)
+        .inter((cache / (4 * k)).max(1))
         .cache_blocks(cache)
         .seed(seed)
         .build()

@@ -94,6 +94,36 @@ pub fn simulate(args: &Args) -> Result<(), PmError> {
     Ok(())
 }
 
+/// Prints one row per disk lane of a folded trace (input lanes, then
+/// output lanes): requests, sequential requests, utilization and mean
+/// queue depth. Prints nothing for a trace without disk events.
+pub(crate) fn print_disk_table(m: &TraceMetrics) {
+    let mut t = Table::new(vec![
+        "disk".into(),
+        "requests".into(),
+        "sequential".into(),
+        "utilization".into(),
+        "mean queue depth".into(),
+    ]);
+    for i in 1..5 {
+        t.set_align(i, Align::Right);
+    }
+    for (side, lanes) in [("input", &m.input_disks), ("output", &m.output_disks)] {
+        for (d, lane) in lanes.iter().enumerate() {
+            t.add_row(vec![
+                format!("{side} {d}"),
+                lane.requests.to_string(),
+                lane.sequential.to_string(),
+                format!("{:.3}", lane.utilization(m.span_end)),
+                format!("{:.2}", lane.mean_queue_depth(m.span_end)),
+            ]);
+        }
+    }
+    if !(m.input_disks.is_empty() && m.output_disks.is_empty()) {
+        println!("{}", t.render());
+    }
+}
+
 /// `pmerge trace`
 pub fn trace(args: &Args) -> Result<(), PmError> {
     let mut allowed = SIM_KEYS.to_vec();
@@ -128,36 +158,7 @@ pub fn trace(args: &Args) -> Result<(), PmError> {
         m.span_end.as_secs_f64(),
         summary.ci_total_secs
     );
-    let mut t = Table::new(vec![
-        "disk".into(),
-        "util".into(),
-        "requests".into(),
-        "sequential".into(),
-        "avg queue".into(),
-    ]);
-    for i in 1..5 {
-        t.set_align(i, Align::Right);
-    }
-    let span_ns = m.span_end.as_nanos() as f64;
-    let lane_row = |t: &mut Table, name: String, lane: &pm_trace::DiskLaneMetrics| {
-        t.add_row(vec![
-            name,
-            format!("{:.2}", lane.utilization(m.span_end)),
-            lane.requests.to_string(),
-            lane.sequential.to_string(),
-            format!(
-                "{:.2}",
-                lane.queue_depth.average_until(span_ns).unwrap_or(0.0)
-            ),
-        ]);
-    };
-    for (d, lane) in m.input_disks.iter().enumerate() {
-        lane_row(&mut t, format!("input {d}"), lane);
-    }
-    for (d, lane) in m.output_disks.iter().enumerate() {
-        lane_row(&mut t, format!("output {d}"), lane);
-    }
-    println!("{}", t.render());
+    print_disk_table(&m);
     println!(
         "demand misses     {} ({} per merged block)",
         m.demand_misses,

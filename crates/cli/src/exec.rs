@@ -48,9 +48,10 @@ use pm_obs::{
     Bound, ManifestRecord, PointMetrics, RecordKind, ResidualCheck, TraceRollup, SCHEMA_VERSION,
 };
 use pm_report::{Align, Table};
+use pm_trace::TraceMetrics;
 
 use crate::args::Args;
-use crate::commands::render_trace;
+use crate::commands::{print_disk_table, render_trace};
 use crate::metrics::MetricsArgs;
 use crate::plan::{fan_in_flags, records_per_block, run_blocks};
 use crate::scenario::{self, ENGINE_KEYS};
@@ -229,8 +230,8 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
         &format!("requests of {merged_total} merged groups"),
     );
     let checks = Checks::new(latency, &out.passes, tol_exec);
-    let rollup = TraceRollup::from_events(&out.events);
-    print_outcome(&out, &checks, &rollup);
+    let traced = TraceMetrics::from_events(&out.events);
+    print_outcome(&out, &checks, &traced);
 
     // Exports.
     if let Some(path) = args.get("out") {
@@ -252,6 +253,7 @@ pub fn exec(args: &Args) -> Result<(), PmError> {
             ..base
         };
         let mut lines = String::new();
+        let rollup = TraceRollup::from_metrics(&traced);
         for record in manifest(label, &scenario, &plan, &out, &checks, rollup) {
             lines.push_str(&record.to_json_line());
             lines.push('\n');
@@ -368,7 +370,7 @@ fn success_ratio(passes: &[PassOutcome]) -> Option<f64> {
 
 /// Prints the tree's costs: the per-pass table, the totals, the
 /// operation mix, the per-disk table and the latency model's verdict.
-fn print_outcome(out: &MultiPassOutcome, checks: &Checks, rollup: &TraceRollup) {
+fn print_outcome(out: &MultiPassOutcome, checks: &Checks, traced: &TraceMetrics) {
     let mut t = Table::new(vec![
         "pass".into(),
         "fan-in".into(),
@@ -427,28 +429,7 @@ fn print_outcome(out: &MultiPassOutcome, checks: &Checks, rollup: &TraceRollup) 
     if let Some(ratio) = success_ratio(&out.passes) {
         println!("success ratio     {ratio:.3}");
     }
-    if !rollup.disks.is_empty() {
-        let mut t = Table::new(vec![
-            "disk".into(),
-            "requests".into(),
-            "sequential".into(),
-            "utilization".into(),
-            "mean queue depth".into(),
-        ]);
-        for i in 1..5 {
-            t.set_align(i, Align::Right);
-        }
-        for (d, disk) in rollup.disks.iter().enumerate() {
-            t.add_row(vec![
-                format!("input {d}"),
-                disk.requests.to_string(),
-                disk.sequential.to_string(),
-                format!("{:.3}", disk.utilization),
-                format!("{:.2}", disk.avg_queue_depth),
-            ]);
-        }
-        println!("{}", t.render());
-    }
+    print_disk_table(traced);
     if let Some(r) = &checks.tree {
         println!(
             "latency model: measured busy {:.3}s vs predicted {:.3}s (ratio {:.4}) -> {}",

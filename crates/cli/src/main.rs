@@ -7,6 +7,23 @@
 //! pmerge sweep    --param n --from 1 --to 30 --runs 25 --disks 5 --strategy inter
 //! ```
 
+/// `println!` for a reader that may stop early (`pmerge exec … | head -1`):
+/// once stdout is closed the rest of the text is dropped, and the command
+/// still runs to the end and writes every file it was asked for. Shadows
+/// the standard macro in every module of this binary, as `print!` does.
+macro_rules! println {
+    ($($arg:tt)*) => {
+        $crate::print_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` with [`println!`]'s treatment of a closed stdout.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::print_out(format_args!($($arg)*))
+    };
+}
+
 mod args;
 mod batch;
 mod commands;
@@ -207,24 +224,19 @@ PLAN OPTIONS (the scenario options as for exec, with the same defaults
     --json              emit the schedule as one JSON object
 ";
 
+/// Writes to stdout, dropping the text once the reader has closed it
+/// (a broken pipe). Any other failure panics, as the standard macros do.
+fn print_out(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        assert!(
+            e.kind() == std::io::ErrorKind::BrokenPipe,
+            "failed printing to stdout: {e}"
+        );
+    }
+}
+
 fn main() {
-    // A reader that stops early (`pmerge plan ... | head`) closes stdout,
-    // and the next `println!` panics with "failed printing to stdout:
-    // Broken pipe". That is the end of the output, not a failure: exit 0
-    // without a message, as other Unix filters do.
-    let report_panic = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let payload = info.payload();
-        let message = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("");
-        if message.starts_with("failed printing to stdout") && message.contains("Broken pipe") {
-            std::process::exit(0);
-        }
-        report_panic(info);
-    }));
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {

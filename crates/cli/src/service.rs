@@ -51,7 +51,7 @@ use pm_service::{
     TenantSimOptions,
 };
 use pm_sim::{derive_seeds, SimDuration};
-use pm_trace::EventKind;
+use pm_trace::TraceMetrics;
 
 use crate::args::Args;
 use crate::metrics::MetricsArgs;
@@ -631,22 +631,46 @@ pub fn serve(args: &Args) -> Result<(), PmError> {
         }
     }
 
+    // Each tenant's service terms and outcome: shared against isolated
+    // wall time, and the mean input queue wait of its shared run's trace.
+    let tenants: Vec<TenantInfo> = jobs
+        .iter()
+        .enumerate()
+        .map(|(t, job)| {
+            let shared_secs = outcomes[t].report.wall.as_secs_f64();
+            let isolated_secs = isolated[t].report.wall.as_secs_f64();
+            TenantInfo {
+                name: job.name.clone(),
+                priority: job.priority,
+                arrival_secs: job.arrival.as_secs_f64(),
+                cache_blocks: grants[t],
+                sched: sched_name.to_string(),
+                cache_policy: cp_name.to_string(),
+                isolated_secs,
+                makespan_secs: shared_secs,
+                queue_wait_secs: TraceMetrics::from_events(&outcomes[t].events)
+                    .mean_input_queue_wait(),
+                slowdown: if isolated_secs > 0.0 {
+                    shared_secs / isolated_secs
+                } else {
+                    f64::NAN
+                },
+            }
+        })
+        .collect();
     // The isolated verification runs above go through the unmetered
     // `execute`, so the export reflects only the shared service.
     if let Some(m) = &metrics {
-        for (t, (shared, alone)) in outcomes.iter().zip(&isolated).enumerate() {
-            let alone_secs = alone.report.wall.as_secs_f64();
-            if alone_secs > 0.0 {
-                m.tenant_slowdown(t, shared.report.wall.as_secs_f64() / alone_secs);
+        for (t, tenant) in tenants.iter().enumerate() {
+            if tenant.isolated_secs > 0.0 {
+                m.tenant_slowdown(t, tenant.slowdown);
             }
         }
     }
 
-    print_serve(&jobs, &grants, &outcomes, &isolated, sched_name, cp_name);
+    print_serve(&tenants, &outcomes, sched_name, cp_name);
     if let Some(path) = args.get("manifest-out") {
-        let records = serve_manifest(
-            &jobs, &grants, &engines, &outcomes, &isolated, sched_name, cp_name, seed,
-        );
+        let records = serve_manifest(&tenants, &engines, &outcomes, seed);
         std::fs::write(path, pm_obs::render_manifest(&records))
             .map_err(|e| PmError::io(format!("cannot write '{path}'"), e))?;
         println!("wrote manifest -> {path} ({} records)", records.len());
@@ -672,52 +696,7 @@ fn load_spec_for_serve(args: &Args) -> Result<ServiceSpec, PmError> {
     load_spec(args)
 }
 
-/// Mean input-request queue wait (submit → service start) in seconds,
-/// from the engine's trace events.
-fn mean_queue_wait_secs(outcome: &ExecOutcome) -> f64 {
-    let mut issued = std::collections::BTreeMap::new();
-    let mut total = 0.0f64;
-    let mut served = 0u64;
-    for ev in &outcome.events {
-        match ev.kind {
-            EventKind::DiskIssue {
-                disk,
-                output: false,
-                span,
-                ..
-            } => {
-                issued.insert((disk, span), ev.at);
-            }
-            EventKind::DiskTransferDone {
-                disk,
-                output: false,
-                span,
-                started,
-                ..
-            } => {
-                if let Some(at) = issued.remove(&(disk, span)) {
-                    total += started.since(at).as_secs_f64();
-                    served += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    if served == 0 {
-        0.0
-    } else {
-        total / served as f64
-    }
-}
-
-fn print_serve(
-    jobs: &[TenantJob],
-    grants: &[u32],
-    outcomes: &[ExecOutcome],
-    isolated: &[ExecOutcome],
-    sched: &str,
-    cache_policy: &str,
-) {
+fn print_serve(tenants: &[TenantInfo], outcomes: &[ExecOutcome], sched: &str, cache_policy: &str) {
     println!("\n=== serve: sched {sched} · cache {cache_policy} ===");
     let mut t = Table::new(
         [
@@ -737,91 +716,60 @@ fn print_serve(
     for i in 1..8 {
         t.set_align(i, Align::Right);
     }
-    for (((job, grant), shared), alone) in jobs.iter().zip(grants).zip(outcomes).zip(isolated) {
-        let shared_ms = shared.report.wall.as_secs_f64() * 1e3;
-        let alone_ms = alone.report.wall.as_secs_f64() * 1e3;
+    for (tenant, shared) in tenants.iter().zip(outcomes) {
         t.add_row(vec![
-            job.name.clone(),
-            job.priority.to_string(),
-            grant.to_string(),
+            tenant.name.clone(),
+            tenant.priority.to_string(),
+            tenant.cache_blocks.to_string(),
             shared.output.len().to_string(),
-            format!("{shared_ms:.2}"),
-            format!("{alone_ms:.2}"),
-            format!(
-                "{:.3}",
-                if alone_ms > 0.0 {
-                    shared_ms / alone_ms
-                } else {
-                    f64::NAN
-                }
-            ),
-            format!("{:.3}", mean_queue_wait_secs(shared) * 1e3),
+            format!("{:.2}", tenant.makespan_secs * 1e3),
+            format!("{:.2}", tenant.isolated_secs * 1e3),
+            format!("{:.3}", tenant.slowdown),
+            format!("{:.3}", tenant.queue_wait_secs * 1e3),
         ]);
     }
     println!("{}", t.render());
 }
 
 /// One `kind: "exec"` record per tenant, tagged with its service terms.
-#[allow(clippy::too_many_arguments)]
 fn serve_manifest(
-    jobs: &[TenantJob],
-    grants: &[u32],
+    tenants: &[TenantInfo],
     engines: &[MergeEngine],
     outcomes: &[ExecOutcome],
-    isolated: &[ExecOutcome],
-    sched: &str,
-    cache_policy: &str,
     master_seed: u64,
 ) -> Vec<ManifestRecord> {
-    jobs.iter()
-        .enumerate()
-        .map(|(t, job)| {
-            let shared = &outcomes[t];
-            let alone = &isolated[t];
-            let cfg = engines[t].merge_config();
-            let shared_secs = shared.report.wall.as_secs_f64();
-            let alone_secs = alone.report.wall.as_secs_f64();
-            ManifestRecord {
-                schema: SCHEMA_VERSION,
-                kind: RecordKind::EngineExec,
-                label: format!("serve: {sched} · {cache_policy} · {}", job.name),
-                pass: None,
-                tenant: Some(TenantInfo {
-                    name: job.name.clone(),
-                    priority: job.priority,
-                    arrival_secs: job.arrival.as_secs_f64(),
-                    cache_blocks: grants[t],
-                    sched: sched.to_string(),
-                    cache_policy: cache_policy.to_string(),
-                    isolated_secs: alone_secs,
-                    makespan_secs: shared_secs,
-                    queue_wait_secs: mean_queue_wait_secs(shared),
-                    slowdown: if alone_secs > 0.0 {
-                        shared_secs / alone_secs
-                    } else {
-                        f64::NAN
-                    },
-                }),
-                sweep: None,
-                x: None,
-                x_label: None,
-                scenario_name: job.name.clone(),
-                scenario: *cfg,
-                master_seed,
-                trials: 1,
-                auto: None,
-                metrics: PointMetrics {
-                    mean_total_secs: shared_secs,
-                    ci_half_width_secs: 0.0,
-                    confidence: 0.95,
-                    mean_concurrency: 0.0,
-                    mean_busy_disks: 0.0,
-                    mean_success_ratio: None,
-                    blocks_merged: shared.requests.iter().map(|d| d.len() as u64).sum(),
-                },
-                analytic: None,
-                trace: None,
-            }
+    tenants
+        .iter()
+        .zip(engines)
+        .zip(outcomes)
+        .map(|((tenant, engine), shared)| ManifestRecord {
+            schema: SCHEMA_VERSION,
+            kind: RecordKind::EngineExec,
+            label: format!(
+                "serve: {} · {} · {}",
+                tenant.sched, tenant.cache_policy, tenant.name
+            ),
+            pass: None,
+            tenant: Some(tenant.clone()),
+            sweep: None,
+            x: None,
+            x_label: None,
+            scenario_name: tenant.name.clone(),
+            scenario: *engine.merge_config(),
+            master_seed,
+            trials: 1,
+            auto: None,
+            metrics: PointMetrics {
+                mean_total_secs: tenant.makespan_secs,
+                ci_half_width_secs: 0.0,
+                confidence: 0.95,
+                mean_concurrency: 0.0,
+                mean_busy_disks: 0.0,
+                mean_success_ratio: None,
+                blocks_merged: shared.requests.iter().map(|d| d.len() as u64).sum(),
+            },
+            analytic: None,
+            trace: None,
         })
         .collect()
 }

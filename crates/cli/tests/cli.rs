@@ -483,6 +483,94 @@ fn a_closed_stdout_ends_pmerge_quietly() {
     }
 }
 
+/// A reader that stops early costs no file a command was asked to write:
+/// `exec`, `serve` and `contend` with a closed stdout still write every
+/// export, and exit 0.
+#[test]
+fn a_closed_stdout_still_writes_every_export() {
+    let dir = temp_path("closed-stdout");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    std::fs::write(
+        file("jobs.json"),
+        r#"{"disks": 3, "cache_blocks": 24000, "tenants": [
+            {"name": "etl", "runs": 6, "run_blocks": 60, "n": 4, "priority": 2,
+             "records": 900, "memory": 160},
+            {"name": "adhoc", "runs": 4, "run_blocks": 50, "strategy": "intra", "n": 3,
+             "arrival_ms": 250, "records": 500, "memory": 140}]}"#,
+    )
+    .unwrap();
+    let exports = |command: &str| -> Vec<(&'static str, &'static str)> {
+        match command {
+            "exec" => vec![
+                ("--out", "u.bin"),
+                ("--manifest-out", "exec.jsonl"),
+                ("--metrics-out", "exec.prom"),
+                ("--trace-out", "exec.json"),
+            ],
+            "serve" => vec![
+                ("--manifest-out", "serve.jsonl"),
+                ("--metrics-out", "serve.prom"),
+            ],
+            _ => vec![
+                ("--csv", "contend.csv"),
+                ("--manifest-out", "contend.jsonl"),
+                ("--metrics-out", "contend.prom"),
+            ],
+        }
+    };
+    for (command, flags) in [
+        (
+            "exec",
+            vec![
+                "--records",
+                "20000",
+                "--memory",
+                "2000",
+                "--disks",
+                "5",
+                "--n",
+                "10",
+            ],
+        ),
+        ("serve", vec!["--scenario-file", "jobs.json"]),
+        (
+            "contend",
+            vec!["--tenants", "2", "--disks", "2", "--cache", "24000"],
+        ),
+    ] {
+        let mut args = vec![command.to_string()];
+        args.extend(flags.iter().map(|f| {
+            if f.ends_with(".json") {
+                file(f)
+            } else {
+                (*f).to_string()
+            }
+        }));
+        for (flag, name) in exports(command) {
+            args.extend([flag.to_string(), file(name)]);
+        }
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pmerge"))
+            .args(&args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        // The reader goes away before pmerge prints anything.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{command}: {stderr}");
+        for (_, name) in exports(command) {
+            let written = std::fs::metadata(file(name)).map_or(0, |m| m.len());
+            assert!(written > 0, "{command} did not write {name}");
+        }
+    }
+    let bytes = std::fs::metadata(file("u.bin")).unwrap().len();
+    assert_eq!(bytes, 20000 * 16, "every record of the sort");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A single input run needs no merge pass: the empty sums print `0`, never
 /// `-0`, and the whole-tree manifest label counts the one input run.
 #[test]

@@ -172,12 +172,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Demand paging only (the default).
-    #[must_use]
-    pub fn no_prefetch(self) -> Self {
-        self.strategy(PrefetchStrategy::None)
-    }
-
     /// Intra-run prefetching with depth `n`.
     #[must_use]
     pub fn intra(self, n: u32) -> Self {

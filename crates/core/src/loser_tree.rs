@@ -100,8 +100,6 @@ impl MergeKey for i32 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LoserTree<T: MergeKey> {
-    /// Real source count.
-    k: usize,
     /// `losers[node]` for internal nodes `1..p`: the source index that lost
     /// the match at `node` (`p` = `keys.len()`, a power of two).
     losers: Vec<u32>,
@@ -135,7 +133,6 @@ impl<T: MergeKey> LoserTree<T> {
             .map(|h| h.map_or(u64::MAX, |t| t.merge_key()))
             .collect();
         let mut tree = LoserTree {
-            k,
             losers: vec![0; p],
             keys,
             items,
@@ -176,12 +173,6 @@ impl<T: MergeKey> LoserTree<T> {
             (Some(_), None) => true,
             (Some(x), Some(y)) => x.cmp(y).then(a.cmp(&b)).is_lt(),
         }
-    }
-
-    /// Number of real sources.
-    #[must_use]
-    pub fn num_sources(&self) -> usize {
-        self.k
     }
 
     /// The current winning source and its item; `None` when every source is

@@ -67,20 +67,6 @@ impl MergeReport {
         self.total.as_millis_f64() / self.blocks_merged as f64
     }
 
-    /// Utilization of disk `i` (busy time / total time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn disk_utilization(&self, i: usize) -> f64 {
-        if self.total.is_zero() {
-            0.0
-        } else {
-            self.per_disk_busy[i].as_secs_f64() / self.total.as_secs_f64()
-        }
-    }
-
     /// Fraction of total time the CPU was stalled on I/O.
     #[must_use]
     pub fn stall_fraction(&self) -> f64 {
@@ -125,7 +111,6 @@ mod tests {
         let r = report();
         assert_eq!(r.total_secs(), 10.0);
         assert_eq!(r.tau_ms(), 10.0);
-        assert_eq!(r.disk_utilization(0), 0.5);
         assert_eq!(r.stall_fraction(), 0.9);
     }
 
@@ -133,7 +118,6 @@ mod tests {
     fn zero_total_is_benign() {
         let mut r = report();
         r.total = SimDuration::ZERO;
-        assert_eq!(r.disk_utilization(0), 0.0);
         assert_eq!(r.stall_fraction(), 0.0);
     }
 }

@@ -88,6 +88,11 @@ impl Deref for EngineTrace {
                         let mut events = record.derive();
                         for event in &mut events {
                             event.at += *offset;
+                            if let EventKind::DiskSeekDone { started, .. }
+                            | EventKind::DiskTransferDone { started, .. } = &mut event.kind
+                            {
+                                *started += *offset;
+                            }
                         }
                         if out.is_empty() {
                             out = events;

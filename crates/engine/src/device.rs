@@ -269,12 +269,6 @@ impl FileDevice {
         ))
     }
 
-    /// Whether reads bypass the page cache.
-    #[must_use]
-    pub fn is_direct(&self) -> bool {
-        self.direct.is_some()
-    }
-
     /// The backing file of `disk`.
     #[must_use]
     pub fn path(&self, disk: DiskId) -> &Path {

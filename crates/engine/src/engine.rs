@@ -532,7 +532,9 @@ struct ExecState<'a, M: MetricsSink, S: TraceSink> {
     pending: VecDeque<IoCompletion>,
     /// Scratch buffer for [`IoQueue::complete`].
     reap_buf: Vec<IoCompletion>,
-    /// In-flight requests per disk (queue-depth gauge).
+    /// Outstanding requests per disk: submitted, not yet taken by the
+    /// merge. The `disk_queue_depth` gauge of a metered merge on disks of
+    /// its own (not [`IoQueue::shared`]).
     inflight: Vec<u64>,
     /// Per disk, whether each issued read (by span) has arrived.
     arrived: Vec<Vec<bool>>,
@@ -741,7 +743,9 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
             for (d, n) in self.batch.iter_mut().enumerate() {
                 if *n > 0 {
                     self.metrics.io_submit_batch(d, *n);
-                    self.metrics.disk_queue_depth(d, self.inflight[d] as f64);
+                    if !self.port.shared() {
+                        self.metrics.disk_queue_depth(d, self.inflight[d] as f64);
+                    }
                     *n = 0;
                 }
             }
@@ -826,7 +830,7 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         };
         *landed = true;
         self.inflight[d] -= 1;
-        if M::ENABLED {
+        if M::ENABLED && !self.port.shared() {
             self.metrics.disk_queue_depth(d, self.inflight[d] as f64);
         }
         let data = completion.data.map_err(|e| {

@@ -160,6 +160,13 @@ pub trait IoQueue: Send {
         0
     }
 
+    /// Whether other jobs share this queue's disks (a
+    /// [`crate::SharedPort`]); their owner, not the merge, then reports
+    /// the disks' outstanding requests. A wrapper should forward it.
+    fn shared(&self) -> bool {
+        false
+    }
+
     /// Writes `data` — one or more whole blocks — at consecutive
     /// addresses from `start` on `disk` (setup only: most backends
     /// reject writes after [`IoQueue::open`]).

@@ -5,8 +5,9 @@
 //! runs onto a fresh device, executing, and feeding the outputs to the
 //! next pass in group order. A tree of exactly one merge (one pass, one
 //! group) runs the base scenario verbatim; in a larger tree every group
-//! derives its scenario from the shared cache budget
-//! ([`ScenarioBuilder::pass_scenario`]). Every group is cross-checked
+//! derives its scenario from the shared cache budget. Both follow
+//! [`MergeTreePlan::group_scenario`], the rule the plan's prediction
+//! uses too. Every group is cross-checked
 //! against [`MergeEngine::predict`], so the simulator's per-pass decision
 //! parity — the engine's core invariant — holds across the whole tree;
 //! under head-proximity, whose parity is not promised, the pass counts
@@ -601,8 +602,7 @@ impl<'p> MultiPassExecutor<'p> {
     }
 
     /// Merges group `g` of pass `p` on a fresh device of the backend
-    /// family, under the base scenario if the plan has no other merge and
-    /// under the group's derived one otherwise, and checks the engine's
+    /// family, under [`MergeTreePlan::group_scenario`], and checks the engine's
     /// requests against the simulator's replay: a divergence fails the
     /// group unless the scenario does not promise parity
     /// ([`RequestParity::promised`]). Returns the group's scenario, its
@@ -617,12 +617,7 @@ impl<'p> MultiPassExecutor<'p> {
         metrics: &M,
         sink: S,
     ) -> Result<(MergeConfig, ExecOutcome, EnginePrediction, RequestParity), PmError> {
-        let merges: usize = self.plan.passes.iter().map(|p| p.merged_groups()).sum();
-        let cfg = if merges == 1 {
-            self.base
-        } else {
-            ScenarioBuilder::pass_scenario(&self.base, inputs.len() as u32, p as u32, g as u32)?
-        };
+        let cfg = self.plan.group_scenario(&self.base, p, g)?;
         let mut exec = ExecConfig::new(cfg);
         exec.records_per_block = self.opts.records_per_block;
         exec.queue_depth = self.opts.queue_depth;
@@ -715,6 +710,21 @@ mod tests {
         assert_eq!(boundaries, vec![0, 1]);
     }
 
+    /// `ev` moved `by` later: its stamp, and a completion's service
+    /// start with it.
+    fn shifted(ev: &TraceEvent, by: SimDuration) -> TraceEvent {
+        let mut kind = ev.kind;
+        if let EventKind::DiskSeekDone { started, .. }
+        | EventKind::DiskTransferDone { started, .. } = &mut kind
+        {
+            *started += by;
+        }
+        TraceEvent {
+            at: ev.at + by,
+            kind,
+        }
+    }
+
     /// The tree's stream, joined from its segments, must equal the one
     /// built the old way on the same run: each group's events as recorded
     /// when they happen, shifted onto a pass-local axis, then each pass
@@ -778,17 +788,11 @@ mod tests {
             let mut pass_elapsed = SimDuration::ZERO;
             let mut pass_wall = Duration::ZERO;
             for (_, events, wall) in groups {
-                pass_events.extend(events.iter().map(|ev| TraceEvent {
-                    at: ev.at + pass_elapsed,
-                    kind: ev.kind,
-                }));
+                pass_events.extend(events.iter().map(|ev| shifted(ev, pass_elapsed)));
                 pass_elapsed += wall_as_sim(*wall);
                 pass_wall += *wall;
             }
-            old.extend(pass_events.iter().map(|ev| TraceEvent {
-                at: ev.at + tree_offset,
-                kind: ev.kind,
-            }));
+            old.extend(pass_events.iter().map(|ev| shifted(ev, tree_offset)));
             tree_offset += wall_as_sim(pass_wall);
         }
 

@@ -65,6 +65,8 @@ struct DiskQueue {
     entries: Vec<Entry>,
     ios: Vec<PendingIo>,
     closed: bool,
+    /// Requests on this disk from every job: queued plus in service.
+    outstanding: usize,
 }
 
 struct SharedInner {
@@ -74,8 +76,8 @@ struct SharedInner {
     sched: Mutex<Box<dyn IoSched>>,
     /// Global enqueue sequence across all disks and jobs.
     seq: AtomicU64,
-    /// Optional metrics sink: disk workers sample per-disk queue depth
-    /// and per-tenant WFQ virtual-time lag at every dispatch. Concrete
+    /// Optional metrics sink for per-disk outstanding requests and WFQ
+    /// lag (see [`SharedDeviceSet::start`]). Concrete
     /// ([`StackMetrics`], not the [`MetricsSink`] trait) because worker
     /// threads need a shared owned handle and the trait's associated
     /// const makes it non-dyn-compatible.
@@ -100,10 +102,10 @@ impl SharedDeviceSet {
     /// `tenants` caps how many ports should be handed out).
     ///
     /// `time_scale` scales injected latency exactly as the per-run pool
-    /// does. With a `metrics` sink, every dispatch samples the disk's
-    /// remaining queue depth (`pm_disk_queue_depth`) and, under a WFQ
-    /// scheduler, the served tenant's virtual-time lag
-    /// (`pm_tenant_wfq_lag_ticks`).
+    /// does. With a `metrics` sink the set writes each disk's
+    /// `pm_disk_queue_depth` (every job's requests there, queued plus in
+    /// service) and, under a WFQ scheduler, every dispatch samples the
+    /// served tenant's virtual-time lag (`pm_tenant_wfq_lag_ticks`).
     #[must_use]
     pub fn start(
         disks: usize,
@@ -152,12 +154,6 @@ impl SharedDeviceSet {
             weight: weight.max(1),
             spare: Vec::new(),
         }
-    }
-
-    /// Tenant id the next [`SharedDeviceSet::port`] call will assign.
-    #[must_use]
-    pub fn next_tenant(&self) -> u16 {
-        self.jobs
     }
 
     /// Closes every disk queue and joins the workers. Requests already
@@ -214,6 +210,10 @@ impl SharedPort {
             buf: self.spare.pop(),
         });
         q.ios.push(io);
+        q.outstanding += 1;
+        if let Some(m) = &self.inner.metrics {
+            m.disk_queue_depth(d, q.outstanding as f64);
+        }
         self.inner
             .sched
             .lock()
@@ -245,6 +245,10 @@ impl IoQueue for SharedPort {
     /// The dense tenant index the set assigned this port.
     fn tenant(&self) -> u16 {
         self.tenant as u16
+    }
+
+    fn shared(&self) -> bool {
+        true
     }
 
     fn write_block(&mut self, _disk: DiskId, _start: BlockAddr, _data: &[u8]) -> io::Result<()> {
@@ -315,9 +319,6 @@ fn disk_worker(inner: &SharedInner, d: usize, time_scale: f64, epoch: Instant) {
             }
             drop(sched);
             q.ios.swap_remove(idx);
-            if let Some(m) = &inner.metrics {
-                m.disk_queue_depth(d, q.ios.len() as f64);
-            }
             q.entries.swap_remove(idx)
         };
         let entry = guard.in_service.insert(entry);
@@ -330,6 +331,13 @@ fn disk_worker(inner: &SharedInner, d: usize, time_scale: f64, epoch: Instant) {
             time_scale,
             epoch,
         );
+        // The request leaves the count before its job can see it done.
+        let mut q = queue.lock().expect("shared queue poisoned");
+        q.outstanding -= 1;
+        if let Some(m) = &inner.metrics {
+            m.disk_queue_depth(d, q.outstanding as f64);
+        }
+        drop(q);
         entry.done.push([completion]);
         guard.in_service = None;
     }

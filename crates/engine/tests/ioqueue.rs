@@ -189,6 +189,10 @@ impl<Q: IoQueue> IoQueue for NoRecycle<Q> {
         self.0.tenant()
     }
 
+    fn shared(&self) -> bool {
+        self.0.shared()
+    }
+
     fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
         self.0.write_block(disk, start, data)
     }

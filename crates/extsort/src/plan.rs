@@ -4,8 +4,9 @@
 //! sustain (bounded by the cache, since each input run needs buffers),
 //! the merge proceeds in passes, each combining up to `F` runs into one
 //! longer run. Every group names *which* runs it consumes, outputs feed
-//! the next pass in a deterministic order, and each pass gets a concrete
-//! scenario (depth, cap, seed) derived from the shared cache budget, so
+//! the next pass in a deterministic order, and each group of a tree of
+//! two or more merges gets a concrete scenario (depth, cap, seed) derived
+//! from the shared cache budget (a single merge keeps its base), so
 //! one plan serves the simulator's prediction ([`predict_plan`]), the
 //! engine's executor and the `ext_multipass` fan-in sweep alike.
 //!
@@ -135,6 +136,27 @@ impl MergeTreePlan {
     pub fn total_blocks_read(&self) -> u64 {
         self.passes.iter().map(|p| p.blocks_read).sum()
     }
+
+    /// The scenario group `group` of pass `pass` merges under, for
+    /// [`predict_plan`] and the engine's executor alike: `base` as given
+    /// in a tree of one merge, else [`ScenarioBuilder::pass_scenario`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmError::Config`] if the derived scenario is invalid.
+    pub fn group_scenario(
+        &self,
+        base: &MergeConfig,
+        pass: usize,
+        group: usize,
+    ) -> Result<MergeConfig, PmError> {
+        let merges: usize = self.passes.iter().map(PlanPass::merged_groups).sum();
+        if merges == 1 {
+            return Ok(*base);
+        }
+        let runs = self.passes[pass].groups[group].len as u32;
+        ScenarioBuilder::pass_scenario(base, runs, pass as u32, group as u32)
+    }
 }
 
 /// Minimum number of `fan_in`-way passes needed to reduce `k` runs to
@@ -256,8 +278,8 @@ pub struct PassPrediction {
 }
 
 /// Predicts every pass of `plan` by running the merge-phase simulator
-/// on each merged group under its derived scenario (see
-/// [`ScenarioBuilder::pass_scenario`]) with uniform depletion, summing
+/// on each merged group under its scenario
+/// ([`MergeTreePlan::group_scenario`]) with uniform depletion, summing
 /// group read times per pass.
 ///
 /// # Errors
@@ -279,8 +301,7 @@ pub fn predict_plan(
                     continue;
                 }
                 let lens = pass.group_lengths(g);
-                let cfg =
-                    ScenarioBuilder::pass_scenario(base, group.len as u32, p as u32, g as u32)?;
+                let cfg = plan.group_scenario(base, p, g)?;
                 let report = MergeSim::with_run_lengths(cfg, lens)
                     .map_err(PmError::Config)?
                     .run(&mut UniformDepletion);
@@ -390,6 +411,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_one_merge_plan_predicts_its_base_scenario() {
+        let base = ScenarioBuilder::new(8, 2)
+            .run_blocks(10)
+            .inter(2)
+            .seed(7)
+            .build()
+            .unwrap();
+        let plan = plan_merge_tree(&[10u32; 8], 8, PlanPolicy::GreedyMax).unwrap();
+        assert_eq!(plan.group_scenario(&base, 0, 0).unwrap(), base);
+        let pred = predict_plan(&plan, &base).unwrap();
+        let alone = MergeSim::with_run_lengths(base, &[10u32; 8])
+            .unwrap()
+            .run(&mut UniformDepletion);
+        assert_eq!(pred[0].read_time, alone.total);
+        // Two merges or more derive each group's scenario.
+        let plan = plan_merge_tree(&[10u32; 9], 8, PlanPolicy::GreedyMax).unwrap();
+        assert_eq!(
+            plan.group_scenario(&base, 0, 0).unwrap(),
+            ScenarioBuilder::pass_scenario(&base, 8, 0, 0).unwrap()
+        );
     }
 
     #[test]

@@ -31,8 +31,9 @@ pub trait MetricsSink: Send + Sync {
         let _ = (disk, bytes, queue_wait_secs, service_secs);
     }
 
-    /// Outstanding-request depth on `disk`, sampled at a queue
-    /// transition.
+    /// Outstanding requests on `disk` (queued plus in service), set
+    /// whenever the count changes. Each disk has one writer: the merge
+    /// that owns it, or the shared set or replay that sees every job.
     fn disk_queue_depth(&self, disk: usize, depth: f64) {
         let _ = (disk, depth);
     }

@@ -110,7 +110,7 @@ impl StackMetrics {
         );
         registry.register(
             "pm_disk_queue_depth",
-            "Outstanding requests per disk, sampled at queue transitions.",
+            "Outstanding requests per disk (queued plus in service), set when the count changes.",
             Arc::clone(&depth),
         );
         registry.register(

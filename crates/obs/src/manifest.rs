@@ -21,7 +21,7 @@
 
 use pm_core::{
     AdmissionPolicy, DataLayout, DiskSpec, MergeConfig, PmError, PrefetchChoice, PrefetchStrategy,
-    QueueDiscipline, SimDuration, SyncMode, TraceEvent, WriteSpec,
+    QueueDiscipline, SimDuration, SyncMode, WriteSpec,
 };
 use pm_trace::TraceMetrics;
 
@@ -124,11 +124,9 @@ pub struct TraceRollup {
 }
 
 impl TraceRollup {
-    /// Rolls up the input disks of a recorded event stream.
+    /// The input-disk readings of a folded trace.
     #[must_use]
-    pub fn from_events(events: &[TraceEvent]) -> Self {
-        let m = TraceMetrics::from_events(events);
-        let span_ns = m.span_end.as_nanos() as f64;
+    pub fn from_metrics(m: &TraceMetrics) -> Self {
         let disks = m
             .input_disks
             .iter()
@@ -136,7 +134,7 @@ impl TraceRollup {
                 utilization: lane.utilization(m.span_end),
                 requests: lane.requests,
                 sequential: lane.sequential,
-                avg_queue_depth: lane.queue_depth.average_until(span_ns).unwrap_or(0.0),
+                avg_queue_depth: lane.mean_queue_depth(m.span_end),
             })
             .collect();
         TraceRollup { disks }

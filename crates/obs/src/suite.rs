@@ -10,6 +10,7 @@
 
 use pm_analysis::predict::PredictionKind;
 use pm_core::{run_trials_traced, MergeConfig, PmError, TrialSummary};
+use pm_trace::TraceMetrics;
 use pm_workload::paper::{fig2_panel, t1_cases, t2_cases, Fig2Panel};
 
 use crate::convergence::{run_trials_converged, TrialsMode};
@@ -158,7 +159,9 @@ fn residual_for(
 
 fn trace_rollup(cfg: &MergeConfig) -> Result<TraceRollup, PmError> {
     let (_, sink) = run_trials_traced(cfg, 1, 1, None)?;
-    Ok(TraceRollup::from_events(&sink.events()))
+    Ok(TraceRollup::from_metrics(&TraceMetrics::from_events(
+        &sink.events(),
+    )))
 }
 
 /// Runs one point and produces its manifest record.

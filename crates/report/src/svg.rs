@@ -71,17 +71,6 @@ impl SvgPlot {
         }
     }
 
-    /// Sets the pixel dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is below 160 (no room for margins).
-    pub fn set_size(&mut self, width: u32, height: u32) {
-        assert!(width >= 160 && height >= 160, "chart too small to label");
-        self.width = f64::from(width);
-        self.height = f64::from(height);
-    }
-
     /// Adds a line series without error bars.
     pub fn add_series(&mut self, label: impl Into<String>, points: Vec<(f64, f64)>) {
         self.series.push(Series {

@@ -197,6 +197,8 @@ pub struct TenantSim {
     pending_lane: Vec<Vec<u32>>,
     /// Per-disk dispatched request: (lane, completion cost), if any.
     in_service: Vec<Option<u32>>,
+    /// Per-disk requests of every lane, queued plus in service.
+    outstanding: Vec<u32>,
     /// The event calendar: flat min-scan on the (time, tenant, seq) key.
     calendar: Vec<(EvKey, Ev)>,
     // --- per-tenant replay accumulators ---
@@ -218,6 +220,7 @@ impl TenantSim {
             pending: Vec::new(),
             pending_lane: Vec::new(),
             in_service: Vec::new(),
+            outstanding: Vec::new(),
             calendar: Vec::new(),
             finish: Vec::new(),
             open_lanes: Vec::new(),
@@ -232,8 +235,9 @@ impl TenantSim {
     ///
     /// Live metrics go to `metrics`: cache grants, per-trial
     /// isolated-profile counters, per-dispatch disk/tenant observations
-    /// from the *contended* replay (the isolated baselines stay silent),
-    /// WFQ virtual-time lag samples, and final slowdowns. Recording is
+    /// and per-disk outstanding requests from the *contended* replay (the
+    /// isolated baselines stay silent), WFQ virtual-time lag samples,
+    /// and final slowdowns. Recording is
     /// observational — the returned report is bit-identical under
     /// [`NullMetrics`], which records nothing, and because the replay is
     /// sequential and counter aggregation commutes, the recorded totals
@@ -365,6 +369,7 @@ impl TenantSim {
             self.pending_lane[d].reserve(n);
         }
         self.in_service.resize(disks, None);
+        self.outstanding.resize(disks, 0);
         self.calendar
             .reserve((n + disks).saturating_sub(self.calendar.capacity()));
         self.finish.resize(n, 0);
@@ -458,6 +463,7 @@ impl TenantSim {
             self.pending[d].clear();
             self.pending_lane[d].clear();
             self.in_service[d] = None;
+            self.outstanding[d] = 0;
         }
         self.calendar.clear();
         let mut seq = 0u64;
@@ -482,7 +488,7 @@ impl TenantSim {
                         continue;
                     }
                     for l in start..end {
-                        self.enqueue_batch(l, now, &mut seq, sched);
+                        self.enqueue_batch(l, now, &mut seq, sched, metrics);
                     }
                     for l in start..end {
                         self.try_start(self.lanes[l].disk as usize, now, &mut seq, sched, metrics);
@@ -496,8 +502,12 @@ impl TenantSim {
                     let t = self.lanes[l].tenant as usize;
                     let run = &mut self.lane_run[l];
                     run.outstanding -= 1;
+                    self.outstanding[d] -= 1;
+                    if M::ENABLED {
+                        metrics.disk_queue_depth(d, f64::from(self.outstanding[d]));
+                    }
                     if run.queued == 0 && run.to_issue > 0 {
-                        self.enqueue_batch(l, now, &mut seq, sched);
+                        self.enqueue_batch(l, now, &mut seq, sched, metrics);
                     } else if run.queued == 0 && run.outstanding == 0 && run.to_issue == 0 {
                         self.open_lanes[t] -= 1;
                         if self.open_lanes[t] == 0 {
@@ -512,7 +522,14 @@ impl TenantSim {
 
     /// Opens lane `l`'s next batch: one pending entry covering
     /// `min(batch, to_issue)` requests, timestamped now.
-    fn enqueue_batch(&mut self, l: usize, now: u64, seq: &mut u64, sched: &mut dyn IoSched) {
+    fn enqueue_batch<M: MetricsSink>(
+        &mut self,
+        l: usize,
+        now: u64,
+        seq: &mut u64,
+        sched: &mut dyn IoSched,
+        metrics: &M,
+    ) {
         let lane = self.lanes[l];
         let run = &mut self.lane_run[l];
         debug_assert_eq!(run.queued, 0);
@@ -535,6 +552,11 @@ impl TenantSim {
         *seq += 1;
         for _ in 0..cnt {
             sched.enqueued(lane.disk as usize, &io);
+        }
+        let d = lane.disk as usize;
+        self.outstanding[d] += cnt as u32;
+        if M::ENABLED {
+            metrics.disk_queue_depth(d, f64::from(self.outstanding[d]));
         }
     }
 
@@ -571,7 +593,6 @@ impl TenantSim {
             if let Some(lag) = sched.vtime_lag(d, t) {
                 metrics.wfq_lag(t, lag);
             }
-            metrics.disk_queue_depth(d, self.pending[d].len() as f64);
         }
         if run.queued == 0 {
             // The batch's last request left the queue: drop the entry.
@@ -655,6 +676,58 @@ mod tests {
             assert!(t.requests > 0);
         }
         assert!(report.fairness() >= 1.0);
+    }
+
+    /// Every `disk_queue_depth` reading, and every dispatch (`None`), in
+    /// order, with its disk.
+    #[derive(Default)]
+    struct DepthLog(std::sync::Mutex<Vec<(usize, Option<f64>)>>);
+
+    impl MetricsSink for DepthLog {
+        fn disk_io(&self, disk: usize, _bytes: u64, _wait: f64, _service: f64) {
+            self.0.lock().unwrap().push((disk, None));
+        }
+
+        fn disk_queue_depth(&self, disk: usize, depth: f64) {
+            self.0.lock().unwrap().push((disk, Some(depth)));
+        }
+    }
+
+    #[test]
+    fn the_contended_replay_reports_each_disks_outstanding_requests() {
+        // Batches of 4 requests: a pending entry is not a request.
+        let jobs = vec![job("a", 8, 4, 4, 0, 1), job("b", 6, 3, 4, 1, 1)];
+        let log = DepthLog::default();
+        TenantSim::new(shared())
+            .run(
+                &jobs,
+                &StaticPartition,
+                &mut Fifo,
+                42,
+                &TenantSimOptions::default(),
+                &log,
+            )
+            .unwrap();
+        let log = log.0.into_inner().unwrap();
+        for d in 0..4 {
+            let dispatched = log.iter().filter(|&&(e, r)| e == d && r.is_none()).count();
+            assert!(dispatched > 0, "disk {d} served nothing");
+            // Each reading rises by an enqueued batch's requests or falls
+            // by one completed request, and ends at 0.
+            let (mut depth, mut enqueued, mut completed) = (0.0, 0usize, 0usize);
+            for &(_, next) in log.iter().filter(|&&(e, r)| e == d && r.is_some()) {
+                let next = next.unwrap();
+                if next > depth {
+                    enqueued += (next - depth) as usize;
+                } else {
+                    assert_eq!(next, depth - 1.0, "disk {d}: a completion steps by one");
+                    completed += 1;
+                }
+                depth = next;
+            }
+            assert_eq!(depth, 0.0, "disk {d}");
+            assert_eq!((enqueued, completed), (dispatched, dispatched), "disk {d}");
+        }
     }
 
     #[test]

@@ -96,12 +96,6 @@ impl TimeWeighted {
     pub fn current(&self) -> f64 {
         self.last_value
     }
-
-    /// Time of the first recording, if any.
-    #[must_use]
-    pub fn start_time(&self) -> Option<f64> {
-        self.start
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use pm_sim::SimTime;
 
-use crate::{EventKind, TraceEvent};
+use crate::{DiskLaneMetrics, EventKind, TraceEvent};
 
 const MERGE_PID: u32 = 1;
 const INPUT_PID_BASE: u32 = 100;
@@ -89,17 +89,19 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         }
     }
 
-    // Span bookkeeping: issue and seek-done instants by (pid, span).
-    let mut issued: HashMap<(u32, u64), SimTime> = HashMap::new();
+    // Span bookkeeping: each disk's lane pairs a completion with its
+    // issue; seek-done instants by (pid, span).
+    let mut lanes: HashMap<u32, DiskLaneMetrics> = HashMap::new();
     let mut positioned: HashMap<(u32, u64), SimTime> = HashMap::new();
 
     for ev in events {
         match ev.kind {
             EventKind::DiskIssue {
                 disk, output, span, ..
-            } => {
-                issued.insert((pid_of(disk, output), span), ev.at);
-            }
+            } => lanes
+                .entry(pid_of(disk, output))
+                .or_default()
+                .issue(ev.at, span),
             EventKind::DiskSeekDone {
                 disk, output, span, ..
             } => {
@@ -120,7 +122,11 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                     Some(r) => format!("r{r}/b{block}"),
                     None => format!("out b{block}"),
                 };
-                if let Some(at) = issued.remove(&(pid, span)) {
+                let issued = lanes
+                    .entry(pid)
+                    .or_default()
+                    .complete(ev.at, span, started, sequential);
+                if let Some(at) = issued {
                     if started > at {
                         push(
                             &mut out,

@@ -19,9 +19,9 @@
 //!
 //! From one recorded event stream you can then derive:
 //!
-//! * [`TraceMetrics`] — per-disk utilization, queue depth over time
-//!   (`pm-stats` [`pm_stats::TimeWeighted`]), and demand-miss /
-//!   admission-reject rates;
+//! * [`TraceMetrics`] — one [`DiskLaneMetrics`] per disk (utilization,
+//!   queue depth over time via `pm-stats` [`pm_stats::TimeWeighted`],
+//!   queue wait), and demand-miss / admission-reject rates;
 //! * [`export::chrome_trace_json`] — a Chrome `chrome://tracing` /
 //!   Perfetto-loadable JSON trace with one "process" per disk and one
 //!   thread lane per request phase (queue, position, transfer);

@@ -1,12 +1,16 @@
 //! Metrics aggregation over a recorded event stream.
 
+use std::collections::HashMap;
+
 use pm_sim::{SimDuration, SimTime};
 use pm_stats::{Counter, TimeWeighted};
 
 use crate::{EventKind, TraceEvent};
 
-/// Per-disk aggregates derived from one event stream.
-#[derive(Debug, Clone)]
+/// One disk's figures, folded from its [`EventKind::DiskIssue`] and
+/// [`EventKind::DiskTransferDone`] events: the one place a trace's
+/// per-disk figures are computed.
+#[derive(Debug, Clone, Default)]
 pub struct DiskLaneMetrics {
     /// Total service (busy) time.
     pub busy: SimDuration,
@@ -17,16 +21,46 @@ pub struct DiskLaneMetrics {
     /// Outstanding-request count over time (queued + in service),
     /// stepped at every issue and completion.
     pub queue_depth: TimeWeighted,
+    /// Summed wait from issue to service start of the paired requests.
+    pub queue_wait: SimDuration,
+    /// Requests paired with their issue (its `(disk, span)`).
+    pub waited: u64,
+    /// Requests issued and not yet completed.
+    outstanding: u32,
+    /// Issue instant of each outstanding request, by span; removed at
+    /// completion, so a span a later merge group reuses pairs afresh.
+    issued: HashMap<u64, SimTime>,
 }
 
 impl DiskLaneMetrics {
-    fn new() -> Self {
-        DiskLaneMetrics {
-            busy: SimDuration::ZERO,
-            requests: 0,
-            sequential: 0,
-            queue_depth: TimeWeighted::new(),
-        }
+    /// Folds in the issue of read `span` at `at`.
+    pub fn issue(&mut self, at: SimTime, span: u64) {
+        self.outstanding += 1;
+        self.queue_depth
+            .record(at.as_nanos() as f64, f64::from(self.outstanding));
+        self.issued.insert(span, at);
+    }
+
+    /// Folds in the completion at `at` of read `span`, in service since
+    /// `started`; returns the read's issue instant if the stream has it.
+    pub fn complete(
+        &mut self,
+        at: SimTime,
+        span: u64,
+        started: SimTime,
+        sequential: bool,
+    ) -> Option<SimTime> {
+        self.busy += at - started;
+        self.requests += 1;
+        self.sequential += u64::from(sequential);
+        // A bounded recording may have dropped the issue.
+        self.outstanding = self.outstanding.saturating_sub(1);
+        self.queue_depth
+            .record(at.as_nanos() as f64, f64::from(self.outstanding));
+        let issued = self.issued.remove(&span)?;
+        self.queue_wait += started - issued;
+        self.waited += 1;
+        Some(issued)
     }
 
     /// Fraction of `[0, span_end)` this disk spent servicing requests.
@@ -38,6 +72,26 @@ impl DiskLaneMetrics {
             self.busy.as_nanos() as f64 / span_end.as_nanos() as f64
         }
     }
+
+    /// Time-averaged outstanding-request count from the first issue to
+    /// `span_end`; `0.0` over an empty window.
+    #[must_use]
+    pub fn mean_queue_depth(&self, span_end: SimTime) -> f64 {
+        self.queue_depth
+            .average_until(span_end.as_nanos() as f64)
+            .unwrap_or(0.0)
+    }
+
+    /// Mean wait from issue to service start, in seconds, over the
+    /// paired requests; `0.0` when none paired.
+    #[must_use]
+    pub fn mean_queue_wait(&self) -> f64 {
+        if self.waited == 0 {
+            0.0
+        } else {
+            self.queue_wait.as_secs_f64() / self.waited as f64
+        }
+    }
 }
 
 /// Counter/gauge registry computed from a recorded trace.
@@ -45,7 +99,7 @@ impl DiskLaneMetrics {
 /// All quantities derive from the same [`TraceEvent`] stream the
 /// exporters consume, so a number here is always explainable by pointing
 /// at events in the exported trace.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceMetrics {
     /// End of the last stamped event (the observed span).
     pub span_end: SimTime,
@@ -76,49 +130,23 @@ impl TraceMetrics {
     /// [`crate::RecordingSink::events`]).
     #[must_use]
     pub fn from_events(events: &[TraceEvent]) -> Self {
-        let mut m = TraceMetrics {
-            span_end: SimTime::ZERO,
-            input_disks: Vec::new(),
-            output_disks: Vec::new(),
-            demand_misses: 0,
-            prefetch_batches: 0,
-            admitted_blocks: 0,
-            rejected_blocks: 0,
-            group_admission: Counter::new(),
-            blocks_consumed: 0,
-            runs_exhausted: 0,
-            min_free_at_miss: None,
-        };
-        // Live outstanding count per (side, disk) feeding the
-        // time-weighted gauges.
-        let mut outstanding: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+        let mut m = TraceMetrics::default();
         for ev in events {
             m.span_end = m.span_end.max(ev.at);
             match ev.kind {
-                EventKind::DiskIssue { disk, output, .. } => {
-                    let lane = lane_mut(&mut m.input_disks, &mut m.output_disks, disk, output);
-                    let depth = &mut outstanding[usize::from(output)];
-                    grow(depth, disk);
-                    depth[disk as usize] += 1;
-                    lane.queue_depth
-                        .record(ev.at.as_nanos() as f64, f64::from(depth[disk as usize]));
-                }
+                EventKind::DiskIssue {
+                    disk, output, span, ..
+                } => m.lane(disk, output).issue(ev.at, span),
                 EventKind::DiskTransferDone {
                     disk,
                     output,
+                    span,
                     started,
                     sequential,
                     ..
                 } => {
-                    let lane = lane_mut(&mut m.input_disks, &mut m.output_disks, disk, output);
-                    lane.busy += ev.at - started;
-                    lane.requests += 1;
-                    lane.sequential += u64::from(sequential);
-                    let depth = &mut outstanding[usize::from(output)];
-                    grow(depth, disk);
-                    depth[disk as usize] -= 1;
-                    lane.queue_depth
-                        .record(ev.at.as_nanos() as f64, f64::from(depth[disk as usize]));
+                    m.lane(disk, output)
+                        .complete(ev.at, span, started, sequential);
                 }
                 EventKind::DiskSeekDone { .. } => {}
                 EventKind::DemandMiss { free, .. } => {
@@ -145,6 +173,32 @@ impl TraceMetrics {
         m
     }
 
+    /// The lane of `disk` on the output side if `output`, else the input.
+    fn lane(&mut self, disk: u16, output: bool) -> &mut DiskLaneMetrics {
+        let lanes = if output {
+            &mut self.output_disks
+        } else {
+            &mut self.input_disks
+        };
+        let d = usize::from(disk);
+        if lanes.len() <= d {
+            lanes.resize_with(d + 1, DiskLaneMetrics::default);
+        }
+        &mut lanes[d]
+    }
+
+    /// Mean wait from issue to service start over every input disk's
+    /// paired requests, in seconds; `0.0` when none paired.
+    #[must_use]
+    pub fn mean_input_queue_wait(&self) -> f64 {
+        let all = DiskLaneMetrics {
+            queue_wait: self.input_disks.iter().map(|l| l.queue_wait).sum(),
+            waited: self.input_disks.iter().map(|l| l.waited).sum(),
+            ..DiskLaneMetrics::default()
+        };
+        all.mean_queue_wait()
+    }
+
     /// Fraction of prefetch-group admissions that succeeded, if any group
     /// decision was traced.
     #[must_use]
@@ -161,25 +215,6 @@ impl TraceMetrics {
             Some(self.demand_misses as f64 / self.blocks_consumed as f64)
         }
     }
-}
-
-fn grow(v: &mut Vec<u32>, disk: u16) {
-    if v.len() <= usize::from(disk) {
-        v.resize(usize::from(disk) + 1, 0);
-    }
-}
-
-fn lane_mut<'a>(
-    input: &'a mut Vec<DiskLaneMetrics>,
-    output: &'a mut Vec<DiskLaneMetrics>,
-    disk: u16,
-    is_output: bool,
-) -> &'a mut DiskLaneMetrics {
-    let lanes = if is_output { output } else { input };
-    while lanes.len() <= usize::from(disk) {
-        lanes.push(DiskLaneMetrics::new());
-    }
-    &mut lanes[usize::from(disk)]
 }
 
 #[cfg(test)]
@@ -235,6 +270,31 @@ mod tests {
         // Depth stepped 2 -> 1 -> 0 over [0, 25): avg = (2*10 + 1*15)/25.
         let avg = d0.queue_depth.average_until(25.0).unwrap();
         assert!((avg - 35.0 / 25.0).abs() < 1e-12, "{avg}");
+        assert_eq!(d0.queue_depth.max(), Some(2.0));
+    }
+
+    #[test]
+    fn queue_wait_pairs_each_completion_with_its_issue() {
+        let events = vec![
+            // A completion whose issue the recording dropped pairs nothing.
+            done(5, 0, 9, 2, false),
+            issue(10, 0, 0),
+            issue(10, 0, 1),
+            done(20, 0, 0, 10, false),
+            done(30, 0, 1, 20, true),
+            // A later group numbers its spans from 0 again.
+            issue(40, 0, 0),
+            done(60, 0, 0, 45, false),
+        ];
+        let m = TraceMetrics::from_events(&events);
+        let d0 = &m.input_disks[0];
+        assert_eq!(d0.requests, 4);
+        assert_eq!(d0.waited, 3);
+        // Waits 0, 10 and 5 ns.
+        assert_eq!(d0.queue_wait.as_nanos(), 15);
+        assert!((d0.mean_queue_wait() - 5e-9).abs() < 1e-18);
+        assert!((m.mean_input_queue_wait() - 5e-9).abs() < 1e-18);
+        assert_eq!(d0.queue_depth.current(), 0.0);
         assert_eq!(d0.queue_depth.max(), Some(2.0));
     }
 
