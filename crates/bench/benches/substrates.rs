@@ -12,6 +12,7 @@ use pm_disk::{BlockAddr, Disk, DiskId, DiskRequest, DiskSpec, QueueDiscipline};
 use pm_engine::{ExecConfig, MergeEngine, ThreadedQueue};
 use pm_extsort::{external_sort, generate, run_formation, ExtSortConfig, Record, RunFormation};
 use pm_sim::{EventQueue, SimRng, SimTime};
+use std::cmp::Ordering;
 use std::hint::black_box;
 
 fn event_queue(c: &mut Criterion) {
@@ -85,22 +86,19 @@ fn loser_tree(c: &mut Criterion) {
                 v
             })
             .collect();
-        b.iter_batched(
-            || sources.clone(),
-            |sources| {
-                let mut iters: Vec<_> = sources.into_iter().map(Vec::into_iter).collect();
-                let heads: Vec<Option<u64>> = iters.iter_mut().map(Iterator::next).collect();
-                let mut tree = LoserTree::new(heads);
-                let mut out = 0u64;
-                while let Some(src) = tree.winner().map(|(s, _)| s) {
-                    let next = iters[src].next();
-                    let (_, v) = tree.pop_and_replace(next).expect("non-empty");
-                    out = out.wrapping_add(v);
-                }
-                black_box(out)
-            },
-            BatchSize::SmallInput,
-        );
+        // `u64`s are their own keys, so a tie is between equal heads.
+        let tie = |_: usize, _: usize| Ordering::Equal;
+        b.iter(|| {
+            let mut next = vec![0usize; sources.len()];
+            let mut tree = LoserTree::new(sources.iter().map(|s| s.first().copied()), tie);
+            let mut out = 0u64;
+            while let Some(src) = tree.winner() {
+                out = out.wrapping_add(sources[src][next[src]]);
+                next[src] += 1;
+                tree.replace_winner(sources[src].get(next[src]).copied(), tie);
+            }
+            black_box(out)
+        });
     });
 }
 
@@ -130,22 +128,23 @@ fn loser_tree_records(c: &mut Criterion) {
     ] {
         let runs = record_runs(k, (1 << 18) / k);
         c.bench_function(name, |b| {
-            b.iter_batched(
-                || runs.clone(),
-                |runs| {
-                    let mut iters: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
-                    let heads: Vec<Option<Record>> = iters.iter_mut().map(Iterator::next).collect();
-                    let mut tree = LoserTree::new(heads);
-                    let mut out = 0u64;
-                    while let Some((src, _)) = tree.winner() {
-                        let next = iters[src].next();
-                        let (_, r) = tree.pop_and_replace(next).expect("non-empty");
-                        out = out.wrapping_add(r.rid);
-                    }
-                    black_box(out)
-                },
-                BatchSize::LargeInput,
-            );
+            b.iter(|| {
+                let mut next = vec![0usize; runs.len()];
+                let head = |r: usize, next: &[usize]| runs[r].get(next[r]);
+                let tie = |a: usize, b: usize, next: &[usize]| head(a, next).cmp(&head(b, next));
+                let mut tree =
+                    LoserTree::new(runs.iter().map(|run| run.first().map(|r| r.key)), |a, b| {
+                        tie(a, b, &next)
+                    });
+                let mut out = 0u64;
+                while let Some(src) = tree.winner() {
+                    out = out.wrapping_add(runs[src][next[src]].rid);
+                    next[src] += 1;
+                    let key = head(src, &next).map(|r| r.key);
+                    tree.replace_winner(key, |a, b| tie(a, b, &next));
+                }
+                black_box(out)
+            });
         });
     }
 }

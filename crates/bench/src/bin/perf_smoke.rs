@@ -4,9 +4,10 @@
 //!
 //! * [`scenarios`] — timed workloads: eight paper configurations
 //!   (strategy × D), the `contend_d8_t4` multi-tenant service mix, the
-//!   `merge_k64_records` merge kernel and the `extsort_formation`
-//!   run-formation kernel, each reporting units (merged blocks, replayed
-//!   requests, merged or sorted records) per second of its fastest repeat.
+//!   `merge_k64_records` and `merge_k8_records` merge kernels and the
+//!   `extsort_formation` run-formation kernel, each reporting units
+//!   (merged blocks, replayed requests, merged or sorted records) per
+//!   second of its fastest repeat.
 //! * [`probes`] — steady-state allocations per unit, counted by a global
 //!   allocator: zero for the simulator core (bare, metered, and under the
 //!   observability pipeline), the tenant-scheduling layer (bare and
@@ -223,7 +224,15 @@ fn scenarios() -> Vec<Scenario> {
         // enough that a single scheduler hiccup or a cold cache swamps it,
         // so each repeat times `MERGE_PASSES` merges and the fastest counts.
         scenario("merge_k64_records", "loser-tree", 0, "record", |repeats| {
-            let runs = merge_runs(1024);
+            let runs = merge_runs(MERGE_RUNS, 1024);
+            timed(repeats.saturating_mul(MERGE_PASSES), MERGE_PASSES, |_| {
+                (merge_records(&runs), ())
+            })
+        }),
+        // The same records as 8 runs: each pass of the two-pass sort's
+        // fan-in-8 tree merges at this depth.
+        scenario("merge_k8_records", "loser-tree", 0, "record", |repeats| {
+            let runs = merge_runs(8, MERGE_RUNS * 1024 / 8);
             timed(repeats.saturating_mul(MERGE_PASSES), MERGE_PASSES, |_| {
                 (merge_records(&runs), ())
             })
@@ -284,32 +293,37 @@ fn contend(s: &mut (TenantSim, Wfq), jobs: &[TenantJob], seed: u64, m: &impl Met
 /// 64 runs.
 const MERGE_RUNS: usize = 64;
 
-/// Timed merges per repeat of `merge_k64_records`.
+/// Timed merges per repeat of `merge_k64_records` and `merge_k8_records`.
 const MERGE_PASSES: u32 = 8;
 
 /// Run length of the `extsort_formation` scenario: the benchmark's
 /// single-pass sort forms `MERGE_RUNS` runs of 62 500 records.
 const FORMATION_RUN_LEN: usize = 62_500;
 
-/// `MERGE_RUNS` sorted runs of `run_len` uniform records each, as
-/// load-sort run formation leaves them.
-fn merge_runs(run_len: usize) -> Vec<Vec<Record>> {
-    run_formation::load_sort(&generate::uniform(MERGE_RUNS * run_len, 1992), run_len)
+/// `k` sorted runs of `run_len` uniform records each, as load-sort run
+/// formation leaves them.
+fn merge_runs(k: usize, run_len: usize) -> Vec<Vec<Record>> {
+    run_formation::load_sort(&generate::uniform(k * run_len, 1992), run_len)
 }
 
 /// Merges `runs` through a [`LoserTree`] and returns the records merged.
-/// The runs are borrowed, so the only allocations are the tree's and the
-/// cursor vector's, both made before the first record moves.
+/// The runs are borrowed and the heads stay in them, so the only
+/// allocations are the tree's and the position vector's, both made before
+/// the first record moves.
 fn merge_records(runs: &[Vec<Record>]) -> u64 {
-    let mut cursors: Vec<_> = runs.iter().map(|r| r.iter().copied()).collect();
-    let heads: Vec<Option<Record>> = cursors.iter_mut().map(Iterator::next).collect();
-    let mut tree = LoserTree::new(heads);
+    let mut next = vec![0usize; runs.len()];
+    let head = |r: usize, next: &[usize]| runs[r].get(next[r]);
+    let tie = |a: usize, b: usize, next: &[usize]| head(a, next).cmp(&head(b, next));
+    let mut tree = LoserTree::new(runs.iter().map(|run| run.first().map(|r| r.key)), |a, b| {
+        tie(a, b, &next)
+    });
     let (mut merged, mut acc) = (0u64, 0u64);
-    while let Some((src, _)) = tree.winner() {
-        let next = cursors[src].next();
-        let (_, rec) = tree.pop_and_replace(next).expect("winner exists");
-        acc ^= rec.rid;
+    while let Some(src) = tree.winner() {
+        acc ^= runs[src][next[src]].rid;
         merged += 1;
+        next[src] += 1;
+        let key = head(src, &next).map(|r| r.key);
+        tree.replace_winner(key, |a, b| tie(a, b, &next));
     }
     std::hint::black_box(acc);
     merged
@@ -503,7 +517,7 @@ fn probes() -> Vec<ProbeRow> {
             0.0,
             [256, 1024, 4096],
             |n| {
-                let runs = merge_runs(n as usize);
+                let runs = merge_runs(MERGE_RUNS, n as usize);
                 counted(|| merge_records(&runs))
             },
         ),
@@ -521,7 +535,7 @@ fn probes() -> Vec<ProbeRow> {
             ENGINE_MAX_ALLOCS_PER_BLOCK,
             [2000, 8000, 32_000],
             |n| {
-                let runs = merge_runs(n as usize);
+                let runs = merge_runs(MERGE_RUNS, n as usize);
                 let cfg = ScenarioBuilder::new(MERGE_RUNS as u32, 8).inter(4).build();
                 let mut exec = ExecConfig::new(cfg.expect("valid engine probe config"));
                 exec.jobs = 1;

@@ -62,7 +62,10 @@ COMMANDS:
                cross-check the engine against the simulator
     plan       Preview a multi-pass merge schedule: per-pass fan-in,
                groups, blocks read, and the simulator's predicted read
-               time under the greedy-max and balanced policies
+               time under the greedy-max and balanced policies; the
+               prediction assumes uniform random depletion, so it can
+               differ from the 'sim read' exec reports, which replays
+               the data's own depletion order
     contend    Simulate N tenant merges contending for shared disks and
                cache under pluggable scheduling (fifo | wfq | priority)
                and cache-partitioning (static | proportional | free)
@@ -222,6 +225,10 @@ PLAN OPTIONS (the scenario options as for exec, with the same defaults
                         from this cache budget and the strategy
     --plan-policy <p>   greedy-max | balanced | both     [default: both]
     --json              emit the schedule as one JSON object
+The predicted read time simulates every merged group under uniform random
+depletion (each next block drawn from a random live run), even with
+--records: exec's 'sim read' replays the order the real data depleted its
+blocks in, so the two can differ for the same flags.
 ";
 
 /// Writes to stdout, dropping the text once the reader has closed it

@@ -44,12 +44,15 @@ pub fn encode_records(records: &[Record], buf: &mut [u8]) {
 /// A merge cursor over one block's records, read straight out of the
 /// block's bytes: the engine merges from the payload buffer a completion
 /// delivered, with no decoded copy, and hands the buffer back to the
-/// queue when the block is used up.
+/// queue when the block is used up. The cursor's head is the record at
+/// `pos`; the merge reads its key for the loser tree's replay, its rid
+/// only to break a tie, and copies the whole record once, into the
+/// output.
 #[derive(Debug, Default)]
 pub(crate) struct BlockCursor {
     /// The block's encoded records, its padding cut off.
     buf: Vec<u8>,
-    /// Byte offset of the next record.
+    /// Byte offset of the head record.
     pos: usize,
 }
 
@@ -65,14 +68,26 @@ impl BlockCursor {
         BlockCursor { buf, pos: 0 }
     }
 
-    /// The next record, `None` once the block is used up.
+    /// The head record's key, `None` once the block is used up.
     #[inline]
-    pub(crate) fn next_record(&mut self) -> Option<Record> {
+    pub(crate) fn key(&self) -> Option<u64> {
+        let bytes = self.buf.get(self.pos..self.pos + 8)?;
+        Some(u64::from_le_bytes(bytes.try_into().expect("8-byte key")))
+    }
+
+    /// The head record, `None` once the block is used up.
+    #[inline]
+    pub(crate) fn head(&self) -> Option<Record> {
         let chunk = self.buf.get(self.pos..self.pos + RECORD_BYTES)?;
-        self.pos += RECORD_BYTES;
         let key = u64::from_le_bytes(chunk[..8].try_into().expect("8-byte key"));
         let rid = u64::from_le_bytes(chunk[8..].try_into().expect("8-byte rid"));
         Some(Record::new(key, rid))
+    }
+
+    /// Moves past the head record.
+    #[inline]
+    pub(crate) fn advance(&mut self) {
+        self.pos += RECORD_BYTES;
     }
 
     /// Takes the block's buffer, leaving an empty cursor.
@@ -93,9 +108,14 @@ mod tests {
         // The tail past the encoded records is zeroed.
         assert!(buf[7 * RECORD_BYTES..].iter().all(|&b| b == 0));
         let mut cursor = BlockCursor::new(buf, 7);
-        let decoded: Vec<Record> = std::iter::from_fn(|| cursor.next_record()).collect();
+        let mut decoded = Vec::new();
+        while let Some(rec) = cursor.head() {
+            assert_eq!(cursor.key(), Some(rec.key));
+            decoded.push(rec);
+            cursor.advance();
+        }
         assert_eq!(decoded, records);
-        assert_eq!(cursor.next_record(), None);
+        assert_eq!(cursor.key(), None);
         assert_eq!(cursor.take_buf().capacity(), block_bytes(10));
     }
 }

@@ -604,35 +604,37 @@ impl<'a, M: MetricsSink, S: TraceSink> ExecState<'a, M, S> {
         let k = self.plan.run_records.len();
         self.initial_load()?;
 
-        // Build the loser tree from every run's leading block.
+        // Build the loser tree from every run's leading block. The heads
+        // stay in their blocks: the tree sees their keys, and reads whole
+        // heads only to break a tie.
         let mut cursors: Vec<BlockCursor> = Vec::with_capacity(k);
         for r in 0..k {
             cursors.push(self.take_block(RunId(r as u32))?);
         }
-        let heads: Vec<Option<Record>> = cursors.iter_mut().map(BlockCursor::next_record).collect();
-        let mut tree = LoserTree::new(heads);
+        let tie =
+            |cursors: &[BlockCursor], a: usize, b: usize| cursors[a].head().cmp(&cursors[b].head());
+        let mut tree = LoserTree::new(cursors.iter().map(BlockCursor::key), |a, b| {
+            tie(&cursors, a, b)
+        });
 
         let total_records: usize = self.plan.run_records.iter().sum();
         let mut output = Vec::with_capacity(total_records);
-        while let Some((src, _)) = tree.winner() {
-            let next = match cursors[src].next_record() {
-                Some(rec) => Some(rec),
-                None => {
-                    // The block is used up: its buffer goes back to the
-                    // queue before the decisions this depletion triggers
-                    // submit their reads.
-                    self.recycle(cursors[src].take_buf());
-                    match self.advance_run(RunId(src as u32))? {
-                        Some(block) => {
-                            cursors[src] = block;
-                            cursors[src].next_record()
-                        }
-                        None => None,
-                    }
+        while let Some(src) = tree.winner() {
+            let cursor = &mut cursors[src];
+            output.push(cursor.head().expect("the winner has a head"));
+            cursor.advance();
+            let mut key = cursor.key();
+            if key.is_none() {
+                // The block is used up: its buffer goes back to the queue
+                // before the decisions this depletion triggers submit
+                // their reads.
+                self.recycle(cursor.take_buf());
+                if let Some(block) = self.advance_run(RunId(src as u32))? {
+                    cursors[src] = block;
+                    key = cursors[src].key();
                 }
-            };
-            let (_, rec) = tree.pop_and_replace(next).expect("winner exists");
-            output.push(rec);
+            }
+            tree.replace_winner(key, |a, b| tie(&cursors, a, b));
         }
         let wall = self.epoch.elapsed();
 

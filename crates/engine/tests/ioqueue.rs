@@ -38,131 +38,9 @@ use proptest::prelude::*;
 
 #[cfg(feature = "uring")]
 use common::RPB_ALIGNED;
-use common::{engine_custom, form_runs, run_file, run_memory, unique_dir, PanickingDevice, RPB};
-
-/// An adversarial [`IoQueue`] over a [`MemoryDevice`]: every submitted
-/// request is serviced instantly, but completions are handed back in a
-/// seeded pseudo-random order and in pseudo-random batch sizes — the
-/// worst-case legal behaviour the contract allows (io_uring can
-/// reorder even within one disk). It reads into recycled buffers.
-struct PermutedQueue {
-    device: MemoryDevice,
-    rng: u64,
-    depth: usize,
-    finished: Vec<IoCompletion>,
-    spare: Vec<Vec<u8>>,
-    epoch: Instant,
-}
-
-impl PermutedQueue {
-    fn new(disks: usize, block_bytes: usize, seed: u64, depth: usize) -> Self {
-        PermutedQueue {
-            device: MemoryDevice::new(disks, block_bytes),
-            rng: seed | 1,
-            depth: depth.max(1),
-            finished: Vec::new(),
-            spare: Vec::new(),
-            epoch: Instant::now(),
-        }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*: deterministic per seed, good enough to scramble
-        // completion order.
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn shuffle_finished(&mut self) {
-        for i in (1..self.finished.len()).rev() {
-            let j = (self.next_rand() % (i as u64 + 1)) as usize;
-            self.finished.swap(i, j);
-        }
-    }
-}
-
-impl IoQueue for PermutedQueue {
-    fn backend(&self) -> &'static str {
-        "permuted"
-    }
-
-    fn block_bytes(&self) -> usize {
-        self.device.block_bytes()
-    }
-
-    fn disks(&self) -> usize {
-        self.device.disks()
-    }
-
-    fn depth(&self) -> usize {
-        self.depth
-    }
-
-    fn write_block(&mut self, disk: DiskId, start: BlockAddr, data: &[u8]) -> io::Result<()> {
-        self.device.write_block(disk, start, data)
-    }
-
-    fn open(&mut self, epoch: Instant) -> io::Result<()> {
-        self.epoch = epoch;
-        Ok(())
-    }
-
-    fn submit(&mut self, reqs: &[IoRequest]) -> io::Result<()> {
-        for req in reqs {
-            let mut buf = self.spare.pop().unwrap_or_default();
-            buf.resize(self.device.block_bytes(), 0);
-            let result = self
-                .device
-                .read_block(req.req.disk, req.req.start, &mut buf);
-            let now = Instant::now().duration_since(self.epoch).as_nanos() as u64;
-            self.finished.push(IoCompletion {
-                disk: req.req.disk.0,
-                tag: req.req.tag,
-                span: req.span,
-                hint: req.req.sequential_hint,
-                injected: None,
-                submitted_ns: now,
-                started_ns: now,
-                finished_ns: now,
-                data: result.map(|()| buf),
-            });
-        }
-        self.shuffle_finished();
-        Ok(())
-    }
-
-    fn complete(&mut self, out: &mut Vec<IoCompletion>, min_wait: usize) -> io::Result<usize> {
-        if self.finished.len() < min_wait {
-            return Err(io::Error::other(format!(
-                "waiting for {min_wait} completions with only {} in flight",
-                self.finished.len()
-            )));
-        }
-        // Release a pseudo-random batch: at least min_wait, at most
-        // everything outstanding.
-        let extra = self.finished.len() - min_wait;
-        let n = min_wait
-            + if extra == 0 {
-                0
-            } else {
-                (self.next_rand() % (extra as u64 + 1)) as usize
-            };
-        out.extend(self.finished.drain(..n));
-        Ok(n)
-    }
-
-    fn recycle(&mut self, buf: Vec<u8>) {
-        self.spare.push(buf);
-    }
-
-    fn shutdown(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
+use common::{
+    engine_custom, form_runs, run_file, run_memory, unique_dir, PanickingDevice, PermutedQueue, RPB,
+};
 
 /// Forwards everything but [`IoQueue::recycle`], whose default drops the
 /// buffer: a wrapper that does not forward it.

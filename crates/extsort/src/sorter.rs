@@ -151,23 +151,26 @@ pub fn external_sort(input: &[Record], cfg: &ExtSortConfig) -> SortOutcome {
         };
     }
 
-    // k-way merge through the loser tree, counting per-run consumption to
-    // detect block boundaries.
-    let mut iters: Vec<std::vec::IntoIter<Record>> = runs.into_iter().map(Vec::into_iter).collect();
-    let heads: Vec<Option<Record>> = iters.iter_mut().map(Iterator::next).collect();
-    let mut tree = LoserTree::new(heads);
+    // k-way merge through the loser tree. `consumed[r]` counts the records
+    // taken from run `r`, so it indexes the run's head and finds its block
+    // boundaries.
+    let mut consumed = vec![0usize; runs.len()];
+    let head = |r: usize, consumed: &[usize]| runs[r].get(consumed[r]);
+    let tie = |a: usize, b: usize, consumed: &[usize]| head(a, consumed).cmp(&head(b, consumed));
+    let mut tree = LoserTree::new(runs.iter().map(|run| run.first().map(|r| r.key)), |a, b| {
+        tie(a, b, &consumed)
+    });
     let mut output = Vec::with_capacity(input.len());
-    let mut consumed = vec![0usize; run_lengths.len()];
     let mut trace = Vec::new();
-    while let Some((src, _)) = tree.winner() {
-        let next = iters[src].next();
-        let (_, record) = tree.pop_and_replace(next).expect("non-empty tree");
-        output.push(record);
+    while let Some(src) = tree.winner() {
+        output.push(runs[src][consumed[src]]);
         consumed[src] += 1;
         // A block of `src` is depleted when its last record is consumed.
         if consumed[src] % cfg.records_per_block == 0 || consumed[src] == run_lengths[src] {
             trace.push(RunId(src as u32));
         }
+        let key = head(src, &consumed).map(|r| r.key);
+        tree.replace_winner(key, |a, b| tie(a, b, &consumed));
     }
     SortOutcome {
         output,

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use pm_core::LoserTree;
+use pm_core::{LoserTree, MergeKey};
 use pm_extsort::{external_sort, run_formation, ExtSortConfig, Record, RunFormation};
 
 fn records(max_len: usize) -> impl Strategy<Value = Vec<Record>> {
@@ -91,14 +91,17 @@ proptest! {
         let mut expected: Vec<u32> = sorted_sources.iter().flatten().copied().collect();
         expected.sort_unstable();
 
-        let mut iters: Vec<_> = sorted_sources.into_iter().map(Vec::into_iter).collect();
-        let heads: Vec<Option<u32>> = iters.iter_mut().map(Iterator::next).collect();
-        let mut tree = LoserTree::new(heads);
+        let sources = sorted_sources;
+        let mut next = vec![0usize; sources.len()];
+        let head = |s: usize, next: &[usize]| sources[s].get(next[s]).copied();
+        let tie = |_: usize, _: usize| std::cmp::Ordering::Equal;
+        let mut tree = LoserTree::new((0..sources.len()).map(|s| head(s, &next).map(u64::from)), tie);
         let mut merged = Vec::new();
         let mut last: Option<(u32, usize)> = None;
-        while let Some((src_peek, _)) = tree.winner().map(|(s, _)| (s, ())) {
-            let next = iters[src_peek].next();
-            let (src, v) = tree.pop_and_replace(next).unwrap();
+        while let Some(src) = tree.winner() {
+            let v = sources[src][next[src]];
+            next[src] += 1;
+            tree.replace_winner(head(src, &next).map(u64::from), tie);
             // Stability: equal values must come out in source order.
             if let Some((lv, ls)) = last {
                 prop_assert!(lv < v || (lv == v && ls <= src), "stability violated");
@@ -168,8 +171,10 @@ proptest! {
 /// Defines, per item type, a function that merges sorted sources through
 /// a `LoserTree` and returns its `(item, source)` output next to the
 /// reference: every `(item, source)` pair sorted, so equal items come out
-/// in source order. Only the public API is used, and no trait bound is
-/// named, so the same tests hold for any tree with that API.
+/// in source order. The heads stay in `sources`; the tree gets each head's
+/// `merge_key` and a tie closure that compares two heads by `Ord` and
+/// fails the test if it is asked about an exhausted source or unequal
+/// keys. Only the public API is used.
 macro_rules! merge_vs_reference {
     ($($name:ident: $t:ty),* $(,)?) => {$(
         fn $name(mut sources: Vec<Vec<$t>>) -> (Vec<($t, usize)>, Vec<($t, usize)>) {
@@ -182,16 +187,26 @@ macro_rules! merge_vs_reference {
                 .flat_map(|(src, v)| v.iter().map(move |&t| (t, src)))
                 .collect();
             expected.sort_unstable();
-            let mut iters: Vec<_> = sources.into_iter().map(Vec::into_iter).collect();
-            let heads: Vec<Option<$t>> = iters.iter_mut().map(Iterator::next).collect();
-            let mut tree = LoserTree::new(heads);
+            let mut next = vec![0usize; sources.len()];
+            let head = |s: usize, next: &[usize]| sources[s].get(next[s]).copied();
+            let tie = |a: usize, b: usize, next: &[usize]| {
+                let x = head(a, next).expect("tie asked about an exhausted source");
+                let y = head(b, next).expect("tie asked about an exhausted source");
+                assert_eq!(x.merge_key(), y.merge_key(), "tie asked about unequal keys");
+                x.cmp(&y)
+            };
+            let key = |s: usize, next: &[usize]| head(s, next).map(|t| t.merge_key());
+            let mut tree = LoserTree::new((0..sources.len()).map(|s| key(s, &next)), |a, b| {
+                tie(a, b, &next)
+            });
             let mut merged = Vec::with_capacity(expected.len());
-            while let Some((src, _)) = tree.winner() {
-                let next = iters[src].next();
-                let (s, v) = tree.pop_and_replace(next).expect("winner exists");
-                merged.push((v, s));
+            while let Some(src) = tree.winner() {
+                merged.push((sources[src][next[src]], src));
+                next[src] += 1;
+                tree.replace_winner(key(src, &next), |a, b| tie(a, b, &next));
             }
-            assert_eq!(tree.pop_and_replace(None), None, "drained tree must stay empty");
+            tree.replace_winner(None, |a, b| tie(a, b, &next));
+            assert_eq!(tree.winner(), None, "drained tree must stay empty");
             (merged, expected)
         }
     )*};
@@ -232,6 +247,23 @@ proptest! {
         sources in sources_of(
             (prop_oneof![0u64..3, Just(u64::MAX)], 0u64..40).prop_map(|(k, r)| Record::new(k, r)),
             10,
+        ),
+    ) {
+        let (merged, expected) = merge_records(sources);
+        prop_assert_eq!(merged, expected);
+    }
+
+    /// Records keyed `u64::MAX`, with random rids spread across the
+    /// sources, come out in rid order although their keys equal the key
+    /// every exhausted source holds: at each such match the tree must tell
+    /// a real head from an exhausted source, and ask `tie` only about two
+    /// real heads.
+    #[test]
+    fn loser_tree_max_key_records_beside_exhausted_sources(
+        sources in sources_of(
+            (prop_oneof![Just(u64::MAX), Just(u64::MAX - 1)], any::<u64>())
+                .prop_map(|(k, r)| Record::new(k, r)),
+            6,
         ),
     ) {
         let (merged, expected) = merge_records(sources);
